@@ -102,7 +102,8 @@ class HedgeState:
     ----------
     w : probability vector over layers, kept on the simplex.
     beta : per-unit-loss discount in (0, 1).
-    smoothing : floor budget s; no weight ends an update below s/L.
+    smoothing : floor budget s. Each update floors the weights at s/L and
+        then renormalises, so no weight ends an update below s/(L(1+s)).
     """
 
     w: np.ndarray
@@ -141,7 +142,9 @@ def hedge_update(state: HedgeState, losses) -> HedgeState:
     """Discount weights by beta raised to the min-max-normalised losses.
 
     After the multiplicative step every weight is floored at s/L and the
-    vector is renormalised. Non-finite losses leave the weights untouched
+    vector is renormalised. The floored vector sums to at most 1 + s, so
+    no weight ends below s/(L(1+s)); renormalising can take a weight
+    below s/L itself. Non-finite losses leave the weights untouched
     (the caller records the health event).
     """
     losses = np.asarray(losses, dtype=np.float64)

@@ -30,7 +30,7 @@ from .gradcheck import run_gradient_checks
 from .graph import KERNEL_KINDS
 from .plots import plot_curves, plot_expert_strip
 from .report import write_loss_csv, write_stream_csv, read_stream_csv
-from .runtime import BaseMetrics, compute_base, run_online, train_offline
+from .runtime import ALIGNMENTS, STRATEGIES, BaseMetrics, compute_base, run_online, train_offline
 
 ARTIFACT_VERSION = 1
 
@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--report", required=True, help="stream report CSV path")
-    p.add_argument("--strategy", default=None, choices=("ea", "plain", "hedge"))
-    p.add_argument("--alignment", default=None, choices=("none", "recentre"))
+    p.add_argument("--strategy", default=None, choices=STRATEGIES)
+    p.add_argument("--alignment", default=None, choices=ALIGNMENTS)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--clip-norm", default=None,
                    help="gradient clip threshold, or 'none' to disable")

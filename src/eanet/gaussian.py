@@ -118,6 +118,11 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     the 2x2 covariance and z a standard normal pair. Draws are ordered
     sample-major, then agent, then frame, so the first K samples of a
     K+1 run coincide with the K run (nested seed streams).
+
+    The result is bit-identical to a scalar loop that draws each pair
+    with `Xorshift64Star.normal_pair()` in that order, forms
+    (mu_x + sx z0, mu_y + rho sy z0 + sy sqrt(max(1 - rho^2, RHO_GUARD)) z1)
+    and takes the running sum over frames from the origin.
     """
     if k < 1:
         raise ContractError("need at least one sample")
@@ -128,58 +133,67 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     rho = field.rho.data[0].transpose(1, 0, 2)[..., 0]
     p, t = mu.shape[0], mu.shape[1]
     origin = np.asarray(origin_abs, dtype=np.float64).reshape(p, 1, 2)
-    rng = Xorshift64Star(seed)
-    out = np.empty((k, p, t, 2))
-    for s in range(k):
-        rel = np.empty((p, t, 2))
-        for a in range(p):
-            for f in range(t):
-                z0, z1 = rng.normal_pair()
-                sx, sy = sigma[a, f]
-                r = rho[a, f]
-                tail = sy * math.sqrt(max(1.0 - r * r, RHO_GUARD))
-                rel[a, f, 0] = mu[a, f, 0] + sx * z0
-                rel[a, f, 1] = mu[a, f, 1] + r * sy * z0 + tail * z1
-        out[s] = origin + np.cumsum(rel, axis=1)
-    return out
+    z = Xorshift64Star(seed).normal_pairs(k * p * t).reshape(k, p, t, 2)
+    z0, z1 = z[..., 0], z[..., 1]
+    sx, sy = sigma[..., 0], sigma[..., 1]
+    tail = sy * np.sqrt(np.maximum(1.0 - rho * rho, RHO_GUARD))
+    rel = np.empty((k, p, t, 2))
+    rel[..., 0] = mu[..., 0] + sx * z0
+    rel[..., 1] = mu[..., 1] + rho * sy * z0 + tail * z1
+    return origin + np.cumsum(rel, axis=2)
+
+
+def _displacement_errors(pred_abs: np.ndarray,
+                         truth_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ADE and FDE, each of shape (K,), of K (P, T, 2) predictions against
+    one (P, T, 2) truth.
+
+    Per-point errors come from `math.hypot` and are summed agent-major,
+    then frame, in sequence (`np.cumsum` adds in order), so a scalar
+    double loop reproduces every value bit for bit.
+    """
+    if (pred_abs.shape[1:] != truth_abs.shape or truth_abs.ndim != 3
+            or truth_abs.shape[-1] != 2 or 0 in truth_abs.shape):
+        raise DimensionError(
+            f"ADE/FDE want non-empty (P, T, 2) trajectories that match, got "
+            f"{pred_abs.shape[1:]} and {truth_abs.shape}"
+        )
+    k, p, t = pred_abs.shape[:3]
+    diff = pred_abs - truth_abs
+    err = np.fromiter(map(math.hypot, diff[..., 0].ravel().tolist(),
+                          diff[..., 1].ravel().tolist()), np.float64, k * p * t)
+    err = err.reshape(k, p, t)
+    ade = np.cumsum(err.reshape(k, p * t), axis=1)[:, -1] / (p * t)
+    fde = np.cumsum(err[:, :, -1], axis=1)[:, -1] / p
+    return ade, fde
 
 
 def ade_fde(pred_abs: np.ndarray, truth_abs: np.ndarray) -> tuple[float, float]:
     """Average and final displacement errors over (P, T, 2) trajectories.
 
-    Accumulation is a plain sequential loop so an independent double-loop
-    oracle reproduces the result bit for bit.
+    Accumulation is sequential, so an independent double-loop oracle
+    reproduces the result bit for bit.
     """
-    pred_abs = np.asarray(pred_abs, dtype=np.float64)
-    truth_abs = np.asarray(truth_abs, dtype=np.float64)
-    if pred_abs.shape != truth_abs.shape or pred_abs.ndim != 3 or pred_abs.shape[-1] != 2:
-        raise DimensionError(
-            f"ade_fde wants matching (P, T, 2) arrays, got {pred_abs.shape} and {truth_abs.shape}"
-        )
-    p, t = pred_abs.shape[0], pred_abs.shape[1]
-    total = 0.0
-    final_total = 0.0
-    for a in range(p):
-        for f in range(t):
-            err = math.hypot(pred_abs[a, f, 0] - truth_abs[a, f, 0],
-                             pred_abs[a, f, 1] - truth_abs[a, f, 1])
-            total += err
-            if f == t - 1:
-                final_total += err
-    return total / (p * t), final_total / p
+    ade, fde = _displacement_errors(np.asarray(pred_abs, dtype=np.float64)[None],
+                                    np.asarray(truth_abs, dtype=np.float64))
+    return float(ade[0]), float(fde[0])
 
 
 def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
               origin_abs: np.ndarray) -> MetricReport:
-    """Metrics of the sample whose ADE is smallest (its FDE reported jointly)."""
+    """Metrics of the sample whose ADE is smallest (its FDE reported jointly).
+
+    Bit-identical to scanning `ade_fde(samples[s], truth_abs)` for
+    s = 0..K-1 and keeping a sample only when its ADE is strictly smaller
+    than the best so far: ties go to the first sample, a NaN ADE is never
+    taken after sample 0, and a NaN at sample 0 is never replaced.
+    """
     samples = sample_trajectories(field, k, seed, origin_abs)
-    best = None
-    for s in range(k):
-        ade, fde = ade_fde(samples[s], truth_abs)
-        if best is None or ade < best[0]:
-            best = (ade, fde)
-    return MetricReport(ade=best[0], fde=best[1], n_agents=samples.shape[1],
-                        n_frames=samples.shape[2], sample_count=k)
+    ade, fde = _displacement_errors(samples, np.asarray(truth_abs, dtype=np.float64))
+    best = 0 if np.isnan(ade[0]) else int(np.nanargmin(ade))
+    return MetricReport(ade=float(ade[best]), fde=float(fde[best]),
+                        n_agents=samples.shape[1], n_frames=samples.shape[2],
+                        sample_count=k)
 
 
 def restore_ratio(ade_n: float, fde_n: float, ade_base: float, fde_base: float) -> float:

@@ -6,9 +6,10 @@ column order is fixed so downstream tooling can rely on it:
     instance_idx, ade, fde, rr, loss, grad_norm, health,
     e_1..e_L, alpha_1..alpha_L
 
-Cells that do not apply (no base metrics, plain strategy) are written as
-empty strings. Floats are rendered with ``repr`` so a write/read round trip
-reproduces the exact values.
+Cells that do not apply (no base metrics, plain strategy, the gradient
+norm of a step whose loss was not finite) are written as empty strings and
+read back as None. Floats are rendered with ``repr`` so a write/read round
+trip reproduces the exact values.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def read_stream_csv(path: str) -> list[StreamRecord]:
             fde=_parse_float(cells["fde"], idx, "fde"),
             rr=None if cells["rr"] == "" else _parse_float(cells["rr"], idx, "rr"),
             loss=_parse_float(cells["loss"], idx, "loss"),
-            grad_norm=_parse_float(cells["grad_norm"], idx, "grad_norm"),
+            grad_norm=(None if cells["grad_norm"] == ""
+                       else _parse_float(cells["grad_norm"], idx, "grad_norm")),
             health=cells["health"],
             expert=vector(expert_cells, [f"e_{i}" for i in range(1, layers + 1)]),
             alpha=vector(alpha_cells, [f"alpha_{i}" for i in range(1, layers + 1)]),

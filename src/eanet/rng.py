@@ -6,11 +6,19 @@ stream of draws is byte-identical across platforms, which keeps synthetic
 datasets, parameter initialisation, and checkpoints reproducible. Gaussian
 draws use the Box-Muller transform; no spare value is cached, so the full
 generator state is a single 64-bit word.
+
+`normal_pairs(n)` is the array form of n `normal_pair()` calls and is
+bit-identical to them: the state chain stays on Python integers, the
+multiply, shift and scaling run in uint64/float64 (all exact), and log,
+cos and sin come from `math`, because numpy's versions round some inputs
+differently by one ulp.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
@@ -55,9 +63,28 @@ class Xorshift64Star:
         theta = 2.0 * math.pi * u2
         return r * math.cos(theta), r * math.sin(theta)
 
-    def normal(self) -> float:
-        """One standard normal (the sine branch of the pair is discarded)."""
-        return self.normal_pair()[0]
+    def normal_pairs(self, n: int) -> np.ndarray:
+        """(n, 2) array of the n pairs that n `normal_pair()` calls give,
+        bit for bit, leaving the generator in the same state."""
+        x = self.state
+        states = []
+        append = states.append
+        for _ in range(2 * n):
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            append(x)
+        self.state = x
+        words = np.array(states, dtype=np.uint64) * np.uint64(_MULTIPLIER)
+        u = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        u1, u2 = u[0::2], u[1::2]
+        u1[u1 <= 0.0] = _INV_2_53
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
+        theta = (2.0 * math.pi * u2).tolist()
+        out = np.empty((n, 2))
+        out[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, n)
+        out[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, n)
+        return out
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Uses a plain modulo; the tiny bias does not

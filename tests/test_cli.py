@@ -2,15 +2,17 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from eanet import cli
 from eanet import config as cfg
 from eanet.errors import ConfigError, ParseError
 from eanet.gradcheck import run_gradient_checks
+from eanet.model import ModelConfig, TrajectoryModel, toy_instance
 from eanet.plots import plot_curves, plot_expert_strip
 from eanet.report import read_stream_csv, write_loss_csv, write_stream_csv
-from eanet.runtime import BaseMetrics, StreamRecord
+from eanet.runtime import BaseMetrics, OnlineConfig, StreamRecord, run_online
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -86,6 +88,8 @@ def sample_records():
         StreamRecord(0, 0.5, 0.9, None, 3.25, 0.125, "normal",
                      (0.1, 0.2, 0.7), (0.0, 0.0, 2.0)),
         StreamRecord(1, 0.25, 0.4, 0.8, 3.0, float("nan"), "exploded", None, None),
+        StreamRecord(2, 0.75, 1.5, None, float("inf"), None, "exploded",
+                     (0.5, 0.25, 0.25), None),
     ]
 
 
@@ -96,6 +100,7 @@ def test_stream_csv_round_trip_is_exact(tmp_path):
     assert back[0] == sample_records()[0]
     assert back[1].rr == 0.8 and math.isnan(back[1].grad_norm)
     assert back[1].expert is None and back[1].alpha is None
+    assert back[2] == sample_records()[2]
 
 
 def test_stream_csv_column_order(tmp_path):
@@ -314,12 +319,48 @@ def test_plot_empty_report_succeeds(tmp_path, capsys):
     assert ET.parse(str(tmp_path / "fig.curves.svg")).getroot().tag == f"{SVG}svg"
 
 
+def test_exploded_online_run_round_trips_and_plots(tmp_path, capsys):
+    config = ModelConfig(stack_layers=2)
+    stream = [toy_instance(agents=3, config=config, seed=i) for i in range(4)]
+    with np.errstate(all="ignore"):
+        result = run_online(TrajectoryModel(config, seed=0), stream,
+                            OnlineConfig(strategy="ea", lr=50.0, clip_norm=None, seed=0))
+    assert result.health.status == "exploded"
+    assert None in [r.grad_norm for r in result.records]
+    report = tmp_path / "exploded.csv"
+    write_stream_csv(result.records, str(report))
+    back = read_stream_csv(str(report))
+    assert [r.grad_norm for r in back] == [r.grad_norm for r in result.records]
+    assert [r.health for r in back] == [r.health for r in result.records]
+    prefix = tmp_path / "fig"
+    assert cli.main(["plot", "--report", str(report), "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    for suffix in (".curves.svg", ".experts.svg"):
+        assert ET.parse(str(prefix) + suffix).getroot().tag == f"{SVG}svg"
+
+
 def test_plot_malformed_report_fails_with_row_number(tmp_path, capsys):
     report = tmp_path / "bad.csv"
     report.write_text("instance_idx,ade,fde,rr,loss,grad_norm,health\n1,x,2,,3,4,normal\n")
     code = cli.main(["plot", "--report", str(report), "--out", str(tmp_path / "fig")])
     assert code == 1
     assert "row 2" in capsys.readouterr().err
+
+
+def test_gradcheck_command_passes_every_case(monkeypatch, capsys):
+    cases = []
+
+    def recorded():
+        results = run_gradient_checks()
+        cases.extend(name for name, _, _ in results)
+        return results
+
+    monkeypatch.setattr(cli, "run_gradient_checks", recorded)
+    assert cli.main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line.split(":")[0] for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert cases and verdicts == [f"PASS {name}" for name in cases]
+    assert lines[-1] == f"{len(cases)}/{len(cases)} gradient checks passed"
 
 
 def test_perturbed_gradients_fail_the_check_suite():

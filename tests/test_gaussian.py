@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from eanet import gaussian
 from eanet import tensor as T
 from eanet.errors import ContractError, DimensionError
-from eanet.gaussian import (GaussianField, ade_fde, best_of_k, decode_gaussian,
+from eanet.gaussian import (RHO_GUARD, GaussianField, ade_fde, best_of_k, decode_gaussian,
                             mu_trajectory, nll_loss, restore_ratio,
                             sample_trajectories)
+from eanet.rng import _MASK64, _MULTIPLIER, Xorshift64Star
 
 
 def field_from_raw(raw):
@@ -126,6 +128,91 @@ def test_mu_trajectory_cumsum():
     assert np.allclose(pred[1], [[0, 3], [0, 1], [0, -1]])
 
 
+def loop_sample_trajectories(field, k, seed, origin_abs):
+    """Scalar oracle for `sample_trajectories`: one `normal_pair()` per
+    draw, sample-major, then agent, then frame."""
+    mu = field.mu.data[0].transpose(1, 0, 2)
+    sigma = field.sigma.data[0].transpose(1, 0, 2)
+    rho = field.rho.data[0].transpose(1, 0, 2)[..., 0]
+    p, t = mu.shape[0], mu.shape[1]
+    origin = np.asarray(origin_abs, dtype=np.float64).reshape(p, 1, 2)
+    rng = Xorshift64Star(seed)
+    out = np.empty((k, p, t, 2))
+    for s in range(k):
+        rel = np.empty((p, t, 2))
+        for a in range(p):
+            for f in range(t):
+                z0, z1 = rng.normal_pair()
+                sx, sy = sigma[a, f]
+                r = rho[a, f]
+                tail = sy * math.sqrt(max(1.0 - r * r, RHO_GUARD))
+                rel[a, f, 0] = mu[a, f, 0] + sx * z0
+                rel[a, f, 1] = mu[a, f, 1] + r * sy * z0 + tail * z1
+        out[s] = origin + np.cumsum(rel, axis=1)
+    return out
+
+
+def loop_best_of_k(samples, truth):
+    """Scalar oracle for `best_of_k`: keep a sample only when its ADE is
+    strictly below the best so far."""
+    best = None
+    for s in range(len(samples)):
+        ade, fde = ade_fde(samples[s], truth)
+        if best is None or ade < best[0]:
+            best = (ade, fde)
+    return best
+
+
+def _unshift(y, shift):
+    """Inverse of x -> x ^ (x >> shift) (shift > 0) or x ^ (x << -shift)."""
+    x = y
+    for _ in range(64):
+        x = y ^ ((x >> shift) if shift > 0 else ((x << -shift) & _MASK64))
+    return x
+
+
+def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
+    for seed in (0, 1, 9, 2**64 - 1):
+        for n in (1, 2, 1000):
+            scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
+            want = np.array([scalar.normal_pair() for _ in range(n)])
+            assert np.array_equal(batch.normal_pairs(n), want)
+            assert batch.getstate() == scalar.getstate()
+
+
+def test_normal_pairs_keep_the_zero_uniform_guard():
+    # A state whose output word is 1 gives u1 = 0; step back once so that
+    # the first draw lands on it.
+    target = pow(_MULTIPLIER, -1, 1 << 64)
+    assert (target * _MULTIPLIER) & _MASK64 == 1
+    before = _unshift(_unshift(_unshift(target, 27), -25), 12)
+    scalar, batch = Xorshift64Star(), Xorshift64Star()
+    scalar.setstate(before)
+    batch.setstate(before)
+    want = np.array([scalar.normal_pair() for _ in range(3)])
+    got = batch.normal_pairs(3)
+    assert np.array_equal(got, want) and np.all(np.isfinite(got))
+    radius = math.sqrt(-2.0 * math.log(2.0 ** -53))
+    assert math.hypot(*want[0]) == pytest.approx(radius, rel=1e-12)
+    assert batch.getstate() == scalar.getstate()
+
+
+def test_sampling_is_bit_identical_to_the_scalar_loop():
+    rng = np.random.default_rng(12)
+    shapes = [(1, 1, 1), (1, 3, 4), (5, 1, 6), (4, 3, 1), (20, 12, 12)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 9, size=3)) for _ in range(15)]
+    for i, (k, p, t) in enumerate(shapes):
+        raw = rng.normal(size=(1, t, p, 5)) * (0.5, 2.0, 8.0)[i % 3]
+        if i % 4 == 3:
+            raw[..., 4] = 40.0  # |rho| rounds to 1: the RHO_GUARD branch
+        field = field_from_raw(raw)
+        origin = rng.normal(size=(p, 2)) * 5.0
+        seed = 0 if i == 0 else int(rng.integers(0, 2**63))
+        got = sample_trajectories(field, k, seed=seed, origin_abs=origin)
+        assert got.shape == (k, p, t, 2)
+        assert np.array_equal(got, loop_sample_trajectories(field, k, seed, origin))
+
+
 def test_sampling_degenerate_sigma_hits_mu():
     raw = np.random.default_rng(3).normal(size=(1, 4, 2, 5)) * 0.3
     raw[..., 2:4] = math.log(1e-9)
@@ -211,6 +298,15 @@ def test_ade_fde_matches_double_loop_exactly():
         assert got_fde == last / p
 
 
+def test_ade_fde_point_errors_are_math_hypot():
+    # np.hypot rounds about one input in 200 differently from math.hypot;
+    # single-point trajectories expose that where long sums can absorb it.
+    pred, truth = np.random.default_rng(14).normal(size=(2, 4000, 1, 1, 2))
+    for a, b in zip(pred, truth):
+        want = math.hypot(a[0, 0, 0] - b[0, 0, 0], a[0, 0, 1] - b[0, 0, 1])
+        assert ade_fde(a, b) == (want, want)
+
+
 def test_ade_fde_translation_invariant():
     rng = np.random.default_rng(8)
     pred = rng.normal(size=(3, 5, 2))
@@ -224,6 +320,12 @@ def test_ade_fde_translation_invariant():
 def test_ade_fde_shape_check():
     with pytest.raises(DimensionError):
         ade_fde(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
+    for empty in ((0, 3, 2), (2, 0, 2)):
+        with pytest.raises(DimensionError):
+            ade_fde(np.zeros(empty), np.zeros(empty))
+    field, _ = random_field(seed=15)
+    with pytest.raises(DimensionError):
+        best_of_k(field, np.zeros((3, 5, 2)), 2, seed=0, origin_abs=np.zeros((3, 2)))
 
 
 def test_best_of_k_single_sample():
@@ -251,6 +353,47 @@ def test_best_of_k_min_property_and_monotonicity():
         r = best_of_k(field, truth, k, seed=6, origin_abs=origin)
         assert r.ade <= previous + 1e-15
         previous = r.ade
+
+
+def test_best_of_k_matches_the_first_minimum_loop():
+    rng = np.random.default_rng(13)
+    for i in range(12):
+        k, p, t = (int(v) for v in rng.integers(1, 9, size=3))
+        if i % 3 == 2:
+            k, p, t = 8, 1, 2
+        raw = rng.normal(size=(1, t, p, 5))
+        if i % 3 == 2:
+            # Infinite sigma: a sample's ADE is inf, or NaN where opposite
+            # infinities meet in the running sum.
+            raw[..., 2:4] = 800.0
+        origin = rng.normal(size=(p, 2))
+        truth = rng.normal(size=(p, t, 2))
+        with np.errstate(all="ignore"):
+            field = field_from_raw(raw)
+            report = best_of_k(field, truth, k, seed=i, origin_abs=origin)
+            samples = sample_trajectories(field, k, seed=i, origin_abs=origin)
+            want = loop_best_of_k(samples, truth)
+        assert np.array_equal([report.ade, report.fde], want, equal_nan=True)
+
+
+def test_best_of_k_takes_the_first_minimum_and_skips_nan(monkeypatch):
+    truth = np.zeros((1, 2, 2))
+    # Per-frame errors (1, 2) and (2, 1): tied ADE 1.5, FDE 2 and 1.
+    late = np.array([[[1.0, 0.0], [2.0, 0.0]]])
+    early = np.array([[[2.0, 0.0], [1.0, 0.0]]])
+    nan = np.full((1, 2, 2), np.nan)
+    cases = [
+        ([2.0 * late, late, early], (1.5, 2.0)),
+        ([early, late, late], (1.5, 1.0)),
+        ([late, nan, early], (1.5, 2.0)),
+        ([nan, late, early], (math.nan, math.nan)),
+    ]
+    for samples, want in cases:
+        samples = np.stack(samples)
+        monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
+        report = best_of_k(None, truth, len(samples), seed=0, origin_abs=None)
+        assert np.array_equal([report.ade, report.fde], want, equal_nan=True)
+        assert np.array_equal(want, loop_best_of_k(samples, truth), equal_nan=True)
 
 
 def test_restore_ratio_hand_cases():
