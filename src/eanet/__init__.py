@@ -8,7 +8,6 @@ from .data import (
     generate_synthetic,
     load_dataset,
     load_scene,
-    make_shift_stream,
     synthetic_instances,
     write_scene,
 )
@@ -48,7 +47,7 @@ __all__ = [
     "TrajectoryInstance", "TrajectoryModel", "ade_fde", "best_of_k", "classify_health",
     "build_adjacency", "compute_base", "decode_gaussian", "ea_output",
     "generate_synthetic", "hedge_output", "hedge_update", "kernel_weight",
-    "load_checkpoint", "load_dataset", "load_scene", "make_shift_stream", "nll_loss",
+    "load_checkpoint", "load_dataset", "load_scene", "nll_loss",
     "normalize_adjacency", "plain_output", "restore_ratio", "run_online",
     "save_checkpoint", "synthetic_instances", "train_offline", "write_scene",
 ]

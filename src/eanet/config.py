@@ -13,9 +13,8 @@ import hashlib
 import os
 
 from .errors import ConfigError, ParseError
-from .graph import KERNEL_KINDS
 from .model import ModelConfig
-from .runtime import ALIGNMENTS, STRATEGIES, OnlineConfig, TrainConfig
+from .runtime import OnlineConfig, TrainConfig
 
 MODEL_KEYS = ("t_obs", "t_pred", "stack_layers", "kernel", "rbf_sigma", "prelu_init")
 TRAIN_KEYS = ("epochs", "batch_size", "lr", "lr_after", "lr_drop_epoch", "seed")
@@ -109,30 +108,30 @@ def resolve_seed(flag_seed: int | None, mapping: dict[str, str]) -> int:
 
 
 def model_config_from(mapping: dict[str, str], **overrides) -> ModelConfig:
+    d = ModelConfig()
     config = ModelConfig(
-        t_obs=_coerce_int(mapping, "t_obs", 8),
-        t_pred=_coerce_int(mapping, "t_pred", 12),
-        stack_layers=_coerce_int(mapping, "stack_layers", 5),
-        kernel=str(mapping.get("kernel", "motion_trend")),
-        rbf_sigma=_coerce_float(mapping, "rbf_sigma", 1.0),
-        prelu_init=_coerce_float(mapping, "prelu_init", 0.25),
+        t_obs=_coerce_int(mapping, "t_obs", d.t_obs),
+        t_pred=_coerce_int(mapping, "t_pred", d.t_pred),
+        stack_layers=_coerce_int(mapping, "stack_layers", d.stack_layers),
+        kernel=str(mapping.get("kernel", d.kernel)),
+        rbf_sigma=_coerce_float(mapping, "rbf_sigma", d.rbf_sigma),
+        prelu_init=_coerce_float(mapping, "prelu_init", d.prelu_init),
     )
     for name, value in overrides.items():
         if value is not None:
             setattr(config, name, value)
-    if config.kernel not in KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel kind {config.kernel!r}")
     config.validate()
     return config
 
 
 def train_config_from(mapping: dict[str, str], seed: int, **overrides) -> TrainConfig:
+    d = TrainConfig()
     config = TrainConfig(
-        epochs=_coerce_int(mapping, "epochs", 250),
-        batch_size=_coerce_int(mapping, "batch_size", 128),
-        lr=_coerce_float(mapping, "lr", 0.01),
-        lr_after=_coerce_float(mapping, "lr_after", 0.002),
-        lr_drop_epoch=_coerce_int(mapping, "lr_drop_epoch", 150),
+        epochs=_coerce_int(mapping, "epochs", d.epochs),
+        batch_size=_coerce_int(mapping, "batch_size", d.batch_size),
+        lr=_coerce_float(mapping, "lr", d.lr),
+        lr_after=_coerce_float(mapping, "lr_after", d.lr_after),
+        lr_drop_epoch=_coerce_int(mapping, "lr_drop_epoch", d.lr_drop_epoch),
         seed=seed,
     )
     for name, value in overrides.items():
@@ -143,14 +142,15 @@ def train_config_from(mapping: dict[str, str], seed: int, **overrides) -> TrainC
 
 
 def online_config_from(mapping: dict[str, str], seed: int, **overrides) -> OnlineConfig:
+    d = OnlineConfig()
     config = OnlineConfig(
-        lr=_coerce_float(mapping, "online_lr", 0.002),
-        clip_norm=_coerce_optional_norm(mapping.get("clip_norm", 1.0)),
-        updates_per_instance=_coerce_int(mapping, "updates_per_instance", 1),
-        max_instances=_coerce_int(mapping, "max_instances", 1000),
-        alignment=str(mapping.get("alignment", "none")),
-        strategy=str(mapping.get("strategy", "ea")),
-        rr_checkpoints=_coerce_int_list(mapping, "rr_checkpoints", (0, 100, 1000)),
+        lr=_coerce_float(mapping, "online_lr", d.lr),
+        clip_norm=_coerce_optional_norm(mapping.get("clip_norm", d.clip_norm)),
+        updates_per_instance=_coerce_int(mapping, "updates_per_instance", d.updates_per_instance),
+        max_instances=_coerce_int(mapping, "max_instances", d.max_instances),
+        alignment=str(mapping.get("alignment", d.alignment)),
+        strategy=str(mapping.get("strategy", d.strategy)),
+        rr_checkpoints=_coerce_int_list(mapping, "rr_checkpoints", d.rr_checkpoints),
         seed=seed,
     )
     for name, value in overrides.items():

@@ -93,16 +93,6 @@ def to_relative(abs_positions: np.ndarray) -> np.ndarray:
     return rel
 
 
-def from_relative(rel: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Inverse of ``to_relative`` given the absolute first-row positions.
-
-    ``rel[:, 0]`` is treated as the step leaving ``origin``, matching the
-    ``fut_rel`` convention; pass zeros there to invert ``to_relative``.
-    """
-    origin = np.asarray(origin, dtype=np.float64).reshape(-1, 1, 2)
-    return origin + np.cumsum(rel, axis=1)
-
-
 def load_scene(path) -> list[RawTrack]:
     """Parse a scene file. Raises ParseError with a 1-based line number on
     malformed lines and DataError on duplicate (frame, agent) pairs."""
@@ -225,19 +215,6 @@ class SyntheticScenarioSpec:
             raise ConfigError("circle scenarios need a positive extent")
 
 
-@dataclass
-class ShiftStream:
-    """Instances from scenario A followed by scenario B.
-
-    ``boundary`` is the index of the first B instance.
-    """
-
-    instances: list[TrajectoryInstance]
-    boundary: int
-    spec_a: SyntheticScenarioSpec | None = None
-    spec_b: SyntheticScenarioSpec | None = None
-
-
 def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrack]:
     """Deterministically generate tracks for ``frames`` consecutive frames.
 
@@ -312,16 +289,3 @@ def synthetic_instances(spec: SyntheticScenarioSpec, count: int,
                                  scene_id=f"{spec.kind}:{spec.seed}")
     return instances[:count]
 
-
-def make_shift_stream(spec_a: SyntheticScenarioSpec, spec_b: SyntheticScenarioSpec,
-                      n_a: int, n_b: int, t_obs: int = T_OBS_DEFAULT,
-                      t_pred: int = T_PRED_DEFAULT, stride: int = 1) -> ShiftStream:
-    """Concatenate ``n_a`` instances of scenario A with ``n_b`` of B."""
-    if n_a < 0 or n_b < 0 or n_a + n_b == 0:
-        raise ConfigError("shift stream needs a non-negative, non-empty split")
-    parts: list[TrajectoryInstance] = []
-    if n_a > 0:
-        parts.extend(synthetic_instances(spec_a, n_a, t_obs, t_pred, stride))
-    if n_b > 0:
-        parts.extend(synthetic_instances(spec_b, n_b, t_obs, t_pred, stride))
-    return ShiftStream(instances=parts, boundary=n_a, spec_a=spec_a, spec_b=spec_b)

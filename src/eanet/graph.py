@@ -11,8 +11,6 @@ self-loops before the convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -91,22 +89,6 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     with_loops = adjacency + np.eye(adjacency.shape[0])
     inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
     return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
-
-
-@dataclass
-class FrameGraph:
-    positions: np.ndarray
-    motions: np.ndarray
-    adjacency: np.ndarray
-    normalized: np.ndarray
-
-
-def build_frame_graph(positions, motions, kind: str = "motion_trend",
-                      rbf_sigma: float = 1.0) -> FrameGraph:
-    adjacency = build_adjacency(kind, positions, motions, rbf_sigma)
-    return FrameGraph(np.asarray(positions, dtype=np.float64),
-                      np.asarray(motions, dtype=np.float64),
-                      adjacency, normalize_adjacency(adjacency))
 
 
 def instance_graphs(instance: TrajectoryInstance, kind: str = "motion_trend",

@@ -62,6 +62,21 @@ class ModelConfig:
             raise ConfigError("rbf_sigma must be positive")
 
 
+def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
+    """The network inputs and target of one instance: relative
+    displacements (T_obs, P, 2), normalised graphs (T_obs, P, P) and
+    ``fut_rel`` (P, T_pred, 2). Raises ConfigError when the instance's
+    spans differ from the model's."""
+    if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
+        raise ConfigError(
+            f"instance spans ({instance.t_obs}, {instance.t_pred}), "
+            f"model expects ({config.t_obs}, {config.t_pred})"
+        )
+    ahat = instance_graphs(instance, config.kernel, config.rbf_sigma)
+    x_seq = np.ascontiguousarray(instance.obs_rel.transpose(1, 0, 2))
+    return x_seq, ahat, instance.fut_rel
+
+
 def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:
     flat = np.array([rng.uniform_in(-bound, bound) for _ in range(int(np.prod(shape)))])
     return T.Tensor(flat.reshape(shape), requires_grad=True)
@@ -126,14 +141,7 @@ class TrajectoryModel:
 
     def intermediate_outputs(self, instance: TrajectoryInstance) -> list[T.Tensor]:
         """All L stacked-layer outputs, each (1, T_pred, P, D)."""
-        cfg = self.config
-        if instance.t_obs != cfg.t_obs or instance.t_pred != cfg.t_pred:
-            raise ConfigError(
-                f"instance spans ({instance.t_obs}, {instance.t_pred}), "
-                f"model expects ({cfg.t_obs}, {cfg.t_pred})"
-            )
-        ahat_seq = instance_graphs(instance, cfg.kernel, cfg.rbf_sigma)
-        x_seq = np.ascontiguousarray(instance.obs_rel.transpose(1, 0, 2))
+        x_seq, ahat_seq, _ = instance_arrays(instance, self.config)
         return self.forward_batch(x_seq[None], ahat_seq[None])
 
     def strategy_output(self, layers: list[T.Tensor], strategy: str,

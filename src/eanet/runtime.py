@@ -8,12 +8,14 @@ magnitude faster. The online loop is prequential: every instance is
 predicted and scored with the parameters as they stood *before* that
 instance contributed a single gradient.
 
-Health bookkeeping follows the gradient history. A run is `exploded` when
-any loss or pre-clip gradient norm is non-finite or the pre-clip norm
-exceeds 1e3, `vanished` when the pre-clip norm stays below 1e-8 for 50
-consecutive updates, and `normal` otherwise; whichever condition triggers
-first in time wins. Clipping is applied after the explosion probe, so a
-clipped run can be flagged exploded while still training on.
+Health follows the gradient history, and every online update counts,
+the extra ones of ``updates_per_instance > 1`` included. An update is
+`exploded` when its loss or pre-clip gradient norm is non-finite or the
+pre-clip norm exceeds 1e3, and `vanished` once the pre-clip norm has
+stayed below 1e-8 for 50 consecutive updates. A run takes the first such
+verdict in time, and `normal` if there is none. Clipping is applied after
+the explosion probe, so a clipped run can be flagged exploded while still
+training on. `HealthMonitor` is the one place that rule lives.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, ContractError, DataError, TrainingDiverged
 from .gaussian import ade_fde, best_of_k, decode_gaussian, mu_trajectory, nll_loss, restore_ratio
-from .graph import instance_graphs
-from .model import ModelConfig, TrajectoryModel
+from .model import ModelConfig, TrajectoryModel, instance_arrays
 from .rng import Xorshift64Star
 
 EXPLODE_NORM = 1e3
@@ -93,6 +94,9 @@ class OnlineConfig:
 
 @dataclass
 class HealthStatus:
+    """A run's verdict; ``first_trigger_instance`` is the index of the
+    instance whose update first triggered it, or None for `normal`."""
+
     status: str = "normal"
     first_trigger_instance: int | None = None
 
@@ -100,8 +104,10 @@ class HealthStatus:
 @dataclass
 class StreamRecord:
     """One prequential step: metrics of the pre-update prediction plus the
-    update's bookkeeping. ``grad_norm`` is the post-clip norm actually
-    applied; ``expert`` and ``alpha`` are per-layer gate means and mix
+    updates' bookkeeping. ``grad_norm`` is the post-clip norm the first
+    update applied (None when its loss or norm was not finite); ``health``
+    is the first non-normal verdict among the instance's updates, or
+    `normal`; ``expert`` and ``alpha`` are per-layer gate means and mix
     weights for the strategies that have them."""
 
     instance_idx: int
@@ -144,17 +150,6 @@ def sgd_step(params: dict[str, T.Tensor], lr: float) -> None:
             p.data -= lr * p.grad
 
 
-def _instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
-    if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
-        raise ConfigError(
-            f"instance spans ({instance.t_obs}, {instance.t_pred}), "
-            f"model expects ({config.t_obs}, {config.t_pred})"
-        )
-    ahat = instance_graphs(instance, config.kernel, config.rbf_sigma)
-    x_seq = np.ascontiguousarray(instance.obs_rel.transpose(1, 0, 2))
-    return x_seq, ahat, instance.fut_rel
-
-
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                   model_config: ModelConfig | None = None,
                   model: TrajectoryModel | None = None,
@@ -174,7 +169,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     if model is None:
         model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    prepared = [_instance_arrays(inst, model.config) for inst in dataset]
+    prepared = [instance_arrays(inst, model.config) for inst in dataset]
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -212,32 +207,81 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     return TrainResult(model=model, loss_log=loss_log, config=config)
 
 
+class HealthMonitor:
+    """The health rule, fed one update at a time.
+
+    ``observe`` takes an update's pre-clip norm and loss and returns that
+    update's verdict. Non-finite values on either side, or a norm above
+    ``explode_norm``, are `exploded`; a norm below ``vanish_norm`` is
+    `vanished` once ``vanish_run`` such updates come in a row, and any
+    other finite norm resets that count. ``status`` keeps the first
+    non-normal verdict and the instance it came from.
+    """
+
+    def __init__(self, explode_norm: float = EXPLODE_NORM,
+                 vanish_norm: float = VANISH_NORM, vanish_run: int = VANISH_RUN):
+        self.explode_norm = explode_norm
+        self.vanish_norm = vanish_norm
+        self.vanish_run = vanish_run
+        self.status = HealthStatus()
+        self._run = 0
+
+    def observe(self, pre: float, loss: float, instance_idx: int) -> str:
+        if not np.isfinite(loss) or not np.isfinite(pre) or pre > self.explode_norm:
+            verdict = "exploded"
+        elif pre < self.vanish_norm:
+            self._run += 1
+            verdict = "vanished" if self._run >= self.vanish_run else "normal"
+        else:
+            self._run = 0
+            verdict = "normal"
+        if verdict != "normal" and self.status.first_trigger_instance is None:
+            self.status = HealthStatus(status=verdict, first_trigger_instance=instance_idx)
+        return verdict
+
+
 def classify_health(grad_norms, losses,
                     explode_norm: float = EXPLODE_NORM,
                     vanish_norm: float = VANISH_NORM,
                     vanish_run: int = VANISH_RUN) -> HealthStatus:
-    """Scan parallel gradient/loss histories and report the first trigger.
+    """Replay parallel gradient/loss histories through a `HealthMonitor`,
+    one update per index, and report the first trigger.
 
-    ``grad_norms`` are pre-clip norms. Non-finite entries on either side
-    count as explosion. The vanish counter resets whenever a norm clears
-    the threshold, so only ``vanish_run`` *consecutive* tiny updates
-    qualify.
+    ``grad_norms`` are pre-clip norms.
     """
     grad_norms = list(grad_norms)
     losses = list(losses)
     if not grad_norms or len(grad_norms) != len(losses):
         raise ContractError("need nonempty histories of equal length")
-    run = 0
+    monitor = HealthMonitor(explode_norm, vanish_norm, vanish_run)
     for i, (g, l) in enumerate(zip(grad_norms, losses)):
-        if not np.isfinite(l) or not np.isfinite(g) or g > explode_norm:
-            return HealthStatus(status="exploded", first_trigger_instance=i)
-        if g < vanish_norm:
-            run += 1
-            if run >= vanish_run:
-                return HealthStatus(status="vanished", first_trigger_instance=i)
-        else:
-            run = 0
-    return HealthStatus()
+        monitor.observe(g, l, i)
+    return monitor.status
+
+
+def _apply_update(model: TrajectoryModel, loss_tensor: T.Tensor, loss: float,
+                  config: OnlineConfig) -> tuple[float, float | None]:
+    """One online update: backward, clip, SGD step, zero the gradients.
+
+    Returns the pre-clip norm and the norm applied. A non-finite loss
+    clears the tape and returns (nan, None); a non-finite norm takes no
+    step and returns (norm, None).
+    """
+    if not np.isfinite(loss):
+        T.tape().clear()
+        model.zero_grad()
+        return float("nan"), None
+    T.backward(loss_tensor)
+    pre = T.global_grad_norm(model.parameters())
+    applied = None
+    if np.isfinite(pre):
+        applied = pre
+        if config.clip_norm is not None and pre > config.clip_norm:
+            T.scale_grads(model.parameters(), config.clip_norm / pre)
+            applied = config.clip_norm
+        sgd_step(model.params, config.lr)
+    model.zero_grad()
+    return pre, applied
 
 
 def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
@@ -253,19 +297,18 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    A non-finite forward skips the update for that instance, flags the row,
-    and keeps going; the final health classification still counts it.
+    Each of the ``updates_per_instance`` updates goes through the same
+    backward/clip/step and counts towards health. An update whose loss or
+    gradient norm is not finite takes no step, flags the row and ends that
+    instance's updates; the run keeps going with the next instance.
     """
     config.validate()
     head_rng = Xorshift64Star(config.seed)
     if config.strategy == "ea":
         model.init_expert_head(head_rng)
     hedge = HedgeState.uniform(model.config.stack_layers) if config.strategy == "hedge" else None
-
+    monitor = HealthMonitor()
     records: list[StreamRecord] = []
-    pre_norms: list[float] = []
-    losses: list[float] = []
-    vanish_streak = 0
 
     for idx, raw_inst in enumerate(stream[:config.max_instances]):
         inst = raw_inst.recentred() if config.alignment == "recentre" else raw_inst
@@ -286,51 +329,20 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
 
         loss_value = nll_loss(gfield, inst.fut_rel)
         loss = loss_value.item()
-        losses.append(loss)
-        row_health = "normal"
-        grad_norm = None
-
-        if not np.isfinite(loss):
-            T.tape().clear()
-            model.zero_grad()
-            pre_norms.append(float("nan"))
-            row_health = "exploded"
-        else:
-            T.backward(loss_value)
-            pre = T.global_grad_norm(model.parameters())
-            pre_norms.append(pre)
-            if not np.isfinite(pre) or pre > EXPLODE_NORM:
-                row_health = "exploded"
-            elif pre < VANISH_NORM:
-                vanish_streak += 1
-                if vanish_streak >= VANISH_RUN:
-                    row_health = "vanished"
-            else:
-                vanish_streak = 0
-            if np.isfinite(pre):
-                if config.clip_norm is not None and pre > config.clip_norm:
-                    T.scale_grads(model.parameters(), config.clip_norm / pre)
-                    grad_norm = config.clip_norm
-                else:
-                    grad_norm = pre
-                sgd_step(model.params, config.lr)
-            model.zero_grad()
-
-            for _ in range(config.updates_per_instance - 1):
-                extra = nll_loss(decode_gaussian(
-                    model.strategy_output(model.intermediate_outputs(inst),
-                                          config.strategy, hedge)[0]), inst.fut_rel)
-                if not np.isfinite(extra.item()):
-                    T.tape().clear()
-                    model.zero_grad()
-                    break
-                T.backward(extra)
-                pre_extra = T.global_grad_norm(model.parameters())
-                if np.isfinite(pre_extra):
-                    if config.clip_norm is not None and pre_extra > config.clip_norm:
-                        T.scale_grads(model.parameters(), config.clip_norm / pre_extra)
-                    sgd_step(model.params, config.lr)
-                model.zero_grad()
+        pre, grad_norm = _apply_update(model, loss_value, loss, config)
+        row_health = monitor.observe(pre, loss, idx)
+        applied = grad_norm
+        for _ in range(config.updates_per_instance - 1):
+            if applied is None:
+                break
+            extra = nll_loss(decode_gaussian(
+                model.strategy_output(model.intermediate_outputs(inst),
+                                      config.strategy, hedge)[0]), inst.fut_rel)
+            extra_loss = extra.item()
+            pre, applied = _apply_update(model, extra, extra_loss, config)
+            verdict = monitor.observe(pre, extra_loss, idx)
+            if row_health == "normal":
+                row_health = verdict
 
         if hedge is not None:
             hedge = hedge_update(hedge, layer_losses)
@@ -341,9 +353,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
         if progress is not None:
             progress(idx, records[-1])
 
-    health = classify_health(pre_norms, losses) if records else HealthStatus()
     rr_at = {c: records[c].rr for c in config.rr_checkpoints if c < len(records)}
-    return OnlineResult(records=records, health=health, rr_at=rr_at)
+    return OnlineResult(records=records, health=monitor.status, rr_at=rr_at)
 
 
 def compute_base(dataset: list[TrajectoryInstance], config: TrainConfig,

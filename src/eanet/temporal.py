@@ -19,8 +19,6 @@ intermediate output, not just the deepest one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -31,19 +29,6 @@ from .errors import ConfigError, DimensionError
 # receive zero gradient and stay at their initial values.
 _OWN_ROW = np.zeros((3, 3))
 _OWN_ROW[1, :] = 1.0
-
-
-@dataclass
-class StackConfig:
-    """Stacked-convolution settings. Kernels are 3x3 with padding 1 and no
-    bias; each layer has one learnable prelu slope."""
-
-    layers: int = 5
-    prelu_init: float = 0.25
-
-    def validate(self) -> None:
-        if self.layers < 1:
-            raise ConfigError("stack needs at least one layer")
 
 
 def _conv_over_batch(x: T.Tensor, kernel: T.Tensor) -> T.Tensor:

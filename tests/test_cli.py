@@ -12,7 +12,7 @@ from eanet.gradcheck import run_gradient_checks
 from eanet.model import ModelConfig, TrajectoryModel, toy_instance
 from eanet.plots import plot_curves, plot_expert_strip
 from eanet.report import read_stream_csv, write_loss_csv, write_stream_csv
-from eanet.runtime import BaseMetrics, OnlineConfig, StreamRecord, run_online
+from eanet.runtime import BaseMetrics, OnlineConfig, StreamRecord, TrainConfig, run_online
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -62,6 +62,12 @@ def test_overrides_beat_the_file():
     assert cfg.train_config_from(mapping, seed=0, epochs=9).epochs == 9
     online = cfg.online_config_from(mapping, seed=0, lr=0.25, clip_norm="none")
     assert online.lr == 0.25 and online.clip_norm is None
+
+
+def test_empty_mapping_gives_the_dataclass_defaults():
+    assert cfg.model_config_from({}) == ModelConfig()
+    assert cfg.train_config_from({}, seed=0) == TrainConfig()
+    assert cfg.online_config_from({}, seed=0) == OnlineConfig()
 
 
 def test_seed_precedence(monkeypatch):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from eanet.data import (RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
-                        frames_for_instances, from_relative, generate_synthetic,
-                        load_dataset, load_scene, make_shift_stream,
-                        synthetic_instances, to_relative, window_instances,
-                        write_scene)
+                        frames_for_instances, generate_synthetic, load_dataset,
+                        load_scene, synthetic_instances, to_relative,
+                        window_instances, write_scene)
 from eanet.errors import ConfigError, DataError, ParseError
 
 
@@ -114,7 +113,7 @@ def test_to_relative_round_trip_within_1e9():
     for _ in range(20):
         walk = np.cumsum(rng.normal(size=(3, 20, 2)), axis=1) + 100.0
         rel = to_relative(walk)
-        rebuilt = from_relative(rel, walk[:, 0])
+        rebuilt = walk[:, :1] + np.cumsum(rel, axis=1)
         # rel[:, 0] is zero, so the origin row stays put.
         assert np.max(np.abs(rebuilt - walk)) < 1e-9
 
@@ -210,18 +209,6 @@ def test_synthetic_instances_count_and_agents():
     assert len(instances) == 25
     assert all(inst.n_agents == 6 for inst in instances)
     assert all(inst.t_obs == 8 and inst.t_pred == 12 for inst in instances)
-
-
-def test_make_shift_stream_boundary():
-    a = SyntheticScenarioSpec(kind="oneway", agents=3, seed=1)
-    b = SyntheticScenarioSpec(kind="stagger", agents=3, seed=2)
-    stream = make_shift_stream(a, b, 10, 15)
-    assert stream.boundary == 10
-    assert len(stream.instances) == 25
-    assert all("oneway" in inst.scene_id for inst in stream.instances[:10])
-    assert all("stagger" in inst.scene_id for inst in stream.instances[10:])
-    with pytest.raises(ConfigError):
-        make_shift_stream(a, b, 0, 0)
 
 
 def test_load_dataset_orders_by_start_then_file(tmp_path):

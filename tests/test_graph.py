@@ -7,9 +7,8 @@ from eanet import tensor as T
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
-from eanet.graph import (KERNEL_KINDS, build_adjacency, build_frame_graph,
-                         gcn_forward, instance_graphs, kernel_weight,
-                         normalize_adjacency)
+from eanet.graph import (KERNEL_KINDS, build_adjacency, gcn_forward,
+                         instance_graphs, kernel_weight, normalize_adjacency)
 
 
 def test_kernel_coincident_positions_zero_for_every_kind():
@@ -103,10 +102,12 @@ def test_normalize_preserves_symmetry():
 
 def test_frame_graph_invariants():
     rng = np.random.default_rng(3)
-    graph = build_frame_graph(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
-    assert np.array_equal(graph.adjacency, graph.adjacency.T)
-    assert np.all(graph.adjacency >= 0)
-    assert np.max(np.abs(graph.normalized - graph.normalized.T)) < 1e-12
+    adjacency = build_adjacency("motion_trend", rng.normal(size=(5, 2)),
+                                rng.normal(size=(5, 2)))
+    normalized = normalize_adjacency(adjacency)
+    assert np.array_equal(adjacency, adjacency.T)
+    assert np.all(adjacency >= 0)
+    assert np.max(np.abs(normalized - normalized.T)) < 1e-12
 
 
 def test_gcn_zero_weight_gives_half():

@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from eanet import runtime
 from eanet import tensor as T
 from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, ContractError, DataError, TrainingDiverged
 from eanet.gaussian import decode_gaussian, nll_loss, restore_ratio
-from eanet.model import ModelConfig, TrajectoryModel, toy_instance
-from eanet.runtime import (BaseMetrics, OnlineConfig, TrainConfig,
-                           _instance_arrays, classify_health, compute_base,
-                           run_online, train_offline)
+from eanet.model import ModelConfig, TrajectoryModel, instance_arrays, toy_instance
+from eanet.runtime import (BaseMetrics, OnlineConfig, TrainConfig, classify_health,
+                           compute_base, run_online, train_offline)
 
 SMALL = ModelConfig(stack_layers=2)
 
@@ -77,7 +78,7 @@ def test_single_step_descent_for_small_lr():
 def test_one_epoch_one_instance_is_one_sgd_step():
     inst = toy_set(1, seed0=7)[0]
     reference = small_model(seed=7)
-    x_seq, ahat, fut = _instance_arrays(inst, SMALL)
+    x_seq, ahat, fut = instance_arrays(inst, SMALL)
     layers = reference.forward_batch(x_seq[None], ahat[None])
     loss = T.mul(nll_loss(decode_gaussian(layers[-1]), fut[None]), 1.0)
     T.backward(loss)
@@ -309,6 +310,48 @@ def test_extra_updates_per_instance_move_parameters_further():
                         OnlineConfig(strategy="plain", updates_per_instance=2, seed=0))
     assert len(single.records) == len(double.records) == 3
     assert single.records[1].loss != double.records[1].loss
+
+
+def test_exploding_extra_update_counts_towards_health():
+    # The first update's norm is about 9; the step at lr=1 sends the
+    # second update's norm past the explosion threshold.
+    stream = toy_set(1)
+    result = run_online(small_model(), stream,
+                        OnlineConfig(strategy="plain", lr=1.0, clip_norm=None,
+                                     updates_per_instance=2, seed=0))
+    assert result.records[0].health == "exploded"
+    assert result.health.status == "exploded"
+    assert result.health.first_trigger_instance == 0
+    assert result.records[0].grad_norm < 1e3
+
+
+def test_nonfinite_extra_loss_flags_the_row_and_stops(monkeypatch):
+    stream = toy_set(1)
+    config = OnlineConfig(strategy="plain", lr=1e3, clip_norm=None, seed=0)
+    one_step = small_model()
+    run_online(one_step, stream, config)
+
+    losses = []
+
+    def counted_nll(*args, **kwargs):
+        out = nll_loss(*args, **kwargs)
+        losses.append(out.item())
+        return out
+
+    monkeypatch.setattr(runtime, "nll_loss", counted_nll)
+    model = small_model()
+    with np.errstate(all="ignore"):
+        result = run_online(model, stream,
+                            dataclasses.replace(config, updates_per_instance=3))
+    # The record's forward, then one extra update whose loss is not finite;
+    # the third update never runs.
+    assert len(losses) == 2 and math.isfinite(losses[0]) and not math.isfinite(losses[1])
+    assert result.records[0].health == "exploded"
+    assert result.health.status == "exploded"
+    assert result.health.first_trigger_instance == 0
+    assert len(T.tape()) == 0
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, one_step.params[name].data), name
 
 
 def test_stationary_stream_keeps_or_improves_accuracy():

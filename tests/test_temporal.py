@@ -5,7 +5,7 @@ from scipy.signal import correlate2d
 from eanet import tensor as T
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
-from eanet.temporal import StackConfig, stack_forward, time_expand
+from eanet.temporal import stack_forward, time_expand
 
 
 def scipy_conv_oracle(x, k):
@@ -135,12 +135,6 @@ def test_stack_param_count_mismatch():
         stack_forward(x0, [T.Tensor(np.zeros((12, 12, 3, 3)))], [])
     with pytest.raises(ConfigError):
         stack_forward(x0, [], [])
-
-
-def test_stack_config_validation():
-    StackConfig(layers=1).validate()
-    with pytest.raises(ConfigError):
-        StackConfig(layers=0).validate()
 
 
 def test_stack_gradients_match_finite_differences():
