@@ -41,36 +41,17 @@ def _stack_layers(m_list) -> T.Tensor:
     return T.stack(m_list, axis=1)
 
 
-def recombine_by_frame(m_list: list[T.Tensor]) -> list[T.Tensor]:
-    """Reindex L tensors of shape (N, T, P, D) into T tensors of shape
-    (N, L, P, D), so R_f[n][l][p][d] == M[l][n][f][p][d]."""
-    stacked = _stack_layers(m_list)
-    t_frames = stacked.shape[2]
-    return [stacked[:, :, f] for f in range(t_frames)]
-
-
-def expert_weights(r_f: T.Tensor, theta: T.Tensor, bias: T.Tensor) -> T.Tensor:
-    """Gate scores for one frame: mean over agents of tanh(R_f Theta + b).
-
-    ``r_f`` is (N, L, P, D) and ``theta`` (D, 1); the result is
-    (N, L, 1, 1) with every entry strictly inside (-1, 1).
-    """
-    r_f = T.as_tensor(r_f)
-    theta = T.as_tensor(theta)
-    if theta.ndim != 2 or theta.shape[1] != 1 or theta.shape[0] != r_f.shape[-1]:
-        raise DimensionError(f"theta must be ({r_f.shape[-1]}, 1), got {theta.shape}")
-    scores = T.tanh(T.add(T.matmul(r_f, theta), bias))
-    return T.tensor_mean(scores, axis=2, keepdims=True)
-
-
 def ea_output(m_list: list[T.Tensor], theta: T.Tensor, bias: T.Tensor,
               alpha: T.Tensor) -> tuple[T.Tensor, ExpertTrace]:
     """Gated, alpha-weighted sum of the intermediate outputs.
 
-    Equivalent to running expert_weights on every frame's recombined
-    tensor, multiplying each layer by its gate (broadcast over agents and
-    features), and summing layers with the trainable mix alpha. Computed
-    on the whole (N, L, T, P, D) block at once. Returns the (N, T, P, D)
+    For each frame f, the gate of layer l is the mean over agents of
+    tanh(M[l][:, f] theta + bias), with ``theta`` of shape (D, 1); each
+    layer is multiplied by its gate (broadcast over agents and features)
+    and the layers are summed with the trainable mix alpha. Computed on
+    the whole (N, L, T, P, D) block at once;
+    ``tests/test_attention.py::test_ea_output_matches_per_frame_recombination``
+    checks it against a frame-by-frame oracle. Returns the (N, T, P, D)
     output plus a trace for reporting.
     """
     stacked = _stack_layers(m_list)

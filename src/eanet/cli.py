@@ -21,16 +21,15 @@ import sys
 import time
 
 from . import config as C
-from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SCENARIO_KINDS, SyntheticScenarioSpec, generate_synthetic, load_dataset, write_scene
 from .errors import DataError, EanetError
-from .gaussian import best_of_k
 from .gradcheck import run_gradient_checks
 from .graph import KERNEL_KINDS
 from .plots import plot_curves, plot_expert_strip
 from .report import write_loss_csv, write_stream_csv, read_stream_csv
-from .runtime import ALIGNMENTS, STRATEGIES, BaseMetrics, compute_base, run_online, train_offline
+from .runtime import (ALIGNMENTS, STRATEGIES, BaseMetrics, compute_base, mean_best_of_k, run_online,
+                      train_offline)
 
 ARTIFACT_VERSION = 1
 
@@ -194,17 +193,10 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(data_paths, model.config.t_obs, model.config.t_pred)
     if not dataset:
         raise DataError("no trajectory windows in the evaluation data")
-    ades, fdes = [], []
-    with T.no_grad():
-        for i, inst in enumerate(dataset):
-            gfield = model.predict_field(inst, strategy="plain")
-            report = best_of_k(gfield, inst.fut_abs, args.samples,
-                               seed=seed + i, origin_abs=inst.obs_abs[:, -1])
-            ades.append(report.ade)
-            fdes.append(report.fde)
+    ade, fde = mean_best_of_k(model, dataset, args.samples, seed)
     summary = {
-        "ade": sum(ades) / len(ades),
-        "fde": sum(fdes) / len(fdes),
+        "ade": ade,
+        "fde": fde,
         "k": args.samples,
         "instances": len(dataset),
     }
@@ -300,13 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="online trajectory prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SyntheticScenarioSpec()
     p = sub.add_parser("gen", help="generate a synthetic scene file")
     p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
-    p.add_argument("--agents", type=int, default=6)
-    p.add_argument("--speed", type=float, default=0.4)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--period", type=int, default=10)
-    p.add_argument("--extent", type=float, default=8.0)
+    p.add_argument("--agents", type=int, default=spec.agents)
+    p.add_argument("--speed", type=float, default=spec.speed)
+    p.add_argument("--noise", type=float, default=spec.noise_std)
+    p.add_argument("--period", type=int, default=spec.period)
+    p.add_argument("--extent", type=float, default=spec.extent)
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_config(p)

@@ -11,6 +11,11 @@ Parameter registry layout (names are the checkpoint tensor names):
     ea/alpha     (L,)              layer mix
 
 Convolutions are bias-free, initialised uniformly in +-1/sqrt(fan_in).
+Of each 3x3 window only row 1, the agent's own row, is read
+(``tensor.conv2d``); rows 0 and 2 are stored but never read and never
+move. They are kept so the v1 checkpoint layout and seeded
+initialisations stay as they were, which is also why the init bound
+counts all 9 taps in fan_in = 9 * C_in.
 The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.

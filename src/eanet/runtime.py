@@ -374,13 +374,22 @@ def compute_base(dataset: list[TrajectoryInstance], config: TrainConfig,
         cut = min(max(1, int(len(dataset) * 0.8)), len(dataset) - 1)
         train, test = dataset[:cut], dataset[cut:]
     result = train_offline(train, config, model_config)
+    ade, fde = mean_best_of_k(result.model, test, samples, config.seed)
+    return BaseMetrics(ade=ade, fde=fde, n_train=len(train), n_test=len(test))
+
+
+def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], samples: int,
+                   seed: int) -> tuple[float, float]:
+    """Mean best-of-K (ADE, FDE) of the plain head over ``dataset``.
+
+    Instance i draws its K samples with seed ``seed + i``.
+    """
     ades, fdes = [], []
     with T.no_grad():
-        for i, inst in enumerate(test):
-            gfield = result.model.predict_field(inst, strategy="plain")
+        for i, inst in enumerate(dataset):
+            gfield = model.predict_field(inst, strategy="plain")
             report = best_of_k(gfield, inst.fut_abs, samples,
-                               seed=config.seed + i, origin_abs=inst.obs_abs[:, -1])
+                               seed=seed + i, origin_abs=inst.obs_abs[:, -1])
             ades.append(report.ade)
             fdes.append(report.fde)
-    return BaseMetrics(ade=float(np.mean(ades)), fde=float(np.mean(fdes)),
-                       n_train=len(train), n_test=len(test))
+    return float(np.mean(ades)), float(np.mean(fdes))

@@ -6,12 +6,13 @@ row on the (agent, feature) plane and remaps T_obs observed frames onto
 T_pred predicted frames. Agent rows never mix here: cross-agent coupling
 belongs to the graph convolution, and keeping the rows independent means
 a prediction cannot depend on the arbitrary order agents are stored in.
-Only kernel row 1, the taps on the agent's own row, is live
-(``_OWN_ROW``), and ``tensor.conv2d`` runs every row through the same
-arithmetic wherever it is stored, so permuting the agents permutes the
-outputs of ``time_expand`` and ``stack_forward`` bit for bit. The full
-model is equivariant only to within rounding, because the graph
-convolution sums over neighbours in storage order.
+``tensor.conv2d`` reads only kernel row 1, the taps on the agent's own
+row; rows 0 and 2 are stored but never read and get a zero gradient,
+kept for the v1 checkpoint layout and seed reproduction (which is why
+the init bound counts 9 taps of fan-in). It runs every row through the
+same arithmetic wherever it is stored, so permuting the agents permutes
+the outputs of ``time_expand`` and ``stack_forward`` bit for bit. The full model is equivariant only to within rounding, because
+the graph convolution sums over neighbours in storage order.
 The stacked layers that follow keep the frame count fixed and each
 returns its activation, because the attention head consumes every
 intermediate output, not just the deepest one.
@@ -19,37 +20,17 @@ intermediate output, not just the deepest one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
-from .errors import ConfigError, DimensionError
-
-# Zeroing the kernel rows that would read the agents above and below
-# makes the 3x3 convolution act on each agent row alone; the masked taps
-# receive zero gradient and stay at their initial values.
-_OWN_ROW = np.zeros((3, 3))
-_OWN_ROW[1, :] = 1.0
-
-
-def _conv_over_batch(x: T.Tensor, kernel: T.Tensor) -> T.Tensor:
-    """Apply the row-local conv2d to a whole (N, C, H, W) batch at once."""
-    if x.ndim != 4:
-        raise DimensionError(f"expected a (N, T, P, D) tensor, got {x.shape}")
-    return T.conv2d(x, T.mul(kernel, _OWN_ROW))
+from .errors import ConfigError
 
 
 def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
-    """Map (N, T_obs, P, D) features to (N, T_pred, P, D).
+    """Map (N, T_obs, P, D) features to (N, T_pred, P, D) with a
+    (T_pred, T_obs, 3, 3) kernel; shape mismatches raise DimensionError.
 
     Bit-exactly equivariant under a permutation of the agent axis P.
     """
-    features = T.as_tensor(features)
-    kernel = T.as_tensor(kernel)
-    if kernel.ndim != 4 or kernel.shape[1] != features.shape[1]:
-        raise DimensionError(
-            f"time_expand kernel {kernel.shape} does not match features {features.shape}"
-        )
-    return _conv_over_batch(features, kernel)
+    return T.conv2d(features, kernel)
 
 
 def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> list[T.Tensor]:
@@ -65,7 +46,7 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     outputs: list[T.Tensor] = []
     current = T.as_tensor(x0)
     for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
-        convolved = T.prelu(_conv_over_batch(current, kernel), slope)
+        convolved = T.prelu(T.conv2d(current, kernel), slope)
         current = convolved if idx == 0 else T.add(convolved, current)
         outputs.append(current)
     return outputs

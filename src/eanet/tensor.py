@@ -366,74 +366,55 @@ def _band(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def conv2d(x, kernel) -> Tensor:
-    """2-d cross-correlation with a 3x3 kernel and zero padding of one.
+    """Row-local time convolution: the 3x3 cross-correlation with zero
+    padding of one, restricted to kernel row 1.
 
-    ``x`` has shape (C_in, H, W) or batched (N, C_in, H, W) and ``kernel``
-    (C_out, C_in, 3, 3); the output keeps the input rank. In this package
-    the channel axis carries time and (H, W) is the (agent, feature)
-    plane; the batch axis is used to push many instances through one call.
+    ``x`` has shape (N, C_in, H, W) and ``kernel`` (C_out, C_in, 3, 3);
+    the output is (N, C_out, H, W). In this package the channel axis
+    carries time and (H, W) is the (agent, feature) plane, so output row
+    h is the three-tap correlation of input row h alone along the
+    feature axis, summed over input channels. Kernel rows 0 and 2, the
+    taps that would read the rows above and below, are stored but never
+    read, and their gradient is exactly zero: they are kept for the v1
+    checkpoint layout and to reproduce seeded initialisations, which is
+    why the init bound counts all 9 taps of fan-in.
 
-    Kernel row i carries input row h + i - 1 into output row h. As a
-    linear map, one input row's (C_in·W) values go to (C_out·W) through a
-    banded weight built from kernel row i, and every row of the batch
-    runs its own, identical matmul: a row's contribution is bit-for-bit
-    the same wherever the row sits. Kernel rows that are all zero are
-    skipped. So with kernel rows 0 and 2 zero, each output row reads its
-    own input row alone, and permuting the rows or the batch permutes
-    the output bit for bit.
+    As a linear map, each row's (C_in·W) values go to (C_out·W) through
+    one banded weight built from kernel row 1, and every row of the
+    batch runs its own, identical matmul: permuting the rows or the
+    batch permutes the output bit for bit.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim not in (3, 4) or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: need x rank 3 or 4 and kernel rank 4, got {x.shape} and {kernel.shape}")
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise DimensionError(f"conv2d: need x and kernel of rank 4, got {x.shape} and {kernel.shape}")
     if kernel.shape[-2:] != (3, 3):
         raise DimensionError(f"conv2d: kernel window must be 3x3, got {kernel.shape}")
-    if kernel.shape[1] != x.shape[-3]:
+    if kernel.shape[1] != x.shape[1]:
         raise DimensionError(
             f"conv2d: input channels differ, x {x.shape} vs kernel {kernel.shape}"
         )
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    n, c_in, h, w = xd.shape
+    n, c_in, h, w = x.shape
     c_out = kernel.shape[0]
     k_in, k_out = c_in * w, c_out * w
     tap, v, u = _band(w)
-    weights = np.zeros((3, c_in, w, c_out, w))
-    weights[:, :, v, :, u] = kernel.data[:, :, :, tap].transpose(3, 2, 1, 0)
-    weights = weights.reshape(3, k_in, k_out)
-    live = [i for i in range(3) if kernel.data[:, :, i].any()]
-    rows = xd.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
-
-    def pairs(i):
-        """Slices of the (input, output) rows that kernel row i connects."""
-        lo, hi = max(0, 1 - i), min(h, h + 1 - i)
-        return slice(lo + i - 1, hi + i - 1), slice(lo, hi)
-
-    out_rows = np.zeros((n, h, 1, k_out))
-    for i in live:
-        src, dst = pairs(i)
-        out_rows[:, dst] += np.matmul(rows[:, src], weights[i])
-    out_data = out_rows.reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
-    if squeeze:
-        out_data = out_data[0]
+    weight = np.zeros((c_in, w, c_out, w))
+    weight[:, v, :, u] = kernel.data[:, :, 1, tap].transpose(2, 1, 0)
+    weight = weight.reshape(k_in, k_out)
+    rows = x.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
+    out_data = np.matmul(rows, weight).reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
 
     def back(g):
-        gb = g[None] if squeeze else g
-        g_rows = gb.transpose(0, 2, 1, 3).reshape(n, h, 1, k_out)
+        g_rows = g.transpose(0, 2, 1, 3).reshape(n, h, 1, k_out)
         if kernel.requires_grad:
-            g_weights = np.empty((3, k_in, k_out))
-            for i in range(3):
-                src, dst = pairs(i)
-                g_weights[i] = rows[:, src].reshape(-1, k_in).T @ g_rows[:, dst].reshape(-1, k_out)
-            per_entry = g_weights.reshape(3, c_in, w, c_out, w)[:, :, v, :, u]
-            gk = np.eye(3)[tap].T @ per_entry.reshape(tap.size, -1)  # summed per tap
-            _accumulate(kernel, gk.reshape(3, 3, c_in, c_out).transpose(3, 2, 1, 0))
+            g_weight = rows.reshape(-1, k_in).T @ g_rows.reshape(-1, k_out)
+            per_entry = g_weight.reshape(c_in, w, c_out, w)[:, v, :, u]
+            g_row = np.eye(3)[tap].T @ per_entry.reshape(tap.size, -1)  # summed per tap
+            gk = np.zeros(kernel.shape)
+            gk[:, :, 1] = g_row.reshape(3, c_in, c_out).transpose(2, 1, 0)
+            _accumulate(kernel, gk)
         if x.requires_grad:
-            gx_rows = np.zeros((n, h, 1, k_in))
-            for i in live:
-                src, dst = pairs(i)
-                gx_rows[:, src] += np.matmul(g_rows[:, dst], weights[i].T)
-            gx = gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3)
-            _accumulate(x, gx[0] if squeeze else gx)
+            gx_rows = np.matmul(g_rows, weight.T)
+            _accumulate(x, gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3))
 
     return _make(out_data, (x, kernel), back)
 

@@ -4,11 +4,25 @@ import numpy as np
 import pytest
 
 from eanet import tensor as T
-from eanet.attention import (ExpertTrace, HedgeState, ea_output, expert_weights,
-                             hedge_output, hedge_update, plain_output,
-                             recombine_by_frame)
+from eanet.attention import (ExpertTrace, HedgeState, ea_output, hedge_output, hedge_update,
+                             plain_output)
 from eanet.errors import ConfigError, ContractError, DimensionError
 from eanet.gradcheck import check_gradients
+
+
+def recombine_by_frame(m_list):
+    """Per-frame oracle for ``ea_output``: reindex L tensors of shape
+    (N, T, P, D) into T tensors of shape (N, L, P, D), so
+    R_f[n][l][p][d] == M[l][n][f][p][d]."""
+    stacked = T.stack(m_list, axis=1)
+    return [stacked[:, :, f] for f in range(stacked.shape[2])]
+
+
+def expert_weights(r_f, theta, bias):
+    """Gate scores for one frame: mean over agents of tanh(R_f Theta + b),
+    (N, L, P, D) with a (D, 1) theta to (N, L, 1, 1)."""
+    scores = T.tanh(T.add(T.matmul(r_f, theta), bias))
+    return T.tensor_mean(scores, axis=2, keepdims=True)
 
 
 def random_layers(n_layers=3, n=1, t=4, p=3, d=5, seed=0):
@@ -41,10 +55,15 @@ def test_recombine_round_trip_and_direct_indexing():
 def test_recombine_rejects_mixed_shapes():
     layers = random_layers(n_layers=2)
     layers.append(T.Tensor(np.zeros((1, 4, 2, 5))))
+    head = (T.Tensor(np.zeros((5, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
     with pytest.raises(DimensionError):
         recombine_by_frame(layers)
+    with pytest.raises(DimensionError):
+        ea_output(layers, *head)
     with pytest.raises(ContractError):
         recombine_by_frame([])
+    with pytest.raises(ContractError):
+        ea_output([], *head)
 
 
 def test_expert_weights_zero_theta_zero_bias():
@@ -74,9 +93,9 @@ def test_expert_weights_agent_permutation_invariant():
 
 
 def test_expert_weights_theta_shape_error():
-    frames = recombine_by_frame(random_layers(seed=5))
+    layers = random_layers(seed=5)
     with pytest.raises(DimensionError):
-        expert_weights(frames[0], T.Tensor(np.zeros((4, 1))), T.Tensor(0.0))
+        ea_output(layers, T.Tensor(np.zeros((4, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
 
 
 def test_ea_output_zero_gate_zeroes_everything():

@@ -7,6 +7,7 @@ import pytest
 
 from eanet import cli
 from eanet import config as cfg
+from eanet.data import SyntheticScenarioSpec
 from eanet.errors import ConfigError, ParseError
 from eanet.gradcheck import run_gradient_checks
 from eanet.model import ModelConfig, TrajectoryModel, toy_instance
@@ -233,6 +234,20 @@ def test_gen_is_byte_identical_for_a_seed(tmp_path):
     manifest = json.loads((tmp_path / "a.txt.manifest.json").read_text())
     assert manifest["command"] == "gen" and manifest["seed"] == 3
     assert str(a) in manifest["outputs"]
+
+
+def test_gen_without_flags_builds_the_spec_defaults(tmp_path, monkeypatch):
+    specs = []
+    generate = cli.generate_synthetic
+
+    def recording(spec, frames):
+        specs.append(spec)
+        return generate(spec, frames)
+
+    monkeypatch.setattr(cli, "generate_synthetic", recording)
+    assert cli.main(["gen", "--kind", "circle", "--frames", "20", "--seed", "3",
+                     "--out", str(tmp_path / "scene.txt")]) == 0
+    assert specs == [SyntheticScenarioSpec(kind="circle", seed=3)]
 
 
 def test_gen_unknown_kind_is_a_usage_error(tmp_path, capsys):

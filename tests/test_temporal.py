@@ -105,8 +105,8 @@ def test_stack_rows_never_mix():
 
 
 def test_masked_taps_get_exactly_zero_gradient():
-    # Kernel rows 0 and 2 would read the agents above and below; the
-    # _OWN_ROW mask cuts them out, so backward leaves them an exact zero.
+    # Kernel rows 0 and 2 would read the agents above and below; conv2d
+    # never reads them, so backward leaves them an exact zero.
     rng = np.random.default_rng(10)
     feats = T.Tensor(rng.normal(size=(3, 8, 4, 5)))
     expand = T.Tensor(rng.normal(size=(6, 8, 3, 3)) * 0.3, requires_grad=True)

@@ -7,7 +7,8 @@ from eanet.gradcheck import check_gradients, max_relative_error, numeric_gradien
 
 
 def conv2d_loop_oracle(x, k):
-    """Six nested loops, written independently of the einsum implementation."""
+    """A general 3x3 convolution of one (C_in, H, W) plane in six nested
+    loops, written independently of the banded-matmul implementation."""
     c_in, h, w = x.shape
     c_out = k.shape[0]
     out = np.zeros((c_out, h, w))
@@ -24,6 +25,13 @@ def conv2d_loop_oracle(x, k):
                                 acc += x[c, rr, cc] * k[o, c, i, j]
                 out[o, row, col] = acc
     return out
+
+
+def own_row(k):
+    """``k`` with rows 0 and 2 zeroed: the taps conv2d actually applies."""
+    k = np.array(k, copy=True)
+    k[:, :, [0, 2]] = 0.0
+    return k
 
 
 def test_tensor_is_float64_row_major():
@@ -62,19 +70,20 @@ def test_matmul_batched_matches_per_slice():
 def test_conv2d_matches_loop_oracle():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        x = rng.normal(size=(4, 5, 6))
+        x = rng.normal(size=(2, 4, 5, 6))
         k = rng.normal(size=(3, 4, 3, 3))
         got = T.conv2d(T.Tensor(x), T.Tensor(k)).data
-        want = conv2d_loop_oracle(x, k)
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for n in range(2):
+            want = conv2d_loop_oracle(x[n], own_row(k))
+            assert np.allclose(got[n], want, rtol=0, atol=1e-12)
 
 
 def test_conv2d_single_row_plane():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 1, 5))
+    x = rng.normal(size=(1, 2, 1, 5))
     k = rng.normal(size=(2, 2, 3, 3))
     got = T.conv2d(T.Tensor(x), T.Tensor(k)).data
-    assert np.allclose(got, conv2d_loop_oracle(x, k), atol=1e-12)
+    assert np.allclose(got[0], conv2d_loop_oracle(x[0], own_row(k)), atol=1e-12)
 
 
 def test_conv2d_batched_matches_per_element():
@@ -84,8 +93,9 @@ def test_conv2d_batched_matches_per_element():
     got = T.conv2d(T.Tensor(x), T.Tensor(k))
     assert got.shape == (4, 2, 5, 6)
     for n in range(4):
-        single = T.conv2d(T.Tensor(x[n]), T.Tensor(k)).data
+        single = T.conv2d(T.Tensor(x[n:n + 1]), T.Tensor(k)).data[0]
         assert np.allclose(got.data[n], single, atol=1e-12)
+        assert np.allclose(single, conv2d_loop_oracle(x[n], own_row(k)), atol=1e-12)
 
 
 def test_conv2d_batched_gradients_sum_over_batch():
@@ -100,25 +110,25 @@ def test_conv2d_batched_gradients_sum_over_batch():
     k_single = T.Tensor(k_batch.data.copy(), requires_grad=True)
     gx = np.zeros_like(x)
     for n in range(3):
-        xs = T.Tensor(x[n].copy(), requires_grad=True)
+        xs = T.Tensor(x[n:n + 1].copy(), requires_grad=True)
         T.backward(T.tensor_sum(T.conv2d(xs, k_single)))
-        gx[n] = xs.grad
+        gx[n] = xs.grad[0]
     assert np.allclose(k_batch.grad, k_single.grad, atol=1e-10)
     assert np.allclose(xb.grad, gx, atol=1e-12)
 
 
 def test_conv2d_shape_errors():
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 2, 5, 5))))
+        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 2, 5, 5))))
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 9, 3, 3))))
+        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 9, 3, 3))))
+    with pytest.raises(DimensionError):
+        T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 2, 3, 3))))
 
 
 def own_row_kernel(rng, c_out, c_in):
-    """A kernel with rows 0 and 2 zeroed, as the temporal stack uses it."""
-    k = rng.normal(size=(c_out, c_in, 3, 3))
-    k[:, :, [0, 2]] = 0.0
-    return k
+    """A kernel with rows 0 and 2 zeroed, as conv2d applies it."""
+    return own_row(rng.normal(size=(c_out, c_in, 3, 3)))
 
 
 def test_conv2d_row_local_kernel_matches_loop_oracle():
@@ -151,16 +161,24 @@ def test_conv2d_is_bit_exact_under_batch_order():
         assert np.array_equal(T.conv2d(T.Tensor(x[batch]), k).data, out[batch])
 
 
-def test_conv2d_row_local_kernel_gradients_match_finite_differences():
-    # The forward skips the zero kernel rows; their gradient is still the
-    # true one, not zero.
+def test_conv2d_never_reads_kernel_rows_0_and_2():
+    # Arbitrary values in the unread rows change neither the output nor
+    # the input gradient by a bit, and those rows get a gradient of 0.
     rng = np.random.default_rng(15)
-    x = T.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-    k = T.Tensor(own_row_kernel(rng, 2, 3) * 0.3, requires_grad=True)
-    errors = check_gradients(lambda: T.tensor_sum(T.tanh(T.conv2d(x, k))), {"x": x, "k": k})
-    assert max(errors.values()) < 1e-6
-    T.backward(T.tensor_sum(T.tanh(T.conv2d(x, k))))
-    assert np.all(k.grad[:, :, [0, 2]] != 0.0)
+    x = rng.normal(size=(3, 4, 5, 6))
+    g = rng.normal(size=(3, 2, 5, 6))
+    k = rng.normal(size=(2, 4, 3, 3))
+    results = []
+    for kernel in (k, own_row(k)):
+        xt = T.Tensor(x.copy(), requires_grad=True)
+        kt = T.Tensor(kernel, requires_grad=True)
+        out = T.conv2d(xt, kt)
+        T.backward(T.tensor_sum(T.mul(out, g)))
+        results.append((out.data, xt.grad, kt.grad))
+        assert np.all(kt.grad[:, :, [0, 2]] == 0.0)
+        assert np.all(kt.grad[:, :, 1] != 0.0)
+    for full, zeroed in zip(*results):
+        assert np.array_equal(full, zeroed)
 
 
 def test_elementwise_broadcast_singleton_axes():
@@ -311,7 +329,7 @@ def test_primitive_gradients_match_finite_differences(name, build):
 
 def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    x = T.Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    x = T.Tensor(rng.normal(size=(1, 3, 4, 5)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(2, 3, 3, 3)) * 0.4, requires_grad=True)
     errors = check_gradients(lambda: T.tensor_sum(T.tanh(T.conv2d(x, k))), {"x": x, "k": k})
     assert max(errors.values()) < 1e-6
