@@ -48,62 +48,71 @@ def kernel_weight(kind: str, v_i, v_j, r_i, r_j, rbf_sigma: float = 1.0) -> floa
 
 def build_adjacency(kind: str, positions: np.ndarray, motions: np.ndarray,
                     rbf_sigma: float = 1.0) -> np.ndarray:
-    """Dense symmetric adjacency for one frame. Diagonal is zero."""
+    """Dense symmetric adjacencies (..., P, P) of frames given as
+    (..., P, 2) positions and motions. The diagonal is zero.
+
+    Leading axes are any stack of frames. A frame's graph is bit-identical
+    whether it is built alone or in a batch: each weight is computed
+    elementwise from its own pair.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     motions = np.asarray(motions, dtype=np.float64)
-    if positions.shape != motions.shape or positions.ndim != 2 or positions.shape[1] != 2:
+    if positions.shape != motions.shape or positions.ndim < 2 or positions.shape[-1] != 2:
         raise DimensionError(
-            f"positions {positions.shape} and motions {motions.shape} must both be (P, 2)"
+            f"positions {positions.shape} and motions {motions.shape} must both be (..., P, 2)"
         )
     if kind not in KERNEL_KINDS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
     if kind == "rbf" and rbf_sigma <= 0:
         raise ConfigError("rbf kernel needs sigma > 0")
-    dv = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    dv = np.linalg.norm(positions[..., :, None, :] - positions[..., None, :, :], axis=-1)
+    # x - x is exactly 0 (or NaN), so `apart` is false on the diagonal.
     apart = dv > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "motion_trend":
-            dr = np.linalg.norm(motions[:, None, :] - motions[None, :, :], axis=-1)
+            dr = np.linalg.norm(motions[..., :, None, :] - motions[..., None, :, :], axis=-1)
             weights = 1.0 / (dr + dv)
         elif kind == "inv_dist":
             weights = 1.0 / dv
         elif kind == "l2":
-            weights = dv.copy()
+            weights = dv
         else:
             weights = np.exp(-dv) / rbf_sigma
-    adjacency = np.where(apart, weights, 0.0)
-    np.fill_diagonal(adjacency, 0.0)
-    return adjacency
+    return np.where(apart, weights, 0.0)
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric normalisation with self-loops.
+    """Symmetric normalisation with self-loops, per (P, P) frame of a
+    (..., P, P) stack.
 
     With A' = A + I and D the diagonal of A' row sums, returns
     D^(-1/2) A' D^(-1/2). Row sums of A' are strictly positive because of
-    the self-loops, so the inverse square root always exists.
+    the self-loops, so the inverse square root always exists. A frame's
+    result is bit-identical whether it is normalised alone or in a batch.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise DimensionError(f"adjacency must be square, got {adjacency.shape}")
-    with_loops = adjacency + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
+    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
+        raise DimensionError(f"adjacency must be (..., P, P), got {adjacency.shape}")
+    # In C order every row sums as one contiguous run, as a lone frame's
+    # does; a strided batch would sum in another order and, for P >= 8,
+    # round differently.
+    with_loops = np.ascontiguousarray(adjacency) + np.eye(adjacency.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=-1))
+    return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]
 
 
 def instance_graphs(instance: TrajectoryInstance, kind: str = "motion_trend",
                     rbf_sigma: float = 1.0) -> np.ndarray:
-    """Stacked normalised adjacencies (T_obs, P, P) for one instance.
+    """Stacked normalised adjacencies (T_obs, P, P) for one instance, built
+    in one call over all frames; each frame is bit-identical to its graph
+    built alone.
 
     The motion at the first observed frame is zero by the relative-array
     convention, so the default kernel degrades to inverse distance there.
     """
-    frames = []
-    for t in range(instance.t_obs):
-        adjacency = build_adjacency(kind, instance.obs_abs[:, t], instance.obs_rel[:, t],
-                                    rbf_sigma)
-        frames.append(normalize_adjacency(adjacency))
-    return np.stack(frames, axis=0)
+    adjacency = build_adjacency(kind, instance.obs_abs.transpose(1, 0, 2),
+                                instance.obs_rel.transpose(1, 0, 2), rbf_sigma)
+    return normalize_adjacency(adjacency)
 
 
 def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:

@@ -38,7 +38,8 @@ from .attention import ea_output, hedge_output, plain_output
 from .data import SyntheticScenarioSpec, TrajectoryInstance, synthetic_instances
 from .errors import ConfigError
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
-from .graph import KERNEL_KINDS, instance_graphs, gcn_forward
+from .graph import (KERNEL_KINDS, build_adjacency, gcn_forward, instance_graphs,
+                    normalize_adjacency)
 from .rng import Xorshift64Star
 
 GAUSS_CHANNELS = 5
@@ -67,19 +68,50 @@ class ModelConfig:
             raise ConfigError("rbf_sigma must be positive")
 
 
-def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
-    """The network inputs and target of one instance: relative
-    displacements (T_obs, P, 2), normalised graphs (T_obs, P, P) and
-    ``fut_rel`` (P, T_pred, 2). Raises ConfigError when the instance's
-    spans differ from the model's."""
+def _check_spans(instance: TrajectoryInstance, config: ModelConfig) -> None:
     if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
         raise ConfigError(
             f"instance spans ({instance.t_obs}, {instance.t_pred}), "
             f"model expects ({config.t_obs}, {config.t_pred})"
         )
+
+
+def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
+    """The network inputs and target of one instance: relative
+    displacements (T_obs, P, 2), normalised graphs (T_obs, P, P) and
+    ``fut_rel`` (P, T_pred, 2). Raises ConfigError when the instance's
+    spans differ from the model's."""
+    _check_spans(instance, config)
     ahat = instance_graphs(instance, config.kernel, config.rbf_sigma)
     x_seq = np.ascontiguousarray(instance.obs_rel.transpose(1, 0, 2))
     return x_seq, ahat, instance.fut_rel
+
+
+def dataset_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
+                   chunk: int) -> list[tuple]:
+    """`instance_arrays` of every instance, in dataset order.
+
+    The graphs of up to ``chunk`` same-sized instances are built in one
+    `build_adjacency` + `normalize_adjacency` call, so the transient memory
+    grows with ``chunk``, not with the dataset. Every array equals the one
+    `instance_arrays` gives for its instance, bit for bit.
+    """
+    by_agents: dict[int, list[int]] = {}
+    for idx, instance in enumerate(dataset):
+        _check_spans(instance, config)
+        by_agents.setdefault(instance.n_agents, []).append(idx)
+    prepared: list[tuple] = [()] * len(dataset)
+    for members in by_agents.values():
+        for start in range(0, len(members), chunk):
+            part = members[start:start + chunk]
+            x_seq = np.ascontiguousarray(
+                np.stack([dataset[i].obs_rel for i in part]).transpose(0, 2, 1, 3))
+            positions = np.stack([dataset[i].obs_abs for i in part]).transpose(0, 2, 1, 3)
+            ahat = normalize_adjacency(
+                build_adjacency(config.kernel, positions, x_seq, config.rbf_sigma))
+            for k, i in enumerate(part):
+                prepared[i] = (x_seq[k], ahat[k], dataset[i].fut_rel)
+    return prepared
 
 
 def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:

@@ -29,7 +29,7 @@ from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, ContractError, DataError, TrainingDiverged
 from .gaussian import ade_fde, best_of_k, decode_gaussian, mu_trajectory, nll_loss, restore_ratio
-from .model import ModelConfig, TrajectoryModel, instance_arrays
+from .model import ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays
 from .rng import Xorshift64Star
 
 EXPLODE_NORM = 1e3
@@ -159,9 +159,11 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     A batch is one averaged gradient step over ``batch_size`` shuffled
     instances; same-sized instances inside the batch share one stacked
     forward pass and the group losses are combined weighted by group size,
-    so the result equals per-instance accumulation. The learning rate
-    drops from ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite
-    batch loss aborts with the epoch and step recorded.
+    so the result equals per-instance accumulation. The graphs are built
+    once, before the first epoch, one call per chunk of ``batch_size``
+    same-sized instances (`dataset_arrays`). The learning rate drops from
+    ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
+    aborts with the epoch and step recorded.
     """
     config.validate()
     if not dataset:
@@ -169,7 +171,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     if model is None:
         model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    prepared = [instance_arrays(inst, model.config) for inst in dataset]
+    prepared = dataset_arrays(dataset, model.config, config.batch_size)
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -297,10 +299,12 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    Each of the ``updates_per_instance`` updates goes through the same
-    backward/clip/step and counts towards health. An update whose loss or
-    gradient norm is not finite takes no step, flags the row and ends that
-    instance's updates; the run keeps going with the next instance.
+    An instance's inputs and graphs are built once and serve its forward
+    and every extra update. Each of the ``updates_per_instance`` updates
+    goes through the same backward/clip/step and counts towards health.
+    An update whose loss or gradient norm is not finite takes no step,
+    flags the row and ends that instance's updates; the run keeps going
+    with the next instance.
     """
     config.validate()
     head_rng = Xorshift64Star(config.seed)
@@ -312,7 +316,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
 
     for idx, raw_inst in enumerate(stream[:config.max_instances]):
         inst = raw_inst.recentred() if config.alignment == "recentre" else raw_inst
-        layers = model.intermediate_outputs(inst)
+        x_seq, ahat, _ = instance_arrays(inst, model.config)
+        layers = model.forward_batch(x_seq[None], ahat[None])
         raw, trace = model.strategy_output(layers, config.strategy, hedge)
         gfield = decode_gaussian(raw)
         pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
@@ -336,7 +341,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
             if applied is None:
                 break
             extra = nll_loss(decode_gaussian(
-                model.strategy_output(model.intermediate_outputs(inst),
+                model.strategy_output(model.forward_batch(x_seq[None], ahat[None]),
                                       config.strategy, hedge)[0]), inst.fut_rel)
             extra_loss = extra.item()
             pre, applied = _apply_update(model, extra, extra_loss, config)

@@ -80,6 +80,63 @@ def test_motion_trend_monotone_in_motion_difference():
         assert w_big < w_small
 
 
+def _stacked_frames(agents: int, count: int = 5):
+    """Positions and motions of ``count`` instances as (N, T_obs, P, 2),
+    transposed from the stacked (N, P, T_obs, 2) instance arrays, so for
+    P > 1 neither is C-contiguous. Instance 0 has agents 0 and 1
+    coincident."""
+    spec = SyntheticScenarioSpec(kind="circle" if agents > 6 else "stagger",
+                                 agents=agents, seed=agents)
+    instances = synthetic_instances(spec, count)
+    obs_abs = np.stack([inst.obs_abs for inst in instances])
+    if agents > 1:
+        obs_abs[0, 1] = obs_abs[0, 0]
+    obs_rel = np.stack([inst.obs_rel for inst in instances])
+    return obs_abs.transpose(0, 2, 1, 3), obs_rel.transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("agents", [1, 2, 6, 12])
+@pytest.mark.parametrize("kind,sigma", [(kind, 1.0) for kind in KERNEL_KINDS] + [("rbf", 0.7)])
+def test_batched_graphs_equal_per_frame_graphs_bit_for_bit(kind, sigma, agents):
+    positions, motions = _stacked_frames(agents)
+    assert agents == 1 or not (positions.flags.c_contiguous or motions.flags.c_contiguous)
+    adjacency = build_adjacency(kind, positions, motions, sigma)
+    ahat = normalize_adjacency(adjacency)
+    assert ahat.shape == positions.shape[:-1] + (agents,)
+    for n in range(positions.shape[0]):
+        for t in range(positions.shape[1]):
+            frame = build_adjacency(kind, positions[n, t], motions[n, t], sigma)
+            assert np.array_equal(adjacency[n, t], frame)
+            assert np.array_equal(ahat[n, t], normalize_adjacency(frame))
+    if agents > 1:
+        assert np.array_equal(adjacency[0, :, 0, 1], np.zeros(positions.shape[1]))
+
+
+def test_zero_agents_give_empty_graphs():
+    for kind in KERNEL_KINDS:
+        assert build_adjacency(kind, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 0)
+        batched = build_adjacency(kind, np.zeros((3, 8, 0, 2)), np.zeros((3, 8, 0, 2)))
+        assert batched.shape == (3, 8, 0, 0)
+    assert normalize_adjacency(np.zeros((0, 0))).shape == (0, 0)
+    assert normalize_adjacency(np.zeros((3, 8, 0, 0))).shape == (3, 8, 0, 0)
+
+
+def test_graph_shape_errors():
+    bad_pairs = [
+        (np.zeros((4, 3)), np.zeros((4, 3))),
+        (np.zeros((2, 8, 4, 3)), np.zeros((2, 8, 4, 3))),
+        (np.zeros((8, 4, 2)), np.zeros((8, 5, 2))),
+        (np.zeros(2), np.zeros(2)),
+    ]
+    for positions, motions in bad_pairs:
+        with pytest.raises(DimensionError, match=r"\(\.\.\., P, 2\)"):
+            build_adjacency("motion_trend", positions, motions)
+    for adjacency in (np.zeros((2, 3)), np.zeros((8, 4, 3)), np.zeros((2, 8, 3, 4)),
+                      np.zeros(4)):
+        with pytest.raises(DimensionError, match=r"\(\.\.\., P, P\)"):
+            normalize_adjacency(adjacency)
+
+
 def test_normalize_trivial_and_hand_cases():
     assert np.allclose(normalize_adjacency(np.zeros((4, 4))), np.eye(4), atol=1e-15)
     got = normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))

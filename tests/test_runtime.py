@@ -10,7 +10,8 @@ from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, ContractError, DataError, TrainingDiverged
 from eanet.gaussian import decode_gaussian, nll_loss, restore_ratio
-from eanet.model import ModelConfig, TrajectoryModel, instance_arrays, toy_instance
+from eanet.model import (ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays,
+                         toy_instance)
 from eanet.runtime import (BaseMetrics, OnlineConfig, TrainConfig, classify_health,
                            compute_base, run_online, train_offline)
 
@@ -91,6 +92,23 @@ def test_one_epoch_one_instance_is_one_sgd_step():
                             model=small_model(seed=7)).model
     for name, want in expected.items():
         assert np.array_equal(trained.params[name].data, want), name
+
+
+def test_chunked_preparation_equals_per_instance_arrays():
+    # Two agent counts interleaved, 11 instances: chunks of 4 leave a
+    # partial chunk for both sizes.
+    dataset = [toy_instance(agents=4 if i % 2 else 7, config=SMALL, seed=30 + i)
+               for i in range(11)]
+    for config in (SMALL, dataclasses.replace(SMALL, kernel="rbf", rbf_sigma=0.7)):
+        prepared = dataset_arrays(dataset, config, 4)
+        assert len(prepared) == len(dataset)
+        for inst, arrays in zip(dataset, prepared):
+            want = instance_arrays(inst, config)
+            assert len(arrays) == len(want)
+            for got, expected in zip(arrays, want):
+                assert np.array_equal(got, expected)
+    with pytest.raises(ConfigError):
+        dataset_arrays(dataset, dataclasses.replace(SMALL, t_obs=6), 4)
 
 
 def test_training_is_deterministic_for_a_seed():
@@ -310,6 +328,19 @@ def test_extra_updates_per_instance_move_parameters_further():
                         OnlineConfig(strategy="plain", updates_per_instance=2, seed=0))
     assert len(single.records) == len(double.records) == 3
     assert single.records[1].loss != double.records[1].loss
+
+
+def test_extra_updates_reuse_the_instance_arrays(monkeypatch):
+    built = []
+
+    def counted_arrays(inst, config):
+        built.append(inst)
+        return instance_arrays(inst, config)
+
+    monkeypatch.setattr(runtime, "instance_arrays", counted_arrays)
+    run_online(small_model(seed=4), toy_set(3, seed0=140),
+               OnlineConfig(strategy="plain", updates_per_instance=3, seed=0))
+    assert len(built) == 3
 
 
 def test_exploding_extra_update_counts_towards_health():
