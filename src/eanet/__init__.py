@@ -22,7 +22,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .gaussian import GaussianField, ade_fde, best_of_k, decode_gaussian, nll_loss, restore_ratio
-from .graph import KERNEL_KINDS, build_adjacency, kernel_weight, normalize_adjacency
+from .graph import KERNEL_KINDS, build_adjacency, normalize_adjacency
 from .model import ModelConfig, TrajectoryModel
 from .runtime import (
     BaseMetrics,
@@ -31,7 +31,6 @@ from .runtime import (
     StreamRecord,
     TrainConfig,
     TrainResult,
-    classify_health,
     compute_base,
     run_online,
     train_offline,
@@ -44,9 +43,9 @@ __all__ = [
     "DimensionError", "EanetError", "GaussianField", "HedgeState", "KERNEL_KINDS",
     "ModelConfig", "OnlineConfig", "OnlineResult", "ParseError", "StreamRecord",
     "SyntheticScenarioSpec", "TrainConfig", "TrainResult", "TrainingDiverged",
-    "TrajectoryInstance", "TrajectoryModel", "ade_fde", "best_of_k", "classify_health",
+    "TrajectoryInstance", "TrajectoryModel", "ade_fde", "best_of_k",
     "build_adjacency", "compute_base", "decode_gaussian", "ea_output",
-    "generate_synthetic", "hedge_output", "hedge_update", "kernel_weight",
+    "generate_synthetic", "hedge_output", "hedge_update",
     "load_checkpoint", "load_dataset", "load_scene", "nll_loss",
     "normalize_adjacency", "plain_output", "restore_ratio", "run_online",
     "save_checkpoint", "synthetic_instances", "train_offline", "write_scene",

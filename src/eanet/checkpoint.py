@@ -1,17 +1,21 @@
-"""Binary checkpoints: magic, version, named f32 tensors, RNG state, digest.
+"""Binary checkpoints: magic, version, named f32 tensors, digest.
 
-Layout, all little-endian:
+Layout of version 2, all little-endian:
 
     "EANT"                      4-byte magic
-    version                     u32 (currently 1)
+    version                     u32 (currently 2)
     tensor count                u32
     per tensor:
         name length             u16, then UTF-8 name bytes
         rank                    u8
         dims                    u32 each
         payload                 f32 values, C order
-    RNG state                   16 bytes (u64 state + 8 reserved zeros)
     config digest               32-byte sha256
+
+Version 1 files still load. They differ in two places: each conv kernel
+is stored as its full (C_out, C_in, 3, 3) window, of which the loader
+keeps row 1, the only row the model reads; and a 16-byte RNG block
+(u64 state + 8 zeros) sits before the digest, which the loader skips.
 
 Parameters are stored as 32-bit floats, so ``save_checkpoint`` first
 rounds the live float64 parameters to that grid; a model that was just
@@ -34,7 +38,7 @@ from .model import ModelConfig, TrajectoryModel
 from .rng import Xorshift64Star
 
 MAGIC = b"EANT"
-VERSION = 1
+VERSION = 2
 META_NAME = "meta/config"
 
 
@@ -90,20 +94,17 @@ def _encode_tensor(name: str, data: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def checkpoint_bytes(model: TrajectoryModel, rng_state: int | None = None) -> bytes:
+def checkpoint_bytes(model: TrajectoryModel) -> bytes:
     """Serialize without touching the model (used by save and by tests)."""
-    if rng_state is None:
-        rng_state = Xorshift64Star(0).getstate()
     tensors = [(META_NAME, _config_vector(model.config))]
     tensors += [(name, p.data) for name, p in model.params.items()]
     out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(tensors))]
     out += [_encode_tensor(name, data) for name, data in tensors]
-    out.append(struct.pack("<Q", rng_state) + b"\x00" * 8)
     out.append(hashlib.sha256(config_text(model.config).encode("utf-8")).digest())
     return b"".join(out)
 
 
-def save_checkpoint(model: TrajectoryModel, path: str, rng: Xorshift64Star | None = None) -> None:
+def save_checkpoint(model: TrajectoryModel, path: str) -> None:
     """Round the live parameters to f32 and write the file.
 
     The rounding is deliberate: it pins the in-memory model to exactly the
@@ -112,8 +113,7 @@ def save_checkpoint(model: TrajectoryModel, path: str, rng: Xorshift64Star | Non
     """
     for p in model.params.values():
         p.data = p.data.astype(np.float32).astype(np.float64)
-    state = rng.getstate() if rng is not None else Xorshift64Star(0).getstate()
-    blob = checkpoint_bytes(model, state)
+    blob = checkpoint_bytes(model)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -143,11 +143,13 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
-    """Rebuild the model and RNG stream recorded in ``path``.
+    """Rebuild the model recorded in ``path``, from a version 1 or 2 file.
 
-    Raises CheckpointError for a bad magic, an unsupported version, any
-    truncation, a tensor name the rebuilt model does not expect, a missing
-    parameter, or a config digest mismatch.
+    The second item is always a fresh seed-0 stream; the RNG state a
+    version 1 file holds is skipped. Raises CheckpointError for a bad
+    magic, an unsupported version, any truncation, a tensor name the
+    rebuilt model does not expect, a missing parameter, or a config
+    digest mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -155,7 +157,7 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     if r.take(4) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
@@ -168,8 +170,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
         if name in tensors:
             raise CheckpointError(f"duplicate tensor {name!r}")
         tensors[name] = payload.astype(np.float64)
-    rng_state = struct.unpack("<Q", r.take(8))[0]
-    r.take(8)
+    if version == 1:
+        r.take(16)
     digest = r.take(32)
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after checkpoint")
@@ -187,11 +189,11 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     for name, param in model.params.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing {name!r}")
+        if version == 1 and tensors[name].shape[2:] == (3, 3):  # a whole 3x3 window
+            tensors[name] = tensors[name][:, :, 1:2].copy()
         if tensors[name].shape != param.data.shape:
             raise CheckpointError(
                 f"tensor {name!r} has shape {tensors[name].shape}, "
                 f"expected {param.data.shape}")
         param.data = tensors[name]
-    rng = Xorshift64Star(0)
-    rng.setstate(rng_state)
-    return model, rng
+    return model, Xorshift64Star(0)

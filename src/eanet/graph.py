@@ -20,36 +20,12 @@ from .errors import ConfigError, DimensionError
 KERNEL_KINDS = ("motion_trend", "inv_dist", "l2", "rbf")
 
 
-def kernel_weight(kind: str, v_i, v_j, r_i, r_j, rbf_sigma: float = 1.0) -> float:
-    """Edge weight between two agents.
-
-    ``v`` are absolute positions, ``r`` per-frame motions (displacements).
-    Coincident positions always give weight zero, which keeps every kernel
-    finite without special-casing downstream.
-    """
-    v_i, v_j = np.asarray(v_i, dtype=float), np.asarray(v_j, dtype=float)
-    r_i, r_j = np.asarray(r_i, dtype=float), np.asarray(r_j, dtype=float)
-    dv = float(np.linalg.norm(v_i - v_j))
-    if dv == 0.0:
-        return 0.0
-    if kind == "motion_trend":
-        dr = float(np.linalg.norm(r_i - r_j))
-        return 1.0 / (dr + dv)
-    if kind == "inv_dist":
-        return 1.0 / dv
-    if kind == "l2":
-        return dv
-    if kind == "rbf":
-        if rbf_sigma <= 0:
-            raise ConfigError("rbf kernel needs sigma > 0")
-        return float(np.exp(-dv)) / rbf_sigma
-    raise ConfigError(f"unknown kernel kind {kind!r}")
-
-
 def build_adjacency(kind: str, positions: np.ndarray, motions: np.ndarray,
                     rbf_sigma: float = 1.0) -> np.ndarray:
     """Dense symmetric adjacencies (..., P, P) of frames given as
-    (..., P, 2) positions and motions. The diagonal is zero.
+    (..., P, 2) positions and motions. The diagonal is zero, and so is
+    the weight of a pair at coincident positions, which keeps every
+    kernel finite.
 
     Leading axes are any stack of frames. A frame's graph is bit-identical
     whether it is built alone or in a batch: each weight is computed

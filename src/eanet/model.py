@@ -3,19 +3,16 @@
 Parameter registry layout (names are the checkpoint tensor names):
 
     gcn/w        (2, D)            graph convolution weight
-    expand/k     (T_pred, T_obs, 3, 3)   time-expansion kernel
-    stack/<l>/k  (T_pred, T_pred, 3, 3)  stacked conv kernels
+    expand/k     (T_pred, T_obs, 1, 3)   time-expansion kernel
+    stack/<l>/k  (T_pred, T_pred, 1, 3)  stacked conv kernels
     stack/<l>/s  ()                per-layer prelu slope
     ea/theta     (D, 1)            gate read-out
     ea/bias      ()                gate bias
     ea/alpha     (L,)              layer mix
 
-Convolutions are bias-free, initialised uniformly in +-1/sqrt(fan_in).
-Of each 3x3 window only row 1, the agent's own row, is read
-(``tensor.conv2d``); rows 0 and 2 are stored but never read and never
-move. They are kept so the v1 checkpoint layout and seeded
-initialisations stay as they were, which is also why the init bound
-counts all 9 taps in fan_in = 9 * C_in.
+Convolutions are bias-free, initialised uniformly in +-1/sqrt(fan_in)
+with fan_in = 9 * C_in, and each 1x3 kernel is the middle row of a 3x3
+draw (`_conv_kernel`).
 The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
@@ -119,6 +116,15 @@ def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -
     return T.Tensor(flat.reshape(shape), requires_grad=True)
 
 
+def _conv_kernel(rng: Xorshift64Star, c_out: int, c_in: int) -> T.Tensor:
+    """A (c_out, c_in, 1, 3) kernel: the middle row of a (c_out, c_in, 3, 3)
+    draw. Drawing all nine taps in their old order keeps every seed's
+    kernels, and every later draw of the stream, what they were when the
+    whole 3x3 window was stored."""
+    full = _uniform_tensor(rng, (c_out, c_in, 3, 3), 1.0 / math.sqrt(c_in * 9.0))
+    return T.Tensor(full.data[:, :, 1:2].copy(), requires_grad=True)
+
+
 class TrajectoryModel:
     """Holds the parameter registry and runs the forward passes."""
 
@@ -130,11 +136,9 @@ class TrajectoryModel:
         cfg = self.config
         self.params: dict[str, T.Tensor] = {}
         self.params["gcn/w"] = _uniform_tensor(rng, (2, cfg.feat_dim), 1.0 / math.sqrt(2.0))
-        self.params["expand/k"] = _uniform_tensor(
-            rng, (cfg.t_pred, cfg.t_obs, 3, 3), 1.0 / math.sqrt(cfg.t_obs * 9.0))
+        self.params["expand/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_obs)
         for layer in range(cfg.stack_layers):
-            self.params[f"stack/{layer}/k"] = _uniform_tensor(
-                rng, (cfg.t_pred, cfg.t_pred, 3, 3), 1.0 / math.sqrt(cfg.t_pred * 9.0))
+            self.params[f"stack/{layer}/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_pred)
             self.params[f"stack/{layer}/s"] = T.Tensor(cfg.prelu_init, requires_grad=True)
         self.init_expert_head(rng)
 

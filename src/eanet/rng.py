@@ -98,11 +98,3 @@ class Xorshift64Star:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def getstate(self) -> int:
-        return self.state
-
-    def setstate(self, state: int) -> None:
-        if not (0 < state <= _MASK64):
-            raise ValueError("invalid xorshift64* state")
-        self.state = state

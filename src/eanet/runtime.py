@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
-from .errors import ConfigError, ContractError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged
 from .gaussian import ade_fde, best_of_k, decode_gaussian, mu_trajectory, nll_loss, restore_ratio
 from .model import ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays
 from .rng import Xorshift64Star
@@ -214,51 +214,28 @@ class HealthMonitor:
 
     ``observe`` takes an update's pre-clip norm and loss and returns that
     update's verdict. Non-finite values on either side, or a norm above
-    ``explode_norm``, are `exploded`; a norm below ``vanish_norm`` is
-    `vanished` once ``vanish_run`` such updates come in a row, and any
+    ``EXPLODE_NORM``, are `exploded`; a norm below ``VANISH_NORM`` is
+    `vanished` once ``VANISH_RUN`` such updates come in a row, and any
     other finite norm resets that count. ``status`` keeps the first
     non-normal verdict and the instance it came from.
     """
 
-    def __init__(self, explode_norm: float = EXPLODE_NORM,
-                 vanish_norm: float = VANISH_NORM, vanish_run: int = VANISH_RUN):
-        self.explode_norm = explode_norm
-        self.vanish_norm = vanish_norm
-        self.vanish_run = vanish_run
+    def __init__(self):
         self.status = HealthStatus()
         self._run = 0
 
     def observe(self, pre: float, loss: float, instance_idx: int) -> str:
-        if not np.isfinite(loss) or not np.isfinite(pre) or pre > self.explode_norm:
+        if not np.isfinite(loss) or not np.isfinite(pre) or pre > EXPLODE_NORM:
             verdict = "exploded"
-        elif pre < self.vanish_norm:
+        elif pre < VANISH_NORM:
             self._run += 1
-            verdict = "vanished" if self._run >= self.vanish_run else "normal"
+            verdict = "vanished" if self._run >= VANISH_RUN else "normal"
         else:
             self._run = 0
             verdict = "normal"
         if verdict != "normal" and self.status.first_trigger_instance is None:
             self.status = HealthStatus(status=verdict, first_trigger_instance=instance_idx)
         return verdict
-
-
-def classify_health(grad_norms, losses,
-                    explode_norm: float = EXPLODE_NORM,
-                    vanish_norm: float = VANISH_NORM,
-                    vanish_run: int = VANISH_RUN) -> HealthStatus:
-    """Replay parallel gradient/loss histories through a `HealthMonitor`,
-    one update per index, and report the first trigger.
-
-    ``grad_norms`` are pre-clip norms.
-    """
-    grad_norms = list(grad_norms)
-    losses = list(losses)
-    if not grad_norms or len(grad_norms) != len(losses):
-        raise ContractError("need nonempty histories of equal length")
-    monitor = HealthMonitor(explode_norm, vanish_norm, vanish_run)
-    for i, (g, l) in enumerate(zip(grad_norms, losses)):
-        monitor.observe(g, l, i)
-    return monitor.status
 
 
 def _apply_update(model: TrajectoryModel, loss_tensor: T.Tensor, loss: float,

@@ -1,18 +1,16 @@
 """Trajectory representation: time expansion plus a stack of convolutions.
 
 The time axis plays the role of the channel axis, so a convolution with a
-(T_pred, T_obs, 3, 3) kernel mixes the feature columns of each agent's
+(T_pred, T_obs, 1, 3) kernel mixes the feature columns of each agent's
 row on the (agent, feature) plane and remaps T_obs observed frames onto
 T_pred predicted frames. Agent rows never mix here: cross-agent coupling
 belongs to the graph convolution, and keeping the rows independent means
 a prediction cannot depend on the arbitrary order agents are stored in.
-``tensor.conv2d`` reads only kernel row 1, the taps on the agent's own
-row; rows 0 and 2 are stored but never read and get a zero gradient,
-kept for the v1 checkpoint layout and seed reproduction (which is why
-the init bound counts 9 taps of fan-in). It runs every row through the
-same arithmetic wherever it is stored, so permuting the agents permutes
-the outputs of ``time_expand`` and ``stack_forward`` bit for bit. The full model is equivariant only to within rounding, because
-the graph convolution sums over neighbours in storage order.
+``tensor.conv2d`` runs every row through the same arithmetic wherever it
+is stored, so permuting the agents permutes the outputs of
+``time_expand`` and ``stack_forward`` bit for bit. The full model is
+equivariant only to within rounding, because the graph convolution sums
+over neighbours in storage order.
 The stacked layers that follow keep the frame count fixed and each
 returns its activation, because the attention head consumes every
 intermediate output, not just the deepest one.
@@ -26,7 +24,7 @@ from .errors import ConfigError
 
 def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
     """Map (N, T_obs, P, D) features to (N, T_pred, P, D) with a
-    (T_pred, T_obs, 3, 3) kernel; shape mismatches raise DimensionError.
+    (T_pred, T_obs, 1, 3) kernel; shape mismatches raise DimensionError.
 
     Bit-exactly equivariant under a permutation of the agent axis P.
     """

@@ -366,29 +366,25 @@ def _band(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def conv2d(x, kernel) -> Tensor:
-    """Row-local time convolution: the 3x3 cross-correlation with zero
-    padding of one, restricted to kernel row 1.
+    """Row-local time convolution: the 2-D cross-correlation with a 1x3
+    window and zero padding of one along the width.
 
-    ``x`` has shape (N, C_in, H, W) and ``kernel`` (C_out, C_in, 3, 3);
+    ``x`` has shape (N, C_in, H, W) and ``kernel`` (C_out, C_in, 1, 3);
     the output is (N, C_out, H, W). In this package the channel axis
     carries time and (H, W) is the (agent, feature) plane, so output row
     h is the three-tap correlation of input row h alone along the
-    feature axis, summed over input channels. Kernel rows 0 and 2, the
-    taps that would read the rows above and below, are stored but never
-    read, and their gradient is exactly zero: they are kept for the v1
-    checkpoint layout and to reproduce seeded initialisations, which is
-    why the init bound counts all 9 taps of fan-in.
+    feature axis, summed over input channels.
 
     As a linear map, each row's (C_in·W) values go to (C_out·W) through
-    one banded weight built from kernel row 1, and every row of the
-    batch runs its own, identical matmul: permuting the rows or the
-    batch permutes the output bit for bit.
+    one banded weight built from the kernel, and every row of the batch
+    runs its own, identical matmul: permuting the rows or the batch
+    permutes the output bit for bit.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(f"conv2d: need x and kernel of rank 4, got {x.shape} and {kernel.shape}")
-    if kernel.shape[-2:] != (3, 3):
-        raise DimensionError(f"conv2d: kernel window must be 3x3, got {kernel.shape}")
+    if kernel.shape[-2:] != (1, 3):
+        raise DimensionError(f"conv2d: kernel window must be 1x3, got {kernel.shape}")
     if kernel.shape[1] != x.shape[1]:
         raise DimensionError(
             f"conv2d: input channels differ, x {x.shape} vs kernel {kernel.shape}"
@@ -398,7 +394,7 @@ def conv2d(x, kernel) -> Tensor:
     k_in, k_out = c_in * w, c_out * w
     tap, v, u = _band(w)
     weight = np.zeros((c_in, w, c_out, w))
-    weight[:, v, :, u] = kernel.data[:, :, 1, tap].transpose(2, 1, 0)
+    weight[:, v, :, u] = kernel.data[:, :, 0, tap].transpose(2, 1, 0)
     weight = weight.reshape(k_in, k_out)
     rows = x.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
     out_data = np.matmul(rows, weight).reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
@@ -408,10 +404,8 @@ def conv2d(x, kernel) -> Tensor:
         if kernel.requires_grad:
             g_weight = rows.reshape(-1, k_in).T @ g_rows.reshape(-1, k_out)
             per_entry = g_weight.reshape(c_in, w, c_out, w)[:, v, :, u]
-            g_row = np.eye(3)[tap].T @ per_entry.reshape(tap.size, -1)  # summed per tap
-            gk = np.zeros(kernel.shape)
-            gk[:, :, 1] = g_row.reshape(3, c_in, c_out).transpose(2, 1, 0)
-            _accumulate(kernel, gk)
+            g_taps = np.eye(3)[tap].T @ per_entry.reshape(tap.size, -1)  # summed per tap
+            _accumulate(kernel, g_taps.reshape(3, c_in, c_out).T[:, :, None, :])
         if x.requires_grad:
             gx_rows = np.matmul(g_rows, weight.T)
             _accumulate(x, gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3))

@@ -25,7 +25,7 @@ from eanet.checkpoint import load_checkpoint, save_checkpoint
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.gaussian import ade_fde, decode_gaussian, nll_loss, restore_ratio
 from eanet.gradcheck import run_gradient_checks
-from eanet.graph import KERNEL_KINDS, kernel_weight, normalize_adjacency
+from eanet.graph import KERNEL_KINDS, build_adjacency, normalize_adjacency
 from eanet.model import ModelConfig, TrajectoryModel, toy_instance
 from eanet.runtime import OnlineConfig, TrainConfig, compute_base, run_online, train_offline
 
@@ -67,6 +67,12 @@ def test_01_gradient_integrity():
     assert ok, (worst, elapsed)
 
 
+def _pair_weights(kind, v_i, v_j, r_i, r_j, rbf_sigma=1.0):
+    """(w_ij, w_ji) from `build_adjacency` on the two-agent frame."""
+    adjacency = build_adjacency(kind, np.stack([v_i, v_j]), np.stack([r_i, r_j]), rbf_sigma)
+    return adjacency[0, 1], adjacency[1, 0]
+
+
 def test_02_kernel_suite():
     rng = np.random.default_rng(20)
     failures = []
@@ -74,13 +80,12 @@ def test_02_kernel_suite():
         for case in range(1000):
             v_i, v_j = rng.normal(size=2) * 4.0, rng.normal(size=2) * 4.0
             r_i, r_j = rng.normal(size=2) * 0.5, rng.normal(size=2) * 0.5
-            w_ij = kernel_weight(kind, v_i, v_j, r_i, r_j, rbf_sigma=1.3)
-            w_ji = kernel_weight(kind, v_j, v_i, r_j, r_i, rbf_sigma=1.3)
+            w_ij, w_ji = _pair_weights(kind, v_i, v_j, r_i, r_j, rbf_sigma=1.3)
             if w_ij != w_ji:
                 failures.append((kind, case, "symmetry"))
             if not w_ij >= 0.0:
                 failures.append((kind, case, "nonnegative"))
-            if kernel_weight(kind, v_i, v_i, r_i, r_j, rbf_sigma=1.3) != 0.0:
+            if _pair_weights(kind, v_i, v_i, r_i, r_j, rbf_sigma=1.3) != (0.0, 0.0):
                 failures.append((kind, case, "coincident"))
     # Motion-trend weight must fall strictly as the motion gap widens at
     # fixed positions.
@@ -92,8 +97,8 @@ def test_02_kernel_suite():
         r_i = rng.normal(size=2) * 0.5
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
-        near = kernel_weight("motion_trend", v_i, v_j, r_i, r_i + 0.3 * direction)
-        far = kernel_weight("motion_trend", v_i, v_j, r_i, r_i + 1.1 * direction)
+        near = _pair_weights("motion_trend", v_i, v_j, r_i, r_i + 0.3 * direction)[0]
+        far = _pair_weights("motion_trend", v_i, v_j, r_i, r_i + 1.1 * direction)[0]
         if near > far:
             monotone += 1
     ok = not failures and monotone == 1000

@@ -1,5 +1,7 @@
 import hashlib
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,20 +14,69 @@ from eanet.rng import Xorshift64Star
 
 CONFIG = ModelConfig(stack_layers=3)
 
+# A version 1 file, written by save_checkpoint at commit 8a9ee7f for
+# TrajectoryModel(V1_CONFIG, seed=11) with the RNG of Xorshift64Star(99)
+# after five uniform() draws, and that version's predict() of
+# toy_instance(agents=4, config=V1_CONFIG, seed=2) from the reloaded file.
+DATA = Path(__file__).resolve().parent / "data"
+V1_FILE = DATA / "checkpoint_v1.ckpt"
+V1_PREDICTION = DATA / "checkpoint_v1_predict.npy"
+V1_CONFIG = ModelConfig(stack_layers=2)
+V1_SEED = 11
 
-def fresh(tmp_path, seed=7, rng=None):
+
+def fresh(tmp_path, seed=7):
     model = TrajectoryModel(CONFIG, seed=seed)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, str(path), rng=rng)
+    save_checkpoint(model, str(path))
     return model, path
+
+
+def both_versions(tmp_path):
+    """A fresh version 2 file and a copy of the version 1 fixture, for
+    tests that damage them."""
+    v1 = tmp_path / "v1.ckpt"
+    shutil.copyfile(V1_FILE, v1)
+    return [fresh(tmp_path)[1], v1]
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
     model, path = fresh(tmp_path)
     first = path.read_bytes()
-    loaded, rng = load_checkpoint(str(path))
-    save_checkpoint(loaded, str(path), rng=rng)
+    loaded, _ = load_checkpoint(str(path))
+    save_checkpoint(loaded, str(path))
     assert path.read_bytes() == first
+
+
+def test_default_checkpoint_holds_one_kernel_row_and_no_rng_block():
+    blob = checkpoint_bytes(TrajectoryModel(ModelConfig(), seed=0))
+    assert len(blob) == 10273
+    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 2
+
+
+def test_v1_file_loads_and_predicts_what_v1_predicted(tmp_path):
+    loaded, rng = load_checkpoint(str(V1_FILE))
+    assert config_text(loaded.config) == config_text(V1_CONFIG)
+    assert rng.state == Xorshift64Star(0).state
+    inst = toy_instance(agents=4, config=V1_CONFIG, seed=2)
+    want = np.load(V1_PREDICTION)
+    assert np.array_equal(loaded.predict(inst), want)
+
+    resaved = tmp_path / "v2.ckpt"
+    save_checkpoint(loaded, str(resaved))
+    assert struct.unpack("<I", resaved.read_bytes()[4:8])[0] == VERSION
+    reloaded, _ = load_checkpoint(str(resaved))
+    assert np.array_equal(reloaded.predict(inst), want)
+
+
+def test_seeded_kernels_are_row_1_of_the_v1_draws():
+    # The fixture stores seed 11's initial parameters as v1 drew them,
+    # every 3x3 window whole; a fresh model keeps row 1 of each.
+    loaded, _ = load_checkpoint(str(V1_FILE))
+    model = TrajectoryModel(V1_CONFIG, seed=V1_SEED)
+    for name, param in model.params.items():
+        want = param.data.astype(np.float32).astype(np.float64)
+        assert np.array_equal(loaded.params[name].data, want), name
 
 
 def test_parameters_survive_the_round_trip_exactly(tmp_path):
@@ -34,19 +85,6 @@ def test_parameters_survive_the_round_trip_exactly(tmp_path):
     assert sorted(loaded.params) == sorted(model.params)
     for name, param in model.params.items():
         assert np.array_equal(loaded.params[name].data, param.data), name
-
-
-def test_rng_state_round_trips(tmp_path):
-    rng = Xorshift64Star(99)
-    for _ in range(5):
-        rng.uniform()
-    state = rng.getstate()
-    _, path = fresh(tmp_path, rng=rng)
-    _, restored = load_checkpoint(str(path))
-    assert restored.getstate() == state
-    twin = Xorshift64Star(1)
-    twin.setstate(state)
-    assert restored.uniform() == twin.uniform()
 
 
 def test_config_survives_the_round_trip(tmp_path):
@@ -70,37 +108,38 @@ def test_post_save_prediction_matches_reload_exactly(tmp_path):
 
 
 def test_bad_magic_is_rejected(tmp_path):
-    _, path = fresh(tmp_path)
-    blob = bytearray(path.read_bytes())
-    blob[:4] = b"NOPE"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(str(path))
+    for path in both_versions(tmp_path):
+        blob = bytearray(path.read_bytes())
+        blob[:4] = b"NOPE"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(str(path))
 
 
 def test_unsupported_version_is_rejected(tmp_path):
     _, path = fresh(tmp_path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", VERSION + 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(str(path))
-
-
-def test_truncated_file_is_rejected(tmp_path):
-    _, path = fresh(tmp_path)
-    blob = path.read_bytes()
-    for cut in (3, 10, len(blob) // 2, len(blob) - 1):
-        path.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointError):
+    for version in (0, VERSION + 1):
+        blob[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(path))
 
 
+def test_truncated_file_is_rejected(tmp_path):
+    for path in both_versions(tmp_path):
+        blob = path.read_bytes()
+        for cut in (3, 10, len(blob) // 2, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+
+
 def test_trailing_bytes_are_rejected(tmp_path):
-    _, path = fresh(tmp_path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(str(path))
+    for path in both_versions(tmp_path):
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(str(path))
 
 
 def test_unknown_tensor_name_is_rejected(tmp_path):
@@ -115,16 +154,16 @@ def test_unknown_tensor_name_is_rejected(tmp_path):
 
 
 def test_tampered_config_fails_the_digest(tmp_path):
-    model, path = fresh(tmp_path)
-    blob = bytearray(path.read_bytes())
-    # The meta/config tensor is first; flip its stack_layers entry.
-    header = 4 + 4 + 4 + 2 + len(META_NAME.encode()) + 1 + 4
-    vec = np.frombuffer(bytes(blob[header:header + 28]), dtype="<f4").copy()
-    vec[3] += 1.0
-    blob[header:header + 28] = vec.tobytes()
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="digest"):
-        load_checkpoint(str(path))
+    for path in both_versions(tmp_path):
+        blob = bytearray(path.read_bytes())
+        # The meta/config tensor is first; flip its stack_layers entry.
+        header = 4 + 4 + 4 + 2 + len(META_NAME.encode()) + 1 + 4
+        vec = np.frombuffer(bytes(blob[header:header + 28]), dtype="<f4").copy()
+        vec[3] += 1.0
+        blob[header:header + 28] = vec.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="digest"):
+            load_checkpoint(str(path))
 
 
 def test_digest_covers_the_canonical_config_text():

@@ -177,7 +177,7 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
             scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
             want = np.array([scalar.normal_pair() for _ in range(n)])
             assert np.array_equal(batch.normal_pairs(n), want)
-            assert batch.getstate() == scalar.getstate()
+            assert batch.state == scalar.state
 
 
 def test_normal_pairs_keep_the_zero_uniform_guard():
@@ -187,14 +187,14 @@ def test_normal_pairs_keep_the_zero_uniform_guard():
     assert (target * _MULTIPLIER) & _MASK64 == 1
     before = _unshift(_unshift(_unshift(target, 27), -25), 12)
     scalar, batch = Xorshift64Star(), Xorshift64Star()
-    scalar.setstate(before)
-    batch.setstate(before)
+    scalar.state = before
+    batch.state = before
     want = np.array([scalar.normal_pair() for _ in range(3)])
     got = batch.normal_pairs(3)
     assert np.array_equal(got, want) and np.all(np.isfinite(got))
     radius = math.sqrt(-2.0 * math.log(2.0 ** -53))
     assert math.hypot(*want[0]) == pytest.approx(radius, rel=1e-12)
-    assert batch.getstate() == scalar.getstate()
+    assert batch.state == scalar.state
 
 
 def test_sampling_is_bit_identical_to_the_scalar_loop():

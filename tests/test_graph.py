@@ -8,32 +8,40 @@ from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
 from eanet.graph import (KERNEL_KINDS, build_adjacency, gcn_forward,
-                         instance_graphs, kernel_weight, normalize_adjacency)
+                         instance_graphs, normalize_adjacency)
+
+
+def pair_weights(kind, v_i, v_j, r_i, r_j, rbf_sigma=1.0):
+    """(w_ij, w_ji) of the two-agent frame with positions v and motions r."""
+    adjacency = build_adjacency(kind, np.array([v_i, v_j], dtype=float),
+                                np.array([r_i, r_j], dtype=float), rbf_sigma)
+    return adjacency[0, 1], adjacency[1, 0]
 
 
 def test_kernel_coincident_positions_zero_for_every_kind():
     for kind in KERNEL_KINDS:
-        assert kernel_weight(kind, (1.0, 2.0), (1.0, 2.0), (0.3, 0.1), (-0.2, 0.5)) == 0.0
+        assert pair_weights(kind, (1.0, 2.0), (1.0, 2.0), (0.3, 0.1), (-0.2, 0.5)) == (0.0, 0.0)
 
 
 def test_motion_trend_hand_values():
-    assert kernel_weight("motion_trend", (0, 0), (3, 4), (0.1, 0.2), (0.1, 0.2)) == \
+    assert pair_weights("motion_trend", (0, 0), (3, 4), (0.1, 0.2), (0.1, 0.2))[0] == \
         pytest.approx(0.2, abs=1e-15)
-    got = kernel_weight("motion_trend", (0, 0), (3, 4), (1, 0), (0, 1))
+    got = pair_weights("motion_trend", (0, 0), (3, 4), (1, 0), (0, 1))[0]
     assert got == pytest.approx(1.0 / (math.sqrt(2) + 5.0), abs=1e-12)
     assert got == pytest.approx(0.1559, abs=1e-4)
 
 
 def test_ablation_kernel_values():
-    assert kernel_weight("inv_dist", (0, 0), (3, 4), (9, 9), (0, 0)) == pytest.approx(0.2)
-    assert kernel_weight("l2", (0, 0), (3, 4), (9, 9), (0, 0)) == pytest.approx(5.0)
-    assert kernel_weight("rbf", (0, 0), (3, 4), (9, 9), (0, 0)) == pytest.approx(math.exp(-5.0))
-    assert kernel_weight("rbf", (0, 0), (3, 4), (9, 9), (0, 0), rbf_sigma=2.0) == \
+    assert pair_weights("inv_dist", (0, 0), (3, 4), (9, 9), (0, 0))[0] == pytest.approx(0.2)
+    assert pair_weights("l2", (0, 0), (3, 4), (9, 9), (0, 0))[0] == pytest.approx(5.0)
+    assert pair_weights("rbf", (0, 0), (3, 4), (9, 9), (0, 0))[0] == \
+        pytest.approx(math.exp(-5.0))
+    assert pair_weights("rbf", (0, 0), (3, 4), (9, 9), (0, 0), rbf_sigma=2.0)[0] == \
         pytest.approx(math.exp(-5.0) / 2.0)
     with pytest.raises(ConfigError):
-        kernel_weight("rbf", (0, 0), (1, 0), (0, 0), (0, 0), rbf_sigma=0.0)
+        pair_weights("rbf", (0, 0), (1, 0), (0, 0), (0, 0), rbf_sigma=0.0)
     with pytest.raises(ConfigError):
-        kernel_weight("cosine", (0, 0), (1, 0), (0, 0), (0, 0))
+        pair_weights("cosine", (0, 0), (1, 0), (0, 0), (0, 0))
 
 
 def test_adjacency_trivial_cases():
@@ -60,8 +68,7 @@ def test_kernel_symmetry_and_nonnegativity_random():
         v_i, v_j = rng.normal(size=2), rng.normal(size=2)
         r_i, r_j = rng.normal(size=2), rng.normal(size=2)
         for kind in KERNEL_KINDS:
-            w_ij = kernel_weight(kind, v_i, v_j, r_i, r_j)
-            w_ji = kernel_weight(kind, v_j, v_i, r_j, r_i)
+            w_ij, w_ji = pair_weights(kind, v_i, v_j, r_i, r_j)
             assert w_ij == w_ji
             assert w_ij >= 0.0
 
@@ -75,8 +82,8 @@ def test_motion_trend_monotone_in_motion_difference():
         small, big = sorted(rng.uniform(0.01, 5.0, size=2))
         if small == big:
             continue
-        w_small = kernel_weight("motion_trend", v_i, v_j, small * direction, np.zeros(2))
-        w_big = kernel_weight("motion_trend", v_i, v_j, big * direction, np.zeros(2))
+        w_small = pair_weights("motion_trend", v_i, v_j, small * direction, np.zeros(2))[0]
+        w_big = pair_weights("motion_trend", v_i, v_j, big * direction, np.zeros(2))[0]
         assert w_big < w_small
 
 

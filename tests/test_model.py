@@ -20,12 +20,12 @@ def test_parameter_registry_names_and_shapes():
     model = TrajectoryModel(cfg, seed=0)
     expected = {
         "gcn/w": (2, 5),
-        "expand/k": (12, 8, 3, 3),
-        "stack/0/k": (12, 12, 3, 3),
+        "expand/k": (12, 8, 1, 3),
+        "stack/0/k": (12, 12, 1, 3),
         "stack/0/s": (),
-        "stack/1/k": (12, 12, 3, 3),
+        "stack/1/k": (12, 12, 1, 3),
         "stack/1/s": (),
-        "stack/2/k": (12, 12, 3, 3),
+        "stack/2/k": (12, 12, 1, 3),
         "stack/2/s": (),
         "ea/theta": (5, 1),
         "ea/bias": (),

@@ -8,11 +8,11 @@ from eanet import runtime
 from eanet import tensor as T
 from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
-from eanet.errors import ConfigError, ContractError, DataError, TrainingDiverged
+from eanet.errors import ConfigError, DataError, TrainingDiverged
 from eanet.gaussian import decode_gaussian, nll_loss, restore_ratio
 from eanet.model import (ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays,
                          toy_instance)
-from eanet.runtime import (BaseMetrics, OnlineConfig, TrainConfig, classify_health,
+from eanet.runtime import (BaseMetrics, HealthMonitor, OnlineConfig, TrainConfig,
                            compute_base, run_online, train_offline)
 
 SMALL = ModelConfig(stack_layers=2)
@@ -151,50 +151,65 @@ def test_diverged_training_reports_epoch_and_step():
 # health classification
 
 
+def observe_all(grad_norms, losses):
+    """One update per index through a fresh HealthMonitor: the verdicts
+    and the run's status."""
+    monitor = HealthMonitor()
+    verdicts = [monitor.observe(g, l, i) for i, (g, l) in enumerate(zip(grad_norms, losses))]
+    return verdicts, monitor.status
+
+
 def test_health_normal_for_moderate_gradients():
-    status = classify_health([1e-2] * 10, [1.0] * 10)
+    verdicts, status = observe_all([1e-2] * 10, [1.0] * 10)
+    assert verdicts == ["normal"] * 10
     assert status.status == "normal" and status.first_trigger_instance is None
 
 
 def test_health_nan_loss_is_explosion_at_that_index():
     losses = [1.0, 1.0, 1.0, float("nan"), 1.0]
-    status = classify_health([0.1] * 5, losses)
+    verdicts, status = observe_all([0.1] * 5, losses)
+    assert verdicts == ["normal"] * 3 + ["exploded", "normal"]
     assert status.status == "exploded" and status.first_trigger_instance == 3
 
 
 def test_health_huge_or_nonfinite_gradient_is_explosion():
-    assert classify_health([0.1, 2e3, 0.1], [1.0] * 3).status == "exploded"
-    assert classify_health([0.1, float("inf"), 0.1], [1.0] * 3).first_trigger_instance == 1
+    verdicts, status = observe_all([0.1, 2e3, 0.1], [1.0] * 3)
+    assert verdicts == ["normal", "exploded", "normal"] and status.status == "exploded"
+    verdicts, status = observe_all([0.1, float("inf"), 0.1], [1.0] * 3)
+    assert verdicts[1] == "exploded" and status.first_trigger_instance == 1
 
 
 def test_health_fifty_consecutive_tiny_gradients_vanish():
-    status = classify_health([1e-12] * 50, [1.0] * 50)
+    verdicts, status = observe_all([1e-12] * 50, [1.0] * 50)
+    assert verdicts == ["normal"] * 49 + ["vanished"]
     assert status.status == "vanished" and status.first_trigger_instance == 49
 
 
 def test_health_vanish_counter_resets():
     grads = [1e-12] * 49 + [0.1] + [1e-12] * 49
-    assert classify_health(grads, [1.0] * len(grads)).status == "normal"
+    verdicts, status = observe_all(grads, [1.0] * len(grads))
+    assert verdicts == ["normal"] * len(grads) and status.status == "normal"
 
 
 def test_health_first_trigger_wins():
     grads = [1e-12] * 30 + [float("nan")] + [1e-12] * 60
-    status = classify_health(grads, [1.0] * len(grads))
+    _, status = observe_all(grads, [1.0] * len(grads))
     assert status.status == "exploded" and status.first_trigger_instance == 30
+    verdicts, status = observe_all([1e-12] * 50 + [float("nan")], [1.0] * 51)
+    assert verdicts[-1] == "exploded"
+    assert status.status == "vanished" and status.first_trigger_instance == 49
 
 
-def test_health_rejects_bad_histories():
-    with pytest.raises(ContractError):
-        classify_health([], [])
-    with pytest.raises(ContractError):
-        classify_health([0.1], [1.0, 2.0])
-
-
-def test_health_thresholds_are_configurable():
-    status = classify_health([5.0], [1.0], explode_norm=4.0)
-    assert status.status == "exploded"
-    status = classify_health([1e-3] * 3, [1.0] * 3, vanish_norm=1e-2, vanish_run=3)
-    assert status.status == "vanished"
+def test_health_thresholds_are_the_module_constants():
+    above = np.nextafter(runtime.EXPLODE_NORM, np.inf)
+    verdicts, _ = observe_all([runtime.EXPLODE_NORM, above], [1.0, 1.0])
+    assert verdicts == ["normal", "exploded"]
+    run = runtime.VANISH_RUN
+    below = np.nextafter(runtime.VANISH_NORM, 0.0)
+    verdicts, _ = observe_all([below] * run, [1.0] * run)
+    assert verdicts == ["normal"] * (run - 1) + ["vanished"]
+    verdicts, _ = observe_all([runtime.VANISH_NORM] * run, [1.0] * run)
+    assert verdicts == ["normal"] * run
 
 
 # ---------------------------------------------------------------------------

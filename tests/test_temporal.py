@@ -10,20 +10,23 @@ from eanet.temporal import stack_forward, time_expand
 
 def scipy_conv_oracle(x, k):
     """Independent reference: each agent row is its own (1, W) plane, so a
-    row only ever sees zero padding above and below itself."""
+    row only ever sees zero padding above and below itself. The
+    (C_out, C_in, 1, 3) kernel enters as row 1 of a zero 3x3 window."""
     c_out = k.shape[0]
+    window = np.zeros(k.shape[:2] + (3, 3))
+    window[:, :, 1] = k[:, :, 0]
     out = np.zeros((c_out,) + x.shape[1:])
     for o in range(c_out):
         for c in range(x.shape[0]):
             for h in range(x.shape[1]):
-                out[o, h] += correlate2d(x[c, h:h + 1, :], k[o, c],
+                out[o, h] += correlate2d(x[c, h:h + 1, :], window[o, c],
                                          mode="same", boundary="fill")[0]
     return out
 
 
 def test_time_expand_zero_kernel():
     feats = T.Tensor(np.random.default_rng(0).normal(size=(1, 8, 4, 5)))
-    kernel = T.Tensor(np.zeros((12, 8, 3, 3)))
+    kernel = T.Tensor(np.zeros((12, 8, 1, 3)))
     out = time_expand(feats, kernel)
     assert out.shape == (1, 12, 4, 5)
     assert np.array_equal(out.data, np.zeros((1, 12, 4, 5)))
@@ -31,8 +34,8 @@ def test_time_expand_zero_kernel():
 
 def test_time_expand_identity_kernel():
     feats = T.Tensor(np.random.default_rng(1).normal(size=(1, 1, 4, 5)))
-    kernel = np.zeros((1, 1, 3, 3))
-    kernel[0, 0, 1, 1] = 1.0
+    kernel = np.zeros((1, 1, 1, 3))
+    kernel[0, 0, 0, 1] = 1.0
     out = time_expand(feats, T.Tensor(kernel))
     assert np.allclose(out.data, feats.data, atol=1e-15)
 
@@ -40,7 +43,7 @@ def test_time_expand_identity_kernel():
 def test_time_expand_matches_scipy_oracle():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(2, 8, 4, 5))
-    kernel = rng.normal(size=(12, 8, 3, 3))
+    kernel = rng.normal(size=(12, 8, 1, 3))
     out = time_expand(T.Tensor(feats), T.Tensor(kernel))
     for n in range(2):
         assert np.allclose(out.data[n], scipy_conv_oracle(feats[n], kernel), atol=1e-12)
@@ -48,12 +51,12 @@ def test_time_expand_matches_scipy_oracle():
 
 def test_time_expand_shape_mismatch():
     with pytest.raises(DimensionError):
-        time_expand(T.Tensor(np.zeros((1, 8, 4, 5))), T.Tensor(np.zeros((12, 7, 3, 3))))
+        time_expand(T.Tensor(np.zeros((1, 8, 4, 5))), T.Tensor(np.zeros((12, 7, 1, 3))))
 
 
 def test_stack_zero_kernels_stay_zero():
     x0 = T.Tensor(np.random.default_rng(3).normal(size=(1, 12, 3, 5)))
-    kernels = [T.Tensor(np.zeros((12, 12, 3, 3))) for _ in range(3)]
+    kernels = [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(3)]
     slopes = [T.Tensor(0.25) for _ in range(3)]
     outs = stack_forward(x0, kernels, slopes)
     assert len(outs) == 3
@@ -64,8 +67,8 @@ def test_stack_zero_kernels_stay_zero():
 def test_stack_residual_identity_after_first_layer():
     rng = np.random.default_rng(4)
     x0 = T.Tensor(rng.normal(size=(1, 12, 3, 5)))
-    kernels = [T.Tensor(rng.normal(size=(12, 12, 3, 3)) * 0.1)]
-    kernels += [T.Tensor(np.zeros((12, 12, 3, 3))) for _ in range(2)]
+    kernels = [T.Tensor(rng.normal(size=(12, 12, 1, 3)) * 0.1)]
+    kernels += [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(2)]
     slopes = [T.Tensor(0.25) for _ in range(3)]
     outs = stack_forward(x0, kernels, slopes)
     assert np.array_equal(outs[1].data, outs[0].data)
@@ -75,8 +78,8 @@ def test_stack_residual_identity_after_first_layer():
 def test_stack_two_layers_match_hand_composition():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(1, 12, 3, 5))
-    k0 = rng.normal(size=(12, 12, 3, 3)) * 0.2
-    k1 = rng.normal(size=(12, 12, 3, 3)) * 0.2
+    k0 = rng.normal(size=(12, 12, 1, 3)) * 0.2
+    k1 = rng.normal(size=(12, 12, 1, 3)) * 0.2
     s0, s1 = 0.3, 0.1
 
     def prelu(v, s):
@@ -95,7 +98,7 @@ def test_stack_rows_never_mix():
     # nothing else changes: each row's convolution reads only that row.
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=(1, 6, 5, 5))
-    kernels = [T.Tensor(rng.normal(size=(6, 6, 3, 3))) for _ in range(2)]
+    kernels = [T.Tensor(rng.normal(size=(6, 6, 1, 3))) for _ in range(2)]
     slopes = [T.Tensor(0.25), T.Tensor(0.25)]
     perm = np.array([3, 0, 4, 1, 2])
     outs = stack_forward(T.Tensor(x0), kernels, slopes)
@@ -104,25 +107,9 @@ def test_stack_rows_never_mix():
         assert np.array_equal(m.data[:, :, perm, :], mp.data)
 
 
-def test_masked_taps_get_exactly_zero_gradient():
-    # Kernel rows 0 and 2 would read the agents above and below; conv2d
-    # never reads them, so backward leaves them an exact zero.
-    rng = np.random.default_rng(10)
-    feats = T.Tensor(rng.normal(size=(3, 8, 4, 5)))
-    expand = T.Tensor(rng.normal(size=(6, 8, 3, 3)) * 0.3, requires_grad=True)
-    kernels = [T.Tensor(rng.normal(size=(6, 6, 3, 3)) * 0.3, requires_grad=True)
-               for _ in range(2)]
-    slopes = [T.Tensor(0.25), T.Tensor(0.25)]
-    outs = stack_forward(time_expand(feats, expand), kernels, slopes)
-    T.backward(T.tensor_sum(T.tanh(outs[-1])))
-    for k in [expand] + kernels:
-        assert np.all(k.grad[:, :, [0, 2]] == 0.0)
-        assert np.any(k.grad[:, :, 1] != 0.0)
-
-
 def test_stack_shape_contract_single_agent():
     x0 = T.Tensor(np.random.default_rng(6).normal(size=(1, 12, 1, 5)))
-    kernels = [T.Tensor(np.random.default_rng(7).normal(size=(12, 12, 3, 3)))
+    kernels = [T.Tensor(np.random.default_rng(7).normal(size=(12, 12, 1, 3)))
                for _ in range(2)]
     slopes = [T.Tensor(0.25), T.Tensor(0.25)]
     for m in stack_forward(x0, kernels, slopes):
@@ -132,7 +119,7 @@ def test_stack_shape_contract_single_agent():
 def test_stack_param_count_mismatch():
     x0 = T.Tensor(np.zeros((1, 12, 3, 5)))
     with pytest.raises(ConfigError):
-        stack_forward(x0, [T.Tensor(np.zeros((12, 12, 3, 3)))], [])
+        stack_forward(x0, [T.Tensor(np.zeros((12, 12, 1, 3)))], [])
     with pytest.raises(ConfigError):
         stack_forward(x0, [], [])
 
@@ -140,7 +127,7 @@ def test_stack_param_count_mismatch():
 def test_stack_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
     x0 = T.Tensor(rng.normal(size=(1, 4, 3, 5)), requires_grad=True)
-    kernels = [T.Tensor(rng.normal(size=(4, 4, 3, 3)) * 0.3, requires_grad=True)
+    kernels = [T.Tensor(rng.normal(size=(4, 4, 1, 3)) * 0.3, requires_grad=True)
                for _ in range(2)]
     slopes = [T.Tensor(0.25, requires_grad=True), T.Tensor(0.4, requires_grad=True)]
 
