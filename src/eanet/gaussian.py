@@ -6,6 +6,12 @@ channels and squashing rho through tanh guarantees a valid covariance for
 any finite input. Everything predicted is a relative displacement; metrics
 rebuild absolute positions by cumulative sum from the last observed
 position.
+
+Decoding happens off the tape: a `GaussianField` holds the raw
+(N, T, P, 5) output tensor beside numpy mu, sigma and rho. `nll_loss` is
+one tape primitive with a hand-written backward whose parent is that raw
+tensor, and `layer_nll` scores the hedge head's layers in one
+forward-only call of it.
 """
 
 from __future__ import annotations
@@ -25,22 +31,17 @@ RHO_GUARD = 1e-12
 
 @dataclass
 class GaussianField:
-    """Decoded distribution parameters, each a tensor on the tape.
+    """A decoded network output.
 
-    mu and sigma are (N, T, P, 2); rho is (N, T, P, 1).
+    ``raw`` is the (N, T, P, 5) output tensor, the one `nll_loss`
+    differentiates through. mu and sigma, (N, T, P, 2), and rho,
+    (N, T, P, 1), are numpy arrays decoded from ``raw.data`` off the tape.
     """
 
-    mu: T.Tensor
-    sigma: T.Tensor
-    rho: T.Tensor
-
-    @property
-    def n_frames(self) -> int:
-        return self.mu.shape[1]
-
-    @property
-    def n_agents(self) -> int:
-        return self.mu.shape[2]
+    raw: T.Tensor
+    mu: np.ndarray
+    sigma: np.ndarray
+    rho: np.ndarray
 
 
 @dataclass
@@ -53,57 +54,93 @@ class MetricReport:
 
 
 def decode_gaussian(raw: T.Tensor) -> GaussianField:
-    """Split the 5-channel output into (mu, sigma, rho) tensors."""
+    """Split the 5-channel output into mu, sigma and rho, off the tape."""
     raw = T.as_tensor(raw)
     if raw.ndim != 4 or raw.shape[-1] != 5:
         raise DimensionError(f"decode_gaussian wants (N, T, P, 5), got {raw.shape}")
-    return GaussianField(
-        mu=raw[..., 0:2],
-        sigma=T.exp(raw[..., 2:4]),
-        rho=T.tanh(raw[..., 4:5]),
-    )
+    data = raw.data
+    return GaussianField(raw, data[..., 0:2], np.exp(data[..., 2:4]), np.tanh(data[..., 4:5]))
 
 
-def nll_loss(field: GaussianField, target_rel: np.ndarray) -> T.Tensor:
+def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = False) -> T.Tensor:
     """Mean over agents of the summed per-frame negative log density.
 
     ``target_rel`` holds ground-truth displacements, (P, T, 2) for one
     instance or (N, P, T, 2) for a batch; a batch averages agents across
-    all of its instances. Computed in the log domain; 1 - rho^2 is clamped
-    at 1e-12 so the loss stays finite as |rho| approaches 1.
+    all of its instances, or with ``per_item`` returns the (N,) means of
+    each instance. Computed in the log domain; 1 - rho^2 is clamped at
+    1e-12 so the loss stays finite as |rho| approaches 1 (no gradient
+    flows through the clamped entries).
+
+    One tape record whose parent is ``field.raw``, with decode and loss
+    differentiated by hand. Every forward line keeps the operand grouping
+    of the chain of elementwise tape primitives this replaced, and the
+    backward adds partial gradients in that chain's order: a tape runs its
+    records in reverse, so a value used twice gets the gradient of its
+    later use first, e.g. ``g_zx = (g_c * zy + g_z * zx) + g_z * zx`` for
+    ``z = (zx*zx + zy*zy) - (2 rho)(zx*zy)``. Loss and gradient are
+    therefore bit-identical to that chain's. All five raw channels are
+    written into one array and accumulated into ``raw`` once.
     """
+    raw = field.raw
+    n, t, p = raw.shape[:3]
     target_rel = np.asarray(target_rel, dtype=np.float64)
-    n, t, p = field.mu.shape[0], field.mu.shape[1], field.mu.shape[2]
     if target_rel.shape == (p, t, 2):
         target_rel = np.broadcast_to(target_rel[None], (n, p, t, 2))
     elif target_rel.shape != (n, p, t, 2):
         raise DimensionError(
             f"target {target_rel.shape} does not match field ({p}, {t}, 2)"
         )
-    target = T.Tensor(np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3)))
+    target = np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3))
 
-    dx = T.sub(target[..., 0:1], field.mu[..., 0:1])
-    dy = T.sub(target[..., 1:2], field.mu[..., 1:2])
-    sx = field.sigma[..., 0:1]
-    sy = field.sigma[..., 1:2]
     rho = field.rho
+    dx = target[..., 0:1] - field.mu[..., 0:1]
+    dy = target[..., 1:2] - field.mu[..., 1:2]
+    sx, sy = field.sigma[..., 0:1], field.sigma[..., 1:2]
+    zx, zy = dx / sx, dy / sy
+    r2, c = rho * 2.0, zx * zy
+    z = (zx * zx + zy * zy) - r2 * c
+    om0 = 1.0 - rho * rho
+    om = np.clip(om0, RHO_GUARD, None)
+    log_norm = (np.log(sx) + np.log(sy)) + (np.log(om) * 0.5 + LOG_TWO_PI)
+    d = om * 2.0
+    per_agent = (log_norm + z / d).sum(axis=1)
 
-    zx = T.div(dx, sx)
-    zy = T.div(dy, sy)
-    z = T.sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),
-              T.mul(T.mul(rho, 2.0), T.mul(zx, zy)))
-    one_minus = T.clamp(T.sub(1.0, T.mul(rho, rho)), RHO_GUARD, None)
-    log_norm = T.add(T.add(T.log(sx), T.log(sy)),
-                     T.add(T.mul(T.log(one_minus), 0.5), LOG_TWO_PI))
-    per_frame = T.add(log_norm, T.div(z, T.mul(one_minus, 2.0)))
-    per_agent = T.tensor_sum(per_frame, axis=1)
-    return T.tensor_mean(per_agent)
+    def back(g):
+        g_frame = (g / p).reshape(n, 1, 1, 1) if per_item else g / per_agent.size
+        g_z = g_frame / d
+        g_om = ((-g_frame * z) / (d * d)) * 2.0 + (g_frame * 0.5) / om
+        g_rr = -(g_om * (om0 >= RHO_GUARD))
+        g_b = -g_z
+        g_c = g_b * r2
+        g_zx = (g_c * zy + g_z * zx) + g_z * zx
+        g_zy = (g_c * zx + g_z * zy) + g_z * zy
+        g_rho = (g_rr * rho + g_rr * rho) + (g_b * c) * 2.0
+        full = np.empty(raw.shape)
+        full[..., 0:1] = -(g_zx / sx)
+        full[..., 1:2] = -(g_zy / sy)
+        full[..., 2:3] = (g_frame / sx + (-g_zx * dx) / (sx * sx)) * sx
+        full[..., 3:4] = (g_frame / sy + (-g_zy * dy) / (sy * sy)) * sy
+        full[..., 4:5] = g_rho * (1.0 - rho * rho)
+        T._accumulate(raw, full)
+
+    loss = per_agent.reshape(n, p).mean(axis=1) if per_item else per_agent.mean()
+    return T._make(loss, (raw,), back)
+
+
+def layer_nll(layers: list[T.Tensor], target_rel: np.ndarray) -> np.ndarray:
+    """Per-layer losses, (L,): ``nll_loss(decode_gaussian(m), target_rel)``
+    for each (1, T, P, 5) layer ``m``, bit for bit, from one forward-only
+    `nll_loss` over the stacked (L, T, P, 5) data. ``target_rel`` is
+    (P, T, 2)."""
+    stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
+    return nll_loss(stacked, target_rel, per_item=True).data
 
 
 def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:
     """Deterministic prediction: cumulative sum of mu from the last
     observed absolute position. Returns (P, T, 2)."""
-    mu = field.mu.data[0].transpose(1, 0, 2)
+    mu = field.mu[0].transpose(1, 0, 2)
     origin = np.asarray(origin_abs, dtype=np.float64).reshape(-1, 1, 2)
     if origin.shape[0] != mu.shape[0]:
         raise DimensionError(f"origin has {origin.shape[0]} agents, field {mu.shape[0]}")
@@ -128,9 +165,9 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
         raise ContractError("need at least one sample")
     if field.mu.shape[0] != 1:
         raise ContractError("sampling expects a single-sequence field (N == 1)")
-    mu = field.mu.data[0].transpose(1, 0, 2)
-    sigma = field.sigma.data[0].transpose(1, 0, 2)
-    rho = field.rho.data[0].transpose(1, 0, 2)[..., 0]
+    mu = field.mu[0].transpose(1, 0, 2)
+    sigma = field.sigma[0].transpose(1, 0, 2)
+    rho = field.rho[0].transpose(1, 0, 2)[..., 0]
     p, t = mu.shape[0], mu.shape[1]
     origin = np.asarray(origin_abs, dtype=np.float64).reshape(p, 1, 2)
     z = Xorshift64Star(seed).normal_pairs(k * p * t).reshape(k, p, t, 2)

@@ -28,7 +28,8 @@ from . import tensor as T
 from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged
-from .gaussian import ade_fde, best_of_k, decode_gaussian, mu_trajectory, nll_loss, restore_ratio
+from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajectory, nll_loss,
+                       restore_ratio)
 from .model import ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays
 from .rng import Xorshift64Star
 
@@ -215,9 +216,10 @@ class HealthMonitor:
     ``observe`` takes an update's pre-clip norm and loss and returns that
     update's verdict. Non-finite values on either side, or a norm above
     ``EXPLODE_NORM``, are `exploded`; a norm below ``VANISH_NORM`` is
-    `vanished` once ``VANISH_RUN`` such updates come in a row, and any
-    other finite norm resets that count. ``status`` keeps the first
-    non-normal verdict and the instance it came from.
+    `vanished` once ``VANISH_RUN`` such updates come in a row, and every
+    other update, an exploded one included, resets that count.
+    ``status`` keeps the first non-normal verdict and the instance it
+    came from.
     """
 
     def __init__(self):
@@ -226,6 +228,7 @@ class HealthMonitor:
 
     def observe(self, pre: float, loss: float, instance_idx: int) -> str:
         if not np.isfinite(loss) or not np.isfinite(pre) or pre > EXPLODE_NORM:
+            self._run = 0
             verdict = "exploded"
         elif pre < VANISH_NORM:
             self._run += 1
@@ -305,9 +308,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
         alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
 
         if hedge is not None:
-            with T.no_grad():
-                layer_losses = [nll_loss(decode_gaussian(m), inst.fut_rel).item()
-                                for m in layers]
+            layer_losses = layer_nll(layers, inst.fut_rel)
 
         loss_value = nll_loss(gfield, inst.fut_rel)
         loss = loss_value.item()

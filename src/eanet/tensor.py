@@ -134,9 +134,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(as_tensor(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -236,15 +233,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), back)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -300,25 +288,6 @@ def prelu(a, slope) -> Tensor:
         _accumulate(slope, _unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
 
     return _make(out_data, (a, slope), back)
-
-
-def clamp(a, lo: float | None = None, hi: float | None = None) -> Tensor:
-    """Clip values to [lo, hi]. Gradient is 1 where the value passed
-    through unchanged and 0 where it was clipped."""
-    a = as_tensor(a)
-    if lo is None and hi is None:
-        raise ContractError("clamp needs at least one bound")
-    out_data = np.clip(a.data, lo, hi)
-    mask = np.ones_like(a.data)
-    if lo is not None:
-        mask = mask * (a.data >= lo)
-    if hi is not None:
-        mask = mask * (a.data <= hi)
-
-    def back(g):
-        _accumulate(a, g * mask)
-
-    return _make(out_data, (a,), back)
 
 
 # ---------------------------------------------------------------------------

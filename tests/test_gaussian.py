@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from eanet import gaussian
+from eanet import gaussian, runtime
 from eanet import tensor as T
+from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ContractError, DimensionError
-from eanet.gaussian import (RHO_GUARD, GaussianField, ade_fde, best_of_k, decode_gaussian,
-                            mu_trajectory, nll_loss, restore_ratio,
+from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_gaussian,
+                            layer_nll, mu_trajectory, nll_loss, restore_ratio,
                             sample_trajectories)
+from eanet.model import ModelConfig, TrajectoryModel
+from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
 from eanet.rng import _MASK64, _MULTIPLIER, Xorshift64Star
 
 
@@ -23,30 +27,30 @@ def random_field(n=1, t=4, p=3, seed=0, scale=0.5):
 
 def test_decode_trivial():
     field = field_from_raw(np.zeros((1, 2, 3, 5)))
-    assert np.array_equal(field.mu.data, np.zeros((1, 2, 3, 2)))
-    assert np.array_equal(field.sigma.data, np.ones((1, 2, 3, 2)))
-    assert np.array_equal(field.rho.data, np.zeros((1, 2, 3, 1)))
+    assert np.array_equal(field.mu, np.zeros((1, 2, 3, 2)))
+    assert np.array_equal(field.sigma, np.ones((1, 2, 3, 2)))
+    assert np.array_equal(field.rho, np.zeros((1, 2, 3, 1)))
 
 
 def test_decode_log_two_sigma():
     raw = np.zeros((1, 1, 1, 5))
     raw[..., 2] = math.log(2.0)
     field = field_from_raw(raw)
-    assert field.sigma.data[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert field.sigma[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_decode_always_valid_covariance():
     rng = np.random.default_rng(1)
     field = field_from_raw(rng.normal(size=(1, 5, 4, 5)) * 3)
-    assert np.all(field.sigma.data > 0)
-    assert np.all(np.abs(field.rho.data) < 1.0)
-    det = (field.sigma.data[..., 0] ** 2 * field.sigma.data[..., 1] ** 2
-           * (1 - field.rho.data[..., 0] ** 2))
+    assert np.all(field.sigma > 0)
+    assert np.all(np.abs(field.rho) < 1.0)
+    det = (field.sigma[..., 0] ** 2 * field.sigma[..., 1] ** 2
+           * (1 - field.rho[..., 0] ** 2))
     assert np.all(det > 0)
     # tanh saturates to exactly 1.0 in f64 for very large inputs; the NLL
     # clamp on 1 - rho^2 is what keeps that case finite.
     extreme = field_from_raw(np.full((1, 1, 1, 5), 100.0))
-    assert abs(extreme.rho.data[0, 0, 0, 0]) <= 1.0
+    assert abs(extreme.rho[0, 0, 0, 0]) <= 1.0
 
 
 def test_decode_shape_check():
@@ -84,9 +88,9 @@ def test_nll_matches_direct_density_evaluation():
     target = rng.normal(size=(3, 4, 2))
     got = nll_loss(field, target).item()
 
-    mu = field.mu.data[0]
-    sigma = field.sigma.data[0]
-    rho = field.rho.data[0][..., 0]
+    mu = field.mu[0]
+    sigma = field.sigma[0]
+    rho = field.rho[0][..., 0]
     total = 0.0
     for a in range(3):
         agent_sum = 0.0
@@ -117,6 +121,150 @@ def test_nll_finite_at_extreme_rho():
     assert np.isfinite(loss.item())
 
 
+# ---------------------------------------------------------------------------
+# `nll_loss` against the chain of elementwise tape primitives it replaced
+
+
+def taped_clamp_below(a, lo):
+    """Clip from below on the tape: gradient 1 where the value passed
+    through, 0 where it was clipped."""
+    mask = np.ones_like(a.data) * (a.data >= lo)
+    return T._make(np.clip(a.data, lo, None), (a,), lambda g: T._accumulate(a, g * mask))
+
+
+def taped_nll(raw, target_rel):
+    """Oracle for ``nll_loss(decode_gaussian(raw), target_rel)``: the
+    taped decode (5 records) and NLL (30 records) it fused."""
+    mu, sigma, rho = raw[..., 0:2], T.exp(raw[..., 2:4]), T.tanh(raw[..., 4:5])
+    target_rel = np.asarray(target_rel, dtype=np.float64)
+    n, t, p = raw.shape[:3]
+    if target_rel.shape == (p, t, 2):
+        target_rel = np.broadcast_to(target_rel[None], (n, p, t, 2))
+    target = T.Tensor(np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3)))
+
+    dx = T.sub(target[..., 0:1], mu[..., 0:1])
+    dy = T.sub(target[..., 1:2], mu[..., 1:2])
+    sx = sigma[..., 0:1]
+    sy = sigma[..., 1:2]
+    zx = T.div(dx, sx)
+    zy = T.div(dy, sy)
+    z = T.sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),
+              T.mul(T.mul(rho, 2.0), T.mul(zx, zy)))
+    one_minus = taped_clamp_below(T.sub(1.0, T.mul(rho, rho)), RHO_GUARD)
+    log_norm = T.add(T.add(T.log(sx), T.log(sy)),
+                     T.add(T.mul(T.log(one_minus), 0.5), LOG_TWO_PI))
+    per_frame = T.add(log_norm, T.div(z, T.mul(one_minus, 2.0)))
+    return T.tensor_mean(T.tensor_sum(per_frame, axis=1))
+
+
+def random_raw(rng, n, t, p):
+    """Raws over a wide range, with about one rho in four where RHO_GUARD
+    binds: |raw| in [15, 18], where 1 - rho^2 is below the guard but
+    not 0, so the clamp alone stops the gradient, or |raw| >= 20, where
+    tanh rounds to +-1."""
+    raw = rng.normal(size=(n, t, p, 5)) * rng.choice([0.3, 1.0, 3.0], size=(n, t, p, 5))
+    pinned = rng.random(size=(n, t, p)) < 0.25
+    size = int(pinned.sum())
+    magnitude = np.where(rng.random(size) < 0.5, rng.uniform(15, 18, size),
+                         rng.uniform(20, 40, size))
+    raw[..., 4][pinned] = rng.choice([-1.0, 1.0], size=size) * magnitude
+    return raw
+
+
+def test_nll_loss_is_one_record_bit_identical_to_the_taped_chain():
+    rng = np.random.default_rng(21)
+    guarded = saturated = 0
+    for n in (1, 3):
+        for p in (1, 6, 12):
+            for batch_target in (False, True):
+                raw = random_raw(rng, n, 12, p)
+                target = rng.normal(size=(n, p, 12, 2) if batch_target else (p, 12, 2))
+                weight = rng.uniform(0.1, 2.0)
+                fused = T.Tensor(raw.copy(), requires_grad=True)
+                oracle = T.Tensor(raw.copy(), requires_grad=True)
+                got = nll_loss(decode_gaussian(fused), target)
+                assert len(T.tape()) == 1
+                T.backward(T.mul(got, weight))
+                want = taped_nll(oracle, target)
+                assert len(T.tape()) == 35
+                T.backward(T.mul(want, weight))
+                assert np.array_equal(got.data, want.data)
+                assert np.array_equal(fused.grad, oracle.grad)
+                rho = np.tanh(raw[..., 4])
+                guarded += int(np.sum((1.0 - rho * rho < RHO_GUARD) & (np.abs(rho) < 1.0)))
+                saturated += int(np.sum(np.abs(rho) == 1.0))
+    assert guarded > 0 and saturated > 0
+
+
+def test_per_item_nll_is_each_items_loss_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for p in (1, 6, 12):
+        for batch_target in (False, True):
+            raw = random_raw(rng, 3, 12, p)
+            target = rng.normal(size=(3, p, 12, 2) if batch_target else (p, 12, 2))
+            weight = rng.uniform(-2.0, 2.0, size=3)
+            fused = T.Tensor(raw.copy(), requires_grad=True)
+            got = nll_loss(decode_gaussian(fused), target, per_item=True)
+            T.backward(T.tensor_sum(T.mul(got, weight)))
+            for i in range(3):
+                item = T.Tensor(raw[i:i + 1].copy(), requires_grad=True)
+                want = taped_nll(item, target[i] if batch_target else target)
+                T.backward(T.mul(want, weight[i]))
+                assert got.data[i] == want.item()
+                assert np.array_equal(fused.grad[i], item.grad[0])
+
+
+def test_layer_nll_equals_a_loop_of_nll_loss():
+    rng = np.random.default_rng(22)
+    for p in (1, 6, 12):
+        layers = [T.Tensor(random_raw(rng, 1, 12, p), requires_grad=True) for _ in range(5)]
+        target = rng.normal(size=(p, 12, 2))
+        with T.no_grad():
+            want = [nll_loss(decode_gaussian(m), target).item() for m in layers]
+        got = layer_nll(layers, target)
+        assert got.shape == (5,) and np.array_equal(got, want)
+        assert len(T.tape()) == 0
+
+
+def oracle_layer_nll(layers, target_rel):
+    with T.no_grad():
+        return [taped_nll(m, target_rel).item() for m in layers]
+
+
+def test_online_replay_is_bit_identical_to_the_taped_chain(monkeypatch):
+    stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=4, seed=3), 20)
+
+    def replay(strategy):
+        model = TrajectoryModel(ModelConfig(), seed=2)
+        result = run_online(model, stream, OnlineConfig(strategy=strategy, seed=1,
+                                                        updates_per_instance=2))
+        return ([dataclasses.astuple(r) for r in result.records], result.health,
+                {name: p.data.copy() for name, p in model.params.items()})
+
+    fused = {strategy: replay(strategy) for strategy in STRATEGIES}
+    monkeypatch.setattr(runtime, "nll_loss", lambda field, target: taped_nll(field.raw, target))
+    monkeypatch.setattr(runtime, "layer_nll", oracle_layer_nll)
+    for strategy in STRATEGIES:
+        records, health, params = replay(strategy)
+        assert records == fused[strategy][0], strategy
+        assert health == fused[strategy][1], strategy
+        for name, data in params.items():
+            assert np.array_equal(data, fused[strategy][2][name]), (strategy, name)
+
+
+def test_training_is_bit_identical_to_the_taped_chain(monkeypatch):
+    # Two agent counts: each batch sums two weighted group losses.
+    data = [inst for agents in (3, 5) for inst in synthetic_instances(
+        SyntheticScenarioSpec(kind="oneway", agents=agents, seed=agents), 12)]
+    config = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=4)
+    fused = train_offline(data, config, ModelConfig(stack_layers=2))
+    monkeypatch.setattr(runtime, "nll_loss", lambda field, target: taped_nll(field.raw, target))
+    oracle = train_offline(data, config, ModelConfig(stack_layers=2))
+    assert fused.loss_log == oracle.loss_log
+    for name, p in fused.model.params.items():
+        assert np.array_equal(p.data, oracle.model.params[name].data), name
+
+
 def test_mu_trajectory_cumsum():
     raw = np.zeros((1, 3, 2, 5))
     raw[0, :, 0, 0] = 1.0
@@ -131,9 +279,9 @@ def test_mu_trajectory_cumsum():
 def loop_sample_trajectories(field, k, seed, origin_abs):
     """Scalar oracle for `sample_trajectories`: one `normal_pair()` per
     draw, sample-major, then agent, then frame."""
-    mu = field.mu.data[0].transpose(1, 0, 2)
-    sigma = field.sigma.data[0].transpose(1, 0, 2)
-    rho = field.rho.data[0].transpose(1, 0, 2)[..., 0]
+    mu = field.mu[0].transpose(1, 0, 2)
+    sigma = field.sigma[0].transpose(1, 0, 2)
+    rho = field.rho[0].transpose(1, 0, 2)[..., 0]
     p, t = mu.shape[0], mu.shape[1]
     origin = np.asarray(origin_abs, dtype=np.float64).reshape(p, 1, 2)
     rng = Xorshift64Star(seed)

@@ -141,8 +141,8 @@ def test_predict_field_is_valid_distribution():
     model = small_model(layers=2)
     inst = toy_instance(agents=3, config=model.config, seed=6)
     field = model.predict_field(inst, strategy="ea")
-    assert np.all(field.sigma.data > 0.0)
-    assert np.all(np.abs(field.rho.data) < 1.0)
+    assert np.all(field.sigma > 0.0)
+    assert np.all(np.abs(field.rho) < 1.0)
 
 
 def test_loss_is_finite_at_init():

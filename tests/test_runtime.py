@@ -191,6 +191,13 @@ def test_health_vanish_counter_resets():
     assert verdicts == ["normal"] * len(grads) and status.status == "normal"
 
 
+def test_health_exploded_update_resets_the_vanish_run():
+    grads = [1e-12] * 49 + [2e3, 1e-12]
+    verdicts, status = observe_all(grads, [1.0] * len(grads))
+    assert verdicts[-3:] == ["normal", "exploded", "normal"]
+    assert status.status == "exploded" and status.first_trigger_instance == 49
+
+
 def test_health_first_trigger_wins():
     grads = [1e-12] * 30 + [float("nan")] + [1e-12] * 60
     _, status = observe_all(grads, [1.0] * len(grads))

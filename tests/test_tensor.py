@@ -191,14 +191,6 @@ def test_prelu_values_and_slope_grad():
     assert np.allclose(slope.grad, -2.0)
 
 
-def test_clamp_blocks_gradient_outside_range():
-    x = T.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
-    out = T.clamp(x, 0.0, 1.0)
-    assert np.allclose(out.data, [0.0, 0.5, 1.0])
-    T.backward(T.tensor_sum(out))
-    assert np.allclose(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_reductions():
     x = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert T.tensor_sum(x).item() == 10.0
@@ -277,7 +269,6 @@ def test_operator_sugar_matches_functions():
     assert np.array_equal((a - b).data, [-2.0, -2.0])
     assert np.array_equal((a * b).data, [3.0, 8.0])
     assert np.array_equal((a / b).data, [1 / 3, 0.5])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
     assert np.array_equal((2.0 * a).data, [2.0, 4.0])
 
 
@@ -321,15 +312,14 @@ def test_conv2d_batched_gradients_match_finite_differences():
     assert max(errors.values()) < 1e-6
 
 
-def test_prelu_clamp_getitem_gradients():
+def test_prelu_getitem_gradients():
     rng = np.random.default_rng(10)
     x = T.Tensor(rng.normal(size=(4, 4)) + 0.2, requires_grad=True)
     slope = T.Tensor(0.3, requires_grad=True)
 
     def build():
         h = T.prelu(x, slope)
-        h = T.clamp(T.mul(h, h), 0.01, None)
-        return T.tensor_sum(h[1:, 1:])
+        return T.tensor_sum(T.mul(h, h)[1:, 1:])
 
     errors = check_gradients(build, {"x": x, "slope": slope})
     assert max(errors.values()) < 1e-6
