@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .graph import KERNEL_KINDS
-from .model import ModelConfig, TrajectoryModel
+from .model import GAUSS_CHANNELS, ModelConfig, TrajectoryModel
 from .rng import Xorshift64Star
 
 MAGIC = b"EANT"
@@ -45,7 +45,8 @@ META_NAME = "meta/config"
 def config_text(config: ModelConfig) -> str:
     """Canonical one-line-per-field rendering used for the digest.
 
-    Float fields are quantized to f32 before rendering because that is
+    ``feat_dim`` is the fixed channel count `GAUSS_CHANNELS`, which slot 2
+    of the meta tensor also holds. Float fields are quantized to f32 before rendering because that is
     the precision the meta tensor stores; without this, a config float
     that is not f32-representable would change its repr across a round
     trip and fail the digest check.
@@ -53,7 +54,7 @@ def config_text(config: ModelConfig) -> str:
     fields = [
         ("t_obs", config.t_obs),
         ("t_pred", config.t_pred),
-        ("feat_dim", config.feat_dim),
+        ("feat_dim", GAUSS_CHANNELS),
         ("stack_layers", config.stack_layers),
         ("kernel", config.kernel),
         ("rbf_sigma", repr(float(np.float32(config.rbf_sigma)))),
@@ -64,7 +65,7 @@ def config_text(config: ModelConfig) -> str:
 
 def _config_vector(config: ModelConfig) -> np.ndarray:
     return np.array([
-        config.t_obs, config.t_pred, config.feat_dim, config.stack_layers,
+        config.t_obs, config.t_pred, GAUSS_CHANNELS, config.stack_layers,
         KERNEL_KINDS.index(config.kernel), config.rbf_sigma, config.prelu_init,
     ], dtype=np.float32)
 
@@ -72,11 +73,13 @@ def _config_vector(config: ModelConfig) -> np.ndarray:
 def _config_from_vector(vec: np.ndarray) -> ModelConfig:
     if vec.shape != (7,):
         raise CheckpointError(f"malformed {META_NAME} tensor, shape {vec.shape}")
+    if int(vec[2]) != GAUSS_CHANNELS:
+        raise CheckpointError(f"feature dimension {int(vec[2])}, the model's is {GAUSS_CHANNELS}")
     kernel_idx = int(vec[4])
     if not 0 <= kernel_idx < len(KERNEL_KINDS):
         raise CheckpointError(f"unknown kernel index {kernel_idx}")
     config = ModelConfig(
-        t_obs=int(vec[0]), t_pred=int(vec[1]), feat_dim=int(vec[2]),
+        t_obs=int(vec[0]), t_pred=int(vec[1]),
         stack_layers=int(vec[3]), kernel=KERNEL_KINDS[kernel_idx],
         rbf_sigma=float(vec[5]), prelu_init=float(vec[6]),
     )
@@ -147,7 +150,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
 
     The second item is always a fresh seed-0 stream; the RNG state a
     version 1 file holds is skipped. Raises CheckpointError for a bad
-    magic, an unsupported version, any truncation, a tensor name the
+    magic, an unsupported version, any truncation, a feature dimension
+    other than `GAUSS_CHANNELS`, a tensor name the
     rebuilt model does not expect, a missing parameter, or a config
     digest mismatch.
     """

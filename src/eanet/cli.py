@@ -15,6 +15,7 @@ the resolved configuration digest, inputs, and outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,12 +27,16 @@ from .data import SCENARIO_KINDS, SyntheticScenarioSpec, generate_synthetic, loa
 from .errors import DataError, EanetError
 from .gradcheck import run_gradient_checks
 from .graph import KERNEL_KINDS
+from .model import ModelConfig
 from .plots import plot_curves, plot_expert_strip
 from .report import write_loss_csv, write_stream_csv, read_stream_csv
-from .runtime import (ALIGNMENTS, STRATEGIES, BaseMetrics, compute_base, mean_best_of_k, run_online,
-                      train_offline)
+from .runtime import (ALIGNMENTS, STRATEGIES, BaseMetrics, OnlineConfig, TrainConfig, compute_base,
+                      mean_best_of_k, run_online, train_offline)
 
 ARTIFACT_VERSION = 1
+# The flags that override config-file settings. Each dest names a field of
+# the config its command builds, which `config.config_from` reads by name.
+SETTINGS = "run settings"
 
 
 class _UsageError(Exception):
@@ -96,10 +101,7 @@ def cmd_gen(args) -> int:
                                  extent=args.extent, seed=seed)
     tracks = generate_synthetic(spec, args.frames)
     write_scene(tracks, args.out)
-    digest = C.config_digest({"kind": spec.kind, "agents": spec.agents,
-                              "speed": spec.speed, "noise_std": spec.noise_std,
-                              "period": spec.period, "extent": spec.extent,
-                              "frames": args.frames, "seed": seed})
+    digest = C.config_digest({**dataclasses.asdict(spec), "frames": args.frames})
     _write_manifest(args.out, "gen", digest, seed, [], [args.out], started)
     print(f"wrote {len(tracks)} observations to {args.out}", file=sys.stderr)
     return 0
@@ -109,12 +111,8 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
-    model_config = C.model_config_from(mapping, t_obs=args.t_obs, t_pred=args.t_pred,
-                                       stack_layers=args.stack_layers, kernel=args.kernel)
-    train_config = C.train_config_from(mapping, seed, epochs=args.epochs,
-                                       batch_size=args.batch_size, lr=args.lr,
-                                       lr_after=args.lr_after,
-                                       lr_drop_epoch=args.lr_drop_epoch)
+    model_config = C.config_from(ModelConfig, mapping, overrides=args)
+    train_config = C.config_from(TrainConfig, mapping, seed, overrides=args)
     data_paths = _expand_data_paths(args.data)
     dataset = load_dataset(data_paths, model_config.t_obs, model_config.t_pred)
     if not dataset:
@@ -148,10 +146,7 @@ def cmd_online(args) -> int:
     started = time.monotonic()
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
-    online_config = C.online_config_from(
-        mapping, seed, lr=args.lr, clip_norm=args.clip_norm, strategy=args.strategy,
-        alignment=args.alignment, max_instances=args.max_instances,
-        updates_per_instance=args.updates_per_instance)
+    online_config = C.config_from(OnlineConfig, mapping, seed, overrides=args)
     model, _ = load_checkpoint(args.ckpt)
     stream_paths = _expand_data_paths(args.stream)
     stream = load_dataset(stream_paths, model.config.t_obs, model.config.t_pred)
@@ -215,12 +210,8 @@ def cmd_base(args) -> int:
     started = time.monotonic()
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
-    model_config = C.model_config_from(mapping, t_obs=args.t_obs, t_pred=args.t_pred,
-                                       stack_layers=args.stack_layers, kernel=args.kernel)
-    train_config = C.train_config_from(mapping, seed, epochs=args.epochs,
-                                       batch_size=args.batch_size, lr=args.lr,
-                                       lr_after=args.lr_after,
-                                       lr_drop_epoch=args.lr_drop_epoch)
+    model_config = C.config_from(ModelConfig, mapping, overrides=args)
+    train_config = C.config_from(TrainConfig, mapping, seed, overrides=args)
     data_paths = _expand_data_paths(args.data)
     dataset = load_dataset(data_paths, model_config.t_obs, model_config.t_pred)
     print(f"base split over {len(dataset)} instances", file=sys.stderr)
@@ -276,15 +267,16 @@ def _add_config(parser):
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--lr-after", type=float, default=None)
-    parser.add_argument("--lr-drop-epoch", type=int, default=None)
-    parser.add_argument("--t-obs", type=int, default=None)
-    parser.add_argument("--t-pred", type=int, default=None)
-    parser.add_argument("--stack-layers", type=int, default=None)
-    parser.add_argument("--kernel", default=None, choices=KERNEL_KINDS)
+    group = parser.add_argument_group(SETTINGS)
+    group.add_argument("--epochs", type=int, default=None)
+    group.add_argument("--batch-size", type=int, default=None)
+    group.add_argument("--lr", type=float, default=None)
+    group.add_argument("--lr-after", type=float, default=None)
+    group.add_argument("--lr-drop-epoch", type=int, default=None)
+    group.add_argument("--t-obs", type=int, default=None)
+    group.add_argument("--t-pred", type=int, default=None)
+    group.add_argument("--stack-layers", type=int, default=None)
+    group.add_argument("--kernel", default=None, choices=KERNEL_KINDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,13 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--stream", nargs="+", required=True)
     p.add_argument("--report", required=True, help="stream report CSV path")
-    p.add_argument("--strategy", default=None, choices=STRATEGIES)
-    p.add_argument("--alignment", default=None, choices=ALIGNMENTS)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--clip-norm", default=None,
-                   help="gradient clip threshold, or 'none' to disable")
-    p.add_argument("--max-instances", type=int, default=None)
-    p.add_argument("--updates-per-instance", type=int, default=None)
+    group = p.add_argument_group(SETTINGS)
+    group.add_argument("--strategy", default=None, choices=STRATEGIES)
+    group.add_argument("--alignment", default=None, choices=ALIGNMENTS)
+    group.add_argument("--lr", type=float, default=None)
+    group.add_argument("--clip-norm", default=None,
+                       help="gradient clip threshold, or 'none' to disable")
+    group.add_argument("--max-instances", type=int, default=None)
+    group.add_argument("--updates-per-instance", type=int, default=None)
     p.add_argument("--base-ade", type=float, default=None)
     p.add_argument("--base-fde", type=float, default=None)
     _add_config(p)

@@ -130,8 +130,7 @@ def write_scene(tracks: list[RawTrack], path) -> None:
 
 
 def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
-                     t_pred: int = T_PRED_DEFAULT, stride: int = 1,
-                     scene_id: str = "") -> list[TrajectoryInstance]:
+                     t_pred: int = T_PRED_DEFAULT, scene_id: str = "") -> list[TrajectoryInstance]:
     """Slide a window of t_obs + t_pred frames over the frame sequence.
 
     Windows are taken over the sorted unique frame ids (so decimated frame
@@ -139,8 +138,8 @@ def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
     returned in window start order; windows with no complete agent are
     dropped.
     """
-    if t_obs < 1 or t_pred < 1 or stride < 1:
-        raise ConfigError("t_obs, t_pred, and stride must be positive")
+    if t_obs < 1 or t_pred < 1:
+        raise ConfigError("t_obs and t_pred must be positive")
     if not tracks:
         return []
     frames = sorted({t.frame_id for t in tracks})
@@ -149,7 +148,7 @@ def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
     for t in tracks:
         by_agent.setdefault(t.agent_id, {})[t.frame_id] = (t.x, t.y)
     instances = []
-    for start in range(0, len(frames) - span + 1, stride):
+    for start in range(len(frames) - span + 1):
         window = frames[start:start + span]
         complete = [a for a in sorted(by_agent)
                     if all(f in by_agent[a] for f in window)]
@@ -162,8 +161,8 @@ def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
     return instances
 
 
-def load_dataset(paths, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_PRED_DEFAULT,
-                 stride: int = 1) -> list[TrajectoryInstance]:
+def load_dataset(paths, t_obs: int = T_OBS_DEFAULT,
+                 t_pred: int = T_PRED_DEFAULT) -> list[TrajectoryInstance]:
     """Window several scene files into one deterministic instance stream.
 
     Ordering: window start frame first, then the position of the source
@@ -172,7 +171,7 @@ def load_dataset(paths, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_PRED_DEFAULT
     keyed = []
     for file_idx, path in enumerate(paths):
         tracks = load_scene(path)
-        for inst in window_instances(tracks, t_obs, t_pred, stride, scene_id=str(path)):
+        for inst in window_instances(tracks, t_obs, t_pred, scene_id=str(path)):
             keyed.append(((inst.start_frame, file_idx), inst))
     keyed.sort(key=lambda pair: pair[0])
     return [inst for _, inst in keyed]
@@ -272,20 +271,19 @@ def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrac
 
 
 def frames_for_instances(n: int, t_obs: int = T_OBS_DEFAULT,
-                         t_pred: int = T_PRED_DEFAULT, stride: int = 1) -> int:
+                         t_pred: int = T_PRED_DEFAULT) -> int:
     """Frame count needed so windowing yields exactly ``n`` instances."""
     if n < 1:
         raise ConfigError("instance count must be >= 1")
-    return (n - 1) * stride + t_obs + t_pred
+    return n - 1 + t_obs + t_pred
 
 
 def synthetic_instances(spec: SyntheticScenarioSpec, count: int,
-                        t_obs: int = T_OBS_DEFAULT, t_pred: int = T_PRED_DEFAULT,
-                        stride: int = 1) -> list[TrajectoryInstance]:
+                        t_obs: int = T_OBS_DEFAULT,
+                        t_pred: int = T_PRED_DEFAULT) -> list[TrajectoryInstance]:
     """Generate exactly ``count`` windowed instances of one scenario."""
-    frames = frames_for_instances(count, t_obs, t_pred, stride)
+    frames = frames_for_instances(count, t_obs, t_pred)
     tracks = generate_synthetic(spec, frames)
-    instances = window_instances(tracks, t_obs, t_pred, stride,
-                                 scene_id=f"{spec.kind}:{spec.seed}")
+    instances = window_instances(tracks, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")
     return instances[:count]
 

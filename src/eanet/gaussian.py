@@ -48,9 +48,6 @@ class GaussianField:
 class MetricReport:
     ade: float
     fde: float
-    n_agents: int
-    n_frames: int
-    sample_count: int
 
 
 def decode_gaussian(raw: T.Tensor) -> GaussianField:
@@ -228,9 +225,7 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     samples = sample_trajectories(field, k, seed, origin_abs)
     ade, fde = _displacement_errors(samples, np.asarray(truth_abs, dtype=np.float64))
     best = 0 if np.isnan(ade[0]) else int(np.nanargmin(ade))
-    return MetricReport(ade=float(ade[best]), fde=float(fde[best]),
-                        n_agents=samples.shape[1], n_frames=samples.shape[2],
-                        sample_count=k)
+    return MetricReport(ade=float(ade[best]), fde=float(fde[best]))
 
 
 def restore_ratio(ade_n: float, fde_n: float, ade_base: float, fde_base: float) -> float:

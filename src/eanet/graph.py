@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import TrajectoryInstance
 from .errors import ConfigError, DimensionError
 
 KERNEL_KINDS = ("motion_trend", "inv_dist", "l2", "rbf")
@@ -77,18 +76,17 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return inv_sqrt[..., :, None] * with_loops * inv_sqrt[..., None, :]
 
 
-def instance_graphs(instance: TrajectoryInstance, kind: str = "motion_trend",
+def instance_graphs(positions: np.ndarray, motions: np.ndarray, kind: str = "motion_trend",
                     rbf_sigma: float = 1.0) -> np.ndarray:
-    """Stacked normalised adjacencies (T_obs, P, P) for one instance, built
-    in one call over all frames; each frame is bit-identical to its graph
-    built alone.
+    """Normalised adjacencies (..., T_obs, P, P) of the observed frames of
+    one or more instances, given as (..., T_obs, P, 2) absolute positions
+    and relative motions, built in one call over all frames; each frame is
+    bit-identical to its graph built alone.
 
     The motion at the first observed frame is zero by the relative-array
     convention, so the default kernel degrades to inverse distance there.
     """
-    adjacency = build_adjacency(kind, instance.obs_abs.transpose(1, 0, 2),
-                                instance.obs_rel.transpose(1, 0, 2), rbf_sigma)
-    return normalize_adjacency(adjacency)
+    return normalize_adjacency(build_adjacency(kind, positions, motions, rbf_sigma))
 
 
 def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:

@@ -32,21 +32,21 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ea_output, hedge_output, plain_output
-from .data import SyntheticScenarioSpec, TrajectoryInstance, synthetic_instances
+from .data import (T_OBS_DEFAULT, T_PRED_DEFAULT, SyntheticScenarioSpec, TrajectoryInstance,
+                   synthetic_instances)
 from .errors import ConfigError
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
-from .graph import (KERNEL_KINDS, build_adjacency, gcn_forward, instance_graphs,
-                    normalize_adjacency)
+from .graph import KERNEL_KINDS, gcn_forward, instance_graphs
 from .rng import Xorshift64Star
+from .temporal import stack_forward, time_expand
 
 GAUSS_CHANNELS = 5
 
 
 @dataclass
 class ModelConfig:
-    t_obs: int = 8
-    t_pred: int = 12
-    feat_dim: int = GAUSS_CHANNELS
+    t_obs: int = T_OBS_DEFAULT
+    t_pred: int = T_PRED_DEFAULT
     stack_layers: int = 5
     kernel: str = "motion_trend"
     rbf_sigma: float = 1.0
@@ -55,8 +55,6 @@ class ModelConfig:
     def validate(self) -> None:
         if self.t_obs < 1 or self.t_pred < 1:
             raise ConfigError("t_obs and t_pred must be positive")
-        if self.feat_dim != GAUSS_CHANNELS:
-            raise ConfigError(f"feature dimension is fixed at {GAUSS_CHANNELS}")
         if self.stack_layers < 1:
             raise ConfigError("stack_layers must be >= 1")
         if self.kernel not in KERNEL_KINDS:
@@ -73,25 +71,17 @@ def _check_spans(instance: TrajectoryInstance, config: ModelConfig) -> None:
         )
 
 
-def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
-    """The network inputs and target of one instance: relative
-    displacements (T_obs, P, 2), normalised graphs (T_obs, P, P) and
-    ``fut_rel`` (P, T_pred, 2). Raises ConfigError when the instance's
-    spans differ from the model's."""
-    _check_spans(instance, config)
-    ahat = instance_graphs(instance, config.kernel, config.rbf_sigma)
-    x_seq = np.ascontiguousarray(instance.obs_rel.transpose(1, 0, 2))
-    return x_seq, ahat, instance.fut_rel
-
-
 def dataset_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
                    chunk: int) -> list[tuple]:
-    """`instance_arrays` of every instance, in dataset order.
+    """The network inputs and target of every instance, in dataset order:
+    relative displacements (T_obs, P, 2), normalised graphs (T_obs, P, P)
+    and ``fut_rel`` (P, T_pred, 2). Raises ConfigError when an instance's
+    spans differ from the model's.
 
     The graphs of up to ``chunk`` same-sized instances are built in one
-    `build_adjacency` + `normalize_adjacency` call, so the transient memory
-    grows with ``chunk``, not with the dataset. Every array equals the one
-    `instance_arrays` gives for its instance, bit for bit.
+    `instance_graphs` call, so the transient memory grows with ``chunk``,
+    not with the dataset. Every array is bit-identical to the one a chunk
+    of that instance alone gives.
     """
     by_agents: dict[int, list[int]] = {}
     for idx, instance in enumerate(dataset):
@@ -104,11 +94,15 @@ def dataset_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
             x_seq = np.ascontiguousarray(
                 np.stack([dataset[i].obs_rel for i in part]).transpose(0, 2, 1, 3))
             positions = np.stack([dataset[i].obs_abs for i in part]).transpose(0, 2, 1, 3)
-            ahat = normalize_adjacency(
-                build_adjacency(config.kernel, positions, x_seq, config.rbf_sigma))
+            ahat = instance_graphs(positions, x_seq, config.kernel, config.rbf_sigma)
             for k, i in enumerate(part):
                 prepared[i] = (x_seq[k], ahat[k], dataset[i].fut_rel)
     return prepared
+
+
+def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
+    """`dataset_arrays` of one instance."""
+    return dataset_arrays([instance], config, 1)[0]
 
 
 def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:
@@ -128,14 +122,13 @@ def _conv_kernel(rng: Xorshift64Star, c_out: int, c_in: int) -> T.Tensor:
 class TrajectoryModel:
     """Holds the parameter registry and runs the forward passes."""
 
-    def __init__(self, config: ModelConfig | None = None, seed: int = 0,
-                 rng: Xorshift64Star | None = None):
+    def __init__(self, config: ModelConfig | None = None, seed: int = 0):
         self.config = config or ModelConfig()
         self.config.validate()
-        rng = rng or Xorshift64Star(seed)
+        rng = Xorshift64Star(seed)
         cfg = self.config
         self.params: dict[str, T.Tensor] = {}
-        self.params["gcn/w"] = _uniform_tensor(rng, (2, cfg.feat_dim), 1.0 / math.sqrt(2.0))
+        self.params["gcn/w"] = _uniform_tensor(rng, (2, GAUSS_CHANNELS), 1.0 / math.sqrt(2.0))
         self.params["expand/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_obs)
         for layer in range(cfg.stack_layers):
             self.params[f"stack/{layer}/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_pred)
@@ -147,7 +140,7 @@ class TrajectoryModel:
         run starts so the gate begins at one half and the mix at the
         deepest layer."""
         cfg = self.config
-        theta = _uniform_tensor(rng, (cfg.feat_dim, 1), 0.01)
+        theta = _uniform_tensor(rng, (GAUSS_CHANNELS, 1), 0.01)
         self.params["ea/theta"] = theta
         self.params["ea/bias"] = T.Tensor(math.atanh(0.5), requires_grad=True)
         alpha = np.zeros(cfg.stack_layers)
@@ -171,8 +164,6 @@ class TrajectoryModel:
         tensors of shape (N, T_pred, P, D). Offline training pushes whole
         minibatches through here in one call.
         """
-        from .temporal import stack_forward, time_expand
-
         cfg = self.config
         x0 = time_expand(gcn_forward(ahat_seq, x_seq, self.params["gcn/w"]),
                          self.params["expand/k"])

@@ -46,9 +46,7 @@ def _vector_cells(values, layers: int) -> list[str]:
     return cells
 
 
-def write_stream_csv(records: list[StreamRecord], path: str, layers: int | None = None) -> None:
-    if layers is None:
-        layers = max((len(r.expert) for r in records if r.expert is not None), default=0)
+def write_stream_csv(records: list[StreamRecord], path: str, layers: int) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(stream_header(layers))

@@ -126,7 +126,6 @@ class StreamRecord:
 class TrainResult:
     model: TrajectoryModel
     loss_log: list[float]
-    config: TrainConfig
 
 
 @dataclass
@@ -207,7 +206,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
         loss_log.append(epoch_sum / len(order))
         if progress is not None:
             progress(epoch, loss_log[-1])
-    return TrainResult(model=model, loss_log=loss_log, config=config)
+    return TrainResult(model=model, loss_log=loss_log)
 
 
 class HealthMonitor:
@@ -279,12 +278,13 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    An instance's inputs and graphs are built once and serve its forward
-    and every extra update. Each of the ``updates_per_instance`` updates
-    goes through the same backward/clip/step and counts towards health.
-    An update whose loss or gradient norm is not finite takes no step,
-    flags the row and ends that instance's updates; the run keeps going
-    with the next instance.
+    An instance's inputs and graphs are built once and serve all of its
+    ``updates_per_instance`` updates. Each update runs the same forward,
+    head, decode, NLL and backward/clip/step, and counts towards health;
+    the first also yields the row's metrics, trace and hedge layer
+    losses. An update whose loss or gradient norm is not finite takes no
+    step, flags the row and ends that instance's updates; the run keeps
+    going with the next instance.
     """
     config.validate()
     head_rng = Xorshift64Star(config.seed)
@@ -297,35 +297,30 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     for idx, raw_inst in enumerate(stream[:config.max_instances]):
         inst = raw_inst.recentred() if config.alignment == "recentre" else raw_inst
         x_seq, ahat, _ = instance_arrays(inst, model.config)
-        layers = model.forward_batch(x_seq[None], ahat[None])
-        raw, trace = model.strategy_output(layers, config.strategy, hedge)
-        gfield = decode_gaussian(raw)
-        pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
-        ade, fde = ade_fde(pred_abs, inst.fut_abs)
-        rr = restore_ratio(ade, fde, base.ade, base.fde) if base is not None else None
-        expert = tuple(float(v) for v in trace.gate) if trace is not None else (
-            tuple(float(v) for v in hedge.w) if hedge is not None else None)
-        alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
-
-        if hedge is not None:
-            layer_losses = layer_nll(layers, inst.fut_rel)
-
-        loss_value = nll_loss(gfield, inst.fut_rel)
-        loss = loss_value.item()
-        pre, grad_norm = _apply_update(model, loss_value, loss, config)
-        row_health = monitor.observe(pre, loss, idx)
-        applied = grad_norm
-        for _ in range(config.updates_per_instance - 1):
-            if applied is None:
-                break
-            extra = nll_loss(decode_gaussian(
-                model.strategy_output(model.forward_batch(x_seq[None], ahat[None]),
-                                      config.strategy, hedge)[0]), inst.fut_rel)
-            extra_loss = extra.item()
-            pre, applied = _apply_update(model, extra, extra_loss, config)
-            verdict = monitor.observe(pre, extra_loss, idx)
+        row_health = "normal"
+        for update in range(config.updates_per_instance):
+            layers = model.forward_batch(x_seq[None], ahat[None])
+            raw, trace = model.strategy_output(layers, config.strategy, hedge)
+            gfield = decode_gaussian(raw)
+            if update == 0:
+                pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
+                ade, fde = ade_fde(pred_abs, inst.fut_abs)
+                rr = restore_ratio(ade, fde, base.ade, base.fde) if base is not None else None
+                expert = tuple(float(v) for v in trace.gate) if trace is not None else (
+                    tuple(float(v) for v in hedge.w) if hedge is not None else None)
+                alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
+                if hedge is not None:
+                    layer_losses = layer_nll(layers, inst.fut_rel)
+            loss_tensor = nll_loss(gfield, inst.fut_rel)
+            update_loss = loss_tensor.item()
+            pre, applied = _apply_update(model, loss_tensor, update_loss, config)
+            verdict = monitor.observe(pre, update_loss, idx)
+            if update == 0:
+                loss, grad_norm = update_loss, applied
             if row_health == "normal":
                 row_health = verdict
+            if applied is None:
+                break
 
         if hedge is not None:
             hedge = hedge_update(hedge, layer_losses)

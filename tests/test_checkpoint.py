@@ -166,6 +166,24 @@ def test_tampered_config_fails_the_digest(tmp_path):
             load_checkpoint(str(path))
 
 
+def test_feature_dimension_other_than_five_is_rejected(tmp_path):
+    blob = bytearray(checkpoint_bytes(TrajectoryModel(CONFIG, seed=7)))
+    header = 4 + 4 + 4 + 2 + len(META_NAME.encode()) + 1 + 4
+    vec = np.frombuffer(bytes(blob[header:header + 28]), dtype="<f4").copy()
+    assert vec[2] == 5.0
+    vec[2] = 4.0
+    blob[header:header + 28] = vec.tobytes()
+    # Whether the digest is recomputed over the text rendering the tampered
+    # slot or over the canonical text, the slot itself must be refused.
+    text = config_text(CONFIG)
+    for digest_text in (text.replace("feat_dim = 5", "feat_dim = 4"), text):
+        blob[-32:] = hashlib.sha256(digest_text.encode("utf-8")).digest()
+        path = tmp_path / "feat.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="feature dimension 4"):
+            load_checkpoint(str(path))
+
+
 def test_digest_covers_the_canonical_config_text():
     model = TrajectoryModel(CONFIG, seed=0)
     blob = checkpoint_bytes(model)

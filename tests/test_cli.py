@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -7,6 +9,7 @@ import pytest
 
 from eanet import cli
 from eanet import config as cfg
+from eanet.checkpoint import load_checkpoint
 from eanet.data import SyntheticScenarioSpec
 from eanet.errors import ConfigError, ParseError
 from eanet.gradcheck import run_gradient_checks
@@ -46,29 +49,55 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 def test_config_coercions():
     mapping = {"epochs": "3", "lr": "0.5", "clip_norm": "none",
                "rr_checkpoints": "0, 50", "strategy": "hedge"}
-    train = cfg.train_config_from(mapping, seed=0)
+    train = cfg.config_from(TrainConfig, mapping, seed=0)
     assert train.epochs == 3 and train.lr == 0.5
-    online = cfg.online_config_from(mapping, seed=4)
+    online = cfg.config_from(OnlineConfig, mapping, seed=4)
     assert online.clip_norm is None
     assert online.rr_checkpoints == (0, 50)
     assert online.strategy == "hedge" and online.seed == 4
     with pytest.raises(ConfigError, match="integer"):
-        cfg.train_config_from({"epochs": "three"}, seed=0)
+        cfg.config_from(TrainConfig, {"epochs": "three"}, seed=0)
     with pytest.raises(ConfigError, match="clip_norm"):
-        cfg.online_config_from({"clip_norm": "soft"}, seed=0)
+        cfg.config_from(OnlineConfig, {"clip_norm": "soft"}, seed=0)
 
 
 def test_overrides_beat_the_file():
     mapping = {"epochs": "3", "online_lr": "0.5"}
-    assert cfg.train_config_from(mapping, seed=0, epochs=9).epochs == 9
-    online = cfg.online_config_from(mapping, seed=0, lr=0.25, clip_norm="none")
+    overrides = argparse.Namespace(epochs=9)
+    assert cfg.config_from(TrainConfig, mapping, seed=0, overrides=overrides).epochs == 9
+    overrides = argparse.Namespace(lr=0.25, clip_norm="none")
+    online = cfg.config_from(OnlineConfig, mapping, seed=0, overrides=overrides)
     assert online.lr == 0.25 and online.clip_norm is None
 
 
 def test_empty_mapping_gives_the_dataclass_defaults():
-    assert cfg.model_config_from({}) == ModelConfig()
-    assert cfg.train_config_from({}, seed=0) == TrainConfig()
-    assert cfg.online_config_from({}, seed=0) == OnlineConfig()
+    assert cfg.config_from(ModelConfig, {}) == ModelConfig()
+    assert cfg.config_from(TrainConfig, {}, seed=0) == TrainConfig()
+    assert cfg.config_from(OnlineConfig, {}, seed=0) == OnlineConfig()
+
+
+def test_known_keys_are_the_config_fields():
+    assert cfg.KNOWN_KEYS == (
+        "alignment", "batch_size", "clip_norm", "epochs", "kernel", "lr", "lr_after",
+        "lr_drop_epoch", "max_instances", "online_lr", "prelu_init", "rbf_sigma",
+        "rr_checkpoints", "seed", "stack_layers", "strategy", "t_obs", "t_pred",
+        "updates_per_instance")
+
+
+@pytest.mark.parametrize("command, configs", [
+    ("train", (ModelConfig, TrainConfig)),
+    ("base", (ModelConfig, TrainConfig)),
+    ("online", (OnlineConfig,)),
+])
+def test_setting_flags_name_config_fields(command, configs):
+    # config_from reads overrides by field name, so a flag whose dest names
+    # no field would be ignored without an error.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    groups = [g for g in commands.choices[command]._action_groups if g.title == cli.SETTINGS]
+    dests = [action.dest for group in groups for action in group._group_actions]
+    fields = {f.name for config in configs for f in dataclasses.fields(config)}
+    assert dests and set(dests) <= fields
 
 
 def test_seed_precedence(monkeypatch):
@@ -266,6 +295,18 @@ def test_train_writes_checkpoint_loss_log_and_manifest(workdir):
     assert str(workdir / "model.ckpt.loss.csv") in manifest["outputs"]
 
 
+def test_flags_beat_the_config_file(workdir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 3\nstack_layers = 2\n")
+    ckpt = tmp_path / "flag.ckpt"
+    assert cli.main(["train", "--data", str(workdir / "scene.txt"), "--ckpt-out", str(ckpt),
+                     "--config", str(config), "--epochs", "1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "flag.ckpt.loss.csv").read_text().splitlines()
+    assert len(lines) == 1 + 1
+    assert load_checkpoint(str(ckpt))[0].config.stack_layers == 2
+
+
 def test_train_missing_data_is_an_io_error(tmp_path, capsys):
     code = cli.main(["train", "--data", str(tmp_path / "nope.txt"),
                      "--ckpt-out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
@@ -349,7 +390,7 @@ def test_exploded_online_run_round_trips_and_plots(tmp_path, capsys):
     assert result.health.status == "exploded"
     assert None in [r.grad_norm for r in result.records]
     report = tmp_path / "exploded.csv"
-    write_stream_csv(result.records, str(report))
+    write_stream_csv(result.records, str(report), layers=config.stack_layers)
     back = read_stream_csv(str(report))
     assert [r.grad_norm for r in back] == [r.grad_norm for r in result.records]
     assert [r.health for r in back] == [r.health for r in result.records]

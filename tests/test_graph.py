@@ -18,6 +18,11 @@ def pair_weights(kind, v_i, v_j, r_i, r_j, rbf_sigma=1.0):
     return adjacency[0, 1], adjacency[1, 0]
 
 
+def frame_graphs(inst, kind="motion_trend"):
+    """The (T_obs, P, P) graphs of one instance."""
+    return instance_graphs(inst.obs_abs.transpose(1, 0, 2), inst.obs_rel.transpose(1, 0, 2), kind)
+
+
 def test_kernel_coincident_positions_zero_for_every_kind():
     for kind in KERNEL_KINDS:
         assert pair_weights(kind, (1.0, 2.0), (1.0, 2.0), (0.3, 0.1), (-0.2, 0.5)) == (0.0, 0.0)
@@ -212,7 +217,7 @@ def test_gcn_shape_errors():
 
 def test_gcn_gradient_wrt_weight_and_features():
     rng = np.random.default_rng(6)
-    ahat = instance_graphs(synthetic_instances(
+    ahat = frame_graphs(synthetic_instances(
         SyntheticScenarioSpec(kind="stagger", agents=4, seed=3), 1)[0])
     x = T.Tensor(rng.normal(size=(8, 4, 2)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
@@ -252,8 +257,8 @@ def test_permutation_equivariance():
 
 def test_instance_graphs_first_frame_has_zero_motion():
     inst = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=5, seed=4), 1)[0]
-    trend = instance_graphs(inst, "motion_trend")
-    inv = instance_graphs(inst, "inv_dist")
+    trend = frame_graphs(inst, "motion_trend")
+    inv = frame_graphs(inst, "inv_dist")
     assert trend.shape == (8, 5, 5)
     # With zero motions the trend kernel reduces to inverse distance.
     assert np.allclose(trend[0], inv[0], atol=1e-15)

@@ -163,8 +163,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(kernel="cosine").validate()
     with pytest.raises(ConfigError):
-        ModelConfig(feat_dim=4).validate()
-    with pytest.raises(ConfigError):
         ModelConfig(t_obs=0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(rbf_sigma=0.0).validate()
