@@ -125,7 +125,8 @@ def cmd_train(args) -> int:
     save_checkpoint(result.model, args.ckpt_out)
     loss_path = args.loss_log or args.ckpt_out + ".loss.csv"
     write_loss_csv(result.loss_log, loss_path)
-    digest = C.config_digest({**mapping, "seed": seed})
+    digest = C.config_digest({**dataclasses.asdict(model_config),
+                              **dataclasses.asdict(train_config)})
     _write_manifest(args.ckpt_out, "train", digest, seed,
                     data_paths + ([args.config] if args.config else []),
                     [args.ckpt_out, loss_path], started)
@@ -163,7 +164,7 @@ def cmd_online(args) -> int:
 
     result = run_online(model, stream, online_config, base=base, progress=progress)
     write_stream_csv(result.records, args.report, layers=model.config.stack_layers)
-    digest = C.config_digest({**mapping, "seed": seed})
+    digest = C.config_digest(dataclasses.asdict(online_config))
     _write_manifest(args.report, "online", digest, seed,
                     [args.ckpt] + stream_paths + ([args.config] if args.config else []),
                     [args.report], started)
@@ -222,7 +223,8 @@ def cmd_base(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        digest = C.config_digest({**mapping, "seed": seed, "samples": args.samples})
+        digest = C.config_digest({**dataclasses.asdict(model_config),
+                                  **dataclasses.asdict(train_config), "samples": args.samples})
         _write_manifest(args.out, "base", digest, seed, data_paths, [args.out], started)
     sys.stdout.write(text)
     return 0

@@ -8,10 +8,15 @@ draws use the Box-Muller transform; no spare value is cached, so the full
 generator state is a single 64-bit word.
 
 `normal_pairs(n)` is the array form of n `normal_pair()` calls and is
-bit-identical to them: the state chain stays on Python integers, the
-multiply, shift and scaling run in uint64/float64 (all exact), and log,
-cos and sin come from `math`, because numpy's versions round some inputs
-differently by one ulp.
+bit-identical to them. The state update (before the multiply) is linear
+over GF(2)^64, so advancing `_LANE` states is one 64x64 bit matrix,
+applied as the xor of eight byte-table lookups (`_jump`); the tables are
+built at import from `next_u64` itself. `normal_pairs` cuts the chain of
+2n states into lanes of `_LANE`, finds each lane's start with one jump,
+and advances all lanes together in uint64 numpy arrays, whose shifts drop
+high bits exactly as the scalar `& _MASK64` does. The multiply, shift and
+scaling run in uint64/float64 (all exact), and log, cos and sin come from
+`math`, because numpy's versions round some inputs differently by one ulp.
 """
 
 from __future__ import annotations
@@ -65,17 +70,32 @@ class Xorshift64Star:
 
     def normal_pairs(self, n: int) -> np.ndarray:
         """(n, 2) array of the n pairs that n `normal_pair()` calls give,
-        bit for bit, leaving the generator in the same state."""
+        bit for bit, leaving the generator in the same state.
+
+        The 2n states are computed as lanes of `_LANE` consecutive states:
+        lane j starts `j * _LANE` steps after the current state, and all
+        lanes take their steps together in numpy.
+        """
+        if n < 0:
+            raise ValueError("normal_pairs() needs a non-negative count")
+        if n == 0:
+            return np.empty((0, 2))
+        m = 2 * n
         x = self.state
-        states = []
-        append = states.append
-        for _ in range(2 * n):
-            x ^= x >> 12
-            x ^= (x << 25) & _MASK64
-            x ^= x >> 27
-            append(x)
-        self.state = x
-        words = np.array(states, dtype=np.uint64) * np.uint64(_MULTIPLIER)
+        starts = [x]
+        for _ in range((m - 1) // _LANE):
+            x = _jump(x)
+            starts.append(x)
+        lanes = np.array(starts, dtype=np.uint64)
+        block = np.empty((min(m, _LANE), len(starts)), dtype=np.uint64)
+        for row in block:
+            lanes ^= lanes >> np.uint64(12)
+            lanes ^= lanes << np.uint64(25)
+            lanes ^= lanes >> np.uint64(27)
+            row[:] = lanes
+        states = block.T.ravel()[:m]
+        self.state = int(states[-1])
+        words = states * np.uint64(_MULTIPLIER)
         u = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
         u1, u2 = u[0::2], u[1::2]
         u1[u1 <= 0.0] = _INV_2_53
@@ -98,3 +118,39 @@ class Xorshift64Star:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+# States per lane in `normal_pairs`, and the length of one `_jump`.
+_LANE = 32
+
+
+def _jump_tables() -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the linear map "advance `_LANE` states": entry
+    [b][v] is the state reached from state v << 8b, which by linearity is
+    the xor of the images of v's set bits. The 64 one-bit images come
+    from `next_u64` itself, so no constant is assumed."""
+    rng = Xorshift64Star()
+    images = []
+    for bit in range(64):
+        rng.state = 1 << bit
+        for _ in range(_LANE):
+            rng.next_u64()
+        images.append(rng.state)
+    tables = []
+    for b in range(8):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = table[v ^ low] ^ images[8 * b + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_JUMP_TABLES = _jump_tables()
+
+
+def _jump(x: int) -> int:
+    """The state `_LANE` steps after state x."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = _JUMP_TABLES
+    return (t0[x & 0xFF] ^ t1[x >> 8 & 0xFF] ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24 & 0xFF]
+            ^ t4[x >> 32 & 0xFF] ^ t5[x >> 40 & 0xFF] ^ t6[x >> 48 & 0xFF] ^ t7[x >> 56])

@@ -307,6 +307,24 @@ def test_flags_beat_the_config_file(workdir, tmp_path, capsys):
     assert load_checkpoint(str(ckpt))[0].config.stack_layers == 2
 
 
+def test_manifest_digest_covers_the_resolved_settings(workdir, tmp_path, capsys):
+    def train_digest(name, *extra, config_text=None):
+        args = ["train", "--data", str(workdir / "scene.txt"),
+                "--ckpt-out", str(tmp_path / f"{name}.ckpt"), "--stack-layers", "1",
+                "--seed", "1", *extra]
+        if config_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(config_text)
+            args += ["--config", str(tmp_path / f"{name}.cfg")]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / f"{name}.ckpt.manifest.json").read_text())
+        return manifest["config_digest"]
+
+    one = train_digest("one", "--epochs", "1")
+    assert train_digest("two", "--epochs", "2") != one
+    assert train_digest("file", config_text="epochs = 1\n") == one
+
+
 def test_train_missing_data_is_an_io_error(tmp_path, capsys):
     code = cli.main(["train", "--data", str(tmp_path / "nope.txt"),
                      "--ckpt-out", str(tmp_path / "m.ckpt"), "--epochs", "1"])

@@ -13,7 +13,7 @@ from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_ga
                             sample_trajectories)
 from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
-from eanet.rng import _MASK64, _MULTIPLIER, Xorshift64Star
+from eanet.rng import _LANE, _MASK64, _MULTIPLIER, _ZERO_SEED_STATE, Xorshift64Star, _jump
 
 
 def field_from_raw(raw):
@@ -319,13 +319,36 @@ def _unshift(y, shift):
     return x
 
 
+# 2n states just below, at and just above one lane and just above two
+# lanes; then the eval shape (20 samples x 12 agents x 12 frames) and a
+# long chain.
+_PAIR_COUNTS = (0, 1, 2, _LANE // 2 - 1, _LANE // 2, _LANE // 2 + 1, _LANE + 1,
+                1000, 2880, 40000)
+
+
 def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
     for seed in (0, 1, 9, 2**64 - 1):
-        for n in (1, 2, 1000):
+        for n in _PAIR_COUNTS:
             scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
-            want = np.array([scalar.normal_pair() for _ in range(n)])
+            want = np.array([scalar.normal_pair() for _ in range(n)]).reshape(n, 2)
             assert np.array_equal(batch.normal_pairs(n), want)
             assert batch.state == scalar.state
+
+
+def test_jump_equals_lane_many_single_steps():
+    for state in (1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63):
+        rng = Xorshift64Star()
+        rng.state = state
+        for _ in range(_LANE):
+            rng.next_u64()
+        assert _jump(state) == rng.state
+
+
+def test_normal_pairs_reject_a_negative_count_and_keep_the_state():
+    rng = Xorshift64Star(5)
+    with pytest.raises(ValueError, match="non-negative count"):
+        rng.normal_pairs(-1)
+    assert rng.state == Xorshift64Star(5).state
 
 
 def test_normal_pairs_keep_the_zero_uniform_guard():
