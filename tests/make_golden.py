@@ -1,0 +1,149 @@
+"""The golden corpus: sha256 digests of what seeded runs produce.
+
+    PYTHONPATH=src python tests/make_golden.py
+
+rewrites ``tests/data/golden.json``; ``tests/test_golden.py`` recomputes
+every digest and compares exactly. Regenerate the file only in a change
+that means to alter the numbers, and say so in CHANGES.md.
+
+The corpus covers:
+
+* ``pretrain/*``: the checkpoint bytes and loss log of the benchmark's
+  pretrain recipe (256 oneway instances, 4 epochs, batch 64, seed 0);
+* ``online/<strategy>/u<n>``: a 200-instance stagger replay from that
+  checkpoint for each strategy at 1 and 3 updates per instance, over the
+  float64 records, the per-row and run health, and ``rr_at``;
+* ``cli/eval`` and ``cli/base``: the JSON that ``eanet eval`` and
+  ``eanet base`` print for a small circle scene;
+* ``hedge/updates``: 1000 seeded `hedge_update` steps, long enough for
+  the weight floor to bind, which the 200-instance hedge replay never does;
+* ``v1_resaved``: the version 1 checkpoint fixture re-saved as version 2.
+
+The file also records the environment it was made in, since BLAS builds
+and CPUs may round differently.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from eanet import (BaseMetrics, HedgeState, OnlineConfig, SyntheticScenarioSpec, TrainConfig,
+                   cli, hedge_update, run_online, synthetic_instances, train_offline)
+from eanet.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden.json"
+V1_FILE = DATA / "checkpoint_v1.ckpt"
+
+PRETRAIN = 256
+STREAM = 200
+STRATEGIES = ("ea", "plain", "hedge")
+UPDATES = (1, 3)
+# Fixed base metrics, so every row carries a restore ratio.
+BASE = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
+
+
+def environment() -> dict[str, str]:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_config": str(blas.get("openblas configuration")),
+            "machine": platform.machine()}
+
+
+def _sha(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _floats(values) -> bytes:
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64).tobytes()
+
+
+def _pretrained():
+    data = synthetic_instances(SyntheticScenarioSpec(kind="oneway", agents=6, noise_std=0.2,
+                                                     seed=0), PRETRAIN)
+    config = TrainConfig(epochs=4, batch_size=64, lr=5e-4, lr_after=2e-3, lr_drop_epoch=2,
+                         seed=0)
+    return train_offline(data, config)
+
+
+def _replay_digest(model, stream, strategy: str, updates: int) -> str:
+    config = OnlineConfig(strategy=strategy, updates_per_instance=updates, seed=1,
+                          max_instances=len(stream))
+    result = run_online(copy.deepcopy(model), stream, config, base=BASE)
+    records = result.records
+    arrays = [_floats(getattr(r, key) for r in records)
+              for key in ("ade", "fde", "rr", "loss", "grad_norm")]
+    arrays += [_floats(v for r in records for v in (getattr(r, key) or ()))
+               for key in ("expert", "alpha")]
+    text = json.dumps({"health": [r.health for r in records],
+                       "run": [result.health.status, result.health.first_trigger_instance],
+                       "rr_at": {str(k): v for k, v in sorted(result.rr_at.items())}})
+    return _sha(*arrays, text.encode())
+
+
+def _hedge_digest() -> str:
+    rng = np.random.default_rng(0)
+    state = HedgeState.uniform(5, beta=0.7)
+    weights = []
+    for _ in range(1000):
+        state = hedge_update(state, rng.uniform(0.0, 10.0, size=5))
+        weights.append(state.w)
+    return _sha(np.array(weights).tobytes())
+
+
+def _cli_json(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"eanet {argv[0]} exited with {code}")
+    return _sha(out.getvalue().encode())
+
+
+def compute() -> dict[str, str]:
+    """Every digest of the corpus, by name."""
+    trained = _pretrained()
+    digests = {"pretrain/checkpoint": _sha(checkpoint_bytes(trained.model)),
+               "pretrain/loss_log": _sha(_floats(trained.loss_log))}
+    stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=6, seed=1), STREAM)
+    for strategy in STRATEGIES:
+        for updates in UPDATES:
+            digests[f"online/{strategy}/u{updates}"] = _replay_digest(
+                trained.model, stream, strategy, updates)
+    with tempfile.TemporaryDirectory() as tmp:
+        scene, ckpt = f"{tmp}/circle.txt", f"{tmp}/model.ckpt"
+        save_checkpoint(trained.model, ckpt)
+        _cli_json(["gen", "--kind", "circle", "--agents", "4", "--frames", "40",
+                   "--seed", "4", "--out", scene])
+        digests["cli/eval"] = _cli_json(["eval", "--ckpt", ckpt, "--data", scene,
+                                         "--seed", "11"])
+        digests["cli/base"] = _cli_json(["base", "--data", scene, "--epochs", "3",
+                                         "--batch-size", "8", "--seed", "5"])
+    digests["hedge/updates"] = _hedge_digest()
+    digests["v1_resaved"] = _sha(checkpoint_bytes(load_checkpoint(str(V1_FILE))[0]))
+    return digests
+
+
+def main() -> int:
+    doc = {"environment": environment(), "digests": compute()}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(doc['digests'])} digests to {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
