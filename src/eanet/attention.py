@@ -1,6 +1,8 @@
 """Output strategies over the stacked intermediate outputs.
 
-Three ways to turn the L per-layer tensors into one prediction:
+Three ways to turn the (N, L, T, P, D) block of layer outputs that
+`temporal.stack_forward` returns into one (N, T, P, D) prediction, each
+one tape record:
 
 * ``ea_output``: a learned gate scores every layer per frame (tanh of a
   linear read-out, averaged over agents) and a trainable mix vector
@@ -31,48 +33,81 @@ class ExpertTrace:
     alpha: np.ndarray
 
 
-def _stack_layers(m_list) -> T.Tensor:
-    if not m_list:
+def _check_block(block: T.Tensor) -> int:
+    """The layer count of an (N, L, T, P, D) block."""
+    if block.ndim != 5:
+        raise DimensionError(f"need an (N, L, T, P, D) block of layer outputs, got {block.shape}")
+    if block.shape[1] == 0:
         raise ContractError("need at least one intermediate output")
-    shape = m_list[0].shape
-    for m in m_list[1:]:
-        if m.shape != shape:
-            raise DimensionError(f"intermediate outputs disagree: {shape} vs {m.shape}")
-    return T.stack(m_list, axis=1)
+    return block.shape[1]
 
 
-def ea_output(m_list: list[T.Tensor], theta: T.Tensor, bias: T.Tensor,
+def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
               alpha: T.Tensor) -> tuple[T.Tensor, ExpertTrace]:
-    """Gated, alpha-weighted sum of the intermediate outputs.
+    """Gated, alpha-weighted sum over the (N, L, T, P, D) block of layer
+    outputs, as one tape record.
 
     For each frame f, the gate of layer l is the mean over agents of
     tanh(M[l][:, f] theta + bias), with ``theta`` of shape (D, 1); each
     layer is multiplied by its gate (broadcast over agents and features)
-    and the layers are summed with the trainable mix alpha. Computed on
-    the whole (N, L, T, P, D) block at once;
+    and the layers are summed with the trainable mix alpha, of L entries
+    (else DimensionError).
     ``tests/test_attention.py::test_ea_output_matches_per_frame_recombination``
     checks it against a frame-by-frame oracle. Returns the (N, T, P, D)
     output plus a trace for reporting.
+
+    The forward repeats the arithmetic of the chain of tape primitives
+    this record replaced (matmul, add, tanh, mean, reshape, mul, mul,
+    sum), and the backward adds partial gradients in that chain's order.
+    Every sum runs over its operands in the same memory order as in that
+    chain, since numpy's summation order follows the memory order, so
+    output and gradients are bit-identical to the chain's;
+    ``tests/oracles.py`` keeps it.
     """
-    stacked = _stack_layers(m_list)
-    n_layers = stacked.shape[1]
-    alpha = T.as_tensor(alpha)
+    n_layers = _check_block(block)
+    theta, bias, alpha = T.as_tensor(theta), T.as_tensor(bias), T.as_tensor(alpha)
     if alpha.data.size != n_layers:
         raise DimensionError(f"alpha must have {n_layers} entries, got {alpha.shape}")
-    scores = T.tanh(T.add(T.matmul(stacked, theta), bias))
-    gate = T.tensor_mean(scores, axis=3, keepdims=True)
-    mix = T.reshape(alpha, (1, n_layers, 1, 1, 1))
-    out = T.tensor_sum(T.mul(T.mul(stacked, gate), mix), axis=1)
-    gate_mean = gate.data.mean(axis=(0, 2)).reshape(n_layers)
-    trace = ExpertTrace(gate=gate_mean.copy(), alpha=alpha.data.reshape(-1).copy())
-    return out, trace
+    if theta.shape != (block.shape[-1], 1):
+        raise DimensionError(f"theta must be ({block.shape[-1]}, 1), got {theta.shape}")
+    stacked = block.data
+    z = np.matmul(stacked, theta.data) + bias.data
+    scores = np.tanh(z)
+    gate = scores.mean(axis=3, keepdims=True)
+    mix = alpha.data.reshape(1, n_layers, 1, 1, 1)
+    # The elementwise work runs on (N, L, P, T, D) views, which
+    # stack_forward's block stores contiguously.
+    rows = stacked.transpose(0, 1, 3, 2, 4)
+    gate_rows = gate.transpose(0, 1, 3, 2, 4)
+    gated = rows * gate_rows
+    out_data = (gated * mix).sum(axis=1).transpose(0, 2, 1, 3)
+
+    def back(g):
+        g_mixed = np.expand_dims(g.transpose(0, 2, 1, 3), 1)
+        g_gated = g_mixed * mix
+        if alpha.requires_grad:
+            T._accumulate(alpha, T._unbroadcast(g_mixed * gated, mix.shape).reshape(alpha.shape))
+        g_gate = T._unbroadcast(g_gated * rows, gate_rows.shape).transpose(0, 1, 3, 2, 4)
+        g_z = (g_gate / block.shape[3]) * (1.0 - scores * scores)
+        T._accumulate(bias, T._unbroadcast(g_z, bias.shape))
+        if theta.requires_grad:
+            g_theta = np.matmul(np.swapaxes(stacked, -1, -2), g_z)
+            T._accumulate(theta, T._unbroadcast(g_theta, theta.shape))
+        if block.requires_grad:
+            # The matmul of g_z with theta's transpose multiplies single
+            # pairs, which an elementwise product repeats exactly.
+            g_rows = g_gated * gate_rows + g_z.transpose(0, 1, 3, 2, 4) * theta.data[:, 0]
+            T._accumulate(block, g_rows.transpose(0, 1, 3, 2, 4))
+
+    out = T._make(out_data, (block, theta, bias, alpha), back)
+    gate_mean = gate.mean(axis=(0, 2)).reshape(n_layers)
+    return out, ExpertTrace(gate=gate_mean.copy(), alpha=alpha.data.reshape(-1).copy())
 
 
-def plain_output(m_list: list[T.Tensor]) -> T.Tensor:
-    """The deepest layer, untouched."""
-    if not m_list:
-        raise ContractError("need at least one intermediate output")
-    return m_list[-1]
+def plain_output(block: T.Tensor) -> T.Tensor:
+    """The deepest layer, untouched: one ``getitem`` of the block."""
+    _check_block(block)
+    return T.getitem(block, (slice(None), -1))
 
 
 @dataclass
@@ -109,14 +144,20 @@ class HedgeState:
             raise ConfigError("hedge weights must be a probability vector")
 
 
-def hedge_output(m_list: list[T.Tensor], state: HedgeState) -> T.Tensor:
-    """Weighted sum of the layers with the current (constant) weights."""
-    stacked = _stack_layers(m_list)
-    n_layers = stacked.shape[1]
+def hedge_output(block: T.Tensor, state: HedgeState) -> T.Tensor:
+    """Weighted sum over the (N, L, T, P, D) block with the current
+    (constant) weights, as one tape record; a weight count other than L
+    raises DimensionError."""
+    n_layers = _check_block(block)
     if state.w.size != n_layers:
         raise DimensionError(f"hedge has {state.w.size} weights for {n_layers} layers")
-    mix = T.Tensor(state.w.reshape(1, n_layers, 1, 1, 1))
-    return T.tensor_sum(T.mul(stacked, mix), axis=1)
+    mix = state.w.reshape(1, n_layers, 1, 1, 1)
+    out_data = (block.data * mix).sum(axis=1)
+
+    def back(g):
+        T._accumulate(block, np.expand_dims(g, 1) * mix)
+
+    return T._make(out_data, (block,), back)
 
 
 def hedge_update(state: HedgeState, losses) -> HedgeState:

@@ -58,8 +58,10 @@ def _expand_data_paths(paths: list[str]) -> list[str]:
 
 
 def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
-                    inputs: list[str], outputs: list[str], started: float) -> str:
+                    inputs: list[str], outputs: list[str], started: float,
+                    **extra) -> str:
     manifest = {
+        **extra,
         "command": command,
         "config_digest": digest,
         "seed": seed,
@@ -167,7 +169,7 @@ def cmd_online(args) -> int:
     digest = C.config_digest(dataclasses.asdict(online_config))
     _write_manifest(args.report, "online", digest, seed,
                     [args.ckpt] + stream_paths + ([args.config] if args.config else []),
-                    [args.report], started)
+                    [args.report], started, counters=dataclasses.asdict(result.counters))
     health = result.health
     summary = health.status
     if health.first_trigger_instance is not None:

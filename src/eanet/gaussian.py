@@ -10,7 +10,7 @@ position.
 Decoding happens off the tape: a `GaussianField` holds the raw
 (N, T, P, 5) output tensor beside numpy mu, sigma and rho. `nll_loss` is
 one tape primitive with a hand-written backward whose parent is that raw
-tensor, and `layer_nll` scores the hedge head's layers in one
+tensor, and `layer_nll` scores the hedge head's block of layers in one
 forward-only call of it.
 """
 
@@ -125,13 +125,14 @@ def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = Fals
     return T._make(loss, (raw,), back)
 
 
-def layer_nll(layers: list[T.Tensor], target_rel: np.ndarray) -> np.ndarray:
-    """Per-layer losses, (L,): ``nll_loss(decode_gaussian(m), target_rel)``
-    for each (1, T, P, 5) layer ``m``, bit for bit, from one forward-only
-    `nll_loss` over the stacked (L, T, P, 5) data. ``target_rel`` is
-    (P, T, 2)."""
-    stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
-    return nll_loss(stacked, target_rel, per_item=True).data
+def layer_nll(block: T.Tensor, target_rel: np.ndarray) -> np.ndarray:
+    """Per-layer losses, (L,), of a (1, L, T, P, 5) block of layer outputs:
+    ``nll_loss(decode_gaussian(m), target_rel)`` for each (1, T, P, 5)
+    layer ``m``, bit for bit, from one forward-only `nll_loss` over the
+    block's (L, T, P, 5) data. ``target_rel`` is (P, T, 2)."""
+    if block.ndim != 5 or block.shape[0] != 1:
+        raise DimensionError(f"layer_nll wants a (1, L, T, P, 5) block, got {block.shape}")
+    return nll_loss(decode_gaussian(T.Tensor(block.data[0])), target_rel, per_item=True).data
 
 
 def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:

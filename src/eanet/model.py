@@ -17,6 +17,11 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
+One online step puts six records on the tape whatever the head: the
+graph convolution's matmul and sigmoid, the time-expand conv, the
+residual stack, the head and the NLL. Offline training, on the plain
+head, puts the same six per group of same-sized instances.
+
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution
 stack is bit-exactly row-local, but the graph convolution's A_hat X sums
@@ -156,13 +161,15 @@ class TrajectoryModel:
 
     # ----------------------------------------------------------------- forward
 
-    def forward_batch(self, x_seq: np.ndarray, ahat_seq: np.ndarray) -> list[T.Tensor]:
+    def forward_batch(self, x_seq: np.ndarray, ahat_seq: np.ndarray) -> T.Tensor:
         """Stacked-layer outputs for a batch of same-sized instances.
 
         ``x_seq`` holds relative displacements as (N, T_obs, P, 2) and
-        ``ahat_seq`` the normalized graphs as (N, T_obs, P, P); returns L
-        tensors of shape (N, T_pred, P, D). Offline training pushes whole
-        minibatches through here in one call.
+        ``ahat_seq`` the normalized graphs as (N, T_obs, P, P); returns the
+        (N, L, T_pred, P, D) block of all L layer outputs. Offline training
+        pushes whole minibatches through here in one call. On the tape this
+        is four records: the graph convolution's matmul and sigmoid, the
+        time-expand conv and the stack.
         """
         cfg = self.config
         x0 = time_expand(gcn_forward(ahat_seq, x_seq, self.params["gcn/w"]),
@@ -171,29 +178,28 @@ class TrajectoryModel:
         slopes = [self.params[f"stack/{l}/s"] for l in range(cfg.stack_layers)]
         return stack_forward(x0, kernels, slopes)
 
-    def intermediate_outputs(self, instance: TrajectoryInstance) -> list[T.Tensor]:
-        """All L stacked-layer outputs, each (1, T_pred, P, D)."""
+    def intermediate_outputs(self, instance: TrajectoryInstance) -> T.Tensor:
+        """The (1, L, T_pred, P, D) block of all L stacked-layer outputs."""
         x_seq, ahat_seq, _ = instance_arrays(instance, self.config)
         return self.forward_batch(x_seq[None], ahat_seq[None])
 
-    def strategy_output(self, layers: list[T.Tensor], strategy: str,
-                        hedge_state=None):
-        """Combine the intermediate outputs; returns (raw, trace-or-None)."""
+    def strategy_output(self, block: T.Tensor, strategy: str, hedge_state=None):
+        """Combine the block of layer outputs with one head, one tape
+        record; returns (raw, trace-or-None)."""
         if strategy == "ea":
-            return ea_output(layers, self.params["ea/theta"], self.params["ea/bias"],
+            return ea_output(block, self.params["ea/theta"], self.params["ea/bias"],
                              self.params["ea/alpha"])
         if strategy == "plain":
-            return plain_output(layers), None
+            return plain_output(block), None
         if strategy == "hedge":
             if hedge_state is None:
                 raise ConfigError("hedge strategy needs a HedgeState")
-            return hedge_output(layers, hedge_state), None
+            return hedge_output(block, hedge_state), None
         raise ConfigError(f"unknown strategy {strategy!r}")
 
     def predict_field(self, instance: TrajectoryInstance, strategy: str = "plain",
                       hedge_state=None) -> GaussianField:
-        layers = self.intermediate_outputs(instance)
-        raw, _ = self.strategy_output(layers, strategy, hedge_state)
+        raw, _ = self.strategy_output(self.intermediate_outputs(instance), strategy, hedge_state)
         return decode_gaussian(raw)
 
     def predict(self, instance: TrajectoryInstance, strategy: str = "plain",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import HedgeState, hedge_update
+from .attention import HedgeState, hedge_update, plain_output
 from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged
 from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajectory, nll_loss,
@@ -129,10 +129,22 @@ class TrainResult:
 
 
 @dataclass
+class UpdateCounters:
+    """A run's online updates: every one run, the ones whose gradient was
+    clipped, and the ones skipped because their loss or pre-clip norm was
+    not finite."""
+
+    updates: int = 0
+    clipped: int = 0
+    skipped: int = 0
+
+
+@dataclass
 class OnlineResult:
     records: list[StreamRecord]
     health: HealthStatus
     rr_at: dict[int, float | None] = field(default_factory=dict)
+    counters: UpdateCounters = field(default_factory=UpdateCounters)
 
 
 @dataclass
@@ -191,8 +203,8 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                 x_seq = np.stack([prepared[i][0] for i in members])
                 ahat = np.stack([prepared[i][1] for i in members])
                 fut = np.stack([prepared[i][2] for i in members])
-                layers = model.forward_batch(x_seq, ahat)
-                group_loss = nll_loss(decode_gaussian(layers[-1]), fut)
+                raw = plain_output(model.forward_batch(x_seq, ahat))
+                group_loss = nll_loss(decode_gaussian(raw), fut)
                 weighted = T.mul(group_loss, len(members) / len(batch))
                 batch_loss = weighted if batch_loss is None else T.add(batch_loss, weighted)
             value = batch_loss.item()
@@ -218,15 +230,22 @@ class HealthMonitor:
     `vanished` once ``VANISH_RUN`` such updates come in a row, and every
     other update, an exploded one included, resets that count.
     ``status`` keeps the first non-normal verdict and the instance it
-    came from.
+    came from, and ``counters`` counts the updates observed, those flagged
+    ``clipped`` and those with a non-finite loss or norm (no step is taken
+    on them).
     """
 
     def __init__(self):
         self.status = HealthStatus()
+        self.counters = UpdateCounters()
         self._run = 0
 
-    def observe(self, pre: float, loss: float, instance_idx: int) -> str:
-        if not np.isfinite(loss) or not np.isfinite(pre) or pre > EXPLODE_NORM:
+    def observe(self, pre: float, loss: float, instance_idx: int, clipped: bool = False) -> str:
+        finite = bool(np.isfinite(loss) and np.isfinite(pre))
+        self.counters.updates += 1
+        self.counters.clipped += int(clipped)
+        self.counters.skipped += int(not finite)
+        if not finite or pre > EXPLODE_NORM:
             self._run = 0
             verdict = "exploded"
         elif pre < VANISH_NORM:
@@ -299,8 +318,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
         x_seq, ahat, _ = instance_arrays(inst, model.config)
         row_health = "normal"
         for update in range(config.updates_per_instance):
-            layers = model.forward_batch(x_seq[None], ahat[None])
-            raw, trace = model.strategy_output(layers, config.strategy, hedge)
+            block = model.forward_batch(x_seq[None], ahat[None])
+            raw, trace = model.strategy_output(block, config.strategy, hedge)
             gfield = decode_gaussian(raw)
             if update == 0:
                 pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
@@ -310,11 +329,12 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                     tuple(float(v) for v in hedge.w) if hedge is not None else None)
                 alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
                 if hedge is not None:
-                    layer_losses = layer_nll(layers, inst.fut_rel)
+                    layer_losses = layer_nll(block, inst.fut_rel)
             loss_tensor = nll_loss(gfield, inst.fut_rel)
             update_loss = loss_tensor.item()
             pre, applied = _apply_update(model, loss_tensor, update_loss, config)
-            verdict = monitor.observe(pre, update_loss, idx)
+            verdict = monitor.observe(pre, update_loss, idx,
+                                      clipped=applied is not None and applied < pre)
             if update == 0:
                 loss, grad_norm = update_loss, applied
             if row_health == "normal":
@@ -332,7 +352,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
             progress(idx, records[-1])
 
     rr_at = {c: records[c].rr for c in config.rr_checkpoints if c < len(records)}
-    return OnlineResult(records=records, health=monitor.status, rr_at=rr_at)
+    return OnlineResult(records=records, health=monitor.status, rr_at=rr_at,
+                        counters=monitor.counters)
 
 
 def compute_base(dataset: list[TrajectoryInstance], config: TrainConfig,

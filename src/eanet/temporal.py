@@ -6,20 +6,25 @@ row on the (agent, feature) plane and remaps T_obs observed frames onto
 T_pred predicted frames. Agent rows never mix here: cross-agent coupling
 belongs to the graph convolution, and keeping the rows independent means
 a prediction cannot depend on the arbitrary order agents are stored in.
-``tensor.conv2d`` runs every row through the same arithmetic wherever it
-is stored, so permuting the agents permutes the outputs of
-``time_expand`` and ``stack_forward`` bit for bit. The full model is
-equivariant only to within rounding, because the graph convolution sums
-over neighbours in storage order.
-The stacked layers that follow keep the frame count fixed and each
-returns its activation, because the attention head consumes every
-intermediate output, not just the deepest one.
+Every row goes through the same arithmetic wherever it is stored, so
+permuting the agents permutes the outputs of ``time_expand`` and
+``stack_forward`` bit for bit. The full model is equivariant only to
+within rounding, because the graph convolution sums over neighbours in
+storage order.
+
+The stacked layers that follow keep the frame count fixed, and
+``stack_forward`` returns all of their outputs as one (N, L, T, P, D)
+block, because the attention head consumes every intermediate output,
+not just the deepest one. The block is one tape record: time expansion
+is one ``tensor.conv2d`` record and the whole residual stack another.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
 
 def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
@@ -31,20 +36,86 @@ def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
     return T.conv2d(features, kernel)
 
 
-def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> list[T.Tensor]:
-    """Run the stacked layers and return every intermediate output.
+def _check_stack(x_shape: tuple[int, ...], kernels: list[T.Tensor],
+                 slopes: list[T.Tensor]) -> None:
+    if not kernels or len(kernels) != len(slopes):
+        raise ConfigError(f"need one kernel and one slope per layer, got {len(kernels)} and {len(slopes)}")
+    for idx, kernel in enumerate(kernels):
+        T.check_conv(x_shape, kernel.shape, f"stack layer {idx}")
+        if kernel.shape[0] != kernel.shape[1]:
+            raise DimensionError(f"stack layer {idx}: the residual needs a square kernel, got {kernel.shape}")
+    for idx, slope in enumerate(slopes):
+        if slope.data.size != 1:
+            raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {slope.shape}")
+
+
+def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> T.Tensor:
+    """Run the stacked layers and return the (N, L, C, H, W) block of every
+    layer's output, as one tape record.
 
     M[0] = prelu(conv(x0)); deeper layers are residual:
     M[l] = prelu(conv(M[l-1])) + M[l-1]. The activation sits before the
-    add. All outputs share x0's shape. Permuting x0's agent axis permutes
-    every output bit for bit.
+    add. Every kernel is (C, C, 1, 3) for x0 of shape (N, C, H, W), and
+    every slope a scalar; the checks ``tensor.conv2d`` makes raise
+    DimensionError, and a kernel/slope count mismatch ConfigError.
+    Permuting x0's agent axis permutes the block bit for bit.
+
+    Between layers the activations stay in conv2d's (N, H, 1, C·W) row
+    layout, and each layer runs conv2d's banded matmul with its operand
+    shapes and layouts. The backward adds partial gradients in the order
+    of the per-layer conv2d/prelu/add chain this record replaced:
+    ``grad M[l-1] = (head piece + grad M[l]) + conv grad``. The slope
+    gradient is summed over the rows in (N, H, C, W) order, the memory
+    order of that chain's arrays. Outputs and gradients are therefore
+    bit-identical to the chain's. The block is laid out in memory as
+    (N, L, H, C, W), as ``np.stack`` laid out that chain's layers.
     """
-    if not kernels or len(kernels) != len(slopes):
-        raise ConfigError(f"need one kernel and one slope per layer, got {len(kernels)} and {len(slopes)}")
-    outputs: list[T.Tensor] = []
-    current = T.as_tensor(x0)
-    for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
-        convolved = T.prelu(T.conv2d(current, kernel), slope)
-        current = convolved if idx == 0 else T.add(convolved, current)
-        outputs.append(current)
-    return outputs
+    x0 = T.as_tensor(x0)
+    _check_stack(x0.shape, kernels, slopes)
+    n, c, h, w = x0.shape
+    k = c * w
+    n_layers = len(kernels)
+    weights = T.banded_weights([kernel.data for kernel in kernels], w)
+    # ins[l] holds layer l's input rows and convs[l] its conv output, each
+    # one contiguous (N, H, 1, C·W) array, as conv2d's were. mults[l] is the
+    # prelu's factor per entry, the slope or 1 where the conv output is
+    # positive, taken from a two-entry table because np.where is slow.
+    ins = np.empty((n_layers, n, h, 1, k))
+    ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
+    convs = np.empty_like(ins)
+    mults = np.empty_like(ins)
+    for idx in range(n_layers):
+        conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
+        table = np.array([slopes[idx].data.item(), 1.0])
+        table.take((conv > 0).view(np.uint8), out=mults[idx])
+        out = np.multiply(mults[idx], conv, out=ins[idx + 1] if idx + 1 < n_layers else None)
+        if idx:
+            out += ins[idx]
+    buf = np.empty((n, n_layers, h, 1, k))
+    buf[:, :-1] = ins[1:].swapaxes(0, 1)
+    buf[:, -1] = out
+
+    def back(g):
+        pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
+        g_ms = np.empty_like(ins)
+        g_convs = np.empty_like(ins)
+        g_m = pieces[:, -1]
+        for idx in reversed(range(n_layers)):
+            g_ms[idx] = g_m
+            g_conv = np.multiply(g_m, mults[idx], out=g_convs[idx])
+            if idx:
+                g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
+        # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of a
+        # zero term, which no sum of these terms can show.
+        g_slopes = (g_ms * np.minimum(convs, 0.0)).reshape(n_layers, -1).sum(axis=1)
+        for slope, g_slope in zip(slopes, g_slopes):
+            T._accumulate(slope, g_slope.reshape(slope.shape))
+        if any(kernel.requires_grad for kernel in kernels):
+            for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, g_convs, c, w)):
+                T._accumulate(kernel, g_kernel)
+        if x0.requires_grad:
+            gx_rows = np.matmul(g_convs[0], weights[0].T)
+            T._accumulate(x0, gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3))
+
+    block = buf.reshape(n, n_layers, h, c, w).transpose(0, 1, 3, 2, 4)
+    return T._make(block, (x0, *kernels, *slopes), back)

@@ -149,8 +149,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g + 0 is 0 + g, in one pass and in the layout of t.data.
+        out = np.empty(t.data.shape) if t.data.flags.c_contiguous else np.empty_like(t.data)
+        t.grad = np.add(g, 0.0, out=out)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -324,14 +327,71 @@ def matmul(a, b) -> Tensor:
 
 
 @functools.lru_cache(maxsize=16)
-def _band(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tap, v, u) index triples of a 3-tap band on rows of width ``w``:
-    input column v feeds output column u through tap v - u + 1. Cached
-    and shared between calls, so read-only."""
-    index = np.nonzero(np.stack([np.eye(w, k=1 - j, dtype=bool) for j in range(3)]))
+def _band(c_out: int, c_in: int, w: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of ``count`` (c_out, c_in, 1, 3) kernels on rows of
+    width ``w``, where input column v feeds output column u through tap
+    v - u + 1:
+
+    * ``gather``, (count, c_in·w, c_out·w): for each banded-weight entry,
+      its tap's position in the kernels' taps laid end to end, or the
+      position just past them (a zero) off the band;
+    * ``entries``, (nnz·c_in·c_out,): the on-band entries of one flat
+      weight in (band entry, c_in, c_out) order;
+    * ``taps``, (3, nnz): which tap each band entry is.
+
+    Cached and shared between calls, so read-only."""
+    tap, v, u = np.nonzero(np.stack([np.eye(w, k=1 - j, dtype=bool) for j in range(3)]))
+    size = c_out * c_in * 3
+    gather = np.full((count, c_in, w, c_out, w), count * size)
+    taps = np.arange(count * size).reshape(count, c_out, c_in, 3)[..., tap]
+    gather[:, :, v, :, u] = taps.transpose(3, 0, 2, 1)
+    entries = np.arange(c_in * w * c_out * w).reshape(c_in, w, c_out, w)[:, v, :, u]
+    index = (gather.reshape(count, c_in * w, c_out * w), entries.reshape(-1), np.eye(3)[tap].T)
     for a in index:
         a.flags.writeable = False
     return index
+
+
+def banded_weights(kernels: list[np.ndarray], w: int) -> np.ndarray:
+    """The (L, C_in·W, C_out·W) banded weights of L (C_out, C_in, 1, 3)
+    kernels on rows of width ``w``: entry (c·W + v, o·W + u) of weight l
+    holds tap v - u + 1 of kernel l's (o, c) and every entry off the band
+    is zero."""
+    c_out, c_in = kernels[0].shape[:2]
+    taps = np.concatenate([k.reshape(-1) for k in kernels] + [np.zeros(1)])
+    return taps[_band(c_out, c_in, w, len(kernels))[0]]
+
+
+def banded_kernel_grads(rows: np.ndarray, g_rows: np.ndarray, c_out: int, w: int) -> np.ndarray:
+    """The (L, C_out, C_in, 1, 3) kernel gradients of L banded matmuls, from
+    their (L, ..., C_in·W) input rows and the (L, ..., C_out·W) gradients of
+    their output rows.
+
+    Each layer's weight gradient is one ``rows.T @ g_rows`` matmul, and its
+    band entries are summed per tap by one matmul with the 0/1 tap matrix:
+    the same operand shapes and layouts, layer by layer, as a single
+    layer's, so a layer's gradient does not depend on the others."""
+    count, k_in = rows.shape[0], rows.shape[-1]
+    c_in = k_in // w
+    _, entries, taps = _band(c_out, c_in, w, 1)
+    g_weight = np.matmul(rows.reshape(count, -1, k_in).swapaxes(1, 2),
+                         g_rows.reshape(count, -1, c_out * w))
+    per_entry = g_weight.reshape(count, -1).take(entries, axis=1).reshape(count, taps.shape[1], -1)
+    g_taps = np.matmul(taps, per_entry)  # summed per tap
+    return g_taps.reshape(count, 3, c_in, c_out).transpose(0, 3, 2, 1)[:, :, :, None, :]
+
+
+def check_conv(x_shape: tuple[int, ...], kernel_shape: tuple[int, ...], opname: str) -> None:
+    """The shape rules of a row-local 1x3 convolution: x and kernel of rank
+    4, a 1x3 window, and as many kernel input channels as x has channels."""
+    if len(x_shape) != 4 or len(kernel_shape) != 4:
+        raise DimensionError(f"{opname}: need x and kernel of rank 4, got {x_shape} and {kernel_shape}")
+    if kernel_shape[-2:] != (1, 3):
+        raise DimensionError(f"{opname}: kernel window must be 1x3, got {kernel_shape}")
+    if kernel_shape[1] != x_shape[1]:
+        raise DimensionError(
+            f"{opname}: input channels differ, x {x_shape} vs kernel {kernel_shape}"
+        )
 
 
 def conv2d(x, kernel) -> Tensor:
@@ -350,31 +410,18 @@ def conv2d(x, kernel) -> Tensor:
     permutes the output bit for bit.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: need x and kernel of rank 4, got {x.shape} and {kernel.shape}")
-    if kernel.shape[-2:] != (1, 3):
-        raise DimensionError(f"conv2d: kernel window must be 1x3, got {kernel.shape}")
-    if kernel.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"conv2d: input channels differ, x {x.shape} vs kernel {kernel.shape}"
-        )
+    check_conv(x.shape, kernel.shape, "conv2d")
     n, c_in, h, w = x.shape
     c_out = kernel.shape[0]
     k_in, k_out = c_in * w, c_out * w
-    tap, v, u = _band(w)
-    weight = np.zeros((c_in, w, c_out, w))
-    weight[:, v, :, u] = kernel.data[:, :, 0, tap].transpose(2, 1, 0)
-    weight = weight.reshape(k_in, k_out)
+    weight = banded_weights([kernel.data], w)[0]
     rows = x.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
     out_data = np.matmul(rows, weight).reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
 
     def back(g):
         g_rows = g.transpose(0, 2, 1, 3).reshape(n, h, 1, k_out)
         if kernel.requires_grad:
-            g_weight = rows.reshape(-1, k_in).T @ g_rows.reshape(-1, k_out)
-            per_entry = g_weight.reshape(c_in, w, c_out, w)[:, v, :, u]
-            g_taps = np.eye(3)[tap].T @ per_entry.reshape(tap.size, -1)  # summed per tap
-            _accumulate(kernel, g_taps.reshape(3, c_in, c_out).T[:, :, None, :])
+            _accumulate(kernel, banded_kernel_grads(rows[None], g_rows[None], c_out, w)[0])
         if x.requires_grad:
             gx_rows = np.matmul(g_rows, weight.T)
             _accumulate(x, gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3))
@@ -451,9 +498,15 @@ def getitem(a, key) -> Tensor:
     out_data = a.data[key]
 
     def back(g):
+        if not a.requires_grad:
+            return
+        if a.grad is None:  # 0 + g where g lands, 0 elsewhere, as below
+            a.grad = np.zeros_like(a.data)
+            a.grad[key] += g
+            return
         full = np.zeros_like(a.data)
         full[key] += g
-        _accumulate(a, full)
+        a.grad += full
 
     return _make(out_data, (a,), back)
 

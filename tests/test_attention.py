@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from eanet import tensor as T
 from eanet.attention import (ExpertTrace, HedgeState, ea_output, hedge_output, hedge_update,
                              plain_output)
 from eanet.errors import ConfigError, ContractError, DimensionError
 from eanet.gradcheck import check_gradients
+from eanet.temporal import stack_forward
 
 
-def recombine_by_frame(m_list):
-    """Per-frame oracle for ``ea_output``: reindex L tensors of shape
-    (N, T, P, D) into T tensors of shape (N, L, P, D), so
+def recombine_by_frame(block):
+    """Per-frame oracle for ``ea_output``: reindex the (N, L, T, P, D)
+    block into T tensors of shape (N, L, P, D), so
     R_f[n][l][p][d] == M[l][n][f][p][d]."""
-    stacked = T.stack(m_list, axis=1)
-    return [stacked[:, :, f] for f in range(stacked.shape[2])]
+    return [block[:, :, f] for f in range(block.shape[2])]
 
 
 def expert_weights(r_f, theta, bias):
@@ -26,8 +27,9 @@ def expert_weights(r_f, theta, bias):
 
 
 def random_layers(n_layers=3, n=1, t=4, p=3, d=5, seed=0):
+    """An (N, L, T, P, D) block of L independently drawn layers."""
     rng = np.random.default_rng(seed)
-    return [T.Tensor(rng.normal(size=(n, t, p, d))) for _ in range(n_layers)]
+    return T.Tensor(np.stack([rng.normal(size=(n, t, p, d)) for _ in range(n_layers)], axis=1))
 
 
 def test_recombine_single_layer():
@@ -36,7 +38,7 @@ def test_recombine_single_layer():
     assert len(frames) == 4
     for f, r in enumerate(frames):
         assert r.shape == (1, 1, 3, 5)
-        assert np.array_equal(r.data[:, 0], layers[0].data[:, f])
+        assert np.array_equal(r.data[:, 0], layers.data[:, 0, f])
 
 
 def test_recombine_round_trip_and_direct_indexing():
@@ -44,26 +46,28 @@ def test_recombine_round_trip_and_direct_indexing():
     frames = recombine_by_frame(layers)
     for l in range(3):
         rebuilt = np.stack([frames[f].data[:, l] for f in range(4)], axis=1)
-        assert np.array_equal(rebuilt, layers[l].data)
+        assert np.array_equal(rebuilt, layers.data[:, l])
     for f in (0, 2):
         for l in range(3):
             for p in range(3):
                 for d in range(5):
-                    assert frames[f].data[0, l, p, d] == layers[l].data[0, f, p, d]
+                    assert frames[f].data[0, l, p, d] == layers.data[0, l, f, p, d]
 
 
-def test_recombine_rejects_mixed_shapes():
-    layers = random_layers(n_layers=2)
-    layers.append(T.Tensor(np.zeros((1, 4, 2, 5))))
+def test_heads_reject_a_block_of_the_wrong_rank_or_no_layers():
     head = (T.Tensor(np.zeros((5, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
-    with pytest.raises(DimensionError):
-        recombine_by_frame(layers)
-    with pytest.raises(DimensionError):
-        ea_output(layers, *head)
+    for bad in (T.Tensor(np.zeros((1, 4, 3, 5))), T.Tensor(np.zeros((1, 3, 1, 4, 3, 5)))):
+        with pytest.raises(DimensionError):
+            ea_output(bad, *head)
+        with pytest.raises(DimensionError):
+            hedge_output(bad, HedgeState.uniform(3))
+        with pytest.raises(DimensionError):
+            plain_output(bad)
+    empty = T.Tensor(np.zeros((1, 0, 4, 3, 5)))
     with pytest.raises(ContractError):
-        recombine_by_frame([])
+        ea_output(empty, head[0], head[1], T.Tensor(np.ones(0)))
     with pytest.raises(ContractError):
-        ea_output([], *head)
+        plain_output(empty)
 
 
 def test_expert_weights_zero_theta_zero_bias():
@@ -111,7 +115,7 @@ def test_ea_output_half_gate_double_alpha_is_identity():
     layers = random_layers(n_layers=1, seed=7)
     out, trace = ea_output(layers, T.Tensor(np.zeros((5, 1))),
                            T.Tensor(math.atanh(0.5)), T.Tensor([2.0]))
-    assert np.allclose(out.data, layers[0].data, atol=1e-12)
+    assert np.allclose(out.data, layers.data[:, 0], atol=1e-12)
     assert np.allclose(trace.gate, [0.5], atol=1e-12)
     assert np.array_equal(trace.alpha, [2.0])
 
@@ -139,8 +143,7 @@ def test_ea_output_agent_permutation_equivariant():
     alpha = T.Tensor(rng.normal(size=3))
     out, _ = ea_output(layers, theta, bias, alpha)
     perm = rng.permutation(6)
-    permuted = [T.Tensor(m.data[:, :, perm]) for m in layers]
-    out_p, _ = ea_output(permuted, theta, bias, alpha)
+    out_p, _ = ea_output(T.Tensor(layers.data[:, :, :, perm]), theta, bias, alpha)
     assert np.allclose(out_p.data, out.data[:, :, perm], atol=1e-12)
 
 
@@ -183,10 +186,8 @@ def test_ea_gradients_wrt_head_parameters():
 
 def test_plain_output_is_deepest_layer():
     layers = random_layers(seed=17)
-    assert plain_output(layers) is layers[-1]
-    assert plain_output(layers[:1]) is layers[0]
-    with pytest.raises(ContractError):
-        plain_output([])
+    assert np.array_equal(plain_output(layers).data, layers.data[:, -1])
+    assert np.array_equal(plain_output(T.Tensor(layers.data[:, :1])).data, layers.data[:, 0])
 
 
 def test_plain_equals_ea_with_saturated_gate():
@@ -213,10 +214,10 @@ def test_hedge_output_weighted_sum():
     layers = random_layers(seed=19)
     state = HedgeState(w=np.array([0.2, 0.3, 0.5]))
     out = hedge_output(layers, state)
-    want = 0.2 * layers[0].data + 0.3 * layers[1].data + 0.5 * layers[2].data
+    want = 0.2 * layers.data[:, 0] + 0.3 * layers.data[:, 1] + 0.5 * layers.data[:, 2]
     assert np.allclose(out.data, want, atol=1e-12)
     with pytest.raises(DimensionError):
-        hedge_output(layers[:2], state)
+        hedge_output(T.Tensor(layers.data[:, :2]), state)
 
 
 def test_hedge_update_worked_example():
@@ -260,3 +261,57 @@ def test_hedge_update_shape_check():
     state = HedgeState.uniform(3)
     with pytest.raises(DimensionError):
         hedge_update(state, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p", [1, 6, 12])
+@pytest.mark.parametrize("n_layers", [1, 5])
+@pytest.mark.parametrize("head", ["ea", "hedge", "plain"])
+def test_fused_heads_match_the_primitive_chain_bit_for_bit(n, p, n_layers, head):
+    # Stack plus head plus NLL against the per-layer chain: every output,
+    # every parameter gradient and the input gradient must be equal.
+    from eanet.gaussian import decode_gaussian, nll_loss
+    rng = np.random.default_rng(1000 * n + 10 * p + n_layers)
+    x0 = T.Tensor(rng.normal(size=(n, 12, p, 5)), requires_grad=True)
+    kernels = [T.Tensor(rng.normal(size=(12, 12, 1, 3)) * 0.3, requires_grad=True)
+               for _ in range(n_layers)]
+    slopes = [T.Tensor(rng.uniform(0.1, 0.4), requires_grad=True) for _ in range(n_layers)]
+    theta = T.Tensor(rng.normal(size=(5, 1)) * 0.3, requires_grad=True)
+    bias = T.Tensor(0.5, requires_grad=True)
+    alpha = T.Tensor(rng.normal(size=n_layers), requires_grad=True)
+    w = rng.dirichlet(np.ones(n_layers))
+    target = rng.normal(size=(n, p, 12, 2))
+    params = [x0, *kernels, *slopes, theta, bias, alpha]
+
+    def fused():
+        block = stack_forward(x0, kernels, slopes)
+        if head == "ea":
+            out, trace = ea_output(block, theta, bias, alpha)
+            return out, trace.gate
+        if head == "hedge":
+            return hedge_output(block, HedgeState(w=w)), None
+        return plain_output(block), None
+
+    def chain():
+        layers = oracles.stack_forward(x0, kernels, slopes)
+        if head == "ea":
+            out, trace = oracles.ea_output(layers, theta, bias, alpha)
+            return out, trace.gate
+        if head == "hedge":
+            return oracles.hedge_output(layers, w), None
+        return layers[-1], None
+
+    def run(forward):
+        out, gate = forward()
+        loss = nll_loss(decode_gaussian(out), target)
+        T.backward(loss)
+        grads = [t.grad for t in params]
+        for t in params:
+            t.zero_grad()
+        return out.data, gate, loss.data, grads
+
+    got, want = run(fused), run(chain)
+    for g, w_ in zip(got[:3], want[:3]):
+        assert (g is None and w_ is None) or np.array_equal(g, w_)
+    for name, g, w_ in zip(range(len(params)), got[3], want[3]):
+        assert (g is None and w_ is None) or np.array_equal(g, w_), name

@@ -335,6 +335,8 @@ def test_train_missing_data_is_an_io_error(tmp_path, capsys):
 def test_online_report_row_count_and_rr(workdir):
     records = read_stream_csv(str(workdir / "report.csv"))
     assert len(records) == 12
+    manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
+    assert manifest["counters"]["updates"] == 12
     assert all(r.rr is not None for r in records)
     assert all(len(r.expert) == 2 for r in records)
 
@@ -417,6 +419,23 @@ def test_exploded_online_run_round_trips_and_plots(tmp_path, capsys):
     capsys.readouterr()
     for suffix in (".curves.svg", ".experts.svg"):
         assert ET.parse(str(prefix) + suffix).getroot().tag == f"{SVG}svg"
+
+
+def test_exploded_online_command_counts_its_updates(workdir, tmp_path, capsys):
+    report = tmp_path / "exploded.csv"
+    with np.errstate(all="ignore"):
+        code = cli.main(["online", "--ckpt", str(workdir / "model.ckpt"),
+                         "--stream", str(workdir / "scene.txt"), "--report", str(report),
+                         "--strategy", "plain", "--lr", "1e3", "--clip-norm", "none",
+                         "--max-instances", "6", "--updates-per-instance", "2", "--seed", "2"])
+    assert code == 0
+    assert "health: exploded" in capsys.readouterr().out
+    records = read_stream_csv(str(report))
+    assert report.read_text().splitlines()[0] == (workdir / "report.csv").read_text().splitlines()[0]
+    counters = json.loads((tmp_path / "exploded.csv.manifest.json").read_text())["counters"]
+    assert counters["clipped"] == 0
+    assert counters["skipped"] >= sum(r.grad_norm is None for r in records) > 0
+    assert len(records) <= counters["updates"] <= 2 * len(records)
 
 
 def test_plot_malformed_report_fails_with_row_number(tmp_path, capsys):

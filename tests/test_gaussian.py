@@ -215,20 +215,29 @@ def test_per_item_nll_is_each_items_loss_bit_for_bit():
 
 
 def test_layer_nll_equals_a_loop_of_nll_loss():
+    # In C order and in the (N, L, P, T, D) memory order of a
+    # stack_forward block; each layer is scored as the block's slice.
     rng = np.random.default_rng(22)
     for p in (1, 6, 12):
-        layers = [T.Tensor(random_raw(rng, 1, 12, p), requires_grad=True) for _ in range(5)]
+        stacked = np.stack([random_raw(rng, 1, 12, p) for _ in range(5)], axis=1)
+        rows = np.ascontiguousarray(stacked.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 3, 2, 4)
         target = rng.normal(size=(p, 12, 2))
-        with T.no_grad():
-            want = [nll_loss(decode_gaussian(m), target).item() for m in layers]
-        got = layer_nll(layers, target)
-        assert got.shape == (5,) and np.array_equal(got, want)
-        assert len(T.tape()) == 0
+        for data in (stacked, rows):
+            block = T.Tensor(data, requires_grad=True)
+            with T.no_grad():
+                want = [nll_loss(decode_gaussian(T.Tensor(data[:, l])), target).item()
+                        for l in range(5)]
+            got = layer_nll(block, target)
+            assert got.shape == (5,) and np.array_equal(got, want)
+            assert len(T.tape()) == 0
+    with pytest.raises(DimensionError):
+        layer_nll(T.Tensor(np.zeros((2, 5, 12, 3, 5))), target)
 
 
-def oracle_layer_nll(layers, target_rel):
+def oracle_layer_nll(block, target_rel):
     with T.no_grad():
-        return [taped_nll(m, target_rel).item() for m in layers]
+        return [taped_nll(T.Tensor(block.data[:, l]), target_rel).item()
+                for l in range(block.shape[1])]
 
 
 def test_online_replay_is_bit_identical_to_the_taped_chain(monkeypatch):

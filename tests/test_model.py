@@ -60,10 +60,8 @@ def test_expert_head_init_values():
 def test_intermediate_outputs_shapes():
     model = small_model(layers=2)
     inst = toy_instance(agents=4, config=model.config, seed=1)
-    layers = model.intermediate_outputs(inst)
-    assert len(layers) == 2
-    for m in layers:
-        assert m.shape == (1, 12, 4, GAUSS_CHANNELS)
+    block = model.intermediate_outputs(inst)
+    assert block.shape == (1, 2, 12, 4, GAUSS_CHANNELS)
 
 
 def test_span_mismatch_rejected():
@@ -77,10 +75,10 @@ def test_span_mismatch_rejected():
 def test_plain_is_deepest_layer():
     model = small_model(layers=3)
     inst = toy_instance(agents=3, config=model.config, seed=2)
-    layers = model.intermediate_outputs(inst)
-    raw, trace = model.strategy_output(layers, "plain")
+    block = model.intermediate_outputs(inst)
+    raw, trace = model.strategy_output(block, "plain")
     assert trace is None
-    assert np.array_equal(raw.data, layers[-1].data)
+    assert np.array_equal(raw.data, block.data[:, -1])
 
 
 def test_ea_matches_plain_at_init():
@@ -108,7 +106,7 @@ def test_hedge_needs_state():
         model.strategy_output(layers, "hedge")
     raw, trace = model.strategy_output(layers, "hedge", HedgeState.uniform(2))
     assert trace is None
-    assert raw.shape == layers[0].shape
+    assert raw.shape == (1, 12, 3, GAUSS_CHANNELS)
 
 
 def test_unknown_strategy_rejected():

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from eanet import model as model_module
 from eanet import runtime
 from eanet import tensor as T
+from eanet.attention import plain_output
 from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DataError, TrainingDiverged
@@ -28,8 +31,8 @@ def toy_set(count, seed0=0, agents=3):
 
 def plain_loss(model, inst):
     with T.no_grad():
-        layers = model.intermediate_outputs(inst)
-        return nll_loss(decode_gaussian(layers[-1]), inst.fut_rel).item()
+        raw = plain_output(model.intermediate_outputs(inst))
+        return nll_loss(decode_gaussian(raw), inst.fut_rel).item()
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +83,8 @@ def test_one_epoch_one_instance_is_one_sgd_step():
     inst = toy_set(1, seed0=7)[0]
     reference = small_model(seed=7)
     x_seq, ahat, fut = instance_arrays(inst, SMALL)
-    layers = reference.forward_batch(x_seq[None], ahat[None])
-    loss = T.mul(nll_loss(decode_gaussian(layers[-1]), fut[None]), 1.0)
+    raw = plain_output(reference.forward_batch(x_seq[None], ahat[None]))
+    loss = T.mul(nll_loss(decode_gaussian(raw), fut[None]), 1.0)
     T.backward(loss)
     lr = 0.05
     expected = {name: p.data - lr * p.grad
@@ -306,6 +309,7 @@ def test_nonfinite_forward_skips_update_and_continues():
     assert [r.health for r in result.records] == ["exploded"] * 3
     assert result.health.status == "exploded"
     assert result.health.first_trigger_instance == 0
+    assert result.counters == runtime.UpdateCounters(updates=3, clipped=0, skipped=3)
     for name, data in frozen.items():
         assert np.array_equal(model.params[name].data, data)
     assert len(T.tape()) == 0
@@ -365,6 +369,61 @@ def test_extra_updates_reuse_the_instance_arrays(monkeypatch):
     assert len(built) == 3
 
 
+@pytest.mark.parametrize("strategy", runtime.STRATEGIES)
+def test_one_online_update_puts_six_records_on_the_tape(monkeypatch, strategy):
+    # gcn matmul, sigmoid, time-expand conv, stack, head, NLL.
+    seen = []
+    apply_update = runtime._apply_update
+
+    def counted(model, loss_tensor, loss, config):
+        seen.append(len(T.tape()))
+        return apply_update(model, loss_tensor, loss, config)
+
+    monkeypatch.setattr(runtime, "_apply_update", counted)
+    run_online(TrajectoryModel(ModelConfig(), seed=0), toy_set(2, seed0=150),
+               OnlineConfig(strategy=strategy, updates_per_instance=2, seed=0))
+    assert seen == [6, 6, 6, 6]
+
+
+def _per_layer_chain(monkeypatch):
+    """Run the model on the per-layer conv/prelu/add chain and the heads
+    of tape primitives that the fused records replaced."""
+    def old_layer_nll(layers, target_rel):
+        stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
+        return nll_loss(stacked, target_rel, per_item=True).data
+
+    monkeypatch.setattr(model_module, "stack_forward", oracles.stack_forward)
+    monkeypatch.setattr(model_module, "ea_output", oracles.ea_output)
+    monkeypatch.setattr(model_module, "hedge_output",
+                        lambda layers, state: oracles.hedge_output(layers, state.w))
+    monkeypatch.setattr(model_module, "plain_output", lambda layers: layers[-1])
+    monkeypatch.setattr(runtime, "plain_output", lambda layers: layers[-1])
+    monkeypatch.setattr(runtime, "layer_nll", old_layer_nll)
+
+
+def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
+    stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=6, seed=3), 12)
+    data = [inst for agents in (3, 5) for inst in synthetic_instances(
+        SyntheticScenarioSpec(kind="oneway", agents=agents, seed=agents), 12)]
+
+    def run_all():
+        out = {}
+        for strategy in runtime.STRATEGIES:
+            model = TrajectoryModel(ModelConfig(stack_layers=3), seed=2)
+            result = run_online(model, stream, OnlineConfig(strategy=strategy, seed=1,
+                                                            updates_per_instance=2))
+            out[strategy] = ([dataclasses.astuple(r) for r in result.records],
+                             checkpoint_bytes(model))
+        trained = train_offline(data, TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=4),
+                                ModelConfig(stack_layers=3))
+        out["train"] = (trained.loss_log, checkpoint_bytes(trained.model))
+        return out
+
+    fused = run_all()
+    _per_layer_chain(monkeypatch)
+    assert run_all() == fused
+
+
 def test_exploding_extra_update_counts_towards_health():
     # The first update's norm is about 9; the step at lr=1 sends the
     # second update's norm past the explosion threshold.
@@ -376,6 +435,30 @@ def test_exploding_extra_update_counts_towards_health():
     assert result.health.status == "exploded"
     assert result.health.first_trigger_instance == 0
     assert result.records[0].grad_norm < 1e3
+    assert result.counters == runtime.UpdateCounters(updates=2, clipped=0, skipped=0)
+
+
+def test_counters_of_an_exploding_run(monkeypatch):
+    # At lr=50 the run explodes: some updates are clipped, later ones have
+    # a non-finite loss or norm and are skipped. A skipped update ends its
+    # instance, so fewer than two updates per instance run.
+    config = OnlineConfig(strategy="ea", lr=50.0, clip_norm=1.0, updates_per_instance=2, seed=0)
+    norms = []
+    apply_update = runtime._apply_update
+
+    def spied(*args):
+        pre, applied = apply_update(*args)
+        norms.append((pre, applied))
+        return pre, applied
+
+    monkeypatch.setattr(runtime, "_apply_update", spied)
+    with np.errstate(all="ignore"):
+        result = run_online(small_model(), toy_set(6), config)
+    counters = result.counters
+    assert result.health.status == "exploded"
+    assert counters.updates == len(norms) < 12
+    assert counters.clipped == sum(a is not None and a < p for p, a in norms) > 0
+    assert counters.skipped == sum(a is None for _, a in norms) > 0
 
 
 def test_nonfinite_extra_loss_flags_the_row_and_stops(monkeypatch):

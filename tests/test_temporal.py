@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
+import oracles
 from eanet import tensor as T
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
@@ -58,10 +59,9 @@ def test_stack_zero_kernels_stay_zero():
     x0 = T.Tensor(np.random.default_rng(3).normal(size=(1, 12, 3, 5)))
     kernels = [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(3)]
     slopes = [T.Tensor(0.25) for _ in range(3)]
-    outs = stack_forward(x0, kernels, slopes)
-    assert len(outs) == 3
-    for m in outs:
-        assert np.array_equal(m.data, np.zeros((1, 12, 3, 5)))
+    block = stack_forward(x0, kernels, slopes)
+    assert block.shape == (1, 3, 12, 3, 5)
+    assert np.array_equal(block.data, np.zeros((1, 3, 12, 3, 5)))
 
 
 def test_stack_residual_identity_after_first_layer():
@@ -70,9 +70,9 @@ def test_stack_residual_identity_after_first_layer():
     kernels = [T.Tensor(rng.normal(size=(12, 12, 1, 3)) * 0.1)]
     kernels += [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(2)]
     slopes = [T.Tensor(0.25) for _ in range(3)]
-    outs = stack_forward(x0, kernels, slopes)
-    assert np.array_equal(outs[1].data, outs[0].data)
-    assert np.array_equal(outs[2].data, outs[0].data)
+    block = stack_forward(x0, kernels, slopes)
+    assert np.array_equal(block.data[:, 1], block.data[:, 0])
+    assert np.array_equal(block.data[:, 2], block.data[:, 0])
 
 
 def test_stack_two_layers_match_hand_composition():
@@ -87,10 +87,10 @@ def test_stack_two_layers_match_hand_composition():
 
     m0 = prelu(scipy_conv_oracle(x0[0], k0), s0)[None]
     m1 = prelu(scipy_conv_oracle(m0[0], k1), s1)[None] + m0
-    outs = stack_forward(T.Tensor(x0), [T.Tensor(k0), T.Tensor(k1)],
-                         [T.Tensor(s0), T.Tensor(s1)])
-    assert np.allclose(outs[0].data, m0, atol=1e-12)
-    assert np.allclose(outs[1].data, m1, atol=1e-12)
+    block = stack_forward(T.Tensor(x0), [T.Tensor(k0), T.Tensor(k1)],
+                          [T.Tensor(s0), T.Tensor(s1)])
+    assert np.allclose(block.data[:, 0], m0, atol=1e-12)
+    assert np.allclose(block.data[:, 1], m1, atol=1e-12)
 
 
 def test_stack_rows_never_mix():
@@ -101,10 +101,9 @@ def test_stack_rows_never_mix():
     kernels = [T.Tensor(rng.normal(size=(6, 6, 1, 3))) for _ in range(2)]
     slopes = [T.Tensor(0.25), T.Tensor(0.25)]
     perm = np.array([3, 0, 4, 1, 2])
-    outs = stack_forward(T.Tensor(x0), kernels, slopes)
-    outs_perm = stack_forward(T.Tensor(x0[:, :, perm, :]), kernels, slopes)
-    for m, mp in zip(outs, outs_perm):
-        assert np.array_equal(m.data[:, :, perm, :], mp.data)
+    block = stack_forward(T.Tensor(x0), kernels, slopes)
+    block_perm = stack_forward(T.Tensor(x0[:, :, perm, :]), kernels, slopes)
+    assert np.array_equal(block.data[:, :, :, perm, :], block_perm.data)
 
 
 def test_stack_shape_contract_single_agent():
@@ -112,8 +111,7 @@ def test_stack_shape_contract_single_agent():
     kernels = [T.Tensor(np.random.default_rng(7).normal(size=(12, 12, 1, 3)))
                for _ in range(2)]
     slopes = [T.Tensor(0.25), T.Tensor(0.25)]
-    for m in stack_forward(x0, kernels, slopes):
-        assert m.shape == (1, 12, 1, 5)
+    assert stack_forward(x0, kernels, slopes).shape == (1, 2, 12, 1, 5)
 
 
 def test_stack_param_count_mismatch():
@@ -132,10 +130,99 @@ def test_stack_gradients_match_finite_differences():
     slopes = [T.Tensor(0.25, requires_grad=True), T.Tensor(0.4, requires_grad=True)]
 
     def build():
-        outs = stack_forward(x0, kernels, slopes)
-        return T.tensor_sum(T.tanh(outs[-1]))
+        block = stack_forward(x0, kernels, slopes)
+        return T.tensor_sum(T.tanh(block))
 
     params = {"x0": x0, "k0": kernels[0], "k1": kernels[1],
               "s0": slopes[0], "s1": slopes[1]}
     errors = check_gradients(build, params)
     assert max(errors.values()) < 1e-4
+
+
+def test_stack_shape_checks_raise_what_conv2d_raised():
+    x0 = T.Tensor(np.zeros((1, 12, 3, 5)))
+    slopes = [T.Tensor(0.25), T.Tensor(0.25)]
+
+    def kernels(*deeper):
+        return [T.Tensor(np.zeros((12, 12, 1, 3)))] + [T.Tensor(np.zeros(s)) for s in deeper]
+
+    with pytest.raises(DimensionError, match="rank 4"):
+        stack_forward(T.Tensor(np.zeros((12, 3, 5))), kernels((12, 12, 1, 3)), slopes)
+    with pytest.raises(DimensionError, match="rank 4"):
+        stack_forward(x0, kernels((12, 12, 3)), slopes)
+    with pytest.raises(DimensionError, match="1x3"):
+        stack_forward(x0, kernels((12, 12, 3, 3)), slopes)
+    with pytest.raises(DimensionError, match="input channels"):
+        stack_forward(x0, kernels((12, 11, 1, 3)), slopes)
+    with pytest.raises(DimensionError, match="square"):
+        stack_forward(T.Tensor(np.zeros((1, 11, 3, 5))), [T.Tensor(np.zeros((12, 11, 1, 3)))],
+                      slopes[:1])
+    with pytest.raises(DimensionError, match="scalar"):
+        stack_forward(x0, kernels(), [T.Tensor(np.full(12, 0.25))])
+    with pytest.raises(ConfigError):
+        stack_forward(x0, kernels((12, 12, 1, 3)), slopes[:1])
+
+
+def _stack_case(n, p, n_layers, seed, grad_x0=True):
+    rng = np.random.default_rng(seed)
+    x0 = T.Tensor(rng.normal(size=(n, 12, p, 5)), requires_grad=grad_x0)
+    kernels = [T.Tensor(rng.normal(size=(12, 12, 1, 3)) * 0.3, requires_grad=True)
+               for _ in range(n_layers)]
+    slopes = [T.Tensor(rng.uniform(0.1, 0.4), requires_grad=True) for _ in range(n_layers)]
+    return x0, kernels, slopes
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p", [1, 6, 12])
+@pytest.mark.parametrize("n_layers", [1, 5])
+def test_fused_stack_matches_the_per_layer_chain_bit_for_bit(n, p, n_layers):
+    # The loss weighs every layer differently, as a head does, so each
+    # layer's output receives its own gradient piece.
+    x0, kernels, slopes = _stack_case(n, p, n_layers, seed=100 * n + 10 * p + n_layers)
+    weights = np.random.default_rng(1).normal(size=(n_layers, 12, p, 5))
+    params = [x0, *kernels, *slopes]
+
+    def run(forward):
+        block = forward(x0, kernels, slopes)
+        loss = T.tensor_sum(T.mul(T.tanh(block), weights[None]))
+        T.backward(loss)
+        grads = [t.grad for t in params]
+        for t in params:
+            t.zero_grad()
+        return block.data, grads
+
+    def chain(x0, kernels, slopes):
+        return T.stack(oracles.stack_forward(x0, kernels, slopes), axis=1)
+
+    got, got_grads = run(stack_forward)
+    want, want_grads = run(chain)
+    assert np.array_equal(got, want)
+    # Same memory order; a unit axis's stride means nothing.
+    assert [st for st, d in zip(got.strides, got.shape) if d > 1] == \
+        [st for st, d in zip(want.strides, want.shape) if d > 1]
+    for g, w in zip(got_grads, want_grads):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_fused_stack_deepest_layer_trains_like_the_chain(n):
+    # The plain head and training read the deepest layer only; the NLL's
+    # sums depend on its memory layout, so that must be the chain's too.
+    from eanet.gaussian import decode_gaussian, nll_loss
+    x0, kernels, slopes = _stack_case(n, 6, 5, seed=7, grad_x0=False)
+    target = np.random.default_rng(2).normal(size=(n, 6, 12, 2))
+    params = [*kernels, *slopes]
+
+    def run(deepest):
+        loss = nll_loss(decode_gaussian(deepest()), target)
+        T.backward(loss)
+        grads = [t.grad for t in params]
+        for t in params:
+            t.zero_grad()
+        return loss.data, grads
+
+    got, got_grads = run(lambda: T.getitem(stack_forward(x0, kernels, slopes), (slice(None), -1)))
+    want, want_grads = run(lambda: oracles.stack_forward(x0, kernels, slopes)[-1])
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.array_equal(g, w)
