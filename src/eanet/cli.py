@@ -59,9 +59,8 @@ def _expand_data_paths(paths: list[str]) -> list[str]:
 
 def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
                     inputs: list[str], outputs: list[str], started: float,
-                    **extra) -> str:
+                    counters: dict | None = None) -> str:
     manifest = {
-        **extra,
         "command": command,
         "config_digest": digest,
         "seed": seed,
@@ -70,6 +69,8 @@ def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
         "wall_clock_s": round(time.monotonic() - started, 3),
         "artifact_version": ARTIFACT_VERSION,
     }
+    if counters is not None:
+        manifest["counters"] = counters
     path = primary_output + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -80,10 +80,14 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     # one contiguous (N, H, 1, C·W) array, as conv2d's were. mults[l] is the
     # prelu's factor per entry, the slope or 1 where the conv output is
     # positive, taken from a two-entry table because np.where is slow.
-    ins = np.empty((n_layers, n, h, 1, k))
+    # One allocation holds every working array, the backward's too: the
+    # allocator then reuses it from call to call, where separate large
+    # arrays were handed back to the system and their pages faulted in
+    # again on every training batch.
+    store = np.empty((6, n_layers * n * h * k))
+    ins, convs, mults, g_ms, g_convs = store[:5].reshape(5, n_layers, n, h, 1, k)
+    buf = store[5].reshape(n, n_layers, h, 1, k)
     ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
-    convs = np.empty_like(ins)
-    mults = np.empty_like(ins)
     for idx in range(n_layers):
         conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
         table = np.array([slopes[idx].data.item(), 1.0])
@@ -91,14 +95,11 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
         out = np.multiply(mults[idx], conv, out=ins[idx + 1] if idx + 1 < n_layers else None)
         if idx:
             out += ins[idx]
-    buf = np.empty((n, n_layers, h, 1, k))
     buf[:, :-1] = ins[1:].swapaxes(0, 1)
     buf[:, -1] = out
 
     def back(g):
         pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
-        g_ms = np.empty_like(ins)
-        g_convs = np.empty_like(ins)
         g_m = pieces[:, -1]
         for idx in reversed(range(n_layers)):
             g_ms[idx] = g_m
@@ -107,12 +108,12 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
                 g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
         # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of a
         # zero term, which no sum of these terms can show.
-        g_slopes = (g_ms * np.minimum(convs, 0.0)).reshape(n_layers, -1).sum(axis=1)
+        g_slopes = np.multiply(g_ms, np.minimum(convs, 0.0, out=convs), out=g_ms)
+        g_slopes = g_slopes.reshape(n_layers, -1).sum(axis=1)
         for slope, g_slope in zip(slopes, g_slopes):
             T._accumulate(slope, g_slope.reshape(slope.shape))
-        if any(kernel.requires_grad for kernel in kernels):
-            for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, g_convs, c, w)):
-                T._accumulate(kernel, g_kernel)
+        for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, g_convs, c, w)):
+            T._accumulate(kernel, g_kernel)
         if x0.requires_grad:
             gx_rows = np.matmul(g_convs[0], weights[0].T)
             T._accumulate(x0, gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3))

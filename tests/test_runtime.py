@@ -385,22 +385,6 @@ def test_one_online_update_puts_six_records_on_the_tape(monkeypatch, strategy):
     assert seen == [6, 6, 6, 6]
 
 
-def _per_layer_chain(monkeypatch):
-    """Run the model on the per-layer conv/prelu/add chain and the heads
-    of tape primitives that the fused records replaced."""
-    def old_layer_nll(layers, target_rel):
-        stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
-        return nll_loss(stacked, target_rel, per_item=True).data
-
-    monkeypatch.setattr(model_module, "stack_forward", oracles.stack_forward)
-    monkeypatch.setattr(model_module, "ea_output", oracles.ea_output)
-    monkeypatch.setattr(model_module, "hedge_output",
-                        lambda layers, state: oracles.hedge_output(layers, state.w))
-    monkeypatch.setattr(model_module, "plain_output", lambda layers: layers[-1])
-    monkeypatch.setattr(runtime, "plain_output", lambda layers: layers[-1])
-    monkeypatch.setattr(runtime, "layer_nll", old_layer_nll)
-
-
 def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
     stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=6, seed=3), 12)
     data = [inst for agents in (3, 5) for inst in synthetic_instances(
@@ -419,8 +403,20 @@ def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
         out["train"] = (trained.loss_log, checkpoint_bytes(trained.model))
         return out
 
+    def old_layer_nll(layers, target_rel):
+        stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
+        return nll_loss(stacked, target_rel, per_item=True).data
+
     fused = run_all()
-    _per_layer_chain(monkeypatch)
+    # The per-layer conv/prelu/add chain and the heads of tape primitives
+    # that the fused records replaced.
+    monkeypatch.setattr(model_module, "stack_forward", oracles.stack_forward)
+    monkeypatch.setattr(model_module, "ea_output", oracles.ea_output)
+    monkeypatch.setattr(model_module, "hedge_output",
+                        lambda layers, state: oracles.hedge_output(layers, state.w))
+    monkeypatch.setattr(model_module, "plain_output", lambda layers: layers[-1])
+    monkeypatch.setattr(runtime, "plain_output", lambda layers: layers[-1])
+    monkeypatch.setattr(runtime, "layer_nll", old_layer_nll)
     assert run_all() == fused
 
 
