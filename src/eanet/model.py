@@ -20,7 +20,8 @@ matches the plain deepest-layer output that offline training optimised.
 One online step puts six records on the tape whatever the head: the
 graph convolution's matmul and sigmoid, the time-expand conv, the
 residual stack, the head and the NLL. Offline training, on the plain
-head, puts the same six per group of same-sized instances.
+head, puts the same six per group of same-sized instances, plus one or
+two that weigh and add up the group losses.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution

@@ -498,15 +498,9 @@ def getitem(a, key) -> Tensor:
     out_data = a.data[key]
 
     def back(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:  # 0 + g where g lands, 0 elsewhere, as below
-            a.grad = np.zeros_like(a.data)
-            a.grad[key] += g
-            return
         full = np.zeros_like(a.data)
         full[key] += g
-        a.grad += full
+        _accumulate(a, full)
 
     return _make(out_data, (a,), back)
 
