@@ -49,6 +49,13 @@ def _check_stack(x_shape: tuple[int, ...], kernels: list[T.Tensor],
             raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {slope.shape}")
 
 
+def _prelu_factor(conv: np.ndarray, slope: T.Tensor) -> np.ndarray:
+    """The prelu's factor per entry: 1 where ``conv`` is positive, else the
+    slope; np.where(conv > 0, 1.0, slope), picked from a two-entry table
+    because np.where is several times slower."""
+    return np.array([slope.data.item(), 1.0]).take((conv > 0).view(np.uint8))
+
+
 def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> T.Tensor:
     """Run the stacked layers and return the (N, L, C, H, W) block of every
     layer's output, as one tape record.
@@ -77,22 +84,18 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     n_layers = len(kernels)
     weights = T.banded_weights([kernel.data for kernel in kernels], w)
     # ins[l] holds layer l's input rows and convs[l] its conv output, each
-    # one contiguous (N, H, 1, C·W) array, as conv2d's were. mults[l] is the
-    # prelu's factor per entry, the slope or 1 where the conv output is
-    # positive, taken from a two-entry table because np.where is slow.
-    # One allocation holds every working array, the backward's too: the
-    # allocator then reuses it from call to call, where separate large
-    # arrays were handed back to the system and their pages faulted in
-    # again on every training batch.
-    store = np.empty((6, n_layers * n * h * k))
-    ins, convs, mults, g_ms, g_convs = store[:5].reshape(5, n_layers, n, h, 1, k)
-    buf = store[5].reshape(n, n_layers, h, 1, k)
+    # one contiguous (N, H, 1, C·W) array, as conv2d's were. One allocation
+    # holds them and the block: the allocator then reuses it from call to
+    # call, where separate large arrays were handed back to the system and
+    # their pages faulted in again on every training batch.
+    store = np.empty((3, n_layers * n * h * k))
+    ins, convs = store[:2].reshape(2, n_layers, n, h, 1, k)
+    buf = store[2].reshape(n, n_layers, h, 1, k)
     ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
     for idx in range(n_layers):
         conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
-        table = np.array([slopes[idx].data.item(), 1.0])
-        table.take((conv > 0).view(np.uint8), out=mults[idx])
-        out = np.multiply(mults[idx], conv, out=ins[idx + 1] if idx + 1 < n_layers else None)
+        out = np.multiply(_prelu_factor(conv, slopes[idx]), conv,
+                          out=ins[idx + 1] if idx + 1 < n_layers else None)
         if idx:
             out += ins[idx]
     buf[:, :-1] = ins[1:].swapaxes(0, 1)
@@ -102,20 +105,20 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
         pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
         g_m = pieces[:, -1]
         for idx in reversed(range(n_layers)):
-            g_ms[idx] = g_m
-            g_conv = np.multiply(g_m, mults[idx], out=g_convs[idx])
+            conv, slope = convs[idx], slopes[idx]
+            factor = _prelu_factor(conv, slope)
+            # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of
+            # a zero term, which no sum of these terms can show. The slope's
+            # terms, then the conv gradient, take the place of conv.
+            g_slope = np.multiply(g_m, np.minimum(conv, 0.0, out=conv), out=conv)
+            T._accumulate(slope, T._unbroadcast(g_slope, slope.shape))
+            g_conv = np.multiply(g_m, factor, out=conv)
             if idx:
                 g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
-        # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of a
-        # zero term, which no sum of these terms can show.
-        g_slopes = np.multiply(g_ms, np.minimum(convs, 0.0, out=convs), out=g_ms)
-        g_slopes = g_slopes.reshape(n_layers, -1).sum(axis=1)
-        for slope, g_slope in zip(slopes, g_slopes):
-            T._accumulate(slope, g_slope.reshape(slope.shape))
-        for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, g_convs, c, w)):
+        for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, convs, c, w)):
             T._accumulate(kernel, g_kernel)
         if x0.requires_grad:
-            gx_rows = np.matmul(g_convs[0], weights[0].T)
+            gx_rows = np.matmul(convs[0], weights[0].T)
             T._accumulate(x0, gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3))
 
     block = buf.reshape(n, n_layers, h, c, w).transpose(0, 1, 3, 2, 4)
