@@ -31,7 +31,9 @@ over neighbours in the order the agents are stored.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,20 @@ def dataset_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
 def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
     """`dataset_arrays` of one instance."""
     return dataset_arrays([instance], config, 1)[0]
+
+
+def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,
+                   chunk: int) -> Iterator[tuple[TrajectoryInstance, tuple]]:
+    """Each instance with its `dataset_arrays` entry, in order.
+
+    The next ``chunk`` consecutive instances are drawn from ``instances``
+    and prepared in one `dataset_arrays` call only when the caller reaches
+    them, so a long stream holds one chunk of arrays at a time. The arrays
+    are bit-identical to `instance_arrays` of each instance.
+    """
+    it = iter(instances)
+    while part := list(itertools.islice(it, chunk)):
+        yield from zip(part, dataset_arrays(part, config, chunk))
 
 
 def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:

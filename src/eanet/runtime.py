@@ -30,12 +30,17 @@ from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged
 from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajectory, nll_loss,
                        restore_ratio)
-from .model import ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays
+from .model import ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays
 from .rng import Xorshift64Star
 
 EXPLODE_NORM = 1e3
 VANISH_NORM = 1e-8
 VANISH_RUN = 50
+
+# Instances the online loop and best-of-K evaluation prepare per
+# `dataset_arrays` call. Larger chunks save little more per instance but
+# make a longer pause at every chunk boundary of the stream.
+PREP_CHUNK = 16
 
 ALIGNMENTS = ("none", "recentre")
 STRATEGIES = ("ea", "plain", "hedge")
@@ -297,7 +302,11 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    An instance's inputs and graphs are built once and serve all of its
+    Inputs and graphs are built ``PREP_CHUNK`` instances of the (aligned)
+    stream at a time, one `dataset_arrays` call per chunk, when the loop
+    reaches that chunk (`chunked_arrays`); an instance whose spans differ
+    from the model's raises ConfigError then. The arrays are bit-identical
+    to each instance's own `instance_arrays` and serve all of its
     ``updates_per_instance`` updates. Each update runs the same forward,
     head, decode, NLL and backward/clip/step, and counts towards health;
     the first also yields the row's metrics, trace and hedge layer
@@ -313,9 +322,11 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     monitor = HealthMonitor()
     records: list[StreamRecord] = []
 
-    for idx, raw_inst in enumerate(stream[:config.max_instances]):
-        inst = raw_inst.recentred() if config.alignment == "recentre" else raw_inst
-        x_seq, ahat, _ = instance_arrays(inst, model.config)
+    window = stream[:config.max_instances]
+    if config.alignment == "recentre":
+        window = (inst.recentred() for inst in window)
+    prepared = chunked_arrays(window, model.config, PREP_CHUNK)
+    for idx, (inst, (x_seq, ahat, fut_rel)) in enumerate(prepared):
         row_health = "normal"
         for update in range(config.updates_per_instance):
             block = model.forward_batch(x_seq[None], ahat[None])
@@ -329,8 +340,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                     tuple(float(v) for v in hedge.w) if hedge is not None else None)
                 alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
                 if hedge is not None:
-                    layer_losses = layer_nll(block, inst.fut_rel)
-            loss_tensor = nll_loss(gfield, inst.fut_rel)
+                    layer_losses = layer_nll(block, fut_rel)
+            loss_tensor = nll_loss(gfield, fut_rel)
             update_loss = loss_tensor.item()
             pre, applied = _apply_update(model, loss_tensor, update_loss, config)
             verdict = monitor.observe(pre, update_loss, idx,
@@ -381,12 +392,14 @@ def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], sa
                    seed: int) -> tuple[float, float]:
     """Mean best-of-K (ADE, FDE) of the plain head over ``dataset``.
 
-    Instance i draws its K samples with seed ``seed + i``.
+    Instance i draws its K samples with seed ``seed + i``. Inputs and
+    graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time.
     """
     ades, fdes = [], []
     with T.no_grad():
-        for i, inst in enumerate(dataset):
-            gfield = model.predict_field(inst, strategy="plain")
+        prepared = chunked_arrays(dataset, model.config, PREP_CHUNK)
+        for i, (inst, (x_seq, ahat, _)) in enumerate(prepared):
+            gfield = decode_gaussian(plain_output(model.forward_batch(x_seq[None], ahat[None])))
             report = best_of_k(gfield, inst.fut_abs, samples,
                                seed=seed + i, origin_abs=inst.obs_abs[:, -1])
             ades.append(report.ade)

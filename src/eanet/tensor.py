@@ -18,6 +18,7 @@ backward runs.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -524,12 +525,19 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def global_grad_norm(tensors) -> float:
-    """Euclidean norm over the concatenated gradients of ``tensors``."""
+    """Euclidean norm over the concatenated gradients of ``tensors``.
+
+    Each gradient's squares are summed by the reduce that ``np.sum``
+    reaches through its wrapper, called directly, and the sums are added
+    up per tensor, in order, as Python floats: the result is bit for bit
+    ``sqrt`` of the in-order sum of ``float(np.sum(g * g))``.
+    """
     total = 0.0
     for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
-    return float(np.sqrt(total))
+        g = t.grad
+        if g is not None:
+            total += float(np.add.reduce(np.multiply(g, g), axis=None))
+    return math.sqrt(total)
 
 
 def scale_grads(tensors, factor: float) -> None:

@@ -2,14 +2,18 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-rewrites ``tests/data/golden.json``; ``tests/test_golden.py`` recomputes
-every digest and compares exactly. Regenerate the file only in a change
-that means to alter the numbers, and say so in CHANGES.md.
+rewrites ``tests/data/golden.json`` and prints which digests it added,
+removed or changed against the file it overwrote; ``tests/test_golden.py``
+recomputes every digest and compares exactly. Regenerate the file only in
+a change that means to alter the numbers, and say so in CHANGES.md.
 
 The corpus covers:
 
 * ``pretrain/*``: the checkpoint bytes and loss log of the benchmark's
-  pretrain recipe (256 oneway instances, 4 epochs, batch 64, seed 0);
+  pretrain recipe (256 oneway instances, 4 epochs, batch 64, seed 0),
+  and the float64 bytes of its parameters, which the float32 checkpoint
+  and the four-epoch loss log can hold still through a change of a few
+  ulps;
 * ``online/<strategy>/u<n>``: a 200-instance stagger replay from that
   checkpoint for each strategy at 1 and 3 updates per instance, over the
   float64 records, the per-row and run health, and ``rr_at``;
@@ -19,8 +23,8 @@ The corpus covers:
   the weight floor to bind, which the 200-instance hedge replay never does;
 * ``v1_resaved``: the version 1 checkpoint fixture re-saved as version 2.
 
-The file also records the environment it was made in, since BLAS builds
-and CPUs may round differently.
+The file also records the environment it was made in, since BLAS builds,
+CPUs and BLAS thread counts may round differently.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import copy
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -58,7 +63,8 @@ def environment() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_config": str(blas.get("openblas configuration")),
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
 
 
 def _sha(*chunks: bytes) -> str:
@@ -118,7 +124,8 @@ def compute() -> dict[str, str]:
     """Every digest of the corpus, by name."""
     trained = _pretrained()
     digests = {"pretrain/checkpoint": _sha(checkpoint_bytes(trained.model)),
-               "pretrain/loss_log": _sha(_floats(trained.loss_log))}
+               "pretrain/loss_log": _sha(_floats(trained.loss_log)),
+               "pretrain/params": _sha(*(p.data.tobytes() for p in trained.model.parameters()))}
     stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=6, seed=1), STREAM)
     for strategy in STRATEGIES:
         for updates in UPDATES:
@@ -139,9 +146,15 @@ def compute() -> dict[str, str]:
 
 
 def main() -> int:
-    doc = {"environment": environment(), "digests": compute()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+    new = compute()
+    doc = {"environment": environment(), "digests": new}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(doc['digests'])} digests to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(new)} digests to {GOLDEN}", file=sys.stderr)
+    for label, names in (("added", new.keys() - old.keys()),
+                         ("removed", old.keys() - new.keys()),
+                         ("changed", {k for k in new.keys() & old.keys() if new[k] != old[k]})):
+        print(f"{label}: {', '.join(sorted(names)) or 'none'}", file=sys.stderr)
     return 0
 
 

@@ -12,7 +12,7 @@ from eanet.attention import plain_output
 from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DataError, TrainingDiverged
-from eanet.gaussian import decode_gaussian, nll_loss, restore_ratio
+from eanet.gaussian import best_of_k, decode_gaussian, nll_loss, restore_ratio
 from eanet.model import (ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays,
                          toy_instance)
 from eanet.runtime import (BaseMetrics, HealthMonitor, OnlineConfig, TrainConfig,
@@ -359,14 +359,79 @@ def test_extra_updates_per_instance_move_parameters_further():
 def test_extra_updates_reuse_the_instance_arrays(monkeypatch):
     built = []
 
-    def counted_arrays(inst, config):
-        built.append(inst)
-        return instance_arrays(inst, config)
+    def counted_arrays(dataset, config, chunk):
+        built.extend(dataset)
+        return dataset_arrays(dataset, config, chunk)
 
-    monkeypatch.setattr(runtime, "instance_arrays", counted_arrays)
-    run_online(small_model(seed=4), toy_set(3, seed0=140),
-               OnlineConfig(strategy="plain", updates_per_instance=3, seed=0))
-    assert len(built) == 3
+    monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
+    stream = toy_set(3, seed0=140)
+    result = run_online(small_model(seed=4), stream,
+                        OnlineConfig(strategy="plain", updates_per_instance=3, seed=0))
+    assert result.counters.updates == 9
+    assert [id(inst) for inst in built] == [id(inst) for inst in stream]
+
+
+def test_online_prepares_the_stream_one_chunk_at_a_time(monkeypatch):
+    # 40 instances: two full chunks and a short last one, each prepared
+    # only once the loop has recorded every instance before it.
+    calls, recorded = [], []
+
+    def counted_arrays(dataset, config, chunk):
+        calls.append((len(dataset), len(recorded)))
+        return dataset_arrays(dataset, config, chunk)
+
+    monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
+    count, chunk = 40, runtime.PREP_CHUNK
+    run_online(small_model(), toy_set(count, seed0=160), OnlineConfig(max_instances=count),
+               progress=lambda idx, rec: recorded.append(idx))
+    assert calls == [(min(chunk, count - start), start) for start in range(0, count, chunk)]
+
+
+def per_instance_arrays(instances, config, chunk):
+    """The one-instance-at-a-time oracle of `chunked_arrays`."""
+    for inst in instances:
+        yield inst, instance_arrays(inst, config)
+
+
+def assert_same_replay(got, want):
+    (got_model, got_result), (want_model, want_result) = got, want
+    assert len(got_result.records) == len(want_result.records)
+    for row, expected in zip(got_result.records, want_result.records):
+        for field in dataclasses.fields(row):
+            assert np.array_equal(getattr(row, field.name), getattr(expected, field.name)), \
+                (row.instance_idx, field.name)
+    assert got_result.rr_at.keys() == want_result.rr_at.keys()
+    for key, value in want_result.rr_at.items():
+        assert np.array_equal(got_result.rr_at[key], value), key
+    assert got_result.counters == want_result.counters
+    assert got_result.health == want_result.health
+    for name, p in want_model.params.items():
+        assert np.array_equal(got_model.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("alignment", runtime.ALIGNMENTS)
+@pytest.mark.parametrize("strategy", runtime.STRATEGIES)
+def test_chunked_replay_equals_one_instance_at_a_time(monkeypatch, strategy, alignment):
+    # Agent counts 3, 5 and 4 in turn, so every chunk mixes three sizes;
+    # 37 of 41 instances end the run five into its third chunk.
+    stream = [toy_instance(agents=(3, 5, 4)[i % 3], config=SMALL, seed=170 + i)
+              for i in range(41)]
+    config = OnlineConfig(strategy=strategy, alignment=alignment, updates_per_instance=2,
+                          max_instances=37, rr_checkpoints=(0, 16, 36, 40), seed=1)
+    base = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
+
+    def replay(instances, config):
+        model = small_model(seed=6)
+        return model, run_online(model, instances, config, base=base)
+
+    chunked = replay(stream, config)
+    assert len(chunked[1].records) == 37 and chunked[1].rr_at.keys() == {0, 16, 36}
+    if alignment == "recentre":
+        # The graphs are built from the recentred positions.
+        assert_same_replay(chunked, replay([inst.recentred() for inst in stream],
+                                           dataclasses.replace(config, alignment="none")))
+    monkeypatch.setattr(runtime, "chunked_arrays", per_instance_arrays)
+    assert_same_replay(chunked, replay(stream, config))
 
 
 @pytest.mark.parametrize("strategy", runtime.STRATEGIES)
@@ -516,6 +581,21 @@ def test_base_split_is_eighty_twenty_by_order():
     dataset = toy_set(10)
     base = compute_base(dataset, TrainConfig(epochs=1, batch_size=4), SMALL, samples=2)
     assert base.n_train == 8 and base.n_test == 2
+
+
+def test_mean_best_of_k_equals_per_instance_prediction():
+    dataset = [toy_instance(agents=(4, 2)[i % 2], config=SMALL, seed=210 + i)
+               for i in range(runtime.PREP_CHUNK + 3)]
+    model = small_model(seed=8)
+    ades, fdes = [], []
+    with T.no_grad():
+        for i, inst in enumerate(dataset):
+            report = best_of_k(model.predict_field(inst, strategy="plain"), inst.fut_abs, 4,
+                               seed=7 + i, origin_abs=inst.obs_abs[:, -1])
+            ades.append(report.ade)
+            fdes.append(report.fde)
+    got = runtime.mean_best_of_k(model, dataset, 4, seed=7)
+    assert np.array_equal(got, (float(np.mean(ades)), float(np.mean(fdes))))
 
 
 def test_base_requires_data():

@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -361,3 +362,47 @@ def test_numeric_gradient_simple_quadratic():
     x = T.Tensor([3.0], requires_grad=True)
     g = numeric_gradient(lambda: float(x.data[0] ** 2), x)
     assert abs(g[0] - 6.0) < 1e-6
+
+
+def grads_of(*grads):
+    tensors = []
+    for g in grads:
+        t = T.Tensor(np.zeros(np.shape(g)), requires_grad=True)
+        t.grad = g
+        tensors.append(t)
+    return tensors
+
+
+def in_order_norm(tensors):
+    total = 0.0
+    for t in tensors:
+        if t.grad is not None:
+            total += float(np.sum(t.grad * t.grad))
+    return float(np.sqrt(total))
+
+
+def test_global_grad_norm_is_the_in_order_sum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        # Magnitudes spread over many decades, so the order of the adds shows.
+        scale = 10.0 ** rng.integers(-8, 8, size=4)
+        wide = rng.normal(size=(7, 12)) * scale[3]
+        tensors = grads_of(np.array(rng.normal() * scale[0]), rng.normal(size=13) * scale[1],
+                           None, rng.normal(size=(5, 1, 3)) * scale[2], wide.T, wide[:, ::3])
+        assert not tensors[4].grad.flags.c_contiguous
+        got, want = T.global_grad_norm(tensors), in_order_norm(tensors)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+    assert T.global_grad_norm(grads_of(None, None)) == 0.0
+    assert T.global_grad_norm([]) == 0.0
+
+
+def test_global_grad_norm_propagates_nan_and_inf():
+    finite = np.arange(4.0)
+    assert math.isnan(T.global_grad_norm(grads_of(finite, np.array([1.0, np.nan]))))
+    assert T.global_grad_norm(grads_of(finite, np.array(-np.inf))) == math.inf
+    assert math.isnan(T.global_grad_norm(grads_of(np.array([np.inf]), None,
+                                                  np.array([[np.nan]]).T)))
+    # Squares that overflow are infinite, as np.sum's are.
+    with np.errstate(over="ignore"):
+        assert T.global_grad_norm(grads_of(np.full(2, 1e200))) == math.inf
