@@ -7,6 +7,13 @@ removed or changed against the file it overwrote; ``tests/test_golden.py``
 recomputes every digest and compares exactly. Regenerate the file only in
 a change that means to alter the numbers, and say so in CHANGES.md.
 
+Training's float64 parameters depend on the BLAS thread count, so the file
+holds one digest set per ``OPENBLAS_NUM_THREADS`` setting in ``SETTINGS``:
+``unset`` (the BLAS default) and ``1`` (what ``bench/run.py`` forces). Each
+set is computed in a subprocess started with that setting, and the test
+compares against the set recorded for its own setting; it fails when there
+is none.
+
 The corpus covers:
 
 * ``pretrain/*``: the checkpoint bytes and loss log of the benchmark's
@@ -21,10 +28,14 @@ The corpus covers:
   ``eanet base`` print for a small circle scene;
 * ``hedge/updates``: 1000 seeded `hedge_update` steps, long enough for
   the weight floor to bind, which the 200-instance hedge replay never does;
-* ``v1_resaved``: the version 1 checkpoint fixture re-saved as version 2.
+* ``v1_resaved``: the version 1 checkpoint fixture re-saved as version 2;
+* ``data/<kind>/noise<std>/period<p>``: the float64 tracks of a 30-frame,
+  3-agent synthetic scene and its 11 windowed instances (every array,
+  agent id, start frame and scene id), for each kind with and without
+  noise, and for stagger at turn periods 1 and 3.
 
-The file also records the environment it was made in, since BLAS builds,
-CPUs and BLAS thread counts may round differently.
+Each set also records the environment it was made in, since BLAS builds
+and CPUs may round differently.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -43,10 +55,13 @@ from pathlib import Path
 import numpy as np
 
 from eanet import (BaseMetrics, HedgeState, OnlineConfig, SyntheticScenarioSpec, TrainConfig,
-                   cli, hedge_update, run_online, synthetic_instances, train_offline)
+                   cli, generate_synthetic, hedge_update, run_online, synthetic_instances,
+                   train_offline)
 from eanet.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from eanet.data import SCENARIO_KINDS
 
-DATA = Path(__file__).resolve().parent / "data"
+HERE = Path(__file__).resolve().parent
+DATA = HERE / "data"
 GOLDEN = DATA / "golden.json"
 V1_FILE = DATA / "checkpoint_v1.ckpt"
 
@@ -56,6 +71,10 @@ STRATEGIES = ("ea", "plain", "hedge")
 UPDATES = (1, 3)
 # Fixed base metrics, so every row carries a restore ratio.
 BASE = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
+SETTINGS = ("unset", "1")
+# (kind, noise_std, period) of the data/* scenes.
+SCENES = [(kind, noise, period) for kind in SCENARIO_KINDS for noise in (0.0, 0.2)
+          for period in ((1, 3) if kind == "stagger" else (10,))]
 
 
 def environment() -> dict[str, str]:
@@ -64,7 +83,7 @@ def environment() -> dict[str, str]:
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_config": str(blas.get("openblas configuration")),
             "machine": platform.machine(),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+            "openblas_num_threads": setting()}
 
 
 def _sha(*chunks: bytes) -> str:
@@ -111,6 +130,18 @@ def _hedge_digest() -> str:
     return _sha(np.array(weights).tobytes())
 
 
+def _scene_digest(kind: str, noise_std: float, period: int) -> str:
+    spec = SyntheticScenarioSpec(kind=kind, agents=3, noise_std=noise_std, period=period,
+                                 seed=SCENARIO_KINDS.index(kind) + 1)
+    tracks = generate_synthetic(spec, 30)
+    rows = np.array([(t.frame_id, t.agent_id, t.x, t.y) for t in tracks], dtype=np.float64)
+    instances = synthetic_instances(spec, 11)
+    arrays = [getattr(inst, key).tobytes() for inst in instances
+              for key in ("obs_abs", "fut_abs", "obs_rel", "fut_rel")]
+    text = json.dumps([[inst.scene_id, inst.agent_ids, inst.start_frame] for inst in instances])
+    return _sha(rows.tobytes(), *arrays, text.encode())
+
+
 def _cli_json(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -142,19 +173,42 @@ def compute() -> dict[str, str]:
                                          "--batch-size", "8", "--seed", "5"])
     digests["hedge/updates"] = _hedge_digest()
     digests["v1_resaved"] = _sha(checkpoint_bytes(load_checkpoint(str(V1_FILE))[0]))
+    for scene in SCENES:
+        digests["data/{}/noise{}/period{}".format(*scene)] = _scene_digest(*scene)
     return digests
 
 
+def setting() -> str:
+    """This process's ``OPENBLAS_NUM_THREADS``, the key of its digest set."""
+    return os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+
+
+def _compute_at(value: str) -> dict:
+    """The digest set of a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    ``value`` (removed for ``unset``); BLAS reads it only at start-up."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value != "unset":
+        env["OPENBLAS_NUM_THREADS"] = value
+    code = (f"import json, sys; sys.path[:0] = [{str(HERE)!r}, {str(HERE.parent / 'src')!r}]; "
+            "import make_golden as g; "
+            "print(json.dumps({'environment': g.environment(), 'digests': g.compute()}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main() -> int:
-    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
-    new = compute()
-    doc = {"environment": environment(), "digests": new}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    doc = {value: _compute_at(value) for value in SETTINGS}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(new)} digests to {GOLDEN}", file=sys.stderr)
-    for label, names in (("added", new.keys() - old.keys()),
-                         ("removed", old.keys() - new.keys()),
-                         ("changed", {k for k in new.keys() & old.keys() if new[k] != old[k]})):
-        print(f"{label}: {', '.join(sorted(names)) or 'none'}", file=sys.stderr)
+    for value, recorded in doc.items():
+        new, was = recorded["digests"], old.get(value, {}).get("digests", {})
+        print(f"OPENBLAS_NUM_THREADS={value}: wrote {len(new)} digests to {GOLDEN}",
+              file=sys.stderr)
+        for label, names in (("added", new.keys() - was.keys()),
+                             ("removed", was.keys() - new.keys()),
+                             ("changed", {k for k in new.keys() & was.keys() if new[k] != was[k]})):
+            print(f"  {label}: {', '.join(sorted(names)) or 'none'}", file=sys.stderr)
     return 0
 
 
