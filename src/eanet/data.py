@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .rng import Xorshift64Star
+from .rng import Xorshift64Star, box_muller, unit_vectors
 
 T_OBS_DEFAULT = 8
 T_PRED_DEFAULT = 12
@@ -135,29 +135,51 @@ def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
 
     Windows are taken over the sorted unique frame ids (so decimated frame
     numbering such as 0, 10, 20 still counts as consecutive). Instances are
-    returned in window start order; windows with no complete agent are
-    dropped.
+    returned in window start order, with their agents sorted; windows with
+    no complete agent are dropped. Of two observations of one (frame,
+    agent) pair, the later one in ``tracks`` is used.
     """
-    if t_obs < 1 or t_pred < 1:
-        raise ConfigError("t_obs and t_pred must be positive")
+    _check_spans(t_obs, t_pred)
     if not tracks:
         return []
-    frames = sorted({t.frame_id for t in tracks})
+    last = {(t.frame_id, t.agent_id): (t.x, t.y) for t in tracks}
+    keys = np.array(list(last))
+    frame_ids, rows = np.unique(keys[:, 0], return_inverse=True)
+    agent_ids, cols = np.unique(keys[:, 1], return_inverse=True)
+    coords = np.zeros((len(frame_ids), len(agent_ids), 2))
+    coords[rows, cols] = list(last.values())
+    present = np.zeros(coords.shape[:2], dtype=bool)
+    present[rows, cols] = True
+    return _window(coords, present, frame_ids, agent_ids, t_obs, t_pred, scene_id)
+
+
+def _check_spans(t_obs: int, t_pred: int) -> None:
+    if t_obs < 1 or t_pred < 1:
+        raise ConfigError("t_obs and t_pred must be positive")
+
+
+def _window(coords: np.ndarray, present: np.ndarray, frame_ids: np.ndarray,
+            agent_ids: np.ndarray, t_obs: int, t_pred: int,
+            scene_id: str) -> list[TrajectoryInstance]:
+    """The instances of ``window_instances`` from a dense (frames, agents, 2)
+    scene whose (frames, agents) mask ``present`` marks the observed entries.
+
+    An agent is complete in a window when its cumulative presence count
+    grows by the window's length across it. Each instance gets its own
+    C-contiguous (P, span, 2) copy, with obs_abs and fut_abs views of it.
+    """
     span = t_obs + t_pred
-    by_agent: dict[int, dict[int, tuple[float, float]]] = {}
-    for t in tracks:
-        by_agent.setdefault(t.agent_id, {})[t.frame_id] = (t.x, t.y)
+    seen = np.zeros((len(frame_ids) + 1, len(agent_ids)), dtype=np.int64)
+    np.cumsum(present, axis=0, out=seen[1:])
+    complete = seen[span:] - seen[:-span] == span
+    by_agent = np.ascontiguousarray(coords.transpose(1, 0, 2))
     instances = []
-    for start in range(len(frames) - span + 1):
-        window = frames[start:start + span]
-        complete = [a for a in sorted(by_agent)
-                    if all(f in by_agent[a] for f in window)]
-        if not complete:
-            continue
-        coords = np.array([[by_agent[a][f] for f in window] for a in complete])
+    for start in np.flatnonzero(complete.any(axis=1)).tolist():
+        agents = np.flatnonzero(complete[start])
+        block = by_agent[agents, start:start + span]
         instances.append(TrajectoryInstance(
-            scene_id=scene_id, agent_ids=complete, start_frame=window[0],
-            obs_abs=coords[:, :t_obs], fut_abs=coords[:, t_obs:]))
+            scene_id=scene_id, agent_ids=agent_ids[agents].tolist(),
+            start_frame=int(frame_ids[start]), obs_abs=block[:, :t_obs], fut_abs=block[:, t_obs:]))
     return instances
 
 
@@ -220,54 +242,76 @@ def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrac
     All randomness comes from one xorshift64* stream seeded by
     ``spec.seed``. Draw order: per-agent initial state (in agent order),
     then per frame and per agent the motion update, so identical specs
-    produce byte-identical tracks on any platform.
+    produce byte-identical tracks on any platform. Tracks come in frame
+    order, agents 1..n within a frame.
+
+    The scene is computed as whole arrays (`_scene`), value for value what
+    a loop over frames and agents gives: the draws are counted up front
+    and taken in one `uniforms` call; accumulated coordinates go through
+    `np.cumsum`, which adds in order, so each position is still
+    ``(previous + step) + noise``; and log, cos and sin are `math`'s
+    (`box_muller`, `unit_vectors`), since numpy's round some inputs
+    differently.
     """
+    return [RawTrack(t, i + 1, x, y) for t, row in enumerate(_scene(spec, frames).tolist())
+            for i, (x, y) in enumerate(row)]
+
+
+def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
+    """(frames, agents, 2) positions of `generate_synthetic`'s scene."""
     spec.validate()
     if frames < 1:
         raise ConfigError("frames must be >= 1")
-    rng = Xorshift64Star(spec.seed)
-    n = spec.agents
+    n, kind = spec.agents, spec.kind
     noisy = spec.noise_std > 0
+    later = np.arange(1, frames)
+    # Draws per agent: `setup` at frame 0, then at each later frame 2 for a
+    # stagger turn and 2 for a noise pair. `first` is where agent i's
+    # draws of frame `later[k]` start, at [k, i].
+    setup = 3 if kind == "stagger" else 2
+    turns = (later % spec.period == 0) if kind == "stagger" else np.zeros(frames - 1, bool)
+    per_agent = 2 * turns + (2 if noisy else 0)
+    frame_draws = n * per_agent
+    first = (n * setup + np.cumsum(frame_draws) - frame_draws)[:, None] \
+        + per_agent[:, None] * np.arange(n)
+    u = Xorshift64Star(spec.seed).uniforms(n * setup + int(frame_draws.sum()))
+    init = u[:n * setup].reshape(n, setup)
+    noise = None
+    if noisy:
+        at = (first + 2 * turns[:, None])[..., None] + np.arange(2)
+        noise = spec.noise_std * box_muller(u[at].ravel()).reshape(frames - 1, n, 2)
 
-    positions = np.zeros((n, 2))
-    headings = np.zeros(n)
-    phases = np.zeros(n)
-    directions = np.ones(n)
-    if spec.kind == "circle":
+    if kind == "circle":
         radius = spec.extent / 2.0
         omega = spec.speed / radius
-        for i in range(n):
-            phases[i] = rng.uniform() * 2.0 * math.pi
-            directions[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+        phases = init[:, 0] * 2.0 * math.pi
+        directions = np.where(init[:, 1] < 0.5, 1.0, -1.0)
+        angles = np.empty((frames, n))
+        angles[0] = phases
+        angles[1:] = phases + directions * omega * later[:, None]
+        out = radius * unit_vectors(angles)
+        if noisy:
+            out[1:] += noise
+        return out
+    start = init[:, :2] * spec.extent
+    if kind == "oneway":
+        moves = np.broadcast_to([spec.speed, 0.0], (frames - 1, n, 2))
     else:
-        for i in range(n):
-            positions[i, 0] = rng.uniform() * spec.extent
-            positions[i, 1] = rng.uniform() * spec.extent
-            if spec.kind == "stagger":
-                headings[i] = rng.uniform() * 2.0 * math.pi
-
-    tracks: list[RawTrack] = []
-    for t in range(frames):
-        for i in range(n):
-            if t > 0:
-                if spec.kind == "circle":
-                    angle = phases[i] + directions[i] * omega * t
-                    positions[i] = radius * np.array([math.cos(angle), math.sin(angle)])
-                elif spec.kind == "oneway":
-                    positions[i] = positions[i] + np.array([spec.speed, 0.0])
-                else:
-                    if t % spec.period == 0:
-                        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-                        headings[i] += sign * (math.pi / 4.0 + rng.uniform() * math.pi / 4.0)
-                    positions[i] = positions[i] + spec.speed * np.array(
-                        [math.cos(headings[i]), math.sin(headings[i])])
-                if noisy:
-                    nx, ny = rng.normal_pair()
-                    positions[i] = positions[i] + spec.noise_std * np.array([nx, ny])
-            elif spec.kind == "circle":
-                positions[i] = radius * np.array([math.cos(phases[i]), math.sin(phases[i])])
-            tracks.append(RawTrack(t, i + 1, float(positions[i, 0]), float(positions[i, 1])))
-    return tracks
+        # Heading after k turns is headings[k]; frame t has had t // period.
+        at = first[turns][..., None] + np.arange(2)
+        signs = np.where(u[at[..., 0]] < 0.5, 1.0, -1.0)
+        deltas = signs * (math.pi / 4.0 + u[at[..., 1]] * math.pi / 4.0)
+        headings = np.cumsum(np.concatenate([init[None, :, 2] * 2.0 * math.pi, deltas]), axis=0)
+        moves = spec.speed * unit_vectors(headings)[later // spec.period]
+    # Running sums of start, move, noise, move, noise, ...: every other
+    # partial sum is a frame's position.
+    every = 1 if noise is None else 2
+    terms = np.empty((1 + every * (frames - 1), n, 2))
+    terms[0] = start
+    terms[1::every] = moves
+    if noise is not None:
+        terms[2::2] = noise
+    return np.cumsum(terms, axis=0)[::every]
 
 
 def frames_for_instances(n: int, t_obs: int = T_OBS_DEFAULT,
@@ -281,9 +325,11 @@ def frames_for_instances(n: int, t_obs: int = T_OBS_DEFAULT,
 def synthetic_instances(spec: SyntheticScenarioSpec, count: int,
                         t_obs: int = T_OBS_DEFAULT,
                         t_pred: int = T_PRED_DEFAULT) -> list[TrajectoryInstance]:
-    """Generate exactly ``count`` windowed instances of one scenario."""
+    """Generate exactly ``count`` windowed instances of one scenario: the
+    instances `window_instances` makes of `generate_synthetic`'s tracks,
+    windowed straight from the dense scene."""
     frames = frames_for_instances(count, t_obs, t_pred)
-    tracks = generate_synthetic(spec, frames)
-    instances = window_instances(tracks, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")
-    return instances[:count]
-
+    coords = _scene(spec, frames)
+    _check_spans(t_obs, t_pred)
+    return _window(coords, np.ones(coords.shape[:2], dtype=bool), np.arange(frames),
+                   np.arange(1, spec.agents + 1), t_obs, t_pred, f"{spec.kind}:{spec.seed}")

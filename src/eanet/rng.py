@@ -7,16 +7,19 @@ datasets, parameter initialisation, and checkpoints reproducible. Gaussian
 draws use the Box-Muller transform; no spare value is cached, so the full
 generator state is a single 64-bit word.
 
-`normal_pairs(n)` is the array form of n `normal_pair()` calls and is
-bit-identical to them. The state update (before the multiply) is linear
-over GF(2)^64, so advancing `_LANE` states is one 64x64 bit matrix,
-applied as the xor of eight byte-table lookups (`_jump`); the tables are
-built at import from `next_u64` itself. `normal_pairs` cuts the chain of
-2n states into lanes of `_LANE`, finds each lane's start with one jump,
-and advances all lanes together in uint64 numpy arrays, whose shifts drop
-high bits exactly as the scalar `& _MASK64` does. The multiply, shift and
-scaling run in uint64/float64 (all exact), and log, cos and sin come from
-`math`, because numpy's versions round some inputs differently by one ulp.
+`uniforms(n)` is the array form of n `uniform()` calls, and
+`normal_pairs(n)` of n `normal_pair()` calls (the Box-Muller step over
+`uniforms(2n)`); both are bit-identical to the scalar calls and leave the
+same state. The state update (before the multiply) is linear over
+GF(2)^64, so advancing `_LANE` states is one 64x64 bit matrix, applied as
+the xor of eight byte-table lookups (`_jump`); the tables are built at
+import from `next_u64` itself. `uniforms` cuts the chain of n states into
+lanes of `_LANE`, finds each lane's start with one jump, and advances all
+lanes together in uint64 numpy arrays, whose shifts drop high bits exactly
+as the scalar `& _MASK64` does. The multiply, shift and scaling run in
+uint64/float64 (all exact), and log, cos and sin come from `math` (cos
+and sin through `unit_vectors`), because numpy's versions round some
+inputs differently by one ulp.
 """
 
 from __future__ import annotations
@@ -68,43 +71,41 @@ class Xorshift64Star:
         theta = 2.0 * math.pi * u2
         return r * math.cos(theta), r * math.sin(theta)
 
-    def normal_pairs(self, n: int) -> np.ndarray:
-        """(n, 2) array of the n pairs that n `normal_pair()` calls give,
-        bit for bit, leaving the generator in the same state.
+    def uniforms(self, n: int) -> np.ndarray:
+        """(n,) array of the n values that n `uniform()` calls give, bit for
+        bit, leaving the generator in the same state.
 
-        The 2n states are computed as lanes of `_LANE` consecutive states:
+        The n states are computed as lanes of `_LANE` consecutive states:
         lane j starts `j * _LANE` steps after the current state, and all
         lanes take their steps together in numpy.
         """
         if n < 0:
-            raise ValueError("normal_pairs() needs a non-negative count")
+            raise ValueError("uniforms() needs a non-negative count")
         if n == 0:
-            return np.empty((0, 2))
-        m = 2 * n
+            return np.empty(0)
         x = self.state
         starts = [x]
-        for _ in range((m - 1) // _LANE):
+        for _ in range((n - 1) // _LANE):
             x = _jump(x)
             starts.append(x)
         lanes = np.array(starts, dtype=np.uint64)
-        block = np.empty((min(m, _LANE), len(starts)), dtype=np.uint64)
+        block = np.empty((min(n, _LANE), len(starts)), dtype=np.uint64)
         for row in block:
             lanes ^= lanes >> np.uint64(12)
             lanes ^= lanes << np.uint64(25)
             lanes ^= lanes >> np.uint64(27)
             row[:] = lanes
-        states = block.T.ravel()[:m]
+        states = block.T.ravel()[:n]
         self.state = int(states[-1])
         words = states * np.uint64(_MULTIPLIER)
-        u = (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        u1, u2 = u[0::2], u[1::2]
-        u1[u1 <= 0.0] = _INV_2_53
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
-        theta = (2.0 * math.pi * u2).tolist()
-        out = np.empty((n, 2))
-        out[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, n)
-        out[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, n)
-        return out
+        return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+    def normal_pairs(self, n: int) -> np.ndarray:
+        """(n, 2) array of the n pairs that n `normal_pair()` calls give,
+        bit for bit, leaving the generator in the same state."""
+        if n < 0:
+            raise ValueError("normal_pairs() needs a non-negative count")
+        return box_muller(self.uniforms(2 * n))
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Uses a plain modulo; the tiny bias does not
@@ -120,7 +121,29 @@ class Xorshift64Star:
             items[i], items[j] = items[j], items[i]
 
 
-# States per lane in `normal_pairs`, and the length of one `_jump`.
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """(n, 2) normals from the 2n uniforms ``u``, taken in pairs as
+    `normal_pair` takes them; ``u`` is changed where a first uniform is 0."""
+    u1, u2 = u[0::2], u[1::2]
+    u1[u1 <= 0.0] = _INV_2_53
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1)))
+    out = unit_vectors(2.0 * math.pi * u2)
+    # In place: a separate product array raised eval_bok_circle's peak
+    # RSS by about 2.6 MB.
+    out *= r[:, None]
+    return out
+
+
+def unit_vectors(angles: np.ndarray) -> np.ndarray:
+    """(..., 2) array of the (cos, sin) of every angle, from `math`."""
+    flat = angles.ravel().tolist()
+    out = np.empty((len(flat), 2))
+    out[:, 0] = np.fromiter(map(math.cos, flat), np.float64, len(flat))
+    out[:, 1] = np.fromiter(map(math.sin, flat), np.float64, len(flat))
+    return out.reshape(*angles.shape, 2)
+
+
+# States per lane in `uniforms`, and the length of one `_jump`.
 _LANE = 32
 
 

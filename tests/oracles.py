@@ -1,16 +1,25 @@
-"""The backbone and heads as chains of tape primitives, kept as oracles.
+"""Earlier, plainer forms of fused or vectorised code, kept as oracles.
 
 `temporal.stack_forward`, `attention.ea_output` and
 `attention.hedge_output` are single tape records with hand-written
-backward passes. The functions here are the per-layer chains those
+backward passes. The first functions here are the per-layer chains those
 records replaced, op for op, so tests can require the fused records to
 give the same outputs and gradients under ``np.array_equal``.
+
+`generate_synthetic` and `window_instances` are the per-agent, per-frame
+loops that `eanet.data` replaced with whole-array numpy work; tests
+require the data module to give the same tracks and instances bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from eanet import tensor as T
 from eanet.attention import ExpertTrace
+from eanet.data import RawTrack, TrajectoryInstance
+from eanet.errors import ConfigError
+from eanet.rng import Xorshift64Star
 
 
 def stack_forward(x0, kernels, slopes):
@@ -43,3 +52,85 @@ def hedge_output(m_list, w):
     stacked = T.stack(m_list, axis=1)
     mix = T.Tensor(np.asarray(w).reshape(1, stacked.shape[1], 1, 1, 1))
     return T.tensor_sum(T.mul(stacked, mix), axis=1)
+
+
+def generate_synthetic(spec, frames):
+    """Tracks of ``frames`` frames, drawn one agent and one frame at a time."""
+    spec.validate()
+    if frames < 1:
+        raise ConfigError("frames must be >= 1")
+    rng = Xorshift64Star(spec.seed)
+    n = spec.agents
+    noisy = spec.noise_std > 0
+
+    positions = np.zeros((n, 2))
+    headings = np.zeros(n)
+    phases = np.zeros(n)
+    directions = np.ones(n)
+    if spec.kind == "circle":
+        radius = spec.extent / 2.0
+        omega = spec.speed / radius
+        for i in range(n):
+            phases[i] = rng.uniform() * 2.0 * math.pi
+            directions[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+    else:
+        for i in range(n):
+            positions[i, 0] = rng.uniform() * spec.extent
+            positions[i, 1] = rng.uniform() * spec.extent
+            if spec.kind == "stagger":
+                headings[i] = rng.uniform() * 2.0 * math.pi
+
+    tracks = []
+    for t in range(frames):
+        for i in range(n):
+            if t > 0:
+                if spec.kind == "circle":
+                    angle = phases[i] + directions[i] * omega * t
+                    positions[i] = radius * np.array([math.cos(angle), math.sin(angle)])
+                elif spec.kind == "oneway":
+                    positions[i] = positions[i] + np.array([spec.speed, 0.0])
+                else:
+                    if t % spec.period == 0:
+                        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+                        headings[i] += sign * (math.pi / 4.0 + rng.uniform() * math.pi / 4.0)
+                    positions[i] = positions[i] + spec.speed * np.array(
+                        [math.cos(headings[i]), math.sin(headings[i])])
+                if noisy:
+                    nx, ny = rng.normal_pair()
+                    positions[i] = positions[i] + spec.noise_std * np.array([nx, ny])
+            elif spec.kind == "circle":
+                positions[i] = radius * np.array([math.cos(phases[i]), math.sin(phases[i])])
+            tracks.append(RawTrack(t, i + 1, float(positions[i, 0]), float(positions[i, 1])))
+    return tracks
+
+
+def window_instances(tracks, t_obs, t_pred, scene_id=""):
+    """Instances of every window over the sorted unique frame ids, found by
+    scanning each agent's frames for each window."""
+    if t_obs < 1 or t_pred < 1:
+        raise ConfigError("t_obs and t_pred must be positive")
+    if not tracks:
+        return []
+    frames = sorted({t.frame_id for t in tracks})
+    span = t_obs + t_pred
+    by_agent = {}
+    for t in tracks:
+        by_agent.setdefault(t.agent_id, {})[t.frame_id] = (t.x, t.y)
+    instances = []
+    for start in range(len(frames) - span + 1):
+        window = frames[start:start + span]
+        complete = [a for a in sorted(by_agent)
+                    if all(f in by_agent[a] for f in window)]
+        if not complete:
+            continue
+        coords = np.array([[by_agent[a][f] for f in window] for a in complete])
+        instances.append(TrajectoryInstance(
+            scene_id=scene_id, agent_ids=complete, start_frame=window[0],
+            obs_abs=coords[:, :t_obs], fut_abs=coords[:, t_obs:]))
+    return instances
+
+
+def synthetic_instances(spec, count, t_obs, t_pred):
+    """The first ``count`` windows of an oracle scene just long enough for them."""
+    tracks = generate_synthetic(spec, count - 1 + t_obs + t_pred)
+    return window_instances(tracks, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")[:count]

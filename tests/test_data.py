@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from eanet.data import (RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
+import oracles
+from eanet.data import (SCENARIO_KINDS, RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
                         load_scene, synthetic_instances, to_relative,
                         window_instances, write_scene)
@@ -226,3 +227,74 @@ def test_instance_shape_validation():
         TrajectoryInstance("x", [1], 0, np.zeros((2, 8, 3)), np.zeros((2, 12, 2)))
     with pytest.raises(DataError):
         TrajectoryInstance("x", [1], 0, np.zeros((2, 8, 2)), np.zeros((3, 12, 2)))
+
+
+def track_bits(tracks):
+    """Every field of every track, floats by their exact bits and type."""
+    return [(t.frame_id, t.agent_id, type(t.x), t.x.hex(), type(t.y), t.y.hex())
+            for t in tracks]
+
+
+def instance_fields(instances):
+    """Every field of every instance; arrays by dtype, shape and bytes."""
+    return [(inst.scene_id, inst.agent_ids, [type(a) for a in inst.agent_ids],
+             inst.start_frame, type(inst.start_frame),
+             *[(arr.dtype, arr.shape, arr.tobytes())
+               for arr in (inst.obs_abs, inst.fut_abs, inst.obs_rel, inst.fut_rel)])
+            for inst in instances]
+
+
+@pytest.mark.parametrize("period", [1, 3, 10])
+@pytest.mark.parametrize("noise_std", [0.0, 0.02, 0.2])
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_scenes_equal_the_per_frame_oracle_bit_for_bit(kind, noise_std, period):
+    for agents in (1, 7):
+        for frames in sorted({1, 2, period, period + 1, 60}):
+            spec = SyntheticScenarioSpec(kind=kind, agents=agents, noise_std=noise_std,
+                                         period=period, seed=frames + agents)
+            tracks = generate_synthetic(spec, frames)
+            assert track_bits(tracks) == track_bits(oracles.generate_synthetic(spec, frames))
+            for t_obs, t_pred in ((1, 1), (2, 3), (8, 12)):
+                count = frames - t_obs - t_pred + 1
+                assert instance_fields(window_instances(tracks, t_obs, t_pred, "s")) == \
+                    instance_fields(oracles.window_instances(tracks, t_obs, t_pred, "s"))
+                if count >= 1:
+                    assert instance_fields(synthetic_instances(spec, count, t_obs, t_pred)) == \
+                        instance_fields(oracles.synthetic_instances(spec, count, t_obs, t_pred))
+
+
+def test_ragged_scene_windows_equal_the_oracle():
+    # Decimated frame ids; agent 4 enters late, agent 2 leaves early and
+    # agent 7 has a gap. The input is shuffled, then (frame 30, agent 1)
+    # is observed a second time, and that later observation wins.
+    rng = np.random.default_rng(11)
+    life = {1: range(0, 25), 2: range(0, 12), 4: range(6, 25), 7: [*range(0, 9), *range(10, 25)]}
+    tracks = [RawTrack(10 * f, a, float(rng.normal()), float(rng.normal()))
+              for a, frames in life.items() for f in frames]
+    tracks = [tracks[i] for i in rng.permutation(len(tracks))]
+    tracks.append(RawTrack(30, 1, 123.5, -7.25))
+    for t_obs, t_pred in ((2, 3), (4, 4), (8, 12)):
+        assert instance_fields(window_instances(tracks, t_obs, t_pred, "ragged")) == \
+            instance_fields(oracles.window_instances(tracks, t_obs, t_pred, "ragged"))
+    assert {tuple(inst.agent_ids) for inst in window_instances(tracks, 2, 3)} == \
+        {(1, 2, 7), (1, 2), (1, 2, 4), (1, 4), (1, 4, 7)}
+    inst = window_instances(tracks, 2, 3)[2]
+    assert inst.start_frame == 20 and inst.agent_ids == [1, 2, 7]
+    assert inst.obs_abs[0, 1].tolist() == [123.5, -7.25]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=3, seed=2), 4),
+    lambda: window_instances(line_tracks(3, 23)),
+])
+def test_each_instance_owns_one_contiguous_block(make):
+    instances = make()
+    for inst in instances:
+        block = inst.obs_abs.base
+        assert block is inst.fut_abs.base and block.flags.c_contiguous
+        assert block.shape == (inst.n_agents, inst.t_obs + inst.t_pred, 2)
+    first, second = instances[0], instances[1]
+    assert not np.shares_memory(first.obs_abs.base, second.obs_abs.base)
+    before = second.obs_abs.copy()
+    first.obs_abs[:] = -1.0
+    assert np.array_equal(second.obs_abs, before)

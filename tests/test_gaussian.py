@@ -344,6 +344,24 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
             assert batch.state == scalar.state
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, _LANE - 1, _LANE, _LANE + 1,
+                               2 * _LANE - 1, 2 * _LANE, 2 * _LANE + 1])
+def test_uniforms_equal_scalar_draws_and_leave_the_same_state(n):
+    for seed in (0, 1, 9, 2**64 - 1):
+        scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
+        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        got = batch.uniforms(n)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert batch.state == scalar.state
+
+
+def test_uniforms_reject_a_negative_count_and_keep_the_state():
+    rng = Xorshift64Star(5)
+    with pytest.raises(ValueError, match="non-negative count"):
+        rng.uniforms(-1)
+    assert rng.state == Xorshift64Star(5).state
+
+
 def test_jump_equals_lane_many_single_steps():
     for state in (1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63):
         rng = Xorshift64Star()
