@@ -276,7 +276,6 @@ def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
         + per_agent[:, None] * np.arange(n)
     u = Xorshift64Star(spec.seed).uniforms(n * setup + int(frame_draws.sum()))
     init = u[:n * setup].reshape(n, setup)
-    noise = None
     if noisy:
         at = (first + 2 * turns[:, None])[..., None] + np.arange(2)
         noise = spec.noise_std * box_muller(u[at].ravel()).reshape(frames - 1, n, 2)
@@ -298,18 +297,18 @@ def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
         moves = np.broadcast_to([spec.speed, 0.0], (frames - 1, n, 2))
     else:
         # Heading after k turns is headings[k]; frame t has had t // period.
-        at = first[turns][..., None] + np.arange(2)
-        signs = np.where(u[at[..., 0]] < 0.5, 1.0, -1.0)
-        deltas = signs * (math.pi / 4.0 + u[at[..., 1]] * math.pi / 4.0)
+        turn_at = first[turns]
+        signs = np.where(u[turn_at] < 0.5, 1.0, -1.0)
+        deltas = signs * (math.pi / 4.0 + u[turn_at + 1] * math.pi / 4.0)
         headings = np.cumsum(np.concatenate([init[None, :, 2] * 2.0 * math.pi, deltas]), axis=0)
         moves = spec.speed * unit_vectors(headings)[later // spec.period]
     # Running sums of start, move, noise, move, noise, ...: every other
     # partial sum is a frame's position.
-    every = 1 if noise is None else 2
+    every = 2 if noisy else 1
     terms = np.empty((1 + every * (frames - 1), n, 2))
     terms[0] = start
     terms[1::every] = moves
-    if noise is not None:
+    if noisy:
         terms[2::2] = noise
     return np.cumsum(terms, axis=0)[::every]
 
