@@ -35,9 +35,11 @@ class TrajectoryInstance:
     """One prediction case: P agents over T_obs observed + T_pred future frames.
 
     Absolute arrays are (P, T, 2); relative arrays are first differences
-    along time. ``obs_rel[:, 0]`` is zero by convention, and ``fut_rel[:, 0]``
-    is the step from the last observed frame, so the cumulative sum of
-    ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds ``fut_abs``.
+    along time, the two slices of one difference of the whole observed and
+    future track. ``obs_rel[:, 0]`` is zero by convention, and
+    ``fut_rel[:, 0]`` is the step from the last observed frame, so the
+    cumulative sum of ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds
+    ``fut_abs``.
     """
 
     scene_id: str
@@ -57,9 +59,10 @@ class TrajectoryInstance:
             raise DataError(
                 f"fut_abs {self.fut_abs.shape} inconsistent with obs_abs {self.obs_abs.shape}"
             )
-        self.obs_rel = to_relative(self.obs_abs)
-        bridged = np.concatenate([self.obs_abs[:, -1:, :], self.fut_abs], axis=1)
-        self.fut_rel = np.diff(bridged, axis=1)
+        track = np.concatenate([self.obs_abs, self.fut_abs], axis=1)
+        rel = np.zeros_like(track)
+        rel[:, 1:] = np.diff(track, axis=1)
+        self.obs_rel, self.fut_rel = rel[:, :self.t_obs], rel[:, self.t_obs:]
 
     @property
     def n_agents(self) -> int:
@@ -83,14 +86,6 @@ class TrajectoryInstance:
         """Translate so the centroid of last-observed positions is the origin."""
         centre = self.obs_abs[:, -1, :].mean(axis=0)
         return self.translated(-centre)
-
-
-def to_relative(abs_positions: np.ndarray) -> np.ndarray:
-    """First differences along the time axis with a zero first row."""
-    abs_positions = np.asarray(abs_positions, dtype=np.float64)
-    rel = np.zeros_like(abs_positions)
-    rel[:, 1:] = np.diff(abs_positions, axis=1)
-    return rel
 
 
 def load_scene(path) -> list[RawTrack]:

@@ -155,7 +155,7 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     K+1 run coincide with the K run (nested seed streams).
 
     The result is bit-identical to a scalar loop that draws each pair
-    with `Xorshift64Star.normal_pair()` in that order, forms
+    with `normal_pair` of `tests/oracles.py` in that order, forms
     (mu_x + sx z0, mu_y + rho sy z0 + sy sqrt(max(1 - rho^2, RHO_GUARD)) z1)
     and takes the running sum over frames from the origin.
     """

@@ -7,11 +7,12 @@ datasets, parameter initialisation, and checkpoints reproducible. Gaussian
 draws use the Box-Muller transform; no spare value is cached, so the full
 generator state is a single 64-bit word.
 
-`uniforms(n)` is the array form of n `uniform()` calls, and
-`normal_pairs(n)` of n `normal_pair()` calls (the Box-Muller step over
-`uniforms(2n)`); both are bit-identical to the scalar calls and leave the
-same state. The state update (before the multiply) is linear over
-GF(2)^64, so advancing `_LANE` states is one 64x64 bit matrix, applied as
+`uniforms(n)` is the array form of n `uniform()` calls, bit-identical
+to them and leaving the same state. `normal_pairs(n)` is the Box-Muller
+step over `uniforms(2n)`: n pairs, each bit for bit one call of the
+scalar `normal_pair` that `tests/oracles.py` keeps as its reference.
+The state update (before the multiply) is linear over GF(2)^64, so
+advancing `_LANE` states is one 64x64 bit matrix, applied as
 the xor of eight byte-table lookups (`_jump`); the tables are built at
 import from `next_u64` itself. `uniforms` cuts the chain of n states into
 lanes of `_LANE`, finds each lane's start with one jump, and advances all
@@ -61,16 +62,6 @@ class Xorshift64Star:
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
-    def normal_pair(self) -> tuple[float, float]:
-        """Two independent standard normals via Box-Muller."""
-        u1 = self.uniform()
-        if u1 <= 0.0:
-            u1 = _INV_2_53
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        return r * math.cos(theta), r * math.sin(theta)
-
     def uniforms(self, n: int) -> np.ndarray:
         """(n,) array of the n values that n `uniform()` calls give, bit for
         bit, leaving the generator in the same state.
@@ -101,8 +92,9 @@ class Xorshift64Star:
         return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal_pairs(self, n: int) -> np.ndarray:
-        """(n, 2) array of the n pairs that n `normal_pair()` calls give,
-        bit for bit, leaving the generator in the same state."""
+        """(n, 2) array of the n pairs that n calls of the scalar
+        `normal_pair` in `tests/oracles.py` give, bit for bit, leaving the
+        generator in the same state."""
         if n < 0:
             raise ValueError("normal_pairs() needs a non-negative count")
         return box_muller(self.uniforms(2 * n))
@@ -122,8 +114,9 @@ class Xorshift64Star:
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
-    """(n, 2) normals from the 2n uniforms ``u``, taken in pairs as
-    `normal_pair` takes them; ``u`` is changed where a first uniform is 0."""
+    """(n, 2) normals from the 2n uniforms ``u``, taken in pairs: the
+    radius from the first (a first uniform of 0 is raised to 2^-53, and
+    ``u`` is changed there) and the angle from the second."""
     u1, u2 = u[0::2], u[1::2]
     u1[u1 <= 0.0] = _INV_2_53
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1)))

@@ -13,6 +13,19 @@ Broadcasting on elementwise ops follows numpy semantics, which is exactly
 "extend singleton axes"; gradients are summed back down to each operand's
 shape. Tensors recorded on a tape must not be mutated in place before
 backward runs.
+
+The module holds only what a package path runs: the elementwise ``add``,
+``mul`` and ``sigmoid``, ``matmul``, ``getitem``, the whole-tensor
+``tensor_sum`` that ``eanet gradcheck`` builds its losses with, the
+row-local ``conv2d`` of ``temporal.time_expand``, the banded-weight
+helpers it shares with ``temporal``'s fused stack, and the gradient-norm
+helpers of the update step. The record helpers ``_make``, ``_accumulate`` and
+``_unbroadcast`` are what the fused records of ``temporal``,
+``attention`` and ``gaussian`` are written with. An op that only tests
+call does not belong here: the per-layer chains kept as oracles build
+theirs, in the forms they use, in ``tests/oracles.py``, and
+``tests/test_tensor.py`` requires every public function here to have a
+caller elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -112,35 +125,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Operator sugar; the module-level functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -201,18 +185,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    out_data = a.data - b.data
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), back)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
@@ -225,48 +197,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "div")
-    out_data = a.data / b.data
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), back)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def back(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), back)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def back(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), back)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), back)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
@@ -275,23 +205,6 @@ def sigmoid(a) -> Tensor:
         _accumulate(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), back)
-
-
-def prelu(a, slope) -> Tensor:
-    """Parametric ReLU: x for x > 0, slope * x otherwise.
-
-    ``slope`` is itself a tensor (usually a scalar) so it can be learned.
-    """
-    a, slope = as_tensor(a), as_tensor(slope)
-    _check_broadcast(a, slope, "prelu")
-    positive = a.data > 0
-    out_data = np.where(positive, a.data, slope.data * a.data)
-
-    def back(g):
-        _accumulate(a, g * np.where(positive, 1.0, slope.data))
-        _accumulate(slope, _unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
-
-    return _make(out_data, (a, slope), back)
 
 
 # ---------------------------------------------------------------------------
@@ -430,67 +343,14 @@ def conv2d(x, kernel) -> Tensor:
     return _make(out_data, (x, kernel), back)
 
 
-def _normalize_axis(axis: int, ndim: int, opname: str) -> int:
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"{opname}: axis {axis} out of range for rank {ndim}")
-    return axis % ndim
-
-
-def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = as_tensor(a)
-    if axis is None:
-        out_data = a.data.sum()
-
-        def back(g):
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-        return _make(out_data, (a,), back)
-
-    ax = _normalize_axis(axis, a.ndim, "sum")
-    out_data = a.data.sum(axis=ax, keepdims=keepdims)
 
     def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(out_data, (a,), back)
-
-
-def tensor_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-        out_data = a.data.mean()
-
-        def back(g):
-            _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
-
-        return _make(out_data, (a,), back)
-
-    ax = _normalize_axis(axis, a.ndim, "mean")
-    n = a.shape[ax]
-    out_data = a.data.mean(axis=ax, keepdims=keepdims)
-
-    def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
-
-    return _make(out_data, (a,), back)
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    try:
-        out_data = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}") from None
-
-    def back(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(out_data, (a,), back)
+    return _make(a.data.sum(), (a,), back)
 
 
 def getitem(a, key) -> Tensor:
@@ -504,24 +364,6 @@ def getitem(a, key) -> Tensor:
         _accumulate(a, full)
 
     return _make(out_data, (a,), back)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("stack needs at least one tensor")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != first:
-            raise DimensionError(f"stack: shapes differ, {first} vs {t.shape}")
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def back(g):
-        pieces = np.split(g, len(tensors), axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accumulate(t, np.squeeze(piece, axis=axis))
-
-    return _make(out_data, tuple(tensors), back)
 
 
 def global_grad_norm(tensors) -> float:

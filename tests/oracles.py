@@ -6,9 +6,18 @@ backward passes. The first functions here are the per-layer chains those
 records replaced, op for op, so tests can require the fused records to
 give the same outputs and gradients under ``np.array_equal``.
 
+The taped ops those chains and the tests' other oracles call, which no
+package path runs, live here too, in the forms they are called with.
+Each is written on ``T._make``/``T._accumulate``/``T._unbroadcast`` with
+the numpy expressions of the package op it was, so every oracle's
+arithmetic is the same as before the ops left the package.
+
 `generate_synthetic` and `window_instances` are the per-agent, per-frame
 loops that `eanet.data` replaced with whole-array numpy work; tests
-require the data module to give the same tracks and instances bit for bit.
+require the data module to give the same tracks and instances bit for
+bit. `normal_pair` is the scalar Box-Muller draw that
+`Xorshift64Star.normal_pairs` and `gaussian.sample_trajectories` are
+checked against.
 """
 
 import math
@@ -19,7 +28,7 @@ from eanet import tensor as T
 from eanet.attention import ExpertTrace
 from eanet.data import RawTrack, TrajectoryInstance
 from eanet.errors import ConfigError
-from eanet.rng import Xorshift64Star
+from eanet.rng import _INV_2_53, Xorshift64Star
 
 
 def stack_forward(x0, kernels, slopes):
@@ -28,30 +37,126 @@ def stack_forward(x0, kernels, slopes):
     outputs = []
     current = T.as_tensor(x0)
     for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
-        convolved = T.prelu(T.conv2d(current, kernel), slope)
+        convolved = prelu(T.conv2d(current, kernel), slope)
         current = convolved if idx == 0 else T.add(convolved, current)
         outputs.append(current)
     return outputs
 
 
 def ea_output(m_list, theta, bias, alpha):
-    """The gated, alpha-weighted layer sum over ``T.stack(m_list, axis=1)``;
-    returns the output and the trace."""
-    stacked = T.stack(m_list, axis=1)
+    """The gated, alpha-weighted layer sum over ``stack(m_list)``; returns
+    the output and the trace."""
+    stacked = stack(m_list)
     n_layers = stacked.shape[1]
-    scores = T.tanh(T.add(T.matmul(stacked, theta), bias))
-    gate = T.tensor_mean(scores, axis=3, keepdims=True)
-    mix = T.reshape(T.as_tensor(alpha), (1, n_layers, 1, 1, 1))
-    out = T.tensor_sum(T.mul(T.mul(stacked, gate), mix), axis=1)
+    scores = tanh(T.add(T.matmul(stacked, theta), bias))
+    gate = mean(scores, axis=3)
+    mix = reshape(T.as_tensor(alpha), (1, n_layers, 1, 1, 1))
+    out = sum_axis(T.mul(T.mul(stacked, gate), mix), axis=1)
     gate_mean = gate.data.mean(axis=(0, 2)).reshape(n_layers)
     return out, ExpertTrace(gate=gate_mean, alpha=alpha.data.reshape(-1).copy())
 
 
 def hedge_output(m_list, w):
     """The layer sum weighted by the constant probability vector ``w``."""
-    stacked = T.stack(m_list, axis=1)
+    stacked = stack(m_list)
     mix = T.Tensor(np.asarray(w).reshape(1, stacked.shape[1], 1, 1, 1))
-    return T.tensor_sum(T.mul(stacked, mix), axis=1)
+    return sum_axis(T.mul(stacked, mix), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# taped ops that only oracles call
+
+
+def sub(a, b):
+    a = T.as_tensor(a)  # the NLL chain's 1 - rho^2 passes a float
+
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g, a.shape))
+        T._accumulate(b, T._unbroadcast(-g, b.shape))
+
+    return T._make(a.data - b.data, (a, b), back)
+
+
+def div(a, b):
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g / b.data, a.shape))
+        T._accumulate(b, T._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return T._make(a.data / b.data, (a, b), back)
+
+
+def exp(a):
+    out_data = np.exp(a.data)
+    return T._make(out_data, (a,), lambda g: T._accumulate(a, g * out_data))
+
+
+def log(a):
+    return T._make(np.log(a.data), (a,), lambda g: T._accumulate(a, g / a.data))
+
+
+def tanh(a):
+    out_data = np.tanh(a.data)
+    return T._make(out_data, (a,), lambda g: T._accumulate(a, g * (1.0 - out_data * out_data)))
+
+
+def prelu(a, slope):
+    """x for x > 0, slope * x otherwise, with a learnable scalar slope."""
+    positive = a.data > 0
+
+    def back(g):
+        T._accumulate(a, g * np.where(positive, 1.0, slope.data))
+        T._accumulate(slope, T._unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
+
+    return T._make(np.where(positive, a.data, slope.data * a.data), (a, slope), back)
+
+
+def sum_axis(a, axis):
+    """The sum over ``axis``, which the result drops."""
+
+    def back(g):
+        T._accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+
+    return T._make(a.data.sum(axis=axis), (a,), back)
+
+
+def mean(a, axis=None):
+    """The mean of every entry, or over ``axis`` kept as a unit axis."""
+    if axis is None:
+        n, out_data = a.data.size, a.data.mean()
+    else:
+        n, out_data = a.shape[axis], a.data.mean(axis=axis, keepdims=True)
+    return T._make(out_data, (a,),
+                   lambda g: T._accumulate(a, np.broadcast_to(g / n, a.shape).copy()))
+
+
+def reshape(a, shape):
+    return T._make(a.data.reshape(shape), (a,), lambda g: T._accumulate(a, g.reshape(a.shape)))
+
+
+def stack(tensors):
+    """Same-shaped tensors stacked along a new axis 1."""
+
+    def back(g):
+        for i, t in enumerate(tensors):
+            T._accumulate(t, g[:, i])
+
+    return T._make(np.stack([t.data for t in tensors], axis=1), tuple(tensors), back)
+
+
+def normal_pair(rng):
+    """Two independent standard normals from two `uniform()` draws of
+    ``rng`` via Box-Muller; a first uniform of 0 is raised to 2^-53."""
+    u1 = rng.uniform()
+    if u1 <= 0.0:
+        u1 = _INV_2_53
+    u2 = rng.uniform()
+    r = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+# ---------------------------------------------------------------------------
+# scene generation and windowing
 
 
 def generate_synthetic(spec, frames):
@@ -96,7 +201,7 @@ def generate_synthetic(spec, frames):
                     positions[i] = positions[i] + spec.speed * np.array(
                         [math.cos(headings[i]), math.sin(headings[i])])
                 if noisy:
-                    nx, ny = rng.normal_pair()
+                    nx, ny = normal_pair(rng)
                     positions[i] = positions[i] + spec.noise_std * np.array([nx, ny])
             elif spec.kind == "circle":
                 positions[i] = radius * np.array([math.cos(phases[i]), math.sin(phases[i])])

@@ -16,14 +16,14 @@ def recombine_by_frame(block):
     """Per-frame oracle for ``ea_output``: reindex the (N, L, T, P, D)
     block into T tensors of shape (N, L, P, D), so
     R_f[n][l][p][d] == M[l][n][f][p][d]."""
-    return [block[:, :, f] for f in range(block.shape[2])]
+    return [T.getitem(block, np.s_[:, :, f]) for f in range(block.shape[2])]
 
 
 def expert_weights(r_f, theta, bias):
     """Gate scores for one frame: mean over agents of tanh(R_f Theta + b),
     (N, L, P, D) with a (D, 1) theta to (N, L, 1, 1)."""
-    scores = T.tanh(T.add(T.matmul(r_f, theta), bias))
-    return T.tensor_mean(scores, axis=2, keepdims=True)
+    scores = oracles.tanh(T.add(T.matmul(r_f, theta), bias))
+    return oracles.mean(scores, axis=2)
 
 
 def random_layers(n_layers=3, n=1, t=4, p=3, d=5, seed=0):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from eanet.data import (SCENARIO_KINDS, RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
-                        load_scene, synthetic_instances, to_relative,
+                        load_scene, synthetic_instances,
                         window_instances, write_scene)
 from eanet.errors import ConfigError, DataError, ParseError
 
@@ -102,8 +102,11 @@ def test_window_decimated_frame_ids():
 def test_instance_relative_arrays():
     inst = window_instances(line_tracks(2, 20))[0]
     assert np.array_equal(inst.obs_rel[:, 0], np.zeros((2, 2)))
-    assert np.allclose(inst.obs_rel[:, 1:], np.diff(inst.obs_abs, axis=1))
-    assert np.allclose(inst.fut_rel[:, 0], inst.fut_abs[:, 0] - inst.obs_abs[:, -1])
+    # The same bits as the separate differences of the observed frames and
+    # of the future frames behind the last observed one.
+    assert np.array_equal(inst.obs_rel[:, 1:], np.diff(inst.obs_abs, axis=1))
+    bridged = np.concatenate([inst.obs_abs[:, -1:], inst.fut_abs], axis=1)
+    assert np.array_equal(inst.fut_rel, np.diff(bridged, axis=1))
     rebuilt = inst.obs_abs[:, -1:, :] + np.cumsum(inst.fut_rel, axis=1)
     assert np.allclose(rebuilt, inst.fut_abs, atol=1e-12)
 
@@ -112,7 +115,8 @@ def test_to_relative_round_trip_within_1e9():
     rng = np.random.default_rng(4)
     for _ in range(20):
         walk = np.cumsum(rng.normal(size=(3, 20, 2)), axis=1) + 100.0
-        rel = to_relative(walk)
+        inst = TrajectoryInstance("walk", [1, 2, 3], 0, walk[:, :8], walk[:, 8:])
+        rel = np.concatenate([inst.obs_rel, inst.fut_rel], axis=1)
         rebuilt = walk[:, :1] + np.cumsum(rel, axis=1)
         # rel[:, 0] is zero, so the origin row stays put.
         assert np.max(np.abs(rebuilt - walk)) < 1e-9

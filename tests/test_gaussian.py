@@ -14,6 +14,7 @@ from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_ga
 from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
 from eanet.rng import _LANE, _MASK64, _MULTIPLIER, _ZERO_SEED_STATE, Xorshift64Star, _jump
+from oracles import div, exp, log, mean, normal_pair, sub, sum_axis, tanh
 
 
 def field_from_raw(raw):
@@ -135,26 +136,28 @@ def taped_clamp_below(a, lo):
 def taped_nll(raw, target_rel):
     """Oracle for ``nll_loss(decode_gaussian(raw), target_rel)``: the
     taped decode (5 records) and NLL (30 records) it fused."""
-    mu, sigma, rho = raw[..., 0:2], T.exp(raw[..., 2:4]), T.tanh(raw[..., 4:5])
+    mu = T.getitem(raw, np.s_[..., 0:2])
+    sigma = exp(T.getitem(raw, np.s_[..., 2:4]))
+    rho = tanh(T.getitem(raw, np.s_[..., 4:5]))
     target_rel = np.asarray(target_rel, dtype=np.float64)
     n, t, p = raw.shape[:3]
     if target_rel.shape == (p, t, 2):
         target_rel = np.broadcast_to(target_rel[None], (n, p, t, 2))
     target = T.Tensor(np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3)))
 
-    dx = T.sub(target[..., 0:1], mu[..., 0:1])
-    dy = T.sub(target[..., 1:2], mu[..., 1:2])
-    sx = sigma[..., 0:1]
-    sy = sigma[..., 1:2]
-    zx = T.div(dx, sx)
-    zy = T.div(dy, sy)
-    z = T.sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),
-              T.mul(T.mul(rho, 2.0), T.mul(zx, zy)))
-    one_minus = taped_clamp_below(T.sub(1.0, T.mul(rho, rho)), RHO_GUARD)
-    log_norm = T.add(T.add(T.log(sx), T.log(sy)),
-                     T.add(T.mul(T.log(one_minus), 0.5), LOG_TWO_PI))
-    per_frame = T.add(log_norm, T.div(z, T.mul(one_minus, 2.0)))
-    return T.tensor_mean(T.tensor_sum(per_frame, axis=1))
+    dx = sub(T.getitem(target, np.s_[..., 0:1]), T.getitem(mu, np.s_[..., 0:1]))
+    dy = sub(T.getitem(target, np.s_[..., 1:2]), T.getitem(mu, np.s_[..., 1:2]))
+    sx = T.getitem(sigma, np.s_[..., 0:1])
+    sy = T.getitem(sigma, np.s_[..., 1:2])
+    zx = div(dx, sx)
+    zy = div(dy, sy)
+    z = sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),
+            T.mul(T.mul(rho, 2.0), T.mul(zx, zy)))
+    one_minus = taped_clamp_below(sub(1.0, T.mul(rho, rho)), RHO_GUARD)
+    log_norm = T.add(T.add(log(sx), log(sy)),
+                     T.add(T.mul(log(one_minus), 0.5), LOG_TWO_PI))
+    per_frame = T.add(log_norm, div(z, T.mul(one_minus, 2.0)))
+    return mean(sum_axis(per_frame, axis=1))
 
 
 def random_raw(rng, n, t, p):
@@ -286,7 +289,7 @@ def test_mu_trajectory_cumsum():
 
 
 def loop_sample_trajectories(field, k, seed, origin_abs):
-    """Scalar oracle for `sample_trajectories`: one `normal_pair()` per
+    """Scalar oracle for `sample_trajectories`: one `normal_pair` per
     draw, sample-major, then agent, then frame."""
     mu = field.mu[0].transpose(1, 0, 2)
     sigma = field.sigma[0].transpose(1, 0, 2)
@@ -299,7 +302,7 @@ def loop_sample_trajectories(field, k, seed, origin_abs):
         rel = np.empty((p, t, 2))
         for a in range(p):
             for f in range(t):
-                z0, z1 = rng.normal_pair()
+                z0, z1 = normal_pair(rng)
                 sx, sy = sigma[a, f]
                 r = rho[a, f]
                 tail = sy * math.sqrt(max(1.0 - r * r, RHO_GUARD))
@@ -339,7 +342,7 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
     for seed in (0, 1, 9, 2**64 - 1):
         for n in _PAIR_COUNTS:
             scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
-            want = np.array([scalar.normal_pair() for _ in range(n)]).reshape(n, 2)
+            want = np.array([normal_pair(scalar) for _ in range(n)]).reshape(n, 2)
             assert np.array_equal(batch.normal_pairs(n), want)
             assert batch.state == scalar.state
 
@@ -387,7 +390,7 @@ def test_normal_pairs_keep_the_zero_uniform_guard():
     scalar, batch = Xorshift64Star(), Xorshift64Star()
     scalar.state = before
     batch.state = before
-    want = np.array([scalar.normal_pair() for _ in range(3)])
+    want = np.array([normal_pair(scalar) for _ in range(3)])
     got = batch.normal_pairs(3)
     assert np.array_equal(got, want) and np.all(np.isfinite(got))
     radius = math.sqrt(-2.0 * math.log(2.0 ** -53))
