@@ -23,6 +23,10 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 
+# The default discount and floor budget of a `HedgeState`.
+HEDGE_BETA = 0.99
+HEDGE_SMOOTHING = 0.2
+
 
 @dataclass
 class ExpertTrace:
@@ -105,9 +109,17 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
 
 
 def plain_output(block: T.Tensor) -> T.Tensor:
-    """The deepest layer, untouched: one ``getitem`` of the block."""
+    """The deepest layer, untouched, as one tape record. Its backward
+    scatters the gradient into a zero block, which keeps it bit-identical
+    to the ``getitem`` of ``tests/oracles.py``."""
     _check_block(block)
-    return T.getitem(block, (slice(None), -1))
+
+    def back(g):
+        full = np.zeros_like(block.data)
+        full[:, -1] += g
+        T._accumulate(block, full)
+
+    return T._make(block.data[:, -1], (block,), back)
 
 
 @dataclass
@@ -123,11 +135,12 @@ class HedgeState:
     """
 
     w: np.ndarray
-    beta: float = 0.99
-    smoothing: float = 0.2
+    beta: float = HEDGE_BETA
+    smoothing: float = HEDGE_SMOOTHING
 
     @classmethod
-    def uniform(cls, n_layers: int, beta: float = 0.99, smoothing: float = 0.2) -> "HedgeState":
+    def uniform(cls, n_layers: int, beta: float = HEDGE_BETA,
+                smoothing: float = HEDGE_SMOOTHING) -> "HedgeState":
         if n_layers < 1:
             raise ConfigError("hedge needs at least one layer")
         state = cls(w=np.full(n_layers, 1.0 / n_layers), beta=beta, smoothing=smoothing)

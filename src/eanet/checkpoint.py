@@ -73,14 +73,17 @@ def _config_vector(config: ModelConfig) -> np.ndarray:
 def _config_from_vector(vec: np.ndarray) -> ModelConfig:
     if vec.shape != (7,):
         raise CheckpointError(f"malformed {META_NAME} tensor, shape {vec.shape}")
-    if int(vec[2]) != GAUSS_CHANNELS:
-        raise CheckpointError(f"feature dimension {int(vec[2])}, the model's is {GAUSS_CHANNELS}")
-    kernel_idx = int(vec[4])
+    slots = vec[:5]
+    if not np.all(np.isfinite(slots) & (slots == np.floor(slots))):
+        raise CheckpointError(f"{META_NAME} integer slots {slots.tolist()} are not whole numbers")
+    t_obs, t_pred, feat_dim, stack_layers, kernel_idx = (int(v) for v in slots)
+    if feat_dim != GAUSS_CHANNELS:
+        raise CheckpointError(f"feature dimension {feat_dim}, the model's is {GAUSS_CHANNELS}")
     if not 0 <= kernel_idx < len(KERNEL_KINDS):
         raise CheckpointError(f"unknown kernel index {kernel_idx}")
     config = ModelConfig(
-        t_obs=int(vec[0]), t_pred=int(vec[1]),
-        stack_layers=int(vec[3]), kernel=KERNEL_KINDS[kernel_idx],
+        t_obs=t_obs, t_pred=t_pred,
+        stack_layers=stack_layers, kernel=KERNEL_KINDS[kernel_idx],
         rbf_sigma=float(vec[5]), prelu_init=float(vec[6]),
     )
     config.validate()
@@ -150,7 +153,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
 
     The second item is always a fresh seed-0 stream; the RNG state a
     version 1 file holds is skipped. Raises CheckpointError for a bad
-    magic, an unsupported version, any truncation, a feature dimension
+    magic, an unsupported version, any truncation, an integer config slot
+    that is not a finite whole number, a feature dimension
     other than `GAUSS_CHANNELS`, a tensor name the
     rebuilt model does not expect, a missing parameter, or a config
     digest mismatch.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .graph import gcn_forward, instance_graphs
 
 DEFAULT_STEP = 1e-5
 PRIMITIVE_TOLERANCE = 1e-6
@@ -80,8 +81,9 @@ def check_gradients(build_loss, params: dict[str, T.Tensor],
 
 
 def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
-    """The built-in suite: one case per tape primitive the package runs,
-    plus the fused NLL and hedge records and the composed model.
+    """The built-in suite: one case per tape record the package runs (the
+    elementwise ops, the graph convolution, the time convolution, the NLL
+    and the hedge and plain heads), plus the composed model.
 
     Returns (name, max_relative_error, passed) triples. Used by the CLI.
     """
@@ -104,15 +106,13 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
          PRIMITIVE_TOLERANCE)
     case("mul", lambda: T.tensor_sum(T.mul(T.mul(a, b), b)), {"a": a, "b": b},
          PRIMITIVE_TOLERANCE)
-    case("sigmoid", lambda: T.tensor_sum(T.sigmoid(a)), {"a": a}, PRIMITIVE_TOLERANCE)
-
-    m1 = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    m2 = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    case("matmul", lambda: square_sum(T.matmul(m1, m2)), {"m1": m1, "m2": m2},
-         PRIMITIVE_TOLERANCE)
-
-    bm1 = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-    case("matmul_batched", lambda: square_sum(T.matmul(bm1, m2)), {"bm1": bm1, "m2": m2},
+    # Two frames of four agents: (2, 4, 3) features, a (3, 5) weight, and
+    # motion-trend graphs whose positions are read off the (4, 3) draw.
+    points = rng.normal(size=(4, 3))
+    gw = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    gx = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    gahat = instance_graphs(np.stack([points[:, :2], points[:, 1:]]), gx.data[..., :2])
+    case("gcn_forward", lambda: square_sum(gcn_forward(gahat, gx, gw)), {"w": gw, "x": gx},
          PRIMITIVE_TOLERANCE)
 
     cx = T.Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
@@ -120,13 +120,9 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     case("conv2d", lambda: square_sum(T.conv2d(cx, ck)), {"x": cx, "k": ck},
          PRIMITIVE_TOLERANCE)
 
-    case("getitem", lambda: T.tensor_sum(T.mul(T.getitem(a, np.s_[1:, :2]),
-                                               T.getitem(a, np.s_[:2, 2:]))),
-         {"a": a}, PRIMITIVE_TOLERANCE)
-
     from .model import ModelConfig, TrajectoryModel, toy_instance
     from .gaussian import decode_gaussian, nll_loss
-    from .attention import HedgeState, ea_output, hedge_output
+    from .attention import HedgeState, ea_output, hedge_output, plain_output
 
     # Small raws keep |rho| far from 1, where the clamp on 1 - rho^2 would
     # put a kink inside the finite-difference step.
@@ -144,6 +140,8 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     hweight = T.Tensor(rng.normal(size=(2, 4, 3, 5)))
     hedge = HedgeState(w=np.array([0.2, 0.3, 0.5]))
     case("hedge_output", lambda: T.tensor_sum(T.mul(hedge_output(block, hedge), hweight)),
+         {"block": block}, PRIMITIVE_TOLERANCE)
+    case("plain_output", lambda: T.tensor_sum(T.mul(plain_output(block), hweight)),
          {"block": block}, PRIMITIVE_TOLERANCE)
 
     # Central differences straddle the prelu kink whenever a pre-activation

@@ -90,22 +90,42 @@ def instance_graphs(positions: np.ndarray, motions: np.ndarray, kind: str = "mot
 
 
 def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:
-    """Per-frame graph convolution: sigmoid(A_hat X W).
+    """Per-frame graph convolution sigmoid(A_hat X W), as one tape record.
 
     ``ahat_seq`` is (T, P, P), or (N, T, P, P) for a batch of instances,
     and constant w.r.t. the parameters; ``features`` matches it as
     (..., T, P, D_in); ``weight`` is (D_in, D_out). Returns a
-    (..., T, P, D_out) tensor on the tape. Permuting the agents permutes
-    the output to within rounding, not bit for bit: each row sums over
-    its neighbours in storage order.
+    (..., T, P, D_out) tensor. Permuting the agents permutes the output
+    to within rounding, not bit for bit: each row sums over its
+    neighbours in storage order.
+
+    The forward and backward repeat the numpy expressions of the
+    matmul, matmul, sigmoid chain this record replaced, operand for
+    operand, so output and gradients are bit-identical to the chain's;
+    ``tests/oracles.py`` keeps it. The weight gradient of every frame is
+    summed over the leading (N, T) axes, and ``features`` get a gradient
+    only when they require one.
     """
     ahat_seq = np.asarray(ahat_seq, dtype=np.float64)
-    features = T.as_tensor(features)
+    features, weight = T.as_tensor(features), T.as_tensor(weight)
     if ahat_seq.ndim not in (3, 4) or ahat_seq.shape[-1] != ahat_seq.shape[-2]:
         raise DimensionError(f"ahat_seq must be (..., T, P, P), got {ahat_seq.shape}")
     if features.ndim != ahat_seq.ndim or features.shape[:-1] != ahat_seq.shape[:-1]:
         raise DimensionError(
             f"features {features.shape} inconsistent with graphs {ahat_seq.shape}"
         )
-    mixed = T.matmul(T.Tensor(ahat_seq), features)
-    return T.sigmoid(T.matmul(mixed, weight))
+    if weight.ndim != 2 or weight.shape[0] != features.shape[-1]:
+        raise DimensionError(f"weight {weight.shape} does not map features {features.shape}")
+    mixed = np.matmul(ahat_seq, features.data)
+    out_data = 1.0 / (1.0 + np.exp(-np.matmul(mixed, weight.data)))
+
+    def back(g):
+        g_pre = g * out_data * (1.0 - out_data)
+        if weight.requires_grad:
+            g_weight = np.matmul(np.swapaxes(mixed, -1, -2), g_pre)
+            T._accumulate(weight, T._unbroadcast(g_weight, weight.shape))
+        if features.requires_grad:
+            g_mixed = np.matmul(g_pre, weight.data.T)
+            T._accumulate(features, np.matmul(np.swapaxes(ahat_seq, -1, -2), g_mixed))
+
+    return T._make(out_data, (features, weight), back)

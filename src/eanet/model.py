@@ -17,11 +17,11 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
-One online step puts six records on the tape whatever the head: the
-graph convolution's matmul and sigmoid, the time-expand conv, the
-residual stack, the head and the NLL. Offline training, on the plain
-head, puts the same six per group of same-sized instances, plus one or
-two that weigh and add up the group losses.
+One online step puts five records on the tape whatever the head: the
+graph convolution, the time-expand conv, the residual stack, the head
+and the NLL. Offline training, on the plain head, puts the same five per
+group of same-sized instances, plus one or two that weigh and add up the
+group losses.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution
@@ -128,8 +128,11 @@ def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,
 
 
 def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:
-    flat = np.array([rng.uniform_in(-bound, bound) for _ in range(int(np.prod(shape)))])
-    return T.Tensor(flat.reshape(shape), requires_grad=True)
+    """The next prod(shape) uniforms of ``rng`` in C order, each mapped to
+    [-bound, bound) as lo + (hi - lo) * u."""
+    lo, hi = -bound, bound
+    u = rng.uniforms(math.prod(shape))
+    return T.Tensor((lo + (hi - lo) * u).reshape(shape), requires_grad=True)
 
 
 def _conv_kernel(rng: Xorshift64Star, c_out: int, c_in: int) -> T.Tensor:
@@ -185,8 +188,8 @@ class TrajectoryModel:
         ``ahat_seq`` the normalized graphs as (N, T_obs, P, P); returns the
         (N, L, T_pred, P, D) block of all L layer outputs. Offline training
         pushes whole minibatches through here in one call. On the tape this
-        is four records: the graph convolution's matmul and sigmoid, the
-        time-expand conv and the stack.
+        is three records: the graph convolution, the time-expand conv and
+        the stack.
         """
         cfg = self.config
         x0 = time_expand(gcn_forward(ahat_seq, x_seq, self.params["gcn/w"]),

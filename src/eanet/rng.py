@@ -59,9 +59,6 @@ class Xorshift64Star:
         """Uniform float in [0, 1) with 53 bits of resolution."""
         return (self.next_u64() >> 11) * _INV_2_53
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def uniforms(self, n: int) -> np.ndarray:
         """(n,) array of the n values that n `uniform()` calls give, bit for
         bit, leaving the generator in the same state.

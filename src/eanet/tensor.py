@@ -14,18 +14,18 @@ Broadcasting on elementwise ops follows numpy semantics, which is exactly
 shape. Tensors recorded on a tape must not be mutated in place before
 backward runs.
 
-The module holds only what a package path runs: the elementwise ``add``,
-``mul`` and ``sigmoid``, ``matmul``, ``getitem``, the whole-tensor
-``tensor_sum`` that ``eanet gradcheck`` builds its losses with, the
-row-local ``conv2d`` of ``temporal.time_expand``, the banded-weight
-helpers it shares with ``temporal``'s fused stack, and the gradient-norm
-helpers of the update step. The record helpers ``_make``, ``_accumulate`` and
-``_unbroadcast`` are what the fused records of ``temporal``,
-``attention`` and ``gaussian`` are written with. An op that only tests
-call does not belong here: the per-layer chains kept as oracles build
-theirs, in the forms they use, in ``tests/oracles.py``, and
-``tests/test_tensor.py`` requires every public function here to have a
-caller elsewhere in the package.
+The module holds only what a package path runs: the elementwise ``add``
+and ``mul`` that training weighs and adds up its group losses with, the
+whole-tensor ``tensor_sum`` that ``eanet gradcheck`` builds its losses
+with, the row-local ``conv2d`` of ``temporal.time_expand``, the
+banded-weight helpers it shares with ``temporal``'s fused stack, and the
+gradient-norm helpers of the update step. The record helpers ``_make``,
+``_accumulate`` and ``_unbroadcast`` are what the fused records of
+``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
+with. An op that only tests call does not belong here: the per-layer
+chains kept as oracles build theirs, in the forms they use, in
+``tests/oracles.py``, and ``tests/test_tensor.py`` requires every public
+function here to have a caller elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# elementwise
+# elementwise and the whole-tensor sum
 
 
 def add(a, b) -> Tensor:
@@ -197,47 +197,18 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def sigmoid(a) -> Tensor:
+def tensor_sum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
 
     def back(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(out_data, (a,), back)
+    return _make(a.data.sum(), (a,), back)
 
 
 # ---------------------------------------------------------------------------
-# contractions and structure
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batching rules on the leading axes.
-
-    Both operands need at least two axes; the last axis of ``a`` must match
-    the second-to-last axis of ``b``.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise DimensionError(
-            f"matmul: batch axes do not broadcast, {a.shape} x {b.shape}"
-        ) from None
-
-    def back(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape))
-
-    return _make(out_data, (a, b), back)
+# the row-local time convolution
 
 
 @functools.lru_cache(maxsize=16)
@@ -341,29 +312,6 @@ def conv2d(x, kernel) -> Tensor:
             _accumulate(x, gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3))
 
     return _make(out_data, (x, kernel), back)
-
-
-def tensor_sum(a) -> Tensor:
-    """The sum of every entry, a 0-d tensor."""
-    a = as_tensor(a)
-
-    def back(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-    return _make(a.data.sum(), (a,), back)
-
-
-def getitem(a, key) -> Tensor:
-    """Basic (slice/integer) indexing. Fancy indexing is not supported."""
-    a = as_tensor(a)
-    out_data = a.data[key]
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[key] += g
-        _accumulate(a, full)
-
-    return _make(out_data, (a,), back)
 
 
 def global_grad_norm(tensors) -> float:

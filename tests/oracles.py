@@ -1,10 +1,11 @@
 """Earlier, plainer forms of fused or vectorised code, kept as oracles.
 
-`temporal.stack_forward`, `attention.ea_output` and
-`attention.hedge_output` are single tape records with hand-written
-backward passes. The first functions here are the per-layer chains those
-records replaced, op for op, so tests can require the fused records to
-give the same outputs and gradients under ``np.array_equal``.
+`graph.gcn_forward`, `temporal.stack_forward`, `attention.ea_output`,
+`attention.plain_output` and `attention.hedge_output` are single tape
+records with hand-written backward passes. The first functions here are
+the chains of taped ops those records replaced, op for op, so tests can
+require the fused records to give the same outputs and gradients under
+``np.array_equal``.
 
 The taped ops those chains and the tests' other oracles call, which no
 package path runs, live here too, in the forms they are called with.
@@ -27,8 +28,15 @@ import numpy as np
 from eanet import tensor as T
 from eanet.attention import ExpertTrace
 from eanet.data import RawTrack, TrajectoryInstance
-from eanet.errors import ConfigError
+from eanet.errors import ConfigError, DimensionError
 from eanet.rng import _INV_2_53, Xorshift64Star
+
+
+def gcn_forward(ahat_seq, features, weight):
+    """sigmoid((A_hat X) W) as two matmuls and a sigmoid, the constant
+    graphs wrapped in a tensor of their own."""
+    mixed = matmul(T.Tensor(ahat_seq), T.as_tensor(features))
+    return sigmoid(matmul(mixed, weight))
 
 
 def stack_forward(x0, kernels, slopes):
@@ -48,7 +56,7 @@ def ea_output(m_list, theta, bias, alpha):
     the output and the trace."""
     stacked = stack(m_list)
     n_layers = stacked.shape[1]
-    scores = tanh(T.add(T.matmul(stacked, theta), bias))
+    scores = tanh(T.add(matmul(stacked, theta), bias))
     gate = mean(scores, axis=3)
     mix = reshape(T.as_tensor(alpha), (1, n_layers, 1, 1, 1))
     out = sum_axis(T.mul(T.mul(stacked, gate), mix), axis=1)
@@ -94,6 +102,11 @@ def log(a):
     return T._make(np.log(a.data), (a,), lambda g: T._accumulate(a, g / a.data))
 
 
+def sigmoid(a):
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    return T._make(out_data, (a,), lambda g: T._accumulate(a, g * out_data * (1.0 - out_data)))
+
+
 def tanh(a):
     out_data = np.tanh(a.data)
     return T._make(out_data, (a,), lambda g: T._accumulate(a, g * (1.0 - out_data * out_data)))
@@ -108,6 +121,33 @@ def prelu(a, slope):
         T._accumulate(slope, T._unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
 
     return T._make(np.where(positive, a.data, slope.data * a.data), (a, slope), back)
+
+
+def matmul(a, b):
+    """Matrix product with numpy batching rules on the leading axes."""
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
+
+    def back(g):
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            T._accumulate(a, T._unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            T._accumulate(b, T._unbroadcast(gb, b.shape))
+
+    return T._make(np.matmul(a.data, b.data), (a, b), back)
+
+
+def getitem(a, key):
+    """Basic (slice/integer) indexing; the backward scatters into zeros."""
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[key] += g
+        T._accumulate(a, full)
+
+    return T._make(a.data[key], (a,), back)
 
 
 def sum_axis(a, axis):

@@ -16,13 +16,13 @@ def recombine_by_frame(block):
     """Per-frame oracle for ``ea_output``: reindex the (N, L, T, P, D)
     block into T tensors of shape (N, L, P, D), so
     R_f[n][l][p][d] == M[l][n][f][p][d]."""
-    return [T.getitem(block, np.s_[:, :, f]) for f in range(block.shape[2])]
+    return [oracles.getitem(block, np.s_[:, :, f]) for f in range(block.shape[2])]
 
 
 def expert_weights(r_f, theta, bias):
     """Gate scores for one frame: mean over agents of tanh(R_f Theta + b),
     (N, L, P, D) with a (D, 1) theta to (N, L, 1, 1)."""
-    scores = oracles.tanh(T.add(T.matmul(r_f, theta), bias))
+    scores = oracles.tanh(T.add(oracles.matmul(r_f, theta), bias))
     return oracles.mean(scores, axis=2)
 
 

@@ -184,6 +184,20 @@ def test_feature_dimension_other_than_five_is_rejected(tmp_path):
             load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
+def test_integer_config_slot_that_is_not_whole_is_rejected(tmp_path, slot, value):
+    blob = bytearray(checkpoint_bytes(TrajectoryModel(CONFIG, seed=7)))
+    header = 4 + 4 + 4 + 2 + len(META_NAME.encode()) + 1 + 4
+    vec = np.frombuffer(bytes(blob[header:header + 28]), dtype="<f4").copy()
+    vec[slot] = value
+    blob[header:header + 28] = vec.tobytes()
+    path = tmp_path / "slot.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="not whole"):
+        load_checkpoint(str(path))
+
+
 def test_digest_covers_the_canonical_config_text():
     model = TrajectoryModel(CONFIG, seed=0)
     blob = checkpoint_bytes(model)

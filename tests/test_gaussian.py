@@ -14,7 +14,7 @@ from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_ga
 from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
 from eanet.rng import _LANE, _MASK64, _MULTIPLIER, _ZERO_SEED_STATE, Xorshift64Star, _jump
-from oracles import div, exp, log, mean, normal_pair, sub, sum_axis, tanh
+from oracles import div, exp, getitem, log, mean, normal_pair, sub, sum_axis, tanh
 
 
 def field_from_raw(raw):
@@ -136,19 +136,19 @@ def taped_clamp_below(a, lo):
 def taped_nll(raw, target_rel):
     """Oracle for ``nll_loss(decode_gaussian(raw), target_rel)``: the
     taped decode (5 records) and NLL (30 records) it fused."""
-    mu = T.getitem(raw, np.s_[..., 0:2])
-    sigma = exp(T.getitem(raw, np.s_[..., 2:4]))
-    rho = tanh(T.getitem(raw, np.s_[..., 4:5]))
+    mu = getitem(raw, np.s_[..., 0:2])
+    sigma = exp(getitem(raw, np.s_[..., 2:4]))
+    rho = tanh(getitem(raw, np.s_[..., 4:5]))
     target_rel = np.asarray(target_rel, dtype=np.float64)
     n, t, p = raw.shape[:3]
     if target_rel.shape == (p, t, 2):
         target_rel = np.broadcast_to(target_rel[None], (n, p, t, 2))
     target = T.Tensor(np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3)))
 
-    dx = sub(T.getitem(target, np.s_[..., 0:1]), T.getitem(mu, np.s_[..., 0:1]))
-    dy = sub(T.getitem(target, np.s_[..., 1:2]), T.getitem(mu, np.s_[..., 1:2]))
-    sx = T.getitem(sigma, np.s_[..., 0:1])
-    sy = T.getitem(sigma, np.s_[..., 1:2])
+    dx = sub(getitem(target, np.s_[..., 0:1]), getitem(mu, np.s_[..., 0:1]))
+    dy = sub(getitem(target, np.s_[..., 1:2]), getitem(mu, np.s_[..., 1:2]))
+    sx = getitem(sigma, np.s_[..., 0:1])
+    sy = getitem(sigma, np.s_[..., 1:2])
     zx = div(dx, sx)
     zy = div(dy, sy)
     z = sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),

@@ -1,8 +1,9 @@
 """Seeded runs still give the exact bytes recorded in tests/data/golden.json.
 
-The file holds one digest set per OPENBLAS_NUM_THREADS setting; this test
-compares against the set of the setting it runs under, and fails when no
-set is recorded for it. See tests/make_golden.py for what each digest
+The file holds one digest set per OPENBLAS_NUM_THREADS setting in
+make_golden.SETTINGS; this test recomputes every set in a fresh
+interpreter started with its setting, whatever setting it runs under, and
+compares each exactly. See tests/make_golden.py for what each digest
 covers and how to regenerate the file.
 """
 
@@ -13,15 +14,16 @@ import make_golden
 
 def test_golden_corpus_digests_are_unchanged():
     doc = json.loads(make_golden.GOLDEN.read_text(encoding="utf-8"))
-    setting = make_golden.setting()
-    assert setting in doc, (
-        f"no golden digests recorded for OPENBLAS_NUM_THREADS={setting}; "
-        f"recorded settings: {sorted(doc)}")
-    recorded = doc[setting]
-    got = make_golden.compute()
-    differ = sorted(k for k in recorded["digests"].keys() | got.keys()
-                    if recorded["digests"].get(k) != got.get(k))
-    assert not differ, (
-        f"golden digests differ: {differ}\n"
-        f"recorded in: {recorded['environment']}\n"
-        f"running in:  {make_golden.environment()}")
+    assert sorted(doc) == sorted(make_golden.SETTINGS), (
+        f"recorded settings {sorted(doc)}, expected {sorted(make_golden.SETTINGS)}")
+    failures = []
+    for setting, recorded in sorted(doc.items()):
+        got = make_golden.compute_at(setting)
+        want = recorded["digests"]
+        differ = sorted(k for k in want.keys() | got["digests"].keys()
+                        if want.get(k) != got["digests"].get(k))
+        if differ:
+            failures.append(f"OPENBLAS_NUM_THREADS={setting}: golden digests differ: {differ}\n"
+                            f"  recorded in: {recorded['environment']}\n"
+                            f"  running in:  {got['environment']}")
+    assert not failures, "\n".join(failures)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from eanet import tensor as T
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DimensionError
@@ -213,6 +214,35 @@ def test_gcn_shape_errors():
         gcn_forward(np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), w)
     with pytest.raises(DimensionError):
         gcn_forward(np.zeros((4, 3, 3)), np.zeros((4, 2, 2)), w)
+    with pytest.raises(DimensionError):
+        gcn_forward(np.zeros((4, 3, 3)), np.zeros((4, 3, 3)), w)
+    with pytest.raises(DimensionError):
+        gcn_forward(np.zeros((4, 3, 3)), np.zeros((4, 3, 2)), T.Tensor(np.zeros((1, 2, 5))))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,)])
+@pytest.mark.parametrize("features_grad", [False, True])
+def test_gcn_matches_the_matmul_sigmoid_chain_bit_for_bit(batch, features_grad):
+    rng = np.random.default_rng(len(batch) * 10 + sum(batch) + features_grad)
+    positions = rng.normal(size=batch + (8, 6, 2))
+    x = T.Tensor(rng.normal(size=batch + (8, 6, 2)), requires_grad=features_grad)
+    ahat = instance_graphs(positions, x.data)
+    w = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    g = rng.normal(size=batch + (8, 6, 5))
+
+    def run(gcn):
+        out = gcn(ahat, x, w)
+        T.backward(T.tensor_sum(T.mul(out, g)))
+        grads = w.grad, x.grad
+        w.zero_grad()
+        x.zero_grad()
+        return out.data, grads
+
+    (got, got_grads), (want, want_grads) = run(gcn_forward), run(oracles.gcn_forward)
+    assert np.array_equal(got, want)
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert (got_grads[1] is not None) == features_grad
 
 
 def test_gcn_gradient_wrt_weight_and_features():
