@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, require_finite
 from .rng import Xorshift64Star, box_muller, unit_vectors
 
 T_OBS_DEFAULT = 8
@@ -215,6 +215,7 @@ class SyntheticScenarioSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.agents < 1:
@@ -236,17 +237,20 @@ def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrac
 
     All randomness comes from one xorshift64* stream seeded by
     ``spec.seed``. Draw order: per-agent initial state (in agent order),
-    then per frame and per agent the motion update, so identical specs
-    produce byte-identical tracks on any platform. Tracks come in frame
-    order, agents 1..n within a frame.
+    then per frame and per agent the motion update. The uniforms are the
+    same on every platform; positions also go through log (`math`'s) and
+    cos and sin (numpy's, whose float64 loops call the same C library), so
+    identical specs give byte-identical tracks wherever the C library
+    rounds those alike. Tracks come in frame order, agents 1..n within a
+    frame.
 
     The scene is computed as whole arrays (`_scene`), value for value what
     a loop over frames and agents gives: the draws are counted up front
     and taken in one `uniforms` call; accumulated coordinates go through
     `np.cumsum`, which adds in order, so each position is still
-    ``(previous + step) + noise``; and log, cos and sin are `math`'s
-    (`box_muller`, `unit_vectors`), since numpy's round some inputs
-    differently.
+    ``(previous + step) + noise``; and log, cos and sin (`box_muller`,
+    `unit_vectors`) give the values of `math.log`, `math.cos` and
+    `math.sin`.
     """
     return [RawTrack(t, i + 1, x, y) for t, row in enumerate(_scene(spec, frames).tolist())
             for i, (x, y) in enumerate(row)]

@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the package.
 
 Every failure raised on purpose derives from EanetError so callers (and the
-CLI) can separate expected problems from genuine bugs.
+CLI) can separate expected problems from genuine bugs. `require_finite` is
+the one rule every settings dataclass applies before its range checks.
 """
+
+import dataclasses
+import math
 
 
 class EanetError(Exception):
@@ -27,6 +31,16 @@ class DataError(EanetError):
 
 class ConfigError(EanetError):
     """A configuration value is out of its documented range."""
+
+
+def require_finite(settings) -> None:
+    """Raise ConfigError unless every float field of the dataclass
+    ``settings`` is finite. A None passes (``clip_norm`` uses it to mean
+    off); NaN would pass every ``x <= 0`` range check."""
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value!r}")
 
 
 class CheckpointError(EanetError):

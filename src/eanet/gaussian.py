@@ -183,7 +183,8 @@ def _displacement_errors(pred_abs: np.ndarray,
     """ADE and FDE, each of shape (K,), of K (P, T, 2) predictions against
     one (P, T, 2) truth.
 
-    Per-point errors come from `math.hypot` and are summed agent-major,
+    Per-point errors come from `math.hypot` (numpy's rounds some inputs
+    differently) and are summed agent-major,
     then frame, in sequence (`np.cumsum` adds in order), so a scalar
     double loop reproduces every value bit for bit.
     """

@@ -42,7 +42,7 @@ from . import tensor as T
 from .attention import ea_output, hedge_output, plain_output
 from .data import (T_OBS_DEFAULT, T_PRED_DEFAULT, SyntheticScenarioSpec, TrajectoryInstance,
                    synthetic_instances)
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
 from .graph import KERNEL_KINDS, gcn_forward, instance_graphs
 from .rng import Xorshift64Star
@@ -61,6 +61,7 @@ class ModelConfig:
     prelu_init: float = 0.25
 
     def validate(self) -> None:
+        require_finite(self)
         if self.t_obs < 1 or self.t_pred < 1:
             raise ConfigError("t_obs and t_pred must be positive")
         if self.stack_layers < 1:

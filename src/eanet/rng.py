@@ -1,26 +1,30 @@
 """Deterministic pseudo-random numbers used everywhere randomness is needed.
 
 The generator is xorshift64* (shifts 12, 25, 27; multiplier
-2685821657736338717). It is implemented on plain Python integers so the
-stream of draws is byte-identical across platforms, which keeps synthetic
-datasets, parameter initialisation, and checkpoints reproducible. Gaussian
-draws use the Box-Muller transform; no spare value is cached, so the full
-generator state is a single 64-bit word.
+2685821657736338717). Its stream of uniforms is exact integer arithmetic,
+so it is the same on every platform, which keeps synthetic datasets,
+parameter initialisation, and checkpoints reproducible. Gaussian draws
+use the Box-Muller transform; no spare value is cached, so the full
+generator state is a single 64-bit word. Their log comes from `math`, and
+their cos and sin from numpy, whose float64 loops call the same C library
+that `math` calls (a tier-1 test holds them to `math` bit for bit). So
+Gaussian values, and what is made from them, follow the platform's libm.
 
 `uniforms(n)` is the array form of n `uniform()` calls, bit-identical
 to them and leaving the same state. `normal_pairs(n)` is the Box-Muller
 step over `uniforms(2n)`: n pairs, each bit for bit one call of the
 scalar `normal_pair` that `tests/oracles.py` keeps as its reference.
 The state update (before the multiply) is linear over GF(2)^64, so
-advancing `_LANE` states is one 64x64 bit matrix, applied as
-the xor of eight byte-table lookups (`_jump`); the tables are built at
-import from `next_u64` itself. `uniforms` cuts the chain of n states into
-lanes of `_LANE`, finds each lane's start with one jump, and advances all
-lanes together in uint64 numpy arrays, whose shifts drop high bits exactly
-as the scalar `& _MASK64` does. The multiply, shift and scaling run in
-uint64/float64 (all exact), and log, cos and sin come from `math` (cos
-and sin through `unit_vectors`), because numpy's versions round some
-inputs differently by one ulp.
+advancing a state k steps is a 64x64 bit matrix, applied as the xor of
+one table row per 8-bit or 4-bit digit of the state (`_lookup`; jumping
+ahead by table is Haramoto et al., INFORMS J. Computing 2008). Two table
+families are built at import from `_xorshift` itself, run on the 64
+one-bit states: the lane tables give the `_LANE` states after a state,
+and the block tables give the states `_LANE`, 2 `_LANE`, ...,
+`_BLOCK` `_LANE` steps after it. `uniforms` chains the block tables to
+find the start (anchor) of every lane, expands all anchors into their
+lanes with the lane tables, and runs the multiply, shift and scaling in
+uint64/float64 (all exact).
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ _ZERO_SEED_STATE = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 
 
+def _xorshift(x):
+    """The state after state ``x``: a Python int, or a uint64 array, which
+    is updated in place."""
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK64
+    x ^= x >> 27
+    return x
+
+
 class Xorshift64Star:
     """xorshift64* stream seeded from an arbitrary integer."""
 
@@ -48,11 +61,7 @@ class Xorshift64Star:
         self.state = state
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK64
-        x ^= x >> 27
-        self.state = x
+        self.state = x = _xorshift(self.state)
         return (x * _MULTIPLIER) & _MASK64
 
     def uniform(self) -> float:
@@ -64,26 +73,25 @@ class Xorshift64Star:
         bit, leaving the generator in the same state.
 
         The n states are computed as lanes of `_LANE` consecutive states:
-        lane j starts `j * _LANE` steps after the current state, and all
-        lanes take their steps together in numpy.
+        lane j is the `_LANE` states after anchor j, the state `j * _LANE`
+        steps after the current one. Each block-table lookup gives the
+        next `_BLOCK` anchors after the last one found, and the lane
+        tables expand `_CHUNK` anchors at a time, so the gathers'
+        temporaries (at most 512 KB) do not grow with n.
         """
         if n < 0:
             raise ValueError("uniforms() needs a non-negative count")
         if n == 0:
             return np.empty(0)
-        x = self.state
-        starts = [x]
-        for _ in range((n - 1) // _LANE):
-            x = _jump(x)
-            starts.append(x)
-        lanes = np.array(starts, dtype=np.uint64)
-        block = np.empty((min(n, _LANE), len(starts)), dtype=np.uint64)
-        for row in block:
-            lanes ^= lanes >> np.uint64(12)
-            lanes ^= lanes << np.uint64(25)
-            lanes ^= lanes >> np.uint64(27)
-            row[:] = lanes
-        states = block.T.ravel()[:n]
+        lanes = -(-n // _LANE)
+        anchors = np.empty(lanes + _BLOCK, dtype=np.uint64)
+        anchors[0] = self.state
+        for j in range(0, lanes - 1, _BLOCK):
+            anchors[j + 1:j + 1 + _BLOCK] = _lookup(_BLOCK_TABLES, anchors[j:j + 1])
+        states = np.empty((lanes, _LANE), dtype=np.uint64)
+        for j in range(0, lanes, _CHUNK):
+            states[j:j + _CHUNK] = _lookup(_LANE_TABLES, anchors[j:min(j + _CHUNK, lanes)])
+        states = states.ravel()[:n]
         self.state = int(states[-1])
         words = states * np.uint64(_MULTIPLIER)
         return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
@@ -113,7 +121,8 @@ class Xorshift64Star:
 def box_muller(u: np.ndarray) -> np.ndarray:
     """(n, 2) normals from the 2n uniforms ``u``, taken in pairs: the
     radius from the first (a first uniform of 0 is raised to 2^-53, and
-    ``u`` is changed there) and the angle from the second."""
+    ``u`` is changed there) and the angle from the second. The log is
+    `math.log`, since numpy's rounds some inputs differently."""
     u1, u2 = u[0::2], u[1::2]
     u1[u1 <= 0.0] = _INV_2_53
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1)))
@@ -125,45 +134,59 @@ def box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def unit_vectors(angles: np.ndarray) -> np.ndarray:
-    """(..., 2) array of the (cos, sin) of every angle, from `math`."""
-    flat = angles.ravel().tolist()
-    out = np.empty((len(flat), 2))
-    out[:, 0] = np.fromiter(map(math.cos, flat), np.float64, len(flat))
-    out[:, 1] = np.fromiter(map(math.sin, flat), np.float64, len(flat))
-    return out.reshape(*angles.shape, 2)
+    """(..., 2) array of the (cos, sin) of every angle, from numpy's
+    float64 loops, which call the same C library as `math.cos` and
+    `math.sin`."""
+    out = np.empty((*angles.shape, 2))
+    np.cos(angles, out=out[..., 0])
+    np.sin(angles, out=out[..., 1])
+    return out
 
 
-# States per lane in `uniforms`, and the length of one `_jump`.
+# States per lane, anchors per block-table lookup, and lanes per
+# lane-table gather in `uniforms`. The lane tables are indexed by bytes
+# (512 KB): every draw goes through them, and 4-bit digits would double
+# the gather. The block tables are looked up one anchor at a time, so
+# 4-bit digits cost nothing there and keep them at 128 KB.
 _LANE = 32
+_BLOCK = 64
+_CHUNK = 8192 // _LANE
 
 
-def _jump_tables() -> tuple[tuple[int, ...], ...]:
-    """Byte tables of the linear map "advance `_LANE` states": entry
-    [b][v] is the state reached from state v << 8b, which by linearity is
-    the xor of the images of v's set bits. The 64 one-bit images come
-    from `next_u64` itself, so no constant is assumed."""
-    rng = Xorshift64Star()
-    images = []
-    for bit in range(64):
-        rng.state = 1 << bit
-        for _ in range(_LANE):
-            rng.next_u64()
-        images.append(rng.state)
-    tables = []
-    for b in range(8):
-        table = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            table[v] = table[v ^ low] ^ images[8 * b + low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
+def _lookup(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(m, k) images of the (m,) uint64 ``words`` under the k linear maps
+    whose digit tables are ``tables`` (64 / w, 2^w, k): for each word, the
+    xor over its w-bit digits d of tables[d, digit d]."""
+    digits, size = tables.shape[:2]
+    shifts = np.arange(0, 64, 64 // digits, dtype=np.uint64)[:, None]
+    index = (words >> shifts) & np.uint64(size - 1)
+    return np.bitwise_xor.reduce(tables[np.arange(digits)[:, None], index], axis=0)
 
 
-_JUMP_TABLES = _jump_tables()
+def _digit_tables(images: np.ndarray, width: int) -> np.ndarray:
+    """(64 / width, 2^width, k) digit tables of the k linear maps whose
+    one-bit images are the rows of ``images`` (k, 64): entry [d, v, j] is
+    map j applied to state v << (width * d), which is the xor of the
+    images of v's set bits."""
+    k = len(images)
+    bits = images.T.reshape(64 // width, width, k)
+    tables = np.zeros((64 // width, 1 << width, k), dtype=np.uint64)
+    for bit in range(width):
+        tables[:, 1 << bit:2 << bit] = tables[:, :1 << bit] ^ bits[:, bit, None]
+    return tables
 
 
-def _jump(x: int) -> int:
-    """The state `_LANE` steps after state x."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _JUMP_TABLES
-    return (t0[x & 0xFF] ^ t1[x >> 8 & 0xFF] ^ t2[x >> 16 & 0xFF] ^ t3[x >> 24 & 0xFF]
-            ^ t4[x >> 32 & 0xFF] ^ t5[x >> 40 & 0xFF] ^ t6[x >> 48 & 0xFF] ^ t7[x >> 56])
+def _powers(images: np.ndarray, count: int) -> np.ndarray:
+    """(count, 64) one-bit images of M, M^2, ..., M^count, for the linear
+    map M whose one-bit images are ``images``. Each pass applies the
+    highest power so far, M^h, to the images of M..M^h."""
+    powers = images[None]
+    while len(powers) < count:
+        later = _lookup(_digit_tables(powers[-1:], 8), powers.ravel())
+        powers = np.concatenate([powers, later.reshape(powers.shape)])
+    return powers[:count]
+
+
+_LANE_POWERS = _powers(_xorshift(np.uint64(1) << np.arange(64, dtype=np.uint64)), _LANE)
+_LANE_TABLES = _digit_tables(_LANE_POWERS, 8)
+_BLOCK_TABLES = _digit_tables(_powers(_LANE_POWERS[-1], _BLOCK), 4)

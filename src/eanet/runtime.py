@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .attention import HedgeState, hedge_update, plain_output
 from .data import TrajectoryInstance
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged, require_finite
 from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajectory, nll_loss,
                        restore_ratio)
 from .model import ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays
@@ -60,6 +60,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -82,6 +83,7 @@ class OnlineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.clip_norm is not None and self.clip_norm <= 0:

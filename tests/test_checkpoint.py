@@ -8,7 +8,7 @@ import pytest
 
 from eanet.checkpoint import (MAGIC, META_NAME, VERSION, checkpoint_bytes,
                               config_text, load_checkpoint, save_checkpoint)
-from eanet.errors import CheckpointError
+from eanet.errors import CheckpointError, ConfigError
 from eanet.model import ModelConfig, TrajectoryModel, toy_instance
 from eanet.rng import Xorshift64Star
 
@@ -184,9 +184,8 @@ def test_feature_dimension_other_than_five_is_rejected(tmp_path):
             load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("slot", range(5))
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
-def test_integer_config_slot_that_is_not_whole_is_rejected(tmp_path, slot, value):
+def _with_config_slot(tmp_path, slot, value) -> str:
+    """A checkpoint file whose config vector has ``value`` at ``slot``."""
     blob = bytearray(checkpoint_bytes(TrajectoryModel(CONFIG, seed=7)))
     header = 4 + 4 + 4 + 2 + len(META_NAME.encode()) + 1 + 4
     vec = np.frombuffer(bytes(blob[header:header + 28]), dtype="<f4").copy()
@@ -194,8 +193,21 @@ def test_integer_config_slot_that_is_not_whole_is_rejected(tmp_path, slot, value
     blob[header:header + 28] = vec.tobytes()
     path = tmp_path / "slot.ckpt"
     path.write_bytes(bytes(blob))
+    return str(path)
+
+
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
+def test_integer_config_slot_that_is_not_whole_is_rejected(tmp_path, slot, value):
     with pytest.raises(CheckpointError, match="not whole"):
-        load_checkpoint(str(path))
+        load_checkpoint(_with_config_slot(tmp_path, slot, value))
+
+
+@pytest.mark.parametrize("slot, name", [(5, "rbf_sigma"), (6, "prelu_init")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_float_config_slot_that_is_not_finite_is_rejected(tmp_path, slot, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        load_checkpoint(_with_config_slot(tmp_path, slot, value))
 
 
 def test_digest_covers_the_canonical_config_text():

@@ -100,6 +100,56 @@ def test_setting_flags_name_config_fields(command, configs):
     assert dests and set(dests) <= fields
 
 
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig, OnlineConfig, SyntheticScenarioSpec])
+@pytest.mark.parametrize("text", _NON_FINITE)
+def test_every_float_setting_must_be_finite(cls, text):
+    # NaN passes every `x <= 0` range check, and inf passes most of them.
+    names = [f.name for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+    assert names
+    for name in names:
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            cls(**{name: float(text)}).validate()
+
+
+def _command(name: str, tmp_path) -> list[str]:
+    """Arguments for ``name`` whose inputs do not exist, so that the run
+    fails at its first piece of work if its settings pass."""
+    missing, out = str(tmp_path / "missing.txt"), str(tmp_path / "out")
+    return {"gen": ["gen", "--kind", "circle", "--frames", "30", "--out", out],
+            "train": ["train", "--data", missing, "--ckpt-out", out],
+            "base": ["base", "--data", missing, "--out", out],
+            "online": ["online", "--ckpt", missing, "--stream", missing, "--report", out]}[name]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--speed"), ("gen", "--noise"), ("gen", "--extent"),
+    ("train", "--lr"), ("train", "--lr-after"), ("base", "--lr"), ("base", "--lr-after"),
+    ("online", "--lr"), ("online", "--clip-norm")])
+@pytest.mark.parametrize("text", _NON_FINITE)
+def test_non_finite_flag_is_a_config_error(command, flag, text, tmp_path, capsys):
+    assert cli.main(_command(command, tmp_path) + [f"{flag}={text}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "lr"), ("train", "lr_after"), ("train", "rbf_sigma"), ("train", "prelu_init"),
+    ("base", "lr"), ("base", "lr_after"), ("base", "rbf_sigma"), ("base", "prelu_init"),
+    ("online", "online_lr"), ("online", "clip_norm")])
+@pytest.mark.parametrize("text", _NON_FINITE)
+def test_non_finite_config_key_is_a_config_error(command, key, text, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n")
+    assert cli.main(_command(command, tmp_path) + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key.removeprefix('online_')} must be finite" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_seed_precedence(monkeypatch):
     monkeypatch.setenv("EANET_SEED", "41")
     assert cfg.resolve_seed(9, {"seed": "3"}) == 9

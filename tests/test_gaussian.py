@@ -6,14 +6,15 @@ import pytest
 
 from eanet import gaussian, runtime
 from eanet import tensor as T
-from eanet.data import SyntheticScenarioSpec, synthetic_instances
+from eanet.data import SyntheticScenarioSpec, frames_for_instances, synthetic_instances
 from eanet.errors import ContractError, DimensionError
 from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_gaussian,
                             layer_nll, mu_trajectory, nll_loss, restore_ratio,
                             sample_trajectories)
 from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
-from eanet.rng import _LANE, _MASK64, _MULTIPLIER, _ZERO_SEED_STATE, Xorshift64Star, _jump
+from eanet.rng import (_BLOCK, _BLOCK_TABLES, _CHUNK, _LANE, _LANE_TABLES, _MASK64, _MULTIPLIER,
+                       _ZERO_SEED_STATE, Xorshift64Star, _lookup, unit_vectors)
 from oracles import div, exp, getitem, log, mean, normal_pair, sub, sum_axis, tanh
 
 
@@ -331,11 +332,15 @@ def _unshift(y, shift):
     return x
 
 
-# 2n states just below, at and just above one lane and just above two
-# lanes; then the eval shape (20 samples x 12 agents x 12 frames) and a
-# long chain.
+# States per block-table lookup in `uniforms`.
+_SPAN = _LANE * _BLOCK
+
+# 2n states just below, at and just above one lane and one anchor block,
+# and just above two of each; the block edges as pair counts too; then the
+# eval shape (20 samples x 12 agents x 12 frames) and a long chain.
 _PAIR_COUNTS = (0, 1, 2, _LANE // 2 - 1, _LANE // 2, _LANE // 2 + 1, _LANE + 1,
-                1000, 2880, 40000)
+                _SPAN // 2 - 1, _SPAN // 2, _SPAN // 2 + 1, _SPAN - 1, _SPAN, _SPAN + 1,
+                2 * _SPAN + 1, 1000, 2880, 40000)
 
 
 def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
@@ -348,7 +353,9 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, _LANE - 1, _LANE, _LANE + 1,
-                               2 * _LANE - 1, 2 * _LANE, 2 * _LANE + 1])
+                               2 * _LANE - 1, 2 * _LANE, 2 * _LANE + 1,
+                               _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN + 1,
+                               _CHUNK * _LANE, _CHUNK * _LANE + 1])
 def test_uniforms_equal_scalar_draws_and_leave_the_same_state(n):
     for seed in (0, 1, 9, 2**64 - 1):
         scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
@@ -365,13 +372,55 @@ def test_uniforms_reject_a_negative_count_and_keep_the_state():
     assert rng.state == Xorshift64Star(5).state
 
 
-def test_jump_equals_lane_many_single_steps():
-    for state in (1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63):
-        rng = Xorshift64Star()
+def test_table_columns_equal_that_many_single_steps():
+    """Column k of the lane tables is k + 1 steps on, and column j of the
+    block tables (j + 1) * _LANE steps on. Beside fixed and seeded states,
+    the states with every byte equal to v reach every table entry."""
+    seeded = Xorshift64Star(2024)
+    states = ([1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63] + [seeded.next_u64() for _ in range(4)]
+              + [v * 0x0101010101010101 for v in range(1, 256)])
+    words = np.array(states, dtype=np.uint64)
+    lanes, blocks = _lookup(_LANE_TABLES, words), _lookup(_BLOCK_TABLES, words)
+    assert lanes.shape == (len(states), _LANE) and blocks.shape == (len(states), _BLOCK)
+    rng = Xorshift64Star()
+    for row, state in enumerate(states):
         rng.state = state
-        for _ in range(_LANE):
+        steps = []
+        for _ in range(_SPAN):
             rng.next_u64()
-        assert _jump(state) == rng.state
+            steps.append(rng.state)
+        assert lanes[row].tolist() == steps[:_LANE]
+        assert blocks[row].tolist() == steps[_LANE - 1::_LANE]
+
+
+def test_unit_vectors_equal_math_cos_and_sin_bit_for_bit():
+    """`unit_vectors` uses numpy's float64 cos and sin because they call
+    the same C library as `math`. This holds them to the `math` map they
+    replaced on 1.6e6 angles: Box-Muller's 2 pi u, circle-scene angles, and
+    stagger headings that turn either way or only clockwise, over as many
+    frames as the longest scene the tests and the benchmark generate."""
+    frames = frames_for_instances(2000)
+    spec = SyntheticScenarioSpec(kind="circle")
+    u = Xorshift64Star(31).uniforms(4 * 400_000).reshape(4, 400_000)
+    sign = np.where(u[2] < 0.5, 1.0, -1.0)
+    omega = spec.speed / (spec.extent / 2.0)
+    circle = 2.0 * math.pi * u[1] + sign * omega * (np.arange(400_000) % frames)
+    turns = frames // spec.period
+    agents = 400_000 // turns
+    start = 2.0 * math.pi * u[0, None, :agents]
+    deltas = (math.pi / 4.0 + u[3, :turns * agents] * math.pi / 4.0).reshape(turns, agents)
+    turning = np.cumsum(np.concatenate([start, sign[:deltas.size].reshape(deltas.shape) * deltas]), axis=0)
+    clockwise = np.cumsum(np.concatenate([start, -deltas]), axis=0)
+    assert clockwise.min() < -turns
+    for angles in (2.0 * math.pi * u[0], circle.reshape(-1, 16), turning, clockwise):
+        flat = angles.ravel().tolist()
+        want = np.empty((len(flat), 2))
+        want[:, 0] = np.fromiter(map(math.cos, flat), np.float64, len(flat))
+        want[:, 1] = np.fromiter(map(math.sin, flat), np.float64, len(flat))
+        differ = int(np.count_nonzero(np.any(unit_vectors(angles).reshape(-1, 2) != want, axis=1)))
+        assert differ == 0, (
+            f"numpy {np.__version__}: cos/sin differ from math on {differ} of {len(flat)} "
+            f"angles; unit_vectors must go back to math.cos and math.sin")
 
 
 def test_normal_pairs_reject_a_negative_count_and_keep_the_state():
