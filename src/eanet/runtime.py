@@ -314,9 +314,12 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the first also yields the row's metrics, trace and hedge layer
     losses. An update whose loss or gradient norm is not finite takes no
     step, flags the row and ends that instance's updates; the run keeps
-    going with the next instance.
+    going with the next instance. Gradients the model carries in, such as
+    the last batch's of `train_offline`, are zeroed before the first
+    update, so every update steps on its own instance's gradient alone.
     """
     config.validate()
+    model.zero_grad()
     head_rng = Xorshift64Star(config.seed)
     if config.strategy == "ea":
         model.init_expert_head(head_rng)

@@ -20,9 +20,10 @@ The corpus covers:
   and the float64 bytes of its parameters, which the float32 checkpoint
   and the four-epoch loss log can hold still through a change of a few
   ulps;
-* ``online/<strategy>/u<n>``: a 200-instance stagger replay from that
-  checkpoint for each strategy at 1 and 3 updates per instance, over the
-  float64 records, the per-row and run health, and ``rr_at``;
+* ``online/<strategy>/u<n>``: a 200-instance stagger replay of a deep
+  copy of that trained float64 model, as training left it in memory (not
+  of its checkpoint), for each strategy at 1 and 3 updates per instance,
+  over the float64 records, the per-row and run health, and ``rr_at``;
 * ``cli/eval`` and ``cli/base``: the JSON that ``eanet eval`` and
   ``eanet base`` print for a small circle scene;
 * ``hedge/updates``: 1000 seeded `hedge_update` steps, long enough for

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -270,6 +271,20 @@ def test_online_replay_is_deterministic():
     b = run_online(small_model(seed=3), stream, OnlineConfig(seed=9), base=base)
     assert a.records == b.records
     assert a.rr_at == b.rr_at
+
+
+def test_replay_ignores_gradients_the_model_carries_in():
+    # train_offline leaves its last batch's gradient on every parameter,
+    # and a deep copy carries it along.
+    trained = train_offline(toy_set(4, seed0=90), TrainConfig(epochs=1, batch_size=2),
+                            model_config=SMALL).model
+    clean = copy.deepcopy(trained)
+    clean.zero_grad()
+    for strategy in runtime.STRATEGIES:
+        config = OnlineConfig(strategy=strategy, seed=2)
+        stream = toy_set(4, seed0=95)
+        carried = run_online(copy.deepcopy(trained), stream, config)
+        assert carried.records == run_online(copy.deepcopy(clean), stream, config).records
 
 
 def test_max_instances_truncates_the_stream():
