@@ -77,14 +77,16 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
     stacked = block.data
     z = np.matmul(stacked, theta.data) + bias.data
     scores = np.tanh(z)
-    gate = scores.mean(axis=3, keepdims=True)
+    # np.add.reduce, then a divide by the count, is what the mean and sum
+    # methods run, without their Python wrappers.
+    gate = np.add.reduce(scores, axis=3, keepdims=True) / scores.shape[3]
     mix = alpha.data.reshape(1, n_layers, 1, 1, 1)
     # The elementwise work runs on (N, L, P, T, D) views, which
     # stack_forward's block stores contiguously.
     rows = stacked.transpose(0, 1, 3, 2, 4)
     gate_rows = gate.transpose(0, 1, 3, 2, 4)
     gated = rows * gate_rows
-    out_data = (gated * mix).sum(axis=1).transpose(0, 2, 1, 3)
+    out_data = np.add.reduce(gated * mix, axis=1).transpose(0, 2, 1, 3)
 
     def back(g):
         g_mixed = np.expand_dims(g.transpose(0, 2, 1, 3), 1)
@@ -104,8 +106,8 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
             T._accumulate(block, g_rows.transpose(0, 1, 3, 2, 4))
 
     out = T._make(out_data, (block, theta, bias, alpha), back)
-    gate_mean = gate.mean(axis=(0, 2)).reshape(n_layers)
-    return out, ExpertTrace(gate=gate_mean.copy(), alpha=alpha.data.reshape(-1).copy())
+    gate_mean = np.add.reduce(gate, axis=(0, 2)).reshape(n_layers) / (gate.shape[0] * gate.shape[2])
+    return out, ExpertTrace(gate=gate_mean, alpha=alpha.data.reshape(-1).copy())
 
 
 def plain_output(block: T.Tensor) -> T.Tensor:

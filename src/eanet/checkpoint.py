@@ -117,8 +117,7 @@ def save_checkpoint(model: TrajectoryModel, path: str) -> None:
     values the file stores, so predictions made after a save match
     predictions made after a reload bit for bit.
     """
-    for p in model.params.values():
-        p.data = p.data.astype(np.float32).astype(np.float64)
+    model.arena.data[...] = model.arena.data.astype(np.float32)
     blob = checkpoint_bytes(model)
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -203,5 +202,5 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
             raise CheckpointError(
                 f"tensor {name!r} has shape {tensors[name].shape}, "
                 f"expected {param.data.shape}")
-        param.data = tensors[name]
+        param.data[...] = tensors[name]
     return model, Xorshift64Star(0)

@@ -101,7 +101,7 @@ def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = Fals
     om = np.clip(om0, RHO_GUARD, None)
     log_norm = (np.log(sx) + np.log(sy)) + (np.log(om) * 0.5 + LOG_TWO_PI)
     d = om * 2.0
-    per_agent = (log_norm + z / d).sum(axis=1)
+    per_agent = np.add.reduce(log_norm + z / d, axis=1)
 
     def back(g):
         g_frame = (g / p).reshape(n, 1, 1, 1) if per_item else g / per_agent.size
@@ -121,7 +121,12 @@ def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = Fals
         full[..., 4:5] = g_rho * (1.0 - rho * rho)
         T._accumulate(raw, full)
 
-    loss = per_agent.reshape(n, p).mean(axis=1) if per_item else per_agent.mean()
+    # np.add.reduce, then a divide by the count, is what the mean and sum
+    # methods run, without their Python wrappers.
+    if per_item:
+        loss = np.add.reduce(per_agent.reshape(n, p), axis=1) / p
+    else:
+        loss = np.add.reduce(per_agent, axis=None) / per_agent.size
     return T._make(loss, (raw,), back)
 
 

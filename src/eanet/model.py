@@ -10,6 +10,10 @@ Parameter registry layout (names are the checkpoint tensor names):
     ea/bias      ()                gate bias
     ea/alpha     (L,)              layer mix
 
+The registry is one `tensor.ParameterArena`: every parameter's values
+and gradient are views into two flat float64 buffers, laid end to end
+in the order above, so an update step is one array op per buffer.
+
 Convolutions are bias-free, initialised uniformly in +-1/sqrt(fan_in)
 with fan_in = 9 * C_in, and each 1x3 kernel is the middle row of a 3x3
 draw (`_conv_kernel`).
@@ -128,57 +132,68 @@ def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,
         yield from zip(part, dataset_arrays(part, config, chunk))
 
 
-def _uniform_tensor(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> T.Tensor:
+def _uniform(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> np.ndarray:
     """The next prod(shape) uniforms of ``rng`` in C order, each mapped to
     [-bound, bound) as lo + (hi - lo) * u."""
     lo, hi = -bound, bound
     u = rng.uniforms(math.prod(shape))
-    return T.Tensor((lo + (hi - lo) * u).reshape(shape), requires_grad=True)
+    return (lo + (hi - lo) * u).reshape(shape)
 
 
-def _conv_kernel(rng: Xorshift64Star, c_out: int, c_in: int) -> T.Tensor:
+def _conv_kernel(rng: Xorshift64Star, c_out: int, c_in: int) -> np.ndarray:
     """A (c_out, c_in, 1, 3) kernel: the middle row of a (c_out, c_in, 3, 3)
     draw. Drawing all nine taps in their old order keeps every seed's
     kernels, and every later draw of the stream, what they were when the
     whole 3x3 window was stored."""
-    full = _uniform_tensor(rng, (c_out, c_in, 3, 3), 1.0 / math.sqrt(c_in * 9.0))
-    return T.Tensor(full.data[:, :, 1:2].copy(), requires_grad=True)
+    return _uniform(rng, (c_out, c_in, 3, 3), 1.0 / math.sqrt(c_in * 9.0))[:, :, 1:2]
+
+
+def _expert_head(config: ModelConfig, rng: Xorshift64Star) -> dict[str, np.ndarray]:
+    """The attention head's starting values: a near-constant gate of one
+    half, and the mix one-hot on the deepest layer scaled by two."""
+    alpha = np.zeros(config.stack_layers)
+    alpha[-1] = 2.0
+    return {"ea/theta": _uniform(rng, (GAUSS_CHANNELS, 1), 0.01),
+            "ea/bias": np.array(math.atanh(0.5)), "ea/alpha": alpha}
 
 
 class TrajectoryModel:
-    """Holds the parameter registry and runs the forward passes."""
+    """Holds the parameter registry and runs the forward passes.
+
+    The registry lives in one `tensor.ParameterArena`: ``params[name].data``
+    and ``.grad`` are views into its flat value and gradient buffers, in
+    registry order, and a gradient is zero until a backward writes it.
+    Write into the views, never rebind them. ``copy.deepcopy`` and pickle
+    copy the buffers and rebind the views to the copies.
+    """
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
         self.config = config or ModelConfig()
         self.config.validate()
         rng = Xorshift64Star(seed)
         cfg = self.config
-        self.params: dict[str, T.Tensor] = {}
-        self.params["gcn/w"] = _uniform_tensor(rng, (2, GAUSS_CHANNELS), 1.0 / math.sqrt(2.0))
-        self.params["expand/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_obs)
+        values = {"gcn/w": _uniform(rng, (2, GAUSS_CHANNELS), 1.0 / math.sqrt(2.0)),
+                  "expand/k": _conv_kernel(rng, cfg.t_pred, cfg.t_obs)}
         for layer in range(cfg.stack_layers):
-            self.params[f"stack/{layer}/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_pred)
-            self.params[f"stack/{layer}/s"] = T.Tensor(cfg.prelu_init, requires_grad=True)
-        self.init_expert_head(rng)
+            values[f"stack/{layer}/k"] = _conv_kernel(rng, cfg.t_pred, cfg.t_pred)
+            values[f"stack/{layer}/s"] = np.array(cfg.prelu_init)
+        values.update(_expert_head(cfg, rng))
+        self.arena = T.ParameterArena(values)
+
+    @property
+    def params(self) -> dict[str, T.Parameter]:
+        return self.arena.params
 
     def init_expert_head(self, rng: Xorshift64Star) -> None:
-        """(Re)initialise the attention head; called again when an online
-        run starts so the gate begins at one half and the mix at the
-        deepest layer."""
-        cfg = self.config
-        theta = _uniform_tensor(rng, (GAUSS_CHANNELS, 1), 0.01)
-        self.params["ea/theta"] = theta
-        self.params["ea/bias"] = T.Tensor(math.atanh(0.5), requires_grad=True)
-        alpha = np.zeros(cfg.stack_layers)
-        alpha[-1] = 2.0
-        self.params["ea/alpha"] = T.Tensor(alpha, requires_grad=True)
-
-    def parameters(self) -> list[T.Tensor]:
-        return list(self.params.values())
+        """(Re)initialise the attention head's values and zero its
+        gradients, in place; called again when an online run starts so
+        the gate begins at one half and the mix at the deepest layer."""
+        for name, value in _expert_head(self.config, rng).items():
+            self.params[name].data[...] = value
+            self.params[name].zero_grad()
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.arena.grad.fill(0.0)
 
     # ----------------------------------------------------------------- forward
 

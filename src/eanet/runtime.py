@@ -16,10 +16,15 @@ stayed below 1e-8 for 50 consecutive updates. A run takes the first such
 verdict in time, and `normal` if there is none. Clipping is applied after
 the explosion probe, so a clipped run can be flagged exploded while still
 training on. `HealthMonitor` is the one place that rule lives.
+
+Both loops update through the model's parameter arena: the gradient norm
+is one pass over the gradient buffer, and a clip, an SGD step and
+zeroing the gradients are one array op each on a whole buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,11 +167,11 @@ class BaseMetrics:
     n_test: int
 
 
-def sgd_step(params: dict[str, T.Tensor], lr: float) -> None:
-    """In-place plain SGD on every parameter that received a gradient."""
-    for p in params.values():
-        if p.grad is not None:
-            p.data -= lr * p.grad
+def sgd_step(arena: T.ParameterArena, lr: float) -> None:
+    """In-place plain SGD on every parameter, as one op on the arena's
+    buffers. A parameter that got no gradient steps by ``p - lr * 0.0``,
+    which leaves its bits as they were."""
+    arena.data -= lr * arena.grad
 
 
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
@@ -220,7 +225,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                 raise TrainingDiverged(
                     f"non-finite loss {value}", epoch=epoch, step=step)
             T.backward(batch_loss)
-            sgd_step(model.params, lr)
+            sgd_step(model.arena, lr)
             epoch_sum += value * len(batch)
         loss_log.append(epoch_sum / len(order))
         if progress is not None:
@@ -248,7 +253,7 @@ class HealthMonitor:
         self._run = 0
 
     def observe(self, pre: float, loss: float, instance_idx: int, clipped: bool = False) -> str:
-        finite = bool(np.isfinite(loss) and np.isfinite(pre))
+        finite = math.isfinite(loss) and math.isfinite(pre)
         self.counters.updates += 1
         self.counters.clipped += int(clipped)
         self.counters.skipped += int(not finite)
@@ -268,25 +273,26 @@ class HealthMonitor:
 
 def _apply_update(model: TrajectoryModel, loss_tensor: T.Tensor, loss: float,
                   config: OnlineConfig) -> tuple[float, float | None]:
-    """One online update: backward, clip, SGD step, zero the gradients.
+    """One online update: backward, clip, SGD step, zero the gradients,
+    each of the last three one op on an arena buffer.
 
     Returns the pre-clip norm and the norm applied. A non-finite loss
     clears the tape and returns (nan, None); a non-finite norm takes no
     step and returns (norm, None).
     """
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         T.tape().clear()
         model.zero_grad()
         return float("nan"), None
     T.backward(loss_tensor)
-    pre = T.global_grad_norm(model.parameters())
+    pre = T.global_grad_norm(model.arena)
     applied = None
-    if np.isfinite(pre):
+    if math.isfinite(pre):
         applied = pre
         if config.clip_norm is not None and pre > config.clip_norm:
-            T.scale_grads(model.parameters(), config.clip_norm / pre)
+            model.arena.grad *= config.clip_norm / pre
             applied = config.clip_norm
-        sgd_step(model.params, config.lr)
+        sgd_step(model.arena, config.lr)
     model.zero_grad()
     return pre, applied
 
@@ -341,9 +347,9 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                 pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
                 ade, fde = ade_fde(pred_abs, inst.fut_abs)
                 rr = restore_ratio(ade, fde, base.ade, base.fde) if base is not None else None
-                expert = tuple(float(v) for v in trace.gate) if trace is not None else (
-                    tuple(float(v) for v in hedge.w) if hedge is not None else None)
-                alpha = tuple(float(v) for v in trace.alpha) if trace is not None else None
+                expert = tuple(trace.gate.tolist()) if trace is not None else (
+                    tuple(hedge.w.tolist()) if hedge is not None else None)
+                alpha = tuple(trace.alpha.tolist()) if trace is not None else None
                 if hedge is not None:
                     layer_losses = layer_nll(block, fut_rel)
             loss_tensor = nll_loss(gfield, fut_rel)

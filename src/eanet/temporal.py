@@ -49,13 +49,6 @@ def _check_stack(x_shape: tuple[int, ...], kernels: list[T.Tensor],
             raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {slope.shape}")
 
 
-def _prelu_factor(conv: np.ndarray, slope: T.Tensor) -> np.ndarray:
-    """The prelu's factor per entry: 1 where ``conv`` is positive, else the
-    slope; np.where(conv > 0, 1.0, slope), picked from a two-entry table
-    because np.where is several times slower."""
-    return np.array([slope.data.item(), 1.0]).take((conv > 0).view(np.uint8))
-
-
 def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> T.Tensor:
     """Run the stacked layers and return the (N, L, C, H, W) block of every
     layer's output, as one tape record.
@@ -85,16 +78,25 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     weights = T.banded_weights([kernel.data for kernel in kernels], w)
     # ins[l] holds layer l's input rows and convs[l] its conv output, each
     # one contiguous (N, H, 1, C·W) array, as conv2d's were. One allocation
-    # holds them and the block: the allocator then reuses it from call to
-    # call, where separate large arrays were handed back to the system and
-    # their pages faulted in again on every training batch.
-    store = np.empty((3, n_layers * n * h * k))
-    ins, convs = store[:2].reshape(2, n_layers, n, h, 1, k)
-    buf = store[2].reshape(n, n_layers, h, 1, k)
+    # holds them, the block and the conv > 0 masks: the allocator then
+    # reuses it from call to call, where separate large arrays were handed
+    # back to the system and their pages faulted in again on every
+    # training batch.
+    size = n_layers * n * h * k
+    store = np.empty(3 * size + -(-size // 8))
+    ins, convs = store[:2 * size].reshape(2, n_layers, n, h, 1, k)
+    buf = store[2 * size:3 * size].reshape(n, n_layers, h, 1, k)
+    masks = store[3 * size:].view(bool)[:size].reshape(n_layers, n, h, 1, k)
+    # The prelu's factor per entry is 1 where conv is positive, else the
+    # slope: np.where(conv > 0, 1.0, slope), picked from a two-entry table
+    # by the mask, because np.where is several times slower. The backward
+    # picks its factors again from the masks kept here.
+    tables = [np.array([slope.data.item(), 1.0]) for slope in slopes]
     ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
     for idx in range(n_layers):
         conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
-        out = np.multiply(_prelu_factor(conv, slopes[idx]), conv,
+        positive = np.greater(conv, 0.0, out=masks[idx]).view(np.uint8)
+        out = np.multiply(tables[idx].take(positive), conv,
                           out=ins[idx + 1] if idx + 1 < n_layers else None)
         if idx:
             out += ins[idx]
@@ -105,14 +107,13 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
         pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
         g_m = pieces[:, -1]
         for idx in reversed(range(n_layers)):
-            conv, slope = convs[idx], slopes[idx]
-            factor = _prelu_factor(conv, slope)
+            conv = convs[idx]
             # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of
             # a zero term, which no sum of these terms can show. The slope's
             # terms, then the conv gradient, take the place of conv.
             g_slope = np.multiply(g_m, np.minimum(conv, 0.0, out=conv), out=conv)
-            T._accumulate(slope, T._unbroadcast(g_slope, slope.shape))
-            g_conv = np.multiply(g_m, factor, out=conv)
+            T._accumulate(slopes[idx], np.add.reduce(g_slope, axis=None))
+            g_conv = np.multiply(g_m, tables[idx].take(masks[idx].view(np.uint8)), out=conv)
             if idx:
                 g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
         for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, convs, c, w)):

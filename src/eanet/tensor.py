@@ -7,7 +7,11 @@ walks the tape in reverse creation order (which is a valid reverse
 topological order, because inputs always exist before the op that uses
 them), accumulates gradients into ``.grad``, and finally clears the tape.
 Leaf tensors keep their accumulated gradients across backward calls so a
-minibatch can be accumulated by running backward once per instance.
+minibatch can be accumulated by running backward once per instance. A
+free tensor's gradient is None until its first write, which stores
+``g + 0.0`` in a new array; a `Parameter`'s gradient is a zeroed view
+into its arena's gradient buffer, and ``0.0 + g`` written into it has
+the same bits, -0.0 included.
 
 Broadcasting on elementwise ops follows numpy semantics, which is exactly
 "extend singleton axes"; gradients are summed back down to each operand's
@@ -18,8 +22,9 @@ The module holds only what a package path runs: the elementwise ``add``
 and ``mul`` that training weighs and adds up its group losses with, the
 whole-tensor ``tensor_sum`` that ``eanet gradcheck`` builds its losses
 with, the row-local ``conv2d`` of ``temporal.time_expand``, the
-banded-weight helpers it shares with ``temporal``'s fused stack, and the
-gradient-norm helpers of the update step. The record helpers ``_make``,
+banded-weight helpers it shares with ``temporal``'s fused stack, the
+`ParameterArena` that holds a model's parameters, and the gradient norm
+of the update step. The record helpers ``_make``,
 ``_accumulate`` and ``_unbroadcast`` are what the fused records of
 ``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
 with. An op that only tests call does not belong here: the per-layer
@@ -126,6 +131,60 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+class Parameter(Tensor):
+    """A tensor whose ``data`` and ``grad`` are views into the buffers of a
+    `ParameterArena`. Its gradient is never None: it starts at zero and
+    `zero_grad` zeroes it in place. Write into both views; rebinding
+    either would detach the parameter from its arena."""
+
+    __slots__ = ()
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
+
+
+class ParameterArena:
+    """Named parameters laid end to end, in registry order, in one flat
+    float64 buffer of values, ``data``, and one of gradients, ``grad``.
+
+    ``params`` maps each name to a `Parameter` viewing its span of both
+    buffers, so an SGD step, a clip or zeroing every gradient is one array
+    op on a buffer. Copies (``copy.deepcopy``, pickle) copy the two buffers
+    and bind fresh views to the copies.
+    """
+
+    def __init__(self, values: dict[str, np.ndarray]):
+        self.shapes = {name: np.shape(value) for name, value in values.items()}
+        self.data = np.concatenate([np.ravel(v) for v in values.values()] + [np.zeros(0)])
+        self.grad = np.zeros_like(self.data)
+        self._bind()
+
+    def _bind(self) -> None:
+        self.params: dict[str, Parameter] = {}
+        by_size: dict[int, list[tuple[int, int]]] = {}
+        offset = 0
+        for pos, (name, shape) in enumerate(self.shapes.items()):
+            size = math.prod(shape)
+            end = offset + size
+            param = Parameter(self.data[offset:end].reshape(shape), requires_grad=True)
+            param.grad = self.grad[offset:end].reshape(shape)
+            self.params[name] = param
+            by_size.setdefault(size, []).append((pos, offset))
+            offset = end
+        # global_grad_norm's plan: per size, the registry positions of the
+        # parameters of that size and the (count, size) index of their spans.
+        self.norm_rows = [([pos for pos, _ in spans],
+                           np.array([start for _, start in spans])[:, None] + np.arange(size))
+                          for size, spans in by_size.items()]
+
+    def __getstate__(self) -> dict:
+        return {"shapes": self.shapes, "data": self.data, "grad": self.grad}
+
+    def __setstate__(self, state: dict) -> None:
+        self.shapes, self.data, self.grad = state["shapes"], state["data"], state["grad"]
+        self._bind()
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -143,6 +202,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -163,9 +224,12 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        _tape.record(out, backward_fn)
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                _tape.record(out, backward_fn)
+                break
     return out
 
 
@@ -314,23 +378,23 @@ def conv2d(x, kernel) -> Tensor:
     return _make(out_data, (x, kernel), back)
 
 
-def global_grad_norm(tensors) -> float:
-    """Euclidean norm over the concatenated gradients of ``tensors``.
+def global_grad_norm(arena: ParameterArena) -> float:
+    """Euclidean norm of the arena's gradient buffer.
 
-    Each gradient's squares are summed by the reduce that ``np.sum``
-    reaches through its wrapper, called directly, and the sums are added
-    up per tensor, in order, as Python floats: the result is bit for bit
-    ``sqrt`` of the in-order sum of ``float(np.sum(g * g))``.
+    Each parameter's squares are summed on their own, by the pairwise
+    reduce ``np.sum`` reaches through its wrapper, and the sums are added
+    up as Python floats in registry order: the result is bit for bit
+    ``sqrt`` of the in-order sum of ``float(np.sum(g * g))`` over the
+    parameters' gradients. Same-sized parameters are reduced together,
+    one row each of a 2-D reduce, which sums every row as the 1-D reduce
+    of that row alone would.
     """
+    squares = np.multiply(arena.grad, arena.grad)
+    sums = [0.0] * len(arena.shapes)
+    for positions, rows in arena.norm_rows:
+        for pos, square_sum in zip(positions, np.add.reduce(squares[rows], axis=1).tolist()):
+            sums[pos] = square_sum
     total = 0.0
-    for t in tensors:
-        g = t.grad
-        if g is not None:
-            total += float(np.add.reduce(np.multiply(g, g), axis=None))
+    for value in sums:
+        total += value
     return math.sqrt(total)
-
-
-def scale_grads(tensors, factor: float) -> None:
-    for t in tensors:
-        if t.grad is not None:
-            t.grad *= factor

@@ -156,7 +156,7 @@ def compute() -> dict[str, str]:
     trained = _pretrained()
     digests = {"pretrain/checkpoint": _sha(checkpoint_bytes(trained.model)),
                "pretrain/loss_log": _sha(_floats(trained.loss_log)),
-               "pretrain/params": _sha(*(p.data.tobytes() for p in trained.model.parameters()))}
+               "pretrain/params": _sha(*(p.data.tobytes() for p in trained.model.params.values()))}
     stream = synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=6, seed=1), STREAM)
     for strategy in STRATEGIES:
         for updates in UPDATES:

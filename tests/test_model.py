@@ -1,14 +1,22 @@
-"""Assembled-model tests: registry layout, strategy dispatch, invariances."""
+"""Assembled-model tests: registry layout, strategy dispatch, invariances,
+and the parameter arena."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
+from eanet import cli
+from eanet import model as model_module
 from eanet import tensor as T
 from eanet.attention import HedgeState
+from eanet.checkpoint import load_checkpoint, save_checkpoint
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError
 from eanet.gaussian import decode_gaussian, nll_loss
 from eanet.model import GAUSS_CHANNELS, ModelConfig, TrajectoryModel, toy_instance
+from eanet.rng import Xorshift64Star
 
 
 def small_model(layers=2, seed=3):
@@ -132,7 +140,7 @@ def test_predict_leaves_no_tape_state():
     T.tape().clear()
     model.predict(inst)
     assert len(T.tape()) == 0
-    assert all(p.grad is None for p in model.parameters())
+    assert not np.any(model.arena.grad)
 
 
 def test_predict_field_is_valid_distribution():
@@ -196,3 +204,87 @@ def test_toy_instance_spans_follow_config():
     inst = toy_instance(agents=2, config=cfg, seed=0)
     assert inst.obs_abs.shape == (2, 6, 2)
     assert inst.fut_abs.shape == (2, 10, 2)
+
+
+# ---------------------------------------------------------------------------
+# the parameter arena
+
+
+def assert_views_bound(model):
+    """Every parameter's value and gradient read their span of the arena's
+    two buffers, laid end to end in registry order."""
+    for attr in ("data", "grad"):
+        buf = getattr(model.arena, attr)
+        saved = buf.copy()
+        buf[...] = np.arange(buf.size)
+        views = [getattr(p, attr).reshape(-1) for p in model.params.values()]
+        assert np.array_equal(np.concatenate(views), buf), attr
+        buf[...] = saved
+
+
+def test_fresh_model_views_are_bound_and_gradients_zero():
+    model = small_model(layers=3)
+    assert_views_bound(model)
+    assert all(isinstance(p, T.Parameter) for p in model.params.values())
+    assert not np.any(model.arena.grad)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+def test_a_copy_binds_its_views_to_its_own_buffers(clone):
+    # A naive deep copy copies each view on its own, detached from the
+    # copied buffers; the benchmark deep-copies its model for every pass.
+    model = small_model()
+    model.params["gcn/w"].grad[...] = 1.5
+    twin = clone(model)
+    assert_views_bound(twin)
+    for attr in ("data", "grad"):
+        mine, theirs = getattr(model.arena, attr), getattr(twin.arena, attr)
+        assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+    twin.arena.data += 1.0
+    twin.zero_grad()
+    assert np.array_equal(model.params["gcn/w"].grad, np.full((2, 5), 1.5))
+    assert not np.array_equal(model.arena.data, twin.arena.data)
+
+
+def test_save_and_load_keep_the_views_bound(tmp_path):
+    model = small_model()
+    model.params["gcn/w"].data[0, 0] = 0.1  # rounded to f32 in place
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    assert_views_bound(model)
+    assert model.arena.data[0] == float(np.float32(0.1))
+    loaded, _ = load_checkpoint(path)
+    assert_views_bound(loaded)
+    assert np.array_equal(loaded.arena.data, model.arena.data)
+
+
+def test_init_expert_head_rewrites_the_head_in_place():
+    model = small_model()
+    model.arena.grad.fill(1.0)
+    fresh = model_module._expert_head(model.config, Xorshift64Star(5))
+    body = slice(0, model.arena.data.size - sum(v.size for v in fresh.values()))
+    values = model.arena.data[body].copy()
+    model.init_expert_head(Xorshift64Star(5))
+    assert_views_bound(model)
+    assert np.array_equal(model.arena.data[body], values)
+    assert np.all(model.arena.grad[body] == 1.0)
+    for name, value in fresh.items():
+        assert np.array_equal(model.params[name].data, value), name
+        assert not np.any(model.params[name].grad), name
+
+
+def test_gradcheck_keeps_the_views_bound(monkeypatch, capsys):
+    built = []
+
+    class Recorded(TrajectoryModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(model_module, "TrajectoryModel", Recorded)
+    assert cli.main(["gradcheck"]) == 0
+    capsys.readouterr()
+    assert built
+    for model in built:
+        assert_views_bound(model)
+        assert not np.any(model.arena.grad)

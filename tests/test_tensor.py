@@ -368,45 +368,49 @@ def test_numeric_gradient_simple_quadratic():
     assert abs(g[0] - 6.0) < 1e-6
 
 
-def grads_of(*grads):
-    tensors = []
-    for g in grads:
-        t = T.Tensor(np.zeros(np.shape(g)), requires_grad=True)
-        t.grad = g
-        tensors.append(t)
-    return tensors
+def arena_of(*grads):
+    """An arena with one parameter per gradient, the gradient written into
+    its view; None leaves that parameter's gradient at zero."""
+    arena = T.ParameterArena({f"p{i}": np.zeros(np.shape(g)) for i, g in enumerate(grads)})
+    for p, g in zip(arena.params.values(), grads):
+        if g is not None:
+            p.grad[...] = g
+    return arena
 
 
-def in_order_norm(tensors):
+def in_order_norm(arena):
     total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
+    for t in arena.params.values():
+        total += float(np.sum(t.grad * t.grad))
     return float(np.sqrt(total))
 
 
 def test_global_grad_norm_is_the_in_order_sum_bit_for_bit():
     rng = np.random.default_rng(5)
     for trial in range(50):
-        # Magnitudes spread over many decades, so the order of the adds shows.
-        scale = 10.0 ** rng.integers(-8, 8, size=4)
+        # Magnitudes spread over many decades, so the order of the adds
+        # shows. Same-sized gradients sit apart in the registry (sizes 1,
+        # 13 and 15 twice or more), so the rows of one 2-D reduce come from
+        # spans far apart and are added back in registry order.
+        scale = 10.0 ** rng.integers(-8, 8, size=6)
         wide = rng.normal(size=(7, 12)) * scale[3]
-        tensors = grads_of(np.array(rng.normal() * scale[0]), rng.normal(size=13) * scale[1],
-                           None, rng.normal(size=(5, 1, 3)) * scale[2], wide.T, wide[:, ::3])
-        assert not tensors[4].grad.flags.c_contiguous
-        got, want = T.global_grad_norm(tensors), in_order_norm(tensors)
+        arena = arena_of(np.array(rng.normal() * scale[0]), rng.normal(size=13) * scale[1],
+                         None, rng.normal(size=(5, 1, 3)) * scale[2], wide.T, wide[:, ::3],
+                         rng.normal(size=(3, 5)) * scale[4], np.array(rng.normal() * scale[5]),
+                         rng.normal(size=13) * scale[5], np.array(rng.normal() * scale[1]))
+        got, want = T.global_grad_norm(arena), in_order_norm(arena)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
-    assert T.global_grad_norm(grads_of(None, None)) == 0.0
-    assert T.global_grad_norm([]) == 0.0
+    assert T.global_grad_norm(arena_of(None, None)) == 0.0
+    assert T.global_grad_norm(arena_of()) == 0.0
 
 
 def test_global_grad_norm_propagates_nan_and_inf():
     finite = np.arange(4.0)
-    assert math.isnan(T.global_grad_norm(grads_of(finite, np.array([1.0, np.nan]))))
-    assert T.global_grad_norm(grads_of(finite, np.array(-np.inf))) == math.inf
-    assert math.isnan(T.global_grad_norm(grads_of(np.array([np.inf]), None,
+    assert math.isnan(T.global_grad_norm(arena_of(finite, np.array([1.0, np.nan]))))
+    assert T.global_grad_norm(arena_of(finite, np.array(-np.inf))) == math.inf
+    assert math.isnan(T.global_grad_norm(arena_of(np.array([np.inf]), None,
                                                   np.array([[np.nan]]).T)))
     # Squares that overflow are infinite, as np.sum's are.
     with np.errstate(over="ignore"):
-        assert T.global_grad_norm(grads_of(np.full(2, 1e200))) == math.inf
+        assert T.global_grad_norm(arena_of(np.full(2, 1e200))) == math.inf
