@@ -89,19 +89,20 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     masks = store[3 * size:].view(bool)[:size].reshape(n_layers, n, h, 1, k)
     # The prelu's factor per entry is 1 where conv is positive, else the
     # slope: np.where(conv > 0, 1.0, slope), picked from a two-entry table
-    # by the mask, because np.where is several times slower. The backward
-    # picks its factors again from the masks kept here.
+    # by the mask, because np.where is several times slower. The factors
+    # are picked straight into the array that then takes the product
+    # (mode="clip" lets take write there unbuffered), and the backward
+    # picks them again from the masks kept here.
     tables = [np.array([slope.data.item(), 1.0]) for slope in slopes]
     ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
     for idx in range(n_layers):
         conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
         positive = np.greater(conv, 0.0, out=masks[idx]).view(np.uint8)
-        out = np.multiply(tables[idx].take(positive), conv,
-                          out=ins[idx + 1] if idx + 1 < n_layers else None)
+        out = ins[idx + 1] if idx + 1 < n_layers else buf[:, -1]
+        np.multiply(tables[idx].take(positive, mode="clip", out=out), conv, out=out)
         if idx:
             out += ins[idx]
     buf[:, :-1] = ins[1:].swapaxes(0, 1)
-    buf[:, -1] = out
 
     def back(g):
         pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
@@ -110,10 +111,12 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
             conv = convs[idx]
             # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of
             # a zero term, which no sum of these terms can show. The slope's
-            # terms, then the conv gradient, take the place of conv.
+            # terms, then the factors and the conv gradient, take the place
+            # of conv.
             g_slope = np.multiply(g_m, np.minimum(conv, 0.0, out=conv), out=conv)
             T._accumulate(slopes[idx], np.add.reduce(g_slope, axis=None))
-            g_conv = np.multiply(g_m, tables[idx].take(masks[idx].view(np.uint8)), out=conv)
+            factor = tables[idx].take(masks[idx].view(np.uint8), mode="clip", out=conv)
+            g_conv = np.multiply(g_m, factor, out=conv)
             if idx:
                 g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
         for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, convs, c, w)):
