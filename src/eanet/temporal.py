@@ -91,8 +91,8 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     # slope: np.where(conv > 0, 1.0, slope), picked from a two-entry table
     # by the mask, because np.where is several times slower. The factors
     # are picked straight into the array that then takes the product
-    # (mode="clip" lets take write there unbuffered), and the backward
-    # picks them again from the masks kept here.
+    # (mode="clip" lets take write into a contiguous out without a buffer),
+    # and the backward picks them again from the masks kept here.
     tables = [np.array([slope.data.item(), 1.0]) for slope in slopes]
     ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
     for idx in range(n_layers):
