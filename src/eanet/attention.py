@@ -155,7 +155,8 @@ class HedgeState:
         if not 0.0 < self.smoothing < 1.0:
             raise ConfigError("hedge smoothing must be in (0, 1)")
         self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 1 or np.any(self.w < 0) or abs(self.w.sum() - 1.0) > 1e-9:
+        if (self.w.ndim != 1 or not np.all(np.isfinite(self.w) & (self.w >= 0))
+                or abs(self.w.sum() - 1.0) > 1e-9):
             raise ConfigError("hedge weights must be a probability vector")
 
 

@@ -28,6 +28,7 @@ was tampered with refuses to load.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -152,11 +153,12 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
 
     The second item is always a fresh seed-0 stream; the RNG state a
     version 1 file holds is skipped. Raises CheckpointError for a bad
-    magic, an unsupported version, any truncation, an integer config slot
-    that is not a finite whole number, a feature dimension
-    other than `GAUSS_CHANNELS`, a tensor name the
-    rebuilt model does not expect, a missing parameter, or a config
-    digest mismatch.
+    magic, an unsupported version, any truncation (dims whose product
+    outruns the file included), a tensor name that is not UTF-8, an
+    integer config slot that is not a finite whole number, a feature
+    dimension other than `GAUSS_CHANNELS`, a tensor name the rebuilt
+    model does not expect, a missing parameter, or a config digest
+    mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -169,11 +171,13 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
         rank = r.u8()
         shape = tuple(r.u32() for _ in range(rank))
-        n_values = int(np.prod(shape)) if shape else 1
-        payload = np.frombuffer(r.take(4 * n_values), dtype="<f4").reshape(shape)
+        payload = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         if name in tensors:
             raise CheckpointError(f"duplicate tensor {name!r}")
         tensors[name] = payload.astype(np.float64)

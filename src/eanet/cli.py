@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import time
 from . import config as C
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SCENARIO_KINDS, SyntheticScenarioSpec, generate_synthetic, load_dataset, write_scene
-from .errors import DataError, EanetError
+from .errors import ConfigError, DataError, EanetError
 from .gradcheck import run_gradient_checks
 from .graph import KERNEL_KINDS
 from .model import ModelConfig
@@ -139,6 +140,9 @@ def cmd_train(args) -> int:
 
 
 def _base_from_flags(parser_name: str, base_ade, base_fde) -> BaseMetrics | None:
+    for flag, value in (("--base-ade", base_ade), ("--base-fde", base_fde)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{parser_name}: {flag} must be finite and positive, got {value!r}")
     if base_ade is None and base_fde is None:
         return None
     if base_ade is None or base_fde is None:
@@ -151,10 +155,10 @@ def cmd_online(args) -> int:
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
     online_config = C.config_from(OnlineConfig, mapping, seed, overrides=args)
+    base = _base_from_flags("online", args.base_ade, args.base_fde)
     model, _ = load_checkpoint(args.ckpt)
     stream_paths = _expand_data_paths(args.stream)
     stream = load_dataset(stream_paths, model.config.t_obs, model.config.t_pred)
-    base = _base_from_flags("online", args.base_ade, args.base_fde)
     print(f"replaying {min(len(stream), online_config.max_instances)} of "
           f"{len(stream)} stream instances, strategy={online_config.strategy}",
           file=sys.stderr)

@@ -239,8 +239,9 @@ def restore_ratio(ade_n: float, fde_n: float, ade_base: float, fde_base: float) 
     """Mean relative excess error over the scene-trained baseline.
 
     Zero means the online model matches the baseline; negative means it
-    beats it.
+    beats it. Base metrics that are not finite and positive raise
+    ContractError.
     """
-    if ade_base <= 0 or fde_base <= 0:
-        raise ContractError("restore_ratio needs positive base metrics")
+    if not (0.0 < ade_base < math.inf and 0.0 < fde_base < math.inf):
+        raise ContractError("restore_ratio needs finite, positive base metrics")
     return 0.5 * ((ade_n - ade_base) / ade_base + (fde_n - fde_base) / fde_base)

@@ -48,19 +48,20 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def check_gradients(build_loss, params: dict[str, T.Tensor],
                     h: float = DEFAULT_STEP,
-                    perturb=None) -> dict[str, float]:
+                    perturb=None, weight=None) -> dict[str, float]:
     """Compare analytic and numeric gradients for every named parameter.
 
-    ``build_loss`` takes no arguments and returns a scalar Tensor freshly
-    computed from the current parameter values. ``perturb`` is a test hook:
-    when given, it is called as ``perturb(name, grad)`` and may return a
-    deliberately wrong gradient to prove the comparison can fail.
-    Returns the max relative error per parameter name.
+    ``build_loss`` takes no arguments and returns a Tensor freshly computed
+    from the current parameter values. Without ``weight`` it must be a
+    scalar loss; with one, the loss is ``sum(out * weight)``, whose
+    analytic gradient is the backward seeded with ``weight``. ``perturb``
+    is a test hook: when given, it is called as ``perturb(name, grad)``
+    and may return a deliberately wrong gradient to prove the comparison
+    can fail. Returns the max relative error per parameter name.
     """
     for p in params.values():
         p.zero_grad()
-    loss = build_loss()
-    T.backward(loss)
+    T.backward(build_loss(), weight)
     analytic = {}
     for name, p in params.items():
         grad = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
@@ -69,7 +70,8 @@ def check_gradients(build_loss, params: dict[str, T.Tensor],
         analytic[name] = grad
 
     def value():
-        return build_loss().item()
+        out = build_loss()
+        return out.item() if weight is None else float(np.sum(out.data * weight))
 
     errors = {}
     for name, p in params.items():
@@ -82,67 +84,57 @@ def check_gradients(build_loss, params: dict[str, T.Tensor],
 
 def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     """The built-in suite: one case per tape record the package runs (the
-    elementwise ops, the graph convolution, the time convolution, the NLL
-    and the hedge and plain heads), plus the composed model.
+    graph convolution, the time convolution, the NLL and the hedge and
+    plain heads), plus the composed model. A record whose output is not a
+    scalar is checked through a fixed random weighting of its output.
 
     Returns (name, max_relative_error, passed) triples. Used by the CLI.
     """
     rng = np.random.default_rng(7)
     results = []
 
-    def case(name, build_loss, params, tol):
-        errors = check_gradients(build_loss, params, perturb=perturb)
+    def case(name, build_loss, params, tol, weight=None):
+        errors = check_gradients(build_loss, params, perturb=perturb, weight=weight)
         worst = max(errors.values())
         results.append((name, worst, worst < tol))
 
-    a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    s = T.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-
-    def square_sum(c):
-        return T.tensor_sum(T.mul(c, c))
-
-    case("add", lambda: T.tensor_sum(T.mul(T.add(a, s), b)), {"a": a, "b": b, "s": s},
-         PRIMITIVE_TOLERANCE)
-    case("mul", lambda: T.tensor_sum(T.mul(T.mul(a, b), b)), {"a": a, "b": b},
-         PRIMITIVE_TOLERANCE)
+    # Drawn and dropped, so that every case below keeps the inputs that
+    # its tolerance was checked on.
+    rng.normal(size=28)
     # Two frames of four agents: (2, 4, 3) features, a (3, 5) weight, and
     # motion-trend graphs whose positions are read off the (4, 3) draw.
     points = rng.normal(size=(4, 3))
     gw = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     gx = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     gahat = instance_graphs(np.stack([points[:, :2], points[:, 1:]]), gx.data[..., :2])
-    case("gcn_forward", lambda: square_sum(gcn_forward(gahat, gx, gw)), {"w": gw, "x": gx},
-         PRIMITIVE_TOLERANCE)
-
     cx = T.Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
     ck = T.Tensor(rng.normal(size=(3, 4, 1, 3)) * 0.3, requires_grad=True)
-    case("conv2d", lambda: square_sum(T.conv2d(cx, ck)), {"x": cx, "k": ck},
-         PRIMITIVE_TOLERANCE)
+    # Small raws keep |rho| far from 1, where the clamp on 1 - rho^2 would
+    # put a kink inside the finite-difference step.
+    nraw = T.Tensor(rng.normal(size=(2, 4, 3, 5)) * 0.5, requires_grad=True)
+    ntarget = rng.normal(size=(2, 3, 4, 2)) * 0.5
+    nweight = np.array([0.7, -1.3])
+    block = T.Tensor(rng.normal(size=(2, 3, 4, 3, 5)), requires_grad=True)
+    hweight = rng.normal(size=(2, 4, 3, 5))
+    gweight = rng.normal(size=(2, 4, 5))
+    cweight = rng.normal(size=(2, 3, 3, 5))
 
     from .model import ModelConfig, TrajectoryModel, toy_instance
     from .gaussian import decode_gaussian, nll_loss
     from .attention import HedgeState, ea_output, hedge_output, plain_output
 
-    # Small raws keep |rho| far from 1, where the clamp on 1 - rho^2 would
-    # put a kink inside the finite-difference step.
-    nraw = T.Tensor(rng.normal(size=(2, 4, 3, 5)) * 0.5, requires_grad=True)
-    ntarget = rng.normal(size=(2, 3, 4, 2)) * 0.5
+    case("gcn_forward", lambda: gcn_forward(gahat, gx, gw), {"w": gw, "x": gx},
+         PRIMITIVE_TOLERANCE, gweight)
+    case("conv2d", lambda: T.conv2d(cx, ck), {"x": cx, "k": ck}, PRIMITIVE_TOLERANCE, cweight)
     case("nll_loss", lambda: nll_loss(decode_gaussian(nraw), ntarget), {"raw": nraw},
          PRIMITIVE_TOLERANCE)
-    nweight = T.Tensor([0.7, -1.3])
-    case("nll_loss_per_item",
-         lambda: T.tensor_sum(T.mul(nll_loss(decode_gaussian(nraw), ntarget, per_item=True),
-                                    nweight)),
-         {"raw": nraw}, PRIMITIVE_TOLERANCE)
-
-    block = T.Tensor(rng.normal(size=(2, 3, 4, 3, 5)), requires_grad=True)
-    hweight = T.Tensor(rng.normal(size=(2, 4, 3, 5)))
+    case("nll_loss_per_item", lambda: nll_loss(decode_gaussian(nraw), ntarget, per_item=True),
+         {"raw": nraw}, PRIMITIVE_TOLERANCE, nweight)
     hedge = HedgeState(w=np.array([0.2, 0.3, 0.5]))
-    case("hedge_output", lambda: T.tensor_sum(T.mul(hedge_output(block, hedge), hweight)),
-         {"block": block}, PRIMITIVE_TOLERANCE)
-    case("plain_output", lambda: T.tensor_sum(T.mul(plain_output(block), hweight)),
-         {"block": block}, PRIMITIVE_TOLERANCE)
+    case("hedge_output", lambda: hedge_output(block, hedge), {"block": block},
+         PRIMITIVE_TOLERANCE, hweight)
+    case("plain_output", lambda: plain_output(block), {"block": block},
+         PRIMITIVE_TOLERANCE, hweight)
 
     # Central differences straddle the prelu kink whenever a pre-activation
     # sits within the step size of zero, which inflates the reported error

@@ -23,9 +23,9 @@ matches the plain deepest-layer output that offline training optimised.
 
 One online step puts five records on the tape whatever the head: the
 graph convolution, the time-expand conv, the residual stack, the head
-and the NLL. Offline training, on the plain head, puts the same five per
-group of same-sized instances, plus one or two that weigh and add up the
-group losses.
+and the NLL. Offline training, on the plain head, puts the same five on
+it for each group of same-sized instances, and runs one backward per
+group, seeded with the group's share of the batch.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution

@@ -182,12 +182,14 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
 
     A batch is one averaged gradient step over ``batch_size`` shuffled
     instances; same-sized instances inside the batch share one stacked
-    forward pass and the group losses are combined weighted by group size,
-    so the result equals per-instance accumulation. The graphs are built
+    forward pass, and each group's backward is seeded with its share of the
+    batch, so the result equals per-instance accumulation. The groups are
+    visited last to first, which adds up the parameter gradients in the
+    order one reverse pass over the whole batch would. The graphs are built
     once, before the first epoch, one call per chunk of ``batch_size``
     same-sized instances (`dataset_arrays`). The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
-    aborts with the epoch and step recorded.
+    aborts with the epoch and step recorded, before the step is taken.
     """
     config.validate()
     if not dataset:
@@ -210,21 +212,24 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             for idx in batch:
                 groups.setdefault(prepared[idx][0].shape[1], []).append(idx)
             model.zero_grad()
-            batch_loss = None
-            for members in groups.values():
+            # Last group first: the order in which one reverse pass over
+            # the whole batch would add up the parameter gradients.
+            terms = []
+            for members in reversed(groups.values()):
                 x_seq = np.stack([prepared[i][0] for i in members])
                 ahat = np.stack([prepared[i][1] for i in members])
                 fut = np.stack([prepared[i][2] for i in members])
                 raw = plain_output(model.forward_batch(x_seq, ahat))
                 group_loss = nll_loss(decode_gaussian(raw), fut)
-                weighted = T.mul(group_loss, len(members) / len(batch))
-                batch_loss = weighted if batch_loss is None else T.add(batch_loss, weighted)
-            value = batch_loss.item()
-            if not np.isfinite(value):
-                T.tape().clear()
+                weight = len(members) / len(batch)
+                terms.append(group_loss.item() * weight)
+                T.backward(group_loss, weight)
+            value = terms.pop()  # the batch loss, added up first group first
+            while terms:
+                value += terms.pop()
+            if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss {value}", epoch=epoch, step=step)
-            T.backward(batch_loss)
             sgd_step(model.arena, lr)
             epoch_sum += value * len(batch)
         loss_log.append(epoch_sum / len(order))

@@ -1,36 +1,31 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The design is a dynamic tape: every primitive that touches a tensor with
-``requires_grad`` appends a record (output tensor plus a backward closure)
-to the active tape. ``backward(loss)`` seeds the loss gradient with one,
-walks the tape in reverse creation order (which is a valid reverse
+The design is a dynamic tape: every op that touches a tensor with
+``requires_grad`` appends an ``(out, backward_fn)`` record to the
+module's tape, a plain list. ``backward(out, grad)`` seeds ``out``'s
+gradient with ``grad`` (with one, for a scalar loss and no seed), walks
+the tape in reverse creation order (which is a valid reverse
 topological order, because inputs always exist before the op that uses
 them), accumulates gradients into ``.grad``, and finally clears the tape.
-Leaf tensors keep their accumulated gradients across backward calls so a
-minibatch can be accumulated by running backward once per instance. A
-free tensor's gradient is None until its first write, which stores
-``g + 0.0`` in a new array; a `Parameter`'s gradient is a zeroed view
-into its arena's gradient buffer, and ``0.0 + g`` written into it has
-the same bits, -0.0 included.
+Leaf tensors keep their accumulated gradients across backward calls, so
+offline training runs one seeded backward per group of same-sized
+instances. A free tensor's gradient is None until its first write, which
+stores ``g + 0.0`` in a new array; a `Parameter`'s gradient is a zeroed
+view into its arena's gradient buffer, and ``0.0 + g`` written into it
+has the same bits, -0.0 included. Tensors recorded on a tape must not be
+mutated in place before backward runs.
 
-Broadcasting on elementwise ops follows numpy semantics, which is exactly
-"extend singleton axes"; gradients are summed back down to each operand's
-shape. Tensors recorded on a tape must not be mutated in place before
-backward runs.
-
-The module holds only what a package path runs: the elementwise ``add``
-and ``mul`` that training weighs and adds up its group losses with, the
-whole-tensor ``tensor_sum`` that ``eanet gradcheck`` builds its losses
-with, the row-local ``conv2d`` of ``temporal.time_expand``, the
-banded-weight helpers it shares with ``temporal``'s fused stack, the
-`ParameterArena` that holds a model's parameters, and the gradient norm
-of the update step. The record helpers ``_make``,
-``_accumulate`` and ``_unbroadcast`` are what the fused records of
-``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
-with. An op that only tests call does not belong here: the per-layer
-chains kept as oracles build theirs, in the forms they use, in
-``tests/oracles.py``, and ``tests/test_tensor.py`` requires every public
-function here to have a caller elsewhere in the package.
+The module holds only what a package path runs: the row-local
+``conv2d`` of ``temporal.time_expand``, the banded-weight helpers it
+shares with ``temporal``'s fused stack, the `ParameterArena` that holds
+a model's parameters, and the gradient norm of the update step. The
+record helpers ``_make``, ``_accumulate`` and ``_unbroadcast`` are what
+the fused records of ``graph``, ``temporal``, ``attention`` and
+``gaussian`` are written with. An op that only tests call does not
+belong here: the per-layer chains kept as oracles build theirs, in the
+forms they use, in ``tests/oracles.py``, and ``tests/test_tensor.py``
+requires every public function here to have a caller elsewhere in the
+package.
 """
 
 from __future__ import annotations
@@ -42,49 +37,35 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-
-class Tape:
-    """Ordered record of primitive operations for one forward pass."""
-
-    __slots__ = ("_records",)
-
-    def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def record(self, out: "Tensor", backward_fn) -> None:
-        self._records.append((out, backward_fn))
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def run_backward(self, loss: "Tensor") -> None:
-        if loss.data.ndim != 0:
-            self.clear()
-            raise ContractError(
-                f"backward needs a scalar loss, got shape {loss.data.shape}"
-            )
-        loss.grad = np.ones((), dtype=np.float64)
-        for out, fn in reversed(self._records):
-            if out.grad is not None:
-                fn(out.grad)
-        self.clear()
-
-
-_tape = Tape()
+_tape: list = []  # (out, backward_fn) records in creation order
 _grad_enabled = True
 
 
-def tape() -> Tape:
+def tape() -> list:
     """The process-wide tape. Single threaded by design."""
     return _tape
 
 
-def backward(loss: "Tensor") -> None:
-    """Backpropagate from a scalar loss and clear the tape."""
-    _tape.run_backward(loss)
+def backward(out: Tensor, grad=None) -> None:
+    """Backpropagate from ``out`` seeded with ``grad``, and clear the tape.
+
+    ``grad`` must have ``out``'s shape; None seeds a 0-d ``out`` with one.
+    Anything else raises ContractError. The tape is cleared either way."""
+    try:
+        if grad is None:
+            if out.data.ndim != 0:
+                raise ContractError(f"backward needs a seed for an output of shape {out.shape}")
+            seed = np.ones(())
+        else:
+            seed = np.array(grad, dtype=np.float64)
+            if seed.shape != out.shape:
+                raise ContractError(f"backward seed of shape {seed.shape} for output {out.shape}")
+        out.grad = seed
+        for rec_out, fn in reversed(_tape):
+            if rec_out.grad is not None:
+                fn(rec_out.grad)
+    finally:
+        _tape.clear()
 
 
 class no_grad:
@@ -213,62 +194,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(
-            f"{opname}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
-
-
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
-                _tape.record(out, backward_fn)
+                _tape.append((out, backward_fn))
                 break
     return out
-
-
-# ---------------------------------------------------------------------------
-# elementwise and the whole-tensor sum
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
-    out_data = a.data + b.data
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), back)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-    out_data = a.data * b.data
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), back)
-
-
-def tensor_sum(a) -> Tensor:
-    """The sum of every entry, a 0-d tensor."""
-    a = as_tensor(a)
-
-    def back(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-    return _make(a.data.sum(), (a,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def stack_forward(x0, kernels, slopes):
     current = T.as_tensor(x0)
     for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
         convolved = prelu(T.conv2d(current, kernel), slope)
-        current = convolved if idx == 0 else T.add(convolved, current)
+        current = convolved if idx == 0 else add(convolved, current)
         outputs.append(current)
     return outputs
 
@@ -56,10 +56,10 @@ def ea_output(m_list, theta, bias, alpha):
     the output and the trace."""
     stacked = stack(m_list)
     n_layers = stacked.shape[1]
-    scores = tanh(T.add(matmul(stacked, theta), bias))
+    scores = tanh(add(matmul(stacked, theta), bias))
     gate = mean(scores, axis=3)
     mix = reshape(T.as_tensor(alpha), (1, n_layers, 1, 1, 1))
-    out = sum_axis(T.mul(T.mul(stacked, gate), mix), axis=1)
+    out = sum_axis(mul(mul(stacked, gate), mix), axis=1)
     gate_mean = gate.data.mean(axis=(0, 2)).reshape(n_layers)
     return out, ExpertTrace(gate=gate_mean, alpha=alpha.data.reshape(-1).copy())
 
@@ -68,11 +68,40 @@ def hedge_output(m_list, w):
     """The layer sum weighted by the constant probability vector ``w``."""
     stacked = stack(m_list)
     mix = T.Tensor(np.asarray(w).reshape(1, stacked.shape[1], 1, 1, 1))
-    return sum_axis(T.mul(stacked, mix), axis=1)
+    return sum_axis(mul(stacked, mix), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # taped ops that only oracles call
+
+
+def add(a, b):
+    a, b = T.as_tensor(a), T.as_tensor(b)
+
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g, a.shape))
+        T._accumulate(b, T._unbroadcast(g, b.shape))
+
+    return T._make(a.data + b.data, (a, b), back)
+
+
+def mul(a, b):
+    a, b = T.as_tensor(a), T.as_tensor(b)
+
+    def back(g):
+        T._accumulate(a, T._unbroadcast(g * b.data, a.shape))
+        T._accumulate(b, T._unbroadcast(g * a.data, b.shape))
+
+    return T._make(a.data * b.data, (a, b), back)
+
+
+def tensor_sum(a):
+    """The sum of every entry, a 0-d tensor."""
+
+    def back(g):
+        T._accumulate(a, np.broadcast_to(g, a.shape).copy())
+
+    return T._make(a.data.sum(), (a,), back)
 
 
 def sub(a, b):

@@ -22,7 +22,7 @@ def recombine_by_frame(block):
 def expert_weights(r_f, theta, bias):
     """Gate scores for one frame: mean over agents of tanh(R_f Theta + b),
     (N, L, P, D) with a (D, 1) theta to (N, L, 1, 1)."""
-    scores = oracles.tanh(T.add(oracles.matmul(r_f, theta), bias))
+    scores = oracles.tanh(oracles.add(oracles.matmul(r_f, theta), bias))
     return oracles.mean(scores, axis=2)
 
 
@@ -178,7 +178,7 @@ def test_ea_gradients_wrt_head_parameters():
 
     def build():
         out, _ = ea_output(layers, theta, bias, alpha)
-        return T.tensor_sum(T.mul(out, out))
+        return oracles.tensor_sum(oracles.mul(out, out))
 
     errors = check_gradients(build, {"theta": theta, "bias": bias, "alpha": alpha})
     assert max(errors.values()) < 1e-4
@@ -208,6 +208,9 @@ def test_hedge_state_validation():
         HedgeState(w=np.array([0.5, 0.5]), beta=1.0).validate()
     with pytest.raises(ConfigError):
         HedgeState(w=np.array([0.7, 0.7]), beta=0.9).validate()
+    for w in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ConfigError):
+            HedgeState(w=np.array(w)).validate()
 
 
 def test_hedge_output_weighted_sum():

@@ -153,6 +153,23 @@ def test_unknown_tensor_name_is_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_tensor_name_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    blob = checkpoint_bytes(TrajectoryModel(CONFIG, seed=7))
+    path.write_bytes(blob.replace(b"gcn/w", b"gcn/\xff", 1))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(str(path))
+
+
+def test_dims_whose_product_wraps_in_int64_are_truncation(tmp_path):
+    # 65536^4 = 2^64, which an int64 product wraps to 0 values.
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 5) + b"gcn/w"
+                     + struct.pack("<B4I", 4, *[65536] * 4) + bytes(64))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(path))
+
+
 def test_tampered_config_fails_the_digest(tmp_path):
     for path in both_versions(tmp_path):
         blob = bytearray(path.read_bytes())

@@ -127,12 +127,22 @@ def _command(name: str, tmp_path) -> list[str]:
 @pytest.mark.parametrize("command, flag", [
     ("gen", "--speed"), ("gen", "--noise"), ("gen", "--extent"),
     ("train", "--lr"), ("train", "--lr-after"), ("base", "--lr"), ("base", "--lr-after"),
-    ("online", "--lr"), ("online", "--clip-norm")])
+    ("online", "--lr"), ("online", "--clip-norm"), ("online", "--base-ade"),
+    ("online", "--base-fde")])
 @pytest.mark.parametrize("text", _NON_FINITE)
 def test_non_finite_flag_is_a_config_error(command, flag, text, tmp_path, capsys):
     assert cli.main(_command(command, tmp_path) + [f"{flag}={text}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--base-ade", "--base-fde"])
+@pytest.mark.parametrize("text", ["0", "-0.5"])
+def test_non_positive_base_flag_is_a_config_error(flag, text, tmp_path, capsys):
+    assert cli.main(_command("online", tmp_path) + [f"{flag}={text}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and positive" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -15,7 +15,7 @@ from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
 from eanet.rng import (_BLOCK, _BLOCK_TABLES, _CHUNK, _LANE, _LANE_TABLES, _MASK64, _MULTIPLIER,
                        _ZERO_SEED_STATE, Xorshift64Star, _lookup, unit_vectors)
-from oracles import div, exp, getitem, log, mean, normal_pair, sub, sum_axis, tanh
+from oracles import add, div, exp, getitem, log, mean, mul, normal_pair, sub, sum_axis, tanh
 
 
 def field_from_raw(raw):
@@ -152,12 +152,12 @@ def taped_nll(raw, target_rel):
     sy = getitem(sigma, np.s_[..., 1:2])
     zx = div(dx, sx)
     zy = div(dy, sy)
-    z = sub(T.add(T.mul(zx, zx), T.mul(zy, zy)),
-            T.mul(T.mul(rho, 2.0), T.mul(zx, zy)))
-    one_minus = taped_clamp_below(sub(1.0, T.mul(rho, rho)), RHO_GUARD)
-    log_norm = T.add(T.add(log(sx), log(sy)),
-                     T.add(T.mul(log(one_minus), 0.5), LOG_TWO_PI))
-    per_frame = T.add(log_norm, div(z, T.mul(one_minus, 2.0)))
+    z = sub(add(mul(zx, zx), mul(zy, zy)),
+            mul(mul(rho, 2.0), mul(zx, zy)))
+    one_minus = taped_clamp_below(sub(1.0, mul(rho, rho)), RHO_GUARD)
+    log_norm = add(add(log(sx), log(sy)),
+                   add(mul(log(one_minus), 0.5), LOG_TWO_PI))
+    per_frame = add(log_norm, div(z, mul(one_minus, 2.0)))
     return mean(sum_axis(per_frame, axis=1))
 
 
@@ -188,10 +188,10 @@ def test_nll_loss_is_one_record_bit_identical_to_the_taped_chain():
                 oracle = T.Tensor(raw.copy(), requires_grad=True)
                 got = nll_loss(decode_gaussian(fused), target)
                 assert len(T.tape()) == 1
-                T.backward(T.mul(got, weight))
+                T.backward(got, weight)
                 want = taped_nll(oracle, target)
                 assert len(T.tape()) == 35
-                T.backward(T.mul(want, weight))
+                T.backward(want, weight)
                 assert np.array_equal(got.data, want.data)
                 assert np.array_equal(fused.grad, oracle.grad)
                 rho = np.tanh(raw[..., 4])
@@ -209,11 +209,11 @@ def test_per_item_nll_is_each_items_loss_bit_for_bit():
             weight = rng.uniform(-2.0, 2.0, size=3)
             fused = T.Tensor(raw.copy(), requires_grad=True)
             got = nll_loss(decode_gaussian(fused), target, per_item=True)
-            T.backward(T.tensor_sum(T.mul(got, weight)))
+            T.backward(got, weight)
             for i in range(3):
                 item = T.Tensor(raw[i:i + 1].copy(), requires_grad=True)
                 want = taped_nll(item, target[i] if batch_target else target)
-                T.backward(T.mul(want, weight[i]))
+                T.backward(want, weight[i])
                 assert got.data[i] == want.item()
                 assert np.array_equal(fused.grad[i], item.grad[0])
 
@@ -654,6 +654,11 @@ def test_restore_ratio_hand_cases():
         restore_ratio(0.5, 1.0, 0.0, 0.8)
     with pytest.raises(ContractError):
         restore_ratio(0.5, 1.0, 0.4, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            restore_ratio(0.5, 1.0, bad, 0.8)
+        with pytest.raises(ContractError):
+            restore_ratio(0.5, 1.0, 0.4, bad)
 
 
 def test_sampling_contract_errors():

@@ -16,6 +16,7 @@ from eanet.errors import ConfigError, DataError, TrainingDiverged
 from eanet.gaussian import best_of_k, decode_gaussian, nll_loss, restore_ratio
 from eanet.model import (ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays,
                          toy_instance)
+from eanet.rng import Xorshift64Star
 from eanet.runtime import (BaseMetrics, HealthMonitor, OnlineConfig, TrainConfig,
                            compute_base, run_online, train_offline)
 
@@ -85,8 +86,7 @@ def test_one_epoch_one_instance_is_one_sgd_step():
     reference = small_model(seed=7)
     x_seq, ahat, fut = instance_arrays(inst, SMALL)
     raw = plain_output(reference.forward_batch(x_seq[None], ahat[None]))
-    loss = T.mul(nll_loss(decode_gaussian(raw), fut[None]), 1.0)
-    T.backward(loss)
+    T.backward(nll_loss(decode_gaussian(raw), fut[None]), 1.0)
     lr = 0.05
     expected = {name: p.data - lr * p.grad
                 for name, p in reference.params.items() if p.grad is not None}
@@ -96,6 +96,35 @@ def test_one_epoch_one_instance_is_one_sgd_step():
                             model=small_model(seed=7)).model
     for name, want in expected.items():
         assert np.array_equal(trained.params[name].data, want), name
+
+
+def test_group_backwards_equal_one_weighted_tape_bit_for_bit():
+    # Four agent counts in one batch of nine, so every group weight
+    # rounds. The reference is one tape over the whole batch: the weighted
+    # group losses added up first group first, and one backward from
+    # their sum. On these seeds the order of those adds shows in the loss.
+    dataset = [toy_instance(agents=3 + i % 4, config=SMALL, seed=140 + i) for i in range(9)]
+    config = TrainConfig(epochs=1, batch_size=9, lr=0.05, seed=3)
+    trained = train_offline(dataset, config, SMALL)
+
+    model = TrajectoryModel(SMALL, seed=config.seed)
+    prepared = dataset_arrays(dataset, SMALL, config.batch_size)
+    order = list(range(len(dataset)))
+    Xorshift64Star(config.seed ^ runtime._SHUFFLE_SALT).shuffle(order)
+    groups = {}
+    for idx in order:
+        groups.setdefault(prepared[idx][0].shape[1], []).append(idx)
+    assert len(groups) == 4
+    batch_loss = None
+    for members in groups.values():
+        x_seq, ahat, fut = (np.stack([prepared[i][k] for i in members]) for k in range(3))
+        raw = plain_output(model.forward_batch(x_seq, ahat))
+        weighted = oracles.mul(nll_loss(decode_gaussian(raw), fut), len(members) / len(order))
+        batch_loss = weighted if batch_loss is None else oracles.add(batch_loss, weighted)
+    T.backward(batch_loss)
+    runtime.sgd_step(model.arena, config.lr)
+    assert np.array_equal(trained.model.arena.data, model.arena.data)
+    assert trained.loss_log == [(0.0 + batch_loss.item() * len(order)) / len(order)]
 
 
 def test_chunked_preparation_equals_per_instance_arrays():
