@@ -19,6 +19,14 @@ from .errors import ConfigError, DimensionError
 KERNEL_KINDS = ("motion_trend", "inv_dist", "l2", "rbf")
 
 
+def _pair_distances(points: np.ndarray) -> np.ndarray:
+    """|p_i - p_j| as (..., P, P) for (..., P, 2) points."""
+    x, y = points[..., 0], points[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def build_adjacency(kind: str, positions: np.ndarray, motions: np.ndarray,
                     rbf_sigma: float = 1.0) -> np.ndarray:
     """Dense symmetric adjacencies (..., P, P) of frames given as
@@ -28,7 +36,11 @@ def build_adjacency(kind: str, positions: np.ndarray, motions: np.ndarray,
 
     Leading axes are any stack of frames. A frame's graph is bit-identical
     whether it is built alone or in a batch: each weight is computed
-    elementwise from its own pair.
+    elementwise from its own pair. Pair distances are
+    ``sqrt(dx*dx + dy*dy)`` on the two coordinate planes, the operations
+    ``np.linalg.norm(..., axis=-1)`` runs on a length-2 axis, so they
+    have its bits (``tests/oracles.py`` keeps that form) without its
+    per-call overhead.
     """
     positions = np.asarray(positions, dtype=np.float64)
     motions = np.asarray(motions, dtype=np.float64)
@@ -40,12 +52,12 @@ def build_adjacency(kind: str, positions: np.ndarray, motions: np.ndarray,
         raise ConfigError(f"unknown kernel kind {kind!r}")
     if kind == "rbf" and rbf_sigma <= 0:
         raise ConfigError("rbf kernel needs sigma > 0")
-    dv = np.linalg.norm(positions[..., :, None, :] - positions[..., None, :, :], axis=-1)
+    dv = _pair_distances(positions)
     # x - x is exactly 0 (or NaN), so `apart` is false on the diagonal.
     apart = dv > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "motion_trend":
-            dr = np.linalg.norm(motions[..., :, None, :] - motions[..., None, :, :], axis=-1)
+            dr = _pair_distances(motions)
             weights = 1.0 / (dr + dv)
         elif kind == "inv_dist":
             weights = 1.0 / dv

@@ -50,7 +50,7 @@ from .errors import ConfigError, require_finite
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
 from .graph import KERNEL_KINDS, gcn_forward, instance_graphs
 from .rng import Xorshift64Star
-from .temporal import stack_forward, time_expand
+from .temporal import StackStore, stack_forward, time_expand
 
 GAUSS_CHANNELS = 5
 
@@ -197,7 +197,8 @@ class TrajectoryModel:
 
     # ----------------------------------------------------------------- forward
 
-    def forward_batch(self, x_seq: np.ndarray, ahat_seq: np.ndarray) -> T.Tensor:
+    def forward_batch(self, x_seq: np.ndarray, ahat_seq: np.ndarray,
+                      store: StackStore | None = None) -> T.Tensor:
         """Stacked-layer outputs for a batch of same-sized instances.
 
         ``x_seq`` holds relative displacements as (N, T_obs, P, 2) and
@@ -205,14 +206,15 @@ class TrajectoryModel:
         (N, L, T_pred, P, D) block of all L layer outputs. Offline training
         pushes whole minibatches through here in one call. On the tape this
         is three records: the graph convolution, the time-expand conv and
-        the stack.
+        the stack. The block lives in ``store`` if one is given (see
+        `stack_forward`), else in memory of its own.
         """
         cfg = self.config
         x0 = time_expand(gcn_forward(ahat_seq, x_seq, self.params["gcn/w"]),
                          self.params["expand/k"])
         kernels = [self.params[f"stack/{l}/k"] for l in range(cfg.stack_layers)]
         slopes = [self.params[f"stack/{l}/s"] for l in range(cfg.stack_layers)]
-        return stack_forward(x0, kernels, slopes)
+        return stack_forward(x0, kernels, slopes, store)
 
     def intermediate_outputs(self, instance: TrajectoryInstance) -> T.Tensor:
         """The (1, L, T_pred, P, D) block of all L stacked-layer outputs."""

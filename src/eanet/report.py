@@ -65,6 +65,13 @@ def _parse_float(cell: str, row: int, column: str) -> float:
         raise ParseError(f"row {row}: column {column!r} is not a number: {cell!r}") from None
 
 
+def _parse_index(cell: str, row: int, column: str) -> int:
+    value = _parse_float(cell, row, column)
+    if not value.is_integer():
+        raise ParseError(f"row {row}: column {column!r} is not an integer: {cell!r}")
+    return int(value)
+
+
 def read_stream_csv(path: str) -> list[StreamRecord]:
     """Read a stream report back into records; raises ParseError with row numbers."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -96,7 +103,7 @@ def read_stream_csv(path: str) -> list[StreamRecord]:
             return tuple(_parse_float(c, idx, n) for c, n in zip(parts, names))
 
         records.append(StreamRecord(
-            instance_idx=int(_parse_float(cells["instance_idx"], idx, "instance_idx")),
+            instance_idx=_parse_index(cells["instance_idx"], idx, "instance_idx"),
             ade=_parse_float(cells["ade"], idx, "ade"),
             fde=_parse_float(cells["fde"], idx, "fde"),
             rr=None if cells["rr"] == "" else _parse_float(cells["rr"], idx, "rr"),

@@ -37,6 +37,7 @@ from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajec
                        restore_ratio)
 from .model import ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays
 from .rng import Xorshift64Star
+from .temporal import StackStore
 
 EXPLODE_NORM = 1e3
 VANISH_NORM = 1e-8
@@ -190,6 +191,10 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     same-sized instances (`dataset_arrays`). The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
     aborts with the epoch and step recorded, before the step is taken.
+    Every forward of the call lays the stack's arrays in one
+    `temporal.StackStore`, grown to the largest group, so each forward
+    overwrites the last one's arrays instead of allocating its own
+    beside them.
     """
     config.validate()
     if not dataset:
@@ -201,6 +206,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
+    store = StackStore()
 
     for epoch in range(config.epochs):
         lr = config.lr if epoch < config.lr_drop_epoch else config.lr_after
@@ -219,7 +225,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                 x_seq = np.stack([prepared[i][0] for i in members])
                 ahat = np.stack([prepared[i][1] for i in members])
                 fut = np.stack([prepared[i][2] for i in members])
-                raw = plain_output(model.forward_batch(x_seq, ahat))
+                raw = plain_output(model.forward_batch(x_seq, ahat, store))
                 group_loss = nll_loss(decode_gaussian(raw), fut)
                 weight = len(members) / len(batch)
                 terms.append(group_loss.item() * weight)

@@ -49,7 +49,25 @@ def _check_stack(x_shape: tuple[int, ...], kernels: list[T.Tensor],
             raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {slope.shape}")
 
 
-def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor]) -> T.Tensor:
+class StackStore:
+    """A float64 buffer that `stack_forward` lays its arrays in, for a
+    caller that keeps nothing of one forward once the next starts, as
+    offline training does. It grows when a forward needs more and never
+    shrinks.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        """The first ``size`` entries, growing the buffer if it is shorter."""
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size]
+
+
+def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
+                  store: StackStore | None = None) -> T.Tensor:
     """Run the stacked layers and return the (N, L, C, H, W) block of every
     layer's output, as one tape record.
 
@@ -69,6 +87,10 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     order of that chain's arrays. Outputs and gradients are therefore
     bit-identical to the chain's. The block is laid out in memory as
     (N, L, H, C, W), as ``np.stack`` laid out that chain's layers.
+
+    The block and the arrays the backward reads share one allocation, a
+    fresh one unless ``store`` lends its buffer; then the next forward
+    from that store overwrites this one's block and arrays.
     """
     x0 = T.as_tensor(x0)
     _check_stack(x0.shape, kernels, slopes)
@@ -83,10 +105,11 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor])
     # back to the system and their pages faulted in again on every
     # training batch.
     size = n_layers * n * h * k
-    store = np.empty(3 * size + -(-size // 8))
-    ins, convs = store[:2 * size].reshape(2, n_layers, n, h, 1, k)
-    buf = store[2 * size:3 * size].reshape(n, n_layers, h, 1, k)
-    masks = store[3 * size:].view(bool)[:size].reshape(n_layers, n, h, 1, k)
+    total = 3 * size + -(-size // 8)
+    mem = np.empty(total) if store is None else store.take(total)
+    ins, convs = mem[:2 * size].reshape(2, n_layers, n, h, 1, k)
+    buf = mem[2 * size:3 * size].reshape(n, n_layers, h, 1, k)
+    masks = mem[3 * size:].view(bool)[:size].reshape(n_layers, n, h, 1, k)
     # The prelu's factor per entry is 1 where conv is positive, else the
     # slope: np.where(conv > 0, 1.0, slope), picked from a two-entry table
     # by the mask, because np.where is several times slower. The factors

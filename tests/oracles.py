@@ -13,6 +13,8 @@ Each is written on ``T._make``/``T._accumulate``/``T._unbroadcast`` with
 the numpy expressions of the package op it was, so every oracle's
 arithmetic is the same as before the ops left the package.
 
+`build_adjacency` is the graph kernel with its pair distances from
+``np.linalg.norm``, which `graph.build_adjacency` must match bit for bit.
 `generate_synthetic` and `window_instances` are the per-agent, per-frame
 loops that `eanet.data` replaced with whole-array numpy work; tests
 require the data module to give the same tracks and instances bit for
@@ -39,9 +41,10 @@ def gcn_forward(ahat_seq, features, weight):
     return sigmoid(matmul(mixed, weight))
 
 
-def stack_forward(x0, kernels, slopes):
+def stack_forward(x0, kernels, slopes, store=None):
     """The L layer outputs as separate tensors: M[0] = prelu(conv(x0)) and
-    M[l] = prelu(conv(M[l-1])) + M[l-1]."""
+    M[l] = prelu(conv(M[l-1])) + M[l-1]. ``store`` is taken and unused:
+    each op allocates its own output."""
     outputs = []
     current = T.as_tensor(x0)
     for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
@@ -49,6 +52,26 @@ def stack_forward(x0, kernels, slopes):
         current = convolved if idx == 0 else add(convolved, current)
         outputs.append(current)
     return outputs
+
+
+def build_adjacency(kind, positions, motions, rbf_sigma=1.0):
+    """`graph.build_adjacency` with its pair distances from
+    ``np.linalg.norm`` over the coordinate axis."""
+    positions = np.asarray(positions, dtype=np.float64)
+    motions = np.asarray(motions, dtype=np.float64)
+    dv = np.linalg.norm(positions[..., :, None, :] - positions[..., None, :, :], axis=-1)
+    apart = dv > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "motion_trend":
+            dr = np.linalg.norm(motions[..., :, None, :] - motions[..., None, :, :], axis=-1)
+            weights = 1.0 / (dr + dv)
+        elif kind == "inv_dist":
+            weights = 1.0 / dv
+        elif kind == "l2":
+            weights = dv
+        else:
+            weights = np.exp(-dv) / rbf_sigma
+    return np.where(apart, weights, 0.0)
 
 
 def ea_output(m_list, theta, bias, alpha):

@@ -223,6 +223,17 @@ def test_stream_csv_parse_errors_carry_row_numbers(tmp_path):
         read_stream_csv(str(bad))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "1.5"])
+def test_stream_csv_instance_index_must_be_an_integer(tmp_path, cell):
+    path = tmp_path / "report.csv"
+    write_stream_csv(sample_records(), str(path), layers=3)
+    lines = path.read_text().splitlines()
+    lines[2] = cell + lines[2][1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"row 3: column 'instance_idx' .*{cell}"):
+        read_stream_csv(str(path))
+
+
 def test_loss_csv_has_one_row_per_epoch(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv([2.5, 2.25, 2.0], str(path))

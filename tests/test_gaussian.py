@@ -557,6 +557,57 @@ def test_ade_fde_point_errors_are_math_hypot():
         assert ade_fde(a, b) == (want, want)
 
 
+def math_hypots(x, y):
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def test_numpy_hypot_is_math_hypot_on_a_million_pairs():
+    # Exponents in +-300, the second coordinate within 2**+-60 of the
+    # first (so both, one or neither of the squares matter), every sign.
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        n = 250_000
+        ex = rng.integers(-300, 301, n)
+        x = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, ex)
+        y = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, ex + rng.integers(-60, 61, n))
+        got = gaussian._hypot(np.stack([x, y]))
+        assert np.array_equal(got.view(np.int64), math_hypots(x, y).view(np.int64))
+
+
+def test_numpy_hypot_is_math_hypot_on_the_edge_table():
+    tiny = 2.0 ** -1074
+    edges = [0.0, -0.0, tiny, -3 * tiny, 1e-310, 2.0 ** -1022, -(2.0 ** -1022) * 1.5,
+             2.0 ** -1021, -(2.0 ** -1021), 1e300, -1e300, 1.7976931348623157e308,
+             math.inf, -math.inf, math.nan, 1.0, -3.0]
+    x, y = (v.ravel() for v in np.meshgrid(edges, edges))
+    got = gaussian._hypot(np.stack([x, y]))
+    # Equal bits: equal values, signs and NaN positions.
+    assert np.array_equal(got.view(np.int64), math_hypots(x, y).view(np.int64))
+
+
+def test_best_of_k_on_finite_samples_never_calls_math_hypot(monkeypatch):
+    calls = []
+    hypot = math.hypot
+
+    def counted(x, y):
+        calls.append((x, y))
+        return hypot(x, y)
+
+    monkeypatch.setattr(math, "hypot", counted)
+    field, rng = random_field(t=12, p=12, seed=20)
+    truth = rng.normal(size=(12, 12, 2))
+    best_of_k(field, truth, 20, seed=3, origin_abs=np.zeros((12, 2)))
+    assert calls == []
+    # The counter sees the scalar metric, and one NaN point of a sample.
+    ade_fde(truth + 1.0, truth)
+    assert len(calls) == 144
+    samples = sample_trajectories(field, 2, seed=3, origin_abs=np.zeros((12, 2)))
+    samples[1, 4, 7, 0] = np.nan
+    monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
+    best_of_k(None, truth, 2, seed=3, origin_abs=None)
+    assert len(calls) == 145
+
+
 def test_ade_fde_translation_invariant():
     rng = np.random.default_rng(8)
     pred = rng.normal(size=(3, 5, 2))

@@ -125,6 +125,20 @@ def test_batched_graphs_equal_per_frame_graphs_bit_for_bit(kind, sigma, agents):
         assert np.array_equal(adjacency[0, :, 0, 1], np.zeros(positions.shape[1]))
 
 
+@pytest.mark.parametrize("kind,sigma", [(kind, 1.0) for kind in KERNEL_KINDS] + [("rbf", 0.7)])
+def test_adjacency_equals_the_linalg_norm_form_bit_for_bit(kind, sigma):
+    # Circle scenes with agents 0 and 1 at the same spot, plus random
+    # frames over a wide range of scales with one agent doubled.
+    positions, motions = _stacked_frames(12)
+    assert np.array_equal(build_adjacency(kind, positions, motions, sigma),
+                          oracles.build_adjacency(kind, positions, motions, sigma))
+    rng = np.random.default_rng(21)
+    points = rng.normal(size=(2, 40, 7, 2)) * 10.0 ** rng.integers(-6, 7, size=(2, 40, 1, 1))
+    points[:, :, 3] = points[:, :, 5]
+    assert np.array_equal(build_adjacency(kind, points[0], points[1], sigma),
+                          oracles.build_adjacency(kind, points[0], points[1], sigma))
+
+
 def test_zero_agents_give_empty_graphs():
     for kind in KERNEL_KINDS:
         assert build_adjacency(kind, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 0)

@@ -151,6 +151,18 @@ def test_predict_field_is_valid_distribution():
     assert np.all(np.abs(field.rho) < 1.0)
 
 
+def test_predict_fields_stay_distinct_after_later_forwards():
+    # The eval loop keeps every field it predicts, so no forward may
+    # write into an earlier one's memory.
+    model = small_model(layers=2)
+    first = model.predict_field(toy_instance(agents=4, config=model.config, seed=7))
+    kept = first.raw.data.copy()
+    second = model.predict_field(toy_instance(agents=4, config=model.config, seed=8))
+    model.intermediate_outputs(toy_instance(agents=4, config=model.config, seed=9))
+    assert np.array_equal(first.raw.data, kept)
+    assert not np.shares_memory(first.raw.data, second.raw.data)
+
+
 def test_loss_is_finite_at_init():
     for seed in range(5):
         model = small_model(layers=2, seed=seed)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from eanet import model as model_module
 from eanet import runtime
+from eanet import temporal
 from eanet import tensor as T
 from eanet.attention import plain_output
 from eanet.checkpoint import checkpoint_bytes
@@ -125,6 +126,29 @@ def test_group_backwards_equal_one_weighted_tape_bit_for_bit():
     runtime.sgd_step(model.arena, config.lr)
     assert np.array_equal(trained.model.arena.data, model.arena.data)
     assert trained.loss_log == [(0.0 + batch_loss.item() * len(order)) / len(order)]
+
+
+def test_training_regrows_its_stack_store_and_keeps_its_parameters(monkeypatch):
+    # Agent counts 2..5 in batches of three: the groups change size from
+    # batch to batch, so the one store of the run grows more than once.
+    dataset = [toy_instance(agents=2 + i % 4, config=SMALL, seed=60 + i) for i in range(10)]
+    config = TrainConfig(epochs=2, batch_size=3, lr=0.05, seed=5)
+    sizes = []
+    take = temporal.StackStore.take
+
+    def spied(store, size):
+        out = take(store, size)
+        sizes.append(store._buf.size)
+        return out
+
+    monkeypatch.setattr(temporal.StackStore, "take", spied)
+    shared = train_offline(dataset, config, SMALL)
+    assert sizes == sorted(sizes) and len(set(sizes)) > 1
+    # Against arrays of their own for every forward.
+    monkeypatch.setattr(runtime, "StackStore", lambda: None)
+    fresh = train_offline(dataset, config, SMALL)
+    assert shared.loss_log == fresh.loss_log
+    assert np.array_equal(shared.model.arena.data, fresh.model.arena.data)
 
 
 def test_chunked_preparation_equals_per_instance_arrays():
