@@ -223,11 +223,10 @@ def _hypot(planes: np.ndarray) -> np.ndarray:
     low, high = _HYPOT_RANGE
     slow = None
     if not (low <= big.min() and big.max() <= high):
-        slow = np.flatnonzero(~((big >= low) & (big <= high)))
-        flat = a.reshape(2, -1)
-        slow_values = list(map(math.hypot, flat[0, slow].tolist(), flat[1, slow].tolist()))
-        flat[:, slow] = 0.5
-        big.reshape(-1)[slow] = 0.5
+        slow = ~((big >= low) & (big <= high))
+        slow_values = list(map(math.hypot, a[0][slow].tolist(), a[1][slow].tolist()))
+        a[:, slow] = 0.5
+        big[slow] = 0.5
     scale = np.ldexp(1.0, -np.frexp(big)[1])
     hi, lo = _split(a * scale)
     sq, cross = hi * hi, 2.0 * hi * lo
@@ -244,7 +243,7 @@ def _hypot(planes: np.ndarray) -> np.ndarray:
     x = (csum - 1.0) + ((frac1 + frac2) + frac3)
     out = (h + x / (2.0 * h)) / scale
     if slow is not None:
-        out.reshape(-1)[slow] = slow_values
+        out[slow] = slow_values
     return out
 
 
