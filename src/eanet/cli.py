@@ -31,8 +31,9 @@ from .graph import KERNEL_KINDS
 from .model import ModelConfig
 from .plots import plot_curves, plot_expert_strip
 from .report import write_loss_csv, write_stream_csv, read_stream_csv
-from .runtime import (ALIGNMENTS, STRATEGIES, BaseMetrics, OnlineConfig, TrainConfig, compute_base,
-                      mean_best_of_k, run_online, train_offline)
+from .runtime import (ALIGNMENTS, DEFAULT_SAMPLES, STRATEGIES, BaseMetrics, OnlineConfig,
+                      TrainConfig, check_samples, compute_base, mean_best_of_k, run_online,
+                      train_offline)
 
 ARTIFACT_VERSION = 1
 # The flags that override config-file settings. Each dest names a field of
@@ -189,6 +190,7 @@ def cmd_online(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
+    check_samples(args.samples)
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
     model, _ = load_checkpoint(args.ckpt)
@@ -216,6 +218,7 @@ def cmd_eval(args) -> int:
 
 def cmd_base(args) -> int:
     started = time.monotonic()
+    check_samples(args.samples)
     mapping = _load_mapping(args)
     seed = C.resolve_seed(args.seed, mapping)
     model_config = C.config_from(ModelConfig, mapping, overrides=args)
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="best-of-K metrics for a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--out", default=None, help="JSON summary path (default: stdout only)")
     _add_config(p)
     _add_seed(p)
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base", help="scene-native base error pair")
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--out", default=None)
     _add_config(p)
     _add_train_flags(p)

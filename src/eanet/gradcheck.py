@@ -119,9 +119,9 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     gweight = rng.normal(size=(2, 4, 5))
     cweight = rng.normal(size=(2, 3, 3, 5))
 
-    from .model import ModelConfig, TrajectoryModel, toy_instance
+    from .model import ModelConfig, TrajectoryModel, chunked_arrays, toy_instance
     from .gaussian import decode_gaussian, nll_loss
-    from .attention import HedgeState, ea_output, hedge_output, plain_output
+    from .attention import HedgeState, hedge_output, plain_output
 
     case("gcn_forward", lambda: gcn_forward(gahat, gx, gw), {"w": gw, "x": gx},
          PRIMITIVE_TOLERANCE, gweight)
@@ -144,13 +144,11 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     config = ModelConfig(stack_layers=2)
     model = TrajectoryModel(config, seed=31)
     instance = toy_instance(agents=3, config=config, seed=5)
+    [(_, (x_seq, ahat, fut_rel))] = chunked_arrays([instance], config, 1)
 
     def full_loss():
-        layers = model.intermediate_outputs(instance)
-        out, _ = ea_output(layers, model.params["ea/theta"], model.params["ea/bias"],
-                           model.params["ea/alpha"])
-        field = decode_gaussian(out)
-        return nll_loss(field, instance.fut_rel)
+        field, _, _ = model.forward(x_seq[None], ahat[None], "ea")
+        return nll_loss(field, fut_rel)
 
     case("composed_model", full_loss, model.params, COMPOSED_TOLERANCE)
     return results

@@ -21,11 +21,11 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
-One online step puts five records on the tape whatever the head: the
-graph convolution, the time-expand conv, the residual stack, the head
-and the NLL. Offline training, on the plain head, puts the same five on
-it for each group of same-sized instances, and runs one backward per
-group, seeded with the group's share of the batch.
+`TrajectoryModel.forward` puts four records on the tape whatever the
+head: the graph convolution, the time-expand conv, the residual stack
+and the head; the caller's NLL is the fifth. Offline training runs it on
+the plain head once per group of same-sized instances, and one backward
+per group, seeded with the group's share of the batch.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution
@@ -53,6 +53,7 @@ from .rng import Xorshift64Star
 from .temporal import StackStore, stack_forward, time_expand
 
 GAUSS_CHANNELS = 5
+STRATEGIES = ("ea", "plain", "hedge")
 
 
 @dataclass
@@ -76,60 +77,45 @@ class ModelConfig:
             raise ConfigError("rbf_sigma must be positive")
 
 
-def _check_spans(instance: TrajectoryInstance, config: ModelConfig) -> None:
-    if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
-        raise ConfigError(
-            f"instance spans ({instance.t_obs}, {instance.t_pred}), "
-            f"model expects ({config.t_obs}, {config.t_pred})"
-        )
-
-
-def dataset_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
-                   chunk: int) -> list[tuple]:
-    """The network inputs and target of every instance, in dataset order:
-    relative displacements (T_obs, P, 2), normalised graphs (T_obs, P, P)
-    and ``fut_rel`` (P, T_pred, 2). Raises ConfigError when an instance's
-    spans differ from the model's.
-
-    The graphs of up to ``chunk`` same-sized instances are built in one
-    `instance_graphs` call, so the transient memory grows with ``chunk``,
-    not with the dataset. Every array is bit-identical to the one a chunk
-    of that instance alone gives.
+def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[tuple]:
+    """The network inputs and target of every instance of one chunk, in
+    order: relative displacements (T_obs, P, 2), normalised graphs
+    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). The graphs of the
+    chunk's same-sized instances are built in one `instance_graphs` call.
+    Raises ConfigError when an instance's spans differ from the model's.
+    The step `chunked_arrays` runs on each chunk.
     """
     by_agents: dict[int, list[int]] = {}
-    for idx, instance in enumerate(dataset):
-        _check_spans(instance, config)
+    for idx, instance in enumerate(part):
+        if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
+            raise ConfigError(f"instance spans ({instance.t_obs}, {instance.t_pred}), "
+                              f"model expects ({config.t_obs}, {config.t_pred})")
         by_agents.setdefault(instance.n_agents, []).append(idx)
-    prepared: list[tuple] = [()] * len(dataset)
+    prepared: list[tuple] = [()] * len(part)
     for members in by_agents.values():
-        for start in range(0, len(members), chunk):
-            part = members[start:start + chunk]
-            x_seq = np.ascontiguousarray(
-                np.stack([dataset[i].obs_rel for i in part]).transpose(0, 2, 1, 3))
-            positions = np.stack([dataset[i].obs_abs for i in part]).transpose(0, 2, 1, 3)
-            ahat = instance_graphs(positions, x_seq, config.kernel, config.rbf_sigma)
-            for k, i in enumerate(part):
-                prepared[i] = (x_seq[k], ahat[k], dataset[i].fut_rel)
+        x_seq = np.ascontiguousarray(
+            np.stack([part[i].obs_rel for i in members]).transpose(0, 2, 1, 3))
+        positions = np.stack([part[i].obs_abs for i in members]).transpose(0, 2, 1, 3)
+        ahat = instance_graphs(positions, x_seq, config.kernel, config.rbf_sigma)
+        for k, i in enumerate(members):
+            prepared[i] = (x_seq[k], ahat[k], part[i].fut_rel)
     return prepared
-
-
-def instance_arrays(instance: TrajectoryInstance, config: ModelConfig):
-    """`dataset_arrays` of one instance."""
-    return dataset_arrays([instance], config, 1)[0]
 
 
 def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,
                    chunk: int) -> Iterator[tuple[TrajectoryInstance, tuple]]:
-    """Each instance with its `dataset_arrays` entry, in order.
+    """Each instance with its `dataset_arrays` entry, in order: the one
+    way the package prepares network inputs.
 
     The next ``chunk`` consecutive instances are drawn from ``instances``
     and prepared in one `dataset_arrays` call only when the caller reaches
-    them, so a long stream holds one chunk of arrays at a time. The arrays
-    are bit-identical to `instance_arrays` of each instance.
+    them, so the transient memory grows with ``chunk`` and a long stream
+    holds one chunk of arrays at a time. An instance's arrays have the
+    same bits whatever chunk prepares them.
     """
     it = iter(instances)
     while part := list(itertools.islice(it, chunk)):
-        yield from zip(part, dataset_arrays(part, config, chunk))
+        yield from zip(part, dataset_arrays(part, config))
 
 
 def _uniform(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> np.ndarray:
@@ -197,48 +183,46 @@ class TrajectoryModel:
 
     # ----------------------------------------------------------------- forward
 
-    def forward_batch(self, x_seq: np.ndarray, ahat_seq: np.ndarray,
-                      store: StackStore | None = None) -> T.Tensor:
-        """Stacked-layer outputs for a batch of same-sized instances.
+    def forward(self, x_seq: np.ndarray, ahat_seq: np.ndarray, strategy: str = "plain",
+                hedge_state=None, store: StackStore | None = None):
+        """The whole chain for a batch of same-sized instances: graph
+        convolution, time-expand conv, residual stack, the ``strategy``
+        head and the Gaussian decode.
 
         ``x_seq`` holds relative displacements as (N, T_obs, P, 2) and
-        ``ahat_seq`` the normalized graphs as (N, T_obs, P, P); returns the
-        (N, L, T_pred, P, D) block of all L layer outputs. Offline training
-        pushes whole minibatches through here in one call. On the tape this
-        is three records: the graph convolution, the time-expand conv and
-        the stack. The block lives in ``store`` if one is given (see
-        `stack_forward`), else in memory of its own.
+        ``ahat_seq`` the normalized graphs as (N, T_obs, P, P), as
+        `chunked_arrays` prepares them. Returns ``(field, block, trace)``:
+        the decoded head output, the (N, L, T_pred, P, D) block of all L
+        layer outputs, and the `ea` head's trace (None for the others).
+        On the tape this is four records, one per stage before the decode;
+        the caller's NLL is the fifth. The block lives in ``store`` if one
+        is given (see `stack_forward`), else in memory of its own. An
+        unknown strategy, or `hedge` without a ``hedge_state``, raises
+        ConfigError before anything goes on the tape.
         """
-        cfg = self.config
-        x0 = time_expand(gcn_forward(ahat_seq, x_seq, self.params["gcn/w"]),
-                         self.params["expand/k"])
-        kernels = [self.params[f"stack/{l}/k"] for l in range(cfg.stack_layers)]
-        slopes = [self.params[f"stack/{l}/s"] for l in range(cfg.stack_layers)]
-        return stack_forward(x0, kernels, slopes, store)
-
-    def intermediate_outputs(self, instance: TrajectoryInstance) -> T.Tensor:
-        """The (1, L, T_pred, P, D) block of all L stacked-layer outputs."""
-        x_seq, ahat_seq, _ = instance_arrays(instance, self.config)
-        return self.forward_batch(x_seq[None], ahat_seq[None])
-
-    def strategy_output(self, block: T.Tensor, strategy: str, hedge_state=None):
-        """Combine the block of layer outputs with one head, one tape
-        record; returns (raw, trace-or-None)."""
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}")
+        if strategy == "hedge" and hedge_state is None:
+            raise ConfigError("hedge strategy needs a HedgeState")
+        params, layers = self.params, range(self.config.stack_layers)
+        x0 = time_expand(gcn_forward(ahat_seq, x_seq, params["gcn/w"]), params["expand/k"])
+        block = stack_forward(x0, [params[f"stack/{l}/k"] for l in layers],
+                              [params[f"stack/{l}/s"] for l in layers], store)
+        trace = None
         if strategy == "ea":
-            return ea_output(block, self.params["ea/theta"], self.params["ea/bias"],
-                             self.params["ea/alpha"])
-        if strategy == "plain":
-            return plain_output(block), None
-        if strategy == "hedge":
-            if hedge_state is None:
-                raise ConfigError("hedge strategy needs a HedgeState")
-            return hedge_output(block, hedge_state), None
-        raise ConfigError(f"unknown strategy {strategy!r}")
+            raw, trace = ea_output(block, params["ea/theta"], params["ea/bias"],
+                                   params["ea/alpha"])
+        elif strategy == "hedge":
+            raw = hedge_output(block, hedge_state)
+        else:
+            raw = plain_output(block)
+        return decode_gaussian(raw), block, trace
 
     def predict_field(self, instance: TrajectoryInstance, strategy: str = "plain",
                       hedge_state=None) -> GaussianField:
-        raw, _ = self.strategy_output(self.intermediate_outputs(instance), strategy, hedge_state)
-        return decode_gaussian(raw)
+        """The decoded field of one instance, prepared as a chunk of its own."""
+        [(_, (x_seq, ahat_seq, _))] = chunked_arrays([instance], self.config, 1)
+        return self.forward(x_seq[None], ahat_seq[None], strategy, hedge_state)[0]
 
     def predict(self, instance: TrajectoryInstance, strategy: str = "plain",
                 hedge_state=None) -> np.ndarray:

@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import HedgeState, hedge_update, plain_output
+from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged, require_finite
-from .gaussian import (ade_fde, best_of_k, decode_gaussian, layer_nll, mu_trajectory, nll_loss,
-                       restore_ratio)
-from .model import ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays
+from .gaussian import ade_fde, best_of_k, layer_nll, mu_trajectory, nll_loss, restore_ratio
+from .model import STRATEGIES, ModelConfig, TrajectoryModel, chunked_arrays
 from .rng import Xorshift64Star
 from .temporal import StackStore
 
@@ -43,13 +42,15 @@ EXPLODE_NORM = 1e3
 VANISH_NORM = 1e-8
 VANISH_RUN = 50
 
-# Instances the online loop and best-of-K evaluation prepare per
-# `dataset_arrays` call. Larger chunks save little more per instance but
+# Instances the online loop and best-of-K evaluation prepare per chunk
+# of `chunked_arrays`. Larger chunks save little more per instance but
 # make a longer pause at every chunk boundary of the stream.
 PREP_CHUNK = 16
 
+# Best-of-K samples per instance when the caller names no count.
+DEFAULT_SAMPLES = 20
+
 ALIGNMENTS = ("none", "recentre")
-STRATEGIES = ("ea", "plain", "hedge")
 
 # Keeps the shuffle stream distinct from the parameter-init stream even
 # though both configs carry one seed field.
@@ -186,9 +187,10 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     forward pass, and each group's backward is seeded with its share of the
     batch, so the result equals per-instance accumulation. The groups are
     visited last to first, which adds up the parameter gradients in the
-    order one reverse pass over the whole batch would. The graphs are built
-    once, before the first epoch, one call per chunk of ``batch_size``
-    same-sized instances (`dataset_arrays`). The learning rate drops from
+    order one reverse pass over the whole batch would. The inputs and
+    graphs are prepared once, before the first epoch, by `chunked_arrays`
+    in chunks of ``batch_size`` consecutive instances, one graph call per
+    agent count in a chunk. The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
     aborts with the epoch and step recorded, before the step is taken.
     Every forward of the call lays the stack's arrays in one
@@ -202,7 +204,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     if model is None:
         model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    prepared = dataset_arrays(dataset, model.config, config.batch_size)
+    prepared = [arrays for _, arrays in chunked_arrays(dataset, model.config, config.batch_size)]
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -225,8 +227,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                 x_seq = np.stack([prepared[i][0] for i in members])
                 ahat = np.stack([prepared[i][1] for i in members])
                 fut = np.stack([prepared[i][2] for i in members])
-                raw = plain_output(model.forward_batch(x_seq, ahat, store))
-                group_loss = nll_loss(decode_gaussian(raw), fut)
+                group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
                 weight = len(members) / len(batch)
                 terms.append(group_loss.item() * weight)
                 T.backward(group_loss, weight)
@@ -321,13 +322,13 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    Inputs and graphs are built ``PREP_CHUNK`` instances of the (aligned)
-    stream at a time, one `dataset_arrays` call per chunk, when the loop
-    reaches that chunk (`chunked_arrays`); an instance whose spans differ
-    from the model's raises ConfigError then. The arrays are bit-identical
-    to each instance's own `instance_arrays` and serve all of its
-    ``updates_per_instance`` updates. Each update runs the same forward,
-    head, decode, NLL and backward/clip/step, and counts towards health;
+    Inputs and graphs are prepared ``PREP_CHUNK`` instances of the
+    (aligned) stream at a time by `chunked_arrays`, when the loop reaches
+    that chunk; an instance whose spans differ from the model's raises
+    ConfigError then. The arrays have the bits a chunk of that instance
+    alone gives, and serve all of its ``updates_per_instance`` updates.
+    Each update runs the same `TrajectoryModel.forward`, NLL and
+    backward/clip/step, and counts towards health;
     the first also yields the row's metrics, trace and hedge layer
     losses. An update whose loss or gradient norm is not finite takes no
     step, flags the row and ends that instance's updates; the run keeps
@@ -351,9 +352,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     for idx, (inst, (x_seq, ahat, fut_rel)) in enumerate(prepared):
         row_health = "normal"
         for update in range(config.updates_per_instance):
-            block = model.forward_batch(x_seq[None], ahat[None])
-            raw, trace = model.strategy_output(block, config.strategy, hedge)
-            gfield = decode_gaussian(raw)
+            gfield, block, trace = model.forward(x_seq[None], ahat[None], config.strategy, hedge)
             if update == 0:
                 pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
                 ade, fde = ade_fde(pred_abs, inst.fut_abs)
@@ -389,15 +388,23 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                         counters=monitor.counters)
 
 
+def check_samples(samples: int) -> None:
+    """Raise ConfigError unless best-of-K gets at least one sample."""
+    if samples < 1:
+        raise ConfigError(f"need at least one sample, got {samples}")
+
+
 def compute_base(dataset: list[TrajectoryInstance], config: TrainConfig,
                  model_config: ModelConfig | None = None,
-                 samples: int = 20) -> BaseMetrics:
+                 samples: int = DEFAULT_SAMPLES) -> BaseMetrics:
     """Scene-native baseline: train on the first 80% of windows, report
     mean best-of-K metrics on the held-out 20%.
 
     A single-instance dataset degenerates to training and evaluating on
     that instance. The returned numbers anchor every restore-ratio column.
+    A sample count below one raises ConfigError before training starts.
     """
+    check_samples(samples)
     if not dataset:
         raise DataError("base computation needs at least one instance")
     if len(dataset) == 1:
@@ -415,13 +422,15 @@ def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], sa
     """Mean best-of-K (ADE, FDE) of the plain head over ``dataset``.
 
     Instance i draws its K samples with seed ``seed + i``. Inputs and
-    graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time.
+    graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time. A
+    sample count below one raises ConfigError before any of that.
     """
+    check_samples(samples)
     ades, fdes = [], []
     with T.no_grad():
         prepared = chunked_arrays(dataset, model.config, PREP_CHUNK)
         for i, (inst, (x_seq, ahat, _)) in enumerate(prepared):
-            gfield = decode_gaussian(plain_output(model.forward_batch(x_seq[None], ahat[None])))
+            gfield, _, _ = model.forward(x_seq[None], ahat[None])
             report = best_of_k(gfield, inst.fut_abs, samples,
                                seed=seed + i, origin_abs=inst.obs_abs[:, -1])
             ades.append(report.ade)

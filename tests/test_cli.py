@@ -9,6 +9,7 @@ import pytest
 
 from eanet import cli
 from eanet import config as cfg
+from eanet import runtime
 from eanet.checkpoint import load_checkpoint
 from eanet.data import SyntheticScenarioSpec
 from eanet.errors import ConfigError, ParseError
@@ -449,6 +450,24 @@ def test_eval_default_sample_count_is_twenty():
     parser = cli.build_parser()
     args = parser.parse_args(["eval", "--ckpt", "x", "--data", "y"])
     assert args.samples == 20
+
+
+@pytest.mark.parametrize("samples", ("0", "-3"))
+@pytest.mark.parametrize("command", ("eval", "base"))
+def test_too_few_samples_exit_before_any_work(command, samples, tmp_path, monkeypatch,
+                                              capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the sample count was checked")
+
+    for name in ("load_checkpoint", "load_dataset", "train_offline", "compute_base",
+                 "mean_best_of_k"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(runtime, "train_offline", fail)
+    argv = [command, "--data", str(tmp_path / "scene.txt"), "--samples", samples]
+    if command == "eval":
+        argv += ["--ckpt", str(tmp_path / "model.ckpt")]
+    assert cli.main(argv) == 1
+    assert "error: need at least one sample" in capsys.readouterr().err
 
 
 def test_plot_command_writes_both_svgs(workdir, tmp_path, capsys):

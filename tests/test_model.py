@@ -14,13 +14,19 @@ from eanet.attention import HedgeState
 from eanet.checkpoint import load_checkpoint, save_checkpoint
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError
-from eanet.gaussian import decode_gaussian, nll_loss
-from eanet.model import GAUSS_CHANNELS, ModelConfig, TrajectoryModel, toy_instance
+from eanet.gaussian import nll_loss
+from eanet.model import GAUSS_CHANNELS, ModelConfig, TrajectoryModel, chunked_arrays, toy_instance
 from eanet.rng import Xorshift64Star
 
 
 def small_model(layers=2, seed=3):
     return TrajectoryModel(ModelConfig(stack_layers=layers), seed=seed)
+
+
+def forward_one(model, inst, strategy="plain", hedge_state=None):
+    """`TrajectoryModel.forward` on a chunk of one instance."""
+    [(_, (x_seq, ahat, _))] = chunked_arrays([inst], model.config, 1)
+    return model.forward(x_seq[None], ahat[None], strategy, hedge_state)
 
 
 def test_parameter_registry_names_and_shapes():
@@ -65,10 +71,10 @@ def test_expert_head_init_values():
     assert np.all(np.abs(model.params["ea/theta"].data) <= 0.01)
 
 
-def test_intermediate_outputs_shapes():
+def test_forward_block_shape():
     model = small_model(layers=2)
     inst = toy_instance(agents=4, config=model.config, seed=1)
-    block = model.intermediate_outputs(inst)
+    _, block, _ = forward_one(model, inst)
     assert block.shape == (1, 2, 12, 4, GAUSS_CHANNELS)
 
 
@@ -77,16 +83,15 @@ def test_span_mismatch_rejected():
     spec = SyntheticScenarioSpec(kind="oneway", agents=2, seed=0)
     short = synthetic_instances(spec, 1, t_obs=4, t_pred=12)[0]
     with pytest.raises(ConfigError):
-        model.intermediate_outputs(short)
+        model.predict_field(short)
 
 
 def test_plain_is_deepest_layer():
     model = small_model(layers=3)
     inst = toy_instance(agents=3, config=model.config, seed=2)
-    block = model.intermediate_outputs(inst)
-    raw, trace = model.strategy_output(block, "plain")
+    field, block, trace = forward_one(model, inst, "plain")
     assert trace is None
-    assert np.array_equal(raw.data, block.data[:, -1])
+    assert np.array_equal(field.raw.data, block.data[:, -1])
 
 
 def test_ea_matches_plain_at_init():
@@ -95,34 +100,43 @@ def test_ea_matches_plain_at_init():
     # the plain output until the head has been trained.
     model = small_model(layers=3, seed=4)
     inst = toy_instance(agents=3, config=model.config, seed=2)
-    layers = model.intermediate_outputs(inst)
-    ea_raw, trace = model.strategy_output(layers, "ea")
-    plain_raw, _ = model.strategy_output(layers, "plain")
+    ea_field, _, trace = forward_one(model, inst, "ea")
+    plain_field, _, _ = forward_one(model, inst, "plain")
     assert trace is not None
-    assert np.allclose(ea_raw.data, plain_raw.data, atol=0.15)
+    assert np.allclose(ea_field.raw.data, plain_field.raw.data, atol=0.15)
     # With theta forced to zero the match is exact.
     model.params["ea/theta"].data[:] = 0.0
-    ea_raw, _ = model.strategy_output(layers, "ea")
-    assert np.allclose(ea_raw.data, plain_raw.data, atol=1e-12)
+    ea_field, _, _ = forward_one(model, inst, "ea")
+    assert np.allclose(ea_field.raw.data, plain_field.raw.data, atol=1e-12)
 
 
 def test_hedge_needs_state():
     model = small_model(layers=2)
     inst = toy_instance(agents=3, config=model.config, seed=2)
-    layers = model.intermediate_outputs(inst)
     with pytest.raises(ConfigError):
-        model.strategy_output(layers, "hedge")
-    raw, trace = model.strategy_output(layers, "hedge", HedgeState.uniform(2))
+        forward_one(model, inst, "hedge")
+    field, _, trace = forward_one(model, inst, "hedge", HedgeState.uniform(2))
     assert trace is None
-    assert raw.shape == (1, 12, 3, GAUSS_CHANNELS)
+    assert field.raw.shape == (1, 12, 3, GAUSS_CHANNELS)
 
 
 def test_unknown_strategy_rejected():
     model = small_model(layers=2)
     inst = toy_instance(agents=3, config=model.config, seed=2)
-    layers = model.intermediate_outputs(inst)
     with pytest.raises(ConfigError):
-        model.strategy_output(layers, "softmax")
+        forward_one(model, inst, "softmax")
+
+
+def test_rejected_strategy_leaves_the_tape_empty():
+    model = small_model(layers=2)
+    inst = toy_instance(agents=3, config=model.config, seed=2)
+    T.tape().clear()
+    for strategy in ("hedge", "softmax"):
+        for run in (lambda: model.predict_field(inst, strategy),
+                    lambda: forward_one(model, inst, strategy)):
+            with pytest.raises(ConfigError):
+                run()
+            assert len(T.tape()) == 0
 
 
 def test_predict_shape_and_determinism():
@@ -158,7 +172,7 @@ def test_predict_fields_stay_distinct_after_later_forwards():
     first = model.predict_field(toy_instance(agents=4, config=model.config, seed=7))
     kept = first.raw.data.copy()
     second = model.predict_field(toy_instance(agents=4, config=model.config, seed=8))
-    model.intermediate_outputs(toy_instance(agents=4, config=model.config, seed=9))
+    forward_one(model, toy_instance(agents=4, config=model.config, seed=9))
     assert np.array_equal(first.raw.data, kept)
     assert not np.shares_memory(first.raw.data, second.raw.data)
 
@@ -167,9 +181,8 @@ def test_loss_is_finite_at_init():
     for seed in range(5):
         model = small_model(layers=2, seed=seed)
         inst = toy_instance(agents=3, config=model.config, seed=seed + 50)
-        layers = model.intermediate_outputs(inst)
-        raw, _ = model.strategy_output(layers, "ea")
-        loss = nll_loss(decode_gaussian(raw), inst.fut_rel)
+        field, _, _ = forward_one(model, inst, "ea")
+        loss = nll_loss(field, inst.fut_rel)
         assert np.isfinite(loss.item())
         T.backward(loss)
         model.zero_grad()

@@ -10,12 +10,11 @@ from eanet import model as model_module
 from eanet import runtime
 from eanet import temporal
 from eanet import tensor as T
-from eanet.attention import plain_output
 from eanet.checkpoint import checkpoint_bytes
 from eanet.data import SyntheticScenarioSpec, synthetic_instances
 from eanet.errors import ConfigError, DataError, TrainingDiverged
 from eanet.gaussian import best_of_k, decode_gaussian, nll_loss, restore_ratio
-from eanet.model import (ModelConfig, TrajectoryModel, dataset_arrays, instance_arrays,
+from eanet.model import (ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays,
                          toy_instance)
 from eanet.rng import Xorshift64Star
 from eanet.runtime import (BaseMetrics, HealthMonitor, OnlineConfig, TrainConfig,
@@ -34,8 +33,13 @@ def toy_set(count, seed0=0, agents=3):
 
 def plain_loss(model, inst):
     with T.no_grad():
-        raw = plain_output(model.intermediate_outputs(inst))
-        return nll_loss(decode_gaussian(raw), inst.fut_rel).item()
+        return nll_loss(model.predict_field(inst), inst.fut_rel).item()
+
+
+def per_instance_arrays(instances, config, chunk):
+    """The one-instance-at-a-time oracle of `chunked_arrays`."""
+    for inst in instances:
+        yield inst, dataset_arrays([inst], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +89,9 @@ def test_single_step_descent_for_small_lr():
 def test_one_epoch_one_instance_is_one_sgd_step():
     inst = toy_set(1, seed0=7)[0]
     reference = small_model(seed=7)
-    x_seq, ahat, fut = instance_arrays(inst, SMALL)
-    raw = plain_output(reference.forward_batch(x_seq[None], ahat[None]))
-    T.backward(nll_loss(decode_gaussian(raw), fut[None]), 1.0)
+    [(_, (x_seq, ahat, fut))] = chunked_arrays([inst], SMALL, 1)
+    gfield, _, _ = reference.forward(x_seq[None], ahat[None])
+    T.backward(nll_loss(gfield, fut[None]), 1.0)
     lr = 0.05
     expected = {name: p.data - lr * p.grad
                 for name, p in reference.params.items() if p.grad is not None}
@@ -109,7 +113,7 @@ def test_group_backwards_equal_one_weighted_tape_bit_for_bit():
     trained = train_offline(dataset, config, SMALL)
 
     model = TrajectoryModel(SMALL, seed=config.seed)
-    prepared = dataset_arrays(dataset, SMALL, config.batch_size)
+    prepared = [arrays for _, arrays in chunked_arrays(dataset, SMALL, config.batch_size)]
     order = list(range(len(dataset)))
     Xorshift64Star(config.seed ^ runtime._SHUFFLE_SALT).shuffle(order)
     groups = {}
@@ -119,8 +123,8 @@ def test_group_backwards_equal_one_weighted_tape_bit_for_bit():
     batch_loss = None
     for members in groups.values():
         x_seq, ahat, fut = (np.stack([prepared[i][k] for i in members]) for k in range(3))
-        raw = plain_output(model.forward_batch(x_seq, ahat))
-        weighted = oracles.mul(nll_loss(decode_gaussian(raw), fut), len(members) / len(order))
+        gfield, _, _ = model.forward(x_seq, ahat)
+        weighted = oracles.mul(nll_loss(gfield, fut), len(members) / len(order))
         batch_loss = weighted if batch_loss is None else oracles.add(batch_loss, weighted)
     T.backward(batch_loss)
     runtime.sgd_step(model.arena, config.lr)
@@ -151,21 +155,34 @@ def test_training_regrows_its_stack_store_and_keeps_its_parameters(monkeypatch):
     assert np.array_equal(shared.model.arena.data, fresh.model.arena.data)
 
 
-def test_chunked_preparation_equals_per_instance_arrays():
+@pytest.mark.parametrize("chunk", (1, 4, 11))
+def test_chunked_preparation_equals_per_instance_arrays(chunk):
     # Two agent counts interleaved, 11 instances: chunks of 4 leave a
-    # partial chunk for both sizes.
+    # partial chunk for both sizes, and one chunk of 11 holds them all.
     dataset = [toy_instance(agents=4 if i % 2 else 7, config=SMALL, seed=30 + i)
                for i in range(11)]
     for config in (SMALL, dataclasses.replace(SMALL, kernel="rbf", rbf_sigma=0.7)):
-        prepared = dataset_arrays(dataset, config, 4)
-        assert len(prepared) == len(dataset)
-        for inst, arrays in zip(dataset, prepared):
-            want = instance_arrays(inst, config)
+        prepared = list(chunked_arrays(dataset, config, chunk))
+        assert [inst for inst, _ in prepared] == dataset
+        for (_, arrays), (_, want) in zip(prepared, per_instance_arrays(dataset, config, 1)):
             assert len(arrays) == len(want)
             for got, expected in zip(arrays, want):
                 assert np.array_equal(got, expected)
     with pytest.raises(ConfigError):
-        dataset_arrays(dataset, dataclasses.replace(SMALL, t_obs=6), 4)
+        list(chunked_arrays(dataset, dataclasses.replace(SMALL, t_obs=6), chunk))
+
+
+def test_chunked_training_equals_per_instance_preparation(monkeypatch):
+    # 4- and 7-agent instances interleaved, batches of 4: every chunk
+    # builds its graphs in two calls, and the last chunk is short.
+    dataset = [toy_instance(agents=4 if i % 2 else 7, config=SMALL, seed=240 + i)
+               for i in range(11)]
+    config = TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=6)
+    chunked = train_offline(dataset, config, SMALL)
+    monkeypatch.setattr(runtime, "chunked_arrays", per_instance_arrays)
+    one_at_a_time = train_offline(dataset, config, SMALL)
+    assert chunked.loss_log == one_at_a_time.loss_log
+    assert chunked.model.arena.data.tobytes() == one_at_a_time.model.arena.data.tobytes()
 
 
 def test_training_is_deterministic_for_a_seed():
@@ -427,9 +444,9 @@ def test_extra_updates_per_instance_move_parameters_further():
 def test_extra_updates_reuse_the_instance_arrays(monkeypatch):
     built = []
 
-    def counted_arrays(dataset, config, chunk):
+    def counted_arrays(dataset, config):
         built.extend(dataset)
-        return dataset_arrays(dataset, config, chunk)
+        return dataset_arrays(dataset, config)
 
     monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
     stream = toy_set(3, seed0=140)
@@ -444,21 +461,15 @@ def test_online_prepares_the_stream_one_chunk_at_a_time(monkeypatch):
     # only once the loop has recorded every instance before it.
     calls, recorded = [], []
 
-    def counted_arrays(dataset, config, chunk):
+    def counted_arrays(dataset, config):
         calls.append((len(dataset), len(recorded)))
-        return dataset_arrays(dataset, config, chunk)
+        return dataset_arrays(dataset, config)
 
     monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
     count, chunk = 40, runtime.PREP_CHUNK
     run_online(small_model(), toy_set(count, seed0=160), OnlineConfig(max_instances=count),
                progress=lambda idx, rec: recorded.append(idx))
     assert calls == [(min(chunk, count - start), start) for start in range(0, count, chunk)]
-
-
-def per_instance_arrays(instances, config, chunk):
-    """The one-instance-at-a-time oracle of `chunked_arrays`."""
-    for inst in instances:
-        yield inst, instance_arrays(inst, config)
 
 
 def assert_same_replay(got, want):
@@ -550,7 +561,6 @@ def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
     monkeypatch.setattr(model_module, "hedge_output",
                         lambda layers, state: oracles.hedge_output(layers, state.w))
     monkeypatch.setattr(model_module, "plain_output", lambda layers: layers[-1])
-    monkeypatch.setattr(runtime, "plain_output", lambda layers: layers[-1])
     monkeypatch.setattr(runtime, "layer_nll", old_layer_nll)
     assert run_all() == fused
 
@@ -666,6 +676,19 @@ def test_mean_best_of_k_equals_per_instance_prediction():
             fdes.append(report.fde)
     got = runtime.mean_best_of_k(model, dataset, 4, seed=7)
     assert np.array_equal(got, (float(np.mean(ades)), float(np.mean(fdes))))
+
+
+@pytest.mark.parametrize("samples", (0, -3))
+def test_too_few_samples_are_rejected_before_any_work(monkeypatch, samples):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the sample count was checked")
+
+    monkeypatch.setattr(runtime, "train_offline", fail)
+    monkeypatch.setattr(runtime, "chunked_arrays", fail)
+    with pytest.raises(ConfigError, match="need at least one sample"):
+        compute_base(toy_set(2), TrainConfig(epochs=1), SMALL, samples=samples)
+    with pytest.raises(ConfigError, match="need at least one sample"):
+        runtime.mean_best_of_k(small_model(), toy_set(2), samples, seed=0)
 
 
 def test_base_requires_data():

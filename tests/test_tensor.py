@@ -188,6 +188,23 @@ def test_every_public_function_has_a_package_caller():
     assert public - used == set()
 
 
+def test_only_the_model_and_gradcheck_call_the_chain_stages():
+    # `TrajectoryModel.forward` is the one place the chain is built, so a
+    # change to how the stages run touches one method.
+    stages = {"gcn_forward", "time_expand", "stack_forward",
+              "ea_output", "hedge_output", "plain_output"}
+    calls = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in stages:
+                    calls.add((path.name, node.lineno, name))
+    assert {call for call in calls if call[0] not in ("model.py", "gradcheck.py")} == set()
+    assert {name for _, _, name in calls} == stages
+
+
 def test_elementwise_broadcast_singleton_axes():
     gate = T.Tensor(np.full((2, 3, 1, 1), 0.5), requires_grad=True)
     x = T.Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
