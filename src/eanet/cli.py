@@ -9,7 +9,10 @@ Exit codes: 0 on success, 1 for runtime and IO failures, 2 for usage
 errors. Every command is deterministic for a fixed --seed; the seed
 resolves as flag, then config file, then EANET_SEED, then 0. Each
 command writes a small JSON manifest next to its primary output listing
-the resolved configuration digest, inputs, and outputs.
+the resolved configuration digest, inputs, outputs, and the environment
+(Python, numpy and BLAS versions and BLAS thread settings). A diverged
+`train` writes no checkpoint, but still writes its loss CSV for the
+epochs that finished and a manifest that records where it diverged.
 """
 
 from __future__ import annotations
@@ -19,13 +22,16 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
+
+import numpy as np
 
 from . import config as C
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SCENARIO_KINDS, SyntheticScenarioSpec, generate_synthetic, load_dataset, write_scene
-from .errors import ConfigError, DataError, EanetError
+from .errors import ConfigError, DataError, EanetError, TrainingDiverged
 from .gradcheck import run_gradient_checks
 from .graph import KERNEL_KINDS
 from .model import ModelConfig
@@ -39,6 +45,7 @@ ARTIFACT_VERSION = 1
 # The flags that override config-file settings. Each dest names a field of
 # the config its command builds, which `config.config_from` reads by name.
 SETTINGS = "run settings"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -59,9 +66,26 @@ def _expand_data_paths(paths: list[str]) -> list[str]:
     return out
 
 
+def _environment() -> dict:
+    """The interpreter, numpy and BLAS versions and the BLAS thread
+    settings, which decide how the run's floats round: numpy's loops
+    choose the log, cos and sin bits, and BLAS the matmul sums."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (KeyError, TypeError, ValueError):
+        blas = {"name": "unknown", "version": "unknown"}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
                     inputs: list[str], outputs: list[str], started: float,
-                    counters: dict | None = None) -> str:
+                    counters: dict | None = None, diverged: dict | None = None) -> str:
     manifest = {
         "command": command,
         "config_digest": digest,
@@ -70,9 +94,12 @@ def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
         "outputs": list(outputs),
         "wall_clock_s": round(time.monotonic() - started, 3),
         "artifact_version": ARTIFACT_VERSION,
+        "environment": _environment(),
     }
     if counters is not None:
         manifest["counters"] = counters
+    if diverged is not None:
+        manifest["diverged"] = diverged
     path = primary_output + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -125,15 +152,22 @@ def cmd_train(args) -> int:
     print(f"training on {len(dataset)} instances for {train_config.epochs} epochs",
           file=sys.stderr)
     every = max(1, train_config.epochs // 10)
-    result = train_offline(dataset, train_config, model_config,
-                           progress=_progress("epoch", every))
-    save_checkpoint(result.model, args.ckpt_out)
     loss_path = args.loss_log or args.ckpt_out + ".loss.csv"
-    write_loss_csv(result.loss_log, loss_path)
     digest = C.config_digest({**dataclasses.asdict(model_config),
                               **dataclasses.asdict(train_config)})
-    _write_manifest(args.ckpt_out, "train", digest, seed,
-                    data_paths + ([args.config] if args.config else []),
+    inputs = data_paths + ([args.config] if args.config else [])
+    try:
+        result = train_offline(dataset, train_config, model_config,
+                               progress=_progress("epoch", every))
+    except TrainingDiverged as exc:
+        # No checkpoint: the finished epochs' losses and where it diverged.
+        write_loss_csv(exc.loss_log, loss_path)
+        _write_manifest(args.ckpt_out, "train", digest, seed, inputs, [loss_path], started,
+                        diverged={"epoch": exc.epoch, "step": exc.step})
+        raise
+    save_checkpoint(result.model, args.ckpt_out)
+    write_loss_csv(result.loss_log, loss_path)
+    _write_manifest(args.ckpt_out, "train", digest, seed, inputs,
                     [args.ckpt_out, loss_path], started)
     print(f"final loss {result.loss_log[-1]:.6f}" if result.loss_log else "no epochs run",
           file=sys.stderr)

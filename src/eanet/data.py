@@ -238,18 +238,18 @@ def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrac
     All randomness comes from one xorshift64* stream seeded by
     ``spec.seed``. Draw order: per-agent initial state (in agent order),
     then per frame and per agent the motion update. The uniforms are the
-    same on every platform; positions also go through log (`math`'s) and
-    cos and sin (numpy's, whose float64 loops call the same C library), so
-    identical specs give byte-identical tracks wherever the C library
-    rounds those alike. Tracks come in frame order, agents 1..n within a
+    same on every platform; positions also go through log, cos and sin
+    (numpy loops that call the same C library as `math`), so identical
+    specs give byte-identical tracks wherever the C library rounds those
+    alike. Tracks come in frame order, agents 1..n within a
     frame.
 
     The scene is computed as whole arrays (`_scene`), value for value what
     a loop over frames and agents gives: the draws are counted up front
     and taken in one `uniforms` call; accumulated coordinates go through
     `np.cumsum`, which adds in order, so each position is still
-    ``(previous + step) + noise``; and log, cos and sin (`box_muller`,
-    `unit_vectors`) give the values of `math.log`, `math.cos` and
+    ``(previous + step) + noise``; and log, cos and sin (`rng.logs`,
+    `rng.unit_vectors`) give the values of `math.log`, `math.cos` and
     `math.sin`.
     """
     return [RawTrack(t, i + 1, x, y) for t, row in enumerate(_scene(spec, frames).tolist())

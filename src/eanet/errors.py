@@ -48,9 +48,11 @@ class CheckpointError(EanetError):
 
 
 class TrainingDiverged(EanetError):
-    """Offline training hit a non-finite loss and was aborted."""
+    """Offline training hit a non-finite loss and was aborted. ``loss_log``
+    holds the mean losses of the epochs that finished before it."""
 
-    def __init__(self, message, epoch=None, step=None):
+    def __init__(self, message, epoch=None, step=None, loss_log=()):
         super().__init__(message)
         self.epoch = epoch
         self.step = step
+        self.loss_log = list(loss_log)

@@ -5,9 +5,9 @@ The generator is xorshift64* (shifts 12, 25, 27; multiplier
 so it is the same on every platform, which keeps synthetic datasets,
 parameter initialisation, and checkpoints reproducible. Gaussian draws
 use the Box-Muller transform; no spare value is cached, so the full
-generator state is a single 64-bit word. Their log comes from `math`, and
-their cos and sin from numpy, whose float64 loops call the same C library
-that `math` calls (a tier-1 test holds them to `math` bit for bit). So
+generator state is a single 64-bit word. Their log, cos and sin come
+from numpy loops that call the same C library as `math` (`logs`,
+`unit_vectors`; tier-1 tests hold them to `math` bit for bit). So
 Gaussian values, and what is made from them, follow the platform's libm.
 
 `uniforms(n)` is the array form of n `uniform()` calls, bit-identical
@@ -122,15 +122,27 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     """(n, 2) normals from the 2n uniforms ``u``, taken in pairs: the
     radius from the first (a first uniform of 0 is raised to 2^-53, and
     ``u`` is changed there) and the angle from the second. The log is
-    `math.log`, since numpy's rounds some inputs differently."""
+    `logs`, the values of `math.log`."""
     u1, u2 = u[0::2], u[1::2]
     u1[u1 <= 0.0] = _INV_2_53
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1)))
+    r = np.sqrt(-2.0 * logs(u1))
     out = unit_vectors(2.0 * math.pi * u2)
     # In place: a separate product array raised eval_bok_circle's peak
     # RSS by about 2.6 MB.
     out *= r[:, None]
     return out
+
+
+def logs(x: np.ndarray) -> np.ndarray:
+    """The natural log of every entry of the aligned 1-D float64 array ``x``,
+    as `math.log` gives it: numpy's float64 log runs contiguous and
+    positively strided input through its own SIMD code, which rounds some
+    inputs differently (about 1 in 300 uniforms), but runs a reversed view
+    into a fresh output through its scalar loop, which calls the C
+    library's ``log`` as `math.log` does. Misaligned input is copied back
+    onto the SIMD path, so ``x`` must be a numpy allocation or a slice of
+    one, as every array the package passes is."""
+    return np.log(x[::-1])[::-1]
 
 
 def unit_vectors(angles: np.ndarray) -> np.ndarray:

@@ -192,7 +192,8 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     in chunks of ``batch_size`` consecutive instances, one graph call per
     agent count in a chunk. The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
-    aborts with the epoch and step recorded, before the step is taken.
+    aborts, before the step is taken, with `TrainingDiverged`, which
+    records the epoch, the step and the loss log of the finished epochs.
     Every forward of the call lays the stack's arrays in one
     `temporal.StackStore`, grown to the largest group, so each forward
     overwrites the last one's arrays instead of allocating its own
@@ -221,22 +222,27 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                 groups.setdefault(prepared[idx][0].shape[1], []).append(idx)
             model.zero_grad()
             # Last group first: the order in which one reverse pass over
-            # the whole batch would add up the parameter gradients.
+            # the whole batch would add up the parameter gradients. A
+            # diverging batch overflows, divides by zero or makes NaN on
+            # its way to a non-finite loss, which is raised below, so
+            # numpy's warnings about it are not printed.
             terms = []
-            for members in reversed(groups.values()):
-                x_seq = np.stack([prepared[i][0] for i in members])
-                ahat = np.stack([prepared[i][1] for i in members])
-                fut = np.stack([prepared[i][2] for i in members])
-                group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
-                weight = len(members) / len(batch)
-                terms.append(group_loss.item() * weight)
-                T.backward(group_loss, weight)
+            with np.errstate(all="ignore"):
+                for members in reversed(groups.values()):
+                    x_seq = np.stack([prepared[i][0] for i in members])
+                    ahat = np.stack([prepared[i][1] for i in members])
+                    fut = np.stack([prepared[i][2] for i in members])
+                    group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
+                    weight = len(members) / len(batch)
+                    terms.append(group_loss.item() * weight)
+                    T.backward(group_loss, weight)
             value = terms.pop()  # the batch loss, added up first group first
             while terms:
                 value += terms.pop()
             if not math.isfinite(value):
                 raise TrainingDiverged(
-                    f"non-finite loss {value}", epoch=epoch, step=step)
+                    f"non-finite loss {value} at epoch {epoch}, step {step}",
+                    epoch=epoch, step=step, loss_log=loss_log)
             sgd_step(model.arena, lr)
             epoch_sum += value * len(batch)
         loss_log.append(epoch_sum / len(order))

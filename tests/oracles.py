@@ -21,6 +21,11 @@ require the data module to give the same tracks and instances bit for
 bit. `normal_pair` is the scalar Box-Muller draw that
 `Xorshift64Star.normal_pairs` and `gaussian.sample_trajectories` are
 checked against.
+
+`math_map` is the map of a `math` function over an array that
+`rng.logs` and `rng.unit_vectors` replaced with numpy loops calling the
+same C library, and `assert_equals_math_map` is the one parity check
+that holds them to it bit for bit.
 """
 
 import math
@@ -245,6 +250,31 @@ def normal_pair(rng):
     r = math.sqrt(-2.0 * math.log(u1))
     theta = 2.0 * math.pi * u2
     return r * math.cos(theta), r * math.sin(theta)
+
+
+def math_map(fn, values):
+    """Flat float64 array of the one-argument `math` function ``fn``
+    called on every entry of ``values`` in turn."""
+    flat = np.asarray(values, dtype=np.float64).ravel().tolist()
+    return np.fromiter(map(fn, flat), np.float64, len(flat))
+
+
+def assert_equals_math_map(got, values, fn, fallback):
+    """Fail unless ``got`` equals ``math_map(fn, values)`` bit for bit. The
+    message gives the numpy version, the count that differ, the first
+    differing input with both results in `float.hex`, and ``fallback``,
+    the form the package must go back to, so that a platform whose numpy
+    or C library rounds differently can be diagnosed from one log."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = np.asarray(got, dtype=np.float64).ravel()
+    want = math_map(fn, values)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    if differ.size:
+        i = differ[0]
+        raise AssertionError(
+            f"numpy {np.__version__}: {fn.__name__} differs from math.{fn.__name__} on "
+            f"{differ.size} of {values.size} inputs; first at {float(values[i]).hex()}: "
+            f"numpy {float(got[i]).hex()}, math {float(want[i]).hex()}; {fallback}")
 
 
 # ---------------------------------------------------------------------------

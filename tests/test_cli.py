@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -365,6 +366,43 @@ def test_train_writes_checkpoint_loss_log_and_manifest(workdir):
     assert len(lines) == 1 + 3  # header + one row per epoch
     manifest = json.loads((workdir / "model.ckpt.manifest.json").read_text())
     assert str(workdir / "model.ckpt.loss.csv") in manifest["outputs"]
+
+
+def test_diverged_train_leaves_its_loss_log_and_a_manifest(workdir, tmp_path, capsys):
+    # Two epochs at the default rate, then a rate that blows up the third.
+    ckpt = tmp_path / "diverged.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--data", str(workdir / "scene.txt"),
+                         "--ckpt-out", str(ckpt), "--epochs", "4", "--lr-after", "1e6",
+                         "--lr-drop-epoch", "1", "--stack-layers", "2", "--seed", "1"]) == 1
+    assert caught == []
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("error: non-finite loss ") and error.endswith(" at epoch 2, step 0")
+    assert not ckpt.exists()
+    trained = (workdir / "model.ckpt.loss.csv").read_text().splitlines()
+    assert (tmp_path / "diverged.ckpt.loss.csv").read_text().splitlines() == trained[:3]
+    manifest = json.loads((tmp_path / "diverged.ckpt.manifest.json").read_text())
+    assert manifest["command"] == "train"
+    assert manifest["diverged"] == {"epoch": 2, "step": 0}
+    assert manifest["outputs"] == [str(tmp_path / "diverged.ckpt.loss.csv")]
+
+
+def test_manifests_record_the_environment(workdir, tmp_path, capsys):
+    out = tmp_path / "eval.json"
+    assert cli.main(["eval", "--ckpt", str(workdir / "model.ckpt"),
+                     "--data", str(workdir / "scene.txt"), "--samples", "2",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    for path in ("scene.txt", "model.ckpt"):
+        manifest = json.loads((workdir / f"{path}.manifest.json").read_text())
+        assert manifest["environment"] == cli._environment()
+    environment = json.loads((tmp_path / "eval.json.manifest.json").read_text())["environment"]
+    assert environment["numpy"] == np.__version__
+    assert set(environment) == {"python", "numpy", "blas", "threads"}
+    assert set(environment["blas"]) == {"name", "version"}
+    assert set(environment["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS"}
 
 
 def test_flags_beat_the_config_file(workdir, tmp_path, capsys):

@@ -14,8 +14,10 @@ from eanet.gaussian import (LOG_TWO_PI, RHO_GUARD, ade_fde, best_of_k, decode_ga
 from eanet.model import ModelConfig, TrajectoryModel
 from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, train_offline
 from eanet.rng import (_BLOCK, _BLOCK_TABLES, _CHUNK, _LANE, _LANE_TABLES, _MASK64, _MULTIPLIER,
-                       _ZERO_SEED_STATE, Xorshift64Star, _lookup, unit_vectors)
-from oracles import add, div, exp, getitem, log, mean, mul, normal_pair, sub, sum_axis, tanh
+                       _INV_2_53, _ZERO_SEED_STATE, Xorshift64Star, _lookup, logs,
+                       unit_vectors)
+from oracles import (add, assert_equals_math_map, div, exp, getitem, log, mean, mul,
+                     normal_pair, sub, sum_axis, tanh)
 
 
 def field_from_raw(raw):
@@ -413,14 +415,62 @@ def test_unit_vectors_equal_math_cos_and_sin_bit_for_bit():
     clockwise = np.cumsum(np.concatenate([start, -deltas]), axis=0)
     assert clockwise.min() < -turns
     for angles in (2.0 * math.pi * u[0], circle.reshape(-1, 16), turning, clockwise):
-        flat = angles.ravel().tolist()
-        want = np.empty((len(flat), 2))
-        want[:, 0] = np.fromiter(map(math.cos, flat), np.float64, len(flat))
-        want[:, 1] = np.fromiter(map(math.sin, flat), np.float64, len(flat))
-        differ = int(np.count_nonzero(np.any(unit_vectors(angles).reshape(-1, 2) != want, axis=1)))
-        assert differ == 0, (
-            f"numpy {np.__version__}: cos/sin differ from math on {differ} of {len(flat)} "
-            f"angles; unit_vectors must go back to math.cos and math.sin")
+        got = unit_vectors(angles)
+        for column, fn in enumerate((math.cos, math.sin)):
+            assert_equals_math_map(got[..., column], angles, fn,
+                                   "unit_vectors must go back to math.cos and math.sin")
+
+
+# The zero-uniform guard, the top uniform, glibc's switch to its near-1
+# branch at 1 - 1/16 and 1 + 1/16 with the values on either side, the
+# smallest normal and subnormal inputs, and a dense walk through the
+# near-1 band.
+_LOG_EDGES = np.concatenate([
+    [_INV_2_53, 1.0 - _INV_2_53, 0.5, 1.0, 1.0 + 2.0 ** -52, 2.0 ** -1022, 2.0 ** -1074,
+     3 * 2.0 ** -1074, 1e-310, 1e300, 1.7976931348623157e308],
+    [np.nextafter(edge, towards) for edge in (0.9375, 1.0625) for towards in (0.0, 2.0)],
+    [0.9375, 1.0625],
+    np.linspace(0.9375 - 2.0 ** -20, 1.0625 + 2.0 ** -20, 200_001),
+])
+
+
+def test_box_muller_log_equals_math_log_bit_for_bit():
+    """`box_muller` takes its log from `logs`, numpy's scalar loop, because
+    it calls the same C library as `math.log`. This holds it to the
+    `math.log` map it replaced on 4.2e6 uniforms from three seeds, in the
+    two layouts the package passes (every other entry of a fresh
+    `uniforms` array, as `normal_pairs` does, and of a gathered copy, as
+    `data._scene` does), and on the edge table, on its own and
+    interleaved."""
+    fallback = "box_muller must go back to mapping math.log"
+    for seed in (1, 2, 3):
+        u = Xorshift64Star(seed).uniforms(1_400_000)
+        assert_equals_math_map(logs(u[0::2]), u[0::2], math.log, fallback)
+        gathered = u[np.arange(2, len(u) - 1, 4)[:, None] + np.arange(2)].ravel()
+        assert_equals_math_map(logs(gathered[0::2]), gathered[0::2], math.log, fallback)
+    interleaved = np.repeat(_LOG_EDGES, 2)
+    assert_equals_math_map(logs(_LOG_EDGES), _LOG_EDGES, math.log, fallback)
+    assert_equals_math_map(logs(interleaved[0::2]), _LOG_EDGES, math.log, fallback)
+
+
+def test_best_of_k_and_synthetic_instances_never_call_math_log(monkeypatch):
+    calls = []
+    math_log = math.log
+
+    def counted(*args):
+        calls.append(args)
+        return math_log(*args)
+
+    monkeypatch.setattr(math, "log", counted)
+    field, rng = random_field(t=12, p=12, seed=20)
+    truth = rng.normal(size=(12, 12, 2))
+    best_of_k(field, truth, 20, seed=3, origin_abs=np.zeros((12, 2)))
+    for kind in ("oneway", "stagger", "circle"):
+        synthetic_instances(SyntheticScenarioSpec(kind=kind, seed=4), 30)
+    assert calls == []
+    # The counter sees the scalar draw.
+    normal_pair(Xorshift64Star(1))
+    assert len(calls) == 1
 
 
 def test_normal_pairs_reject_a_negative_count_and_keep_the_state():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ def test_diverged_training_reports_epoch_and_step():
             train_offline(toy_set(2), TrainConfig(epochs=5, batch_size=1, lr=1e12), SMALL)
     assert err.value.epoch is not None and err.value.step is not None
     assert len(T.tape()) == 0
+
+
+def test_diverged_training_keeps_the_loss_log_of_the_finished_epochs():
+    dataset = toy_set(4, seed0=1)
+    finished = train_offline(dataset, TrainConfig(epochs=2, batch_size=2, seed=2), SMALL)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDiverged) as err:
+            train_offline(dataset, TrainConfig(epochs=6, batch_size=2, lr_after=1e12,
+                                               lr_drop_epoch=2, seed=2), SMALL)
+    assert caught == []
+    assert err.value.epoch >= 2
+    assert err.value.loss_log == finished.loss_log + err.value.loss_log[2:]
+    assert len(err.value.loss_log) == err.value.epoch
+    assert f"at epoch {err.value.epoch}, step {err.value.step}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
