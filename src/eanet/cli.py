@@ -7,12 +7,18 @@ gradient-check suite. Long runs print progress to standard error.
 
 Exit codes: 0 on success, 1 for runtime and IO failures, 2 for usage
 errors. Every command is deterministic for a fixed --seed; the seed
-resolves as flag, then config file, then EANET_SEED, then 0. Each
-command writes a small JSON manifest next to its primary output listing
-the resolved configuration digest, inputs, outputs, and the environment
-(Python, numpy and BLAS versions and BLAS thread settings). A diverged
-`train` writes no checkpoint, but still writes its loss CSV for the
-epochs that finished and a manifest that records where it diverged.
+resolves as flag, then config file, then EANET_SEED, then 0. `train`,
+`online`, `eval` and `base` exit 1 before they write anything when
+their data holds no complete t_obs + t_pred window. `gen`, `train`,
+`online` and `plot` write a small JSON manifest next to their primary
+output, `eval` and `base` only with --out, `gradcheck` never. It
+records the subcommand name, the resolved configuration digest, the
+seed, the inputs (the --config file among them), the outputs and the
+environment (Python, numpy and BLAS versions and BLAS thread settings);
+`online` adds its update `counters` and its `health` verdict. A
+diverged `train` writes no checkpoint, but still writes its loss CSV
+for the epochs that finished and a manifest that records where it
+diverged.
 """
 
 from __future__ import annotations
@@ -52,20 +58,6 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot express; exits with code 2."""
 
 
-def _expand_data_paths(paths: list[str]) -> list[str]:
-    """Files stay files; directories expand to their sorted *.txt scenes."""
-    out: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
-            if not names:
-                raise DataError(f"no *.txt scene files in directory {path}")
-            out.extend(os.path.join(path, n) for n in names)
-        else:
-            out.append(path)
-    return out
-
-
 def _environment() -> dict:
     """The interpreter, numpy and BLAS versions and the BLAS thread
     settings, which decide how the run's floats round: numpy's loops
@@ -83,40 +75,68 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(primary_output: str, command: str, digest: str, seed: int,
-                    inputs: list[str], outputs: list[str], started: float,
-                    counters: dict | None = None, diverged: dict | None = None) -> str:
+def _write_manifest(args, primary_output: str, digest: str, seed: int, inputs: list[str],
+                    outputs: list[str], **extra) -> None:
+    """Write ``<primary_output>.manifest.json``; ``extra`` keys (``counters``,
+    ``health``, ``diverged``) are recorded beside the common ones."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_digest": digest,
         "seed": seed,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "wall_clock_s": round(time.monotonic() - started, 3),
+        "inputs": inputs + ([args.config] if getattr(args, "config", None) else []),
+        "outputs": outputs,
+        "wall_clock_s": round(time.monotonic() - args.started, 3),
         "artifact_version": ARTIFACT_VERSION,
         "environment": _environment(),
+        **extra,
     }
-    if counters is not None:
-        manifest["counters"] = counters
-    if diverged is not None:
-        manifest["diverged"] = diverged
-    path = primary_output + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(primary_output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _load_mapping(args) -> dict[str, str]:
-    if getattr(args, "config", None):
-        return C.load_config_file(args.config)
-    return {}
+def _settings(args) -> tuple[dict[str, str], int]:
+    """The --config file's settings (none without one) and the resolved seed."""
+    mapping = C.load_config_file(args.config) if args.config else {}
+    return mapping, C.resolve_seed(args.seed, mapping)
 
 
-def _progress(stream_name: str, every: int):
+def _windows(paths: list[str], config: ModelConfig, what: str):
+    """``(files, instances)``: files stay files and directories expand to
+    their sorted *.txt scenes, which are windowed for ``config``. Data with
+    no complete window is an error before any output."""
+    files: list[str] = []
+    for path in paths:
+        if os.path.isdir(path):
+            names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
+            if not names:
+                raise DataError(f"no *.txt scene files in directory {path}")
+            files.extend(os.path.join(path, n) for n in names)
+        else:
+            files.append(path)
+    dataset = load_dataset(files, config.t_obs, config.t_pred)
+    if not dataset:
+        raise DataError(f"no trajectory windows in the {what}")
+    return files, dataset
+
+
+def _report_json(args, summary: dict, digest: str, seed: int, inputs: list[str]) -> int:
+    """Print ``summary`` as JSON; with --out also write it and its manifest."""
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _write_manifest(args, args.out, digest, seed, inputs, [args.out])
+    sys.stdout.write(text)
+    return 0
+
+
+def _progress(every: int, line):
+    """A progress callback that prints ``line(step, value)`` to stderr at
+    every ``every``-th step."""
     def callback(step, value):
         if step % every == 0:
-            print(f"{stream_name} {step}: {value}", file=sys.stderr)
+            print(line(step, value), file=sys.stderr)
     return callback
 
 
@@ -125,52 +145,42 @@ def _progress(stream_name: str, every: int):
 
 
 def cmd_gen(args) -> int:
-    started = time.monotonic()
-    mapping = _load_mapping(args)
-    seed = C.resolve_seed(args.seed, mapping)
+    _, seed = _settings(args)
     spec = SyntheticScenarioSpec(kind=args.kind, agents=args.agents, speed=args.speed,
                                  noise_std=args.noise, period=args.period,
                                  extent=args.extent, seed=seed)
     tracks = generate_synthetic(spec, args.frames)
     write_scene(tracks, args.out)
     digest = C.config_digest({**dataclasses.asdict(spec), "frames": args.frames})
-    _write_manifest(args.out, "gen", digest, seed, [], [args.out], started)
+    _write_manifest(args, args.out, digest, seed, [], [args.out])
     print(f"wrote {len(tracks)} observations to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
-    started = time.monotonic()
-    mapping = _load_mapping(args)
-    seed = C.resolve_seed(args.seed, mapping)
+    mapping, seed = _settings(args)
     model_config = C.config_from(ModelConfig, mapping, overrides=args)
     train_config = C.config_from(TrainConfig, mapping, seed, overrides=args)
-    data_paths = _expand_data_paths(args.data)
-    dataset = load_dataset(data_paths, model_config.t_obs, model_config.t_pred)
-    if not dataset:
-        raise DataError("no trajectory windows in the training data")
+    data_paths, dataset = _windows(args.data, model_config, "training data")
     print(f"training on {len(dataset)} instances for {train_config.epochs} epochs",
           file=sys.stderr)
-    every = max(1, train_config.epochs // 10)
+    progress = _progress(max(1, train_config.epochs // 10),
+                         lambda epoch, loss: f"epoch {epoch}: {loss}")
     loss_path = args.loss_log or args.ckpt_out + ".loss.csv"
     digest = C.config_digest({**dataclasses.asdict(model_config),
                               **dataclasses.asdict(train_config)})
-    inputs = data_paths + ([args.config] if args.config else [])
     try:
-        result = train_offline(dataset, train_config, model_config,
-                               progress=_progress("epoch", every))
+        result = train_offline(dataset, train_config, model_config, progress=progress)
     except TrainingDiverged as exc:
         # No checkpoint: the finished epochs' losses and where it diverged.
         write_loss_csv(exc.loss_log, loss_path)
-        _write_manifest(args.ckpt_out, "train", digest, seed, inputs, [loss_path], started,
+        _write_manifest(args, args.ckpt_out, digest, seed, data_paths, [loss_path],
                         diverged={"epoch": exc.epoch, "step": exc.step})
         raise
     save_checkpoint(result.model, args.ckpt_out)
     write_loss_csv(result.loss_log, loss_path)
-    _write_manifest(args.ckpt_out, "train", digest, seed, inputs,
-                    [args.ckpt_out, loss_path], started)
-    print(f"final loss {result.loss_log[-1]:.6f}" if result.loss_log else "no epochs run",
-          file=sys.stderr)
+    _write_manifest(args, args.ckpt_out, digest, seed, data_paths, [args.ckpt_out, loss_path])
+    print(f"final loss {result.loss_log[-1]:.6f}", file=sys.stderr)
     return 0
 
 
@@ -186,31 +196,23 @@ def _base_from_flags(parser_name: str, base_ade, base_fde) -> BaseMetrics | None
 
 
 def cmd_online(args) -> int:
-    started = time.monotonic()
-    mapping = _load_mapping(args)
-    seed = C.resolve_seed(args.seed, mapping)
+    mapping, seed = _settings(args)
     online_config = C.config_from(OnlineConfig, mapping, seed, overrides=args)
     base = _base_from_flags("online", args.base_ade, args.base_fde)
     model, _ = load_checkpoint(args.ckpt)
-    stream_paths = _expand_data_paths(args.stream)
-    stream = load_dataset(stream_paths, model.config.t_obs, model.config.t_pred)
-    print(f"replaying {min(len(stream), online_config.max_instances)} of "
-          f"{len(stream)} stream instances, strategy={online_config.strategy}",
-          file=sys.stderr)
-    every = max(1, min(len(stream), online_config.max_instances) // 10 or 1)
-
-    def progress(idx, record):
-        if idx % every == 0:
-            print(f"instance {idx}: loss={record.loss:.4f} ade={record.ade:.4f} "
-                  f"health={record.health}", file=sys.stderr)
-
+    stream_paths, stream = _windows(args.stream, model.config, "stream data")
+    replayed = min(len(stream), online_config.max_instances)
+    print(f"replaying {replayed} of {len(stream)} stream instances, "
+          f"strategy={online_config.strategy}", file=sys.stderr)
+    progress = _progress(max(1, replayed // 10), lambda idx, record: (
+        f"instance {idx}: loss={record.loss:.4f} ade={record.ade:.4f} health={record.health}"))
     result = run_online(model, stream, online_config, base=base, progress=progress)
     write_stream_csv(result.records, args.report, layers=model.config.stack_layers)
-    digest = C.config_digest(dataclasses.asdict(online_config))
-    _write_manifest(args.report, "online", digest, seed,
-                    [args.ckpt] + stream_paths + ([args.config] if args.config else []),
-                    [args.report], started, counters=dataclasses.asdict(result.counters))
     health = result.health
+    _write_manifest(args, args.report, C.config_digest(dataclasses.asdict(online_config)), seed,
+                    [args.ckpt] + stream_paths, [args.report],
+                    counters=dataclasses.asdict(result.counters),
+                    health=dataclasses.asdict(health))
     summary = health.status
     if health.first_trigger_instance is not None:
         summary += f" (first trigger at instance {health.first_trigger_instance})"
@@ -223,59 +225,32 @@ def cmd_online(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = time.monotonic()
     check_samples(args.samples)
-    mapping = _load_mapping(args)
-    seed = C.resolve_seed(args.seed, mapping)
+    _, seed = _settings(args)
     model, _ = load_checkpoint(args.ckpt)
-    data_paths = _expand_data_paths(args.data)
-    dataset = load_dataset(data_paths, model.config.t_obs, model.config.t_pred)
-    if not dataset:
-        raise DataError("no trajectory windows in the evaluation data")
+    data_paths, dataset = _windows(args.data, model.config, "evaluation data")
     ade, fde = mean_best_of_k(model, dataset, args.samples, seed)
-    summary = {
-        "ade": ade,
-        "fde": fde,
-        "k": args.samples,
-        "instances": len(dataset),
-    }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        digest = C.config_digest({"samples": args.samples, "seed": seed})
-        _write_manifest(args.out, "eval", digest, seed,
-                        [args.ckpt] + data_paths, [args.out], started)
-    sys.stdout.write(text)
-    return 0
+    summary = {"ade": ade, "fde": fde, "k": args.samples, "instances": len(dataset)}
+    digest = C.config_digest({"samples": args.samples, "seed": seed})
+    return _report_json(args, summary, digest, seed, [args.ckpt] + data_paths)
 
 
 def cmd_base(args) -> int:
-    started = time.monotonic()
     check_samples(args.samples)
-    mapping = _load_mapping(args)
-    seed = C.resolve_seed(args.seed, mapping)
+    mapping, seed = _settings(args)
     model_config = C.config_from(ModelConfig, mapping, overrides=args)
     train_config = C.config_from(TrainConfig, mapping, seed, overrides=args)
-    data_paths = _expand_data_paths(args.data)
-    dataset = load_dataset(data_paths, model_config.t_obs, model_config.t_pred)
+    data_paths, dataset = _windows(args.data, model_config, "base data")
     print(f"base split over {len(dataset)} instances", file=sys.stderr)
     base = compute_base(dataset, train_config, model_config, samples=args.samples)
     summary = {"ade_base": base.ade, "fde_base": base.fde,
                "n_train": base.n_train, "n_test": base.n_test}
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        digest = C.config_digest({**dataclasses.asdict(model_config),
-                                  **dataclasses.asdict(train_config), "samples": args.samples})
-        _write_manifest(args.out, "base", digest, seed, data_paths, [args.out], started)
-    sys.stdout.write(text)
-    return 0
+    digest = C.config_digest({**dataclasses.asdict(model_config),
+                              **dataclasses.asdict(train_config), "samples": args.samples})
+    return _report_json(args, summary, digest, seed, data_paths)
 
 
 def cmd_plot(args) -> int:
-    started = time.monotonic()
     records = read_stream_csv(args.report)
     base = _base_from_flags("plot", args.base_ade, args.base_fde)
     curves_path = args.out + ".curves.svg"
@@ -283,8 +258,7 @@ def cmd_plot(args) -> int:
     plot_curves(records, curves_path, base=base)
     plot_expert_strip(records, experts_path)
     digest = C.config_digest({"report": args.report})
-    _write_manifest(curves_path, "plot", digest, 0, [args.report],
-                    [curves_path, experts_path], started)
+    _write_manifest(args, curves_path, digest, 0, [args.report], [curves_path, experts_path])
     print(f"wrote {curves_path} and {experts_path}", file=sys.stderr)
     return 0
 
@@ -408,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.handler(args)
     except _UsageError as exc:

@@ -77,13 +77,12 @@ SCENES = [(kind, noise, period) for kind in SCENARIO_KINDS for noise in (0.0, 0.
           for period in ((1, 3) if kind == "stagger" else (10,))]
 
 
-def environment() -> dict[str, str]:
+def environment() -> dict:
+    """What every ``eanet`` manifest records, plus the CPU architecture and
+    the BLAS build configuration, which can also change how floats round."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_config": str(blas.get("openblas configuration")),
-            "machine": platform.machine(),
-            "openblas_num_threads": setting()}
+    return {**cli._environment(), "machine": platform.machine(),
+            "blas_config": str(blas.get("openblas configuration"))}
 
 
 def _sha(*chunks: bytes) -> str:
@@ -176,11 +175,6 @@ def compute() -> dict[str, str]:
     for scene in SCENES:
         digests["data/{}/noise{}/period{}".format(*scene)] = _scene_digest(*scene)
     return digests
-
-
-def setting() -> str:
-    """This process's ``OPENBLAS_NUM_THREADS``, the key of its digest set."""
-    return os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
 
 def compute_at(value: str) -> dict:

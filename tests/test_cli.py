@@ -405,6 +405,46 @@ def test_manifests_record_the_environment(workdir, tmp_path, capsys):
                                            "MKL_NUM_THREADS"}
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "online", "eval", "base"])
+def test_manifest_inputs_list_the_config_file(command, workdir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 1\nstack_layers = 1\nmax_instances = 3\nseed = 3\n")
+    scene, ckpt, out = str(workdir / "scene.txt"), str(workdir / "model.ckpt"), tmp_path / "out"
+    argv = {"gen": ["gen", "--kind", "circle", "--frames", "30", "--out", str(out)],
+            "train": ["train", "--data", scene, "--ckpt-out", str(out)],
+            "online": ["online", "--ckpt", ckpt, "--stream", scene, "--report", str(out)],
+            "eval": ["eval", "--ckpt", ckpt, "--data", scene, "--samples", "2",
+                     "--out", str(out)],
+            "base": ["base", "--data", scene, "--samples", "2", "--out", str(out)]}[command]
+    assert cli.main(argv + ["--config", str(config)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["command"] == command and manifest["seed"] == 3
+    assert str(config) in manifest["inputs"]
+
+
+@pytest.mark.parametrize("command, what", [
+    ("train", "training data"), ("online", "stream data"), ("eval", "evaluation data"),
+    ("base", "base data")])
+def test_data_without_a_complete_window_fails_before_any_output(command, what, workdir,
+                                                                tmp_path, capsys):
+    # 10 frames hold no window of t_obs + t_pred = 20.
+    short = tmp_path / "short.txt"
+    assert cli.main(["gen", "--kind", "oneway", "--agents", "3", "--frames", "10",
+                     "--seed", "7", "--out", str(short)]) == 0
+    capsys.readouterr()
+    out, ckpt = tmp_path / "out", str(workdir / "model.ckpt")
+    argv = {"train": ["train", "--data", str(short), "--ckpt-out", str(out)],
+            "online": ["online", "--ckpt", ckpt, "--stream", str(short), "--report", str(out)],
+            "eval": ["eval", "--ckpt", ckpt, "--data", str(short), "--out", str(out)],
+            "base": ["base", "--data", str(short), "--out", str(out)]}[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no trajectory windows in the {what}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.txt", "short.txt.manifest.json"]
+
+
 def test_flags_beat_the_config_file(workdir, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("epochs = 3\nstack_layers = 2\n")
@@ -447,6 +487,7 @@ def test_online_report_row_count_and_rr(workdir):
     assert len(records) == 12
     manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
     assert manifest["counters"]["updates"] == 12
+    assert manifest["health"] == {"status": "normal", "first_trigger_instance": None}
     assert all(r.rr is not None for r in records)
     assert all(len(r.expert) == 2 for r in records)
 
@@ -560,7 +601,10 @@ def test_exploded_online_command_counts_its_updates(workdir, tmp_path, capsys):
     assert "health: exploded" in capsys.readouterr().out
     records = read_stream_csv(str(report))
     assert report.read_text().splitlines()[0] == (workdir / "report.csv").read_text().splitlines()[0]
-    counters = json.loads((tmp_path / "exploded.csv.manifest.json").read_text())["counters"]
+    manifest = json.loads((tmp_path / "exploded.csv.manifest.json").read_text())
+    first = next(r.instance_idx for r in records if r.health != "normal")
+    assert manifest["health"] == {"status": "exploded", "first_trigger_instance": first}
+    counters = manifest["counters"]
     assert counters["clipped"] == 0
     assert counters["skipped"] >= sum(r.grad_norm is None for r in records) > 0
     assert len(records) <= counters["updates"] <= 2 * len(records)
