@@ -52,10 +52,10 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
     outputs, as one tape record.
 
     For each frame f, the gate of layer l is the mean over agents of
-    tanh(M[l][:, f] theta + bias), with ``theta`` of shape (D, 1); each
-    layer is multiplied by its gate (broadcast over agents and features)
-    and the layers are summed with the trainable mix alpha, of L entries
-    (else DimensionError).
+    tanh(M[l][:, f] theta + bias), with ``theta`` of shape (D, 1) and
+    ``bias`` a scalar; each layer is multiplied by its gate (broadcast
+    over agents and features) and the layers are summed with the
+    trainable mix alpha, of shape (L,). Other shapes raise DimensionError.
     ``tests/test_attention.py::test_ea_output_matches_per_frame_recombination``
     checks it against a frame-by-frame oracle. Returns the (N, T, P, D)
     output plus a trace for reporting.
@@ -70,10 +70,11 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
     """
     n_layers = _check_block(block)
     theta, bias, alpha = T.as_tensor(theta), T.as_tensor(bias), T.as_tensor(alpha)
-    if alpha.data.size != n_layers:
-        raise DimensionError(f"alpha must have {n_layers} entries, got {alpha.shape}")
-    if theta.shape != (block.shape[-1], 1):
-        raise DimensionError(f"theta must be ({block.shape[-1]}, 1), got {theta.shape}")
+    if alpha.shape != (n_layers,):
+        raise DimensionError(f"alpha must be ({n_layers},), got {alpha.shape}")
+    if theta.shape != (block.shape[-1], 1) or bias.data.size != 1:
+        raise DimensionError(f"need a ({block.shape[-1]}, 1) theta and a scalar bias, "
+                             f"got {theta.shape} and {bias.shape}")
     stacked = block.data
     z = np.matmul(stacked, theta.data) + bias.data
     scores = np.tanh(z)
@@ -88,17 +89,19 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
     gated = rows * gate_rows
     out_data = np.add.reduce(gated * mix, axis=1).transpose(0, 2, 1, 3)
 
+    # The backward sums each gradient over the axes its operand was
+    # broadcast along, as the chain's unbroadcasting sums did.
     def back(g):
-        g_mixed = np.expand_dims(g.transpose(0, 2, 1, 3), 1)
+        g_mixed = g.transpose(0, 2, 1, 3)[:, None]
         g_gated = g_mixed * mix
         if alpha.requires_grad:
-            T._accumulate(alpha, T._unbroadcast(g_mixed * gated, mix.shape).reshape(alpha.shape))
-        g_gate = T._unbroadcast(g_gated * rows, gate_rows.shape).transpose(0, 1, 3, 2, 4)
+            T._accumulate(alpha, np.add.reduce(g_mixed * gated, axis=(0, 2, 3, 4)))
+        g_gate = np.add.reduce(g_gated * rows, axis=(2, 4), keepdims=True).transpose(0, 1, 3, 2, 4)
         g_z = (g_gate / block.shape[3]) * (1.0 - scores * scores)
-        T._accumulate(bias, T._unbroadcast(g_z, bias.shape))
+        T._accumulate(bias, np.add.reduce(g_z, axis=None))
         if theta.requires_grad:
-            g_theta = np.matmul(np.swapaxes(stacked, -1, -2), g_z)
-            T._accumulate(theta, T._unbroadcast(g_theta, theta.shape))
+            g_theta = np.matmul(stacked.swapaxes(-1, -2), g_z)
+            T._accumulate(theta, np.add.reduce(g_theta, axis=(0, 1, 2)))
         if block.requires_grad:
             # The matmul of g_z with theta's transpose multiplies single
             # pairs, which an elementwise product repeats exactly.
@@ -168,10 +171,10 @@ def hedge_output(block: T.Tensor, state: HedgeState) -> T.Tensor:
     if state.w.size != n_layers:
         raise DimensionError(f"hedge has {state.w.size} weights for {n_layers} layers")
     mix = state.w.reshape(1, n_layers, 1, 1, 1)
-    out_data = (block.data * mix).sum(axis=1)
+    out_data = np.add.reduce(block.data * mix, axis=1)
 
     def back(g):
-        T._accumulate(block, np.expand_dims(g, 1) * mix)
+        T._accumulate(block, g[:, None] * mix)
 
     return T._make(out_data, (block,), back)
 

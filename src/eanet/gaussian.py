@@ -72,61 +72,66 @@ def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = Fals
     flows through the clamped entries).
 
     One tape record whose parent is ``field.raw``, with decode and loss
-    differentiated by hand. Every forward line keeps the operand grouping
-    of the chain of elementwise tape primitives this replaced, and the
-    backward adds partial gradients in that chain's order: a tape runs its
-    records in reverse, so a value used twice gets the gradient of its
-    later use first, e.g. ``g_zx = (g_c * zy + g_z * zx) + g_z * zx`` for
-    ``z = (zx*zx + zy*zy) - (2 rho)(zx*zy)``. Loss and gradient are
-    therefore bit-identical to that chain's. All five raw channels are
-    written into one array and accumulated into ``raw`` once.
+    differentiated by hand. x and y run as one: target, mu, sigma and the
+    standardised offsets ``zxy`` are (2, N, T, P) arrays of x and y planes,
+    and each operation applies to every entry the IEEE operation of the
+    chain of elementwise tape primitives this replaced. Every forward line
+    keeps that chain's operand grouping, and the backward adds partial
+    gradients in its order: a tape runs its records in reverse, so a value
+    used twice gets the gradient of its later use first, e.g.
+    ``g_zxy = (g_c * zxy[::-1] + g_z * zxy) + g_z * zxy``, ``zxy[::-1]``
+    being (zy, zx), for ``z = (zx*zx + zy*zy) - (2 rho)(zx*zy)``. Loss and
+    gradient are therefore bit-identical to that chain's. The five
+    raw-channel gradients are written as planes of one array and
+    accumulated into ``raw`` once.
     """
     raw = field.raw
     n, t, p = raw.shape[:3]
     target_rel = np.asarray(target_rel, dtype=np.float64)
     if target_rel.shape == (p, t, 2):
-        target_rel = np.broadcast_to(target_rel[None], (n, p, t, 2))
+        target_rel = target_rel[None]
     elif target_rel.shape != (n, p, t, 2):
-        raise DimensionError(
-            f"target {target_rel.shape} does not match field ({p}, {t}, 2)"
-        )
-    target = np.ascontiguousarray(target_rel.transpose(0, 2, 1, 3))
-
-    rho = field.rho
-    dx = target[..., 0:1] - field.mu[..., 0:1]
-    dy = target[..., 1:2] - field.mu[..., 1:2]
-    sx, sy = field.sigma[..., 0:1], field.sigma[..., 1:2]
-    zx, zy = dx / sx, dy / sy
-    r2, c = rho * 2.0, zx * zy
-    z = (zx * zx + zy * zy) - r2 * c
+        raise DimensionError(f"target {target_rel.shape} does not match field ({p}, {t}, 2)")
+    # x and y as (2, N, T, P) planes: numpy then runs each operation along
+    # whole planes, where (..., 2) pairs would make it loop over pairs.
+    target = np.ascontiguousarray(target_rel.transpose(3, 0, 2, 1))
+    mu, sigma = field.mu.transpose(3, 0, 1, 2), field.sigma.transpose(3, 0, 1, 2)
+    rho = field.rho[..., 0]
+    delta = target - mu
+    zxy = delta / sigma
+    sq = zxy * zxy
+    r2, c = rho * 2.0, zxy[0] * zxy[1]
+    z = (sq[0] + sq[1]) - r2 * c
     om0 = 1.0 - rho * rho
-    om = np.clip(om0, RHO_GUARD, None)
-    log_norm = (np.log(sx) + np.log(sy)) + (np.log(om) * 0.5 + LOG_TWO_PI)
+    om = np.maximum(om0, RHO_GUARD)
+    log_sigma = np.log(sigma)
+    log_norm = (log_sigma[0] + log_sigma[1]) + (np.log(om) * 0.5 + LOG_TWO_PI)
     d = om * 2.0
     per_agent = np.add.reduce(log_norm + z / d, axis=1)
 
     def back(g):
-        g_frame = (g / p).reshape(n, 1, 1, 1) if per_item else g / per_agent.size
+        g_frame = (g / p).reshape(n, 1, 1) if per_item else g / per_agent.size
         g_z = g_frame / d
         g_om = ((-g_frame * z) / (d * d)) * 2.0 + (g_frame * 0.5) / om
         g_rr = -(g_om * (om0 >= RHO_GUARD))
         g_b = -g_z
         g_c = g_b * r2
-        g_zx = (g_c * zy + g_z * zx) + g_z * zx
-        g_zy = (g_c * zx + g_z * zy) + g_z * zy
+        g_zz = g_z * zxy
+        g_zxy = (g_c * zxy[::-1] + g_zz) + g_zz
         g_rho = (g_rr * rho + g_rr * rho) + (g_b * c) * 2.0
         full = np.empty(raw.shape)
-        full[..., 0:1] = -(g_zx / sx)
-        full[..., 1:2] = -(g_zy / sy)
-        full[..., 2:3] = (g_frame / sx + (-g_zx * dx) / (sx * sx)) * sx
-        full[..., 3:4] = (g_frame / sy + (-g_zy * dy) / (sy * sy)) * sy
-        full[..., 4:5] = g_rho * (1.0 - rho * rho)
+        planes = full.transpose(3, 0, 1, 2)
+        np.negative(g_zxy / sigma, out=planes[0:2])
+        g_sigma = -g_zxy * delta
+        g_sigma /= sigma * sigma
+        np.multiply(np.add(g_frame / sigma, g_sigma, out=g_sigma), sigma, out=planes[2:4])
+        np.multiply(g_rho, om0, out=planes[4])
         T._accumulate(raw, full)
 
     # np.add.reduce, then a divide by the count, is what the mean and sum
     # methods run, without their Python wrappers.
     if per_item:
-        loss = np.add.reduce(per_agent.reshape(n, p), axis=1) / p
+        loss = np.add.reduce(per_agent, axis=1) / p
     else:
         loss = np.add.reduce(per_agent, axis=None) / per_agent.size
     return T._make(loss, (raw,), back)
@@ -149,7 +154,7 @@ def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:
     origin = np.asarray(origin_abs, dtype=np.float64).reshape(-1, 1, 2)
     if origin.shape[0] != mu.shape[0]:
         raise DimensionError(f"origin has {origin.shape[0]} agents, field {mu.shape[0]}")
-    return origin + np.cumsum(mu, axis=1)
+    return origin + np.add.accumulate(mu, axis=1)
 
 
 def sample_trajectories(field: GaussianField, k: int, seed: int,

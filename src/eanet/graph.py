@@ -134,10 +134,10 @@ def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:
     def back(g):
         g_pre = g * out_data * (1.0 - out_data)
         if weight.requires_grad:
-            g_weight = np.matmul(np.swapaxes(mixed, -1, -2), g_pre)
-            T._accumulate(weight, T._unbroadcast(g_weight, weight.shape))
+            g_weight = np.matmul(mixed.swapaxes(-1, -2), g_pre)
+            T._accumulate(weight, np.add.reduce(g_weight, axis=tuple(range(g_weight.ndim - 2))))
         if features.requires_grad:
             g_mixed = np.matmul(g_pre, weight.data.T)
-            T._accumulate(features, np.matmul(np.swapaxes(ahat_seq, -1, -2), g_mixed))
+            T._accumulate(features, np.matmul(ahat_seq.swapaxes(-1, -2), g_mixed))
 
     return T._make(out_data, (features, weight), back)

@@ -334,13 +334,13 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     ConfigError then. The arrays have the bits a chunk of that instance
     alone gives, and serve all of its ``updates_per_instance`` updates.
     Each update runs the same `TrajectoryModel.forward`, NLL and
-    backward/clip/step, and counts towards health;
-    the first also yields the row's metrics, trace and hedge layer
-    losses. An update whose loss or gradient norm is not finite takes no
-    step, flags the row and ends that instance's updates; the run keeps
-    going with the next instance. Gradients the model carries in, such as
-    the last batch's of `train_offline`, are zeroed before the first
-    update, so every update steps on its own instance's gradient alone.
+    backward/clip/step, and counts towards health; the first also yields
+    the row's metrics, trace and hedge layer losses. An update whose loss
+    or gradient norm is not finite takes no step, flags the row and ends
+    that instance's updates, with no numpy warning; the run keeps going
+    with the next instance. Gradients the model carries in, such as the
+    last batch's of `train_offline`, are zeroed before the first update, so
+    every update steps on its own instance's gradient alone.
     """
     config.validate()
     model.zero_grad()
@@ -357,28 +357,31 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     prepared = chunked_arrays(window, model.config, PREP_CHUNK)
     for idx, (inst, (x_seq, ahat, fut_rel)) in enumerate(prepared):
         row_health = "normal"
-        for update in range(config.updates_per_instance):
-            gfield, block, trace = model.forward(x_seq[None], ahat[None], config.strategy, hedge)
-            if update == 0:
-                pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
-                ade, fde = ade_fde(pred_abs, inst.fut_abs)
-                rr = restore_ratio(ade, fde, base.ade, base.fde) if base is not None else None
-                expert = tuple(trace.gate.tolist()) if trace is not None else (
-                    tuple(hedge.w.tolist()) if hedge is not None else None)
-                alpha = tuple(trace.alpha.tolist()) if trace is not None else None
-                if hedge is not None:
-                    layer_losses = layer_nll(block, fut_rel)
-            loss_tensor = nll_loss(gfield, fut_rel)
-            update_loss = loss_tensor.item()
-            pre, applied = _apply_update(model, loss_tensor, update_loss, config)
-            verdict = monitor.observe(pre, update_loss, idx,
-                                      clipped=applied is not None and applied < pre)
-            if update == 0:
-                loss, grad_norm = update_loss, applied
-            if row_health == "normal":
-                row_health = verdict
-            if applied is None:
-                break
+        # Health records an exploding update, so numpy need not warn about it.
+        with np.errstate(all="ignore"):
+            for update in range(config.updates_per_instance):
+                gfield, block, trace = model.forward(x_seq[None], ahat[None],
+                                                     config.strategy, hedge)
+                if update == 0:
+                    pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
+                    ade, fde = ade_fde(pred_abs, inst.fut_abs)
+                    rr = restore_ratio(ade, fde, base.ade, base.fde) if base is not None else None
+                    expert = tuple(trace.gate.tolist()) if trace is not None else (
+                        tuple(hedge.w.tolist()) if hedge is not None else None)
+                    alpha = tuple(trace.alpha.tolist()) if trace is not None else None
+                    if hedge is not None:
+                        layer_losses = layer_nll(block, fut_rel)
+                loss_tensor = nll_loss(gfield, fut_rel)
+                update_loss = loss_tensor.item()
+                pre, applied = _apply_update(model, loss_tensor, update_loss, config)
+                verdict = monitor.observe(pre, update_loss, idx,
+                                          clipped=applied is not None and applied < pre)
+                if update == 0:
+                    loss, grad_norm = update_loss, applied
+                if row_health == "normal":
+                    row_health = verdict
+                if applied is None:
+                    break
 
         if hedge is not None:
             hedge = hedge_update(hedge, layer_losses)

@@ -19,13 +19,14 @@ The module holds only what a package path runs: the row-local
 ``conv2d`` of ``temporal.time_expand``, the banded-weight helpers it
 shares with ``temporal``'s fused stack, the `ParameterArena` that holds
 a model's parameters, and the gradient norm of the update step. The
-record helpers ``_make``, ``_accumulate`` and ``_unbroadcast`` are what
-the fused records of ``graph``, ``temporal``, ``attention`` and
-``gaussian`` are written with. An op that only tests call does not
-belong here: the per-layer chains kept as oracles build theirs, in the
-forms they use, in ``tests/oracles.py``, and ``tests/test_tensor.py``
-requires every public function here to have a caller elsewhere in the
-package.
+record helpers ``_make`` and ``_accumulate`` are what the fused records
+of ``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
+with; each record sums its own gradients down to its operands' shapes.
+An op or helper that only tests call does not belong here: the
+per-layer chains kept as oracles build theirs, in the forms they use, in
+``tests/oracles.py``, and ``tests/test_tensor.py`` requires every
+function here to have a package caller, which for an underscore helper
+may be in this module.
 """
 
 from __future__ import annotations
@@ -179,19 +180,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.add(g, 0.0, out=out)
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:

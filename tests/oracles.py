@@ -9,9 +9,12 @@ require the fused records to give the same outputs and gradients under
 
 The taped ops those chains and the tests' other oracles call, which no
 package path runs, live here too, in the forms they are called with.
-Each is written on ``T._make``/``T._accumulate``/``T._unbroadcast`` with
-the numpy expressions of the package op it was, so every oracle's
-arithmetic is the same as before the ops left the package.
+Each is written on ``T._make``/``T._accumulate`` and this module's
+`_unbroadcast`, with the numpy expressions of the package op it was, so
+every oracle's arithmetic is the same as before the ops left the
+package. `_unbroadcast`, the generic sum of a gradient down to an
+operand's shape, lives here because every package record names the axes
+each of its gradients sums over.
 
 `build_adjacency` is the graph kernel with its pair distances from
 ``np.linalg.norm``, which `graph.build_adjacency` must match bit for bit.
@@ -103,12 +106,25 @@ def hedge_output(m_list, w):
 # taped ops that only oracles call
 
 
+def _unbroadcast(g, shape):
+    """Sum a gradient down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
 def add(a, b):
     a, b = T.as_tensor(a), T.as_tensor(b)
 
     def back(g):
-        T._accumulate(a, T._unbroadcast(g, a.shape))
-        T._accumulate(b, T._unbroadcast(g, b.shape))
+        T._accumulate(a, _unbroadcast(g, a.shape))
+        T._accumulate(b, _unbroadcast(g, b.shape))
 
     return T._make(a.data + b.data, (a, b), back)
 
@@ -117,8 +133,8 @@ def mul(a, b):
     a, b = T.as_tensor(a), T.as_tensor(b)
 
     def back(g):
-        T._accumulate(a, T._unbroadcast(g * b.data, a.shape))
-        T._accumulate(b, T._unbroadcast(g * a.data, b.shape))
+        T._accumulate(a, _unbroadcast(g * b.data, a.shape))
+        T._accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return T._make(a.data * b.data, (a, b), back)
 
@@ -136,16 +152,16 @@ def sub(a, b):
     a = T.as_tensor(a)  # the NLL chain's 1 - rho^2 passes a float
 
     def back(g):
-        T._accumulate(a, T._unbroadcast(g, a.shape))
-        T._accumulate(b, T._unbroadcast(-g, b.shape))
+        T._accumulate(a, _unbroadcast(g, a.shape))
+        T._accumulate(b, _unbroadcast(-g, b.shape))
 
     return T._make(a.data - b.data, (a, b), back)
 
 
 def div(a, b):
     def back(g):
-        T._accumulate(a, T._unbroadcast(g / b.data, a.shape))
-        T._accumulate(b, T._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        T._accumulate(a, _unbroadcast(g / b.data, a.shape))
+        T._accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return T._make(a.data / b.data, (a, b), back)
 
@@ -175,7 +191,7 @@ def prelu(a, slope):
 
     def back(g):
         T._accumulate(a, g * np.where(positive, 1.0, slope.data))
-        T._accumulate(slope, T._unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
+        T._accumulate(slope, _unbroadcast(g * np.where(positive, 0.0, a.data), slope.shape))
 
     return T._make(np.where(positive, a.data, slope.data * a.data), (a, slope), back)
 
@@ -188,10 +204,10 @@ def matmul(a, b):
     def back(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            T._accumulate(a, T._unbroadcast(ga, a.shape))
+            T._accumulate(a, _unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            T._accumulate(b, T._unbroadcast(gb, b.shape))
+            T._accumulate(b, _unbroadcast(gb, b.shape))
 
     return T._make(np.matmul(a.data, b.data), (a, b), back)
 

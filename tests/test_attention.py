@@ -100,6 +100,9 @@ def test_expert_weights_theta_shape_error():
     layers = random_layers(seed=5)
     with pytest.raises(DimensionError):
         ea_output(layers, T.Tensor(np.zeros((4, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
+    # The gate's bias is one scalar; its gradient is summed over every axis.
+    with pytest.raises(DimensionError):
+        ea_output(layers, T.Tensor(np.zeros((5, 1))), T.Tensor(np.zeros(3)), T.Tensor(np.ones(3)))
 
 
 def test_ea_output_zero_gate_zeroes_everything():
@@ -266,8 +269,10 @@ def test_hedge_update_shape_check():
         hedge_update(state, [0.1, 0.2])
 
 
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("p", [1, 6, 12])
+# n = 64 is the training batch, where the head's sums over the batch axis
+# run longest.
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 3), (6, 1), (6, 3), (12, 1), (12, 3),
+                                  (6, 64), (12, 64)])
 @pytest.mark.parametrize("n_layers", [1, 5])
 @pytest.mark.parametrize("head", ["ea", "hedge", "plain"])
 def test_fused_heads_match_the_primitive_chain_bit_for_bit(n, p, n_layers, head):
