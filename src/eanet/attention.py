@@ -193,12 +193,15 @@ def hedge_update(state: HedgeState, losses) -> HedgeState:
         raise DimensionError(f"got {losses.shape} losses for {state.w.shape} weights")
     if not np.all(np.isfinite(losses)):
         return HedgeState(w=state.w.copy(), beta=state.beta, smoothing=state.smoothing)
-    spread = losses.max() - losses.min()
+    # The reductions the min, max and sum methods run, without their
+    # Python wrappers, and the minimum taken once.
+    low = np.minimum.reduce(losses)
+    spread = np.maximum.reduce(losses) - low
     if spread > 0:
-        normalised = (losses - losses.min()) / spread
+        normalised = (losses - low) / spread
     else:
         normalised = np.zeros_like(losses)
     w = state.w * np.power(state.beta, normalised)
     w = np.maximum(w, state.smoothing / w.size)
-    w = w / w.sum()
+    w = w / np.add.reduce(w)
     return HedgeState(w=w, beta=state.beta, smoothing=state.smoothing)

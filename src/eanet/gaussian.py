@@ -151,10 +151,16 @@ def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:
     """Deterministic prediction: cumulative sum of mu from the last
     observed absolute position. Returns (P, T, 2)."""
     mu = field.mu[0].transpose(1, 0, 2)
-    origin = np.asarray(origin_abs, dtype=np.float64).reshape(-1, 1, 2)
-    if origin.shape[0] != mu.shape[0]:
-        raise DimensionError(f"origin has {origin.shape[0]} agents, field {mu.shape[0]}")
-    return origin + np.add.accumulate(mu, axis=1)
+    origin = _origin(origin_abs, mu.shape[0])
+    return origin[:, None] + np.add.accumulate(mu, axis=1)
+
+
+def _origin(origin_abs: np.ndarray, p: int) -> np.ndarray:
+    """The (P, 2) last observed positions, or DimensionError."""
+    origin = np.asarray(origin_abs, dtype=np.float64)
+    if origin.size != 2 * p:
+        raise DimensionError(f"origin has {origin.size} coordinates, field {p} agents")
+    return origin.reshape(p, 2)
 
 
 def sample_trajectories(field: GaussianField, k: int, seed: int,
@@ -170,24 +176,30 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     with `normal_pair` of `tests/oracles.py` in that order, forms
     (mu_x + sx z0, mu_y + rho sy z0 + sy sqrt(max(1 - rho^2, RHO_GUARD)) z1)
     and takes the running sum over frames from the origin.
+
+    The samples are built as (2, K, P, T) x and y planes, so the running
+    sum runs along contiguous rows; the result is their (K, P, T, 2) view.
+    An origin that is not one (x, y) per agent raises DimensionError
+    before any draw.
     """
     if k < 1:
         raise ContractError("need at least one sample")
     if field.mu.shape[0] != 1:
         raise ContractError("sampling expects a single-sequence field (N == 1)")
-    mu = field.mu[0].transpose(1, 0, 2)
-    sigma = field.sigma[0].transpose(1, 0, 2)
-    rho = field.rho[0].transpose(1, 0, 2)[..., 0]
-    p, t = mu.shape[0], mu.shape[1]
-    origin = np.asarray(origin_abs, dtype=np.float64).reshape(p, 1, 2)
+    mu = field.mu[0].transpose(2, 1, 0)
+    sigma = field.sigma[0].transpose(2, 1, 0)
+    rho = field.rho[0, :, :, 0].T
+    p, t = rho.shape
+    origin = _origin(origin_abs, p)
     z = Xorshift64Star(seed).normal_pairs(k * p * t).reshape(k, p, t, 2)
     z0, z1 = z[..., 0], z[..., 1]
-    sx, sy = sigma[..., 0], sigma[..., 1]
-    tail = sy * np.sqrt(np.maximum(1.0 - rho * rho, RHO_GUARD))
-    rel = np.empty((k, p, t, 2))
-    rel[..., 0] = mu[..., 0] + sx * z0
-    rel[..., 1] = mu[..., 1] + rho * sy * z0 + tail * z1
-    return origin + np.cumsum(rel, axis=2)
+    tail = sigma[1] * np.sqrt(np.maximum(1.0 - rho * rho, RHO_GUARD))
+    planes = np.empty((2, k, p, t))
+    np.add(mu[0], sigma[0] * z0, out=planes[0])
+    np.add(mu[1] + rho * sigma[1] * z0, tail * z1, out=planes[1])
+    np.add.accumulate(planes, axis=3, out=planes)
+    planes += origin.T[:, None, :, None]
+    return planes.transpose(1, 2, 3, 0)
 
 
 # 2**27 + 1: splitting with it leaves halves whose products are exact.
@@ -195,6 +207,12 @@ _VELTKAMP = 134217729.0
 # The larger magnitudes `_hypot` scales by a power of two without loss;
 # 0, subnormals, the top of the range, inf and NaN go to math.hypot.
 _HYPOT_RANGE = (2.0 ** -1021, 1e300)
+# `best_of_k`'s filter certifies its candidates where every point's
+# dx*dx + dy*dy lies in this range and a sample has at most this many
+# points; its docstring derives the bound.
+_FILTER_RANGE = (2.0 ** -1000, 2.0 ** 1000)
+_CERTIFIED_POINTS = 2 ** 26
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,25 +277,37 @@ def _check_trajectories(pred_shape: tuple[int, ...], truth_shape: tuple[int, ...
                              f"got {pred_shape} and {truth_shape}")
 
 
-def _displacement_errors(pred_abs: np.ndarray,
-                         truth_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ADE and FDE, each of shape (K,), of K (P, T, 2) predictions against
-    one (P, T, 2) truth.
+def _displacement_errors(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ADE and FDE, each of shape (K,), from the (2, K, P, T) x and y
+    planes of K predictions' point errors; ``dist`` is overwritten.
 
     Per-point errors are `_hypot`'s, which are `math.hypot`'s bit for bit
     (numpy's own hypot rounds some inputs differently), and are summed
     agent-major, then frame, in sequence (`np.cumsum` adds in order), so
     each sample's pair equals `ade_fde` of it.
     """
-    _check_trajectories(pred_abs.shape[1:], truth_abs.shape)
-    k, p, t = pred_abs.shape[:3]
-    planes = np.empty((2, k, p, t))
-    np.subtract(pred_abs[..., 0], truth_abs[..., 0], out=planes[0])
-    np.subtract(pred_abs[..., 1], truth_abs[..., 1], out=planes[1])
-    err = _hypot(planes)
+    k, p, t = dist.shape[1:]
+    err = _hypot(dist)
     ade = np.cumsum(err.reshape(k, p * t), axis=1)[:, -1] / (p * t)
     fde = np.cumsum(err[:, :, -1], axis=1)[:, -1] / p
     return ade, fde
+
+
+def _candidates(dist: np.ndarray) -> np.ndarray | None:
+    """The samples, in order, whose filter sums certify that they hold the
+    first smallest ADE of the (2, K, P, T) error magnitudes ``dist``, or
+    None where the certificate does not apply (see `best_of_k`)."""
+    k, p, t = dist.shape[1:]
+    n = p * t
+    if k == 1 or n > _CERTIFIED_POINTS:
+        return None
+    filt = np.square(dist[0])
+    filt += np.square(dist[1])
+    low, high = _FILTER_RANGE
+    if not (low <= filt.min() and filt.max() <= high):
+        return None
+    sums = np.add.reduce(np.sqrt(filt, out=filt).reshape(k, n), axis=1)
+    return np.flatnonzero(sums <= sums.min() * (1.0 + (4 * n + 16) * _UNIT_ROUNDOFF))
 
 
 def ade_fde(pred_abs: np.ndarray, truth_abs: np.ndarray) -> tuple[float, float]:
@@ -285,9 +315,10 @@ def ade_fde(pred_abs: np.ndarray, truth_abs: np.ndarray) -> tuple[float, float]:
 
     The scalar double loop: `math.hypot` of each point's error, summed as
     Python floats agent-major, then frame, in sequence, so the pair
-    equals `_displacement_errors` of the one prediction bit for bit. For
-    one prediction, as an online step scores, this is cheaper than
-    `_hypot`, whose few dozen numpy calls cost about the same at any size.
+    equals `_displacement_errors` of the one prediction's error planes bit
+    for bit. For one prediction, as an online step scores, this is cheaper
+    than `_hypot`, whose few dozen numpy calls cost about the same at any
+    size.
     """
     pred_abs = np.asarray(pred_abs, dtype=np.float64)
     truth_abs = np.asarray(truth_abs, dtype=np.float64)
@@ -307,11 +338,54 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     s = 0..K-1 and keeping a sample only when its ADE is strictly smaller
     than the best so far: ties go to the first sample, a NaN ADE is never
     taken after sample 0, and a NaN at sample 0 is never replaced. The
-    K x P x T point errors come from one `_hypot` call, and the pick is
-    `argmin` with NaN read as +inf, which is what `nanargmin` runs.
+    pick is `argmin` with NaN read as +inf, which is what `nanargmin` runs.
+
+    The exact scorer (`_hypot`, then the in-order sum) runs only on the
+    samples a cheap filter cannot rule out. The filter sums each sample's
+    plain ``sqrt(dx*dx + dy*dy)`` distances into F, and the candidates
+    are the samples with F <= min(F) (1 + (4n + 16)u), n = P T and
+    u = 2**-53. They hold the scan's pick s:
+
+    - Point. Where a point's computed dx*dx + dy*dy lies in [2**-1000,
+      2**1000], the larger square is normal, as it is at least half of
+      that, and the smaller loses at most 2**-74 of it to underflow; so
+      the filter's distance is within 2.5u of the true length. `_hypot`'s
+      is within one ulp, 2u.
+    - Sum. A sum of n non-negative terms, in any order, carries at most
+      (n - 1)u relative error to first order. So F = S (1 + f) and the
+      exact sum E = S (1 + e), S the true sum, |f| <= (n + 1.5)u and
+      |e| <= (n + 1)u.
+    - Pick. ADE is the rounded E / n, monotone in E. For j with the
+      smallest F, ADE_s <= ADE_j gives E_s <= E_j (1 + 2u), as equal
+      roundings lie within an ulp; exact ties are the case of equality.
+      Then F_s <= F_j (1 + 2u)(1 + f)(1 + e) / ((1 - f)(1 - e)), which is
+      F_j (1 + (4n + 7)u) to first order. Rounding 1 + margin and its
+      product with F_j costs 2u more, and the 7u left over bounds the
+      second-order terms while n <= 2**26.
+
+    So the first smallest exact ADE among the candidates is the scan's.
+    A fixed margin would not hold: 1e-12 is below (4n + 16)u once n
+    passes about 2250. Every sample is scored exactly, as the scan does,
+    when K is 1, n exceeds 2**26, or a point's dx*dx + dy*dy is zero,
+    non-finite or outside that range; so NaN and inf keep their meaning,
+    and each NaN point costs one `math.hypot` call. The errors are taken
+    once, as the magnitudes of the sample planes minus the truth's, and
+    the range check, the filter and `_hypot` all read them.
+    A truth that does not match the field raises DimensionError before
+    any draw.
     """
+    truth = np.asarray(truth_abs, dtype=np.float64)
+    # Before any draw. The samples are checked again below: a substitute
+    # sampler, as tests patch in, need not take a field.
+    if isinstance(field, GaussianField):
+        t, p = field.mu.shape[1:3]
+        _check_trajectories((p, t, 2), truth.shape)
     samples = sample_trajectories(field, k, seed, origin_abs)
-    ade, fde = _displacement_errors(samples, np.asarray(truth_abs, dtype=np.float64))
+    _check_trajectories(samples.shape[1:], truth.shape)
+    dist = samples.transpose(3, 0, 1, 2) - truth.transpose(2, 0, 1)[:, None]
+    np.abs(dist, out=dist)
+    rows = _candidates(dist)
+    ade, fde = _displacement_errors(dist if rows is None else dist[:, rows])
     nan = np.isnan(ade)
     best = 0 if nan[0] else int(np.argmin(np.where(nan, np.inf, ade)))
     return MetricReport(ade=float(ade[best]), fde=float(fde[best]))

@@ -21,6 +21,9 @@ is one ``tensor.conv2d`` record and the whole residual stack another.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -36,17 +39,22 @@ def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
     return T.conv2d(features, kernel)
 
 
-def _check_stack(x_shape: tuple[int, ...], kernels: list[T.Tensor],
-                 slopes: list[T.Tensor]) -> None:
-    if not kernels or len(kernels) != len(slopes):
-        raise ConfigError(f"need one kernel and one slope per layer, got {len(kernels)} and {len(slopes)}")
-    for idx, kernel in enumerate(kernels):
-        T.check_conv(x_shape, kernel.shape, f"stack layer {idx}")
-        if kernel.shape[0] != kernel.shape[1]:
-            raise DimensionError(f"stack layer {idx}: the residual needs a square kernel, got {kernel.shape}")
-    for idx, slope in enumerate(slopes):
-        if slope.data.size != 1:
-            raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {slope.shape}")
+# Parameters never change shape, so a stack sees a handful of signatures
+# (one per batch and agent count); each is validated once. A signature
+# that fails raises every time, since lru_cache keeps no exceptions.
+@functools.lru_cache(maxsize=128)
+def _check_stack(x_shape: tuple[int, ...], kernel_shapes: tuple[tuple[int, ...], ...],
+                 slope_shapes: tuple[tuple[int, ...], ...]) -> None:
+    if not kernel_shapes or len(kernel_shapes) != len(slope_shapes):
+        raise ConfigError(f"need one kernel and one slope per layer, got {len(kernel_shapes)} "
+                          f"and {len(slope_shapes)}")
+    for idx, shape in enumerate(kernel_shapes):
+        T.check_conv(x_shape, shape, f"stack layer {idx}")
+        if shape[0] != shape[1]:
+            raise DimensionError(f"stack layer {idx}: the residual needs a square kernel, got {shape}")
+    for idx, shape in enumerate(slope_shapes):
+        if math.prod(shape) != 1:
+            raise DimensionError(f"stack layer {idx}: slope must be a scalar, got {shape}")
 
 
 class StackStore:
@@ -93,7 +101,8 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
     from that store overwrites this one's block and arrays.
     """
     x0 = T.as_tensor(x0)
-    _check_stack(x0.shape, kernels, slopes)
+    _check_stack(x0.shape, tuple([kernel.shape for kernel in kernels]),
+                 tuple([slope.shape for slope in slopes]))
     n, c, h, w = x0.shape
     k = c * w
     n_layers = len(kernels)

@@ -238,6 +238,32 @@ def test_hedge_update_equal_losses_is_identity():
     assert np.allclose(updated.w, state.w, atol=1e-12)
 
 
+def hedge_update_by_methods(state, losses):
+    """`hedge_update`'s weights written with the ndarray min, max and sum
+    methods, as the update was first written."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if not np.all(np.isfinite(losses)):
+        return state.w.copy()
+    spread = losses.max() - losses.min()
+    normalised = (losses - losses.min()) / spread if spread > 0 else np.zeros_like(losses)
+    w = np.maximum(state.w * np.power(state.beta, normalised), state.smoothing / state.w.size)
+    return w / w.sum()
+
+
+def test_hedge_update_equals_the_method_expressions_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = [rng.uniform(0.0, 10.0, 5) for _ in range(300)]
+    cases += [rng.integers(0, 3, 5).astype(float) for _ in range(50)]  # ties
+    cases += [np.full(5, 2.5), np.array([0.0, 0.0, 0.0, 0.0, 5e-324]),
+              np.array([1.0, math.nan, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, math.inf, 3.0, 4.0]),
+              np.array([-math.inf, 2.0, 1.0, 3.0, 4.0]), np.array([-1e307, 1e307, 0.0, 1.0, 2.0])]
+    state = HedgeState(w=rng.dirichlet(np.ones(5)), beta=0.7, smoothing=0.05)
+    for losses in cases:
+        want = hedge_update_by_methods(state, losses)
+        state = hedge_update(state, losses)
+        assert np.array_equal(state.w.view(np.int64), want.view(np.int64))
+
+
 def test_hedge_update_nonfinite_losses_leave_weights():
     state = HedgeState.uniform(3)
     updated = hedge_update(state, [0.1, float("nan"), 0.3])

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -743,6 +745,128 @@ def test_best_of_k_takes_the_first_minimum_and_skips_nan(monkeypatch):
         report = best_of_k(None, truth, len(samples), seed=0, origin_abs=None)
         assert np.array_equal([report.ade, report.fde], want, equal_nan=True)
         assert np.array_equal(want, loop_best_of_k(samples, truth), equal_nan=True)
+
+
+# Below half an ulp of 1.0, so adding one to a running sum of 1.0 rounds
+# back to 1.0: an in-order sum of [1.0] + [_STUCK] * m stays 1.0, while
+# the true sum, and so any accurate filter, grows by m * _STUCK.
+_STUCK = 2.0 ** -53 - 2.0 ** -63
+
+
+def near_tie_samples(k, p, t, order):
+    """(k, p, t, 2) x-only point errors against a zero truth: sample
+    ``order[0]`` has an exact sum of 1.0 and a true sum of
+    1 + (p t - 1) _STUCK; sample ``order[1]`` has an exact sum 4 ulps
+    above 1.0 and a true sum barely above that; the rest lie far away."""
+    samples = np.zeros((k, p * t, 2))
+    samples[:, :, 0] = 2.0
+    stuck, sharp = order
+    samples[stuck, :, 0] = _STUCK
+    samples[stuck, 0, 0] = 1.0
+    samples[sharp, :, 0] = 2.0 ** -60
+    samples[sharp, 0, 0] = 1.0 + 4 * 2.0 ** -52
+    return samples.reshape(k, p, t, 2)
+
+
+def exact_and_true_sums(sample):
+    """The in-order sum of a sample's `math.hypot` point errors, as the
+    ADE takes it, and their correctly rounded sum."""
+    err = list(map(math.hypot, sample[..., 0].ravel().tolist(), sample[..., 1].ravel().tolist()))
+    return functools.reduce(operator.add, err), math.fsum(err)
+
+
+def test_best_of_k_lets_the_exact_order_decide_near_ties(monkeypatch):
+    # At the eval shape the true lengths put one sample first and the
+    # exact in-order sums the other; the exact order is what the scan
+    # reports, in either position, and an exact tie goes to the first.
+    truth = np.zeros((12, 12, 2))
+    for order in ((7, 3), (3, 7)):
+        samples = near_tie_samples(20, 12, 12, order)
+        stuck_exact, stuck_true = exact_and_true_sums(samples[order[0]])
+        sharp_exact, sharp_true = exact_and_true_sums(samples[order[1]])
+        assert stuck_exact < sharp_exact and stuck_true > sharp_true
+        monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
+        report = best_of_k(None, truth, 20, seed=0, origin_abs=None)
+        want = loop_best_of_k(samples, truth)
+        assert (report.ade, report.fde) == want == ade_fde(samples[order[0]], truth)
+    tie = near_tie_samples(2, 12, 12, (0, 1))
+    tie[1, 0, 0, 0] = 1.0
+    assert exact_and_true_sums(tie[0])[0] == exact_and_true_sums(tie[1])[0]
+    monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: tie)
+    report = best_of_k(None, truth, 2, seed=0, origin_abs=None)
+    assert (report.ade, report.fde) == ade_fde(tie[0], truth) != ade_fde(tie[1], truth)
+
+
+def test_best_of_k_keeps_the_exact_minimum_on_a_long_horizon(monkeypatch):
+    # P T = 12000: the two samples' ADEs are 4 ulps apart, but their true
+    # sums differ by more than 1e-12 the other way, so a margin fixed at
+    # 1e-12 would drop the exact minimum.
+    samples = near_tie_samples(2, 12, 1000, (1, 0))
+    truth = np.zeros((12, 1000, 2))
+    (stuck_exact, stuck_true), (sharp_exact, sharp_true) = map(exact_and_true_sums, samples[::-1])
+    assert stuck_exact < sharp_exact and stuck_true / sharp_true - 1.0 > 1e-12
+    monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
+    report = best_of_k(None, truth, 2, seed=0, origin_abs=None)
+    assert (report.ade, report.fde) == ade_fde(samples[1], truth) == loop_best_of_k(samples, truth)
+
+
+def test_best_of_k_scores_only_the_candidates_exactly(monkeypatch):
+    widths = []
+    hypot = gaussian._hypot
+
+    def counted(planes):
+        widths.append(planes.shape[1])
+        return hypot(planes)
+
+    monkeypatch.setattr(gaussian, "_hypot", counted)
+    field, rng = random_field(t=12, p=12, seed=20)
+    truth = rng.normal(size=(12, 12, 2))
+    origin = np.zeros((12, 2))
+    best_of_k(field, truth, 20, seed=3, origin_abs=origin)
+    best_of_k(field, truth, 1, seed=3, origin_abs=origin)
+    assert widths == [1, 1]
+    # The fallback: a point with no error, a NaN, an infinity, and squared
+    # lengths just outside [2**-1000, 2**1000] each make every sample exact.
+    drawn = sample_trajectories(field, 20, seed=3, origin_abs=origin)
+    for point in ([truth[4, 7, 0], truth[4, 7, 1]], [np.nan, 0.0], [np.inf, 0.0],
+                  [truth[4, 7, 0] + 2.0 ** 501, 0.0], [2.0 ** -501, -(2.0 ** -502)]):
+        samples, target = drawn.copy(), truth.copy()
+        if point[0] == 2.0 ** -501:
+            target[4, 7] = 0.0
+        samples[5, 4, 7] = point
+        monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
+        widths.clear()
+        report = best_of_k(None, target, 20, seed=3, origin_abs=None)
+        assert widths == [20]
+        assert np.array_equal([report.ade, report.fde], loop_best_of_k(samples, target),
+                              equal_nan=True)
+
+
+def test_best_of_k_equals_the_loop_byte_for_byte_at_the_eval_shape():
+    for seed in range(200):
+        field, rng = random_field(t=12, p=12, seed=1000 + seed)
+        origin = rng.normal(size=(12, 2))
+        truth = origin[:, None] + np.cumsum(rng.normal(size=(12, 12, 2)) * 0.5, axis=1)
+        report = best_of_k(field, truth, 20, seed=seed, origin_abs=origin)
+        want = loop_best_of_k(sample_trajectories(field, 20, seed, origin), truth)
+        assert np.array([report.ade, report.fde]).tobytes() == np.array(want).tobytes()
+
+
+def test_a_mismatched_origin_or_truth_raises_before_any_draw(monkeypatch):
+    field, _ = random_field(seed=11)
+    draws = []
+    monkeypatch.setattr(Xorshift64Star, "normal_pairs", lambda self, n: draws.append(n))
+    for origin in (np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(5)):
+        with pytest.raises(DimensionError, match="origin"):
+            sample_trajectories(field, 2, seed=1, origin_abs=origin)
+        with pytest.raises(DimensionError, match="origin"):
+            best_of_k(field, np.zeros((3, 4, 2)), 2, seed=1, origin_abs=origin)
+        with pytest.raises(DimensionError, match="origin"):
+            mu_trajectory(field, origin)
+    for truth in (np.zeros((3, 5, 2)), np.zeros((4, 4, 2)), np.zeros((3, 4, 3)), np.zeros((3, 4))):
+        with pytest.raises(DimensionError):
+            best_of_k(field, truth, 2, seed=1, origin_abs=np.zeros((3, 2)))
+    assert draws == []
 
 
 def test_restore_ratio_hand_cases():

@@ -147,21 +147,24 @@ def test_stack_shape_checks_raise_what_conv2d_raised():
     def kernels(*deeper):
         return [T.Tensor(np.zeros((12, 12, 1, 3)))] + [T.Tensor(np.zeros(s)) for s in deeper]
 
-    with pytest.raises(DimensionError, match="rank 4"):
-        stack_forward(T.Tensor(np.zeros((12, 3, 5))), kernels((12, 12, 1, 3)), slopes)
-    with pytest.raises(DimensionError, match="rank 4"):
-        stack_forward(x0, kernels((12, 12, 3)), slopes)
-    with pytest.raises(DimensionError, match="1x3"):
-        stack_forward(x0, kernels((12, 12, 3, 3)), slopes)
-    with pytest.raises(DimensionError, match="input channels"):
-        stack_forward(x0, kernels((12, 11, 1, 3)), slopes)
-    with pytest.raises(DimensionError, match="square"):
-        stack_forward(T.Tensor(np.zeros((1, 11, 3, 5))), [T.Tensor(np.zeros((12, 11, 1, 3)))],
-                      slopes[:1])
-    with pytest.raises(DimensionError, match="scalar"):
-        stack_forward(x0, kernels(), [T.Tensor(np.full(12, 0.25))])
-    with pytest.raises(ConfigError):
-        stack_forward(x0, kernels((12, 12, 1, 3)), slopes[:1])
+    # Twice: shapes are validated once per signature, and a signature that
+    # fails must fail again.
+    for _ in range(2):
+        with pytest.raises(DimensionError, match="rank 4"):
+            stack_forward(T.Tensor(np.zeros((12, 3, 5))), kernels((12, 12, 1, 3)), slopes)
+        with pytest.raises(DimensionError, match="rank 4"):
+            stack_forward(x0, kernels((12, 12, 3)), slopes)
+        with pytest.raises(DimensionError, match="1x3"):
+            stack_forward(x0, kernels((12, 12, 3, 3)), slopes)
+        with pytest.raises(DimensionError, match="input channels"):
+            stack_forward(x0, kernels((12, 11, 1, 3)), slopes)
+        with pytest.raises(DimensionError, match="square"):
+            stack_forward(T.Tensor(np.zeros((1, 11, 3, 5))), [T.Tensor(np.zeros((12, 11, 1, 3)))],
+                          slopes[:1])
+        with pytest.raises(DimensionError, match="scalar"):
+            stack_forward(x0, kernels(), [T.Tensor(np.full(12, 0.25))])
+        with pytest.raises(ConfigError):
+            stack_forward(x0, kernels((12, 12, 1, 3)), slopes[:1])
 
 
 def _stack_case(n, p, n_layers, seed, grad_x0=True):
