@@ -114,9 +114,12 @@ def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
 
 
 def plain_output(block: T.Tensor) -> T.Tensor:
-    """The deepest layer, untouched, as one tape record. Its backward
-    scatters the gradient into a zero block, which keeps it bit-identical
-    to the ``getitem`` of ``tests/oracles.py``."""
+    """The deepest layer, untouched, as one tape record. The output owns a
+    copy of it, so a kept prediction does not hold the block's allocation
+    (in `temporal.stack_forward` it also holds every layer's input, conv
+    output and mask) alive. Its backward scatters the gradient into a
+    zero block, which keeps it bit-identical to the ``getitem`` of
+    ``tests/oracles.py``."""
     _check_block(block)
 
     def back(g):
@@ -124,7 +127,7 @@ def plain_output(block: T.Tensor) -> T.Tensor:
         full[:, -1] += g
         T._accumulate(block, full)
 
-    return T._make(block.data[:, -1], (block,), back)
+    return T._make(block.data[:, -1].copy(), (block,), back)
 
 
 @dataclass
@@ -186,7 +189,9 @@ def hedge_update(state: HedgeState, losses) -> HedgeState:
     vector is renormalised. The floored vector sums to at most 1 + s, so
     no weight ends below s/(L(1+s)); renormalising can take a weight
     below s/L itself. Non-finite losses leave the weights untouched
-    (the caller records the health event).
+    (the caller records the health event). Finite losses whose spread
+    overflows are normalised from their halves, so the weights stay
+    finite there too.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape != state.w.shape:
@@ -194,10 +199,14 @@ def hedge_update(state: HedgeState, losses) -> HedgeState:
     if not np.all(np.isfinite(losses)):
         return HedgeState(w=state.w.copy(), beta=state.beta, smoothing=state.smoothing)
     # The reductions the min, max and sum methods run, without their
-    # Python wrappers, and the minimum taken once.
-    low = np.minimum.reduce(losses)
-    spread = np.maximum.reduce(losses) - low
-    if spread > 0:
+    # Python wrappers, and the minimum taken once. The spread is a Python
+    # float difference, which overflows to inf without a warning.
+    low, high = float(np.minimum.reduce(losses)), float(np.maximum.reduce(losses))
+    spread = high - low
+    if spread == np.inf:
+        # Halving is exact for normal values and keeps every difference finite.
+        normalised = (losses * 0.5 - low * 0.5) / (high * 0.5 - low * 0.5)
+    elif spread > 0:
         normalised = (losses - low) / spread
     else:
         normalised = np.zeros_like(losses)

@@ -277,7 +277,7 @@ def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
     init = u[:n * setup].reshape(n, setup)
     if noisy:
         at = (first + 2 * turns[:, None])[..., None] + np.arange(2)
-        noise = spec.noise_std * box_muller(u[at].ravel()).reshape(frames - 1, n, 2)
+        noise = (spec.noise_std * box_muller(u[at].ravel())).T.reshape(frames - 1, n, 2)
 
     if kind == "circle":
         radius = spec.extent / 2.0

@@ -12,6 +12,12 @@ Decoding happens off the tape: a `GaussianField` holds the raw
 one tape primitive with a hand-written backward whose parent is that raw
 tensor, and `layer_nll` scores the hedge head's block of layers in one
 forward-only call of it.
+
+Displacement errors take `math.hypot` of every point and sum the results
+in order as Python floats, one scalar loop that `ade_fde` and
+`best_of_k` share. `best_of_k` runs it only on the samples that a cheap
+whole-array filter, with a margin proven from P·T, cannot rule out as
+the best, so its pick and its bits are those of scoring every sample.
 """
 
 from __future__ import annotations
@@ -177,8 +183,11 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     (mu_x + sx z0, mu_y + rho sy z0 + sy sqrt(max(1 - rho^2, RHO_GUARD)) z1)
     and takes the running sum over frames from the origin.
 
-    The samples are built as (2, K, P, T) x and y planes, so the running
-    sum runs along contiguous rows; the result is their (K, P, T, 2) view.
+    The samples are built on the (2, K, P, T) x and y planes of the
+    draws, `normal_pairs`' planes reshaped, in place: y first, as
+    ``(mu_y + (rho sy) z0) + tail z1`` while z0 still holds its draws,
+    then x. So every operation and the running sum over frames run along
+    contiguous rows; the result is the planes' (K, P, T, 2) view.
     An origin that is not one (x, y) per agent raises DimensionError
     before any draw.
     """
@@ -191,83 +200,28 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     rho = field.rho[0, :, :, 0].T
     p, t = rho.shape
     origin = _origin(origin_abs, p)
-    z = Xorshift64Star(seed).normal_pairs(k * p * t).reshape(k, p, t, 2)
-    z0, z1 = z[..., 0], z[..., 1]
+    planes = Xorshift64Star(seed).normal_pairs(k * p * t).T.reshape(2, k, p, t)
+    z0, z1 = planes
     tail = sigma[1] * np.sqrt(np.maximum(1.0 - rho * rho, RHO_GUARD))
-    planes = np.empty((2, k, p, t))
-    np.add(mu[0], sigma[0] * z0, out=planes[0])
-    np.add(mu[1] + rho * sigma[1] * z0, tail * z1, out=planes[1])
+    # IEEE addition and multiplication commute, so the in-place forms
+    # keep the grouping, and the bits, of mu + (s z).
+    shear = np.multiply(rho * sigma[1], z0)
+    shear += mu[1]
+    z1 *= tail
+    z1 += shear
+    z0 *= sigma[0]
+    z0 += mu[0]
     np.add.accumulate(planes, axis=3, out=planes)
     planes += origin.T[:, None, :, None]
     return planes.transpose(1, 2, 3, 0)
 
 
-# 2**27 + 1: splitting with it leaves halves whose products are exact.
-_VELTKAMP = 134217729.0
-# The larger magnitudes `_hypot` scales by a power of two without loss;
-# 0, subnormals, the top of the range, inf and NaN go to math.hypot.
-_HYPOT_RANGE = (2.0 ** -1021, 1e300)
 # `best_of_k`'s filter certifies its candidates where every point's
 # dx*dx + dy*dy lies in this range and a sample has at most this many
 # points; its docstring derives the bound.
 _FILTER_RANGE = (2.0 ** -1000, 2.0 ** 1000)
 _CERTIFIED_POINTS = 2 ** 26
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi + lo == x, hi holding the top 26 bits (Veltkamp)."""
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _two_sum(total: np.ndarray, frac: np.ndarray, x: np.ndarray):
-    """total + x, with its rounding error added into frac."""
-    new = total + x
-    return new, frac + ((total - new) + x)
-
-
-def _hypot(planes: np.ndarray) -> np.ndarray:
-    """``math.hypot(x, y)`` of every pair of the (2, ...) coordinate
-    planes, bit for bit; ``planes`` is overwritten.
-
-    CPython's two-coordinate ``vector_norm`` (3.10 to 3.13) run on whole
-    arrays: scale both magnitudes by ``2**-e``, ``e`` the `frexp`
-    exponent of the larger; split each, add the exact pieces into a sum
-    from 1.0 with three compensated error terms (Dekker, Numer. Math. 18,
-    1971); take the square root; subtract its split square the same way
-    for one differential correction; unscale. Each step is one IEEE
-    double operation, which numpy rounds as C does. Pairs whose larger
-    magnitude is NaN or outside `_HYPOT_RANGE` go to math.hypot.
-    """
-    a = np.abs(planes, out=planes)
-    big = np.maximum(a[0], a[1])
-    low, high = _HYPOT_RANGE
-    slow = None
-    if not (low <= big.min() and big.max() <= high):
-        slow = ~((big >= low) & (big <= high))
-        slow_values = list(map(math.hypot, a[0][slow].tolist(), a[1][slow].tolist()))
-        a[:, slow] = 0.5
-        big[slow] = 0.5
-    scale = np.ldexp(1.0, -np.frexp(big)[1])
-    hi, lo = _split(a * scale)
-    sq, cross = hi * hi, 2.0 * hi * lo
-    csum, frac1 = _two_sum(1.0, 0.0, sq[0])
-    csum, frac2 = _two_sum(csum, 0.0, cross[0])
-    csum, frac1 = _two_sum(csum, frac1, sq[1])
-    csum, frac2 = _two_sum(csum, frac2, cross[1])
-    frac3 = lo[0] * lo[0] + lo[1] * lo[1]
-    h = np.sqrt((csum - 1.0) + ((frac1 + frac2) + frac3))
-    hi, lo = _split(h)
-    csum, frac1 = _two_sum(csum, frac1, -hi * hi)
-    csum, frac2 = _two_sum(csum, frac2, -2.0 * hi * lo)
-    csum, frac3 = _two_sum(csum, frac3, -lo * lo)
-    x = (csum - 1.0) + ((frac1 + frac2) + frac3)
-    out = (h + x / (2.0 * h)) / scale
-    if slow is not None:
-        out[slow] = slow_values
-    return out
 
 
 def _check_trajectories(pred_shape: tuple[int, ...], truth_shape: tuple[int, ...]) -> None:
@@ -277,26 +231,20 @@ def _check_trajectories(pred_shape: tuple[int, ...], truth_shape: tuple[int, ...
                              f"got {pred_shape} and {truth_shape}")
 
 
-def _displacement_errors(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ADE and FDE, each of shape (K,), from the (2, K, P, T) x and y
-    planes of K predictions' point errors; ``dist`` is overwritten.
-
-    Per-point errors are `_hypot`'s, which are `math.hypot`'s bit for bit
-    (numpy's own hypot rounds some inputs differently), and are summed
-    agent-major, then frame, in sequence (`np.cumsum` adds in order), so
-    each sample's pair equals `ade_fde` of it.
-    """
-    k, p, t = dist.shape[1:]
-    err = _hypot(dist)
-    ade = np.cumsum(err.reshape(k, p * t), axis=1)[:, -1] / (p * t)
-    fde = np.cumsum(err[:, :, -1], axis=1)[:, -1] / p
-    return ade, fde
+def _scores(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float]:
+    """ADE and FDE of one prediction from the (P, T) x and y planes of its
+    point errors: `math.hypot` of each point, summed as Python floats
+    agent-major, then frame, in sequence."""
+    p, t = dx.shape
+    err = list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
+    return (functools.reduce(operator.add, err) / (p * t),
+            functools.reduce(operator.add, err[t - 1::t]) / p)
 
 
 def _candidates(dist: np.ndarray) -> np.ndarray | None:
     """The samples, in order, whose filter sums certify that they hold the
-    first smallest ADE of the (2, K, P, T) error magnitudes ``dist``, or
-    None where the certificate does not apply (see `best_of_k`)."""
+    first smallest ADE of the (2, K, P, T) point errors ``dist``, or None
+    where the certificate does not apply (see `best_of_k`)."""
     k, p, t = dist.shape[1:]
     n = p * t
     if k == 1 or n > _CERTIFIED_POINTS:
@@ -314,20 +262,14 @@ def ade_fde(pred_abs: np.ndarray, truth_abs: np.ndarray) -> tuple[float, float]:
     """Average and final displacement errors over (P, T, 2) trajectories.
 
     The scalar double loop: `math.hypot` of each point's error, summed as
-    Python floats agent-major, then frame, in sequence, so the pair
-    equals `_displacement_errors` of the one prediction's error planes bit
-    for bit. For one prediction, as an online step scores, this is cheaper
-    than `_hypot`, whose few dozen numpy calls cost about the same at any
-    size.
+    Python floats agent-major, then frame, in sequence. `best_of_k` scores
+    its samples with the same loop.
     """
     pred_abs = np.asarray(pred_abs, dtype=np.float64)
     truth_abs = np.asarray(truth_abs, dtype=np.float64)
     _check_trajectories(pred_abs.shape, truth_abs.shape)
-    p, t = truth_abs.shape[:2]
     diff = pred_abs - truth_abs
-    err = list(map(math.hypot, diff[..., 0].ravel().tolist(), diff[..., 1].ravel().tolist()))
-    return (functools.reduce(operator.add, err) / (p * t),
-            functools.reduce(operator.add, err[t - 1::t]) / p)
+    return _scores(diff[..., 0], diff[..., 1])
 
 
 def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
@@ -338,10 +280,11 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     s = 0..K-1 and keeping a sample only when its ADE is strictly smaller
     than the best so far: ties go to the first sample, a NaN ADE is never
     taken after sample 0, and a NaN at sample 0 is never replaced. The
-    pick is `argmin` with NaN read as +inf, which is what `nanargmin` runs.
+    pick is Python's `min` over the scored ADEs, which runs that scan.
 
-    The exact scorer (`_hypot`, then the in-order sum) runs only on the
-    samples a cheap filter cannot rule out. The filter sums each sample's
+    The exact scorer, `ade_fde`'s loop (`math.hypot` per point, then the
+    in-order sum), runs only on the samples a cheap filter cannot rule
+    out. The filter sums each sample's
     plain ``sqrt(dx*dx + dy*dy)`` distances into F, and the candidates
     are the samples with F <= min(F) (1 + (4n + 16)u), n = P T and
     u = 2**-53. They hold the scan's pick s:
@@ -349,8 +292,8 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     - Point. Where a point's computed dx*dx + dy*dy lies in [2**-1000,
       2**1000], the larger square is normal, as it is at least half of
       that, and the smaller loses at most 2**-74 of it to underflow; so
-      the filter's distance is within 2.5u of the true length. `_hypot`'s
-      is within one ulp, 2u.
+      the filter's distance is within 2.5u of the true length.
+      `math.hypot` is within one ulp, 2u.
     - Sum. A sum of n non-negative terms, in any order, carries at most
       (n - 1)u relative error to first order. So F = S (1 + f) and the
       exact sum E = S (1 + e), S the true sum, |f| <= (n + 1.5)u and
@@ -367,10 +310,9 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     A fixed margin would not hold: 1e-12 is below (4n + 16)u once n
     passes about 2250. Every sample is scored exactly, as the scan does,
     when K is 1, n exceeds 2**26, or a point's dx*dx + dy*dy is zero,
-    non-finite or outside that range; so NaN and inf keep their meaning,
-    and each NaN point costs one `math.hypot` call. The errors are taken
-    once, as the magnitudes of the sample planes minus the truth's, and
-    the range check, the filter and `_hypot` all read them.
+    non-finite or outside that range; so NaN and inf keep their meaning.
+    The errors are taken once, as the sample planes minus the truth's,
+    and the range check, the filter and the exact scorer all read them.
     A truth that does not match the field raises DimensionError before
     any draw.
     """
@@ -383,12 +325,11 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     samples = sample_trajectories(field, k, seed, origin_abs)
     _check_trajectories(samples.shape[1:], truth.shape)
     dist = samples.transpose(3, 0, 1, 2) - truth.transpose(2, 0, 1)[:, None]
-    np.abs(dist, out=dist)
     rows = _candidates(dist)
-    ade, fde = _displacement_errors(dist if rows is None else dist[:, rows])
-    nan = np.isnan(ade)
-    best = 0 if nan[0] else int(np.argmin(np.where(nan, np.inf, ade)))
-    return MetricReport(ade=float(ade[best]), fde=float(fde[best]))
+    if rows is None:
+        rows = range(len(samples))
+    ade, fde = min((_scores(dist[0, s], dist[1, s]) for s in rows), key=operator.itemgetter(0))
+    return MetricReport(ade=ade, fde=fde)
 
 
 def restore_ratio(ade_n: float, fde_n: float, ade_base: float, fde_base: float) -> float:

@@ -3,9 +3,11 @@
 One row per online instance, in the order the stream was processed. The
 column order is fixed so downstream tooling can rely on it:
 
-    instance_idx, ade, fde, rr, loss, grad_norm, health,
+    instance_idx, ade, fde, rr, loss, grad_norm, health, pre_norm, clipped,
     e_1..e_L, alpha_1..alpha_L
 
+``pre_norm`` and ``clipped`` (1 or 0) came later: a header without them
+is the earlier layout, which still reads, with None in both fields.
 Cells that do not apply (no base metrics, plain strategy, the gradient
 norm of a step whose loss was not finite) are written as empty strings and
 read back as None. Floats are rendered with ``repr`` so a write/read round
@@ -19,11 +21,13 @@ import csv
 from .errors import ParseError
 from .runtime import StreamRecord
 
-FIXED_COLUMNS = ("instance_idx", "ade", "fde", "rr", "loss", "grad_norm", "health")
+# The fixed columns of the earlier layout, a prefix of the current one's.
+LEGACY_COLUMNS = ("instance_idx", "ade", "fde", "rr", "loss", "grad_norm", "health")
+FIXED_COLUMNS = LEGACY_COLUMNS + ("pre_norm", "clipped")
 
 
-def stream_header(layers: int) -> list[str]:
-    head = list(FIXED_COLUMNS)
+def stream_header(layers: int, fixed: tuple[str, ...] = FIXED_COLUMNS) -> list[str]:
+    head = list(fixed)
     head += [f"e_{i}" for i in range(1, layers + 1)]
     head += [f"alpha_{i}" for i in range(1, layers + 1)]
     return head
@@ -32,6 +36,8 @@ def stream_header(layers: int) -> list[str]:
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -52,7 +58,8 @@ def write_stream_csv(records: list[StreamRecord], path: str, layers: int) -> Non
         writer.writerow(stream_header(layers))
         for rec in records:
             row = [str(rec.instance_idx), _cell(rec.ade), _cell(rec.fde), _cell(rec.rr),
-                   _cell(rec.loss), _cell(rec.grad_norm), rec.health]
+                   _cell(rec.loss), _cell(rec.grad_norm), rec.health,
+                   _cell(rec.pre_norm), _cell(rec.clipped)]
             row += _vector_cells(rec.expert, layers)
             row += _vector_cells(rec.alpha, layers)
             writer.writerow(row)
@@ -65,6 +72,10 @@ def _parse_float(cell: str, row: int, column: str) -> float:
         raise ParseError(f"row {row}: column {column!r} is not a number: {cell!r}") from None
 
 
+def _parse_optional(cell: str, row: int, column: str) -> float | None:
+    return None if cell == "" else _parse_float(cell, row, column)
+
+
 def _parse_index(cell: str, row: int, column: str) -> int:
     value = _parse_float(cell, row, column)
     if not value.is_integer():
@@ -72,20 +83,31 @@ def _parse_index(cell: str, row: int, column: str) -> int:
     return int(value)
 
 
+def _parse_flag(cell: str, row: int, column: str) -> bool | None:
+    if cell == "":
+        return None
+    if cell not in ("0", "1"):
+        raise ParseError(f"row {row}: column {column!r} is not 0 or 1: {cell!r}")
+    return cell == "1"
+
+
 def read_stream_csv(path: str) -> list[StreamRecord]:
-    """Read a stream report back into records; raises ParseError with row numbers."""
+    """Read a stream report, in either layout, back into records; raises
+    ParseError with row numbers."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty report, expected a header row")
     header = rows[0]
-    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise ParseError(f"{path}: unexpected header {header[:len(FIXED_COLUMNS)]}")
-    extra = header[len(FIXED_COLUMNS):]
+    fixed = FIXED_COLUMNS if tuple(header[:len(FIXED_COLUMNS)]) == FIXED_COLUMNS \
+        else LEGACY_COLUMNS
+    if tuple(header[:len(fixed)]) != fixed:
+        raise ParseError(f"{path}: unexpected header {header[:len(fixed)]}")
+    extra = header[len(fixed):]
     if len(extra) % 2 != 0:
         raise ParseError(f"{path}: expert and alpha column counts differ")
     layers = len(extra) // 2
-    expected = stream_header(layers)
+    expected = stream_header(layers, fixed)
     if header != expected:
         raise ParseError(f"{path}: header does not match the fixed layout")
 
@@ -106,13 +128,14 @@ def read_stream_csv(path: str) -> list[StreamRecord]:
             instance_idx=_parse_index(cells["instance_idx"], idx, "instance_idx"),
             ade=_parse_float(cells["ade"], idx, "ade"),
             fde=_parse_float(cells["fde"], idx, "fde"),
-            rr=None if cells["rr"] == "" else _parse_float(cells["rr"], idx, "rr"),
+            rr=_parse_optional(cells["rr"], idx, "rr"),
             loss=_parse_float(cells["loss"], idx, "loss"),
-            grad_norm=(None if cells["grad_norm"] == ""
-                       else _parse_float(cells["grad_norm"], idx, "grad_norm")),
+            grad_norm=_parse_optional(cells["grad_norm"], idx, "grad_norm"),
             health=cells["health"],
             expert=vector(expert_cells, [f"e_{i}" for i in range(1, layers + 1)]),
             alpha=vector(alpha_cells, [f"alpha_{i}" for i in range(1, layers + 1)]),
+            pre_norm=_parse_optional(cells.get("pre_norm", ""), idx, "pre_norm"),
+            clipped=_parse_flag(cells.get("clipped", ""), idx, "clipped"),
         ))
     return records
 

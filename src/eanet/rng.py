@@ -14,6 +14,10 @@ Gaussian values, and what is made from them, follow the platform's libm.
 to them and leaving the same state. `normal_pairs(n)` is the Box-Muller
 step over `uniforms(2n)`: n pairs, each bit for bit one call of the
 scalar `normal_pair` that `tests/oracles.py` keeps as its reference.
+`box_muller` lays them out as (2, n) planes, the first normal of every
+pair in one contiguous row and the second in the other, so callers run
+their arithmetic along whole rows; `normal_pairs` is the (n, 2)
+transpose view of those planes.
 The state update (before the multiply) is linear over GF(2)^64, so
 advancing a state k steps is a 64x64 bit matrix, applied as the xor of
 one table row per 8-bit or 4-bit digit of the state (`_lookup`; jumping
@@ -99,10 +103,11 @@ class Xorshift64Star:
     def normal_pairs(self, n: int) -> np.ndarray:
         """(n, 2) array of the n pairs that n calls of the scalar
         `normal_pair` in `tests/oracles.py` give, bit for bit, leaving the
-        generator in the same state."""
+        generator in the same state. It is the transpose view of
+        `box_muller`'s (2, n) planes, so ``.T`` gives them back contiguous."""
         if n < 0:
             raise ValueError("normal_pairs() needs a non-negative count")
-        return box_muller(self.uniforms(2 * n))
+        return box_muller(self.uniforms(2 * n)).T
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Uses a plain modulo; the tiny bias does not
@@ -119,17 +124,21 @@ class Xorshift64Star:
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
-    """(n, 2) normals from the 2n uniforms ``u``, taken in pairs: the
-    radius from the first (a first uniform of 0 is raised to 2^-53, and
-    ``u`` is changed there) and the angle from the second. The log is
-    `logs`, the values of `math.log`."""
+    """(2, n) planes of normals from the 2n uniforms ``u``, taken in
+    pairs: the radius r from the first (a first uniform of 0 is raised to
+    2^-53, and ``u`` is changed there) and the angle from the second. Row
+    0 holds r cos, row 1 r sin. The log is `logs`, the values of
+    `math.log`; cos and sin are numpy's, as in `unit_vectors`."""
     u1, u2 = u[0::2], u[1::2]
     u1[u1 <= 0.0] = _INV_2_53
     r = np.sqrt(-2.0 * logs(u1))
-    out = unit_vectors(2.0 * math.pi * u2)
+    angles = 2.0 * math.pi * u2
+    out = np.empty((2, len(angles)))
+    np.cos(angles, out=out[0])
+    np.sin(angles, out=out[1])
     # In place: a separate product array raised eval_bok_circle's peak
     # RSS by about 2.6 MB.
-    out *= r[:, None]
+    out *= r
     return out
 
 

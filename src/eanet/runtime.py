@@ -123,7 +123,11 @@ class StreamRecord:
     update applied (None when its loss or norm was not finite); ``health``
     is the first non-normal verdict among the instance's updates, or
     `normal`; ``expert`` and ``alpha`` are per-layer gate means and mix
-    weights for the strategies that have them."""
+    weights for the strategies that have them. ``pre_norm`` is the first
+    update's pre-clip norm, which drives health (NaN when its loss was not
+    finite), and ``clipped`` says whether that update's gradient was
+    scaled down; both are None in a report written before they were
+    recorded."""
 
     instance_idx: int
     ade: float
@@ -134,6 +138,8 @@ class StreamRecord:
     health: str
     expert: tuple[float, ...] | None
     alpha: tuple[float, ...] | None
+    pre_norm: float | None = None
+    clipped: bool | None = None
 
 
 @dataclass
@@ -374,10 +380,10 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                 loss_tensor = nll_loss(gfield, fut_rel)
                 update_loss = loss_tensor.item()
                 pre, applied = _apply_update(model, loss_tensor, update_loss, config)
-                verdict = monitor.observe(pre, update_loss, idx,
-                                          clipped=applied is not None and applied < pre)
+                clipped = applied is not None and applied < pre
+                verdict = monitor.observe(pre, update_loss, idx, clipped=clipped)
                 if update == 0:
-                    loss, grad_norm = update_loss, applied
+                    loss, grad_norm, pre_norm, first_clipped = update_loss, applied, pre, clipped
                 if row_health == "normal":
                     row_health = verdict
                 if applied is None:
@@ -388,7 +394,8 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
 
         records.append(StreamRecord(
             instance_idx=idx, ade=ade, fde=fde, rr=rr, loss=loss,
-            grad_norm=grad_norm, health=row_health, expert=expert, alpha=alpha))
+            grad_norm=grad_norm, health=row_health, expert=expert, alpha=alpha,
+            pre_norm=pre_norm, clipped=first_clipped))
         if progress is not None:
             progress(idx, records[-1])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ def test_hedge_update_equals_the_method_expressions_bit_for_bit():
         want = hedge_update_by_methods(state, losses)
         state = hedge_update(state, losses)
         assert np.array_equal(state.w.view(np.int64), want.view(np.int64))
+
+
+def test_hedge_update_keeps_finite_weights_when_the_loss_spread_overflows():
+    state = HedgeState.uniform(5, beta=0.7, smoothing=0.2)
+    floor = 0.2 / (5 * (1 + 0.2))
+    cases = [[-1e308, 1e308, 0.0, 0.0, 0.0], [1.7976931348623157e308, -1.7976931348623157e308,
+             5e-324, 1.0, -1.0], [1e308, 1e308, -1e308, 2.0, 1e307]]
+    for losses in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            updated = hedge_update(state, losses)
+        assert np.all(np.isfinite(updated.w)) and np.all(updated.w >= floor)
+        assert math.isclose(updated.w.sum(), 1.0, abs_tol=1e-12)
+        # The largest loss is discounted by beta itself, the smallest not at all.
+        assert updated.w[np.argmax(losses)] == updated.w.min()
+        assert updated.w[np.argmin(losses)] == updated.w.max()
 
 
 def test_hedge_update_nonfinite_losses_leave_weights():

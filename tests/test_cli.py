@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -184,11 +185,20 @@ def test_config_digest_is_order_independent():
 def sample_records():
     return [
         StreamRecord(0, 0.5, 0.9, None, 3.25, 0.125, "normal",
-                     (0.1, 0.2, 0.7), (0.0, 0.0, 2.0)),
+                     (0.1, 0.2, 0.7), (0.0, 0.0, 2.0), pre_norm=0.375, clipped=True),
         StreamRecord(1, 0.25, 0.4, 0.8, 3.0, float("nan"), "exploded", None, None),
         StreamRecord(2, 0.75, 1.5, None, float("inf"), None, "exploded",
-                     (0.5, 0.25, 0.25), None),
+                     (0.5, 0.25, 0.25), None, pre_norm=float("nan"), clipped=False),
     ]
+
+
+def legacy_report(path, out):
+    """Rewrite the report at ``path`` to ``out`` in the layout written
+    before the pre_norm and clipped columns, the seventh and eighth."""
+    with open(path, newline="") as fh:
+        rows = [row[:7] + row[9:] for row in csv.reader(fh)]
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def test_stream_csv_round_trip_is_exact(tmp_path):
@@ -198,14 +208,40 @@ def test_stream_csv_round_trip_is_exact(tmp_path):
     assert back[0] == sample_records()[0]
     assert back[1].rr == 0.8 and math.isnan(back[1].grad_norm)
     assert back[1].expert is None and back[1].alpha is None
-    assert back[2] == sample_records()[2]
+    assert back[1].pre_norm is None and back[1].clipped is None
+    assert math.isnan(back[2].pre_norm) and back[2].clipped is False
+    assert dataclasses.replace(back[2], pre_norm=None) == dataclasses.replace(
+        sample_records()[2], pre_norm=None)
+
+
+def test_stream_csv_reads_the_layout_without_pre_norm_and_clipped(tmp_path):
+    path, old = tmp_path / "report.csv", tmp_path / "old.csv"
+    write_stream_csv(sample_records(), str(path), layers=3)
+    legacy_report(path, old)
+    assert old.read_text().splitlines()[0] == ("instance_idx,ade,fde,rr,loss,grad_norm,health,"
+                                               "e_1,e_2,e_3,alpha_1,alpha_2,alpha_3")
+    back = read_stream_csv(str(old))
+    assert [(r.pre_norm, r.clipped) for r in back] == [(None, None)] * 3
+    want = [dataclasses.replace(r, pre_norm=None, clipped=None) for r in sample_records()]
+    assert back[0] == want[0] and back[2] == want[2]
+    assert back[1].rr == 0.8 and math.isnan(back[1].grad_norm)
+
+
+def test_stream_csv_clipped_cells_must_be_flags(tmp_path):
+    path = tmp_path / "report.csv"
+    write_stream_csv(sample_records(), str(path), layers=3)
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",")[7:9] == ["0.375", "1"]
+    path.write_text("\n".join([lines[0], lines[1].replace("0.375,1,", "0.375,yes,")]) + "\n")
+    with pytest.raises(ParseError, match="row 2: column 'clipped'"):
+        read_stream_csv(str(path))
 
 
 def test_stream_csv_column_order(tmp_path):
     path = tmp_path / "report.csv"
     write_stream_csv(sample_records(), str(path), layers=3)
     header = path.read_text().splitlines()[0]
-    assert header == ("instance_idx,ade,fde,rr,loss,grad_norm,health,"
+    assert header == ("instance_idx,ade,fde,rr,loss,grad_norm,health,pre_norm,clipped,"
                       "e_1,e_2,e_3,alpha_1,alpha_2,alpha_3")
 
 
@@ -561,6 +597,21 @@ def test_plot_command_writes_both_svgs(workdir, tmp_path, capsys):
     assert curve_lengths(str(prefix) + ".curves.svg")["ade"] == 12
 
 
+def test_plot_of_a_report_without_pre_norm_and_clipped_is_unchanged(workdir, tmp_path,
+                                                                     capsys):
+    old = tmp_path / "old.csv"
+    legacy_report(workdir / "report.csv", old)
+    figures = []
+    for report in (workdir / "report.csv", old):
+        prefix = tmp_path / report.stem
+        assert cli.main(["plot", "--report", str(report), "--out", str(prefix),
+                         "--base-ade", "0.5", "--base-fde", "0.9"]) == 0
+        figures.append([(tmp_path / (report.stem + suffix)).read_bytes()
+                        for suffix in (".curves.svg", ".experts.svg")])
+    capsys.readouterr()
+    assert figures[0] == figures[1]
+
+
 def test_plot_empty_report_succeeds(tmp_path, capsys):
     report = tmp_path / "empty.csv"
     write_stream_csv([], str(report), layers=2)
@@ -583,6 +634,10 @@ def test_exploded_online_run_round_trips_and_plots(tmp_path, capsys):
     back = read_stream_csv(str(report))
     assert [r.grad_norm for r in back] == [r.grad_norm for r in result.records]
     assert [r.health for r in back] == [r.health for r in result.records]
+    assert [r.clipped for r in back] == [r.clipped for r in result.records]
+    assert np.array_equal([r.pre_norm for r in back], [r.pre_norm for r in result.records],
+                          equal_nan=True)
+    assert any(not math.isfinite(r.pre_norm) for r in back)
     prefix = tmp_path / "fig"
     assert cli.main(["plot", "--report", str(report), "--out", str(prefix)]) == 0
     capsys.readouterr()

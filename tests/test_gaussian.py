@@ -352,7 +352,10 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
         for n in _PAIR_COUNTS:
             scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
             want = np.array([normal_pair(scalar) for _ in range(n)]).reshape(n, 2)
-            assert np.array_equal(batch.normal_pairs(n), want)
+            got = batch.normal_pairs(n)
+            assert np.array_equal(got, want)
+            # The transpose view of box_muller's (2, n) planes.
+            assert got.T.flags.c_contiguous
             assert batch.state == scalar.state
 
 
@@ -512,6 +515,7 @@ def test_sampling_is_bit_identical_to_the_scalar_loop():
         seed = 0 if i == 0 else int(rng.integers(0, 2**63))
         got = sample_trajectories(field, k, seed=seed, origin_abs=origin)
         assert got.shape == (k, p, t, 2)
+        assert got.transpose(3, 0, 1, 2).flags.c_contiguous
         assert np.array_equal(got, loop_sample_trajectories(field, k, seed, origin))
 
 
@@ -609,35 +613,8 @@ def test_ade_fde_point_errors_are_math_hypot():
         assert ade_fde(a, b) == (want, want)
 
 
-def math_hypots(x, y):
-    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
-
-
-def test_numpy_hypot_is_math_hypot_on_a_million_pairs():
-    # Exponents in +-300, the second coordinate within 2**+-60 of the
-    # first (so both, one or neither of the squares matter), every sign.
-    rng = np.random.default_rng(19)
-    for _ in range(4):
-        n = 250_000
-        ex = rng.integers(-300, 301, n)
-        x = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, ex)
-        y = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, ex + rng.integers(-60, 61, n))
-        got = gaussian._hypot(np.stack([x, y]))
-        assert np.array_equal(got.view(np.int64), math_hypots(x, y).view(np.int64))
-
-
-def test_numpy_hypot_is_math_hypot_on_the_edge_table():
-    tiny = 2.0 ** -1074
-    edges = [0.0, -0.0, tiny, -3 * tiny, 1e-310, 2.0 ** -1022, -(2.0 ** -1022) * 1.5,
-             2.0 ** -1021, -(2.0 ** -1021), 1e300, -1e300, 1.7976931348623157e308,
-             math.inf, -math.inf, math.nan, 1.0, -3.0]
-    x, y = (v.ravel() for v in np.meshgrid(edges, edges))
-    got = gaussian._hypot(np.stack([x, y]))
-    # Equal bits: equal values, signs and NaN positions.
-    assert np.array_equal(got.view(np.int64), math_hypots(x, y).view(np.int64))
-
-
-def test_best_of_k_on_finite_samples_never_calls_math_hypot(monkeypatch):
+def counted_hypot(monkeypatch):
+    """The list that every later `math.hypot` call appends its arguments to."""
     calls = []
     hypot = math.hypot
 
@@ -646,18 +623,24 @@ def test_best_of_k_on_finite_samples_never_calls_math_hypot(monkeypatch):
         return hypot(x, y)
 
     monkeypatch.setattr(math, "hypot", counted)
+    return calls
+
+
+def test_best_of_k_on_finite_samples_calls_math_hypot_once_per_candidate_point(monkeypatch):
+    calls = counted_hypot(monkeypatch)
     field, rng = random_field(t=12, p=12, seed=20)
     truth = rng.normal(size=(12, 12, 2))
     best_of_k(field, truth, 20, seed=3, origin_abs=np.zeros((12, 2)))
-    assert calls == []
-    # The counter sees the scalar metric, and one NaN point of a sample.
-    ade_fde(truth + 1.0, truth)
+    # One candidate of 20 samples: one sample's 144 points.
     assert len(calls) == 144
+    # The scalar metric, and a NaN point that makes both samples exact.
+    ade_fde(truth + 1.0, truth)
+    assert len(calls) == 2 * 144
     samples = sample_trajectories(field, 2, seed=3, origin_abs=np.zeros((12, 2)))
     samples[1, 4, 7, 0] = np.nan
     monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
     best_of_k(None, truth, 2, seed=3, origin_abs=None)
-    assert len(calls) == 145
+    assert len(calls) == 4 * 144
 
 
 def test_ade_fde_translation_invariant():
@@ -811,20 +794,14 @@ def test_best_of_k_keeps_the_exact_minimum_on_a_long_horizon(monkeypatch):
 
 
 def test_best_of_k_scores_only_the_candidates_exactly(monkeypatch):
-    widths = []
-    hypot = gaussian._hypot
-
-    def counted(planes):
-        widths.append(planes.shape[1])
-        return hypot(planes)
-
-    monkeypatch.setattr(gaussian, "_hypot", counted)
+    calls = counted_hypot(monkeypatch)
     field, rng = random_field(t=12, p=12, seed=20)
     truth = rng.normal(size=(12, 12, 2))
     origin = np.zeros((12, 2))
     best_of_k(field, truth, 20, seed=3, origin_abs=origin)
+    assert len(calls) == 12 * 12
     best_of_k(field, truth, 1, seed=3, origin_abs=origin)
-    assert widths == [1, 1]
+    assert len(calls) == 2 * 12 * 12
     # The fallback: a point with no error, a NaN, an infinity, and squared
     # lengths just outside [2**-1000, 2**1000] each make every sample exact.
     drawn = sample_trajectories(field, 20, seed=3, origin_abs=origin)
@@ -835,9 +812,9 @@ def test_best_of_k_scores_only_the_candidates_exactly(monkeypatch):
             target[4, 7] = 0.0
         samples[5, 4, 7] = point
         monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
-        widths.clear()
+        calls.clear()
         report = best_of_k(None, target, 20, seed=3, origin_abs=None)
-        assert widths == [20]
+        assert len(calls) == 20 * 12 * 12
         assert np.array_equal([report.ade, report.fde], loop_best_of_k(samples, target),
                               equal_nan=True)
 

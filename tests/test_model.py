@@ -177,6 +177,36 @@ def test_predict_fields_stay_distinct_after_later_forwards():
     assert not np.shares_memory(first.raw.data, second.raw.data)
 
 
+def allocation_bytes(array):
+    """The size of the allocation that ``array`` views, or owns."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+@pytest.mark.parametrize("strategy", ["plain", "ea", "hedge"])
+def test_a_kept_field_does_not_hold_the_stack_alive(strategy):
+    # Each field that eval keeps would otherwise pin the whole stack
+    # allocation: every layer's output, input, conv output and mask.
+    model = small_model(layers=3)
+    hedge = HedgeState.uniform(3) if strategy == "hedge" else None
+    with T.no_grad():
+        field = model.predict_field(toy_instance(agents=4, config=model.config, seed=7),
+                                    strategy, hedge)
+    assert field.raw.shape == (1, 12, 4, GAUSS_CHANNELS)
+    for array in (field.raw.data, field.mu, field.sigma, field.rho):
+        assert allocation_bytes(array) <= field.raw.data.nbytes
+
+
+def test_plain_output_owns_its_copy_of_the_deepest_layer():
+    model = small_model(layers=3)
+    with T.no_grad():
+        field, block, _ = forward_one(model, toy_instance(agents=4, config=model.config, seed=7))
+    assert np.array_equal(field.raw.data, block.data[:, -1])
+    assert not np.shares_memory(field.raw.data, block.data)
+    assert allocation_bytes(field.raw.data) == field.raw.data.nbytes < allocation_bytes(block.data)
+
+
 def test_loss_is_finite_at_init():
     for seed in range(5):
         model = small_model(layers=2, seed=seed)
