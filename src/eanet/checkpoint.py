@@ -12,6 +12,9 @@ Layout of version 2, all little-endian:
         payload                 f32 values, C order
     config digest               32-byte sha256
 
+`load_checkpoint` reads the fields with `struct` at a running offset
+behind one bounds check, so a file cut short anywhere is a truncation.
+
 Version 1 files still load. They differ in two places: each conv kernel
 is stored as its full (C_out, C_in, 3, 3) window, of which the loader
 keeps row 1, the only row the model reads; and a 16-byte RNG block
@@ -124,30 +127,6 @@ def save_checkpoint(model: TrajectoryModel, path: str) -> None:
         fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     """Rebuild the model recorded in ``path``, from a version 1 or 2 file.
 
@@ -162,30 +141,41 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
-    if r.take(4) != MAGIC:
+    pos = 0
+
+    def take(n: int) -> int:  # the offset of the next n bytes: the one bounds check
+        nonlocal pos
+        if pos + n > len(blob):
+            raise CheckpointError(f"truncated checkpoint: wanted {n} bytes at offset {pos}, "
+                                  f"file has {len(blob)}")
+        pos += n
+        return pos - n
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
+
+    if unpack("<4s")[0] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version = r.u32()
+    version, count = unpack("<II")
     if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         try:
-            name = r.take(r.u16()).decode("utf-8")
+            name = unpack(f"<{unpack('<H')[0]}s")[0].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("tensor name is not UTF-8") from None
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
-        payload = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        shape = unpack(f"<{unpack('<B')[0]}I")
+        values = math.prod(shape)
+        payload = np.frombuffer(blob, "<f4", values, take(4 * values)).reshape(shape)
         if name in tensors:
             raise CheckpointError(f"duplicate tensor {name!r}")
         tensors[name] = payload.astype(np.float64)
     if version == 1:
-        r.take(16)
-    digest = r.take(32)
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after checkpoint")
+        take(16)
+    (digest,) = unpack("<32s")
+    if pos != len(blob):
+        raise CheckpointError(f"{len(blob) - pos} trailing bytes after checkpoint")
 
     if META_NAME not in tensors:
         raise CheckpointError(f"checkpoint has no {META_NAME} tensor")

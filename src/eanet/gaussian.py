@@ -317,13 +317,9 @@ def best_of_k(field: GaussianField, truth_abs: np.ndarray, k: int, seed: int,
     any draw.
     """
     truth = np.asarray(truth_abs, dtype=np.float64)
-    # Before any draw. The samples are checked again below: a substitute
-    # sampler, as tests patch in, need not take a field.
-    if isinstance(field, GaussianField):
-        t, p = field.mu.shape[1:3]
-        _check_trajectories((p, t, 2), truth.shape)
+    t, p = field.mu.shape[1:3]
+    _check_trajectories((p, t, 2), truth.shape)
     samples = sample_trajectories(field, k, seed, origin_abs)
-    _check_trajectories(samples.shape[1:], truth.shape)
     dist = samples.transpose(3, 0, 1, 2) - truth.transpose(2, 0, 1)[:, None]
     rows = _candidates(dist)
     if rows is None:

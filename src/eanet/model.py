@@ -25,7 +25,8 @@ matches the plain deepest-layer output that offline training optimised.
 head: the graph convolution, the time-expand conv, the residual stack
 and the head; the caller's NLL is the fifth. Offline training runs it on
 the plain head once per group of same-sized instances, and one backward
-per group, seeded with the group's share of the batch.
+per group, seeded with the group's share of the batch. `predict_field`
+and `predict` run it off the tape, so they leave nothing behind.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution
@@ -150,7 +151,8 @@ class TrajectoryModel:
     and ``.grad`` are views into its flat value and gradient buffers, in
     registry order, and a gradient is zero until a backward writes it.
     Write into the views, never rebind them. ``copy.deepcopy`` and pickle
-    copy the buffers and rebind the views to the copies.
+    copy the buffers and rebind the views to the copies. `forward` records
+    on the tape; `predict_field` and `predict` never do.
     """
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
@@ -195,7 +197,10 @@ class TrajectoryModel:
         the decoded head output, the (N, L, T_pred, P, D) block of all L
         layer outputs, and the `ea` head's trace (None for the others).
         On the tape this is four records, one per stage before the decode;
-        the caller's NLL is the fifth. The block lives in ``store`` if one
+        the caller's NLL is the fifth. Called outside `T.no_grad()`, the
+        records and every array they hold stay on the tape until a
+        `T.backward` runs, so forward-only work goes through `predict_field`
+        or ``no_grad``. The block lives in ``store`` if one
         is given (see `stack_forward`), else in memory of its own. An
         unknown strategy, or `hedge` without a ``hedge_state``, raises
         ConfigError before anything goes on the tape.
@@ -220,16 +225,15 @@ class TrajectoryModel:
 
     def predict_field(self, instance: TrajectoryInstance, strategy: str = "plain",
                       hedge_state=None) -> GaussianField:
-        """The decoded field of one instance, prepared as a chunk of its own."""
+        """The decoded field of one instance, prepared as a chunk of its own
+        and run off the tape."""
         [(_, (x_seq, ahat_seq, _))] = chunked_arrays([instance], self.config, 1)
-        return self.forward(x_seq[None], ahat_seq[None], strategy, hedge_state)[0]
-
-    def predict(self, instance: TrajectoryInstance, strategy: str = "plain",
-                hedge_state=None) -> np.ndarray:
-        """Deterministic (P, T_pred, 2) absolute prediction, off the tape."""
         with T.no_grad():
-            field = self.predict_field(instance, strategy, hedge_state)
-        return mu_trajectory(field, instance.obs_abs[:, -1])
+            return self.forward(x_seq[None], ahat_seq[None], strategy, hedge_state)[0]
+
+    def predict(self, instance: TrajectoryInstance) -> np.ndarray:
+        """Deterministic (P, T_pred, 2) absolute prediction of the plain head."""
+        return mu_trajectory(self.predict_field(instance), instance.obs_abs[:, -1])
 
 
 def toy_instance(agents: int = 3, config: ModelConfig | None = None,

@@ -60,11 +60,10 @@ def _x_position(i: int, n: int) -> float:
     return MARGIN_LEFT + PLOT_W * i / (n - 1)
 
 
-def _polyline(points: list[tuple[float, float]], color: str, css: str, dash: bool = False) -> str:
+def _polyline(points: list[tuple[float, float]], color: str, css: str) -> str:
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    dash_attr = ' stroke-dasharray="5 4"' if dash else ""
     return (f'<polyline class="{css}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash_attr} points="{coords}"/>')
+            f'stroke-width="1.5" points="{coords}"/>')
 
 
 def _tick_labels(lo: float, hi: float, x: int, anchor: str) -> list[str]:

@@ -6,12 +6,15 @@ column order is fixed so downstream tooling can rely on it:
     instance_idx, ade, fde, rr, loss, grad_norm, health, pre_norm, clipped,
     e_1..e_L, alpha_1..alpha_L
 
-``pre_norm`` and ``clipped`` (1 or 0) came later: a header without them
-is the earlier layout, which still reads, with None in both fields.
-Cells that do not apply (no base metrics, plain strategy, the gradient
-norm of a step whose loss was not finite) are written as empty strings and
-read back as None. Floats are rendered with ``repr`` so a write/read round
-trip reproduces the exact values.
+`COLUMNS` is the one statement of the fixed columns: each is named by the
+`StreamRecord` field it holds and carries the parser for its cells, and
+the header, the writer and the reader all walk it. The earlier layout is
+its first seven columns, without ``pre_norm`` and ``clipped``; it still
+reads, with None in both fields. Cells that do not apply (no base
+metrics, plain strategy, the gradient norm of a step whose loss was not
+finite) are written as empty strings and read back as None. Floats are
+rendered with ``repr`` so a write/read round trip reproduces the exact
+values.
 """
 
 from __future__ import annotations
@@ -20,17 +23,6 @@ import csv
 
 from .errors import ParseError
 from .runtime import StreamRecord
-
-# The fixed columns of the earlier layout, a prefix of the current one's.
-LEGACY_COLUMNS = ("instance_idx", "ade", "fde", "rr", "loss", "grad_norm", "health")
-FIXED_COLUMNS = LEGACY_COLUMNS + ("pre_norm", "clipped")
-
-
-def stream_header(layers: int, fixed: tuple[str, ...] = FIXED_COLUMNS) -> list[str]:
-    head = list(fixed)
-    head += [f"e_{i}" for i in range(1, layers + 1)]
-    head += [f"alpha_{i}" for i in range(1, layers + 1)]
-    return head
 
 
 def _cell(value) -> str:
@@ -41,28 +33,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _vector_cells(values, layers: int) -> list[str]:
-    if values is None:
-        return [""] * layers
-    cells = [_cell(float(v)) for v in values]
-    if len(cells) != layers:
-        raise ParseError(f"expected {layers} expert values, got {len(cells)}")
-    return cells
-
-
-def write_stream_csv(records: list[StreamRecord], path: str, layers: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(stream_header(layers))
-        for rec in records:
-            row = [str(rec.instance_idx), _cell(rec.ade), _cell(rec.fde), _cell(rec.rr),
-                   _cell(rec.loss), _cell(rec.grad_norm), rec.health,
-                   _cell(rec.pre_norm), _cell(rec.clipped)]
-            row += _vector_cells(rec.expert, layers)
-            row += _vector_cells(rec.alpha, layers)
-            writer.writerow(row)
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -91,6 +61,35 @@ def _parse_flag(cell: str, row: int, column: str) -> bool | None:
     return cell == "1"
 
 
+# The fixed columns, in order: (StreamRecord field, cell parser).
+COLUMNS = (("instance_idx", _parse_index), ("ade", _parse_float), ("fde", _parse_float),
+           ("rr", _parse_optional), ("loss", _parse_float), ("grad_norm", _parse_optional),
+           ("health", lambda cell, row, column: cell), ("pre_norm", _parse_optional),
+           ("clipped", _parse_flag))
+LEGACY_WIDTH = 7  # the earlier layout's fixed columns are the first seven
+
+
+def stream_header(layers: int, width: int = len(COLUMNS)) -> list[str]:
+    head = [name for name, _ in COLUMNS[:width]]
+    head += [f"e_{i}" for i in range(1, layers + 1)]
+    head += [f"alpha_{i}" for i in range(1, layers + 1)]
+    return head
+
+
+def write_stream_csv(records: list[StreamRecord], path: str, layers: int) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(stream_header(layers))
+        for rec in records:
+            row = [_cell(getattr(rec, name)) for name, _ in COLUMNS]
+            for values in (rec.expert, rec.alpha):
+                cells = [""] * layers if values is None else [_cell(float(v)) for v in values]
+                if len(cells) != layers:
+                    raise ParseError(f"expected {layers} expert values, got {len(cells)}")
+                row += cells
+            writer.writerow(row)
+
+
 def read_stream_csv(path: str) -> list[StreamRecord]:
     """Read a stream report, in either layout, back into records; raises
     ParseError with row numbers."""
@@ -99,44 +98,26 @@ def read_stream_csv(path: str) -> list[StreamRecord]:
     if not rows:
         raise ParseError(f"{path}: empty report, expected a header row")
     header = rows[0]
-    fixed = FIXED_COLUMNS if tuple(header[:len(FIXED_COLUMNS)]) == FIXED_COLUMNS \
-        else LEGACY_COLUMNS
-    if tuple(header[:len(fixed)]) != fixed:
-        raise ParseError(f"{path}: unexpected header {header[:len(fixed)]}")
-    extra = header[len(fixed):]
+    width = len(COLUMNS) if header[:len(COLUMNS)] == stream_header(0) else LEGACY_WIDTH
+    if header[:width] != stream_header(0, width):
+        raise ParseError(f"{path}: unexpected header {header[:width]}")
+    extra = header[width:]
     if len(extra) % 2 != 0:
         raise ParseError(f"{path}: expert and alpha column counts differ")
     layers = len(extra) // 2
-    expected = stream_header(layers, fixed)
-    if header != expected:
+    if header != stream_header(layers, width):
         raise ParseError(f"{path}: header does not match the fixed layout")
 
     records = []
     for idx, row in enumerate(rows[1:], start=2):
-        if len(row) != len(expected):
-            raise ParseError(f"row {idx}: expected {len(expected)} cells, got {len(row)}")
-        cells = dict(zip(expected, row))
-        expert_cells = [cells[f"e_{i}"] for i in range(1, layers + 1)]
-        alpha_cells = [cells[f"alpha_{i}"] for i in range(1, layers + 1)]
-
-        def vector(parts, names):
-            if all(c == "" for c in parts):
-                return None
-            return tuple(_parse_float(c, idx, n) for c, n in zip(parts, names))
-
-        records.append(StreamRecord(
-            instance_idx=_parse_index(cells["instance_idx"], idx, "instance_idx"),
-            ade=_parse_float(cells["ade"], idx, "ade"),
-            fde=_parse_float(cells["fde"], idx, "fde"),
-            rr=_parse_optional(cells["rr"], idx, "rr"),
-            loss=_parse_float(cells["loss"], idx, "loss"),
-            grad_norm=_parse_optional(cells["grad_norm"], idx, "grad_norm"),
-            health=cells["health"],
-            expert=vector(expert_cells, [f"e_{i}" for i in range(1, layers + 1)]),
-            alpha=vector(alpha_cells, [f"alpha_{i}" for i in range(1, layers + 1)]),
-            pre_norm=_parse_optional(cells.get("pre_norm", ""), idx, "pre_norm"),
-            clipped=_parse_flag(cells.get("clipped", ""), idx, "clipped"),
-        ))
+        if len(row) != len(header):
+            raise ParseError(f"row {idx}: expected {len(header)} cells, got {len(row)}")
+        fields = {name: parse(cell, idx, name) for (name, parse), cell in zip(COLUMNS[:width], row)}
+        for field, start in (("expert", width), ("alpha", width + layers)):
+            cells = row[start:start + layers]
+            fields[field] = None if all(c == "" for c in cells) else tuple(
+                _parse_float(c, idx, n) for c, n in zip(cells, header[start:start + layers]))
+        records.append(StreamRecord(**fields))
     return records
 
 

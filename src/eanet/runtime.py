@@ -183,9 +183,7 @@ def sgd_step(arena: T.ParameterArena, lr: float) -> None:
 
 
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
-                  model_config: ModelConfig | None = None,
-                  model: TrajectoryModel | None = None,
-                  progress=None) -> TrainResult:
+                  model_config: ModelConfig | None = None, progress=None) -> TrainResult:
     """Minimise the plain-output NLL with minibatch SGD.
 
     A batch is one averaged gradient step over ``batch_size`` shuffled
@@ -208,8 +206,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     config.validate()
     if not dataset:
         raise DataError("training needs at least one instance")
-    if model is None:
-        model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
+    model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
     prepared = [arrays for _, arrays in chunked_arrays(dataset, model.config, config.batch_size)]
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)

@@ -135,6 +135,17 @@ def test_truncated_file_is_rejected(tmp_path):
                 load_checkpoint(str(path))
 
 
+def test_every_proper_prefix_is_rejected(tmp_path):
+    # Each cut ends inside some field, or between two, so every field
+    # boundary of both versions is a truncation the one bounds check meets.
+    for path in both_versions(tmp_path):
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(path))
+
+
 def test_trailing_bytes_are_rejected(tmp_path):
     for path in both_versions(tmp_path):
         path.write_bytes(path.read_bytes() + b"\x00")

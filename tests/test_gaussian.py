@@ -31,6 +31,13 @@ def random_field(n=1, t=4, p=3, seed=0, scale=0.5):
     return field_from_raw(rng.normal(size=(n, t, p, 5)) * scale), rng
 
 
+def field_like(samples):
+    """A field whose draws have the (K, P, T, 2) shape of ``samples``, for
+    tests that patch in hand-built samples."""
+    _, p, t, _ = samples.shape
+    return field_from_raw(np.zeros((1, t, p, 5)))
+
+
 def test_decode_trivial():
     field = field_from_raw(np.zeros((1, 2, 3, 5)))
     assert np.array_equal(field.mu, np.zeros((1, 2, 3, 2)))
@@ -639,7 +646,7 @@ def test_best_of_k_on_finite_samples_calls_math_hypot_once_per_candidate_point(m
     samples = sample_trajectories(field, 2, seed=3, origin_abs=np.zeros((12, 2)))
     samples[1, 4, 7, 0] = np.nan
     monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
-    best_of_k(None, truth, 2, seed=3, origin_abs=None)
+    best_of_k(field, truth, 2, seed=3, origin_abs=None)
     assert len(calls) == 4 * 144
 
 
@@ -725,7 +732,7 @@ def test_best_of_k_takes_the_first_minimum_and_skips_nan(monkeypatch):
     for samples, want in cases:
         samples = np.stack(samples)
         monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
-        report = best_of_k(None, truth, len(samples), seed=0, origin_abs=None)
+        report = best_of_k(field_like(samples), truth, len(samples), seed=0, origin_abs=None)
         assert np.array_equal([report.ade, report.fde], want, equal_nan=True)
         assert np.array_equal(want, loop_best_of_k(samples, truth), equal_nan=True)
 
@@ -769,14 +776,14 @@ def test_best_of_k_lets_the_exact_order_decide_near_ties(monkeypatch):
         sharp_exact, sharp_true = exact_and_true_sums(samples[order[1]])
         assert stuck_exact < sharp_exact and stuck_true > sharp_true
         monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
-        report = best_of_k(None, truth, 20, seed=0, origin_abs=None)
+        report = best_of_k(field_like(samples), truth, 20, seed=0, origin_abs=None)
         want = loop_best_of_k(samples, truth)
         assert (report.ade, report.fde) == want == ade_fde(samples[order[0]], truth)
     tie = near_tie_samples(2, 12, 12, (0, 1))
     tie[1, 0, 0, 0] = 1.0
     assert exact_and_true_sums(tie[0])[0] == exact_and_true_sums(tie[1])[0]
     monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: tie)
-    report = best_of_k(None, truth, 2, seed=0, origin_abs=None)
+    report = best_of_k(field_like(tie), truth, 2, seed=0, origin_abs=None)
     assert (report.ade, report.fde) == ade_fde(tie[0], truth) != ade_fde(tie[1], truth)
 
 
@@ -789,7 +796,7 @@ def test_best_of_k_keeps_the_exact_minimum_on_a_long_horizon(monkeypatch):
     (stuck_exact, stuck_true), (sharp_exact, sharp_true) = map(exact_and_true_sums, samples[::-1])
     assert stuck_exact < sharp_exact and stuck_true / sharp_true - 1.0 > 1e-12
     monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
-    report = best_of_k(None, truth, 2, seed=0, origin_abs=None)
+    report = best_of_k(field_like(samples), truth, 2, seed=0, origin_abs=None)
     assert (report.ade, report.fde) == ade_fde(samples[1], truth) == loop_best_of_k(samples, truth)
 
 
@@ -813,7 +820,7 @@ def test_best_of_k_scores_only_the_candidates_exactly(monkeypatch):
         samples[5, 4, 7] = point
         monkeypatch.setattr(gaussian, "sample_trajectories", lambda *args: samples)
         calls.clear()
-        report = best_of_k(None, target, 20, seed=3, origin_abs=None)
+        report = best_of_k(field, target, 20, seed=3, origin_abs=None)
         assert len(calls) == 20 * 12 * 12
         assert np.array_equal([report.ade, report.fde], loop_best_of_k(samples, target),
                               equal_nan=True)

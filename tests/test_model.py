@@ -157,6 +157,19 @@ def test_predict_leaves_no_tape_state():
     assert not np.any(model.arena.grad)
 
 
+def test_predict_field_calls_leave_no_tape_records():
+    # A taped record holds its inputs and the stack's whole allocation, so
+    # records left by forward-only calls would pile up without bound.
+    model = small_model(layers=2)
+    inst = toy_instance(agents=3, config=model.config, seed=6)
+    T.tape().clear()
+    for strategy in ("plain", "ea"):
+        for _ in range(500):
+            model.predict_field(inst, strategy)
+    assert len(T.tape()) == 0
+    assert not np.any(model.arena.grad)
+
+
 def test_predict_field_is_valid_distribution():
     model = small_model(layers=2)
     inst = toy_instance(agents=3, config=model.config, seed=6)

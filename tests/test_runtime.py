@@ -76,10 +76,8 @@ def test_train_rejects_empty_dataset():
 
 def test_single_step_descent_for_small_lr():
     inst = toy_set(1, seed0=4)[0]
-    model = small_model(seed=4)
-    before = plain_loss(model, inst)
-    result = train_offline([inst], TrainConfig(epochs=1, batch_size=1, lr=1e-4),
-                           model=model)
+    before = plain_loss(small_model(seed=4), inst)
+    result = train_offline([inst], TrainConfig(epochs=1, batch_size=1, lr=1e-4, seed=4), SMALL)
     after = plain_loss(result.model, inst)
     # The logged epoch loss is measured before the step, so it must equal
     # the hand-computed pre-step loss.
@@ -98,8 +96,8 @@ def test_one_epoch_one_instance_is_one_sgd_step():
                 for name, p in reference.params.items() if p.grad is not None}
     reference.zero_grad()
 
-    trained = train_offline([inst], TrainConfig(epochs=1, batch_size=1, lr=lr),
-                            model=small_model(seed=7)).model
+    trained = train_offline([inst], TrainConfig(epochs=1, batch_size=1, lr=lr, seed=7),
+                            SMALL).model
     for name, want in expected.items():
         assert np.array_equal(trained.params[name].data, want), name
 
