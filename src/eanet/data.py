@@ -21,6 +21,10 @@ T_PRED_DEFAULT = 12
 
 SCENARIO_KINDS = ("oneway", "circle", "stagger")
 
+# Most windows `_window` gathers at once, so that a run's gathered tracks
+# and steps stay small beside the instances' own copies of them.
+RUN_WINDOWS = 256
+
 
 @dataclass
 class RawTrack:
@@ -40,6 +44,12 @@ class TrajectoryInstance:
     ``fut_rel[:, 0]`` is the step from the last observed frame, so the
     cumulative sum of ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds
     ``fut_abs``.
+
+    An instance owns one C-contiguous (P, T_obs + T_pred, 2) track, of
+    which ``obs_abs`` and ``fut_abs`` are views, and one array of its
+    steps (`_steps`), of which ``obs_rel`` and ``fut_rel`` are views. The
+    constructor copies the caller's arrays into a new track, so later
+    writes to them do not reach the instance.
     """
 
     scene_id: str
@@ -51,18 +61,24 @@ class TrajectoryInstance:
     fut_rel: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.obs_abs = np.asarray(self.obs_abs, dtype=np.float64)
-        self.fut_abs = np.asarray(self.fut_abs, dtype=np.float64)
-        if self.obs_abs.ndim != 3 or self.obs_abs.shape[-1] != 2:
-            raise DataError(f"obs_abs must be (P, T, 2), got {self.obs_abs.shape}")
-        if self.fut_abs.shape[0] != self.obs_abs.shape[0] or self.fut_abs.shape[-1] != 2:
-            raise DataError(
-                f"fut_abs {self.fut_abs.shape} inconsistent with obs_abs {self.obs_abs.shape}"
-            )
-        track = np.concatenate([self.obs_abs, self.fut_abs], axis=1)
-        rel = np.zeros_like(track)
-        rel[:, 1:] = np.diff(track, axis=1)
-        self.obs_rel, self.fut_rel = rel[:, :self.t_obs], rel[:, self.t_obs:]
+        obs = np.asarray(self.obs_abs, dtype=np.float64)
+        fut = np.asarray(self.fut_abs, dtype=np.float64)
+        if obs.ndim != 3 or obs.shape[-1] != 2:
+            raise DataError(f"obs_abs must be (P, T, 2), got {obs.shape}")
+        if fut.ndim != 3 or fut.shape[0] != obs.shape[0] or fut.shape[-1] != 2:
+            raise DataError(f"fut_abs {fut.shape} inconsistent with obs_abs {obs.shape}")
+        if 0 in obs.shape or 0 in fut.shape:
+            raise DataError(f"empty obs_abs {obs.shape} or fut_abs {fut.shape}")
+        if len(self.agent_ids) != obs.shape[0]:
+            raise DataError(f"{len(self.agent_ids)} agent ids for {obs.shape[0]} agents")
+        track = np.concatenate([obs, fut], axis=1)
+        self._bind(track, _steps(track), obs.shape[1])
+
+    def _bind(self, track: np.ndarray, steps: np.ndarray, t_obs: int) -> None:
+        """Make the four arrays views of ``track`` and ``steps``, which the
+        instance owns from here on."""
+        self.obs_abs, self.fut_abs = track[:, :t_obs], track[:, t_obs:]
+        self.obs_rel, self.fut_rel = steps[:, :t_obs], steps[:, t_obs:]
 
     @property
     def n_agents(self) -> int:
@@ -90,7 +106,8 @@ class TrajectoryInstance:
 
 def load_scene(path) -> list[RawTrack]:
     """Parse a scene file. Raises ParseError with a 1-based line number on
-    malformed lines and DataError on duplicate (frame, agent) pairs."""
+    malformed lines (non-finite coordinates included) and DataError on
+    duplicate (frame, agent) pairs."""
     tracks: list[RawTrack] = []
     seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8", newline=None) as fh:
@@ -108,6 +125,8 @@ def load_scene(path) -> list[RawTrack]:
             frame_f, agent_f, x, y = values
             if not frame_f.is_integer() or not agent_f.is_integer():
                 raise ParseError(f"{path}: line {lineno}: frame and agent ids must be integers")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"{path}: line {lineno}: non-finite coordinate")
             key = (int(frame_f), int(agent_f))
             if key in seen:
                 raise DataError(f"{path}: duplicate observation for frame {key[0]} agent {key[1]}")
@@ -160,22 +179,49 @@ def _window(coords: np.ndarray, present: np.ndarray, frame_ids: np.ndarray,
     scene whose (frames, agents) mask ``present`` marks the observed entries.
 
     An agent is complete in a window when its cumulative presence count
-    grows by the window's length across it. Each instance gets its own
-    C-contiguous (P, span, 2) copy, with obs_abs and fut_abs views of it.
+    grows by the window's length across it. Windows are cut per run of at
+    most `RUN_WINDOWS` consecutive windows that share one complete-agent
+    set: the run's (count, P, span, 2) tracks are one strided gather of a
+    sliding window over that agent set's frames, and their steps one
+    `_steps` call. Each instance then gets its own C-contiguous copy of
+    its track and of its steps, bound without computing them again.
     """
     span = t_obs + t_pred
     seen = np.zeros((len(frame_ids) + 1, len(agent_ids)), dtype=np.int64)
     np.cumsum(present, axis=0, out=seen[1:])
     complete = seen[span:] - seen[:-span] == span
+    # Run bounds: every window whose agent set differs from the one before,
+    # every RUN_WINDOWS-th window, and the end.
+    edges = np.ones(len(complete) + 1, dtype=bool)
+    edges[1:-1] = (complete[1:] != complete[:-1]).any(axis=1)
+    edges[::RUN_WINDOWS] = True
+    bounds = np.flatnonzero(edges).tolist()
     by_agent = np.ascontiguousarray(coords.transpose(1, 0, 2))
+    starts = frame_ids.tolist()
     instances = []
-    for start in np.flatnonzero(complete.any(axis=1)).tolist():
-        agents = np.flatnonzero(complete[start])
-        block = by_agent[agents, start:start + span]
-        instances.append(TrajectoryInstance(
-            scene_id=scene_id, agent_ids=agent_ids[agents].tolist(),
-            start_frame=int(frame_ids[start]), obs_abs=block[:, :t_obs], fut_abs=block[:, t_obs:]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        agents = np.flatnonzero(complete[lo])
+        if not agents.size:
+            continue
+        ids = agent_ids[agents].tolist()
+        windows = np.lib.stride_tricks.sliding_window_view(
+            by_agent[agents, lo:hi + span - 1], span, axis=1)
+        tracks = np.ascontiguousarray(windows.transpose(1, 0, 3, 2))
+        for track, steps, start in zip(tracks, _steps(tracks), starts[lo:hi]):
+            inst = object.__new__(TrajectoryInstance)
+            inst.scene_id, inst.agent_ids, inst.start_frame = scene_id, list(ids), start
+            inst._bind(track.copy(), steps.copy(), t_obs)
+            instances.append(inst)
     return instances
+
+
+def _steps(track: np.ndarray) -> np.ndarray:
+    """First differences of (..., T, 2) tracks along time: zero at the
+    first frame, then ``x[t + 1] - x[t]``, the values `np.diff` gives."""
+    steps = np.empty_like(track)
+    steps[..., 0, :] = 0.0
+    np.subtract(track[..., 1:, :], track[..., :-1, :], out=steps[..., 1:, :])
+    return steps
 
 
 def load_dataset(paths, t_obs: int = T_OBS_DEFAULT,
@@ -315,6 +361,7 @@ def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
 def frames_for_instances(n: int, t_obs: int = T_OBS_DEFAULT,
                          t_pred: int = T_PRED_DEFAULT) -> int:
     """Frame count needed so windowing yields exactly ``n`` instances."""
+    _check_spans(t_obs, t_pred)
     if n < 1:
         raise ConfigError("instance count must be >= 1")
     return n - 1 + t_obs + t_pred
@@ -328,6 +375,5 @@ def synthetic_instances(spec: SyntheticScenarioSpec, count: int,
     windowed straight from the dense scene."""
     frames = frames_for_instances(count, t_obs, t_pred)
     coords = _scene(spec, frames)
-    _check_spans(t_obs, t_pred)
     return _window(coords, np.ones(coords.shape[:2], dtype=bool), np.arange(frames),
                    np.arange(1, spec.agents + 1), t_obs, t_pred, f"{spec.kind}:{spec.seed}")

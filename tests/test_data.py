@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eanet import data
 from eanet.data import (SCENARIO_KINDS, RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
                         load_scene, synthetic_instances,
@@ -48,6 +49,15 @@ def test_load_scene_reports_line_number(tmp_path):
     path.write_text("0 1.5 1.0 2.0\n")
     with pytest.raises(ParseError):
         load_scene(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_load_scene_rejects_non_finite_coordinates(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    for line in (f"0 2 {bad} 2.0", f"0 2 1.0 {bad}"):
+        path.write_text(f"0 1 1.0 2.0\n{line}\n")
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_scene(path)
 
 
 def test_load_scene_duplicate_observation(tmp_path):
@@ -207,6 +217,13 @@ def test_frames_for_instances_matches_windowing():
         assert len(window_instances(tracks)) == n
 
 
+def test_span_errors_come_before_scene_generation():
+    with pytest.raises(ConfigError, match="t_obs and t_pred"):
+        frames_for_instances(5, 0, 3)
+    with pytest.raises(ConfigError, match="t_obs and t_pred"):
+        synthetic_instances(SyntheticScenarioSpec(), 1, t_obs=-20)
+
+
 def test_synthetic_instances_count_and_agents():
     spec = SyntheticScenarioSpec(kind="stagger", agents=6, seed=2)
     instances = synthetic_instances(spec, 25)
@@ -227,10 +244,18 @@ def test_load_dataset_orders_by_start_then_file(tmp_path):
 
 
 def test_instance_shape_validation():
-    with pytest.raises(DataError):
-        TrajectoryInstance("x", [1], 0, np.zeros((2, 8, 3)), np.zeros((2, 12, 2)))
-    with pytest.raises(DataError):
-        TrajectoryInstance("x", [1], 0, np.zeros((2, 8, 2)), np.zeros((3, 12, 2)))
+    cases = [
+        ([1, 2], (2, 8, 3), (2, 12, 2)),
+        ([1, 2], (2, 8, 2), (3, 12, 2)),
+        ([1, 2], (2, 8, 2), (2, 2)),
+        ([1, 2], (2, 0, 2), (2, 12, 2)),
+        ([1, 2], (2, 8, 2), (2, 0, 2)),
+        ([], (0, 8, 2), (0, 12, 2)),
+        ([1, 2, 3], (2, 8, 2), (2, 12, 2)),
+    ]
+    for agent_ids, obs_shape, fut_shape in cases:
+        with pytest.raises(DataError):
+            TrajectoryInstance("x", agent_ids, 0, np.zeros(obs_shape), np.zeros(fut_shape))
 
 
 def track_bits(tracks):
@@ -267,6 +292,42 @@ def test_scenes_equal_the_per_frame_oracle_bit_for_bit(kind, noise_std, period):
                         instance_fields(oracles.synthetic_instances(spec, count, t_obs, t_pred))
 
 
+def random_scene(rng):
+    """Tracks of a few agents, each present in alternating runs of 1-14
+    frames, over increasing frame ids with steps of 1 to 3, in shuffled
+    order."""
+    frames = int(rng.integers(20, 60))
+    frame_ids = np.cumsum(rng.integers(1, 4, size=frames)) * 10
+    tracks = []
+    for agent in range(1, int(rng.integers(1, 6)) + 1):
+        lengths = rng.integers(1, 15, size=frames)
+        runs = np.repeat(np.arange(frames) % 2 == 0, lengths)[:frames]
+        present = runs if rng.integers(2) else ~runs
+        tracks += [RawTrack(int(f), agent, float(rng.normal()), float(rng.normal()))
+                   for f in frame_ids[present]]
+    return [tracks[i] for i in rng.permutation(len(tracks))]
+
+
+@pytest.mark.parametrize("run_windows", [data.RUN_WINDOWS, 1, 3])
+def test_random_scene_windows_equal_the_oracle(monkeypatch, run_windows):
+    monkeypatch.setattr(data, "RUN_WINDOWS", run_windows)
+    rng = np.random.default_rng(27)
+    recurred = gapped = False
+    for _ in range(40):
+        tracks = random_scene(rng)
+        frames = sorted({t.frame_id for t in tracks})
+        for t_obs, t_pred in ((1, 1), (2, 3), (3, 1), (4, 4)):
+            want = oracles.window_instances(tracks, t_obs, t_pred, "random")
+            assert instance_fields(window_instances(tracks, t_obs, t_pred, "random")) == \
+                instance_fields(want)
+            sets = [tuple(inst.agent_ids) for inst in want]
+            runs = [s for i, s in enumerate(sets) if i == 0 or s != sets[i - 1]]
+            recurred |= len(runs) > len(set(runs))
+            starts = [frames.index(inst.start_frame) for inst in want]
+            gapped |= any(b - a > 1 for a, b in zip(starts, starts[1:]))
+    assert recurred and gapped
+
+
 def test_ragged_scene_windows_equal_the_oracle():
     # Decimated frame ids; agent 4 enters late, agent 2 leaves early and
     # agent 7 has a gap. The input is shuffled, then (frame 30, agent 1)
@@ -287,9 +348,23 @@ def test_ragged_scene_windows_equal_the_oracle():
     assert inst.obs_abs[0, 1].tolist() == [123.5, -7.25]
 
 
+def direct_instances():
+    """Two instances built by the constructor from views of one array."""
+    walk = np.arange(2 * 20 * 2, dtype=np.float64).reshape(2, 20, 2)
+    return [TrajectoryInstance("d", [1, 2], 0, walk[:, :8], walk[:, 8:]),
+            TrajectoryInstance("d", [1, 2], 1, walk[:, :8], walk[:, 8:])]
+
+
+def moved_instances():
+    inst = window_instances(line_tracks(3, 23))[0]
+    return [inst.translated([1.0, -2.0]), inst.recentred()]
+
+
 @pytest.mark.parametrize("make", [
     lambda: synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=3, seed=2), 4),
     lambda: window_instances(line_tracks(3, 23)),
+    direct_instances,
+    moved_instances,
 ])
 def test_each_instance_owns_one_contiguous_block(make):
     instances = make()
@@ -302,3 +377,14 @@ def test_each_instance_owns_one_contiguous_block(make):
     before = second.obs_abs.copy()
     first.obs_abs[:] = -1.0
     assert np.array_equal(second.obs_abs, before)
+    assert first.obs_rel.base is first.fut_rel.base
+    assert not np.shares_memory(first.obs_rel.base, second.obs_rel.base)
+
+
+def test_writes_to_the_callers_arrays_do_not_reach_the_instance():
+    obs, fut = np.ones((2, 8, 2)), np.full((2, 12, 2), 2.0)
+    inst = TrajectoryInstance("c", [1, 2], 0, obs, fut)
+    kept = instance_fields([inst])
+    obs[:] = -1.0
+    fut[:] = -1.0
+    assert instance_fields([inst]) == kept
