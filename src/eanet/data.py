@@ -21,10 +21,6 @@ T_PRED_DEFAULT = 12
 
 SCENARIO_KINDS = ("oneway", "circle", "stagger")
 
-# Most windows `_window` gathers at once, so that a run's gathered tracks
-# and steps stay small beside the instances' own copies of them.
-RUN_WINDOWS = 256
-
 
 @dataclass
 class RawTrack:
@@ -179,39 +175,31 @@ def _window(coords: np.ndarray, present: np.ndarray, frame_ids: np.ndarray,
     scene whose (frames, agents) mask ``present`` marks the observed entries.
 
     An agent is complete in a window when its cumulative presence count
-    grows by the window's length across it. Windows are cut per run of at
-    most `RUN_WINDOWS` consecutive windows that share one complete-agent
-    set: the run's (count, P, span, 2) tracks are one strided gather of a
-    sliding window over that agent set's frames, and their steps one
-    `_steps` call. Each instance then gets its own C-contiguous copy of
-    its track and of its steps, bound without computing them again.
+    grows by the window's length across it. The steps are taken once for
+    the whole scene (`_steps` along frames): inside a complete window every
+    frame is present, so they are the window's own steps, the first one
+    aside, which is zeroed. Each instance gets its own C-contiguous copies
+    of its track and its steps, indexed out of the scene's, and is bound to
+    them without computing them again.
     """
     span = t_obs + t_pred
     seen = np.zeros((len(frame_ids) + 1, len(agent_ids)), dtype=np.int64)
     np.cumsum(present, axis=0, out=seen[1:])
     complete = seen[span:] - seen[:-span] == span
-    # Run bounds: every window whose agent set differs from the one before,
-    # every RUN_WINDOWS-th window, and the end.
-    edges = np.ones(len(complete) + 1, dtype=bool)
-    edges[1:-1] = (complete[1:] != complete[:-1]).any(axis=1)
-    edges[::RUN_WINDOWS] = True
-    bounds = np.flatnonzero(edges).tolist()
     by_agent = np.ascontiguousarray(coords.transpose(1, 0, 2))
+    all_steps = _steps(by_agent)
     starts = frame_ids.tolist()
     instances = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        agents = np.flatnonzero(complete[lo])
-        if not agents.size:
-            continue
-        ids = agent_ids[agents].tolist()
-        windows = np.lib.stride_tricks.sliding_window_view(
-            by_agent[agents, lo:hi + span - 1], span, axis=1)
-        tracks = np.ascontiguousarray(windows.transpose(1, 0, 3, 2))
-        for track, steps, start in zip(tracks, _steps(tracks), starts[lo:hi]):
-            inst = object.__new__(TrajectoryInstance)
-            inst.scene_id, inst.agent_ids, inst.start_frame = scene_id, list(ids), start
-            inst._bind(track.copy(), steps.copy(), t_obs)
-            instances.append(inst)
+    for start in np.flatnonzero(complete.any(axis=1)).tolist():
+        agents = np.flatnonzero(complete[start])
+        frames = slice(start, start + span)
+        steps = all_steps[agents, frames]
+        steps[:, 0] = 0.0
+        inst = object.__new__(TrajectoryInstance)
+        inst.scene_id, inst.agent_ids, inst.start_frame = \
+            scene_id, agent_ids[agents].tolist(), starts[start]
+        inst._bind(by_agent[agents, frames], steps, t_obs)
+        instances.append(inst)
     return instances
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import oracles
-from eanet import data
 from eanet.data import (SCENARIO_KINDS, RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
                         load_scene, synthetic_instances,
@@ -308,9 +307,7 @@ def random_scene(rng):
     return [tracks[i] for i in rng.permutation(len(tracks))]
 
 
-@pytest.mark.parametrize("run_windows", [data.RUN_WINDOWS, 1, 3])
-def test_random_scene_windows_equal_the_oracle(monkeypatch, run_windows):
-    monkeypatch.setattr(data, "RUN_WINDOWS", run_windows)
+def test_random_scene_windows_equal_the_oracle():
     rng = np.random.default_rng(27)
     recurred = gapped = False
     for _ in range(40):
