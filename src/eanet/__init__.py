@@ -5,10 +5,12 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     SyntheticScenarioSpec,
     TrajectoryInstance,
+    frames_for_instances,
     generate_synthetic,
     load_dataset,
     load_scene,
     synthetic_instances,
+    window_instances,
     write_scene,
 )
 from .errors import (
@@ -45,8 +47,9 @@ __all__ = [
     "SyntheticScenarioSpec", "TrainConfig", "TrainResult", "TrainingDiverged",
     "TrajectoryInstance", "TrajectoryModel", "ade_fde", "best_of_k",
     "build_adjacency", "compute_base", "decode_gaussian", "ea_output",
-    "generate_synthetic", "hedge_output", "hedge_update",
+    "frames_for_instances", "generate_synthetic", "hedge_output", "hedge_update",
     "load_checkpoint", "load_dataset", "load_scene", "nll_loss",
     "normalize_adjacency", "plain_output", "restore_ratio", "run_online",
-    "save_checkpoint", "synthetic_instances", "train_offline", "write_scene",
+    "save_checkpoint", "synthetic_instances", "train_offline", "window_instances",
+    "write_scene",
 ]

@@ -149,11 +149,11 @@ def cmd_gen(args) -> int:
     spec = SyntheticScenarioSpec(kind=args.kind, agents=args.agents, speed=args.speed,
                                  noise_std=args.noise, period=args.period,
                                  extent=args.extent, seed=seed)
-    tracks = generate_synthetic(spec, args.frames)
-    write_scene(tracks, args.out)
+    scene = generate_synthetic(spec, args.frames)
+    write_scene(scene, args.out)
     digest = C.config_digest({**dataclasses.asdict(spec), "frames": args.frames})
     _write_manifest(args, args.out, digest, seed, [], [args.out])
-    print(f"wrote {len(tracks)} observations to {args.out}", file=sys.stderr)
+    print(f"wrote {int(scene.present.sum())} observations to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -1,15 +1,20 @@
 """Scene files, trajectory windowing, and synthetic scenario generation.
 
 Scene text format: one observation per line, ``frame_id agent_id x y``,
-whitespace or tab separated, UTF-8, LF or CRLF line endings. Frames are
-windowed over the sorted unique frame sequence; an agent joins a window
-only when it is present at every frame of that window.
+whitespace or tab separated, UTF-8, LF or CRLF line endings. Ids are
+integers within +-2**53, and a (frame, agent) pair is observed at most once.
+Frames are windowed over the sorted unique frame sequence; an agent joins a
+window only when it is present at every frame of that window.
+
+A scene read from a file or generated is one `Scene`: dense positions over
+its sorted frame and agent ids, with a mask of the observed entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -23,11 +28,16 @@ SCENARIO_KINDS = ("oneway", "circle", "stagger")
 
 
 @dataclass
-class RawTrack:
-    frame_id: int
-    agent_id: int
-    x: float
-    y: float
+class Scene:
+    """``frame_ids`` (F,) and ``agent_ids`` (A,) are sorted, unique int64.
+    ``coords[f, a]`` of the (F, A, 2) float64 array is the position of agent
+    ``agent_ids[a]`` at frame ``frame_ids[f]`` where the (F, A) bool mask
+    ``present`` is set, and zero elsewhere."""
+
+    frame_ids: np.ndarray
+    agent_ids: np.ndarray
+    coords: np.ndarray
+    present: np.ndarray
 
 
 @dataclass
@@ -100,67 +110,61 @@ class TrajectoryInstance:
         return self.translated(-centre)
 
 
-def load_scene(path) -> list[RawTrack]:
+def load_scene(path) -> Scene:
     """Parse a scene file. Raises ParseError with a 1-based line number on
-    malformed lines (non-finite coordinates included) and DataError on
-    duplicate (frame, agent) pairs."""
-    tracks: list[RawTrack] = []
-    seen: set[tuple[int, int]] = set()
+    malformed lines (non-finite coordinates and ids beyond +-2**53 included)
+    and DataError on duplicate (frame, agent) pairs."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
+            parts = line.split()
+            if not parts:
                 continue
-            parts = text.split()
             if len(parts) != 4:
                 raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
             try:
-                values = [float(p) for p in parts]
-            except ValueError:
+                frame, agent = _scene_id(parts[0]), _scene_id(parts[1])
+                x, y = float(parts[2]), float(parts[3])
+            except (ValueError, InvalidOperation):
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-            frame_f, agent_f, x, y = values
-            if not frame_f.is_integer() or not agent_f.is_integer():
-                raise ParseError(f"{path}: line {lineno}: frame and agent ids must be integers")
+            if frame is None or agent is None:
+                raise ParseError(f"{path}: line {lineno}: ids must be integers within +-2**53")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(f"{path}: line {lineno}: non-finite coordinate")
-            key = (int(frame_f), int(agent_f))
-            if key in seen:
-                raise DataError(f"{path}: duplicate observation for frame {key[0]} agent {key[1]}")
-            seen.add(key)
-            tracks.append(RawTrack(key[0], key[1], x, y))
-    tracks.sort(key=lambda t: (t.frame_id, t.agent_id))
-    return tracks
+            rows.append((frame, agent, x, y))
+    # Ids within 2**53 are exact in float64.
+    table = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    frame_ids, at_frame = np.unique(table[:, 0].astype(np.int64), return_inverse=True)
+    agent_ids, at_agent = np.unique(table[:, 1].astype(np.int64), return_inverse=True)
+    shape = (len(frame_ids), len(agent_ids))
+    counts = np.bincount(at_frame * shape[1] + at_agent, minlength=shape[0] * shape[1])
+    if counts.max(initial=0) > 1:
+        f, a = divmod(int(counts.argmax()), shape[1])
+        raise DataError(f"{path}: duplicate observation for frame {frame_ids[f]} "
+                        f"agent {agent_ids[a]}")
+    coords = np.zeros(shape + (2,))
+    coords[at_frame, at_agent] = table[:, 2:]
+    return Scene(frame_ids, agent_ids, coords, counts.reshape(shape) > 0)
 
 
-def write_scene(tracks: list[RawTrack], path) -> None:
-    """Write tracks in the scene text format with 6 decimal places."""
+def _scene_id(text: str) -> int | None:
+    """The exact value of an id field written as an integer (or as a float
+    such as ``10.0``), or None if it is not an integer within +-2**53."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = Decimal(text)
+    return int(value) if -2 ** 53 <= value <= 2 ** 53 and value == int(value) else None
+
+
+def write_scene(scene: Scene, path) -> None:
+    """Write a scene's observations in the scene text format, frames in
+    order and agents ascending within each, with 6 decimal places."""
+    frames, agents = np.nonzero(scene.present)
+    rows = zip(scene.frame_ids[frames].tolist(), scene.agent_ids[agents].tolist(),
+               scene.coords[frames, agents].tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in tracks:
-            fh.write(f"{t.frame_id}\t{t.agent_id}\t{t.x:.6f}\t{t.y:.6f}\n")
-
-
-def window_instances(tracks: list[RawTrack], t_obs: int = T_OBS_DEFAULT,
-                     t_pred: int = T_PRED_DEFAULT, scene_id: str = "") -> list[TrajectoryInstance]:
-    """Slide a window of t_obs + t_pred frames over the frame sequence.
-
-    Windows are taken over the sorted unique frame ids (so decimated frame
-    numbering such as 0, 10, 20 still counts as consecutive). Instances are
-    returned in window start order, with their agents sorted; windows with
-    no complete agent are dropped. Of two observations of one (frame,
-    agent) pair, the later one in ``tracks`` is used.
-    """
-    _check_spans(t_obs, t_pred)
-    if not tracks:
-        return []
-    last = {(t.frame_id, t.agent_id): (t.x, t.y) for t in tracks}
-    keys = np.array(list(last))
-    frame_ids, rows = np.unique(keys[:, 0], return_inverse=True)
-    agent_ids, cols = np.unique(keys[:, 1], return_inverse=True)
-    coords = np.zeros((len(frame_ids), len(agent_ids), 2))
-    coords[rows, cols] = list(last.values())
-    present = np.zeros(coords.shape[:2], dtype=bool)
-    present[rows, cols] = True
-    return _window(coords, present, frame_ids, agent_ids, t_obs, t_pred, scene_id)
+        fh.writelines(f"{f}\t{a}\t{x:.6f}\t{y:.6f}\n" for f, a, (x, y) in rows)
 
 
 def _check_spans(t_obs: int, t_pred: int) -> None:
@@ -168,27 +172,28 @@ def _check_spans(t_obs: int, t_pred: int) -> None:
         raise ConfigError("t_obs and t_pred must be positive")
 
 
-def _window(coords: np.ndarray, present: np.ndarray, frame_ids: np.ndarray,
-            agent_ids: np.ndarray, t_obs: int, t_pred: int,
-            scene_id: str) -> list[TrajectoryInstance]:
-    """The instances of ``window_instances`` from a dense (frames, agents, 2)
-    scene whose (frames, agents) mask ``present`` marks the observed entries.
+def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_PRED_DEFAULT,
+                     scene_id: str = "") -> list[TrajectoryInstance]:
+    """Slide a window of t_obs + t_pred frames over the scene's sorted frame
+    ids (so decimated ids such as 0, 10, 20 still count as consecutive).
+    Instances come in window start order, agents sorted; windows with no
+    complete agent are dropped.
 
     An agent is complete in a window when its cumulative presence count
     grows by the window's length across it. The steps are taken once for
     the whole scene (`_steps` along frames): inside a complete window every
-    frame is present, so they are the window's own steps, the first one
-    aside, which is zeroed. Each instance gets its own C-contiguous copies
-    of its track and its steps, indexed out of the scene's, and is bound to
-    them without computing them again.
+    frame is present, so they are the window's own steps, the first aside,
+    which is zeroed. Each instance owns C-contiguous copies of its track and
+    steps, indexed out of the scene's and bound without computing them again.
     """
+    _check_spans(t_obs, t_pred)
     span = t_obs + t_pred
-    seen = np.zeros((len(frame_ids) + 1, len(agent_ids)), dtype=np.int64)
-    np.cumsum(present, axis=0, out=seen[1:])
+    seen = np.zeros((len(scene.frame_ids) + 1, len(scene.agent_ids)), dtype=np.int64)
+    np.cumsum(scene.present, axis=0, out=seen[1:])
     complete = seen[span:] - seen[:-span] == span
-    by_agent = np.ascontiguousarray(coords.transpose(1, 0, 2))
+    by_agent = np.ascontiguousarray(scene.coords.transpose(1, 0, 2))
     all_steps = _steps(by_agent)
-    starts = frame_ids.tolist()
+    starts = scene.frame_ids.tolist()
     instances = []
     for start in np.flatnonzero(complete.any(axis=1)).tolist():
         agents = np.flatnonzero(complete[start])
@@ -197,7 +202,7 @@ def _window(coords: np.ndarray, present: np.ndarray, frame_ids: np.ndarray,
         steps[:, 0] = 0.0
         inst = object.__new__(TrajectoryInstance)
         inst.scene_id, inst.agent_ids, inst.start_frame = \
-            scene_id, agent_ids[agents].tolist(), starts[start]
+            scene_id, scene.agent_ids[agents].tolist(), starts[start]
         inst._bind(by_agent[agents, frames], steps, t_obs)
         instances.append(inst)
     return instances
@@ -207,7 +212,7 @@ def _steps(track: np.ndarray) -> np.ndarray:
     """First differences of (..., T, 2) tracks along time: zero at the
     first frame, then ``x[t + 1] - x[t]``, the values `np.diff` gives."""
     steps = np.empty_like(track)
-    steps[..., 0, :] = 0.0
+    steps[..., :1, :] = 0.0
     np.subtract(track[..., 1:, :], track[..., :-1, :], out=steps[..., 1:, :])
     return steps
 
@@ -217,15 +222,11 @@ def load_dataset(paths, t_obs: int = T_OBS_DEFAULT,
     """Window several scene files into one deterministic instance stream.
 
     Ordering: window start frame first, then the position of the source
-    file in ``paths``, so replays are reproducible.
+    file in ``paths`` (the sort is stable), so replays are reproducible.
     """
-    keyed = []
-    for file_idx, path in enumerate(paths):
-        tracks = load_scene(path)
-        for inst in window_instances(tracks, t_obs, t_pred, scene_id=str(path)):
-            keyed.append(((inst.start_frame, file_idx), inst))
-    keyed.sort(key=lambda pair: pair[0])
-    return [inst for _, inst in keyed]
+    instances = [inst for path in paths
+                 for inst in window_instances(load_scene(path), t_obs, t_pred, str(path))]
+    return sorted(instances, key=lambda inst: inst.start_frame)
 
 
 @dataclass
@@ -266,32 +267,26 @@ class SyntheticScenarioSpec:
             raise ConfigError("circle scenarios need a positive extent")
 
 
-def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> list[RawTrack]:
-    """Deterministically generate tracks for ``frames`` consecutive frames.
+def generate_synthetic(spec: SyntheticScenarioSpec, frames: int) -> Scene:
+    """Deterministically generate the scene of ``frames`` consecutive
+    frames, ids 0..frames-1, with agents 1..n present throughout.
 
     All randomness comes from one xorshift64* stream seeded by
     ``spec.seed``. Draw order: per-agent initial state (in agent order),
     then per frame and per agent the motion update. The uniforms are the
     same on every platform; positions also go through log, cos and sin
     (numpy loops that call the same C library as `math`), so identical
-    specs give byte-identical tracks wherever the C library rounds those
-    alike. Tracks come in frame order, agents 1..n within a
-    frame.
+    specs give byte-identical scenes wherever the C library rounds those
+    alike.
 
-    The scene is computed as whole arrays (`_scene`), value for value what
-    a loop over frames and agents gives: the draws are counted up front
-    and taken in one `uniforms` call; accumulated coordinates go through
-    `np.cumsum`, which adds in order, so each position is still
+    The scene is computed as whole arrays, value for value what a loop over
+    frames and agents gives: the draws are counted up front and taken in
+    one `uniforms` call; accumulated coordinates go through `np.cumsum`,
+    which adds in order, so each position is still
     ``(previous + step) + noise``; and log, cos and sin (`rng.logs`,
     `rng.unit_vectors`) give the values of `math.log`, `math.cos` and
     `math.sin`.
     """
-    return [RawTrack(t, i + 1, x, y) for t, row in enumerate(_scene(spec, frames).tolist())
-            for i, (x, y) in enumerate(row)]
-
-
-def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
-    """(frames, agents, 2) positions of `generate_synthetic`'s scene."""
     spec.validate()
     if frames < 1:
         raise ConfigError("frames must be >= 1")
@@ -321,29 +316,31 @@ def _scene(spec: SyntheticScenarioSpec, frames: int) -> np.ndarray:
         angles = np.empty((frames, n))
         angles[0] = phases
         angles[1:] = phases + directions * omega * later[:, None]
-        out = radius * unit_vectors(angles)
+        coords = radius * unit_vectors(angles)
         if noisy:
-            out[1:] += noise
-        return out
-    start = init[:, :2] * spec.extent
-    if kind == "oneway":
-        moves = np.broadcast_to([spec.speed, 0.0], (frames - 1, n, 2))
+            coords[1:] += noise
     else:
-        # Heading after k turns is headings[k]; frame t has had t // period.
-        turn_at = first[turns]
-        signs = np.where(u[turn_at] < 0.5, 1.0, -1.0)
-        deltas = signs * (math.pi / 4.0 + u[turn_at + 1] * math.pi / 4.0)
-        headings = np.cumsum(np.concatenate([init[None, :, 2] * 2.0 * math.pi, deltas]), axis=0)
-        moves = spec.speed * unit_vectors(headings)[later // spec.period]
-    # Running sums of start, move, noise, move, noise, ...: every other
-    # partial sum is a frame's position.
-    every = 2 if noisy else 1
-    terms = np.empty((1 + every * (frames - 1), n, 2))
-    terms[0] = start
-    terms[1::every] = moves
-    if noisy:
-        terms[2::2] = noise
-    return np.cumsum(terms, axis=0)[::every]
+        if kind == "oneway":
+            moves = np.broadcast_to([spec.speed, 0.0], (frames - 1, n, 2))
+        else:
+            # Heading after k turns is headings[k]; frame t has had t // period.
+            turn_at = first[turns]
+            signs = np.where(u[turn_at] < 0.5, 1.0, -1.0)
+            deltas = signs * (math.pi / 4.0 + u[turn_at + 1] * math.pi / 4.0)
+            headings = np.cumsum(np.concatenate([init[None, :, 2] * 2.0 * math.pi, deltas]),
+                                 axis=0)
+            moves = spec.speed * unit_vectors(headings)[later // spec.period]
+        # Running sums of start, move, noise, move, noise, ...: every other
+        # partial sum is a frame's position.
+        every = 2 if noisy else 1
+        terms = np.empty((1 + every * (frames - 1), n, 2))
+        terms[0] = init[:, :2] * spec.extent
+        terms[1::every] = moves
+        if noisy:
+            terms[2::2] = noise
+        coords = np.cumsum(terms, axis=0)[::every]
+    return Scene(np.arange(frames, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64), coords,
+                 np.ones((frames, n), dtype=bool))
 
 
 def frames_for_instances(n: int, t_obs: int = T_OBS_DEFAULT,
@@ -359,9 +356,6 @@ def synthetic_instances(spec: SyntheticScenarioSpec, count: int,
                         t_obs: int = T_OBS_DEFAULT,
                         t_pred: int = T_PRED_DEFAULT) -> list[TrajectoryInstance]:
     """Generate exactly ``count`` windowed instances of one scenario: the
-    instances `window_instances` makes of `generate_synthetic`'s tracks,
-    windowed straight from the dense scene."""
-    frames = frames_for_instances(count, t_obs, t_pred)
-    coords = _scene(spec, frames)
-    return _window(coords, np.ones(coords.shape[:2], dtype=bool), np.arange(frames),
-                   np.arange(1, spec.agents + 1), t_obs, t_pred, f"{spec.kind}:{spec.seed}")
+    instances `window_instances` makes of `generate_synthetic`'s scene."""
+    scene = generate_synthetic(spec, frames_for_instances(count, t_obs, t_pred))
+    return window_instances(scene, t_obs, t_pred, f"{spec.kind}:{spec.seed}")

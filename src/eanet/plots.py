@@ -94,13 +94,14 @@ def plot_curves(records: list[StreamRecord], path: str,
         err_values += [base.ade, base.fde]
     err_hi = max(err_values) * 1.05 or 1.0
     rr_values = [r.rr for r in finite if r.rr is not None and math.isfinite(r.rr)]
-    rr_hi = max(rr_values) * 1.05 if rr_values else 1.0
+    rr_lo = min([0.0] + rr_values) * 1.05
+    rr_span = max([0.0] + rr_values) * 1.05 - rr_lo or 1.0
 
     def err_y(v: float) -> float:
         return MARGIN_TOP + PLOT_H * (1.0 - v / err_hi)
 
     def rr_y(v: float) -> float:
-        return MARGIN_TOP + PLOT_H * (1.0 - v / rr_hi)
+        return MARGIN_TOP + PLOT_H * (1.0 - (v - rr_lo) / rr_span)
 
     body.append(_polyline([(_x_position(i, n), err_y(r.ade)) for i, r in enumerate(finite)],
                           ADE_COLOR, "ade"))
@@ -113,7 +114,7 @@ def plot_curves(records: list[StreamRecord], path: str,
         x1 = MARGIN_LEFT + PLOT_W
         body.append(f'<line x1="{x1}" y1="{MARGIN_TOP}" x2="{x1}" '
                     f'y2="{MARGIN_TOP + PLOT_H}" stroke="black"/>')
-        body += _tick_labels(0.0, rr_hi, x1 + 8, "start")
+        body += _tick_labels(rr_lo, rr_lo + rr_span, x1 + 8, "start")
     if base is not None:
         for value, css in ((base.ade, "base-ade"), (base.fde, "base-fde")):
             y = err_y(value)
@@ -140,14 +141,14 @@ def plot_expert_strip(records: list[StreamRecord], path: str) -> None:
     """Expert weights per instance; darker green marks the heavier expert."""
     body = _axes("expert weights over the stream")
     rows = [r for r in records if r.expert is not None]
-    if not rows:
+    flat = [v for r in rows for v in r.expert if math.isfinite(v)]
+    if not flat:
         body.append(f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" text-anchor="middle" '
                     f'font-size="13" fill="#666666">no expert data</text>')
         _write(path, body)
         return
 
     layers = len(rows[0].expert)
-    flat = [v for r in rows for v in r.expert if math.isfinite(v)]
     lo, hi = min(flat), max(flat)
     span = hi - lo if hi > lo else 1.0
     cell_w = PLOT_W / len(rows)

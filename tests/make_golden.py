@@ -132,8 +132,11 @@ def _hedge_digest() -> str:
 def _scene_digest(kind: str, noise_std: float, period: int) -> str:
     spec = SyntheticScenarioSpec(kind=kind, agents=3, noise_std=noise_std, period=period,
                                  seed=SCENARIO_KINDS.index(kind) + 1)
-    tracks = generate_synthetic(spec, 30)
-    rows = np.array([(t.frame_id, t.agent_id, t.x, t.y) for t in tracks], dtype=np.float64)
+    scene = generate_synthetic(spec, 30)
+    # (frame, agent, x, y) as float64, frames in order, agents ascending.
+    frames, agents = np.nonzero(scene.present)
+    rows = np.column_stack([scene.frame_ids[frames], scene.agent_ids[agents],
+                            scene.coords[frames, agents]]).astype(np.float64)
     instances = synthetic_instances(spec, 11)
     arrays = [getattr(inst, key).tobytes() for inst in instances
               for key in ("obs_abs", "fut_abs", "obs_rel", "fut_rel")]

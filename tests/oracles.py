@@ -19,9 +19,9 @@ each of its gradients sums over.
 `build_adjacency` is the graph kernel with its pair distances from
 ``np.linalg.norm``, which `graph.build_adjacency` must match bit for bit.
 `generate_synthetic` and `window_instances` are the per-agent, per-frame
-loops that `eanet.data` replaced with whole-array numpy work; tests
-require the data module to give the same tracks and instances bit for
-bit. `normal_pair` is the scalar Box-Muller draw that
+loops that `eanet.data` replaced with whole-array numpy work, over plain
+``(frame, agent, x, y)`` observation tuples; tests require the data
+module's `Scene` and instances to give the same values bit for bit. `normal_pair` is the scalar Box-Muller draw that
 `Xorshift64Star.normal_pairs` and `gaussian.sample_trajectories` are
 checked against.
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from eanet import tensor as T
 from eanet.attention import ExpertTrace
-from eanet.data import RawTrack, TrajectoryInstance
+from eanet.data import TrajectoryInstance
 from eanet.errors import ConfigError, DimensionError
 from eanet.rng import _INV_2_53, Xorshift64Star
 
@@ -298,7 +298,8 @@ def assert_equals_math_map(got, values, fn, fallback):
 
 
 def generate_synthetic(spec, frames):
-    """Tracks of ``frames`` frames, drawn one agent and one frame at a time."""
+    """(frame, agent, x, y) observations of ``frames`` frames, drawn one
+    agent and one frame at a time."""
     spec.validate()
     if frames < 1:
         raise ConfigError("frames must be >= 1")
@@ -323,7 +324,7 @@ def generate_synthetic(spec, frames):
             if spec.kind == "stagger":
                 headings[i] = rng.uniform() * 2.0 * math.pi
 
-    tracks = []
+    rows = []
     for t in range(frames):
         for i in range(n):
             if t > 0:
@@ -343,22 +344,21 @@ def generate_synthetic(spec, frames):
                     positions[i] = positions[i] + spec.noise_std * np.array([nx, ny])
             elif spec.kind == "circle":
                 positions[i] = radius * np.array([math.cos(phases[i]), math.sin(phases[i])])
-            tracks.append(RawTrack(t, i + 1, float(positions[i, 0]), float(positions[i, 1])))
-    return tracks
+            rows.append((t, i + 1, float(positions[i, 0]), float(positions[i, 1])))
+    return rows
 
 
-def window_instances(tracks, t_obs, t_pred, scene_id=""):
-    """Instances of every window over the sorted unique frame ids, found by
-    scanning each agent's frames for each window."""
+def window_instances(rows, t_obs, t_pred, scene_id=""):
+    """Instances of every window over the sorted unique frame ids of
+    (frame, agent, x, y) observations, found by scanning each agent's
+    frames for each window."""
     if t_obs < 1 or t_pred < 1:
         raise ConfigError("t_obs and t_pred must be positive")
-    if not tracks:
-        return []
-    frames = sorted({t.frame_id for t in tracks})
+    frames = sorted({frame for frame, _, _, _ in rows})
     span = t_obs + t_pred
     by_agent = {}
-    for t in tracks:
-        by_agent.setdefault(t.agent_id, {})[t.frame_id] = (t.x, t.y)
+    for frame, agent, x, y in rows:
+        by_agent.setdefault(agent, {})[frame] = (x, y)
     instances = []
     for start in range(len(frames) - span + 1):
         window = frames[start:start + span]
@@ -375,5 +375,5 @@ def window_instances(tracks, t_obs, t_pred, scene_id=""):
 
 def synthetic_instances(spec, count, t_obs, t_pred):
     """The first ``count`` windows of an oracle scene just long enough for them."""
-    tracks = generate_synthetic(spec, count - 1 + t_obs + t_pred)
-    return window_instances(tracks, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")[:count]
+    rows = generate_synthetic(spec, count - 1 + t_obs + t_pred)
+    return window_instances(rows, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")[:count]

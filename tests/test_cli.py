@@ -17,7 +17,7 @@ from eanet.data import SyntheticScenarioSpec
 from eanet.errors import ConfigError, ParseError
 from eanet.gradcheck import run_gradient_checks
 from eanet.model import ModelConfig, TrajectoryModel, toy_instance
-from eanet.plots import plot_curves, plot_expert_strip
+from eanet.plots import MARGIN_TOP, PLOT_H, plot_curves, plot_expert_strip
 from eanet.report import read_stream_csv, write_loss_csv, write_stream_csv
 from eanet.runtime import BaseMetrics, OnlineConfig, StreamRecord, TrainConfig, run_online
 
@@ -619,6 +619,37 @@ def test_plot_empty_report_succeeds(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert ET.parse(str(tmp_path / "fig.curves.svg")).getroot().tag == f"{SVG}svg"
+
+
+@pytest.mark.parametrize("rr, expert", [
+    ((0.0, -0.4, 0.0), (0.3, 0.7)),
+    ((0.2, 0.5, 0.1), (math.nan, math.nan)),
+], ids=["largest_rr_zero", "no_finite_expert_value"])
+def test_plot_of_a_readable_report_writes_both_svgs_and_a_manifest(rr, expert, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    write_stream_csv([StreamRecord(i, 0.5, 0.9, value, 3.0, 0.1, "normal", expert, (0.5, 0.5))
+                      for i, value in enumerate(rr)], str(report), layers=2)
+    prefix = tmp_path / "fig"
+    assert cli.main(["plot", "--report", str(report), "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    for suffix in (".curves.svg", ".experts.svg"):
+        assert ET.parse(str(prefix) + suffix).getroot().tag == f"{SVG}svg"
+    manifest = json.loads((tmp_path / "fig.curves.svg.manifest.json").read_text())
+    assert manifest["command"] == "plot"
+
+
+def test_rr_points_below_zero_stay_inside_the_frame(tmp_path):
+    for rr in ((-0.2, -0.5, -0.8), (-0.8, 0.0, 0.6)):
+        records = [StreamRecord(i, 0.5, 0.9, value, 3.0, 0.1, "normal", None, None)
+                   for i, value in enumerate(rr)]
+        path = tmp_path / "curves.svg"
+        plot_curves(records, str(path))
+        line = next(pl for pl in ET.parse(str(path)).getroot().iter(f"{SVG}polyline")
+                    if pl.get("class") == "rr")
+        heights = [float(point.split(",")[1]) for point in line.get("points").split()]
+        assert all(MARGIN_TOP <= y <= MARGIN_TOP + PLOT_H for y in heights)
+        # A lower rr is drawn lower.
+        assert np.argsort(heights).tolist() == np.argsort(rr)[::-1].tolist()
 
 
 def test_exploded_online_run_round_trips_and_plots(tmp_path, capsys):

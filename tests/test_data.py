@@ -4,35 +4,73 @@ import numpy as np
 import pytest
 
 import oracles
-from eanet.data import (SCENARIO_KINDS, RawTrack, SyntheticScenarioSpec, TrajectoryInstance,
+from eanet.data import (SCENARIO_KINDS, Scene, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
                         load_scene, synthetic_instances,
                         window_instances, write_scene)
 from eanet.errors import ConfigError, DataError, ParseError
 
 
-def line_tracks(agents, frames):
-    tracks = []
-    for f in range(frames):
-        for a in range(1, agents + 1):
-            tracks.append(RawTrack(f, a, 0.5 * f + a, float(a)))
-    return tracks
+def scene_of(rows):
+    """The `Scene` of (frame, agent, x, y) observations, each (frame,
+    agent) pair observed once, in any order."""
+    frame_ids, at_frame = np.unique([r[0] for r in rows], return_inverse=True)
+    agent_ids, at_agent = np.unique([r[1] for r in rows], return_inverse=True)
+    coords = np.zeros((len(frame_ids), len(agent_ids), 2))
+    present = np.zeros(coords.shape[:2], dtype=bool)
+    coords[at_frame, at_agent] = [r[2:] for r in rows]
+    present[at_frame, at_agent] = True
+    return Scene(frame_ids.astype(np.int64), agent_ids.astype(np.int64), coords, present)
+
+
+def scene_rows(scene):
+    """A scene's (frame, agent, x, y) observations as Python numbers, in
+    the order `write_scene` writes them."""
+    frames, agents = np.nonzero(scene.present)
+    return [(f, a, x, y) for f, a, (x, y) in zip(scene.frame_ids[frames].tolist(),
+                                                 scene.agent_ids[agents].tolist(),
+                                                 scene.coords[frames, agents].tolist())]
+
+
+def line_scene(agents, frames):
+    return scene_of([(f, a, 0.5 * f + a, float(a))
+                     for f in range(frames) for a in range(1, agents + 1)])
 
 
 def test_scene_round_trip(tmp_path):
     path = tmp_path / "scene.txt"
-    tracks = [RawTrack(0, 1, 1.25, -3.5), RawTrack(0, 2, 0.0, 0.125), RawTrack(1, 1, 2.0, 4.0)]
-    write_scene(tracks, path)
+    rows = [(0, 1, 1.25, -3.5), (0, 2, 0.0, 0.125), (1, 1, 2.0, 4.0)]
+    write_scene(scene_of(rows), path)
     loaded = load_scene(path)
-    assert [(t.frame_id, t.agent_id, t.x, t.y) for t in loaded] == \
-        [(0, 1, 1.25, -3.5), (0, 2, 0.0, 0.125), (1, 1, 2.0, 4.0)]
+    assert scene_rows(loaded) == rows
+    assert loaded.frame_ids.dtype == loaded.agent_ids.dtype == np.int64
+    assert loaded.present.tolist() == [[True, True], [True, False]]
 
 
 def test_load_scene_accepts_float_formatted_ids_and_crlf(tmp_path):
     path = tmp_path / "scene.txt"
     path.write_bytes(b"0.0\t1.0\t1.000000\t2.000000\r\n10.0 2.0 3.0 4.0\r\n\r\n")
     loaded = load_scene(path)
-    assert [(t.frame_id, t.agent_id) for t in loaded] == [(0, 1), (10, 2)]
+    assert [(f, a) for f, a, _, _ in scene_rows(loaded)] == [(0, 1), (10, 2)]
+
+
+def test_load_scene_rejects_ids_beyond_2_to_the_53(tmp_path):
+    # Parsed through float, frames 2**53 and 2**53 + 1 were one frame, and
+    # the scene windowed into one instance with agents [1, 2].
+    path = tmp_path / "big.txt"
+    path.write_text("9007199254740992 1 0 0\n9007199254740993 2 5 5\n"
+                    "9007199254740994 1 1 1\n9007199254740994 2 6 6\n")
+    with pytest.raises(ParseError, match="line 2: ids must be integers within"):
+        load_scene(path)
+    for big in ("-9007199254740993", "9007199254740993.0", "9.007199254740993e15", "1e400",
+                "1e999999999"):
+        for line in (f"{big} 2 5 5", f"7 {big} 5 5"):
+            path.write_text(f"0 1 0 0\n{line}\n")
+            with pytest.raises(ParseError, match="line 2: ids must be integers within"):
+                load_scene(path)
+    path.write_text("9007199254740992 -9007199254740992.0 0 0\n")
+    loaded = load_scene(path)
+    assert loaded.frame_ids.tolist() == [2 ** 53] and loaded.agent_ids.tolist() == [-2 ** 53]
 
 
 def test_load_scene_reports_line_number(tmp_path):
@@ -48,6 +86,10 @@ def test_load_scene_reports_line_number(tmp_path):
     path.write_text("0 1.5 1.0 2.0\n")
     with pytest.raises(ParseError):
         load_scene(path)
+    for bad in ("nan", "inf", "sNaN"):
+        path.write_text(f"0 1 1.0 2.0\n{bad} 2 1.0 2.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_scene(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -67,17 +109,16 @@ def test_load_scene_duplicate_observation(tmp_path):
 
 
 def test_window_counts():
-    assert len(window_instances(line_tracks(1, 20))) == 1
-    assert len(window_instances(line_tracks(2, 25))) == 6
-    assert len(window_instances(line_tracks(1, 19))) == 0
+    assert len(window_instances(line_scene(1, 20))) == 1
+    assert len(window_instances(line_scene(2, 25))) == 6
+    assert len(window_instances(line_scene(1, 19))) == 0
 
 
 def test_window_requires_full_presence():
-    tracks = line_tracks(1, 40)
+    rows = scene_rows(line_scene(1, 40))
     # Second agent only exists for frames 5..14, never a full 20-frame span.
-    for f in range(5, 15):
-        tracks.append(RawTrack(f, 2, 0.0, 0.0))
-    instances = window_instances(tracks)
+    rows += [(f, 2, 0.0, 0.0) for f in range(5, 15)]
+    instances = window_instances(scene_of(rows))
     assert all(inst.agent_ids == [1] for inst in instances)
 
 
@@ -85,12 +126,9 @@ def test_window_brute_force_presence_scan():
     rng = np.random.default_rng(3)
     frames, span = 40, 20
     presence = rng.random((5, frames)) < 0.9
-    tracks = []
-    for a in range(5):
-        for f in range(frames):
-            if presence[a, f]:
-                tracks.append(RawTrack(f, a + 1, float(f), float(a)))
-    instances = window_instances(tracks)
+    rows = [(f, a + 1, float(f), float(a))
+            for a in range(5) for f in range(frames) if presence[a, f]]
+    instances = window_instances(scene_of(rows))
     by_start = {inst.start_frame: inst.agent_ids for inst in instances}
     for start in range(frames - span + 1):
         expected = [a + 1 for a in range(5) if presence[a, start:start + span].all()]
@@ -101,15 +139,14 @@ def test_window_brute_force_presence_scan():
 
 
 def test_window_decimated_frame_ids():
-    tracks = [RawTrack(10 * f, 1, float(f), 0.0) for f in range(20)]
-    instances = window_instances(tracks)
+    instances = window_instances(scene_of([(10 * f, 1, float(f), 0.0) for f in range(20)]))
     assert len(instances) == 1
     assert instances[0].start_frame == 0
     assert instances[0].obs_abs.shape == (1, 8, 2)
 
 
 def test_instance_relative_arrays():
-    inst = window_instances(line_tracks(2, 20))[0]
+    inst = window_instances(line_scene(2, 20))[0]
     assert np.array_equal(inst.obs_rel[:, 0], np.zeros((2, 2)))
     # The same bits as the separate differences of the observed frames and
     # of the future frames behind the last observed one.
@@ -132,7 +169,7 @@ def test_to_relative_round_trip_within_1e9():
 
 
 def test_instance_translation_helpers():
-    inst = window_instances(line_tracks(2, 20))[0]
+    inst = window_instances(line_scene(2, 20))[0]
     moved = inst.translated([10.0, -5.0])
     assert np.allclose(moved.obs_abs, inst.obs_abs + [10.0, -5.0])
     assert np.allclose(moved.obs_rel, inst.obs_rel)
@@ -143,18 +180,16 @@ def test_instance_translation_helpers():
 def test_oneway_noiseless_is_a_straight_line():
     spec = SyntheticScenarioSpec(kind="oneway", agents=1, speed=0.4,
                                  noise_std=0.0, extent=0.0, seed=1)
-    tracks = generate_synthetic(spec, 10)
-    for t in tracks:
-        assert t.x == pytest.approx(0.4 * t.frame_id, abs=1e-12)
-        assert t.y == pytest.approx(0.0, abs=1e-12)
+    for frame, _, x, y in scene_rows(generate_synthetic(spec, 10)):
+        assert x == pytest.approx(0.4 * frame, abs=1e-12)
+        assert y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_generation_is_deterministic(tmp_path):
     spec = SyntheticScenarioSpec(kind="stagger", agents=4, seed=77)
     a = generate_synthetic(spec, 50)
     b = generate_synthetic(spec, 50)
-    assert [(t.frame_id, t.agent_id, t.x, t.y) for t in a] == \
-        [(t.frame_id, t.agent_id, t.x, t.y) for t in b]
+    assert scene_rows(a) == scene_rows(b)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     write_scene(a, p1)
     write_scene(b, p2)
@@ -164,26 +199,19 @@ def test_generation_is_deterministic(tmp_path):
 def test_circle_chord_length():
     spec = SyntheticScenarioSpec(kind="circle", agents=3, speed=0.5,
                                  noise_std=0.0, extent=10.0, seed=5)
-    tracks = generate_synthetic(spec, 30)
+    scene = generate_synthetic(spec, 30)
     radius, omega = 5.0, 0.1
     want = 2.0 * radius * math.sin(omega / 2.0)
-    by_agent = {}
-    for t in tracks:
-        by_agent.setdefault(t.agent_id, []).append((t.x, t.y))
-    for pts in by_agent.values():
-        arr = np.array(pts)
+    for arr in scene.coords.transpose(1, 0, 2):
         chords = np.linalg.norm(np.diff(arr, axis=0), axis=1)
         assert np.allclose(chords, want, atol=1e-9)
         assert np.allclose(np.linalg.norm(arr, axis=1), radius, atol=1e-9)
 
 
-def heading_dispersion(tracks):
-    by_agent = {}
-    for t in tracks:
-        by_agent.setdefault(t.agent_id, []).append((t.x, t.y))
+def heading_dispersion(scene):
     vecs = []
-    for pts in by_agent.values():
-        steps = np.diff(np.array(pts), axis=0)
+    for pts in scene.coords.transpose(1, 0, 2):
+        steps = np.diff(pts, axis=0)
         keep = np.linalg.norm(steps, axis=1) > 1e-9
         vecs.append(steps[keep] / np.linalg.norm(steps[keep], axis=1, keepdims=True))
     unit = np.concatenate(vecs)
@@ -212,8 +240,7 @@ def test_spec_validation():
 def test_frames_for_instances_matches_windowing():
     for n in (1, 2, 7):
         spec = SyntheticScenarioSpec(kind="oneway", agents=2, seed=n)
-        tracks = generate_synthetic(spec, frames_for_instances(n))
-        assert len(window_instances(tracks)) == n
+        assert len(window_instances(generate_synthetic(spec, frames_for_instances(n)))) == n
 
 
 def test_span_errors_come_before_scene_generation():
@@ -234,8 +261,8 @@ def test_synthetic_instances_count_and_agents():
 def test_load_dataset_orders_by_start_then_file(tmp_path):
     p1 = tmp_path / "s1.txt"
     p2 = tmp_path / "s2.txt"
-    write_scene(line_tracks(1, 21), p1)
-    write_scene(line_tracks(1, 21), p2)
+    write_scene(line_scene(1, 21), p1)
+    write_scene(line_scene(1, 21), p2)
     data = load_dataset([p1, p2])
     assert [inst.start_frame for inst in data] == [0, 0, 1, 1]
     assert data[0].scene_id.endswith("s1.txt")
@@ -257,10 +284,9 @@ def test_instance_shape_validation():
             TrajectoryInstance("x", agent_ids, 0, np.zeros(obs_shape), np.zeros(fut_shape))
 
 
-def track_bits(tracks):
-    """Every field of every track, floats by their exact bits and type."""
-    return [(t.frame_id, t.agent_id, type(t.x), t.x.hex(), type(t.y), t.y.hex())
-            for t in tracks]
+def row_bits(rows):
+    """Every field of every observation, floats by their exact bits and type."""
+    return [(f, a, type(x), x.hex(), type(y), y.hex()) for f, a, x, y in rows]
 
 
 def instance_fields(instances):
@@ -280,42 +306,43 @@ def test_scenes_equal_the_per_frame_oracle_bit_for_bit(kind, noise_std, period):
         for frames in sorted({1, 2, period, period + 1, 60}):
             spec = SyntheticScenarioSpec(kind=kind, agents=agents, noise_std=noise_std,
                                          period=period, seed=frames + agents)
-            tracks = generate_synthetic(spec, frames)
-            assert track_bits(tracks) == track_bits(oracles.generate_synthetic(spec, frames))
+            scene = generate_synthetic(spec, frames)
+            rows = scene_rows(scene)
+            assert row_bits(rows) == row_bits(oracles.generate_synthetic(spec, frames))
             for t_obs, t_pred in ((1, 1), (2, 3), (8, 12)):
                 count = frames - t_obs - t_pred + 1
-                assert instance_fields(window_instances(tracks, t_obs, t_pred, "s")) == \
-                    instance_fields(oracles.window_instances(tracks, t_obs, t_pred, "s"))
+                assert instance_fields(window_instances(scene, t_obs, t_pred, "s")) == \
+                    instance_fields(oracles.window_instances(rows, t_obs, t_pred, "s"))
                 if count >= 1:
                     assert instance_fields(synthetic_instances(spec, count, t_obs, t_pred)) == \
                         instance_fields(oracles.synthetic_instances(spec, count, t_obs, t_pred))
 
 
 def random_scene(rng):
-    """Tracks of a few agents, each present in alternating runs of 1-14
-    frames, over increasing frame ids with steps of 1 to 3, in shuffled
-    order."""
+    """Observations of a few agents, each present in alternating runs of
+    1-14 frames, over increasing frame ids with steps of 1 to 3, in
+    shuffled order."""
     frames = int(rng.integers(20, 60))
     frame_ids = np.cumsum(rng.integers(1, 4, size=frames)) * 10
-    tracks = []
+    rows = []
     for agent in range(1, int(rng.integers(1, 6)) + 1):
         lengths = rng.integers(1, 15, size=frames)
         runs = np.repeat(np.arange(frames) % 2 == 0, lengths)[:frames]
         present = runs if rng.integers(2) else ~runs
-        tracks += [RawTrack(int(f), agent, float(rng.normal()), float(rng.normal()))
-                   for f in frame_ids[present]]
-    return [tracks[i] for i in rng.permutation(len(tracks))]
+        rows += [(int(f), agent, float(rng.normal()), float(rng.normal()))
+                 for f in frame_ids[present]]
+    return [rows[i] for i in rng.permutation(len(rows))]
 
 
 def test_random_scene_windows_equal_the_oracle():
     rng = np.random.default_rng(27)
     recurred = gapped = False
     for _ in range(40):
-        tracks = random_scene(rng)
-        frames = sorted({t.frame_id for t in tracks})
+        rows = random_scene(rng)
+        frames = sorted({row[0] for row in rows})
         for t_obs, t_pred in ((1, 1), (2, 3), (3, 1), (4, 4)):
-            want = oracles.window_instances(tracks, t_obs, t_pred, "random")
-            assert instance_fields(window_instances(tracks, t_obs, t_pred, "random")) == \
+            want = oracles.window_instances(rows, t_obs, t_pred, "random")
+            assert instance_fields(window_instances(scene_of(rows), t_obs, t_pred, "random")) == \
                 instance_fields(want)
             sets = [tuple(inst.agent_ids) for inst in want]
             runs = [s for i, s in enumerate(sets) if i == 0 or s != sets[i - 1]]
@@ -327,22 +354,40 @@ def test_random_scene_windows_equal_the_oracle():
 
 def test_ragged_scene_windows_equal_the_oracle():
     # Decimated frame ids; agent 4 enters late, agent 2 leaves early and
-    # agent 7 has a gap. The input is shuffled, then (frame 30, agent 1)
-    # is observed a second time, and that later observation wins.
+    # agent 7 has a gap. The input is shuffled.
     rng = np.random.default_rng(11)
     life = {1: range(0, 25), 2: range(0, 12), 4: range(6, 25), 7: [*range(0, 9), *range(10, 25)]}
-    tracks = [RawTrack(10 * f, a, float(rng.normal()), float(rng.normal()))
-              for a, frames in life.items() for f in frames]
-    tracks = [tracks[i] for i in rng.permutation(len(tracks))]
-    tracks.append(RawTrack(30, 1, 123.5, -7.25))
+    rows = [(10 * f, a, float(rng.normal()), float(rng.normal()))
+            for a, frames in life.items() for f in frames]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    scene = scene_of(rows)
     for t_obs, t_pred in ((2, 3), (4, 4), (8, 12)):
-        assert instance_fields(window_instances(tracks, t_obs, t_pred, "ragged")) == \
-            instance_fields(oracles.window_instances(tracks, t_obs, t_pred, "ragged"))
-    assert {tuple(inst.agent_ids) for inst in window_instances(tracks, 2, 3)} == \
+        assert instance_fields(window_instances(scene, t_obs, t_pred, "ragged")) == \
+            instance_fields(oracles.window_instances(rows, t_obs, t_pred, "ragged"))
+    assert {tuple(inst.agent_ids) for inst in window_instances(scene, 2, 3)} == \
         {(1, 2, 7), (1, 2), (1, 2, 4), (1, 4), (1, 4, 7)}
-    inst = window_instances(tracks, 2, 3)[2]
+    inst = window_instances(scene, 2, 3)[2]
     assert inst.start_frame == 20 and inst.agent_ids == [1, 2, 7]
-    assert inst.obs_abs[0, 1].tolist() == [123.5, -7.25]
+
+
+def test_a_ragged_scene_file_windows_like_the_oracle(tmp_path):
+    # The file path end to end: shuffled lines, decimated frame ids, agent 3
+    # entering late, agent 2 leaving early and agent 5 with a gap.
+    rng = np.random.default_rng(28)
+    life = {1: range(0, 60), 2: range(0, 28), 3: range(15, 60), 5: [*range(0, 22), *range(25, 60)]}
+    lines = [f"{10 * f}\t{a}\t{rng.normal():.6f}\t{rng.normal():.6f}\n"
+             for a, frames in life.items() for f in frames]
+    path = tmp_path / "ragged.txt"
+    path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    rows = [(int(f), int(a), float(x), float(y)) for f, a, x, y in map(str.split, lines)]
+    for t_obs, t_pred in ((2, 3), (4, 4), (8, 12)):
+        want = oracles.window_instances(rows, t_obs, t_pred, str(path))
+        assert len({tuple(inst.agent_ids) for inst in want}) > 2
+        assert instance_fields(load_dataset([path], t_obs, t_pred)) == instance_fields(want)
+    again = tmp_path / "again.txt"
+    write_scene(load_scene(path), again)
+    assert again.read_bytes() == "".join(sorted(lines, key=lambda line: tuple(
+        int(field) for field in line.split()[:2]))).encode()
 
 
 def direct_instances():
@@ -353,13 +398,13 @@ def direct_instances():
 
 
 def moved_instances():
-    inst = window_instances(line_tracks(3, 23))[0]
+    inst = window_instances(line_scene(3, 23))[0]
     return [inst.translated([1.0, -2.0]), inst.recentred()]
 
 
 @pytest.mark.parametrize("make", [
     lambda: synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=3, seed=2), 4),
-    lambda: window_instances(line_tracks(3, 23)),
+    lambda: window_instances(line_scene(3, 23)),
     direct_instances,
     moved_instances,
 ])

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import math
 import zlib
@@ -166,16 +167,18 @@ def test_conv2d_is_bit_exact_under_batch_order():
         assert np.array_equal(T.conv2d(T.Tensor(x[batch]), k).data, out[batch])
 
 
-def test_every_public_function_has_a_package_caller():
-    # An op or helper that only tests call belongs beside the oracles, not
-    # here. A public function needs a caller in another module; an
-    # underscore helper may also be called from this one.
-    functions = {name for name, obj in vars(T).items()
-                 if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == T.__name__}
+@pytest.mark.parametrize("name", ["tensor", "data"])
+def test_every_public_function_has_a_package_caller(name):
+    # An op, helper or scene builder that only tests call belongs beside the
+    # oracles or in the tests, not here. A public function needs a caller in
+    # another module; an underscore helper may also be called from this one.
+    module = importlib.import_module(f"eanet.{name}")
+    functions = {key for key, obj in vars(module).items()
+                 if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == module.__name__}
     used = set()
-    for path in Path(T.__file__).parent.glob("*.py"):
+    for path in Path(module.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "tensor.py":
+        if path.name == f"{name}.py":
             used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
                      and node.id.startswith("_")}
             continue
@@ -183,8 +186,8 @@ def test_every_public_function_has_a_package_caller():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 if node.module is None:
-                    aliases |= {a.asname or a.name for a in node.names if a.name == "tensor"}
-                elif node.module == "tensor":
+                    aliases |= {a.asname or a.name for a in node.names if a.name == name}
+                elif node.module == name:
                     used |= {a.name for a in node.names}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name) and node.value.id in aliases}
