@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
+from .temporal import LayerBlock
 
 # The default discount and floor budget of a `HedgeState`.
 HEDGE_BETA = 0.99
@@ -117,12 +118,16 @@ def plain_output(block: T.Tensor) -> T.Tensor:
     """The deepest layer, untouched, as one tape record. The output owns a
     copy of it, so a kept prediction does not hold the block's allocation
     (in `temporal.stack_forward` it also holds every layer's input, conv
-    output and mask) alive. Its backward scatters the gradient into a
-    zero block, which keeps it bit-identical to the ``getitem`` of
-    ``tests/oracles.py``."""
+    output and mask) alive. Its backward hands a `temporal.LayerBlock` the
+    deepest layer's gradient alone, and the stack's backward starts from
+    it. Any other block gets the gradient scattered into a zero block,
+    bit-identical to the ``getitem`` of ``tests/oracles.py``."""
     _check_block(block)
 
     def back(g):
+        if isinstance(block, LayerBlock):
+            block.add_deepest_grad(g)
+            return
         full = np.zeros_like(block.data)
         full[:, -1] += g
         T._accumulate(block, full)

@@ -6,19 +6,23 @@ metrics, compute the base error pair, plot reports, and run the
 gradient-check suite. Long runs print progress to standard error.
 
 Exit codes: 0 on success, 1 for runtime and IO failures, 2 for usage
-errors. Every command is deterministic for a fixed --seed; the seed
-resolves as flag, then config file, then EANET_SEED, then 0. `train`,
-`online`, `eval` and `base` exit 1 before they write anything when
-their data holds no complete t_obs + t_pred window. `gen`, `train`,
-`online` and `plot` write a small JSON manifest next to their primary
-output, `eval` and `base` only with --out, `gradcheck` never. It
-records the subcommand name, the resolved configuration digest, the
-seed, the inputs (the --config file among them), the outputs and the
-environment (Python, numpy and BLAS versions and BLAS thread settings);
-`online` adds its update `counters` and its `health` verdict. A
-diverged `train` writes no checkpoint, but still writes its loss CSV
-for the epochs that finished and a manifest that records where it
-diverged.
+errors, 130 when interrupted (a KeyboardInterrupt, as from Ctrl-C),
+which prints one error line and no traceback. Every command is
+deterministic for a fixed --seed; the seed resolves as flag, then config
+file, then EANET_SEED, then 0. `train`, `online`, `eval` and `base` exit
+1 before they write anything when their data holds no complete t_obs +
+t_pred window. `gen`, `train`, `online` and `plot` write a small JSON
+manifest next to their primary output, `eval` and `base` only with
+--out, `gradcheck` never. It records the subcommand name, the resolved
+configuration digest, the seed, the inputs (the --config file among
+them), the outputs and the environment (Python, numpy and BLAS versions
+and BLAS thread settings); `online` adds its update `counters` and its
+`health` verdict, and `train` the seconds of each finished epoch,
+`epoch_s`, the first of which includes preparing the inputs. A diverged
+or interrupted `train` writes no checkpoint, but still writes its loss
+CSV for the epochs that finished and a manifest that records where it
+diverged (`diverged`: epoch and step) or in which epoch it was
+interrupted (`interrupted`: epoch and reason).
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def _environment() -> dict:
 def _write_manifest(args, primary_output: str, digest: str, seed: int, inputs: list[str],
                     outputs: list[str], **extra) -> None:
     """Write ``<primary_output>.manifest.json``; ``extra`` keys (``counters``,
-    ``health``, ``diverged``) are recorded beside the common ones."""
+    ``health``, ``epoch_s``, ``diverged``, ``interrupted``) are recorded
+    beside the common ones."""
     manifest = {
         "command": args.command,
         "config_digest": digest,
@@ -164,22 +169,37 @@ def cmd_train(args) -> int:
     data_paths, dataset = _windows(args.data, model_config, "training data")
     print(f"training on {len(dataset)} instances for {train_config.epochs} epochs",
           file=sys.stderr)
-    progress = _progress(max(1, train_config.epochs // 10),
-                         lambda epoch, loss: f"epoch {epoch}: {loss}")
+    show = _progress(max(1, train_config.epochs // 10),
+                     lambda epoch, loss: f"epoch {epoch}: {loss}")
+    losses, epoch_s = [], []
+    last = time.monotonic()
+
+    def progress(epoch, loss):
+        nonlocal last
+        now = time.monotonic()
+        epoch_s.append(round(now - last, 6))
+        last = now
+        losses.append(loss)
+        show(epoch, loss)
+
     loss_path = args.loss_log or args.ckpt_out + ".loss.csv"
     digest = C.config_digest({**dataclasses.asdict(model_config),
                               **dataclasses.asdict(train_config)})
     try:
         result = train_offline(dataset, train_config, model_config, progress=progress)
-    except TrainingDiverged as exc:
-        # No checkpoint: the finished epochs' losses and where it diverged.
-        write_loss_csv(exc.loss_log, loss_path)
+    except (TrainingDiverged, KeyboardInterrupt) as exc:
+        # No checkpoint: the finished epochs' losses and where the run stopped.
+        write_loss_csv(losses, loss_path)
+        stopped = ({"diverged": {"epoch": exc.epoch, "step": exc.step}}
+                   if isinstance(exc, TrainingDiverged) else
+                   {"interrupted": {"epoch": len(losses), "reason": "keyboard interrupt"}})
         _write_manifest(args, args.ckpt_out, digest, seed, data_paths, [loss_path],
-                        diverged={"epoch": exc.epoch, "step": exc.step})
+                        epoch_s=epoch_s, **stopped)
         raise
     save_checkpoint(result.model, args.ckpt_out)
     write_loss_csv(result.loss_log, loss_path)
-    _write_manifest(args, args.ckpt_out, digest, seed, data_paths, [args.ckpt_out, loss_path])
+    _write_manifest(args, args.ckpt_out, digest, seed, data_paths, [args.ckpt_out, loss_path],
+                    epoch_s=epoch_s)
     print(f"final loss {result.loss_log[-1]:.6f}", file=sys.stderr)
     return 0
 
@@ -391,6 +411,9 @@ def main(argv=None) -> int:
     except (EanetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"error: {args.command} interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

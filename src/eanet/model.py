@@ -23,10 +23,13 @@ matches the plain deepest-layer output that offline training optimised.
 
 `TrajectoryModel.forward` puts four records on the tape whatever the
 head: the graph convolution, the time-expand conv, the residual stack
-and the head; the caller's NLL is the fifth. Offline training runs it on
-the plain head once per group of same-sized instances, and one backward
-per group, seeded with the group's share of the batch. `predict_field`
-and `predict` run it off the tape, so they leave nothing behind.
+and the head; the caller's NLL is the fifth, and the Gaussian decode
+adds none. The plain head's record passes the stack's record the
+deepest layer's gradient alone, never a block of zeros for the others.
+Offline training runs the forward on the plain head once per group of
+same-sized instances, and one backward per group, seeded with the
+group's share of the batch. `predict_field` and `predict` run it off
+the tape, so they leave nothing behind.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution

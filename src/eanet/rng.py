@@ -11,9 +11,10 @@ from numpy loops that call the same C library as `math` (`logs`,
 Gaussian values, and what is made from them, follow the platform's libm.
 
 `uniforms(n)` is the array form of n `uniform()` calls, bit-identical
-to them and leaving the same state. `normal_pairs(n)` is the Box-Muller
-step over `uniforms(2n)`: n pairs, each bit for bit one call of the
-scalar `normal_pair` that `tests/oracles.py` keeps as its reference.
+to them and leaving the same state; `shuffle` draws its words the same
+way. `normal_pairs(n)` is the Box-Muller step over `uniforms(2n)`: n
+pairs, each bit for bit one call of the scalar `normal_pair` that
+`tests/oracles.py` keeps as its reference.
 `box_muller` lays them out as (2, n) planes, the first normal of every
 pair in one contiguous row and the second in the other, so callers run
 their arithmetic along whole rows; `normal_pairs` is the (n, 2)
@@ -25,10 +26,10 @@ ahead by table is Haramoto et al., INFORMS J. Computing 2008). Two table
 families are built at import from `_xorshift` itself, run on the 64
 one-bit states: the lane tables give the `_LANE` states after a state,
 and the block tables give the states `_LANE`, 2 `_LANE`, ...,
-`_BLOCK` `_LANE` steps after it. `uniforms` chains the block tables to
-find the start (anchor) of every lane, expands all anchors into their
-lanes with the lane tables, and runs the multiply, shift and scaling in
-uint64/float64 (all exact).
+`_BLOCK` `_LANE` steps after it. `uniforms` (through `_words`) chains
+the block tables to find the start (anchor) of every lane, expands all
+anchors into their lanes with the lane tables, and runs the multiply,
+shift and scaling in uint64/float64 (all exact).
 """
 
 from __future__ import annotations
@@ -74,7 +75,14 @@ class Xorshift64Star:
 
     def uniforms(self, n: int) -> np.ndarray:
         """(n,) array of the n values that n `uniform()` calls give, bit for
-        bit, leaving the generator in the same state.
+        bit, leaving the generator in the same state."""
+        if n < 0:
+            raise ValueError("uniforms() needs a non-negative count")
+        return (self._words(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+    def _words(self, n: int) -> np.ndarray:
+        """(n,) uint64 array of the n words that n `next_u64()` calls give,
+        leaving the generator in the same state.
 
         The n states are computed as lanes of `_LANE` consecutive states:
         lane j is the `_LANE` states after anchor j, the state `j * _LANE`
@@ -83,10 +91,8 @@ class Xorshift64Star:
         tables expand `_CHUNK` anchors at a time, so the gathers'
         temporaries (at most 512 KB) do not grow with n.
         """
-        if n < 0:
-            raise ValueError("uniforms() needs a non-negative count")
         if n == 0:
-            return np.empty(0)
+            return np.empty(0, dtype=np.uint64)
         lanes = -(-n // _LANE)
         anchors = np.empty(lanes + _BLOCK, dtype=np.uint64)
         anchors[0] = self.state
@@ -97,8 +103,7 @@ class Xorshift64Star:
             states[j:j + _CHUNK] = _lookup(_LANE_TABLES, anchors[j:min(j + _CHUNK, lanes)])
         states = states.ravel()[:n]
         self.state = int(states[-1])
-        words = states * np.uint64(_MULTIPLIER)
-        return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return states * np.uint64(_MULTIPLIER)
 
     def normal_pairs(self, n: int) -> np.ndarray:
         """(n, 2) array of the n pairs that n calls of the scalar
@@ -109,17 +114,15 @@ class Xorshift64Star:
             raise ValueError("normal_pairs() needs a non-negative count")
         return box_muller(self.uniforms(2 * n)).T
 
-    def below(self, n: int) -> int:
-        """Integer in [0, n). Uses a plain modulo; the tiny bias does not
-        matter here, determinism does."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
-
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: for i from len(items) - 1 down to
+        1, swap items i and ``next_u64() % (i + 1)`` (a plain modulo; its
+        tiny bias does not matter here, determinism does). The n - 1 words
+        come from one `_words` call, so the order and the state after it
+        are those of the scalar loop that ``tests/oracles.py`` keeps."""
+        n = len(items)
+        picks = self._words(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

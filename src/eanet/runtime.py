@@ -24,6 +24,7 @@ zeroing the gradients are one array op each on a whole buffer.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -182,6 +183,29 @@ def sgd_step(arena: T.ParameterArena, lr: float) -> None:
     arena.data -= lr * arena.grad
 
 
+def _stacked_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
+                    chunk: int) -> tuple[dict[int, tuple], list[tuple[int, int]]]:
+    """The `chunked_arrays` entries of ``dataset`` stacked per agent count:
+    ``stacks[p]`` is one ``(x_seq, ahat, fut_rel)`` triple of the p-agent
+    instances in order, and ``where[i]`` is instance i's ``(p, row)``.
+    They are filled ``chunk`` instances at a time, so no temporary grows
+    with the dataset."""
+    counts = collections.Counter(instance.n_agents for instance in dataset)
+    filled = collections.Counter()
+    stacks: dict[int, tuple] = {}
+    where: list[tuple[int, int]] = []
+    for instance, arrays in chunked_arrays(dataset, config, chunk):
+        agents = instance.n_agents
+        row = filled[agents]
+        filled[agents] += 1
+        if not row:
+            stacks[agents] = tuple(np.empty((counts[agents], *a.shape)) for a in arrays)
+        for stacked, array in zip(stacks[agents], arrays):
+            stacked[row] = array
+        where.append((agents, row))
+    return stacks, where
+
+
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                   model_config: ModelConfig | None = None, progress=None) -> TrainResult:
     """Minimise the plain-output NLL with minibatch SGD.
@@ -191,24 +215,26 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     forward pass, and each group's backward is seeded with its share of the
     batch, so the result equals per-instance accumulation. The groups are
     visited last to first, which adds up the parameter gradients in the
-    order one reverse pass over the whole batch would. The inputs and
-    graphs are prepared once, before the first epoch, by `chunked_arrays`
-    in chunks of ``batch_size`` consecutive instances, one graph call per
-    agent count in a chunk. The learning rate drops from
-    ``lr`` to ``lr_after`` at ``lr_drop_epoch``. A non-finite batch loss
-    aborts, before the step is taken, with `TrainingDiverged`, which
-    records the epoch, the step and the loss log of the finished epochs.
-    Every forward of the call lays the stack's arrays in one
-    `temporal.StackStore`, grown to the largest group, so each forward
-    overwrites the last one's arrays instead of allocating its own
-    beside them.
+    order one reverse pass over the whole batch would. Before the first
+    epoch, `_stacked_arrays` prepares every instance once, in chunks of
+    ``batch_size``; a group's inputs are then one ``take`` of its rows
+    per array, with the bytes, shape and strides of ``np.stack`` over
+    its instances' `chunked_arrays` entries. The learning rate drops from
+    ``lr`` to ``lr_after`` at ``lr_drop_epoch``. ``progress``, if given,
+    is called with the epoch and its mean loss after every epoch. A
+    non-finite batch loss aborts, before the step is taken, with
+    `TrainingDiverged`, which records the epoch, the step and the loss log
+    of the finished epochs. Every forward of the call lays the stack's
+    arrays in one `temporal.StackStore`, grown to the largest group, so
+    each forward overwrites the last one's arrays instead of allocating
+    its own beside them.
     """
     config.validate()
     if not dataset:
         raise DataError("training needs at least one instance")
     model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    prepared = [arrays for _, arrays in chunked_arrays(dataset, model.config, config.batch_size)]
+    stacks, where = _stacked_arrays(dataset, model.config, config.batch_size)
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -222,7 +248,8 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             batch = order[start:start + config.batch_size]
             groups: dict[int, list[int]] = {}
             for idx in batch:
-                groups.setdefault(prepared[idx][0].shape[1], []).append(idx)
+                agents, row = where[idx]
+                groups.setdefault(agents, []).append(row)
             model.zero_grad()
             # Last group first: the order in which one reverse pass over
             # the whole batch would add up the parameter gradients. A
@@ -231,12 +258,10 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             # numpy's warnings about it are not printed.
             terms = []
             with np.errstate(all="ignore"):
-                for members in reversed(groups.values()):
-                    x_seq = np.stack([prepared[i][0] for i in members])
-                    ahat = np.stack([prepared[i][1] for i in members])
-                    fut = np.stack([prepared[i][2] for i in members])
+                for agents, rows in reversed(groups.items()):
+                    x_seq, ahat, fut = (a.take(rows, axis=0) for a in stacks[agents])
                     group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
-                    weight = len(members) / len(batch)
+                    weight = len(rows) / len(batch)
                     terms.append(group_loss.item() * weight)
                     T.backward(group_loss, weight)
             value = terms.pop()  # the batch loss, added up first group first

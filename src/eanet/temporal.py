@@ -14,9 +14,12 @@ storage order.
 
 The stacked layers that follow keep the frame count fixed, and
 ``stack_forward`` returns all of their outputs as one (N, L, T, P, D)
-block, because the attention head consumes every intermediate output,
-not just the deepest one. The block is one tape record: time expansion
-is one ``tensor.conv2d`` record and the whole residual stack another.
+`LayerBlock`, because the attention head consumes every intermediate
+output, not just the deepest one. The block is one tape record: time
+expansion is one ``tensor.conv2d`` record and the whole residual stack
+another. A head that reads only the deepest layer hands the block that
+layer's gradient alone, so a plain-head backward never builds a
+block-sized gradient of zeros.
 """
 
 from __future__ import annotations
@@ -74,10 +77,33 @@ class StackStore:
         return self._buf[:size]
 
 
+class LayerBlock(T.Tensor):
+    """The (N, L, C, H, W) block of layer outputs that `stack_forward`
+    returns. Its gradient is None, the whole block's, or, while only the
+    deepest layer has had one, that layer's alone as (N, 1, C, H, W): the
+    other layers' gradients are then zero, and the stack's backward skips
+    adding them. A whole-block gradient written later (``T._accumulate``)
+    widens it."""
+
+    __slots__ = ()
+
+    def add_deepest_grad(self, g: np.ndarray) -> None:
+        """Add ``g``, the (N, C, H, W) gradient of the deepest layer."""
+        deepest = g[:, None]
+        if self.grad is None:
+            # Nothing writes into a partial gradient in place, so only a
+            # whole one (a one-layer block's) is copied.
+            self.grad = deepest if self.shape[1] > 1 else deepest + 0.0
+        elif self.grad.shape != self.shape:
+            self.grad = self.grad + deepest
+        else:
+            self.grad[:, -1:] += deepest
+
+
 def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
-                  store: StackStore | None = None) -> T.Tensor:
-    """Run the stacked layers and return the (N, L, C, H, W) block of every
-    layer's output, as one tape record.
+                  store: StackStore | None = None) -> LayerBlock:
+    """Run the stacked layers and return the (N, L, C, H, W) `LayerBlock`
+    of every layer's output, as one tape record.
 
     M[0] = prelu(conv(x0)); deeper layers are residual:
     M[l] = prelu(conv(M[l-1])) + M[l-1]. The activation sits before the
@@ -90,7 +116,10 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
     layout, and each layer runs conv2d's banded matmul with its operand
     shapes and layouts. The backward adds partial gradients in the order
     of the per-layer conv2d/prelu/add chain this record replaced:
-    ``grad M[l-1] = (head piece + grad M[l]) + conv grad``. The slope
+    ``grad M[l-1] = (head piece + grad M[l]) + conv grad``. When the block
+    had a gradient for its deepest layer only, the backward starts from
+    it and computes ``grad M[l-1] = grad M[l] + conv grad``, which differs
+    from adding the zero pieces in the sign of a zero at most. The slope
     gradient is summed over the rows in (N, H, C, W) order, the memory
     order of that chain's arrays. Outputs and gradients are therefore
     bit-identical to the chain's. The block is laid out in memory as
@@ -137,7 +166,9 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
     buf[:, :-1] = ins[1:].swapaxes(0, 1)
 
     def back(g):
-        pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, n_layers, h, 1, k)
+        # g is the whole block's gradient, or the deepest layer's alone.
+        full = g.shape[1] > 1
+        pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, g.shape[1], h, 1, k)
         g_m = pieces[:, -1]
         for idx in reversed(range(n_layers)):
             conv = convs[idx]
@@ -150,7 +181,8 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
             factor = tables[idx].take(masks[idx].view(np.uint8), mode="clip", out=conv)
             g_conv = np.multiply(g_m, factor, out=conv)
             if idx:
-                g_m = (pieces[:, idx - 1] + g_m) + np.matmul(g_conv, weights[idx].T)
+                g_in = np.matmul(g_conv, weights[idx].T)
+                g_m = np.add(pieces[:, idx - 1] + g_m if full else g_m, g_in, out=g_in)
         for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, convs, c, w)):
             T._accumulate(kernel, g_kernel)
         if x0.requires_grad:
@@ -158,4 +190,4 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
             T._accumulate(x0, gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3))
 
     block = buf.reshape(n, n_layers, h, c, w).transpose(0, 1, 3, 2, 4)
-    return T._make(block, (x0, *kernels, *slopes), back)
+    return T._make(block, (x0, *kernels, *slopes), back, LayerBlock)

@@ -22,11 +22,13 @@ a model's parameters, and the gradient norm of the update step. The
 record helpers ``_make`` and ``_accumulate`` are what the fused records
 of ``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
 with; each record sums its own gradients down to its operands' shapes.
-An op or helper that only tests call does not belong here: the
-per-layer chains kept as oracles build theirs, in the forms they use, in
-``tests/oracles.py``, and ``tests/test_tensor.py`` requires every
-function here to have a package caller, which for an underscore helper
-may be in this module.
+The one exception is the stack's `temporal.LayerBlock`, whose gradient
+may hold its deepest layer's alone; ``_accumulate`` widens it when a
+whole-block gradient arrives. An op or helper that only tests call does
+not belong here: the per-layer chains kept as oracles build theirs, in
+the forms they use, in ``tests/oracles.py``, and ``tests/test_tensor.py``
+requires every function here to have a package caller, which for an
+underscore helper may be in this module.
 """
 
 from __future__ import annotations
@@ -174,16 +176,22 @@ def as_tensor(x) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # g + 0 is 0 + g, in one pass and in the layout of t.data.
+    if t.grad is None or t.grad.shape != g.shape:
+        # g + 0 is 0 + g, in one pass and in the layout of t.data. A
+        # gradient of another shape is a `temporal.LayerBlock`'s deepest
+        # layer alone, which is added in after.
+        deepest = t.grad
         out = np.empty(t.data.shape) if t.data.flags.c_contiguous else np.empty_like(t.data)
         t.grad = np.add(g, 0.0, out=out)
+        if deepest is not None:
+            t.grad[:, -1:] += deepest
     else:
         t.grad += g
 
 
-def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(out_data)
+def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn,
+          cls: type[Tensor] = Tensor) -> Tensor:
+    out = cls(out_data)
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:

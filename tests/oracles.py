@@ -23,7 +23,8 @@ loops that `eanet.data` replaced with whole-array numpy work, over plain
 ``(frame, agent, x, y)`` observation tuples; tests require the data
 module's `Scene` and instances to give the same values bit for bit. `normal_pair` is the scalar Box-Muller draw that
 `Xorshift64Star.normal_pairs` and `gaussian.sample_trajectories` are
-checked against.
+checked against, and `shuffle` the one-draw-per-swap loop that
+`Xorshift64Star.shuffle` must match in order and final state.
 
 `math_map` is the map of a `math` function over an array that
 `rng.logs` and `rng.unit_vectors` replaced with numpy loops calling the
@@ -266,6 +267,14 @@ def normal_pair(rng):
     r = math.sqrt(-2.0 * math.log(u1))
     theta = 2.0 * math.pi * u2
     return r * math.cos(theta), r * math.sin(theta)
+
+
+def shuffle(rng, items):
+    """The scalar Fisher-Yates shuffle: for i from len(items) - 1 down to
+    1, swap items i and ``rng.next_u64() % (i + 1)``, one draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def math_map(fn, values):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import types
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -422,6 +423,66 @@ def test_diverged_train_leaves_its_loss_log_and_a_manifest(workdir, tmp_path, ca
     assert manifest["command"] == "train"
     assert manifest["diverged"] == {"epoch": 2, "step": 0}
     assert manifest["outputs"] == [str(tmp_path / "diverged.ckpt.loss.csv")]
+
+
+def test_interrupted_train_leaves_its_loss_log_and_a_manifest(workdir, tmp_path, monkeypatch,
+                                                              capsys):
+    # One step per epoch: the third step's interrupt lands in epoch 2.
+    steps = []
+    step = runtime.sgd_step
+
+    def interrupted(arena, lr):
+        steps.append(lr)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+        step(arena, lr)
+
+    monkeypatch.setattr(runtime, "sgd_step", interrupted)
+    ckpt = tmp_path / "interrupted.ckpt"
+    assert cli.main(["train", "--data", str(workdir / "scene.txt"), "--ckpt-out", str(ckpt),
+                     "--epochs", "3", "--stack-layers", "2", "--seed", "1"]) == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: train interrupted"
+    assert not ckpt.exists()
+    trained = (workdir / "model.ckpt.loss.csv").read_text().splitlines()
+    assert (tmp_path / "interrupted.ckpt.loss.csv").read_text().splitlines() == trained[:3]
+    manifest = json.loads((tmp_path / "interrupted.ckpt.manifest.json").read_text())
+    assert manifest["interrupted"] == {"epoch": 2, "reason": "keyboard interrupt"}
+    assert "diverged" not in manifest
+    assert manifest["outputs"] == [str(tmp_path / "interrupted.ckpt.loss.csv")]
+    assert len(manifest["epoch_s"]) == 2
+
+
+def test_train_manifest_records_the_seconds_of_each_finished_epoch(workdir, tmp_path,
+                                                                  monkeypatch, capsys):
+    manifest = json.loads((workdir / "model.ckpt.manifest.json").read_text())
+    assert len(manifest["epoch_s"]) == 3
+    assert all(seconds >= 0.0 for seconds in manifest["epoch_s"])
+    assert sum(manifest["epoch_s"]) <= manifest["wall_clock_s"] + 1e-3
+    # Preparing the inputs counts towards the first epoch: here it moves
+    # the command's clock on by 1000 s.
+    offset = [0.0]
+    clock = cli.time.monotonic
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
+    prepare = runtime._stacked_arrays
+
+    def slow(*args):
+        offset[0] += 1000.0
+        return prepare(*args)
+
+    monkeypatch.setattr(runtime, "_stacked_arrays", slow)
+    args = ["--data", str(workdir / "scene.txt"), "--epochs", "4", "--stack-layers", "2",
+            "--seed", "1"]
+    assert cli.main(["train", *args, "--ckpt-out", str(tmp_path / "slow.ckpt")]) == 0
+    epoch_s = json.loads((tmp_path / "slow.ckpt.manifest.json").read_text())["epoch_s"]
+    assert len(epoch_s) == 4 and epoch_s[0] >= 1000.0 > max(epoch_s[1:])
+    # A diverged run records its finished epochs too.
+    assert cli.main(["train", *args, "--ckpt-out", str(tmp_path / "diverged.ckpt"),
+                     "--lr-after", "1e6", "--lr-drop-epoch", "1"]) == 1
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "diverged.ckpt.manifest.json").read_text())
+    assert manifest["diverged"] == {"epoch": 2, "step": 0} and len(manifest["epoch_s"]) == 2
 
 
 def test_manifests_record_the_environment(workdir, tmp_path, capsys):

@@ -19,7 +19,7 @@ from eanet.rng import (_BLOCK, _BLOCK_TABLES, _CHUNK, _LANE, _LANE_TABLES, _MASK
                        _INV_2_53, _ZERO_SEED_STATE, Xorshift64Star, _lookup, logs,
                        unit_vectors)
 from oracles import (add, assert_equals_math_map, div, exp, getitem, log, mean, mul,
-                     normal_pair, sub, sum_axis, tanh)
+                     normal_pair, shuffle, sub, sum_axis, tanh)
 
 
 def field_from_raw(raw):
@@ -377,6 +377,19 @@ def test_uniforms_equal_scalar_draws_and_leave_the_same_state(n):
         got = batch.uniforms(n)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert batch.state == scalar.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 33, 2000])
+def test_shuffle_equals_the_scalar_fisher_yates_and_leaves_the_same_state(n):
+    for seed in (0, 1, 9, 2**64 - 1):
+        scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
+        want, got = list(range(n)), list(range(n))
+        shuffle(scalar, want)
+        batch.shuffle(got)
+        assert got == want
+        assert batch.state == scalar.state
+        # The next draws agree too, so a second epoch's shuffle does.
+        assert batch.next_u64() == scalar.next_u64()
 
 
 def test_uniforms_reject_a_negative_count_and_keep_the_state():

@@ -184,6 +184,47 @@ def test_chunked_training_equals_per_instance_preparation(monkeypatch):
     assert chunked.model.arena.data.tobytes() == one_at_a_time.model.arena.data.tobytes()
 
 
+def test_training_gathers_each_group_like_np_stack_of_its_instances(monkeypatch):
+    # 3- and 5-agent windows interleaved, 13 instances in batches of 5:
+    # most batches hold both sizes, and the last one is short.
+    dataset = [toy_instance(agents=5 if i % 3 else 3, config=SMALL, seed=300 + i)
+               for i in range(13)]
+    config = TrainConfig(epochs=2, batch_size=5, lr=1e-3, seed=8)
+    seen = []
+    forward, loss = TrajectoryModel.forward, runtime.nll_loss
+
+    def spied_forward(model, x_seq, ahat, *args, **kwargs):
+        seen.append([x_seq, ahat])
+        return forward(model, x_seq, ahat, *args, **kwargs)
+
+    def spied_loss(field, target):
+        seen[-1].append(target)
+        return loss(field, target)
+
+    monkeypatch.setattr(TrajectoryModel, "forward", spied_forward)
+    monkeypatch.setattr(runtime, "nll_loss", spied_loss)
+    train_offline(dataset, config, SMALL)
+
+    prepared = [arrays for _, arrays in chunked_arrays(dataset, SMALL, 1)]
+    rng, order, want = Xorshift64Star(config.seed ^ runtime._SHUFFLE_SALT), list(range(13)), []
+    for _ in range(config.epochs):
+        oracles.shuffle(rng, order)
+        for start in range(0, len(order), config.batch_size):
+            groups = {}
+            for idx in order[start:start + config.batch_size]:
+                groups.setdefault(dataset[idx].n_agents, []).append(idx)
+            # Last group first.
+            want.extend([np.stack([prepared[i][k] for i in members]) for k in range(3)]
+                        for members in reversed(groups.values()))
+    # Six batches, so more forwards than that means some held both sizes.
+    assert len(seen) == len(want) > 2 * 3
+    for got_arrays, want_arrays in zip(seen, want):
+        for got, expected in zip(got_arrays, want_arrays):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.strides == expected.strides
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_training_is_deterministic_for_a_seed():
     dataset = toy_set(10, seed0=20)
     config = TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=5)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
 import oracles
 from eanet import tensor as T
-from eanet.attention import plain_output
+from eanet.attention import ea_output, plain_output
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
 from eanet.temporal import stack_forward, time_expand
@@ -229,4 +231,73 @@ def test_fused_stack_deepest_layer_trains_like_the_chain(n):
     want, want_grads = run(lambda: oracles.stack_forward(x0, kernels, slopes)[-1])
     assert np.array_equal(got, want)
     for g, w in zip(got_grads, want_grads):
+        assert np.array_equal(g, w)
+
+
+def test_plain_head_hands_the_stack_its_deepest_gradient_alone():
+    # Ten layers at batch 64: a block-sized gradient of zeros, or a copy
+    # of one, would take the backward's peak past the block's own size.
+    x0, kernels, slopes = _stack_case(64, 6, 10, seed=11, grad_x0=False)
+    seed = np.random.default_rng(3).normal(size=(64, 12, 6, 5))
+    params = [*kernels, *slopes]
+
+    def run(make_block):
+        block = make_block()
+        out = plain_output(block)
+        tracemalloc.start()
+        try:
+            T.backward(out, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = [t.grad for t in params]
+        for t in params:
+            t.zero_grad()
+        return block, peak, grads
+
+    block, peak, got = run(lambda: stack_forward(x0, kernels, slopes))
+    assert block.grad.shape == (64, 1, 12, 6, 5)
+    assert peak < block.data.nbytes
+    # The chain's block is a plain tensor, so it gets the full gradient.
+    chain_block, _, want = run(lambda: oracles.stack(oracles.stack_forward(x0, kernels, slopes)))
+    assert chain_block.grad.shape == chain_block.shape
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_plain_head_gives_a_leaf_block_its_full_gradient():
+    rng = np.random.default_rng(4)
+    block = T.Tensor(rng.normal(size=(2, 3, 12, 4, 5)), requires_grad=True)
+    seed = rng.normal(size=(2, 12, 4, 5))
+    T.backward(plain_output(block), seed)
+    assert block.grad.shape == block.shape
+    assert np.array_equal(block.grad[:, -1], seed)
+    assert not np.any(block.grad[:, :-1])
+
+
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_a_block_read_by_the_plain_and_ea_heads_gets_both_gradients(plain_first):
+    # Backwards run last to first: applied second, the plain head hands
+    # the block its deepest layer's gradient before the ea head's
+    # whole-block gradient arrives.
+    x0, kernels, slopes = _stack_case(3, 6, 4, seed=12)
+    rng = np.random.default_rng(5)
+    theta, bias = T.Tensor(rng.normal(size=(5, 1))), T.Tensor(0.3)
+    alpha = T.Tensor(rng.normal(size=4))
+    params = [x0, *kernels, *slopes]
+
+    def run(make_block):
+        block = make_block()
+        heads = [lambda: plain_output(block), lambda: ea_output(block, theta, bias, alpha)[0]]
+        first, second = [head() for head in (heads if plain_first else heads[::-1])]
+        T.backward(oracles.add(oracles.tensor_sum(oracles.mul(first, first)),
+                               oracles.tensor_sum(second)))
+        grads = [t.grad for t in params]
+        for t in params:
+            t.zero_grad()
+        return grads
+
+    got = run(lambda: stack_forward(x0, kernels, slopes))
+    want = run(lambda: oracles.stack(oracles.stack_forward(x0, kernels, slopes)))
+    for g, w in zip(got, want):
         assert np.array_equal(g, w)
