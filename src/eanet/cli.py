@@ -22,7 +22,10 @@ and BLAS thread settings); `online` adds its update `counters` and its
 or interrupted `train` writes no checkpoint, but still writes its loss
 CSV for the epochs that finished and a manifest that records where it
 diverged (`diverged`: epoch and step) or in which epoch it was
-interrupted (`interrupted`: epoch and reason).
+interrupted (`interrupted`: epoch and reason). An interrupted `online`
+writes the report rows of the instances that finished, the bytes an
+uninterrupted run writes for them, and a manifest that records the
+instance it stopped at (`interrupted`: instance and reason).
 """
 
 from __future__ import annotations
@@ -224,13 +227,28 @@ def cmd_online(args) -> int:
     replayed = min(len(stream), online_config.max_instances)
     print(f"replaying {replayed} of {len(stream)} stream instances, "
           f"strategy={online_config.strategy}", file=sys.stderr)
-    progress = _progress(max(1, replayed // 10), lambda idx, record: (
+    show = _progress(max(1, replayed // 10), lambda idx, record: (
         f"instance {idx}: loss={record.loss:.4f} ade={record.ade:.4f} health={record.health}"))
-    result = run_online(model, stream, online_config, base=base, progress=progress)
-    write_stream_csv(result.records, args.report, layers=model.config.stack_layers)
+    rows = []
+
+    def progress(idx, record):
+        rows.append(record)
+        show(idx, record)
+
+    layers = model.config.stack_layers
+    digest = C.config_digest(dataclasses.asdict(online_config))
+    inputs = [args.ckpt] + stream_paths
+    try:
+        result = run_online(model, stream, online_config, base=base, progress=progress)
+    except KeyboardInterrupt:
+        # The finished rows and where the replay stopped.
+        write_stream_csv(rows, args.report, layers=layers)
+        _write_manifest(args, args.report, digest, seed, inputs, [args.report],
+                        interrupted={"instance": len(rows), "reason": "keyboard interrupt"})
+        raise
+    write_stream_csv(rows, args.report, layers=layers)
     health = result.health
-    _write_manifest(args, args.report, C.config_digest(dataclasses.asdict(online_config)), seed,
-                    [args.ckpt] + stream_paths, [args.report],
+    _write_manifest(args, args.report, digest, seed, inputs, [args.report],
                     counters=dataclasses.asdict(result.counters),
                     health=dataclasses.asdict(health))
     summary = health.status

@@ -7,7 +7,9 @@ Frames are windowed over the sorted unique frame sequence; an agent joins a
 window only when it is present at every frame of that window.
 
 A scene read from a file or generated is one `Scene`: dense positions over
-its sorted frame and agent ids, with a mask of the observed entries.
+its sorted frame and agent ids, with a mask of the observed entries. An
+instance holds only its track, from which its relative steps are taken
+(`_steps`) when they are read.
 """
 
 from __future__ import annotations
@@ -44,18 +46,19 @@ class Scene:
 class TrajectoryInstance:
     """One prediction case: P agents over T_obs observed + T_pred future frames.
 
-    Absolute arrays are (P, T, 2); relative arrays are first differences
-    along time, the two slices of one difference of the whole observed and
-    future track. ``obs_rel[:, 0]`` is zero by convention, and
-    ``fut_rel[:, 0]`` is the step from the last observed frame, so the
-    cumulative sum of ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds
-    ``fut_abs``.
+    Absolute arrays are (P, T, 2). An instance owns one C-contiguous
+    (P, T_obs + T_pred, 2) ``track``, of which ``obs_abs`` and ``fut_abs``
+    are views, and nothing else of that size: the constructor copies the
+    caller's arrays into a new track, so later writes to them do not reach
+    the instance.
 
-    An instance owns one C-contiguous (P, T_obs + T_pred, 2) track, of
-    which ``obs_abs`` and ``fut_abs`` are views, and one array of its
-    steps (`_steps`), of which ``obs_rel`` and ``fut_rel`` are views. The
-    constructor copies the caller's arrays into a new track, so later
-    writes to them do not reach the instance.
+    ``obs_rel`` and ``fut_rel`` are the two slices of the steps of the
+    whole track (`_steps`): read-only properties, computed from the track
+    on every read, so writes to the track show in them and writes to them
+    reach nothing.
+    ``obs_rel[:, 0]`` is zero by convention, and ``fut_rel[:, 0]`` is the
+    step from the last observed frame, so the cumulative sum of
+    ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds ``fut_abs``.
     """
 
     scene_id: str
@@ -63,8 +66,7 @@ class TrajectoryInstance:
     start_frame: int
     obs_abs: np.ndarray
     fut_abs: np.ndarray
-    obs_rel: np.ndarray = field(init=False)
-    fut_rel: np.ndarray = field(init=False)
+    track: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = np.asarray(self.obs_abs, dtype=np.float64)
@@ -77,14 +79,21 @@ class TrajectoryInstance:
             raise DataError(f"empty obs_abs {obs.shape} or fut_abs {fut.shape}")
         if len(self.agent_ids) != obs.shape[0]:
             raise DataError(f"{len(self.agent_ids)} agent ids for {obs.shape[0]} agents")
-        track = np.concatenate([obs, fut], axis=1)
-        self._bind(track, _steps(track), obs.shape[1])
+        self._bind(np.concatenate([obs, fut], axis=1), obs.shape[1])
 
-    def _bind(self, track: np.ndarray, steps: np.ndarray, t_obs: int) -> None:
-        """Make the four arrays views of ``track`` and ``steps``, which the
-        instance owns from here on."""
+    def _bind(self, track: np.ndarray, t_obs: int) -> None:
+        """Make ``track``, which the instance owns from here on, its track,
+        and ``obs_abs`` and ``fut_abs`` its views."""
+        self.track = track
         self.obs_abs, self.fut_abs = track[:, :t_obs], track[:, t_obs:]
-        self.obs_rel, self.fut_rel = steps[:, :t_obs], steps[:, t_obs:]
+
+    @property
+    def obs_rel(self) -> np.ndarray:
+        return _steps(self.track)[:, :self.t_obs]
+
+    @property
+    def fut_rel(self) -> np.ndarray:
+        return _steps(self.track)[:, self.t_obs:]
 
     @property
     def n_agents(self) -> int:
@@ -180,11 +189,10 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
     complete agent are dropped.
 
     An agent is complete in a window when its cumulative presence count
-    grows by the window's length across it. The steps are taken once for
-    the whole scene (`_steps` along frames): inside a complete window every
-    frame is present, so they are the window's own steps, the first aside,
-    which is zeroed. Each instance owns C-contiguous copies of its track and
-    steps, indexed out of the scene's and bound without computing them again.
+    grows by the window's length across it. Each instance owns a
+    C-contiguous copy of its track, indexed out of the scene's positions
+    laid out by agent; no steps are taken here (`TrajectoryInstance`
+    derives them from the track).
     """
     _check_spans(t_obs, t_pred)
     span = t_obs + t_pred
@@ -192,18 +200,14 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
     np.cumsum(scene.present, axis=0, out=seen[1:])
     complete = seen[span:] - seen[:-span] == span
     by_agent = np.ascontiguousarray(scene.coords.transpose(1, 0, 2))
-    all_steps = _steps(by_agent)
     starts = scene.frame_ids.tolist()
     instances = []
     for start in np.flatnonzero(complete.any(axis=1)).tolist():
         agents = np.flatnonzero(complete[start])
-        frames = slice(start, start + span)
-        steps = all_steps[agents, frames]
-        steps[:, 0] = 0.0
         inst = object.__new__(TrajectoryInstance)
         inst.scene_id, inst.agent_ids, inst.start_frame = \
             scene_id, scene.agent_ids[agents].tolist(), starts[start]
-        inst._bind(by_agent[agents, frames], steps, t_obs)
+        inst._bind(by_agent[agents, start:start + span], t_obs)
         instances.append(inst)
     return instances
 

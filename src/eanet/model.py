@@ -49,7 +49,7 @@ import numpy as np
 from . import tensor as T
 from .attention import ea_output, hedge_output, plain_output
 from .data import (T_OBS_DEFAULT, T_PRED_DEFAULT, SyntheticScenarioSpec, TrajectoryInstance,
-                   synthetic_instances)
+                   _steps, synthetic_instances)
 from .errors import ConfigError, require_finite
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
 from .graph import KERNEL_KINDS, gcn_forward, instance_graphs
@@ -84,10 +84,14 @@ class ModelConfig:
 def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[tuple]:
     """The network inputs and target of every instance of one chunk, in
     order: relative displacements (T_obs, P, 2), normalised graphs
-    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). The graphs of the
-    chunk's same-sized instances are built in one `instance_graphs` call.
-    Raises ConfigError when an instance's spans differ from the model's.
-    The step `chunked_arrays` runs on each chunk.
+    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). The chunk's same-sized
+    instances are prepared as one group: their tracks are stacked once,
+    the steps taken once over that stack (`data._steps`, the values each
+    instance's ``obs_rel`` and ``fut_rel`` give), and the displacements,
+    the graph positions and the target are slices of those two arrays;
+    the graphs are built in one `instance_graphs` call. Raises ConfigError
+    when an instance's spans differ from the model's. The step
+    `chunked_arrays` runs on each chunk.
     """
     by_agents: dict[int, list[int]] = {}
     for idx, instance in enumerate(part):
@@ -96,13 +100,16 @@ def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[
                               f"model expects ({config.t_obs}, {config.t_pred})")
         by_agents.setdefault(instance.n_agents, []).append(idx)
     prepared: list[tuple] = [()] * len(part)
+    t_obs = config.t_obs
     for members in by_agents.values():
-        x_seq = np.ascontiguousarray(
-            np.stack([part[i].obs_rel for i in members]).transpose(0, 2, 1, 3))
-        positions = np.stack([part[i].obs_abs for i in members]).transpose(0, 2, 1, 3)
+        tracks = np.stack([part[i].track for i in members])
+        steps = _steps(tracks)
+        x_seq = np.ascontiguousarray(steps[:, :, :t_obs].transpose(0, 2, 1, 3))
+        positions = tracks[:, :, :t_obs].transpose(0, 2, 1, 3)
         ahat = instance_graphs(positions, x_seq, config.kernel, config.rbf_sigma)
+        fut_rel = steps[:, :, t_obs:]
         for k, i in enumerate(members):
-            prepared[i] = (x_seq[k], ahat[k], part[i].fut_rel)
+            prepared[i] = (x_seq[k], ahat[k], fut_rel[k])
     return prepared
 
 

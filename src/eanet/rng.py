@@ -10,7 +10,9 @@ from numpy loops that call the same C library as `math` (`logs`,
 `unit_vectors`; tier-1 tests hold them to `math` bit for bit). So
 Gaussian values, and what is made from them, follow the platform's libm.
 
-`uniforms(n)` is the array form of n `uniform()` calls, bit-identical
+The scalar stream is defined in `tests/oracles.py`: `next_u64` steps
+the state and multiplies, and `uniform` keeps the top 53 bits of that
+word. `uniforms(n)` is the array form of n `uniform` calls, bit-identical
 to them and leaving the same state; `shuffle` draws its words the same
 way. `normal_pairs(n)` is the Box-Muller step over `uniforms(2n)`: n
 pairs, each bit for bit one call of the scalar `normal_pair` that
@@ -65,24 +67,19 @@ class Xorshift64Star:
             state = _ZERO_SEED_STATE
         self.state = state
 
-    def next_u64(self) -> int:
-        self.state = x = _xorshift(self.state)
-        return (x * _MULTIPLIER) & _MASK64
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of resolution."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
     def uniforms(self, n: int) -> np.ndarray:
-        """(n,) array of the n values that n `uniform()` calls give, bit for
-        bit, leaving the generator in the same state."""
+        """(n,) array of n uniform floats in [0, 1) with 53 bits of
+        resolution: the values that n calls of the scalar `uniform` in
+        `tests/oracles.py`, which defines them, give bit for bit, leaving
+        the generator in the same state."""
         if n < 0:
             raise ValueError("uniforms() needs a non-negative count")
         return (self._words(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def _words(self, n: int) -> np.ndarray:
-        """(n,) uint64 array of the n words that n `next_u64()` calls give,
-        leaving the generator in the same state.
+        """(n,) uint64 array of the n words that n calls of the scalar
+        `next_u64` in `tests/oracles.py`, which defines them, give, leaving
+        the generator in the same state.
 
         The n states are computed as lanes of `_LANE` consecutive states:
         lane j is the `_LANE` states after anchor j, the state `j * _LANE`
@@ -116,10 +113,11 @@ class Xorshift64Star:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: for i from len(items) - 1 down to
-        1, swap items i and ``next_u64() % (i + 1)`` (a plain modulo; its
-        tiny bias does not matter here, determinism does). The n - 1 words
-        come from one `_words` call, so the order and the state after it
-        are those of the scalar loop that ``tests/oracles.py`` keeps."""
+        1, swap items i and the next word modulo i + 1 (a plain modulo; its
+        tiny bias does not matter here, determinism does). The scalar loop
+        `shuffle` in `tests/oracles.py` defines it; the n - 1 words come
+        from one `_words` call, so the order and the state after it are
+        that loop's."""
         n = len(items)
         picks = self._words(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
         for i, j in zip(range(n - 1, 0, -1), picks.tolist()):

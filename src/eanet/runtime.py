@@ -189,7 +189,8 @@ def _stacked_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
     ``stacks[p]`` is one ``(x_seq, ahat, fut_rel)`` triple of the p-agent
     instances in order, and ``where[i]`` is instance i's ``(p, row)``.
     They are filled ``chunk`` instances at a time, so no temporary grows
-    with the dataset."""
+    with the dataset, and the instances' steps are taken once, by the
+    chunk's `dataset_arrays`."""
     counts = collections.Counter(instance.n_agents for instance in dataset)
     filled = collections.Counter()
     stacks: dict[int, tuple] = {}
@@ -356,11 +357,13 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the simplex weights move by multiplicative update on the per-layer
     losses while the network itself trains on the mixed output's NLL.
 
-    Inputs and graphs are prepared ``PREP_CHUNK`` instances of the
-    (aligned) stream at a time by `chunked_arrays`, when the loop reaches
-    that chunk; an instance whose spans differ from the model's raises
-    ConfigError then. The arrays have the bits a chunk of that instance
-    alone gives, and serve all of its ``updates_per_instance`` updates.
+    Inputs, graphs and the ``fut_rel`` target are prepared ``PREP_CHUNK``
+    instances of the (aligned) stream at a time by `chunked_arrays`, when
+    the loop reaches that chunk, which takes the steps once per group of
+    same-sized instances; an instance whose spans differ from the model's
+    raises ConfigError then. The arrays have the bits a chunk of that
+    instance alone gives, and serve all of its ``updates_per_instance``
+    updates; the loop reads no steps off the instance itself.
     Each update runs the same `TrajectoryModel.forward`, NLL and
     backward/clip/step, and counts towards health; the first also yields
     the row's metrics, trace and hedge layer losses. An update whose loss
@@ -461,9 +464,12 @@ def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], sa
 
     Instance i draws its K samples with seed ``seed + i``. Inputs and
     graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time. A
-    sample count below one raises ConfigError before any of that.
+    sample count below one raises ConfigError, and an empty ``dataset``
+    DataError, before any of that.
     """
     check_samples(samples)
+    if not dataset:
+        raise DataError("best-of-K evaluation needs at least one instance")
     ades, fdes = [], []
     with T.no_grad():
         prepared = chunked_arrays(dataset, model.config, PREP_CHUNK)

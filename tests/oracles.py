@@ -21,7 +21,10 @@ each of its gradients sums over.
 `generate_synthetic` and `window_instances` are the per-agent, per-frame
 loops that `eanet.data` replaced with whole-array numpy work, over plain
 ``(frame, agent, x, y)`` observation tuples; tests require the data
-module's `Scene` and instances to give the same values bit for bit. `normal_pair` is the scalar Box-Muller draw that
+module's `Scene` and instances to give the same values bit for bit.
+`next_u64` and `uniform` are the scalar xorshift64* stream, one word or
+uniform per call, that defines `Xorshift64Star.uniforms` and its words.
+`normal_pair` is the scalar Box-Muller draw that
 `Xorshift64Star.normal_pairs` and `gaussian.sample_trajectories` are
 checked against, and `shuffle` the one-draw-per-swap loop that
 `Xorshift64Star.shuffle` must match in order and final state.
@@ -40,7 +43,7 @@ from eanet import tensor as T
 from eanet.attention import ExpertTrace
 from eanet.data import TrajectoryInstance
 from eanet.errors import ConfigError, DimensionError
-from eanet.rng import _INV_2_53, Xorshift64Star
+from eanet.rng import _INV_2_53, _MASK64, _MULTIPLIER, Xorshift64Star, _xorshift
 
 
 def gcn_forward(ahat_seq, features, weight):
@@ -257,13 +260,26 @@ def stack(tensors):
     return T._make(np.stack([t.data for t in tensors], axis=1), tuple(tensors), back)
 
 
+def next_u64(rng):
+    """The next 64-bit word of the `Xorshift64Star` ``rng``: step its
+    state, then multiply the new state modulo 2^64."""
+    rng.state = x = _xorshift(rng.state)
+    return (x * _MULTIPLIER) & _MASK64
+
+
+def uniform(rng):
+    """The next uniform float of ``rng`` in [0, 1), with 53 bits of
+    resolution: the top 53 bits of `next_u64`, scaled by 2^-53."""
+    return (next_u64(rng) >> 11) * _INV_2_53
+
+
 def normal_pair(rng):
-    """Two independent standard normals from two `uniform()` draws of
+    """Two independent standard normals from two `uniform` draws of
     ``rng`` via Box-Muller; a first uniform of 0 is raised to 2^-53."""
-    u1 = rng.uniform()
+    u1 = uniform(rng)
     if u1 <= 0.0:
         u1 = _INV_2_53
-    u2 = rng.uniform()
+    u2 = uniform(rng)
     r = math.sqrt(-2.0 * math.log(u1))
     theta = 2.0 * math.pi * u2
     return r * math.cos(theta), r * math.sin(theta)
@@ -271,9 +287,9 @@ def normal_pair(rng):
 
 def shuffle(rng, items):
     """The scalar Fisher-Yates shuffle: for i from len(items) - 1 down to
-    1, swap items i and ``rng.next_u64() % (i + 1)``, one draw per swap."""
+    1, swap items i and ``next_u64(rng) % (i + 1)``, one draw per swap."""
     for i in range(len(items) - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
+        j = next_u64(rng) % (i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -324,14 +340,14 @@ def generate_synthetic(spec, frames):
         radius = spec.extent / 2.0
         omega = spec.speed / radius
         for i in range(n):
-            phases[i] = rng.uniform() * 2.0 * math.pi
-            directions[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+            phases[i] = uniform(rng) * 2.0 * math.pi
+            directions[i] = 1.0 if uniform(rng) < 0.5 else -1.0
     else:
         for i in range(n):
-            positions[i, 0] = rng.uniform() * spec.extent
-            positions[i, 1] = rng.uniform() * spec.extent
+            positions[i, 0] = uniform(rng) * spec.extent
+            positions[i, 1] = uniform(rng) * spec.extent
             if spec.kind == "stagger":
-                headings[i] = rng.uniform() * 2.0 * math.pi
+                headings[i] = uniform(rng) * 2.0 * math.pi
 
     rows = []
     for t in range(frames):
@@ -344,8 +360,8 @@ def generate_synthetic(spec, frames):
                     positions[i] = positions[i] + np.array([spec.speed, 0.0])
                 else:
                     if t % spec.period == 0:
-                        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-                        headings[i] += sign * (math.pi / 4.0 + rng.uniform() * math.pi / 4.0)
+                        sign = 1.0 if uniform(rng) < 0.5 else -1.0
+                        headings[i] += sign * (math.pi / 4.0 + uniform(rng) * math.pi / 4.0)
                     positions[i] = positions[i] + spec.speed * np.array(
                         [math.cos(headings[i]), math.sin(headings[i])])
                 if noisy:

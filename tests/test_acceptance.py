@@ -4,9 +4,9 @@ Each test prints a single ``criterion NN name: PASS/FAIL (...)`` line to
 the real stderr, so a full run doubles as the sign-off report even under
 pytest's output capture. Criteria 1-6 and 9-11 are fast property or
 oracle checks. Criteria 7 and 8 train models and run online streams. In
-one run of this file on a 2-vCPU x86-64 host, the shared pretraining
-fixture took 21 s, criterion 7 38 s and criterion 8 17 s, of 80 s for
-the whole file.
+one run of the full test suite on a 2-vCPU Intel Xeon host (Python
+3.11.7, numpy 2.4.6), the shared pretraining fixture took 15 s,
+criterion 7 23 s and criterion 8 10 s, of 49 s for this file.
 
 Run just this file with ``pytest tests/test_acceptance.py -v``.
 """
@@ -213,8 +213,9 @@ def _staircase(epochs: int, seed: int) -> TrainConfig:
 def pretrained(tmp_path_factory):
     """100-epoch offline model for the oneway scene, saved once per session.
 
-    Training takes about 21 s on a 2-vCPU host; the checkpoint is reloaded for
-    every online run so each starts from identical parameters.
+    Training took 15 s in one run on a 2-vCPU Intel Xeon host; the
+    checkpoint is reloaded for every online run so each starts from
+    identical parameters.
     """
     dataset = synthetic_instances(
         SyntheticScenarioSpec(kind="oneway", agents=6, speed=0.4,

@@ -589,6 +589,40 @@ def test_online_report_row_count_and_rr(workdir):
     assert all(len(r.expert) == 2 for r in records)
 
 
+def test_interrupted_online_leaves_its_finished_rows_and_a_manifest(workdir, tmp_path,
+                                                                   monkeypatch, capsys):
+    argv = ["online", "--ckpt", str(workdir / "model.ckpt"), "--stream", str(workdir / "scene.txt"),
+            "--strategy", "ea", "--max-instances", "30", "--seed", "2",
+            "--base-ade", "0.5", "--base-fde", "0.9", "--report"]
+    full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+    assert cli.main(argv + [str(full)]) == 0
+    updates = []
+    update = runtime._apply_update
+
+    def interrupted(*args):
+        updates.append(None)
+        if len(updates) == 20:
+            raise KeyboardInterrupt
+        return update(*args)
+
+    monkeypatch.setattr(runtime, "_apply_update", interrupted)
+    assert cli.main(argv + [str(cut)]) == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: online interrupted"
+    # The header and 19 finished rows, byte for byte those of the full run.
+    assert cut.read_bytes().splitlines() == full.read_bytes().splitlines()[:20]
+    assert len(read_stream_csv(str(cut))) == 19
+    manifest = json.loads((tmp_path / "cut.csv.manifest.json").read_text())
+    assert manifest["command"] == "online"
+    assert manifest["interrupted"] == {"instance": 19, "reason": "keyboard interrupt"}
+    assert manifest["outputs"] == [str(cut)]
+    prefix = tmp_path / "cut"
+    assert cli.main(["plot", "--report", str(cut), "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert curve_lengths(str(prefix) + ".curves.svg")["ade"] == 19
+
+
 def test_online_without_base_leaves_rr_empty(workdir, tmp_path, capsys):
     report = tmp_path / "nobasereport.csv"
     code = cli.main(["online", "--ckpt", str(workdir / "model.ckpt"),

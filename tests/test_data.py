@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,8 +420,24 @@ def test_each_instance_owns_one_contiguous_block(make):
     before = second.obs_abs.copy()
     first.obs_abs[:] = -1.0
     assert np.array_equal(second.obs_abs, before)
-    assert first.obs_rel.base is first.fut_rel.base
-    assert not np.shares_memory(first.obs_rel.base, second.obs_rel.base)
+    # The steps are read from the track, so the write shows in them.
+    assert not first.obs_rel.any()
+    assert np.array_equal(first.fut_rel[:, 0], first.fut_abs[:, 0] + 1.0)
+
+
+def test_instances_hold_their_tracks_and_little_else():
+    # An instance's steps are read from its track, never stored beside it.
+    spec = SyntheticScenarioSpec(kind="oneway")
+    synthetic_instances(spec, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instances = synthetic_instances(spec, 2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tracks = sum(inst.obs_abs.nbytes + inst.fut_abs.nbytes for inst in instances)
+    assert held <= tracks + 1024 * len(instances)
 
 
 def test_writes_to_the_callers_arrays_do_not_reach_the_instance():

@@ -18,8 +18,8 @@ from eanet.runtime import STRATEGIES, OnlineConfig, TrainConfig, run_online, tra
 from eanet.rng import (_BLOCK, _BLOCK_TABLES, _CHUNK, _LANE, _LANE_TABLES, _MASK64, _MULTIPLIER,
                        _INV_2_53, _ZERO_SEED_STATE, Xorshift64Star, _lookup, logs,
                        unit_vectors)
-from oracles import (add, assert_equals_math_map, div, exp, getitem, log, mean, mul,
-                     normal_pair, shuffle, sub, sum_axis, tanh)
+from oracles import (add, assert_equals_math_map, div, exp, getitem, log, mean, mul, next_u64,
+                     normal_pair, shuffle, sub, sum_axis, tanh, uniform)
 
 
 def field_from_raw(raw):
@@ -373,7 +373,7 @@ def test_normal_pairs_equal_scalar_draws_and_leave_the_same_state():
 def test_uniforms_equal_scalar_draws_and_leave_the_same_state(n):
     for seed in (0, 1, 9, 2**64 - 1):
         scalar, batch = Xorshift64Star(seed), Xorshift64Star(seed)
-        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        want = np.array([uniform(scalar) for _ in range(n)], dtype=np.float64)
         got = batch.uniforms(n)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert batch.state == scalar.state
@@ -389,7 +389,7 @@ def test_shuffle_equals_the_scalar_fisher_yates_and_leaves_the_same_state(n):
         assert got == want
         assert batch.state == scalar.state
         # The next draws agree too, so a second epoch's shuffle does.
-        assert batch.next_u64() == scalar.next_u64()
+        assert next_u64(batch) == next_u64(scalar)
 
 
 def test_uniforms_reject_a_negative_count_and_keep_the_state():
@@ -404,7 +404,7 @@ def test_table_columns_equal_that_many_single_steps():
     block tables (j + 1) * _LANE steps on. Beside fixed and seeded states,
     the states with every byte equal to v reach every table entry."""
     seeded = Xorshift64Star(2024)
-    states = ([1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63] + [seeded.next_u64() for _ in range(4)]
+    states = ([1, 2**64 - 1, _ZERO_SEED_STATE, 1 << 63] + [next_u64(seeded) for _ in range(4)]
               + [v * 0x0101010101010101 for v in range(1, 256)])
     words = np.array(states, dtype=np.uint64)
     lanes, blocks = _lookup(_LANE_TABLES, words), _lookup(_BLOCK_TABLES, words)
@@ -414,7 +414,7 @@ def test_table_columns_equal_that_many_single_steps():
         rng.state = state
         steps = []
         for _ in range(_SPAN):
-            rng.next_u64()
+            next_u64(rng)
             steps.append(rng.state)
         assert lanes[row].tolist() == steps[:_LANE]
         assert blocks[row].tolist() == steps[_LANE - 1::_LANE]

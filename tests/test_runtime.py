@@ -171,6 +171,20 @@ def test_chunked_preparation_equals_per_instance_arrays(chunk):
         list(chunked_arrays(dataset, dataclasses.replace(SMALL, t_obs=6), chunk))
 
 
+def test_a_group_is_sliced_from_one_stack_like_each_instance_s_steps():
+    # 4- and 7-agent instances interleaved in one chunk: each group's
+    # displacements and target are slices of one step array, and must
+    # equal the instance's own steps in dtype, shape and bytes.
+    part = [toy_instance(agents=4 if i % 3 else 7, config=SMALL, seed=60 + i) for i in range(8)]
+    prepared = dataset_arrays(part, SMALL)
+    assert {inst.n_agents for inst in part} == {4, 7}
+    for inst, (x_seq, _, fut_rel) in zip(part, prepared):
+        for got, want in ((x_seq, inst.obs_rel.transpose(1, 0, 2)), (fut_rel, inst.fut_rel)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert fut_rel.strides == inst.fut_rel.strides
+
+
 def test_chunked_training_equals_per_instance_preparation(monkeypatch):
     # 4- and 7-agent instances interleaved, batches of 4: every chunk
     # builds its graphs in two calls, and the last chunk is short.
@@ -749,3 +763,14 @@ def test_too_few_samples_are_rejected_before_any_work(monkeypatch, samples):
 def test_base_requires_data():
     with pytest.raises(DataError):
         compute_base([], TrainConfig(epochs=1))
+
+
+def test_mean_best_of_k_of_no_instances_is_a_data_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started on an empty dataset")
+
+    monkeypatch.setattr(runtime, "chunked_arrays", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="at least one instance"):
+            runtime.mean_best_of_k(small_model(), [], 3, seed=0)
