@@ -29,7 +29,7 @@ HEDGE_BETA = 0.99
 HEDGE_SMOOTHING = 0.2
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpertTrace:
     """Per-instance snapshot of the gate (mean over frames per layer) and
     the current layer-mix vector."""
@@ -135,7 +135,7 @@ def plain_output(block: T.Tensor) -> T.Tensor:
     return T._make(block.data[:, -1].copy(), (block,), back)
 
 
-@dataclass
+@dataclass(eq=False)
 class HedgeState:
     """Multiplicative-weights mixture over the L layers.
 

@@ -8,14 +8,14 @@ window only when it is present at every frame of that window.
 
 A scene read from a file or generated is one `Scene`: dense positions over
 its sorted frame and agent ids, with a mask of the observed entries. An
-instance holds only its track, from which its relative steps are taken
-(`_steps`) when they are read.
+instance holds its track and derives its absolute and relative views
+from it on each read. Scenes and instances compare by identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -29,7 +29,7 @@ T_PRED_DEFAULT = 12
 SCENARIO_KINDS = ("oneway", "circle", "stagger")
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     """``frame_ids`` (F,) and ``agent_ids`` (A,) are sorted, unique int64.
     ``coords[f, a]`` of the (F, A, 2) float64 array is the position of agent
@@ -42,50 +42,62 @@ class Scene:
     present: np.ndarray
 
 
-@dataclass
 class TrajectoryInstance:
     """One prediction case: P agents over T_obs observed + T_pred future frames.
 
-    Absolute arrays are (P, T, 2). An instance owns one C-contiguous
-    (P, T_obs + T_pred, 2) ``track``, of which ``obs_abs`` and ``fut_abs``
-    are views, and nothing else of that size: the constructor copies the
-    caller's arrays into a new track, so later writes to them do not reach
-    the instance.
-
-    ``obs_rel`` and ``fut_rel`` are the two slices of the steps of the
-    whole track (`_steps`): read-only properties, computed from the track
-    on every read, so writes to the track show in them and writes to them
-    reach nothing.
+    An instance holds ``scene_id``, ``agent_ids``, ``start_frame``,
+    ``t_obs`` and one C-contiguous (P, T_obs + T_pred, 2) ``track`` that
+    it owns. All else is a read-only property derived from the track on
+    each read: ``obs_abs`` and ``fut_abs`` are (P, T, 2) views of it, so
+    writes to them reach the track; ``obs_rel`` and ``fut_rel`` are the
+    two slices of the steps of the whole track (`_steps`), so writes to
+    the track show in them and writes to them reach nothing.
     ``obs_rel[:, 0]`` is zero by convention, and ``fut_rel[:, 0]`` is the
     step from the last observed frame, so the cumulative sum of
     ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds ``fut_abs``.
+
+    The constructor copies its arrays and ``agent_ids``, so writes to the
+    caller's objects do not reach the instance. A deep copy or a pickle
+    copies the track, and the copy's views follow it. Equality is identity.
     """
 
-    scene_id: str
-    agent_ids: list[int]
-    start_frame: int
-    obs_abs: np.ndarray
-    fut_abs: np.ndarray
-    track: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("scene_id", "agent_ids", "start_frame", "t_obs", "track")
 
-    def __post_init__(self):
-        obs = np.asarray(self.obs_abs, dtype=np.float64)
-        fut = np.asarray(self.fut_abs, dtype=np.float64)
+    def __new__(cls, scene_id: str, agent_ids: list[int], start_frame: int,
+                obs_abs: np.ndarray, fut_abs: np.ndarray) -> "TrajectoryInstance":
+        obs = np.asarray(obs_abs, dtype=np.float64)
+        fut = np.asarray(fut_abs, dtype=np.float64)
         if obs.ndim != 3 or obs.shape[-1] != 2:
             raise DataError(f"obs_abs must be (P, T, 2), got {obs.shape}")
         if fut.ndim != 3 or fut.shape[0] != obs.shape[0] or fut.shape[-1] != 2:
             raise DataError(f"fut_abs {fut.shape} inconsistent with obs_abs {obs.shape}")
         if 0 in obs.shape or 0 in fut.shape:
             raise DataError(f"empty obs_abs {obs.shape} or fut_abs {fut.shape}")
-        if len(self.agent_ids) != obs.shape[0]:
-            raise DataError(f"{len(self.agent_ids)} agent ids for {obs.shape[0]} agents")
-        self._bind(np.concatenate([obs, fut], axis=1), obs.shape[1])
+        if len(agent_ids) != obs.shape[0]:
+            raise DataError(f"{len(agent_ids)} agent ids for {obs.shape[0]} agents")
+        return cls._adopt(scene_id, list(agent_ids), start_frame,
+                          np.concatenate([obs, fut], axis=1), obs.shape[1])
 
-    def _bind(self, track: np.ndarray, t_obs: int) -> None:
-        """Make ``track``, which the instance owns from here on, its track,
-        and ``obs_abs`` and ``fut_abs`` its views."""
-        self.track = track
-        self.obs_abs, self.fut_abs = track[:, :t_obs], track[:, t_obs:]
+    @classmethod
+    def _adopt(cls, scene_id: str, agent_ids: list[int], start_frame: int,
+               track: np.ndarray, t_obs: int) -> "TrajectoryInstance":
+        """The one path to an instance: it owns ``track`` and ``agent_ids``."""
+        inst = object.__new__(cls)
+        inst.scene_id, inst.agent_ids, inst.start_frame = scene_id, agent_ids, start_frame
+        inst.track, inst.t_obs = track, t_obs
+        return inst
+
+    def __reduce__(self):
+        return self._adopt, (self.scene_id, self.agent_ids, self.start_frame,
+                             self.track, self.t_obs)
+
+    @property
+    def obs_abs(self) -> np.ndarray:
+        return self.track[:, :self.t_obs]
+
+    @property
+    def fut_abs(self) -> np.ndarray:
+        return self.track[:, self.t_obs:]
 
     @property
     def obs_rel(self) -> np.ndarray:
@@ -97,21 +109,17 @@ class TrajectoryInstance:
 
     @property
     def n_agents(self) -> int:
-        return self.obs_abs.shape[0]
-
-    @property
-    def t_obs(self) -> int:
-        return self.obs_abs.shape[1]
+        return self.track.shape[0]
 
     @property
     def t_pred(self) -> int:
-        return self.fut_abs.shape[1]
+        return self.track.shape[1] - self.t_obs
 
     def translated(self, offset: np.ndarray) -> "TrajectoryInstance":
         """A copy with ``offset`` (2-vector) added to all absolute positions."""
         off = np.asarray(offset, dtype=np.float64).reshape(1, 1, 2)
-        return TrajectoryInstance(self.scene_id, list(self.agent_ids), self.start_frame,
-                                  self.obs_abs + off, self.fut_abs + off)
+        return self._adopt(self.scene_id, list(self.agent_ids), self.start_frame,
+                           self.track + off, self.t_obs)
 
     def recentred(self) -> "TrajectoryInstance":
         """Translate so the centroid of last-observed positions is the origin."""
@@ -204,11 +212,9 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
     instances = []
     for start in np.flatnonzero(complete.any(axis=1)).tolist():
         agents = np.flatnonzero(complete[start])
-        inst = object.__new__(TrajectoryInstance)
-        inst.scene_id, inst.agent_ids, inst.start_frame = \
-            scene_id, scene.agent_ids[agents].tolist(), starts[start]
-        inst._bind(by_agent[agents, start:start + span], t_obs)
-        instances.append(inst)
+        instances.append(TrajectoryInstance._adopt(
+            scene_id, scene.agent_ids[agents].tolist(), starts[start],
+            by_agent[agents, start:start + span], t_obs))
     return instances
 
 

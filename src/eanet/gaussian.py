@@ -37,7 +37,7 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 RHO_GUARD = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianField:
     """A decoded network output.
 

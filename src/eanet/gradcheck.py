@@ -46,28 +46,21 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_gradients(build_loss, params: dict[str, T.Tensor],
-                    h: float = DEFAULT_STEP,
-                    perturb=None, weight=None) -> dict[str, float]:
+def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = DEFAULT_STEP,
+                    weight=None) -> dict[str, float]:
     """Compare analytic and numeric gradients for every named parameter.
 
     ``build_loss`` takes no arguments and returns a Tensor freshly computed
     from the current parameter values. Without ``weight`` it must be a
     scalar loss; with one, the loss is ``sum(out * weight)``, whose
-    analytic gradient is the backward seeded with ``weight``. ``perturb``
-    is a test hook: when given, it is called as ``perturb(name, grad)``
-    and may return a deliberately wrong gradient to prove the comparison
-    can fail. Returns the max relative error per parameter name.
+    analytic gradient is the backward seeded with ``weight``. Returns the
+    max relative error per parameter name.
     """
     for p in params.values():
         p.zero_grad()
     T.backward(build_loss(), weight)
-    analytic = {}
-    for name, p in params.items():
-        grad = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-        if perturb is not None:
-            grad = perturb(name, grad)
-        analytic[name] = grad
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for name, p in params.items()}
 
     def value():
         out = build_loss()
@@ -82,7 +75,7 @@ def check_gradients(build_loss, params: dict[str, T.Tensor],
     return errors
 
 
-def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
+def run_gradient_checks() -> list[tuple[str, float, bool]]:
     """The built-in suite: one case per tape record the package runs (the
     graph convolution, the time convolution, the NLL and the hedge and
     plain heads), plus the composed model. A record whose output is not a
@@ -94,7 +87,7 @@ def run_gradient_checks(perturb=None) -> list[tuple[str, float, bool]]:
     results = []
 
     def case(name, build_loss, params, tol, weight=None):
-        errors = check_gradients(build_loss, params, perturb=perturb, weight=weight)
+        errors = check_gradients(build_loss, params, weight=weight)
         worst = max(errors.values())
         results.append((name, worst, worst < tol))
 

@@ -1,15 +1,21 @@
+import copy
+import functools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from eanet import tensor as T
+from eanet.attention import ExpertTrace, HedgeState
 from eanet.data import (SCENARIO_KINDS, Scene, SyntheticScenarioSpec, TrajectoryInstance,
                         frames_for_instances, generate_synthetic, load_dataset,
                         load_scene, synthetic_instances,
                         window_instances, write_scene)
 from eanet.errors import ConfigError, DataError, ParseError
+from eanet.gaussian import decode_gaussian
 
 
 def scene_of(rows):
@@ -437,7 +443,7 @@ def test_instances_hold_their_tracks_and_little_else():
     finally:
         tracemalloc.stop()
     tracks = sum(inst.obs_abs.nbytes + inst.fut_abs.nbytes for inst in instances)
-    assert held <= tracks + 1024 * len(instances)
+    assert held <= tracks + 512 * len(instances)
 
 
 def test_writes_to_the_callers_arrays_do_not_reach_the_instance():
@@ -447,3 +453,40 @@ def test_writes_to_the_callers_arrays_do_not_reach_the_instance():
     obs[:] = -1.0
     fut[:] = -1.0
     assert instance_fields([inst]) == kept
+
+
+def test_the_constructor_keeps_its_own_agent_ids():
+    ids = [1, 2]
+    inst = TrajectoryInstance("s", ids, 0, np.ones((2, 8, 2)), np.ones((2, 12, 2)))
+    ids.append(3)
+    assert inst.agent_ids == [1, 2] and inst.n_agents == 2
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda inst: pickle.loads(pickle.dumps(inst))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copy_derives_its_views_from_its_own_track(clone):
+    inst = window_instances(line_scene(3, 23))[1]
+    kept = instance_fields([inst])
+    twin = clone(inst)
+    assert instance_fields([twin]) == kept and not hasattr(twin, "__dict__")
+    assert twin.track.flags.c_contiguous and not np.shares_memory(twin.track, inst.track)
+    assert np.shares_memory(twin.obs_abs, twin.track)
+    twin.agent_ids.append(9)
+    twin.obs_abs[:] = 0.0
+    assert not twin.obs_rel.any()
+    assert instance_fields([inst]) == kept
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scene(np.arange(3), np.arange(2), np.zeros((3, 2, 2)), np.ones((3, 2), bool)),
+    # One raw tensor, as the dataclass comparison reaches the arrays only
+    # past fields that compare equal.
+    functools.partial(decode_gaussian, T.Tensor(np.zeros((1, 2, 1, 5)))),
+    lambda: ExpertTrace(np.zeros(3), np.full(3, 1.0 / 3)),
+    lambda: HedgeState.uniform(3),
+    lambda: TrajectoryInstance("e", [1, 2], 0, np.ones((2, 8, 2)), np.ones((2, 12, 2))),
+], ids=["Scene", "GaussianField", "ExpertTrace", "HedgeState", "TrajectoryInstance"])
+def test_equal_valued_objects_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True and a in [b, a]
