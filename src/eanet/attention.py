@@ -2,7 +2,9 @@
 
 Three ways to turn the (N, L, T, P, D) block of layer outputs that
 `temporal.stack_forward` returns into one (N, T, P, D) prediction, each
-one tape record:
+the last stage of the model's static chain: a function on arrays that
+returns its output and a ``back`` closure giving the gradients of the
+block and of the head's parameters.
 
 * ``ea_output``: a learned gate scores every layer per frame (tanh of a
   linear read-out, averaged over agents) and a trainable mix vector
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .temporal import LayerBlock
 
 # The default discount and floor budget of a `HedgeState`.
 HEDGE_BETA = 0.99
@@ -38,7 +39,7 @@ class ExpertTrace:
     alpha: np.ndarray
 
 
-def _check_block(block: T.Tensor) -> int:
+def _check_block(block: np.ndarray) -> int:
     """The layer count of an (N, L, T, P, D) block."""
     if block.ndim != 5:
         raise DimensionError(f"need an (N, L, T, P, D) block of layer outputs, got {block.shape}")
@@ -47,92 +48,72 @@ def _check_block(block: T.Tensor) -> int:
     return block.shape[1]
 
 
-def ea_output(block: T.Tensor, theta: T.Tensor, bias: T.Tensor,
-              alpha: T.Tensor) -> tuple[T.Tensor, ExpertTrace]:
+def ea_output(block: np.ndarray, theta: np.ndarray, bias: np.ndarray, alpha: np.ndarray):
     """Gated, alpha-weighted sum over the (N, L, T, P, D) block of layer
-    outputs, as one tape record.
+    outputs.
 
     For each frame f, the gate of layer l is the mean over agents of
     tanh(M[l][:, f] theta + bias), with ``theta`` of shape (D, 1) and
     ``bias`` a scalar; each layer is multiplied by its gate (broadcast
     over agents and features) and the layers are summed with the
     trainable mix alpha, of shape (L,). Other shapes raise DimensionError.
-    ``tests/test_attention.py::test_ea_output_matches_per_frame_recombination``
-    checks it against a frame-by-frame oracle. Returns the (N, T, P, D)
-    output plus a trace for reporting.
+    Returns the (N, T, P, D) output, a trace for reporting, and ``back``,
+    giving ``(grad block, grad theta, grad bias, grad alpha)``.
 
     The forward repeats the arithmetic of the chain of tape primitives
-    this record replaced (matmul, add, tanh, mean, reshape, mul, mul,
-    sum), and the backward adds partial gradients in that chain's order.
-    Every sum runs over its operands in the same memory order as in that
-    chain, since numpy's summation order follows the memory order, so
-    output and gradients are bit-identical to the chain's;
+    this stage replaced (matmul, add, tanh, mean, reshape, mul, mul,
+    sum), and the backward computes partial gradients in that chain's
+    order. Every sum runs over its operands in the same memory order as
+    in that chain, since numpy's summation order follows the memory
+    order, so output and gradients are bit-identical to the chain's;
     ``tests/oracles.py`` keeps it.
     """
     n_layers = _check_block(block)
-    theta, bias, alpha = T.as_tensor(theta), T.as_tensor(bias), T.as_tensor(alpha)
     if alpha.shape != (n_layers,):
         raise DimensionError(f"alpha must be ({n_layers},), got {alpha.shape}")
-    if theta.shape != (block.shape[-1], 1) or bias.data.size != 1:
+    if theta.shape != (block.shape[-1], 1) or bias.size != 1:
         raise DimensionError(f"need a ({block.shape[-1]}, 1) theta and a scalar bias, "
                              f"got {theta.shape} and {bias.shape}")
-    stacked = block.data
-    z = np.matmul(stacked, theta.data) + bias.data
+    z = np.matmul(block, theta) + bias
     scores = np.tanh(z)
     # np.add.reduce, then a divide by the count, is what the mean and sum
     # methods run, without their Python wrappers.
     gate = np.add.reduce(scores, axis=3, keepdims=True) / scores.shape[3]
-    mix = alpha.data.reshape(1, n_layers, 1, 1, 1)
+    mix = alpha.reshape(1, n_layers, 1, 1, 1)
     # The elementwise work runs on (N, L, P, T, D) views, which
     # stack_forward's block stores contiguously.
-    rows = stacked.transpose(0, 1, 3, 2, 4)
+    rows = block.transpose(0, 1, 3, 2, 4)
     gate_rows = gate.transpose(0, 1, 3, 2, 4)
     gated = rows * gate_rows
-    out_data = np.add.reduce(gated * mix, axis=1).transpose(0, 2, 1, 3)
+    out = np.add.reduce(gated * mix, axis=1).transpose(0, 2, 1, 3)
 
     # The backward sums each gradient over the axes its operand was
     # broadcast along, as the chain's unbroadcasting sums did.
     def back(g):
         g_mixed = g.transpose(0, 2, 1, 3)[:, None]
         g_gated = g_mixed * mix
-        if alpha.requires_grad:
-            T._accumulate(alpha, np.add.reduce(g_mixed * gated, axis=(0, 2, 3, 4)))
+        g_alpha = np.add.reduce(g_mixed * gated, axis=(0, 2, 3, 4))
         g_gate = np.add.reduce(g_gated * rows, axis=(2, 4), keepdims=True).transpose(0, 1, 3, 2, 4)
         g_z = (g_gate / block.shape[3]) * (1.0 - scores * scores)
-        T._accumulate(bias, np.add.reduce(g_z, axis=None))
-        if theta.requires_grad:
-            g_theta = np.matmul(stacked.swapaxes(-1, -2), g_z)
-            T._accumulate(theta, np.add.reduce(g_theta, axis=(0, 1, 2)))
-        if block.requires_grad:
-            # The matmul of g_z with theta's transpose multiplies single
-            # pairs, which an elementwise product repeats exactly.
-            g_rows = g_gated * gate_rows + g_z.transpose(0, 1, 3, 2, 4) * theta.data[:, 0]
-            T._accumulate(block, g_rows.transpose(0, 1, 3, 2, 4))
+        g_bias = np.add.reduce(g_z, axis=None)
+        g_theta = np.add.reduce(np.matmul(block.swapaxes(-1, -2), g_z), axis=(0, 1, 2))
+        # The matmul of g_z with theta's transpose multiplies single
+        # pairs, which an elementwise product repeats exactly.
+        g_rows = g_gated * gate_rows + g_z.transpose(0, 1, 3, 2, 4) * theta[:, 0]
+        return g_rows.transpose(0, 1, 3, 2, 4), g_theta, g_bias, g_alpha
 
-    out = T._make(out_data, (block, theta, bias, alpha), back)
     gate_mean = np.add.reduce(gate, axis=(0, 2)).reshape(n_layers) / (gate.shape[0] * gate.shape[2])
-    return out, ExpertTrace(gate=gate_mean, alpha=alpha.data.reshape(-1).copy())
+    return out, ExpertTrace(gate=gate_mean, alpha=alpha.reshape(-1).copy()), back
 
 
-def plain_output(block: T.Tensor) -> T.Tensor:
-    """The deepest layer, untouched, as one tape record. The output owns a
-    copy of it, so a kept prediction does not hold the block's allocation
-    (in `temporal.stack_forward` it also holds every layer's input, conv
-    output and mask) alive. Its backward hands a `temporal.LayerBlock` the
-    deepest layer's gradient alone, and the stack's backward starts from
-    it. Any other block gets the gradient scattered into a zero block,
-    bit-identical to the ``getitem`` of ``tests/oracles.py``."""
+def plain_output(block: np.ndarray):
+    """The deepest layer, untouched, and its ``back``, which hands the
+    stack the deepest layer's gradient alone, as (N, 1, T, P, D). The
+    output is a copy, so a kept prediction does not hold the block's
+    allocation (in `temporal.stack_forward` it also holds every layer's
+    input, conv output and mask) alive."""
     _check_block(block)
-
-    def back(g):
-        if isinstance(block, LayerBlock):
-            block.add_deepest_grad(g)
-            return
-        full = np.zeros_like(block.data)
-        full[:, -1] += g
-        T._accumulate(block, full)
-
-    return T._make(block.data[:, -1].copy(), (block,), back)
+    return block[:, -1].copy(), lambda g: (g[:, None],)
 
 
 @dataclass(eq=False)
@@ -171,20 +152,16 @@ class HedgeState:
             raise ConfigError("hedge weights must be a probability vector")
 
 
-def hedge_output(block: T.Tensor, state: HedgeState) -> T.Tensor:
+def hedge_output(block: np.ndarray, state: HedgeState):
     """Weighted sum over the (N, L, T, P, D) block with the current
-    (constant) weights, as one tape record; a weight count other than L
-    raises DimensionError."""
+    (constant) weights, and its ``back``, which maps the output's gradient
+    to ``(grad block,)``; a weight count other than L raises
+    DimensionError."""
     n_layers = _check_block(block)
     if state.w.size != n_layers:
         raise DimensionError(f"hedge has {state.w.size} weights for {n_layers} layers")
     mix = state.w.reshape(1, n_layers, 1, 1, 1)
-    out_data = np.add.reduce(block.data * mix, axis=1)
-
-    def back(g):
-        T._accumulate(block, g[:, None] * mix)
-
-    return T._make(out_data, (block,), back)
+    return np.add.reduce(block * mix, axis=1), lambda g: (g[:, None] * mix,)
 
 
 def hedge_update(state: HedgeState, losses) -> HedgeState:

@@ -60,7 +60,6 @@ class MetricReport:
 
 def decode_gaussian(raw: T.Tensor) -> GaussianField:
     """Split the 5-channel output into mu, sigma and rho, off the tape."""
-    raw = T.as_tensor(raw)
     if raw.ndim != 4 or raw.shape[-1] != 5:
         raise DimensionError(f"decode_gaussian wants (N, T, P, 5), got {raw.shape}")
     data = raw.data
@@ -143,14 +142,14 @@ def nll_loss(field: GaussianField, target_rel: np.ndarray, per_item: bool = Fals
     return T._make(loss, (raw,), back)
 
 
-def layer_nll(block: T.Tensor, target_rel: np.ndarray) -> np.ndarray:
-    """Per-layer losses, (L,), of a (1, L, T, P, 5) block of layer outputs:
+def layer_nll(block: np.ndarray, target_rel: np.ndarray) -> np.ndarray:
+    """Per-layer losses, (L,), of a (1, L, T, P, 5) array of layer outputs:
     ``nll_loss(decode_gaussian(m), target_rel)`` for each (1, T, P, 5)
     layer ``m``, bit for bit, from one forward-only `nll_loss` over the
-    block's (L, T, P, 5) data. ``target_rel`` is (P, T, 2)."""
+    block's (L, T, P, 5) values. ``target_rel`` is (P, T, 2)."""
     if block.ndim != 5 or block.shape[0] != 1:
         raise DimensionError(f"layer_nll wants a (1, L, T, P, 5) block, got {block.shape}")
-    return nll_loss(decode_gaussian(T.Tensor(block.data[0])), target_rel, per_item=True).data
+    return nll_loss(decode_gaussian(T.Tensor(block[0])), target_rel, per_item=True).data
 
 
 def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ their motion difference and position difference, so agents that are close
 AND moving alike couple strongly; three ablation kernels (plain inverse
 distance, raw L2 distance, exponential radial basis) share the same
 coincident-position guard. The adjacency is symmetrically normalised with
-self-loops before the convolution.
+self-loops before the convolution, `gcn_forward`, the first stage of the
+model's static chain: a function on arrays that returns its output and a
+``back`` closure giving the weight's gradient.
 """
 
 from __future__ import annotations
@@ -101,25 +103,23 @@ def instance_graphs(positions: np.ndarray, motions: np.ndarray, kind: str = "mot
     return normalize_adjacency(build_adjacency(kind, positions, motions, rbf_sigma))
 
 
-def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:
-    """Per-frame graph convolution sigmoid(A_hat X W), as one tape record.
+def gcn_forward(ahat_seq: np.ndarray, features: np.ndarray, weight: np.ndarray):
+    """Per-frame graph convolution sigmoid(A_hat X W); returns the output
+    and ``back``, which maps the output's gradient to ``(grad weight,)``.
 
-    ``ahat_seq`` is (T, P, P), or (N, T, P, P) for a batch of instances,
-    and constant w.r.t. the parameters; ``features`` matches it as
-    (..., T, P, D_in); ``weight`` is (D_in, D_out). Returns a
-    (..., T, P, D_out) tensor. Permuting the agents permutes the output
-    to within rounding, not bit for bit: each row sums over its
-    neighbours in storage order.
+    ``ahat_seq`` is (T, P, P), or (N, T, P, P) for a batch of instances;
+    ``features`` matches it as (..., T, P, D_in); ``weight`` is
+    (D_in, D_out). Returns a (..., T, P, D_out) output. Permuting the
+    agents permutes the output to within rounding, not bit for bit: each
+    row sums over its neighbours in storage order. Graphs and features are
+    inputs of the network, so neither gets a gradient.
 
     The forward and backward repeat the numpy expressions of the
-    matmul, matmul, sigmoid chain this record replaced, operand for
-    operand, so output and gradients are bit-identical to the chain's;
+    matmul, matmul, sigmoid chain this stage replaced, operand for
+    operand, so output and gradient are bit-identical to the chain's;
     ``tests/oracles.py`` keeps it. The weight gradient of every frame is
-    summed over the leading (N, T) axes, and ``features`` get a gradient
-    only when they require one.
+    summed over the leading (N, T) axes.
     """
-    ahat_seq = np.asarray(ahat_seq, dtype=np.float64)
-    features, weight = T.as_tensor(features), T.as_tensor(weight)
     if ahat_seq.ndim not in (3, 4) or ahat_seq.shape[-1] != ahat_seq.shape[-2]:
         raise DimensionError(f"ahat_seq must be (..., T, P, P), got {ahat_seq.shape}")
     if features.ndim != ahat_seq.ndim or features.shape[:-1] != ahat_seq.shape[:-1]:
@@ -128,16 +128,12 @@ def gcn_forward(ahat_seq: np.ndarray, features, weight: T.Tensor) -> T.Tensor:
         )
     if weight.ndim != 2 or weight.shape[0] != features.shape[-1]:
         raise DimensionError(f"weight {weight.shape} does not map features {features.shape}")
-    mixed = np.matmul(ahat_seq, features.data)
-    out_data = 1.0 / (1.0 + np.exp(-np.matmul(mixed, weight.data)))
+    mixed = np.matmul(ahat_seq, features)
+    out = 1.0 / (1.0 + np.exp(-np.matmul(mixed, weight)))
 
     def back(g):
-        g_pre = g * out_data * (1.0 - out_data)
-        if weight.requires_grad:
-            g_weight = np.matmul(mixed.swapaxes(-1, -2), g_pre)
-            T._accumulate(weight, np.add.reduce(g_weight, axis=tuple(range(g_weight.ndim - 2))))
-        if features.requires_grad:
-            g_mixed = np.matmul(g_pre, weight.data.T)
-            T._accumulate(features, np.matmul(ahat_seq.swapaxes(-1, -2), g_mixed))
+        g_pre = g * out * (1.0 - out)
+        g_weight = np.matmul(mixed.swapaxes(-1, -2), g_pre)
+        return (np.add.reduce(g_weight, axis=tuple(range(g_weight.ndim - 2))),)
 
-    return T._make(out_data, (features, weight), back)
+    return out, back

@@ -21,15 +21,14 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
-`TrajectoryModel.forward` puts four records on the tape whatever the
-head: the graph convolution, the time-expand conv, the residual stack
-and the head; the caller's NLL is the fifth, and the Gaussian decode
-adds none. The plain head's record passes the stack's record the
-deepest layer's gradient alone, never a block of zeros for the others.
-Offline training runs the forward on the plain head once per group of
-same-sized instances, and one backward per group, seeded with the
-group's share of the batch. `predict_field` and `predict` run it off
-the tape, so they leave nothing behind.
+`TrajectoryModel.forward` runs the fixed chain of stages (graph
+convolution, time-expand conv, residual stack, head) on plain arrays and
+puts it on the tape as one record, whose backward runs each stage's
+``back`` closure in reverse; the caller's NLL is the second record, and
+the Gaussian decode adds none. Offline training runs the forward on the
+plain head once per group of same-sized instances, and one backward per
+group, seeded with the group's share of the batch. `predict_field` and
+`predict` run it off the tape, so they leave nothing behind.
 
 Permuting an instance's agents permutes its predictions to within
 rounding only (acceptance criterion 6 allows 1e-10): the convolution
@@ -204,34 +203,48 @@ class TrajectoryModel:
         ``x_seq`` holds relative displacements as (N, T_obs, P, 2) and
         ``ahat_seq`` the normalized graphs as (N, T_obs, P, P), as
         `chunked_arrays` prepares them. Returns ``(field, block, trace)``:
-        the decoded head output, the (N, L, T_pred, P, D) block of all L
+        the decoded head output, the (N, L, T_pred, P, D) array of all L
         layer outputs, and the `ea` head's trace (None for the others).
-        On the tape this is four records, one per stage before the decode;
-        the caller's NLL is the fifth. Called outside `T.no_grad()`, the
-        records and every array they hold stay on the tape until a
-        `T.backward` runs, so forward-only work goes through `predict_field`
-        or ``no_grad``. The block lives in ``store`` if one
-        is given (see `stack_forward`), else in memory of its own. An
-        unknown strategy, or `hedge` without a ``hedge_state``, raises
-        ConfigError before anything goes on the tape.
+        On the tape this is one record, whose backward adds each
+        parameter's gradient into its arena view in the order per-stage
+        records did (head, stack slopes from the deepest, stack kernels,
+        time-expand kernel, graph weight); the caller's NLL is the second.
+        Outside `T.no_grad()`, the record and every array its stages hold
+        stay on the tape until a `T.backward` runs. The block lives in
+        ``store`` if one is given (see `stack_forward`). An unknown
+        strategy, or `hedge` without a ``hedge_state``, raises ConfigError
+        before anything goes on the tape.
         """
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
         if strategy == "hedge" and hedge_state is None:
             raise ConfigError("hedge strategy needs a HedgeState")
         params, layers = self.params, range(self.config.stack_layers)
-        x0 = time_expand(gcn_forward(ahat_seq, x_seq, params["gcn/w"]), params["expand/k"])
-        block = stack_forward(x0, [params[f"stack/{l}/k"] for l in layers],
-                              [params[f"stack/{l}/s"] for l in layers], store)
+        gcn, expand = params["gcn/w"], params["expand/k"]
+        kernels = [params[f"stack/{l}/k"] for l in layers]
+        slopes = [params[f"stack/{l}/s"] for l in layers]
+        features, gcn_back = gcn_forward(ahat_seq, x_seq, gcn.data)
+        x0, expand_back = time_expand(features, expand.data)
+        block, stack_back = stack_forward(x0, [k.data for k in kernels],
+                                          [s.data for s in slopes], store)
         trace = None
         if strategy == "ea":
-            raw, trace = ea_output(block, params["ea/theta"], params["ea/bias"],
-                                   params["ea/alpha"])
+            head = [params["ea/theta"], params["ea/bias"], params["ea/alpha"]]
+            raw, trace, head_back = ea_output(block, *[p.data for p in head])
         elif strategy == "hedge":
-            raw = hedge_output(block, hedge_state)
+            head, (raw, head_back) = [], hedge_output(block, hedge_state)
         else:
-            raw = plain_output(block)
-        return decode_gaussian(raw), block, trace
+            head, (raw, head_back) = [], plain_output(block)
+
+        def back(g):
+            g_block, *g_head = head_back(g)
+            g_x0, g_kernels, g_slopes = stack_back(g_block)
+            g_features, g_expand = expand_back(g_x0)
+            grads = [*g_head[::-1], *g_slopes[::-1], *g_kernels, g_expand, *gcn_back(g_features)]
+            for param, grad in zip(head[::-1] + slopes[::-1] + kernels + [expand, gcn], grads):
+                param.grad += grad
+
+        return decode_gaussian(T._make(raw, params.values(), back)), block, trace
 
     def predict_field(self, instance: TrajectoryInstance, strategy: str = "plain",
                       hedge_state=None) -> GaussianField:

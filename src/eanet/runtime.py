@@ -19,12 +19,14 @@ training on. `HealthMonitor` is the one place that rule lives.
 
 Both loops update through the model's parameter arena: the gradient norm
 is one pass over the gradient buffer, and a clip, an SGD step and
-zeroing the gradients are one array op each on a whole buffer.
+zeroing the gradients are one array op each on a whole buffer. Both
+leave the tape empty when they end by an exception.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -183,6 +185,16 @@ def sgd_step(arena: T.ParameterArena, lr: float) -> None:
     arena.data -= lr * arena.grad
 
 
+@contextlib.contextmanager
+def _tape_cleared_on_error():
+    """Clear the tape if the block raises between a forward and its backward."""
+    try:
+        yield
+    except BaseException:
+        T.tape().clear()
+        raise
+
+
 def _stacked_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
                     chunk: int) -> tuple[dict[int, tuple], list[tuple[int, int]]]:
     """The `chunked_arrays` entries of ``dataset`` stacked per agent count:
@@ -228,7 +240,8 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     of the finished epochs. Every forward of the call lays the stack's
     arrays in one `temporal.StackStore`, grown to the largest group, so
     each forward overwrites the last one's arrays instead of allocating
-    its own beside them.
+    its own beside them. Each group's backward takes the two records of
+    its forward and NLL off the tape, and so does an exception.
     """
     config.validate()
     if not dataset:
@@ -258,7 +271,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             # its way to a non-finite loss, which is raised below, so
             # numpy's warnings about it are not printed.
             terms = []
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"), _tape_cleared_on_error():
                 for agents, rows in reversed(groups.items()):
                     x_seq, ahat, fut = (a.take(rows, axis=0) for a in stacks[agents])
                     group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
@@ -371,7 +384,9 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     that instance's updates, with no numpy warning; the run keeps going
     with the next instance. Gradients the model carries in, such as the
     last batch's of `train_offline`, are zeroed before the first update, so
-    every update steps on its own instance's gradient alone.
+    every update steps on its own instance's gradient alone. Each update's
+    backward takes the two records of its forward and NLL off the tape,
+    and so does an exception.
     """
     config.validate()
     model.zero_grad()
@@ -389,7 +404,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     for idx, (inst, (x_seq, ahat, fut_rel)) in enumerate(prepared):
         row_health = "normal"
         # Health records an exploding update, so numpy need not warn about it.
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _tape_cleared_on_error():
             for update in range(config.updates_per_instance):
                 gfield, block, trace = model.forward(x_seq[None], ahat[None],
                                                      config.strategy, hedge)

@@ -14,12 +14,11 @@ storage order.
 
 The stacked layers that follow keep the frame count fixed, and
 ``stack_forward`` returns all of their outputs as one (N, L, T, P, D)
-`LayerBlock`, because the attention head consumes every intermediate
-output, not just the deepest one. The block is one tape record: time
-expansion is one ``tensor.conv2d`` record and the whole residual stack
-another. A head that reads only the deepest layer hands the block that
-layer's gradient alone, so a plain-head backward never builds a
-block-sized gradient of zeros.
+block, because the attention head consumes every intermediate output,
+not just the deepest one. Both are stages of the model's static chain,
+functions on arrays that return their output and a ``back`` closure;
+the stack's takes the deepest layer's gradient alone from a plain head,
+which then never builds a block-sized gradient of zeros.
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ from . import tensor as T
 from .errors import ConfigError, DimensionError
 
 
-def time_expand(features: T.Tensor, kernel: T.Tensor) -> T.Tensor:
+def time_expand(features: np.ndarray, kernel: np.ndarray):
     """Map (N, T_obs, P, D) features to (N, T_pred, P, D) with a
     (T_pred, T_obs, 1, 3) kernel; shape mismatches raise DimensionError.
+    Returns the output and ``back``, as ``tensor.conv2d`` does.
 
     Bit-exactly equivariant under a permutation of the agent axis P.
     """
@@ -77,65 +77,45 @@ class StackStore:
         return self._buf[:size]
 
 
-class LayerBlock(T.Tensor):
-    """The (N, L, C, H, W) block of layer outputs that `stack_forward`
-    returns. Its gradient is None, the whole block's, or, while only the
-    deepest layer has had one, that layer's alone as (N, 1, C, H, W): the
-    other layers' gradients are then zero, and the stack's backward skips
-    adding them. A whole-block gradient written later (``T._accumulate``)
-    widens it."""
-
-    __slots__ = ()
-
-    def add_deepest_grad(self, g: np.ndarray) -> None:
-        """Add ``g``, the (N, C, H, W) gradient of the deepest layer."""
-        deepest = g[:, None]
-        if self.grad is None:
-            # Nothing writes into a partial gradient in place, so only a
-            # whole one (a one-layer block's) is copied.
-            self.grad = deepest if self.shape[1] > 1 else deepest + 0.0
-        elif self.grad.shape != self.shape:
-            self.grad = self.grad + deepest
-        else:
-            self.grad[:, -1:] += deepest
-
-
-def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
-                  store: StackStore | None = None) -> LayerBlock:
-    """Run the stacked layers and return the (N, L, C, H, W) `LayerBlock`
-    of every layer's output, as one tape record.
+def stack_forward(x0: np.ndarray, kernels: list[np.ndarray], slopes: list[np.ndarray],
+                  store: StackStore | None = None):
+    """Run the stacked layers; return the (N, L, C, H, W) block of every
+    layer's output and its ``back``.
 
     M[0] = prelu(conv(x0)); deeper layers are residual:
     M[l] = prelu(conv(M[l-1])) + M[l-1]. The activation sits before the
     add. Every kernel is (C, C, 1, 3) for x0 of shape (N, C, H, W), and
-    every slope a scalar; the checks ``tensor.conv2d`` makes raise
+    every slope a scalar array; the checks ``tensor.conv2d`` makes raise
     DimensionError, and a kernel/slope count mismatch ConfigError.
-    Permuting x0's agent axis permutes the block bit for bit.
+    Permuting x0's agent axis permutes the block bit for bit. ``back``
+    takes the whole block's gradient, or the deepest layer's alone as
+    (N, 1, C, H, W), and returns ``(grad x0, grad kernels, grad slopes)``:
+    (N, C, H, W) and (L, C, C, 1, 3) arrays and a list of L scalars.
 
     Between layers the activations stay in conv2d's (N, H, 1, C·W) row
     layout, and each layer runs conv2d's banded matmul with its operand
     shapes and layouts. The backward adds partial gradients in the order
-    of the per-layer conv2d/prelu/add chain this record replaced:
-    ``grad M[l-1] = (head piece + grad M[l]) + conv grad``. When the block
-    had a gradient for its deepest layer only, the backward starts from
-    it and computes ``grad M[l-1] = grad M[l] + conv grad``, which differs
-    from adding the zero pieces in the sign of a zero at most. The slope
-    gradient is summed over the rows in (N, H, C, W) order, the memory
-    order of that chain's arrays. Outputs and gradients are therefore
-    bit-identical to the chain's. The block is laid out in memory as
-    (N, L, H, C, W), as ``np.stack`` laid out that chain's layers.
+    of the per-layer conv2d/prelu/add chain this stage replaced:
+    ``grad M[l-1] = (head piece + grad M[l]) + conv grad``, or, from the
+    deepest layer's gradient alone, ``grad M[l] + conv grad``, which
+    differs from adding zero pieces in the sign of a zero at most. The
+    slope gradient is summed over the rows in (N, H, C, W) order, the
+    memory order of that chain's arrays. Outputs and gradients are
+    therefore bit-identical to the chain's. The block is laid out in
+    memory as (N, L, H, C, W), as ``np.stack`` laid out that chain's
+    layers.
 
-    The block and the arrays the backward reads share one allocation, a
+    The block and the arrays ``back`` reads share one allocation, a
     fresh one unless ``store`` lends its buffer; then the next forward
-    from that store overwrites this one's block and arrays.
+    from that store overwrites this one's block and arrays. ``back``
+    works in the conv outputs' memory, so it runs once per forward.
     """
-    x0 = T.as_tensor(x0)
     _check_stack(x0.shape, tuple([kernel.shape for kernel in kernels]),
                  tuple([slope.shape for slope in slopes]))
     n, c, h, w = x0.shape
     k = c * w
     n_layers = len(kernels)
-    weights = T.banded_weights([kernel.data for kernel in kernels], w)
+    weights = T.banded_weights(kernels, w)
     # ins[l] holds layer l's input rows and convs[l] its conv output, each
     # one contiguous (N, H, 1, C·W) array, as conv2d's were. One allocation
     # holds them, the block and the conv > 0 masks: the allocator then
@@ -154,8 +134,8 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
     # are picked straight into the array that then takes the product
     # (mode="clip" lets take write into a contiguous out without a buffer),
     # and the backward picks them again from the masks kept here.
-    tables = [np.array([slope.data.item(), 1.0]) for slope in slopes]
-    ins[0] = x0.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
+    tables = [np.array([slope.item(), 1.0]) for slope in slopes]
+    ins[0] = x0.transpose(0, 2, 1, 3).reshape(n, h, 1, k)
     for idx in range(n_layers):
         conv = np.matmul(ins[idx], weights[idx], out=convs[idx])
         positive = np.greater(conv, 0.0, out=masks[idx]).view(np.uint8)
@@ -166,10 +146,10 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
     buf[:, :-1] = ins[1:].swapaxes(0, 1)
 
     def back(g):
-        # g is the whole block's gradient, or the deepest layer's alone.
         full = g.shape[1] > 1
         pieces = g.transpose(0, 1, 3, 2, 4).reshape(n, g.shape[1], h, 1, k)
         g_m = pieces[:, -1]
+        g_slopes = [None] * n_layers
         for idx in reversed(range(n_layers)):
             conv = convs[idx]
             # min(conv, 0) is np.where(conv > 0, 0, conv) up to the sign of
@@ -177,17 +157,14 @@ def stack_forward(x0: T.Tensor, kernels: list[T.Tensor], slopes: list[T.Tensor],
             # terms, then the factors and the conv gradient, take the place
             # of conv.
             g_slope = np.multiply(g_m, np.minimum(conv, 0.0, out=conv), out=conv)
-            T._accumulate(slopes[idx], np.add.reduce(g_slope, axis=None))
+            g_slopes[idx] = np.add.reduce(g_slope, axis=None)
             factor = tables[idx].take(masks[idx].view(np.uint8), mode="clip", out=conv)
             g_conv = np.multiply(g_m, factor, out=conv)
             if idx:
                 g_in = np.matmul(g_conv, weights[idx].T)
                 g_m = np.add(pieces[:, idx - 1] + g_m if full else g_m, g_in, out=g_in)
-        for kernel, g_kernel in zip(kernels, T.banded_kernel_grads(ins, convs, c, w)):
-            T._accumulate(kernel, g_kernel)
-        if x0.requires_grad:
-            gx_rows = np.matmul(convs[0], weights[0].T)
-            T._accumulate(x0, gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3))
+        g_kernels = T.banded_kernel_grads(ins, convs, c, w)
+        gx_rows = np.matmul(convs[0], weights[0].T)
+        return gx_rows.reshape(n, h, c, w).transpose(0, 2, 1, 3), g_kernels, g_slopes
 
-    block = buf.reshape(n, n_layers, h, c, w).transpose(0, 1, 3, 2, 4)
-    return T._make(block, (x0, *kernels, *slopes), back, LayerBlock)
+    return buf.reshape(n, n_layers, h, c, w).transpose(0, 1, 3, 2, 4), back

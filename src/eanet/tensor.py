@@ -1,13 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The design is a dynamic tape: every op that touches a tensor with
-``requires_grad`` appends an ``(out, backward_fn)`` record to the
-module's tape, a plain list. ``backward(out, grad)`` seeds ``out``'s
-gradient with ``grad`` (with one, for a scalar loss and no seed), walks
-the tape in reverse creation order (which is a valid reverse
-topological order, because inputs always exist before the op that uses
-them), accumulates gradients into ``.grad``, and finally clears the tape.
-Leaf tensors keep their accumulated gradients across backward calls, so
+A small tape: every record that touches a tensor with ``requires_grad``
+appends an ``(out, backward_fn)`` pair to the module's tape, a plain
+list. ``backward(out, grad)`` seeds ``out``'s gradient with ``grad``
+(with one, for a scalar loss and no seed), walks the tape in reverse
+creation order, accumulates gradients into ``.grad``, and clears the
+tape. Leaf tensors keep their gradients across backward calls, so
 offline training runs one seeded backward per group of same-sized
 instances. A free tensor's gradient is None until its first write, which
 stores ``g + 0.0`` in a new array; a `Parameter`'s gradient is a zeroed
@@ -15,20 +13,16 @@ view into its arena's gradient buffer, and ``0.0 + g`` written into it
 has the same bits, -0.0 included. Tensors recorded on a tape must not be
 mutated in place before backward runs.
 
-The module holds only what a package path runs: the row-local
-``conv2d`` of ``temporal.time_expand``, the banded-weight helpers it
-shares with ``temporal``'s fused stack, the `ParameterArena` that holds
-a model's parameters, and the gradient norm of the update step. The
-record helpers ``_make`` and ``_accumulate`` are what the fused records
-of ``graph``, ``temporal``, ``attention`` and ``gaussian`` are written
-with; each record sums its own gradients down to its operands' shapes.
-The one exception is the stack's `temporal.LayerBlock`, whose gradient
-may hold its deepest layer's alone; ``_accumulate`` widens it when a
-whole-block gradient arrives. An op or helper that only tests call does
-not belong here: the per-layer chains kept as oracles build theirs, in
-the forms they use, in ``tests/oracles.py``, and ``tests/test_tensor.py``
-requires every function here to have a package caller, which for an
-underscore helper may be in this module.
+A package step puts two records on the tape: the model's forward, a
+fixed chain of stages on plain arrays differentiated in one static
+reverse pass (`model.TrajectoryModel.forward`), and the NLL. Besides the
+tape and its record helpers ``_make`` and ``_accumulate``, the module
+holds the row-local ``conv2d`` stage of ``temporal.time_expand``, the
+banded-weight helpers it shares with ``temporal``'s fused stack, the
+`ParameterArena` of a model's parameters, and the gradient norm of the
+update step. ``tests/test_tensor.py`` requires every function here to
+have a package caller (for an underscore helper, possibly this module);
+ops only tests call live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,10 +104,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
-
 
 class Parameter(Tensor):
     """A tensor whose ``data`` and ``grad`` are views into the buffers of a
@@ -169,29 +159,19 @@ class ParameterArena:
         self._bind()
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None or t.grad.shape != g.shape:
-        # g + 0 is 0 + g, in one pass and in the layout of t.data. A
-        # gradient of another shape is a `temporal.LayerBlock`'s deepest
-        # layer alone, which is added in after.
-        deepest = t.grad
+    if t.grad is None:
+        # g + 0 is 0 + g, in one pass and in the layout of t.data.
         out = np.empty(t.data.shape) if t.data.flags.c_contiguous else np.empty_like(t.data)
         t.grad = np.add(g, 0.0, out=out)
-        if deepest is not None:
-            t.grad[:, -1:] += deepest
     else:
         t.grad += g
 
 
-def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn,
-          cls: type[Tensor] = Tensor) -> Tensor:
-    out = cls(out_data)
+def _make(out_data: np.ndarray, parents, backward_fn) -> Tensor:
+    out = Tensor(out_data)
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
@@ -273,7 +253,7 @@ def check_conv(x_shape: tuple[int, ...], kernel_shape: tuple[int, ...], opname: 
         )
 
 
-def conv2d(x, kernel) -> Tensor:
+def conv2d(x: np.ndarray, kernel: np.ndarray):
     """Row-local time convolution: the 2-D cross-correlation with a 1x3
     window and zero padding of one along the width.
 
@@ -287,25 +267,25 @@ def conv2d(x, kernel) -> Tensor:
     one banded weight built from the kernel, and every row of the batch
     runs its own, identical matmul: permuting the rows or the batch
     permutes the output bit for bit.
+
+    Returns the output and ``back``, which maps the output's gradient to
+    ``(grad x, grad kernel)``.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     check_conv(x.shape, kernel.shape, "conv2d")
     n, c_in, h, w = x.shape
     c_out = kernel.shape[0]
     k_in, k_out = c_in * w, c_out * w
-    weight = banded_weights([kernel.data], w)[0]
-    rows = x.data.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
-    out_data = np.matmul(rows, weight).reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
+    weight = banded_weights([kernel], w)[0]
+    rows = x.transpose(0, 2, 1, 3).reshape(n, h, 1, k_in)
+    out = np.matmul(rows, weight).reshape(n, h, c_out, w).transpose(0, 2, 1, 3)
 
     def back(g):
         g_rows = g.transpose(0, 2, 1, 3).reshape(n, h, 1, k_out)
-        if kernel.requires_grad:
-            _accumulate(kernel, banded_kernel_grads(rows[None], g_rows[None], c_out, w)[0])
-        if x.requires_grad:
-            gx_rows = np.matmul(g_rows, weight.T)
-            _accumulate(x, gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3))
+        g_kernel = banded_kernel_grads(rows[None], g_rows[None], c_out, w)[0]
+        gx_rows = np.matmul(g_rows, weight.T)
+        return gx_rows.reshape(n, h, c_in, w).transpose(0, 2, 1, 3), g_kernel
 
-    return _make(out_data, (x, kernel), back)
+    return out, back
 
 
 def global_grad_norm(arena: ParameterArena) -> float:

@@ -1,11 +1,19 @@
 """Earlier, plainer forms of fused or vectorised code, kept as oracles.
 
-`graph.gcn_forward`, `temporal.stack_forward`, `attention.ea_output`,
-`attention.plain_output` and `attention.hedge_output` are single tape
-records with hand-written backward passes. The first functions here are
-the chains of taped ops those records replaced, op for op, so tests can
-require the fused records to give the same outputs and gradients under
-``np.array_equal``.
+`graph.gcn_forward`, `tensor.conv2d`, `temporal.stack_forward` and the
+heads of `attention` are stages of the model's static chain: plain
+functions on arrays that return their output and a ``back`` closure.
+The first functions here are the chains of taped ops those stages
+replaced, op for op, so tests can require the stages to give the same
+outputs and gradients under ``np.array_equal``.
+
+Two kinds of adapter join the two forms. ``taped_*`` runs a package
+stage as one tape record whose backward adds ``back``'s gradients into
+the input tensors, so a test can compare it with a chain on the tape or
+check it with `gradcheck.check_gradients`. ``staged_*`` runs an oracle
+chain in the stage form, for a test that puts the chains in the model's
+place: the chain records on a tape of its own, and ``back`` walks that
+tape, so no nested `tensor.backward` runs inside the model's record.
 
 The taped ops those chains and the tests' other oracles call, which no
 package path runs, live here too, in the forms they are called with.
@@ -13,7 +21,7 @@ Each is written on ``T._make``/``T._accumulate`` and this module's
 `_unbroadcast`, with the numpy expressions of the package op it was, so
 every oracle's arithmetic is the same as before the ops left the
 package. `_unbroadcast`, the generic sum of a gradient down to an
-operand's shape, lives here because every package record names the axes
+operand's shape, lives here because every package stage names the axes
 each of its gradients sums over.
 
 `build_adjacency` is the graph kernel with its pair distances from
@@ -39,6 +47,7 @@ import math
 
 import numpy as np
 
+from eanet import attention, graph, temporal
 from eanet import tensor as T
 from eanet.attention import ExpertTrace
 from eanet.data import TrajectoryInstance
@@ -49,7 +58,7 @@ from eanet.rng import _INV_2_53, _MASK64, _MULTIPLIER, Xorshift64Star, _xorshift
 def gcn_forward(ahat_seq, features, weight):
     """sigmoid((A_hat X) W) as two matmuls and a sigmoid, the constant
     graphs wrapped in a tensor of their own."""
-    mixed = matmul(T.Tensor(ahat_seq), T.as_tensor(features))
+    mixed = matmul(T.Tensor(ahat_seq), as_tensor(features))
     return sigmoid(matmul(mixed, weight))
 
 
@@ -58,9 +67,9 @@ def stack_forward(x0, kernels, slopes, store=None):
     M[l] = prelu(conv(M[l-1])) + M[l-1]. ``store`` is taken and unused:
     each op allocates its own output."""
     outputs = []
-    current = T.as_tensor(x0)
+    current = as_tensor(x0)
     for idx, (kernel, slope) in enumerate(zip(kernels, slopes)):
-        convolved = prelu(T.conv2d(current, kernel), slope)
+        convolved = prelu(taped_conv2d(current, kernel), slope)
         current = convolved if idx == 0 else add(convolved, current)
         outputs.append(current)
     return outputs
@@ -86,28 +95,154 @@ def build_adjacency(kind, positions, motions, rbf_sigma=1.0):
     return np.where(apart, weights, 0.0)
 
 
-def ea_output(m_list, theta, bias, alpha):
-    """The gated, alpha-weighted layer sum over ``stack(m_list)``; returns
-    the output and the trace."""
-    stacked = stack(m_list)
+def ea_output(stacked, theta, bias, alpha):
+    """The gated, alpha-weighted layer sum over the (N, L, T, P, D)
+    ``stacked`` tensor of layers; returns the output and the trace."""
     n_layers = stacked.shape[1]
     scores = tanh(add(matmul(stacked, theta), bias))
     gate = mean(scores, axis=3)
-    mix = reshape(T.as_tensor(alpha), (1, n_layers, 1, 1, 1))
+    mix = reshape(as_tensor(alpha), (1, n_layers, 1, 1, 1))
     out = sum_axis(mul(mul(stacked, gate), mix), axis=1)
     gate_mean = gate.data.mean(axis=(0, 2)).reshape(n_layers)
     return out, ExpertTrace(gate=gate_mean, alpha=alpha.data.reshape(-1).copy())
 
 
-def hedge_output(m_list, w):
+def hedge_output(stacked, w):
     """The layer sum weighted by the constant probability vector ``w``."""
-    stacked = stack(m_list)
     mix = T.Tensor(np.asarray(w).reshape(1, stacked.shape[1], 1, 1, 1))
     return sum_axis(mul(stacked, mix), axis=1)
 
 
 # ---------------------------------------------------------------------------
+# package stages as tape records
+
+
+def _record(out, back, inputs):
+    """``out`` as a tape record whose backward adds ``back(g)``'s
+    gradients into ``inputs``, in order; a list among them takes a
+    sequence of gradients."""
+    def fn(g):
+        for t, grad in zip(inputs, back(g)):
+            for leaf, leaf_grad in zip(t, grad) if isinstance(t, list) else [(t, grad)]:
+                T._accumulate(leaf, leaf_grad)
+
+    flat = [leaf for t in inputs for leaf in (t if isinstance(t, list) else [t])]
+    return T._make(out, flat, fn)
+
+
+def taped_conv2d(x, kernel):
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    return _record(*T.conv2d(x.data, kernel.data), (x, kernel))
+
+
+def taped_gcn(ahat_seq, features, weight):
+    """`graph.gcn_forward`; only ``weight`` gets a gradient."""
+    return _record(*graph.gcn_forward(ahat_seq, as_tensor(features).data, weight.data),
+                   (weight,))
+
+
+def taped_stack(x0, kernels, slopes):
+    x0 = as_tensor(x0)
+    block, back = temporal.stack_forward(x0.data, [k.data for k in kernels],
+                                         [s.data for s in slopes])
+    return _record(block, back, (x0, list(kernels), list(slopes)))
+
+
+def taped_ea(block, theta, bias, alpha):
+    """`attention.ea_output`: the output record and the trace."""
+    out, trace, back = attention.ea_output(block.data, theta.data, bias.data, alpha.data)
+    return _record(out, back, (block, theta, bias, alpha)), trace
+
+
+def taped_hedge(block, w):
+    return _record(*attention.hedge_output(block.data, attention.HedgeState(w=w)), (block,))
+
+
+def taped_plain(block):
+    """`attention.plain_output`. Its backward hands ``block`` the deepest
+    layer's gradient alone, as (N, 1, T, P, D), which `taped_stack`'s
+    backward passes on to the stack as it is, so the block may have no
+    other reader."""
+    out, back = attention.plain_output(block.data)
+
+    def fn(g):
+        (block.grad,) = back(g)
+
+    return T._make(out, (block,), fn)
+
+
+# ---------------------------------------------------------------------------
+# oracle chains in the stage form
+
+
+def staged(chain, *arrays):
+    """The stage form of ``chain``, a function of tensors that records on
+    the tape: ``(out, back)``, where ``back(g)`` gives the gradients of
+    ``arrays`` in order. The chain records on a tape of its own, which
+    ``back`` walks as `tensor.backward` walks the package's."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    outer, T._tape = T._tape, []
+    try:
+        out = chain(*leaves)
+    finally:
+        own, T._tape = T._tape, outer
+
+    def back(g):
+        out.grad = g
+        for rec_out, fn in reversed(own):
+            if rec_out.grad is not None:
+                fn(rec_out.grad)
+        return tuple(leaf.grad for leaf in leaves)
+
+    return out.data, back
+
+
+def staged_gcn(ahat_seq, features, weight):
+    return staged(lambda w: gcn_forward(ahat_seq, features, w), weight)
+
+
+def staged_stack(x0, kernels, slopes, store=None):
+    """`stack_forward` stacked into one block; ``back`` takes the whole
+    block's gradient."""
+    n = len(kernels)
+    block, back = staged(lambda x, *p: stack(stack_forward(x, p[:n], p[n:])),
+                         x0, *kernels, *slopes)
+
+    def stage_back(g):
+        g_x0, *rest = back(g)
+        return g_x0, rest[:n], rest[n:]
+
+    return block, stage_back
+
+
+def staged_ea(block, theta, bias, alpha):
+    traces = []
+
+    def chain(*leaves):
+        out, trace = ea_output(*leaves)
+        traces.append(trace)
+        return out
+
+    out, back = staged(chain, block, theta, bias, alpha)
+    return out, traces[0], back
+
+
+def staged_hedge(block, state):
+    return staged(lambda b: hedge_output(b, state.w), block)
+
+
+def staged_plain(block):
+    """The deepest layer by ``getitem``, whose backward scatters its
+    gradient into a block of zeros."""
+    return staged(lambda b: getitem(b, np.s_[:, -1]), block)
+
+
+# ---------------------------------------------------------------------------
 # taped ops that only oracles call
+
+
+def as_tensor(x):
+    return x if isinstance(x, T.Tensor) else T.Tensor(x)
 
 
 def _unbroadcast(g, shape):
@@ -124,7 +259,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = T.as_tensor(a), T.as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def back(g):
         T._accumulate(a, _unbroadcast(g, a.shape))
@@ -134,7 +269,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = T.as_tensor(a), T.as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def back(g):
         T._accumulate(a, _unbroadcast(g * b.data, a.shape))
@@ -153,7 +288,7 @@ def tensor_sum(a):
 
 
 def sub(a, b):
-    a = T.as_tensor(a)  # the NLL chain's 1 - rho^2 passes a float
+    a = as_tensor(a)  # the NLL chain's 1 - rho^2 passes a float
 
     def back(g):
         T._accumulate(a, _unbroadcast(g, a.shape))

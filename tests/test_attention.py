@@ -10,13 +10,13 @@ from eanet.attention import (ExpertTrace, HedgeState, ea_output, hedge_output, h
                              plain_output)
 from eanet.errors import ConfigError, ContractError, DimensionError
 from eanet.gradcheck import check_gradients
-from eanet.temporal import stack_forward
 
 
 def recombine_by_frame(block):
     """Per-frame oracle for ``ea_output``: reindex the (N, L, T, P, D)
     block into T tensors of shape (N, L, P, D), so
     R_f[n][l][p][d] == M[l][n][f][p][d]."""
+    block = T.Tensor(block)
     return [oracles.getitem(block, np.s_[:, :, f]) for f in range(block.shape[2])]
 
 
@@ -30,7 +30,7 @@ def expert_weights(r_f, theta, bias):
 def random_layers(n_layers=3, n=1, t=4, p=3, d=5, seed=0):
     """An (N, L, T, P, D) block of L independently drawn layers."""
     rng = np.random.default_rng(seed)
-    return T.Tensor(np.stack([rng.normal(size=(n, t, p, d)) for _ in range(n_layers)], axis=1))
+    return np.stack([rng.normal(size=(n, t, p, d)) for _ in range(n_layers)], axis=1)
 
 
 def test_recombine_single_layer():
@@ -39,7 +39,7 @@ def test_recombine_single_layer():
     assert len(frames) == 4
     for f, r in enumerate(frames):
         assert r.shape == (1, 1, 3, 5)
-        assert np.array_equal(r.data[:, 0], layers.data[:, 0, f])
+        assert np.array_equal(r.data[:, 0], layers[:, 0, f])
 
 
 def test_recombine_round_trip_and_direct_indexing():
@@ -47,26 +47,26 @@ def test_recombine_round_trip_and_direct_indexing():
     frames = recombine_by_frame(layers)
     for l in range(3):
         rebuilt = np.stack([frames[f].data[:, l] for f in range(4)], axis=1)
-        assert np.array_equal(rebuilt, layers.data[:, l])
+        assert np.array_equal(rebuilt, layers[:, l])
     for f in (0, 2):
         for l in range(3):
             for p in range(3):
                 for d in range(5):
-                    assert frames[f].data[0, l, p, d] == layers.data[0, l, f, p, d]
+                    assert frames[f].data[0, l, p, d] == layers[0, l, f, p, d]
 
 
 def test_heads_reject_a_block_of_the_wrong_rank_or_no_layers():
-    head = (T.Tensor(np.zeros((5, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
-    for bad in (T.Tensor(np.zeros((1, 4, 3, 5))), T.Tensor(np.zeros((1, 3, 1, 4, 3, 5)))):
+    head = (np.zeros((5, 1)), np.array(0.0), np.ones(3))
+    for bad in (np.zeros((1, 4, 3, 5)), np.zeros((1, 3, 1, 4, 3, 5))):
         with pytest.raises(DimensionError):
             ea_output(bad, *head)
         with pytest.raises(DimensionError):
             hedge_output(bad, HedgeState.uniform(3))
         with pytest.raises(DimensionError):
             plain_output(bad)
-    empty = T.Tensor(np.zeros((1, 0, 4, 3, 5)))
+    empty = np.zeros((1, 0, 4, 3, 5))
     with pytest.raises(ContractError):
-        ea_output(empty, head[0], head[1], T.Tensor(np.ones(0)))
+        ea_output(empty, head[0], head[1], np.ones(0))
     with pytest.raises(ContractError):
         plain_output(empty)
 
@@ -100,26 +100,25 @@ def test_expert_weights_agent_permutation_invariant():
 def test_expert_weights_theta_shape_error():
     layers = random_layers(seed=5)
     with pytest.raises(DimensionError):
-        ea_output(layers, T.Tensor(np.zeros((4, 1))), T.Tensor(0.0), T.Tensor(np.ones(3)))
+        ea_output(layers, np.zeros((4, 1)), np.array(0.0), np.ones(3))
     # The gate's bias is one scalar; its gradient is summed over every axis.
     with pytest.raises(DimensionError):
-        ea_output(layers, T.Tensor(np.zeros((5, 1))), T.Tensor(np.zeros(3)), T.Tensor(np.ones(3)))
+        ea_output(layers, np.zeros((5, 1)), np.zeros(3), np.ones(3))
 
 
 def test_ea_output_zero_gate_zeroes_everything():
     layers = random_layers(seed=6)
-    out, trace = ea_output(layers, T.Tensor(np.zeros((5, 1))), T.Tensor(0.0),
-                           T.Tensor(np.ones(3)))
-    assert np.array_equal(out.data, np.zeros((1, 4, 3, 5)))
+    out, trace, _ = ea_output(layers, np.zeros((5, 1)), np.array(0.0), np.ones(3))
+    assert np.array_equal(out, np.zeros((1, 4, 3, 5)))
     assert isinstance(trace, ExpertTrace)
     assert np.array_equal(trace.gate, np.zeros(3))
 
 
 def test_ea_output_half_gate_double_alpha_is_identity():
     layers = random_layers(n_layers=1, seed=7)
-    out, trace = ea_output(layers, T.Tensor(np.zeros((5, 1))),
-                           T.Tensor(math.atanh(0.5)), T.Tensor([2.0]))
-    assert np.allclose(out.data, layers.data[:, 0], atol=1e-12)
+    out, trace, _ = ea_output(layers, np.zeros((5, 1)), np.array(math.atanh(0.5)),
+                              np.array([2.0]))
+    assert np.allclose(out, layers[:, 0], atol=1e-12)
     assert np.allclose(trace.gate, [0.5], atol=1e-12)
     assert np.array_equal(trace.alpha, [2.0])
 
@@ -127,61 +126,61 @@ def test_ea_output_half_gate_double_alpha_is_identity():
 def test_ea_output_linear_in_alpha():
     layers = random_layers(seed=8)
     rng = np.random.default_rng(9)
-    theta = T.Tensor(rng.normal(size=(5, 1)))
-    bias = T.Tensor(0.2)
+    theta = rng.normal(size=(5, 1))
+    bias = np.array(0.2)
     a1 = rng.normal(size=3)
     a2 = rng.normal(size=3)
-    out1, _ = ea_output(layers, theta, bias, T.Tensor(a1))
-    out2, _ = ea_output(layers, theta, bias, T.Tensor(a2))
-    both, _ = ea_output(layers, theta, bias, T.Tensor(a1 + a2))
-    assert np.allclose(both.data, out1.data + out2.data, atol=1e-12)
-    scaled, _ = ea_output(layers, theta, bias, T.Tensor(3.0 * a1))
-    assert np.allclose(scaled.data, 3.0 * out1.data, atol=1e-12)
+    out1 = ea_output(layers, theta, bias, a1)[0]
+    out2 = ea_output(layers, theta, bias, a2)[0]
+    both = ea_output(layers, theta, bias, a1 + a2)[0]
+    assert np.allclose(both, out1 + out2, atol=1e-12)
+    scaled = ea_output(layers, theta, bias, 3.0 * a1)[0]
+    assert np.allclose(scaled, 3.0 * out1, atol=1e-12)
 
 
 def test_ea_output_agent_permutation_equivariant():
     rng = np.random.default_rng(10)
     layers = random_layers(seed=11, p=6)
-    theta = T.Tensor(rng.normal(size=(5, 1)))
-    bias = T.Tensor(-0.1)
-    alpha = T.Tensor(rng.normal(size=3))
-    out, _ = ea_output(layers, theta, bias, alpha)
+    theta = rng.normal(size=(5, 1))
+    bias = np.array(-0.1)
+    alpha = rng.normal(size=3)
+    out = ea_output(layers, theta, bias, alpha)[0]
     perm = rng.permutation(6)
-    out_p, _ = ea_output(T.Tensor(layers.data[:, :, :, perm]), theta, bias, alpha)
-    assert np.allclose(out_p.data, out.data[:, :, perm], atol=1e-12)
+    out_p = ea_output(layers[:, :, :, perm], theta, bias, alpha)[0]
+    assert np.allclose(out_p, out[:, :, perm], atol=1e-12)
 
 
 def test_ea_output_matches_per_frame_recombination():
     rng = np.random.default_rng(12)
     layers = random_layers(seed=13)
-    theta = T.Tensor(rng.normal(size=(5, 1)))
-    bias = T.Tensor(0.4)
+    theta = rng.normal(size=(5, 1))
+    bias = np.array(0.4)
     alpha = rng.normal(size=3)
-    out, _ = ea_output(layers, theta, bias, T.Tensor(alpha))
+    out = ea_output(layers, theta, bias, alpha)[0]
     frames = recombine_by_frame(layers)
     for f, r_f in enumerate(frames):
-        e_f = expert_weights(r_f, theta, bias)
+        e_f = expert_weights(r_f, T.Tensor(theta), bias)
         want = np.zeros((1, 3, 5))
         for l in range(3):
             want += alpha[l] * r_f.data[:, l] * e_f.data[:, l]
-        assert np.allclose(out.data[:, f], want, atol=1e-12)
+        assert np.allclose(out[:, f], want, atol=1e-12)
 
 
 def test_ea_output_alpha_length_check():
     layers = random_layers(seed=14)
     with pytest.raises(DimensionError):
-        ea_output(layers, T.Tensor(np.zeros((5, 1))), T.Tensor(0.0), T.Tensor(np.ones(2)))
+        ea_output(layers, np.zeros((5, 1)), np.array(0.0), np.ones(2))
 
 
 def test_ea_gradients_wrt_head_parameters():
-    layers = random_layers(seed=15)
+    layers = T.Tensor(random_layers(seed=15))
     rng = np.random.default_rng(16)
     theta = T.Tensor(rng.normal(size=(5, 1)) * 0.3, requires_grad=True)
     bias = T.Tensor(0.5, requires_grad=True)
     alpha = T.Tensor(rng.normal(size=3), requires_grad=True)
 
     def build():
-        out, _ = ea_output(layers, theta, bias, alpha)
+        out, _ = oracles.taped_ea(layers, theta, bias, alpha)
         return oracles.tensor_sum(oracles.mul(out, out))
 
     errors = check_gradients(build, {"theta": theta, "bias": bias, "alpha": alpha})
@@ -190,17 +189,16 @@ def test_ea_gradients_wrt_head_parameters():
 
 def test_plain_output_is_deepest_layer():
     layers = random_layers(seed=17)
-    assert np.array_equal(plain_output(layers).data, layers.data[:, -1])
-    assert np.array_equal(plain_output(T.Tensor(layers.data[:, :1])).data, layers.data[:, 0])
+    assert np.array_equal(plain_output(layers)[0], layers[:, -1])
+    assert np.array_equal(plain_output(layers[:, :1])[0], layers[:, 0])
 
 
 def test_plain_equals_ea_with_saturated_gate():
     layers = random_layers(seed=18)
     alpha = np.zeros(3)
     alpha[-1] = 1.0
-    out, _ = ea_output(layers, T.Tensor(np.zeros((5, 1))), T.Tensor(20.0),
-                       T.Tensor(alpha))
-    assert np.allclose(out.data, plain_output(layers).data, atol=1e-12)
+    out = ea_output(layers, np.zeros((5, 1)), np.array(20.0), alpha)[0]
+    assert np.allclose(out, plain_output(layers)[0], atol=1e-12)
 
 
 def test_hedge_state_validation():
@@ -220,11 +218,11 @@ def test_hedge_state_validation():
 def test_hedge_output_weighted_sum():
     layers = random_layers(seed=19)
     state = HedgeState(w=np.array([0.2, 0.3, 0.5]))
-    out = hedge_output(layers, state)
-    want = 0.2 * layers.data[:, 0] + 0.3 * layers.data[:, 1] + 0.5 * layers.data[:, 2]
-    assert np.allclose(out.data, want, atol=1e-12)
+    out, _ = hedge_output(layers, state)
+    want = 0.2 * layers[:, 0] + 0.3 * layers[:, 1] + 0.5 * layers[:, 2]
+    assert np.allclose(out, want, atol=1e-12)
     with pytest.raises(DimensionError):
-        hedge_output(T.Tensor(layers.data[:, :2]), state)
+        hedge_output(layers[:, :2], state)
 
 
 def test_hedge_update_worked_example():
@@ -335,21 +333,21 @@ def test_fused_heads_match_the_primitive_chain_bit_for_bit(n, p, n_layers, head)
     params = [x0, *kernels, *slopes, theta, bias, alpha]
 
     def fused():
-        block = stack_forward(x0, kernels, slopes)
+        block = oracles.taped_stack(x0, kernels, slopes)
         if head == "ea":
-            out, trace = ea_output(block, theta, bias, alpha)
+            out, trace = oracles.taped_ea(block, theta, bias, alpha)
             return out, trace.gate
         if head == "hedge":
-            return hedge_output(block, HedgeState(w=w)), None
-        return plain_output(block), None
+            return oracles.taped_hedge(block, w), None
+        return oracles.taped_plain(block), None
 
     def chain():
         layers = oracles.stack_forward(x0, kernels, slopes)
         if head == "ea":
-            out, trace = oracles.ea_output(layers, theta, bias, alpha)
+            out, trace = oracles.ea_output(oracles.stack(layers), theta, bias, alpha)
             return out, trace.gate
         if head == "hedge":
-            return oracles.hedge_output(layers, w), None
+            return oracles.hedge_output(oracles.stack(layers), w), None
         return layers[-1], None
 
     def run(forward):

@@ -91,7 +91,7 @@ def test_plain_is_deepest_layer():
     inst = toy_instance(agents=3, config=model.config, seed=2)
     field, block, trace = forward_one(model, inst, "plain")
     assert trace is None
-    assert np.array_equal(field.raw.data, block.data[:, -1])
+    assert np.array_equal(field.raw.data, block[:, -1])
 
 
 def test_ea_matches_plain_at_init():
@@ -215,9 +215,9 @@ def test_plain_output_owns_its_copy_of_the_deepest_layer():
     model = small_model(layers=3)
     with T.no_grad():
         field, block, _ = forward_one(model, toy_instance(agents=4, config=model.config, seed=7))
-    assert np.array_equal(field.raw.data, block.data[:, -1])
-    assert not np.shares_memory(field.raw.data, block.data)
-    assert allocation_bytes(field.raw.data) == field.raw.data.nbytes < allocation_bytes(block.data)
+    assert np.array_equal(field.raw.data, block[:, -1])
+    assert not np.shares_memory(field.raw.data, block)
+    assert allocation_bytes(field.raw.data) == field.raw.data.nbytes < allocation_bytes(block)
 
 
 def test_loss_is_finite_at_init():

@@ -582,20 +582,56 @@ def test_chunked_replay_equals_one_instance_at_a_time(monkeypatch, strategy, ali
     assert_same_replay(chunked, replay(stream, config))
 
 
-@pytest.mark.parametrize("strategy", runtime.STRATEGIES)
-def test_one_online_update_puts_five_records_on_the_tape(monkeypatch, strategy):
-    # Graph convolution, time-expand conv, stack, head, NLL.
+@pytest.mark.parametrize("step", [*runtime.STRATEGIES, "train"])
+def test_one_step_puts_two_records_on_the_tape(monkeypatch, step):
+    # The model's forward, then the NLL.
     seen = []
+    backward = T.backward
+
+    def counted(out, grad=None):
+        seen.append(len(T.tape()))
+        return backward(out, grad)
+
+    monkeypatch.setattr(T, "backward", counted)
+    if step == "train":
+        # One epoch of one batch of one agent count: one group.
+        train_offline(toy_set(4), TrainConfig(epochs=1, batch_size=4, seed=0), SMALL)
+        assert seen == [2]
+    else:
+        run_online(TrajectoryModel(ModelConfig(), seed=0), toy_set(2, seed0=150),
+                   OnlineConfig(strategy=step, updates_per_instance=2, seed=0))
+        assert seen == [2, 2, 2, 2]
+    assert len(T.tape()) == 0
+
+
+def test_an_interrupted_online_run_leaves_the_tape_empty(monkeypatch):
+    # Cut between the forward and the backward of the fifth update.
+    updates = []
     apply_update = runtime._apply_update
 
-    def counted(model, loss_tensor, loss, config):
-        seen.append(len(T.tape()))
-        return apply_update(model, loss_tensor, loss, config)
+    def interrupted(*args):
+        updates.append(len(T.tape()))
+        if len(updates) == 5:
+            raise KeyboardInterrupt
+        return apply_update(*args)
 
-    monkeypatch.setattr(runtime, "_apply_update", counted)
-    run_online(TrajectoryModel(ModelConfig(), seed=0), toy_set(2, seed0=150),
-               OnlineConfig(strategy=strategy, updates_per_instance=2, seed=0))
-    assert seen == [5, 5, 5, 5]
+    monkeypatch.setattr(runtime, "_apply_update", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_online(small_model(), toy_set(6), OnlineConfig(strategy="ea", seed=0))
+    assert updates == [2] * 5
+    assert len(T.tape()) == 0
+
+
+def test_a_training_step_that_raises_leaves_the_tape_empty(monkeypatch):
+    # The loss raises after the forward has put its record on the tape.
+    def failing(field, target):
+        assert len(T.tape()) == 1
+        raise RuntimeError("loss failed")
+
+    monkeypatch.setattr(runtime, "nll_loss", failing)
+    with pytest.raises(RuntimeError, match="loss failed"):
+        train_offline(toy_set(4), TrainConfig(epochs=1, batch_size=4, seed=0), SMALL)
+    assert len(T.tape()) == 0
 
 
 def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
@@ -616,21 +652,15 @@ def test_replay_and_training_match_the_per_layer_chain(monkeypatch):
         out["train"] = (trained.loss_log, checkpoint_bytes(trained.model))
         return out
 
-    def old_layer_nll(layers, target_rel):
-        stacked = decode_gaussian(T.Tensor(np.concatenate([m.data for m in layers])))
-        return nll_loss(stacked, target_rel, per_item=True).data
-
     fused = run_all()
     # The graph convolution's matmul/matmul/sigmoid chain, the per-layer
     # conv/prelu/add chain and the heads of tape primitives that the fused
-    # records replaced.
-    monkeypatch.setattr(model_module, "gcn_forward", oracles.gcn_forward)
-    monkeypatch.setattr(model_module, "stack_forward", oracles.stack_forward)
-    monkeypatch.setattr(model_module, "ea_output", oracles.ea_output)
-    monkeypatch.setattr(model_module, "hedge_output",
-                        lambda layers, state: oracles.hedge_output(layers, state.w))
-    monkeypatch.setattr(model_module, "plain_output", lambda layers: layers[-1])
-    monkeypatch.setattr(runtime, "layer_nll", old_layer_nll)
+    # stages replaced, each run in the stage form.
+    monkeypatch.setattr(model_module, "gcn_forward", oracles.staged_gcn)
+    monkeypatch.setattr(model_module, "stack_forward", oracles.staged_stack)
+    monkeypatch.setattr(model_module, "ea_output", oracles.staged_ea)
+    monkeypatch.setattr(model_module, "hedge_output", oracles.staged_hedge)
+    monkeypatch.setattr(model_module, "plain_output", oracles.staged_plain)
     assert run_all() == fused
 
 

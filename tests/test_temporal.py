@@ -6,7 +6,7 @@ from scipy.signal import correlate2d
 
 import oracles
 from eanet import tensor as T
-from eanet.attention import ea_output, plain_output
+from eanet.attention import plain_output
 from eanet.errors import ConfigError, DimensionError
 from eanet.gradcheck import check_gradients
 from eanet.temporal import stack_forward, time_expand
@@ -29,53 +29,53 @@ def scipy_conv_oracle(x, k):
 
 
 def test_time_expand_zero_kernel():
-    feats = T.Tensor(np.random.default_rng(0).normal(size=(1, 8, 4, 5)))
-    kernel = T.Tensor(np.zeros((12, 8, 1, 3)))
-    out = time_expand(feats, kernel)
+    feats = np.random.default_rng(0).normal(size=(1, 8, 4, 5))
+    kernel = np.zeros((12, 8, 1, 3))
+    out, _ = time_expand(feats, kernel)
     assert out.shape == (1, 12, 4, 5)
-    assert np.array_equal(out.data, np.zeros((1, 12, 4, 5)))
+    assert np.array_equal(out, np.zeros((1, 12, 4, 5)))
 
 
 def test_time_expand_identity_kernel():
-    feats = T.Tensor(np.random.default_rng(1).normal(size=(1, 1, 4, 5)))
+    feats = np.random.default_rng(1).normal(size=(1, 1, 4, 5))
     kernel = np.zeros((1, 1, 1, 3))
     kernel[0, 0, 0, 1] = 1.0
-    out = time_expand(feats, T.Tensor(kernel))
-    assert np.allclose(out.data, feats.data, atol=1e-15)
+    out, _ = time_expand(feats, kernel)
+    assert np.allclose(out, feats, atol=1e-15)
 
 
 def test_time_expand_matches_scipy_oracle():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(2, 8, 4, 5))
     kernel = rng.normal(size=(12, 8, 1, 3))
-    out = time_expand(T.Tensor(feats), T.Tensor(kernel))
+    out, _ = time_expand(feats, kernel)
     for n in range(2):
-        assert np.allclose(out.data[n], scipy_conv_oracle(feats[n], kernel), atol=1e-12)
+        assert np.allclose(out[n], scipy_conv_oracle(feats[n], kernel), atol=1e-12)
 
 
 def test_time_expand_shape_mismatch():
     with pytest.raises(DimensionError):
-        time_expand(T.Tensor(np.zeros((1, 8, 4, 5))), T.Tensor(np.zeros((12, 7, 1, 3))))
+        time_expand(np.zeros((1, 8, 4, 5)), np.zeros((12, 7, 1, 3)))
 
 
 def test_stack_zero_kernels_stay_zero():
-    x0 = T.Tensor(np.random.default_rng(3).normal(size=(1, 12, 3, 5)))
-    kernels = [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(3)]
-    slopes = [T.Tensor(0.25) for _ in range(3)]
-    block = stack_forward(x0, kernels, slopes)
+    x0 = np.random.default_rng(3).normal(size=(1, 12, 3, 5))
+    kernels = [np.zeros((12, 12, 1, 3)) for _ in range(3)]
+    slopes = [np.array(0.25) for _ in range(3)]
+    block, _ = stack_forward(x0, kernels, slopes)
     assert block.shape == (1, 3, 12, 3, 5)
-    assert np.array_equal(block.data, np.zeros((1, 3, 12, 3, 5)))
+    assert np.array_equal(block, np.zeros((1, 3, 12, 3, 5)))
 
 
 def test_stack_residual_identity_after_first_layer():
     rng = np.random.default_rng(4)
-    x0 = T.Tensor(rng.normal(size=(1, 12, 3, 5)))
-    kernels = [T.Tensor(rng.normal(size=(12, 12, 1, 3)) * 0.1)]
-    kernels += [T.Tensor(np.zeros((12, 12, 1, 3))) for _ in range(2)]
-    slopes = [T.Tensor(0.25) for _ in range(3)]
-    block = stack_forward(x0, kernels, slopes)
-    assert np.array_equal(block.data[:, 1], block.data[:, 0])
-    assert np.array_equal(block.data[:, 2], block.data[:, 0])
+    x0 = rng.normal(size=(1, 12, 3, 5))
+    kernels = [rng.normal(size=(12, 12, 1, 3)) * 0.1]
+    kernels += [np.zeros((12, 12, 1, 3)) for _ in range(2)]
+    slopes = [np.array(0.25) for _ in range(3)]
+    block, _ = stack_forward(x0, kernels, slopes)
+    assert np.array_equal(block[:, 1], block[:, 0])
+    assert np.array_equal(block[:, 2], block[:, 0])
 
 
 def test_stack_two_layers_match_hand_composition():
@@ -90,10 +90,9 @@ def test_stack_two_layers_match_hand_composition():
 
     m0 = prelu(scipy_conv_oracle(x0[0], k0), s0)[None]
     m1 = prelu(scipy_conv_oracle(m0[0], k1), s1)[None] + m0
-    block = stack_forward(T.Tensor(x0), [T.Tensor(k0), T.Tensor(k1)],
-                          [T.Tensor(s0), T.Tensor(s1)])
-    assert np.allclose(block.data[:, 0], m0, atol=1e-12)
-    assert np.allclose(block.data[:, 1], m1, atol=1e-12)
+    block, _ = stack_forward(x0, [k0, k1], [np.array(s0), np.array(s1)])
+    assert np.allclose(block[:, 0], m0, atol=1e-12)
+    assert np.allclose(block[:, 1], m1, atol=1e-12)
 
 
 def test_stack_rows_never_mix():
@@ -101,26 +100,25 @@ def test_stack_rows_never_mix():
     # nothing else changes: each row's convolution reads only that row.
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=(1, 6, 5, 5))
-    kernels = [T.Tensor(rng.normal(size=(6, 6, 1, 3))) for _ in range(2)]
-    slopes = [T.Tensor(0.25), T.Tensor(0.25)]
+    kernels = [rng.normal(size=(6, 6, 1, 3)) for _ in range(2)]
+    slopes = [np.array(0.25), np.array(0.25)]
     perm = np.array([3, 0, 4, 1, 2])
-    block = stack_forward(T.Tensor(x0), kernels, slopes)
-    block_perm = stack_forward(T.Tensor(x0[:, :, perm, :]), kernels, slopes)
-    assert np.array_equal(block.data[:, :, :, perm, :], block_perm.data)
+    block, _ = stack_forward(x0, kernels, slopes)
+    block_perm, _ = stack_forward(x0[:, :, perm, :], kernels, slopes)
+    assert np.array_equal(block[:, :, :, perm, :], block_perm)
 
 
 def test_stack_shape_contract_single_agent():
-    x0 = T.Tensor(np.random.default_rng(6).normal(size=(1, 12, 1, 5)))
-    kernels = [T.Tensor(np.random.default_rng(7).normal(size=(12, 12, 1, 3)))
-               for _ in range(2)]
-    slopes = [T.Tensor(0.25), T.Tensor(0.25)]
-    assert stack_forward(x0, kernels, slopes).shape == (1, 2, 12, 1, 5)
+    x0 = np.random.default_rng(6).normal(size=(1, 12, 1, 5))
+    kernels = [np.random.default_rng(7).normal(size=(12, 12, 1, 3)) for _ in range(2)]
+    slopes = [np.array(0.25), np.array(0.25)]
+    assert stack_forward(x0, kernels, slopes)[0].shape == (1, 2, 12, 1, 5)
 
 
 def test_stack_param_count_mismatch():
-    x0 = T.Tensor(np.zeros((1, 12, 3, 5)))
+    x0 = np.zeros((1, 12, 3, 5))
     with pytest.raises(ConfigError):
-        stack_forward(x0, [T.Tensor(np.zeros((12, 12, 1, 3)))], [])
+        stack_forward(x0, [np.zeros((12, 12, 1, 3))], [])
     with pytest.raises(ConfigError):
         stack_forward(x0, [], [])
 
@@ -133,7 +131,7 @@ def test_stack_gradients_match_finite_differences():
     slopes = [T.Tensor(0.25, requires_grad=True), T.Tensor(0.4, requires_grad=True)]
 
     def build():
-        block = stack_forward(x0, kernels, slopes)
+        block = oracles.taped_stack(x0, kernels, slopes)
         return oracles.tensor_sum(oracles.tanh(block))
 
     params = {"x0": x0, "k0": kernels[0], "k1": kernels[1],
@@ -143,17 +141,17 @@ def test_stack_gradients_match_finite_differences():
 
 
 def test_stack_shape_checks_raise_what_conv2d_raised():
-    x0 = T.Tensor(np.zeros((1, 12, 3, 5)))
-    slopes = [T.Tensor(0.25), T.Tensor(0.25)]
+    x0 = np.zeros((1, 12, 3, 5))
+    slopes = [np.array(0.25), np.array(0.25)]
 
     def kernels(*deeper):
-        return [T.Tensor(np.zeros((12, 12, 1, 3)))] + [T.Tensor(np.zeros(s)) for s in deeper]
+        return [np.zeros((12, 12, 1, 3))] + [np.zeros(s) for s in deeper]
 
     # Twice: shapes are validated once per signature, and a signature that
     # fails must fail again.
     for _ in range(2):
         with pytest.raises(DimensionError, match="rank 4"):
-            stack_forward(T.Tensor(np.zeros((12, 3, 5))), kernels((12, 12, 1, 3)), slopes)
+            stack_forward(np.zeros((12, 3, 5)), kernels((12, 12, 1, 3)), slopes)
         with pytest.raises(DimensionError, match="rank 4"):
             stack_forward(x0, kernels((12, 12, 3)), slopes)
         with pytest.raises(DimensionError, match="1x3"):
@@ -161,10 +159,9 @@ def test_stack_shape_checks_raise_what_conv2d_raised():
         with pytest.raises(DimensionError, match="input channels"):
             stack_forward(x0, kernels((12, 11, 1, 3)), slopes)
         with pytest.raises(DimensionError, match="square"):
-            stack_forward(T.Tensor(np.zeros((1, 11, 3, 5))), [T.Tensor(np.zeros((12, 11, 1, 3)))],
-                          slopes[:1])
+            stack_forward(np.zeros((1, 11, 3, 5)), [np.zeros((12, 11, 1, 3))], slopes[:1])
         with pytest.raises(DimensionError, match="scalar"):
-            stack_forward(x0, kernels(), [T.Tensor(np.full(12, 0.25))])
+            stack_forward(x0, kernels(), [np.full(12, 0.25)])
         with pytest.raises(ConfigError):
             stack_forward(x0, kernels((12, 12, 1, 3)), slopes[:1])
 
@@ -200,7 +197,7 @@ def test_fused_stack_matches_the_per_layer_chain_bit_for_bit(n, p, n_layers):
     def chain(x0, kernels, slopes):
         return oracles.stack(oracles.stack_forward(x0, kernels, slopes))
 
-    got, got_grads = run(stack_forward)
+    got, got_grads = run(oracles.taped_stack)
     want, want_grads = run(chain)
     assert np.array_equal(got, want)
     # Same memory order; a unit axis's stride means nothing.
@@ -227,7 +224,7 @@ def test_fused_stack_deepest_layer_trains_like_the_chain(n):
             t.zero_grad()
         return loss.data, grads
 
-    got, got_grads = run(lambda: plain_output(stack_forward(x0, kernels, slopes)))
+    got, got_grads = run(lambda: oracles.taped_plain(oracles.taped_stack(x0, kernels, slopes)))
     want, want_grads = run(lambda: oracles.stack_forward(x0, kernels, slopes)[-1])
     assert np.array_equal(got, want)
     for g, w in zip(got_grads, want_grads):
@@ -241,63 +238,40 @@ def test_plain_head_hands_the_stack_its_deepest_gradient_alone():
     seed = np.random.default_rng(3).normal(size=(64, 12, 6, 5))
     params = [*kernels, *slopes]
 
-    def run(make_block):
-        block = make_block()
-        out = plain_output(block)
-        tracemalloc.start()
-        try:
-            T.backward(out, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        grads = [t.grad for t in params]
-        for t in params:
-            t.zero_grad()
-        return block, peak, grads
-
-    block, peak, got = run(lambda: stack_forward(x0, kernels, slopes))
-    assert block.grad.shape == (64, 1, 12, 6, 5)
-    assert peak < block.data.nbytes
-    # The chain's block is a plain tensor, so it gets the full gradient.
-    chain_block, _, want = run(lambda: oracles.stack(oracles.stack_forward(x0, kernels, slopes)))
+    block, stack_back = stack_forward(x0.data, [k.data for k in kernels],
+                                      [s.data for s in slopes])
+    _, plain_back = plain_output(block)
+    tracemalloc.start()
+    try:
+        (deepest,) = plain_back(seed)
+        _, got_kernels, got_slopes = stack_back(deepest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deepest.shape == (64, 1, 12, 6, 5)
+    assert peak < block.nbytes
+    # The chain's deepest layer is read off its block by getitem, whose
+    # backward scatters the gradient into a block of zeros.
+    chain_block = oracles.stack(oracles.stack_forward(x0, kernels, slopes))
+    T.backward(oracles.getitem(chain_block, np.s_[:, -1]), seed)
     assert chain_block.grad.shape == chain_block.shape
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for g, t in zip([*got_kernels, *got_slopes], params):
+        assert np.array_equal(g, t.grad)
 
 
-def test_plain_head_gives_a_leaf_block_its_full_gradient():
-    rng = np.random.default_rng(4)
-    block = T.Tensor(rng.normal(size=(2, 3, 12, 4, 5)), requires_grad=True)
-    seed = rng.normal(size=(2, 12, 4, 5))
-    T.backward(plain_output(block), seed)
-    assert block.grad.shape == block.shape
-    assert np.array_equal(block.grad[:, -1], seed)
-    assert not np.any(block.grad[:, :-1])
+@pytest.mark.parametrize("n_layers", [1, 2, 5])
+def test_stack_back_takes_the_deepest_gradient_or_the_whole_blocks(n_layers):
+    # The deepest layer's gradient alone is the whole block's with zeros
+    # in the other layers.
+    x0, kernels, slopes = _stack_case(3, 6, n_layers, seed=20 + n_layers)
+    deepest = np.random.default_rng(4).normal(size=(3, 1, 12, 6, 5))
+    whole = np.zeros((3, n_layers, 12, 6, 5))
+    whole[:, -1:] = deepest
 
+    def grads(g):
+        _, back = stack_forward(x0.data, [k.data for k in kernels], [s.data for s in slopes])
+        g_x0, g_kernels, g_slopes = back(g)
+        return [g_x0, *g_kernels, *g_slopes]
 
-@pytest.mark.parametrize("plain_first", [True, False])
-def test_a_block_read_by_the_plain_and_ea_heads_gets_both_gradients(plain_first):
-    # Backwards run last to first: applied second, the plain head hands
-    # the block its deepest layer's gradient before the ea head's
-    # whole-block gradient arrives.
-    x0, kernels, slopes = _stack_case(3, 6, 4, seed=12)
-    rng = np.random.default_rng(5)
-    theta, bias = T.Tensor(rng.normal(size=(5, 1))), T.Tensor(0.3)
-    alpha = T.Tensor(rng.normal(size=4))
-    params = [x0, *kernels, *slopes]
-
-    def run(make_block):
-        block = make_block()
-        heads = [lambda: plain_output(block), lambda: ea_output(block, theta, bias, alpha)[0]]
-        first, second = [head() for head in (heads if plain_first else heads[::-1])]
-        T.backward(oracles.add(oracles.tensor_sum(oracles.mul(first, first)),
-                               oracles.tensor_sum(second)))
-        grads = [t.grad for t in params]
-        for t in params:
-            t.zero_grad()
-        return grads
-
-    got = run(lambda: stack_forward(x0, kernels, slopes))
-    want = run(lambda: oracles.stack(oracles.stack_forward(x0, kernels, slopes)))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for got, want in zip(grads(deepest), grads(whole), strict=True):
+        assert np.array_equal(got, want)

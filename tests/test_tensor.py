@@ -82,7 +82,7 @@ def test_conv2d_matches_loop_oracle():
     for _ in range(5):
         x = rng.normal(size=(2, 4, 5, 6))
         k = rng.normal(size=(3, 4, 1, 3))
-        got = T.conv2d(T.Tensor(x), T.Tensor(k)).data
+        got = T.conv2d(x, k)[0]
         for n in range(2):
             want = conv2d_loop_oracle(x[n], as_3x3(k))
             assert np.allclose(got[n], want, rtol=0, atol=1e-12)
@@ -92,7 +92,7 @@ def test_conv2d_single_row_plane():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 2, 1, 5))
     k = rng.normal(size=(2, 2, 1, 3))
-    got = T.conv2d(T.Tensor(x), T.Tensor(k)).data
+    got = T.conv2d(x, k)[0]
     assert np.allclose(got[0], conv2d_loop_oracle(x[0], as_3x3(k)), atol=1e-12)
 
 
@@ -100,11 +100,11 @@ def test_conv2d_batched_matches_per_element():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 3, 5, 6))
     k = rng.normal(size=(2, 3, 1, 3))
-    got = T.conv2d(T.Tensor(x), T.Tensor(k))
+    got = T.conv2d(x, k)[0]
     assert got.shape == (4, 2, 5, 6)
     for n in range(4):
-        single = T.conv2d(T.Tensor(x[n:n + 1]), T.Tensor(k)).data[0]
-        assert np.allclose(got.data[n], single, atol=1e-12)
+        single = T.conv2d(x[n:n + 1], k)[0][0]
+        assert np.allclose(got[n], single, atol=1e-12)
         assert np.allclose(single, conv2d_loop_oracle(x[n], as_3x3(k)), atol=1e-12)
 
 
@@ -115,13 +115,13 @@ def test_conv2d_batched_gradients_sum_over_batch():
     x = rng.normal(size=(3, 2, 4, 5))
     k_batch = T.Tensor(rng.normal(size=(2, 2, 1, 3)), requires_grad=True)
     xb = T.Tensor(x.copy(), requires_grad=True)
-    T.backward(oracles.tensor_sum(T.conv2d(xb, k_batch)))
+    T.backward(oracles.tensor_sum(oracles.taped_conv2d(xb, k_batch)))
 
     k_single = T.Tensor(k_batch.data.copy(), requires_grad=True)
     gx = np.zeros_like(x)
     for n in range(3):
         xs = T.Tensor(x[n:n + 1].copy(), requires_grad=True)
-        T.backward(oracles.tensor_sum(T.conv2d(xs, k_single)))
+        T.backward(oracles.tensor_sum(oracles.taped_conv2d(xs, k_single)))
         gx[n] = xs.grad[0]
     assert np.allclose(k_batch.grad, k_single.grad, atol=1e-10)
     assert np.allclose(xb.grad, gx, atol=1e-12)
@@ -129,20 +129,20 @@ def test_conv2d_batched_gradients_sum_over_batch():
 
 def test_conv2d_shape_errors():
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 2, 5, 5))))
+        T.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 5, 5)))
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 2, 3, 3))))
+        T.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3, 3)))
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 9, 1, 3))))
+        T.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((3, 9, 1, 3)))
     with pytest.raises(DimensionError):
-        T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 2, 1, 3))))
+        T.conv2d(np.zeros((2, 4, 4)), np.zeros((3, 2, 1, 3)))
 
 
 def test_conv2d_row_local_kernel_matches_loop_oracle():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(3, 4, 5, 6))
     k = rng.normal(size=(2, 4, 1, 3))
-    got = T.conv2d(T.Tensor(x), T.Tensor(k)).data
+    got = T.conv2d(x, k)[0]
     for n in range(3):
         assert np.allclose(got[n], conv2d_loop_oracle(x[n], as_3x3(k)), rtol=0, atol=1e-12)
 
@@ -150,25 +150,25 @@ def test_conv2d_row_local_kernel_matches_loop_oracle():
 def test_conv2d_row_local_kernel_is_bit_exact_under_row_and_batch_order():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(7, 12, 6, 5))
-    k = T.Tensor(rng.normal(size=(12, 12, 1, 3)))
-    out = T.conv2d(T.Tensor(x), k).data
+    k = rng.normal(size=(12, 12, 1, 3))
+    out = T.conv2d(x, k)[0]
     rows = rng.permutation(6)
     batch = rng.permutation(7)
-    assert np.array_equal(T.conv2d(T.Tensor(x[:, :, rows]), k).data, out[:, :, rows])
-    assert np.array_equal(T.conv2d(T.Tensor(x[batch]), k).data, out[batch])
+    assert np.array_equal(T.conv2d(x[:, :, rows], k)[0], out[:, :, rows])
+    assert np.array_equal(T.conv2d(x[batch], k)[0], out[batch])
 
 
 def test_conv2d_is_bit_exact_under_batch_order():
     rng = np.random.default_rng(16)
     for n in (9, 17, 33, 64):
         x = rng.normal(size=(n, 12, 6, 5))
-        k = T.Tensor(rng.normal(size=(12, 12, 1, 3)))
+        k = rng.normal(size=(12, 12, 1, 3))
         batch = rng.permutation(n)
-        out = T.conv2d(T.Tensor(x), k).data
-        assert np.array_equal(T.conv2d(T.Tensor(x[batch]), k).data, out[batch])
+        out = T.conv2d(x, k)[0]
+        assert np.array_equal(T.conv2d(x[batch], k)[0], out[batch])
 
 
-@pytest.mark.parametrize("name", ["tensor", "data"])
+@pytest.mark.parametrize("name", ["tensor", "data", "graph", "temporal", "attention"])
 def test_every_public_function_has_a_package_caller(name):
     # An op, helper or scene builder that only tests call belongs beside the
     # oracles or in the tests, not here. A public function needs a caller in
@@ -343,7 +343,7 @@ def test_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     x = T.Tensor(rng.normal(size=(1, 3, 4, 5)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(2, 3, 1, 3)) * 0.4, requires_grad=True)
-    errors = check_gradients(lambda: oracles.tensor_sum(oracles.tanh(T.conv2d(x, k))),
+    errors = check_gradients(lambda: oracles.tensor_sum(oracles.tanh(oracles.taped_conv2d(x, k))),
                              {"x": x, "k": k})
     assert max(errors.values()) < 1e-6
 
@@ -352,7 +352,7 @@ def test_conv2d_batched_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(2, 3, 1, 3)) * 0.4, requires_grad=True)
-    errors = check_gradients(lambda: oracles.tensor_sum(oracles.tanh(T.conv2d(x, k))),
+    errors = check_gradients(lambda: oracles.tensor_sum(oracles.tanh(oracles.taped_conv2d(x, k))),
                              {"x": x, "k": k})
     assert max(errors.values()) < 1e-6
 
