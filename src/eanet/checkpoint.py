@@ -137,7 +137,10 @@ def load_checkpoint(path: str) -> tuple[TrajectoryModel, Xorshift64Star]:
     integer config slot that is not a finite whole number, a feature
     dimension other than `GAUSS_CHANNELS`, a tensor name the rebuilt
     model does not expect, a missing parameter, or a config digest
-    mismatch.
+    mismatch. Raises ConfigError, before the digest is checked, for a
+    config that `ModelConfig.validate` rejects: a float slot that is not
+    finite, ``t_obs``, ``t_pred`` or ``stack_layers`` below one, or an
+    ``rbf_sigma`` that is not positive.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

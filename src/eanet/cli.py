@@ -67,8 +67,11 @@ class _UsageError(Exception):
 
 def _environment() -> dict:
     """The interpreter, numpy and BLAS versions and the BLAS thread
-    settings, which decide how the run's floats round: numpy's loops
-    choose the log, cos and sin bits, and BLAS the matmul sums."""
+    settings. The versions decide how the run's floats round: numpy's
+    loops choose the log, cos and sin bits, and BLAS the matmul sums. On
+    the BLAS build the golden corpus was checked with, the thread count
+    does not change them; the settings are recorded because another
+    build may round differently."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}

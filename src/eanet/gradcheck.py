@@ -1,7 +1,7 @@
 """Finite-difference verification of the analytic gradients.
 
 ``numeric_gradient`` recomputes a scalar function under elementwise
-perturbations of one tensor and is the reference every analytic gradient
+perturbations of one array and is the reference every analytic gradient
 is compared against, in the test suite and in the ``gradcheck`` CLI
 command: through ``tensor.backward`` in ``check_gradients``, through a
 stage's ``back`` in ``check_stage``. The comparison uses a symmetric
@@ -17,6 +17,7 @@ from . import tensor as T
 from .attention import HedgeState, ea_output, hedge_output, plain_output
 from .gaussian import decode_gaussian, nll_loss
 from .graph import gcn_forward, instance_graphs
+from .model import ModelConfig, TrajectoryModel, chunked_arrays, toy_instance
 from .temporal import stack_forward
 
 DEFAULT_STEP = 1e-5
@@ -24,24 +25,25 @@ PRIMITIVE_TOLERANCE = 1e-6
 COMPOSED_TOLERANCE = 1e-4
 
 
-def numeric_gradient(fn, t: T.Tensor, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central finite differences of scalar ``fn()`` w.r.t. ``t``'s entries.
+def numeric_gradient(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite differences, with step ``DEFAULT_STEP``, of scalar
+    ``fn()`` w.r.t. the entries of the array ``x``, perturbed in place.
 
-    ``fn`` must recompute the loss from scratch using ``t.data``; it is
-    evaluated 2 * t.size times.
+    ``fn`` must recompute the loss from scratch using ``x``; it is
+    evaluated 2 * x.size times, off the tape.
     """
-    grad = np.zeros_like(t.data)
-    flat_data = t.data.ravel()
+    grad = np.zeros_like(x)
+    flat_data = x.ravel()
     flat_grad = grad.ravel()
     with T.no_grad():
         for i in range(flat_data.size):
             saved = flat_data[i]
-            flat_data[i] = saved + h
+            flat_data[i] = saved + DEFAULT_STEP
             f_plus = fn()
-            flat_data[i] = saved - h
+            flat_data[i] = saved - DEFAULT_STEP
             f_minus = fn()
             flat_data[i] = saved
-            flat_grad[i] = (f_plus - f_minus) / (2.0 * h)
+            flat_grad[i] = (f_plus - f_minus) / (2.0 * DEFAULT_STEP)
     return grad
 
 
@@ -51,8 +53,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = DEFAULT_STEP,
-                    weight=None) -> dict[str, float]:
+def check_gradients(build_loss, params: dict[str, T.Tensor], weight=None) -> dict[str, float]:
     """Compare analytic and numeric gradients for every named parameter.
 
     ``build_loss`` takes no arguments and returns a Tensor freshly computed
@@ -73,15 +74,14 @@ def check_gradients(build_loss, params: dict[str, T.Tensor], h: float = DEFAULT_
 
     errors = {}
     for name, p in params.items():
-        numeric = numeric_gradient(value, p, h=h)
+        numeric = numeric_gradient(value, p.data)
         errors[name] = max_relative_error(analytic[name], numeric)
     for p in params.values():
         p.zero_grad()
     return errors
 
 
-def check_stage(stage, inputs: dict[str, np.ndarray], weight,
-                h: float = DEFAULT_STEP) -> dict[str, float]:
+def check_stage(stage, inputs: dict[str, np.ndarray], weight) -> dict[str, float]:
     """Compare a stage's analytic and numeric gradients of the loss
     ``sum(out * weight)``.
 
@@ -96,7 +96,7 @@ def check_stage(stage, inputs: dict[str, np.ndarray], weight,
         return float(np.sum(stage()[0] * weight))
 
     return {name: max_relative_error(np.reshape(grad, x.shape),
-                                     numeric_gradient(value, T.Tensor(x), h=h))
+                                     numeric_gradient(value, x))
             for (name, x), grad in zip(inputs.items(), analytic)}
 
 
@@ -174,7 +174,6 @@ def run_gradient_checks() -> list[tuple[str, float, bool]]:
         weight=nweight))
 
     # The same margin from the prelu kink holds on this seed pair.
-    from .model import ModelConfig, TrajectoryModel, chunked_arrays, toy_instance
     config = ModelConfig(stack_layers=2)
     model = TrajectoryModel(config, seed=31)
     instance = toy_instance(agents=3, config=config, seed=5)

@@ -221,20 +221,43 @@ def banded_weights(kernels: list[np.ndarray], w: int) -> np.ndarray:
     return taps[_band(c_out, c_in, w, len(kernels))[0]]
 
 
+# Output columns per block of the kernel-gradient product; see
+# banded_kernel_grads.
+_GRAD_COLUMNS = 20
+
+
 def banded_kernel_grads(rows: np.ndarray, g_rows: np.ndarray, c_out: int, w: int) -> np.ndarray:
     """The (L, C_out, C_in, 1, 3) kernel gradients of L banded matmuls, from
     their (L, ..., C_in·W) input rows and the (L, ..., C_out·W) gradients of
     their output rows.
 
-    Each layer's weight gradient is one ``rows.T @ g_rows`` matmul, and its
+    Each layer's weight gradient is a ``rows.T @ g_rows`` product, and its
     band entries are summed per tap by one matmul with the 0/1 tap matrix:
     the same operand shapes and layouts, layer by layer, as a single
-    layer's, so a layer's gradient does not depend on the others."""
+    layer's, so a layer's gradient does not depend on the others.
+
+    The weight-gradient product is taken as fixed blocks of
+    ``_GRAD_COLUMNS`` output columns written into one array (three for the
+    package's 60-wide C_out·W), because the blocks' bits do not depend on
+    the BLAS thread count. Checked with scipy-openblas 0.3.31 (Haswell
+    kernels) on a 2-core host: the full 60-column product at inner sizes
+    N·H of 384, 768 and 1536 gives other bits at 2-4 threads than at 1;
+    the blocks give the same bits at 1, 2, 3 and 4 threads and the
+    default, for inner sizes from 6 to 128·12, on 5 layers of 60-wide rows
+    and on 1 layer of 40- or 60-wide rows. ``tests/test_golden.py`` holds
+    trained, replayed and evaluated bytes to that at 1, 2 and 4 threads
+    and the default. The blocks need not give the full product's bits (at
+    an inner size of 768 they do not).
+    """
     count, k_in = rows.shape[0], rows.shape[-1]
-    c_in = k_in // w
+    c_in, k_out = k_in // w, c_out * w
     _, entries, taps = _band(c_out, c_in, w, 1)
-    g_weight = np.matmul(rows.reshape(count, -1, k_in).swapaxes(1, 2),
-                         g_rows.reshape(count, -1, c_out * w))
+    rows_t = rows.reshape(count, -1, k_in).swapaxes(1, 2)
+    g_rows = g_rows.reshape(count, -1, k_out)
+    g_weight = np.empty((count, k_in, k_out))
+    for lo in range(0, k_out, _GRAD_COLUMNS):
+        cols = slice(lo, lo + _GRAD_COLUMNS)
+        np.matmul(rows_t, g_rows[..., cols], out=g_weight[..., cols])
     per_entry = g_weight.reshape(count, -1).take(entries, axis=1).reshape(count, taps.shape[1], -1)
     g_taps = np.matmul(taps, per_entry)  # summed per tap
     return g_taps.reshape(count, 3, c_in, c_out).transpose(0, 3, 2, 1)[:, :, :, None, :]

@@ -7,11 +7,13 @@ removed or changed against the file it overwrote; ``tests/test_golden.py``
 recomputes every digest and compares exactly. Regenerate the file only in
 a change that means to alter the numbers, and say so in CHANGES.md.
 
-Training's float64 parameters depend on the BLAS thread count, so the file
-holds one digest set per ``OPENBLAS_NUM_THREADS`` setting in ``SETTINGS``:
-``unset`` (the BLAS default) and ``1`` (what ``bench/run.py`` forces). Each
-set is computed in a subprocess started with that setting, here and in the
-test, which recomputes every set whatever setting it runs under.
+The file holds one digest set, which every BLAS thread count must give.
+Each set is computed in a fresh interpreter started with its
+``OPENBLAS_NUM_THREADS``, which BLAS reads only at start-up: this script
+computes it with the variable at 1 and unset (the BLAS default), and if
+any digest differs between the two it writes nothing, prints the names of
+the digests that differ and exits 1. The test recomputes the set at
+several thread counts.
 
 The corpus covers:
 
@@ -34,8 +36,8 @@ The corpus covers:
   agent id, start frame and scene id), for each kind with and without
   noise, and for stagger at turn periods 1 and 3.
 
-Each set also records the environment it was made in, since BLAS builds
-and CPUs may round differently.
+The file also records the environment the set was made in, since other
+BLAS builds and CPUs may round differently.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ STRATEGIES = ("ea", "plain", "hedge")
 UPDATES = (1, 3)
 # Fixed base metrics, so every row carries a restore ratio.
 BASE = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
-SETTINGS = ("unset", "1")
 # (kind, noise_std, period) of the data/* scenes.
 SCENES = [(kind, noise, period) for kind in SCENARIO_KINDS for noise in (0.0, 0.2)
           for period in ((1, 3) if kind == "stagger" else (10,))]
@@ -180,32 +181,42 @@ def compute() -> dict[str, str]:
     return digests
 
 
-def compute_at(value: str) -> dict:
-    """The digest set of a fresh interpreter whose OPENBLAS_NUM_THREADS is
-    ``value`` (removed for ``unset``); BLAS reads it only at start-up."""
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """The names of the digests that ``a`` and ``b`` do not share."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def run_at(threads: str, call: str = "make_golden.compute") -> dict:
+    """The environment and the result of ``call``, a ``module.function`` of
+    this directory, from a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    ``threads`` (removed for ``unset``); BLAS reads it only at start-up."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if value != "unset":
-        env["OPENBLAS_NUM_THREADS"] = value
+    if threads != "unset":
+        env["OPENBLAS_NUM_THREADS"] = threads
+    module, function = call.rsplit(".", 1)
     code = (f"import json, sys; sys.path[:0] = [{str(HERE)!r}, {str(HERE.parent / 'src')!r}]; "
-            "import make_golden as g; "
-            "print(json.dumps({'environment': g.environment(), 'digests': g.compute()}))")
+            f"import make_golden as g, {module} as m; "
+            f"print(json.dumps({{'environment': g.environment(), 'digests': m.{function}()}}))")
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def main() -> int:
+    doc, unset = run_at("1"), run_at("unset")
+    differ = differing(doc["digests"], unset["digests"])
+    if differ:
+        print(f"digests differ between OPENBLAS_NUM_THREADS=1 and unset, so {GOLDEN} was not "
+              f"written: {', '.join(differ)}", file=sys.stderr)
+        return 1
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    doc = {value: compute_at(value) for value in SETTINGS}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    for value, recorded in doc.items():
-        new, was = recorded["digests"], old.get(value, {}).get("digests", {})
-        print(f"OPENBLAS_NUM_THREADS={value}: wrote {len(new)} digests to {GOLDEN}",
-              file=sys.stderr)
-        for label, names in (("added", new.keys() - was.keys()),
-                             ("removed", was.keys() - new.keys()),
-                             ("changed", {k for k in new.keys() & was.keys() if new[k] != was[k]})):
-            print(f"  {label}: {', '.join(sorted(names)) or 'none'}", file=sys.stderr)
+    new, was = doc["digests"], old.get("digests", {})
+    print(f"wrote {len(new)} digests to {GOLDEN}", file=sys.stderr)
+    for label, names in (("added", new.keys() - was.keys()),
+                         ("removed", was.keys() - new.keys()),
+                         ("changed", {k for k in new.keys() & was.keys() if new[k] != was[k]})):
+        print(f"  {label}: {', '.join(sorted(names)) or 'none'}", file=sys.stderr)
     return 0
 
 

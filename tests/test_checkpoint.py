@@ -238,6 +238,13 @@ def test_float_config_slot_that_is_not_finite_is_rejected(tmp_path, slot, name, 
         load_checkpoint(_with_config_slot(tmp_path, slot, value))
 
 
+@pytest.mark.parametrize("slot, message", [(0, "t_obs and t_pred must be positive"),
+                                           (3, "stack_layers must be >= 1")])
+def test_integer_config_slot_out_of_range_is_rejected(tmp_path, slot, message):
+    with pytest.raises(ConfigError, match=message):
+        load_checkpoint(_with_config_slot(tmp_path, slot, 0))
+
+
 def test_digest_covers_the_canonical_config_text():
     model = TrajectoryModel(CONFIG, seed=0)
     blob = checkpoint_bytes(model)

@@ -343,13 +343,13 @@ def test_init_expert_head_rewrites_the_head_in_place():
 
 def test_gradcheck_keeps_the_views_bound(monkeypatch, capsys):
     built = []
+    init = TrajectoryModel.__init__
 
-    class Recorded(TrajectoryModel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(model_module, "TrajectoryModel", Recorded)
+    monkeypatch.setattr(TrajectoryModel, "__init__", recorded)
     assert cli.main(["gradcheck"]) == 0
     capsys.readouterr()
     assert built
