@@ -15,8 +15,8 @@ t_pred window. `gen`, `train`, `online` and `plot` write a small JSON
 manifest next to their primary output, `eval` and `base` only with
 --out, `gradcheck` never. It records the subcommand name, the resolved
 configuration digest, the seed, the inputs (the --config file among
-them), the outputs and the environment (Python, numpy and BLAS versions
-and BLAS thread settings); `online` adds its update `counters` and its
+them), the outputs and the environment (Python, numpy and BLAS versions,
+the BLAS kernels and numpy SIMD targets in use, and BLAS thread settings); `online` adds its update `counters` and its
 `health` verdict, and `train` the seconds of each finished epoch,
 `epoch_s`, the first of which includes preparing the inputs. A diverged
 or interrupted `train` writes no checkpoint, but still writes its loss
@@ -31,7 +31,9 @@ instance it stopped at (`interrupted`: instance and reason).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -40,6 +42,11 @@ import sys
 import time
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 from . import config as C
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -59,6 +66,10 @@ ARTIFACT_VERSION = 1
 # the config its command builds, which `config.config_from` reads by name.
 SETTINGS = "run settings"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Where numpy's wheels bundle scipy-openblas, relative to the numpy package,
+# and the function that names the kernels it chose for this CPU.
+BLAS_LIBS = ("../numpy.libs/*openblas*", ".dylibs/*openblas*")
+BLAS_CORE_SYMBOL = "scipy_openblas_get_corename64_"
 
 
 class _UsageError(Exception):
@@ -66,12 +77,16 @@ class _UsageError(Exception):
 
 
 def _environment() -> dict:
-    """The interpreter, numpy and BLAS versions and the BLAS thread
-    settings. The versions decide how the run's floats round: numpy's
-    loops choose the log, cos and sin bits, and BLAS the matmul sums. On
-    the BLAS build the golden corpus was checked with, the thread count
-    does not change them; the settings are recorded because another
-    build may round differently."""
+    """The interpreter, numpy and BLAS versions, the BLAS kernels and
+    numpy SIMD targets in use, and the BLAS thread settings: what decides
+    how the run's floats round. ``blas_core`` is the kernel family that
+    OpenBLAS picked for this CPU, which need not be its build target, and
+    ``simd`` lists numpy's enabled dispatch targets. The golden corpus was
+    recorded on ``SkylakeX`` kernels, where the thread count does not
+    change the bits. Forcing the Haswell kernels (``OPENBLAS_CORETYPE``)
+    moves trained and replayed digests, and then 1 thread gives other
+    bits than 2 and 4; disabling dispatch targets
+    (``NPY_DISABLE_CPU_FEATURES``) moves digests too."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
@@ -81,8 +96,25 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
+        "blas_core": _blas_core(),
+        "simd": [target for target in _umath.__cpu_dispatch__
+                 if _umath.__cpu_features__.get(target)],
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
+
+
+def _blas_core() -> str:
+    """The core name of numpy's bundled OpenBLAS, read through ctypes, or
+    ``"unknown"`` when the library or `BLAS_CORE_SYMBOL` is missing."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(p for pattern in BLAS_LIBS for p in glob.glob(os.path.join(root, pattern))):
+        try:
+            corename = getattr(ctypes.CDLL(path), BLAS_CORE_SYMBOL)
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _write_manifest(args, primary_output: str, digest: str, seed: int, inputs: list[str],

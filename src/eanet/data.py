@@ -9,7 +9,9 @@ window only when it is present at every frame of that window.
 A scene read from a file or generated is one `Scene`: dense positions over
 its sorted frame and agent ids, with a mask of the observed entries. An
 instance holds its track and derives its absolute and relative views
-from it on each read. Scenes and instances compare by identity.
+from it on each read. Windowed instances share their frames: each track
+is a read-only view of its run's block of gathered positions. Scenes and
+instances compare by identity.
 """
 
 from __future__ import annotations
@@ -46,19 +48,25 @@ class TrajectoryInstance:
     """One prediction case: P agents over T_obs observed + T_pred future frames.
 
     An instance holds ``scene_id``, ``agent_ids``, ``start_frame``,
-    ``t_obs`` and one C-contiguous (P, T_obs + T_pred, 2) ``track`` that
-    it owns. All else is a read-only property derived from the track on
-    each read: ``obs_abs`` and ``fut_abs`` are (P, T, 2) views of it, so
-    writes to them reach the track; ``obs_rel`` and ``fut_rel`` are the
-    two slices of the steps of the whole track (`_steps`), so writes to
-    the track show in them and writes to them reach nothing.
-    ``obs_rel[:, 0]`` is zero by convention, and ``fut_rel[:, 0]`` is the
-    step from the last observed frame, so the cumulative sum of
-    ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds ``fut_abs``.
+    ``t_obs`` and one (P, T_obs + T_pred, 2) ``track``. All else is a
+    read-only property derived from the track on each read: ``obs_abs``
+    and ``fut_abs`` are (P, T, 2) views of it, so writes to them reach the
+    track; ``obs_rel`` and ``fut_rel`` are the two slices of the steps of
+    the whole track (`_steps`), so writes to the track show in them and
+    writes to them reach nothing. ``obs_rel[:, 0]`` is zero by convention,
+    and ``fut_rel[:, 0]`` is the step from the last observed frame, so the
+    cumulative sum of ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds
+    ``fut_abs``.
 
-    The constructor copies its arrays and ``agent_ids``, so writes to the
-    caller's objects do not reach the instance. A deep copy or a pickle
-    copies the track, and the copy's views follow it. Equality is identity.
+    A windowed instance (`window_instances`) shares its track: it is a
+    read-only view of the block that its run of windows shares, so a write
+    to it raises ValueError instead of reaching a neighbouring window, and
+    the instance keeps its scene's gathered positions alive. Every other
+    instance owns a private, writable, C-contiguous track: the
+    constructor copies its arrays and ``agent_ids``, so writes to the
+    caller's objects do not reach the instance; `translated` and
+    `recentred` make a new track; a deep copy or a pickle copies the track,
+    and the copy's views follow it. Equality is identity.
     """
 
     __slots__ = ("scene_id", "agent_ids", "start_frame", "t_obs", "track")
@@ -81,15 +89,16 @@ class TrajectoryInstance:
     @classmethod
     def _adopt(cls, scene_id: str, agent_ids: list[int], start_frame: int,
                track: np.ndarray, t_obs: int) -> "TrajectoryInstance":
-        """The one path to an instance: it owns ``track`` and ``agent_ids``."""
+        """The one path to an instance: it owns ``agent_ids`` and holds ``track``."""
         inst = object.__new__(cls)
         inst.scene_id, inst.agent_ids, inst.start_frame = scene_id, agent_ids, start_frame
         inst.track, inst.t_obs = track, t_obs
         return inst
 
     def __reduce__(self):
-        return self._adopt, (self.scene_id, self.agent_ids, self.start_frame,
-                             self.track, self.t_obs)
+        # A copy of a windowed instance owns a writable copy of its view.
+        track = self.track if self.track.flags.writeable else self.track.copy()
+        return self._adopt, (self.scene_id, self.agent_ids, self.start_frame, track, self.t_obs)
 
     @property
     def obs_abs(self) -> np.ndarray:
@@ -197,24 +206,52 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
     complete agent are dropped.
 
     An agent is complete in a window when its cumulative presence count
-    grows by the window's length across it. Each instance owns a
-    C-contiguous copy of its track, indexed out of the scene's positions
-    laid out by agent; no steps are taken here (`TrajectoryInstance`
-    derives them from the track).
+    grows by the window's length across it. A run is a stretch of
+    consecutive windows with one complete-agent set. Each run's positions,
+    a (P, run windows + span - 1, 2) block, are gathered once, and each
+    window's track is a (P, span, 2) view of its run's block, so
+    neighbouring windows share their frames instead of each holding a
+    copy. The blocks are slices of one read-only array that every
+    instance keeps alive; a write to a track raises ValueError. No steps
+    are taken here (`TrajectoryInstance` derives them from the track).
     """
     _check_spans(t_obs, t_pred)
     span = t_obs + t_pred
-    seen = np.zeros((len(scene.frame_ids) + 1, len(scene.agent_ids)), dtype=np.int64)
+    n_agents = len(scene.agent_ids)
+    seen = np.zeros((len(scene.frame_ids) + 1, n_agents), dtype=np.int64)
     np.cumsum(scene.present, axis=0, out=seen[1:])
     complete = seen[span:] - seen[:-span] == span
-    by_agent = np.ascontiguousarray(scene.coords.transpose(1, 0, 2))
-    starts = scene.frame_ids.tolist()
+    # A run starts where the complete set changes; an empty set is no run.
+    change = np.ones(len(complete), dtype=bool)
+    np.any(complete[1:] != complete[:-1], axis=1, out=change[1:])
+    bounds = np.flatnonzero(change)
+    windows = np.diff(bounds, append=len(complete))
+    live = complete[bounds].any(axis=1)
+    starts, windows = bounds[live], windows[live]
+    # One row per (run, agent): the agent's frames over the whole run, taken
+    # in one gather from the frame-major positions, viewed as one complex128
+    # per (x, y) pair so that `np.take` moves whole positions.
+    run, agent = np.divmod(np.flatnonzero(complete[starts]), n_agents)
+    row_frames = (windows + span - 1)[run]
+    first = (starts[run] - np.cumsum(row_frames) + row_frames) * n_agents + agent
+    at = np.arange(row_frames.sum()) * n_agents + np.repeat(first, row_frames)
+    positions = np.ascontiguousarray(scene.coords, dtype=np.float64).view(np.complex128)
+    gathered = np.take(positions.reshape(-1), at)
+    gathered.flags.writeable = False
+    gathered = gathered.view(np.float64).reshape(-1, 2)
+    agent_ids = scene.agent_ids[agent].tolist()
+    start_frames = scene.frame_ids.tolist()
     instances = []
-    for start in np.flatnonzero(complete.any(axis=1)).tolist():
-        agents = np.flatnonzero(complete[start])
-        instances.append(TrajectoryInstance._adopt(
-            scene_id, scene.agent_ids[agents].tolist(), starts[start],
-            by_agent[agents, start:start + span], t_obs))
+    row = pos = 0
+    for start, count, p in zip(starts.tolist(), windows.tolist(),
+                               np.bincount(run, minlength=len(starts)).tolist()):
+        length = count + span - 1
+        block = gathered[pos:pos + p * length].reshape(p, length, 2)
+        ids = agent_ids[row:row + p]
+        for k in range(count):
+            instances.append(TrajectoryInstance._adopt(
+                scene_id, ids[:], start_frames[start + k], block[:, k:k + span], t_obs))
+        row, pos = row + p, pos + p * length
     return instances
 
 

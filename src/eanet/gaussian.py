@@ -154,10 +154,18 @@ def layer_nll(block: np.ndarray, target_rel: np.ndarray) -> np.ndarray:
 
 def mu_trajectory(field: GaussianField, origin_abs: np.ndarray) -> np.ndarray:
     """Deterministic prediction: cumulative sum of mu from the last
-    observed absolute position. Returns (P, T, 2)."""
+    observed absolute position. Returns (P, T, 2). A field of more than
+    one sequence raises ContractError."""
+    _require_single(field)
     mu = field.mu[0].transpose(1, 0, 2)
     origin = _origin(origin_abs, mu.shape[0])
     return origin[:, None] + np.add.accumulate(mu, axis=1)
+
+
+def _require_single(field: GaussianField) -> None:
+    if field.mu.shape[0] != 1:
+        raise ContractError(f"a single-sequence field (N == 1) is expected, "
+                            f"got N = {field.mu.shape[0]}")
 
 
 def _origin(origin_abs: np.ndarray, p: int) -> np.ndarray:
@@ -192,8 +200,7 @@ def sample_trajectories(field: GaussianField, k: int, seed: int,
     """
     if k < 1:
         raise ContractError("need at least one sample")
-    if field.mu.shape[0] != 1:
-        raise ContractError("sampling expects a single-sequence field (N == 1)")
+    _require_single(field)
     mu = field.mu[0].transpose(2, 1, 0)
     sigma = field.sigma[0].transpose(2, 1, 0)
     rho = field.rho[0, :, :, 0].T

@@ -239,15 +239,18 @@ def banded_kernel_grads(rows: np.ndarray, g_rows: np.ndarray, c_out: int, w: int
     The weight-gradient product is taken as fixed blocks of
     ``_GRAD_COLUMNS`` output columns written into one array (three for the
     package's 60-wide C_out·W), because the blocks' bits do not depend on
-    the BLAS thread count. Checked with scipy-openblas 0.3.31 (Haswell
-    kernels) on a 2-core host: the full 60-column product at inner sizes
-    N·H of 384, 768 and 1536 gives other bits at 2-4 threads than at 1;
-    the blocks give the same bits at 1, 2, 3 and 4 threads and the
-    default, for inner sizes from 6 to 128·12, on 5 layers of 60-wide rows
-    and on 1 layer of 40- or 60-wide rows. ``tests/test_golden.py`` holds
-    trained, replayed and evaluated bytes to that at 1, 2 and 4 threads
-    and the default. The blocks need not give the full product's bits (at
-    an inner size of 768 they do not).
+    the BLAS thread count. Checked with scipy-openblas 0.3.31, a build
+    that targets Haswell, running its SkylakeX kernels (the core it picks
+    on an AVX-512 CPU) on a 2-core host: the full 60-column product at
+    inner sizes N·H of 384, 768 and 1536 gives other bits at 2-4 threads
+    than at 1; the blocks give the same bits at 1, 2, 3 and 4 threads and
+    the default, for inner sizes from 6 to 128·12, on 5 layers of 60-wide
+    rows and on 1 layer of 40- or 60-wide rows. ``tests/test_golden.py``
+    holds trained, replayed and evaluated bytes to that at 1, 2 and 4
+    threads and the default. The blocks need not give the full product's
+    bits (at an inner size of 768 they do not). The rule is the kernels':
+    with the Haswell kernels forced (``OPENBLAS_CORETYPE=Haswell``), 1
+    thread still gives other trained and replayed bits than 2 and 4.
     """
     count, k_in = rows.shape[0], rows.shape[-1]
     c_in, k_out = k_in // w, c_out * w

@@ -497,10 +497,25 @@ def test_manifests_record_the_environment(workdir, tmp_path, capsys):
         assert manifest["environment"] == cli._environment()
     environment = json.loads((tmp_path / "eval.json.manifest.json").read_text())["environment"]
     assert environment["numpy"] == np.__version__
-    assert set(environment) == {"python", "numpy", "blas", "threads"}
+    assert set(environment) == {"python", "numpy", "blas", "blas_core", "simd", "threads"}
     assert set(environment["blas"]) == {"name", "version"}
     assert set(environment["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                            "MKL_NUM_THREADS"}
+
+
+def test_the_environment_names_the_blas_kernels_and_simd_targets(monkeypatch):
+    environment = cli._environment()
+    if environment["blas"]["name"] == "scipy-openblas":
+        # A CPU family such as SkylakeX or Haswell.
+        assert environment["blas_core"].isalnum() and environment["blas_core"] != "unknown"
+    from numpy._core import _multiarray_umath as umath
+    assert set(environment["simd"]) <= set(umath.__cpu_dispatch__)
+    assert all(umath.__cpu_features__[target] for target in environment["simd"])
+    monkeypatch.setattr(cli, "BLAS_CORE_SYMBOL", "no_such_symbol")
+    assert cli._environment()["blas_core"] == "unknown"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "BLAS_LIBS", ("no_such_dir/*openblas*",))
+    assert cli._environment()["blas_core"] == "unknown"
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "online", "eval", "base"])

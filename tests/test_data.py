@@ -397,6 +397,125 @@ def test_a_ragged_scene_file_windows_like_the_oracle(tmp_path):
         int(field) for field in line.split()[:2]))).encode()
 
 
+def run_scene(rng, span):
+    """Observations whose complete-agent set changes every 1-3 windows.
+
+    Each run of 1-3 windows has its own 1-3 agents, present over exactly
+    the run's frames, so they are complete in its windows only; 0-2 empty
+    windows may follow a run. Half the scenes add a long-lived agent over
+    a random stretch of frames. The last run is one window long, so its
+    agents are complete only in the last window. Frame ids step by 10-30,
+    agent ids are shuffled and the rows come in shuffled order."""
+    runs, window = [], 0
+    while window < 30:
+        count = int(rng.integers(1, 4))
+        runs.append((window, count, int(rng.integers(1, 4))))
+        window += count + int(rng.integers(0, 3))
+    runs.append((window, 1, int(rng.integers(1, 4))))
+    frames = window + span
+    frame_ids = np.cumsum(rng.integers(1, 4, size=frames)) * 10
+    ids = iter(rng.permutation(1000)[:3 * len(runs) + 1].tolist())
+    lives = [range(start, start + count + span - 1) for start, count, agents in runs
+             for _ in range(agents)]
+    if rng.integers(2):
+        lo = int(rng.integers(0, frames // 2))
+        lives.append(range(lo, int(rng.integers(lo + 1, frames + 1))))
+    rows = [(int(frame_ids[f]), agent, float(rng.normal()), float(rng.normal()))
+            for agent, life in zip(ids, lives) for f in life]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def runs_of(instances, frame_ids):
+    """Instances grouped into runs: consecutive windows with one agent set."""
+    runs = []
+    for inst in instances:
+        last = runs[-1][-1] if runs else None
+        if last is not None and last.agent_ids == inst.agent_ids and \
+                frame_ids.index(inst.start_frame) == frame_ids.index(last.start_frame) + 1:
+            runs[-1].append(inst)
+        else:
+            runs.append([inst])
+    return runs
+
+
+def test_run_boundaries_window_like_the_oracle():
+    rng = np.random.default_rng(36)
+    single = gapped = last_only = False
+    for _ in range(12):
+        for t_obs, t_pred in ((1, 1), (2, 3), (3, 1), (4, 4)):
+            rows = run_scene(rng, t_obs + t_pred)
+            frame_ids = sorted({row[0] for row in rows})
+            instances = window_instances(scene_of(rows), t_obs, t_pred, "runs")
+            want = oracles.window_instances(rows, t_obs, t_pred, "runs")
+            assert instance_fields(instances) == instance_fields(want)
+            runs = runs_of(instances, frame_ids)
+            for run in runs:
+                for a, b in zip(run, run[1:]):
+                    assert np.shares_memory(a.track, b.track)
+            tracks = [(k, inst.track) for k, run in enumerate(runs) for inst in run]
+            for i, (run_a, a) in enumerate(tracks):
+                for run_b, b in tracks[i + 1:]:
+                    assert run_a == run_b or not np.shares_memory(a, b)
+            single |= any(len(run) == 1 for run in runs[:-1])
+            starts = [frame_ids.index(inst.start_frame) for inst in instances]
+            gapped |= any(b - a > 1 for a, b in zip(starts, starts[1:]))
+            last = instances[-1]
+            last_only |= starts[-1] == len(frame_ids) - t_obs - t_pred and any(
+                all(agent not in inst.agent_ids for inst in instances[:-1])
+                for agent in last.agent_ids)
+            kept = instance_fields(instances)
+            for inst in instances[::3]:
+                for view in (inst.track, inst.obs_abs, inst.fut_abs):
+                    with pytest.raises(ValueError):
+                        view[:] = 0.0
+                with pytest.raises(ValueError):
+                    inst.track.flags.writeable = True
+            assert instance_fields(instances) == kept
+    assert single and gapped and last_only
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=3, seed=2), 4),
+    lambda: window_instances(line_scene(3, 23)),
+])
+def test_windows_of_one_run_are_read_only_views_of_one_block(make):
+    instances = make()
+    kept = instance_fields(instances)
+    block = instances[0].track.base
+    for k, inst in enumerate(instances):
+        assert inst.track.shape == (inst.n_agents, inst.t_obs + inst.t_pred, 2)
+        assert inst.track.base is block and not block.flags.writeable
+        assert np.shares_memory(inst.obs_abs, inst.track)
+        assert np.shares_memory(inst.fut_abs, inst.track)
+        assert np.shares_memory(inst.track, instances[k - 1].track)
+    first, second = instances[0], instances[1]
+    for view in (first.track, first.obs_abs, first.fut_abs):
+        with pytest.raises(ValueError):
+            view[:] = -1.0
+    assert instance_fields(instances) == kept
+    # The steps are read from the track, and a private copy is writable.
+    moved = first.translated([0.0, 0.0])
+    moved.obs_abs[:] = -1.0
+    assert not moved.obs_rel.any()
+    assert np.array_equal(moved.fut_rel[:, 0], moved.fut_abs[:, 0] + 1.0)
+    assert instance_fields([second]) == kept[1:2]
+
+
+def test_windows_hold_their_gathered_positions_and_little_else():
+    # One oneway run of 2000 windows over 2019 frames of 6 agents: the
+    # windows share its positions instead of holding 20 frames each.
+    spec = SyntheticScenarioSpec(kind="oneway")
+    synthetic_instances(spec, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instances = synthetic_instances(spec, 2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 6 * 2019 * 2 * 8 + 512 * len(instances)
+
+
 def direct_instances():
     """Two instances built by the constructor from views of one array."""
     walk = np.arange(2 * 20 * 2, dtype=np.float64).reshape(2, 20, 2)
@@ -409,12 +528,7 @@ def moved_instances():
     return [inst.translated([1.0, -2.0]), inst.recentred()]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: synthetic_instances(SyntheticScenarioSpec(kind="stagger", agents=3, seed=2), 4),
-    lambda: window_instances(line_scene(3, 23)),
-    direct_instances,
-    moved_instances,
-])
+@pytest.mark.parametrize("make", [direct_instances, moved_instances])
 def test_each_instance_owns_one_contiguous_block(make):
     instances = make()
     for inst in instances:

@@ -299,6 +299,16 @@ def test_mu_trajectory_cumsum():
     assert np.allclose(pred[1], [[0, 3], [0, 1], [0, -1]])
 
 
+def test_mu_trajectory_refuses_a_batch_as_sampling_does():
+    # A second sequence used to be dropped: the result was sequence 0's.
+    field, _ = random_field(n=2, seed=7)
+    origin = np.zeros((3, 2))
+    with pytest.raises(ContractError, match="N = 2"):
+        mu_trajectory(field, origin)
+    with pytest.raises(ContractError, match="N = 2"):
+        sample_trajectories(field, 1, seed=0, origin_abs=origin)
+
+
 def loop_sample_trajectories(field, k, seed, origin_abs):
     """Scalar oracle for `sample_trajectories`: one `normal_pair` per
     draw, sample-major, then agent, then frame."""
