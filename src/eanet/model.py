@@ -21,6 +21,15 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
+Network inputs are prepared per frame, not per window (`FrameTables`).
+Windowed instances whose tracks are views of one gathered block, at
+frame offsets less than a span apart, form a run; an instance with a
+private track is a run of one. Each frame of a run has its step taken
+once and its graph built once: one zero-motion graph per window start,
+and one motion graph per frame that a window observes after its first.
+Each instance's displacements, graphs and target are gathered from
+those tables, with the bits it gets when prepared alone.
+
 `TrajectoryModel.forward` runs the fixed chain of stages (graph
 convolution, time-expand conv, residual stack, head) on plain arrays and
 puts it on the tape as one record, whose backward runs each stage's
@@ -48,7 +57,7 @@ import numpy as np
 from . import tensor as T
 from .attention import ea_output, hedge_output, plain_output
 from .data import (T_OBS_DEFAULT, T_PRED_DEFAULT, SyntheticScenarioSpec, TrajectoryInstance,
-                   _steps, synthetic_instances)
+                   synthetic_instances)
 from .errors import ConfigError, require_finite
 from .gaussian import GaussianField, decode_gaussian, mu_trajectory
 from .graph import KERNEL_KINDS, gcn_forward, instance_graphs
@@ -80,35 +89,148 @@ class ModelConfig:
             raise ConfigError("rbf_sigma must be positive")
 
 
-def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[tuple]:
-    """The network inputs and target of every instance of one chunk, in
-    order: relative displacements (T_obs, P, 2), normalised graphs
-    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). The chunk's same-sized
-    instances are prepared as one group: their tracks are stacked once,
-    the steps taken once over that stack (`data._steps`, the values each
-    instance's ``obs_rel`` and ``fut_rel`` give), and the displacements,
-    the graph positions and the target are slices of those two arrays;
-    the graphs are built in one `instance_graphs` call. Raises ConfigError
-    when an instance's spans differ from the model's. The step
-    `chunked_arrays` runs on each chunk.
+def _runs(tracks: list[np.ndarray], span: int) -> list[tuple[np.ndarray, list[int], list[int]]]:
+    """The runs of same-shaped tracks: ``(block, members, offsets)`` per
+    run, where track ``members[i]`` is ``block[:, offsets[i]:][:, :span]``.
+
+    Tracks with one owner of their memory and equal strides, whose data
+    pointers lie a whole number of frame strides apart, are views of one
+    block of frames. Sorted by address, such tracks form a run while
+    each starts less than a span of frames after the one before, so
+    every frame of the run's block, read in place as a read-only strided
+    view from its first track, lies in one of its tracks. A track that
+    owns its memory (constructor-made, `translated`, `recentred`) is a
+    run of its own, with itself listed as often as it is given.
     """
+    shared: dict[tuple, list[tuple[int, int]]] = {}
+    for k, track in enumerate(tracks):
+        owner = track if track.base is None else track.base
+        shared.setdefault((id(owner), track.strides), []).append(
+            (track.__array_interface__["data"][0], k))
+    runs = []
+    for (_, strides), views in shared.items():
+        views.sort()
+        frame = strides[1]
+        cuts = [i for i in range(1, len(views))
+                if not (0 <= views[i][0] - views[i - 1][0] < span * frame
+                        and (views[i][0] - views[i - 1][0]) % frame == 0)]
+        for lo, hi in zip([0, *cuts], [*cuts, len(views)]):
+            first = views[lo][0]
+            offsets = [(at - first) // frame for at, _ in views[lo:hi]]
+            track = tracks[views[lo][1]]
+            block = track if offsets[-1] == 0 else np.lib.stride_tricks.as_strided(
+                track, (track.shape[0], offsets[-1] + span, 2), strides, writeable=False)
+            runs.append((block, [k for _, k in views[lo:hi]], offsets))
+    return runs
+
+
+class FrameTables:
+    """The prepared frames of same-sized instances, one table row per frame.
+
+    The instances are split into runs (`_runs`), and each frame of a run
+    is prepared once, however many of its windows hold it. ``steps``
+    (R, P, 2) holds the steps of every run's frames, run after run, each
+    run's first step zero, with the bits `data._steps` gives. ``graphs``
+    (G, P, P) holds first one normalised graph per member, of its first
+    frame with zero motion (a window's first step is zero), then one per
+    frame that some member observes after its first, with that frame's
+    step as the motion: about two graphs per window of a stride-1 run
+    instead of T_obs. Member k, instance ``members[k]`` of the list
+    prepared, starts at row ``starts[k]`` of ``steps``, and its T_obs
+    graphs are the rows ``graph_rows[k]`` of ``graphs``. The graphs are
+    built ``chunk * T_obs`` at a time, as many as ``chunk`` windows
+    prepared alone would build in one call, so their temporaries do not
+    grow with the number of members; a frame-major copy of the positions,
+    the size of ``steps``, is the one temporary that does.
+    """
+
+    __slots__ = ("members", "span", "steps", "graphs", "starts", "graph_rows")
+
+    def __init__(self, instances: list[TrajectoryInstance], members: list[int],
+                 config: ModelConfig, chunk: int):
+        t_obs, span, count = config.t_obs, config.t_obs + config.t_pred, len(members)
+        frames, firsts, starts = [], [], [0] * count
+        row = 0
+        for block, run, offsets in _runs([instances[i].track for i in members], span):
+            for k, offset in zip(run, offsets):
+                starts[k] = row + offset
+            firsts.append(row)
+            frames.append(block.transpose(1, 0, 2))
+            row += block.shape[1]
+        positions = np.concatenate(frames)
+        steps = np.empty_like(positions)
+        np.subtract(positions[1:], positions[:-1], out=steps[1:])
+        for first in firsts:
+            steps[first] = 0.0
+        # The members' zero-motion graphs come first, then the motion graphs
+        # of the frames that some member observes after its first.
+        starts = np.array(starts, dtype=np.intp)
+        later = starts[:, None] + np.arange(1, t_obs)
+        moving = np.zeros(row, dtype=bool)
+        moving[later] = True
+        motion_frames = moving.nonzero()[0]
+        graph_rows = np.empty((count, t_obs), dtype=np.intp)
+        graph_rows[:, 0] = range(count)
+        np.add(motion_frames.searchsorted(later), count, out=graph_rows[:, 1:])
+        at = np.concatenate([starts, motion_frames])
+        agents = positions.shape[1]
+        graphs = np.empty((len(at), agents, agents))
+        for lo in range(0, len(at), chunk * t_obs):
+            rows = at[lo:lo + chunk * t_obs]
+            motions = steps.take(rows, axis=0)
+            motions[:max(count - lo, 0)] = 0.0
+            graphs[lo:lo + len(rows)] = instance_graphs(positions.take(rows, axis=0), motions,
+                                                        config.kernel, config.rbf_sigma)
+        self.members, self.span, self.steps, self.graphs = members, span, steps, graphs
+        self.starts, self.graph_rows = starts, graph_rows
+
+    def gather(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(x_seq, ahat, fut_rel)`` of the members at ``rows`` (a list
+        or a slice of member indices), in new arrays: (n, T_obs, P, 2) and
+        (n, T_obs, P, P) C-contiguous, and (n, P, T_pred, 2) the last
+        frames of a C-contiguous (n, P, span, 2) array of steps, with the
+        bits `data._steps` gives for the members' stacked tracks."""
+        t_obs = self.graph_rows.shape[1]
+        frames = self.starts[rows, None] + np.arange(self.span)
+        steps = np.ascontiguousarray(self.steps.take(frames, axis=0).transpose(0, 2, 1, 3))
+        steps[:, :, 0] = 0.0
+        x_seq = np.ascontiguousarray(steps[:, :, :t_obs].transpose(0, 2, 1, 3))
+        return x_seq, self.graphs.take(self.graph_rows[rows], axis=0), steps[:, :, t_obs:]
+
+
+def frame_tables(instances: list[TrajectoryInstance], config: ModelConfig,
+                 chunk: int) -> dict[int, FrameTables]:
+    """The `FrameTables` of ``instances`` by agent count, graphs built
+    ``chunk * T_obs`` at a time. Raises ConfigError, before any work,
+    when an instance's spans differ from the model's."""
     by_agents: dict[int, list[int]] = {}
-    for idx, instance in enumerate(part):
+    for idx, instance in enumerate(instances):
         if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
             raise ConfigError(f"instance spans ({instance.t_obs}, {instance.t_pred}), "
                               f"model expects ({config.t_obs}, {config.t_pred})")
         by_agents.setdefault(instance.n_agents, []).append(idx)
+    return {agents: FrameTables(instances, members, config, chunk)
+            for agents, members in by_agents.items()}
+
+
+def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[tuple]:
+    """The network inputs and target of every instance of one chunk, in
+    order: relative displacements (T_obs, P, 2), normalised graphs
+    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). They hold the bits of
+    the instance's ``obs_rel`` (time first), of its graphs built alone
+    and of its ``fut_rel``, whose strides the target keeps. They are
+    gathered from the chunk's `frame_tables`: windows that are views of
+    one block of frames less than a span apart form a run, and each
+    frame of a run has its step taken and its graph built once, however
+    many windows of the chunk hold it. The entries of the p-agent
+    instances are rows of one `FrameTables.gather` of them all. Raises
+    ConfigError when an instance's spans differ from the model's. The
+    step `chunked_arrays` runs on each chunk.
+    """
     prepared: list[tuple] = [()] * len(part)
-    t_obs = config.t_obs
-    for members in by_agents.values():
-        tracks = np.stack([part[i].track for i in members])
-        steps = _steps(tracks)
-        x_seq = np.ascontiguousarray(steps[:, :, :t_obs].transpose(0, 2, 1, 3))
-        positions = tracks[:, :, :t_obs].transpose(0, 2, 1, 3)
-        ahat = instance_graphs(positions, x_seq, config.kernel, config.rbf_sigma)
-        fut_rel = steps[:, :, t_obs:]
-        for k, i in enumerate(members):
-            prepared[i] = (x_seq[k], ahat[k], fut_rel[k])
+    for table in frame_tables(part, config, len(part)).values():
+        for i, arrays in zip(table.members, zip(*table.gather(slice(None)))):
+            prepared[i] = arrays
     return prepared
 
 

@@ -4,9 +4,12 @@ The offline loop accumulates gradients over a shuffled minibatch and
 takes one averaged SGD step; instances that share an agent count are
 stacked and pushed through the network in a single batched forward, which
 is arithmetically the same as summing per-instance losses but an order of
-magnitude faster. The online loop is prequential: every instance is
-predicted and scored with the parameters as they stood *before* that
-instance contributed a single gradient.
+magnitude faster. Training keeps the dataset's per-run tables of frame
+steps and graphs (`model.FrameTables`), not a copy of every instance's
+arrays, and each group gathers its inputs from them. The online loop
+is prequential: every instance is predicted and scored with the
+parameters as they stood *before* that instance contributed a single
+gradient.
 
 Health follows the gradient history, and every online update counts,
 the extra ones of ``updates_per_instance > 1`` included. An update is
@@ -25,7 +28,6 @@ leave the tape empty when they end by an exception.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 from dataclasses import dataclass, field
@@ -37,7 +39,8 @@ from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged, require_finite
 from .gaussian import ade_fde, best_of_k, layer_nll, mu_trajectory, nll_loss, restore_ratio
-from .model import STRATEGIES, ModelConfig, TrajectoryModel, chunked_arrays
+from .model import (STRATEGIES, FrameTables, ModelConfig, TrajectoryModel, chunked_arrays,
+                    frame_tables)
 from .rng import Xorshift64Star
 from .temporal import StackStore
 
@@ -196,27 +199,21 @@ def _tape_cleared_on_error():
 
 
 def _stacked_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
-                    chunk: int) -> tuple[dict[int, tuple], list[tuple[int, int]]]:
-    """The `chunked_arrays` entries of ``dataset`` stacked per agent count:
-    ``stacks[p]`` is one ``(x_seq, ahat, fut_rel)`` triple of the p-agent
-    instances in order, and ``where[i]`` is instance i's ``(p, row)``.
-    They are filled ``chunk`` instances at a time, so no temporary grows
-    with the dataset, and the instances' steps are taken once, by the
-    chunk's `dataset_arrays`."""
-    counts = collections.Counter(instance.n_agents for instance in dataset)
-    filled = collections.Counter()
-    stacks: dict[int, tuple] = {}
-    where: list[tuple[int, int]] = []
-    for instance, arrays in chunked_arrays(dataset, config, chunk):
-        agents = instance.n_agents
-        row = filled[agents]
-        filled[agents] += 1
-        if not row:
-            stacks[agents] = tuple(np.empty((counts[agents], *a.shape)) for a in arrays)
-        for stacked, array in zip(stacks[agents], arrays):
-            stacked[row] = array
-        where.append((agents, row))
-    return stacks, where
+                    chunk: int) -> tuple[dict[int, FrameTables], list[tuple[int, int]]]:
+    """Every instance of ``dataset`` prepared once for training: the
+    `frame_tables` of its agent counts, which hold each frame's step and
+    graphs once, however many windows share the frame, and ``where[i]``,
+    instance i's ``(p, row)``: its agent count and its row among that
+    table's members. The graphs are built ``chunk`` windows' worth at a
+    time, so their temporaries do not grow with the dataset, and no
+    instance's arrays are kept: each group gathers its own from the
+    tables."""
+    tables = frame_tables(dataset, config, chunk)
+    where = [(0, 0)] * len(dataset)
+    for agents, table in tables.items():
+        for row, i in enumerate(table.members):
+            where[i] = (agents, row)
+    return tables, where
 
 
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
@@ -229,10 +226,13 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     batch, so the result equals per-instance accumulation. The groups are
     visited last to first, which adds up the parameter gradients in the
     order one reverse pass over the whole batch would. Before the first
-    epoch, `_stacked_arrays` prepares every instance once, in chunks of
-    ``batch_size``; a group's inputs are then one ``take`` of its rows
-    per array, with the bytes, shape and strides of ``np.stack`` over
-    its instances' `chunked_arrays` entries. The learning rate drops from
+    epoch, `_stacked_arrays` prepares the dataset's frames once, as
+    per-run tables of steps and graphs (`model.FrameTables`): windows
+    that are views of one gathered block less than a span apart are a
+    run, and share the step and graphs of each frame they hold. Each
+    group then gathers its inputs and target from those tables, with the
+    bytes, shape and strides of ``np.stack`` over its instances'
+    `chunked_arrays` entries. The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. ``progress``, if given,
     is called with the epoch and its mean loss after every epoch. A
     non-finite batch loss aborts, before the step is taken, with
@@ -248,7 +248,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
         raise DataError("training needs at least one instance")
     model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    stacks, where = _stacked_arrays(dataset, model.config, config.batch_size)
+    tables, where = _stacked_arrays(dataset, model.config, config.batch_size)
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -273,8 +273,9 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             terms = []
             with np.errstate(all="ignore"), _tape_cleared_on_error():
                 for agents, rows in reversed(groups.items()):
-                    x_seq, ahat, fut = (a.take(rows, axis=0) for a in stacks[agents])
-                    group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
+                    x_seq, ahat, fut = tables[agents].gather(rows)
+                    group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0],
+                                          np.ascontiguousarray(fut))
                     weight = len(rows) / len(batch)
                     terms.append(group_loss.item() * weight)
                     T.backward(group_loss, weight)
@@ -372,11 +373,13 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
 
     Inputs, graphs and the ``fut_rel`` target are prepared ``PREP_CHUNK``
     instances of the (aligned) stream at a time by `chunked_arrays`, when
-    the loop reaches that chunk, which takes the steps once per group of
-    same-sized instances; an instance whose spans differ from the model's
-    raises ConfigError then. The arrays have the bits a chunk of that
-    instance alone gives, and serve all of its ``updates_per_instance``
-    updates; the loop reads no steps off the instance itself.
+    the loop reaches that chunk, which takes each frame's step and builds
+    its graphs once however many of the chunk's windows hold it (about
+    40 graphs for 16 stride-1 windows, not 128); an instance whose spans
+    differ from the model's raises ConfigError then. The arrays have the
+    bits a chunk of that instance alone gives, and serve all of its
+    ``updates_per_instance`` updates; the loop reads no steps off the
+    instance itself.
     Each update runs the same `TrajectoryModel.forward`, NLL and
     backward/clip/step, and counts towards health; the first also yields
     the row's metrics, trace and hedge layer losses. An update whose loss

@@ -15,6 +15,24 @@ any digest differs between the two it writes nothing, prints the names of
 the digests that differ and exits 1. The test recomputes the set at
 several thread counts.
 
+The set was made, and its thread independence checked, on OpenBLAS's
+SkylakeX kernels with numpy dispatching up to AVX512_SPR (the
+``blas_core`` and ``simd`` the file records). The bits depend on both.
+With the Haswell kernels forced (``OPENBLAS_CORETYPE=Haswell``), 7
+digests move (``pretrain/params`` and the six ``online/*`` replays), and
+the thread-independence rule fails there: 1 thread gives other training
+and replay bits than 2 and 4. With numpy at its baseline dispatch
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``)
+those 7 move and so does ``hedge/updates``, which makes no BLAS call.
+
+    PYTHONPATH=src python tests/make_golden.py --kernels
+
+is a report, not a test, and writes nothing: it recomputes the set in
+fresh interpreters under each OpenBLAS kernel family that
+``OPENBLAS_CORETYPE`` reaches on this host (`CORETYPES` are tried, and
+each kernel the library reports is run once) and under numpy's baseline
+dispatch, and prints which recorded digests move under each.
+
 The corpus covers:
 
 * ``pretrain/*``: the checkpoint bytes and loss log of the benchmark's
@@ -37,11 +55,13 @@ The corpus covers:
   noise, and for stagger at turn periods 1 and 3.
 
 The file also records the environment the set was made in, since other
-BLAS builds and CPUs may round differently.
+BLAS builds and CPUs may round differently: `environment`, which carries
+``blas_core`` and ``simd`` from the manifests' environment.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -76,11 +96,17 @@ BASE = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
 # (kind, noise_std, period) of the data/* scenes.
 SCENES = [(kind, noise, period) for kind in SCENARIO_KINDS for noise in (0.0, 0.2)
           for period in ((1, 3) if kind == "stagger" else (10,))]
+# x86-64 kernel families that `--kernels` asks OpenBLAS for, oldest first.
+# A build falls back to the nearest kernel it has and the CPU can run.
+CORETYPES = ("Prescott", "Core2", "Nehalem", "Sandybridge", "Haswell", "SkylakeX",
+             "Cooperlake", "SapphireRapids")
 
 
 def environment() -> dict:
-    """What every ``eanet`` manifest records, plus the CPU architecture and
-    the BLAS build configuration, which can also change how floats round."""
+    """What every ``eanet`` manifest records (the BLAS runtime kernel
+    ``blas_core`` and numpy's dispatch targets ``simd`` among it), plus
+    the CPU architecture and the BLAS build configuration, which can also
+    change how floats round."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {**cli._environment(), "machine": platform.machine(),
             "blas_config": str(blas.get("openblas configuration"))}
@@ -186,13 +212,16 @@ def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
-def run_at(threads: str, call: str = "make_golden.compute") -> dict:
+def run_at(threads: str, call: str = "make_golden.compute", **variables: str) -> dict:
     """The environment and the result of ``call``, a ``module.function`` of
     this directory, from a fresh interpreter whose OPENBLAS_NUM_THREADS is
-    ``threads`` (removed for ``unset``); BLAS reads it only at start-up."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    ``threads`` (removed for ``unset``) and whose environment also holds
+    ``variables``; BLAS and numpy read them only at start-up."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS" and k not in variables}
     if threads != "unset":
         env["OPENBLAS_NUM_THREADS"] = threads
+    env.update(variables)
     module, function = call.rsplit(".", 1)
     code = (f"import json, sys; sys.path[:0] = [{str(HERE)!r}, {str(HERE.parent / 'src')!r}]; "
             f"import make_golden as g, {module} as m; "
@@ -202,7 +231,41 @@ def run_at(threads: str, call: str = "make_golden.compute") -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def main() -> int:
+def kernels() -> int:
+    """Print which recorded digests move under each BLAS kernel that
+    ``OPENBLAS_CORETYPE`` reaches here and under numpy's baseline
+    dispatch, each computed in a fresh interpreter at one BLAS thread."""
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    here = environment()
+    print(f"this host runs {here['blas_core']} kernels, simd {' '.join(here['simd'])}")
+    reached: dict[str, str] = {}
+    for name in CORETYPES:
+        try:
+            forced = run_at("1", "make_golden.environment", OPENBLAS_CORETYPE=name)
+        except subprocess.CalledProcessError:
+            print(f"OPENBLAS_CORETYPE={name}: the interpreter did not start")
+            continue
+        reached.setdefault(forced["environment"]["blas_core"], name)
+    settings = [({"OPENBLAS_CORETYPE": name}, f"OPENBLAS_CORETYPE={name} ({core} kernels)")
+                for core, name in reached.items()]
+    if here["simd"]:
+        baseline = " ".join(reversed(here["simd"]))
+        settings.append(({"NPY_DISABLE_CPU_FEATURES": baseline},
+                         f'NPY_DISABLE_CPU_FEATURES="{baseline}" (baseline dispatch)'))
+    for variables, label in settings:
+        moved = differing(recorded, run_at("1", **variables)["digests"])
+        print(f"{label}: {len(moved)} of {len(recorded)} digests move"
+              + "".join(f"\n  {name}" for name in moved))
+    return 0
+
+
+def main(argv: list[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite tests/data/golden.json.")
+    parser.add_argument("--kernels", action="store_true",
+                        help="report which digests move under other BLAS kernels and "
+                             "numpy's baseline dispatch; write nothing")
+    if parser.parse_args(argv).kernels:
+        return kernels()
     doc, unset = run_at("1"), run_at("unset")
     differ = differing(doc["digests"], unset["digests"])
     if differ:
@@ -221,4 +284,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

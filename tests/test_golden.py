@@ -8,6 +8,14 @@ The corpus trains at batch 64 on 6 agents; ``thread_probe`` reaches the
 larger products of training at batch 128 on 6 and 12 agents. See
 tests/make_golden.py for what each digest covers and how to regenerate
 the file.
+
+The set and the thread independence were checked on OpenBLAS's SkylakeX
+kernels with numpy dispatching up to AVX512_SPR. Forced Haswell kernels
+move 7 digests, and there 1 thread gives other bits than 2 and 4, so
+both tests fail; numpy's baseline dispatch moves those 7 and
+``hedge/updates``. A failure prints the ``blas_core`` and ``simd`` the
+file records beside the ones it ran on; ``make_golden.py --kernels``
+reports which digests each kernel this host can force moves.
 """
 
 import copy
@@ -28,7 +36,10 @@ def test_golden_corpus_digests_are_unchanged():
         if differ:
             failures.append(f"OPENBLAS_NUM_THREADS={threads}: golden digests differ: {differ}\n"
                             f"  recorded in: {recorded['environment']}\n"
-                            f"  running in:  {got['environment']}")
+                            f"  running in:  {got['environment']}"
+                            + "".join(f"\n  {key}: recorded {recorded['environment'].get(key)}, "
+                                      f"running {got['environment'].get(key)}"
+                                      for key in ("blas_core", "simd")))
     assert not failures, "\n".join(failures)
 
 

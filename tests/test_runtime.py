@@ -1,6 +1,8 @@
+import collections
 import copy
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +14,11 @@ from eanet import runtime
 from eanet import temporal
 from eanet import tensor as T
 from eanet.checkpoint import checkpoint_bytes
-from eanet.data import SyntheticScenarioSpec, synthetic_instances
+from eanet.data import (Scene, SyntheticScenarioSpec, _steps, synthetic_instances,
+                        window_instances)
 from eanet.errors import ConfigError, DataError, TrainingDiverged
 from eanet.gaussian import best_of_k, decode_gaussian, nll_loss, restore_ratio
+from eanet.graph import instance_graphs
 from eanet.model import (ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays,
                          toy_instance)
 from eanet.rng import Xorshift64Star
@@ -41,6 +45,27 @@ def per_instance_arrays(instances, config, chunk):
     """The one-instance-at-a-time oracle of `chunked_arrays`."""
     for inst in instances:
         yield inst, dataset_arrays([inst], config)[0]
+
+
+def per_instance_stacks(dataset, config, chunk):
+    """`runtime._stacked_arrays` with every instance prepared alone: a
+    group's arrays are `np.stack` over its instances' entries."""
+    prepared = [arrays for _, arrays in per_instance_arrays(dataset, config, 1)]
+
+    class Stacks:
+        def __init__(self):
+            self.members = []
+
+        def gather(self, rows):
+            members = [self.members[row] for row in rows]
+            return tuple(np.stack([prepared[i][k] for i in members]) for k in range(3))
+
+    tables = collections.defaultdict(Stacks)
+    where = []
+    for i, inst in enumerate(dataset):
+        where.append((inst.n_agents, len(tables[inst.n_agents].members)))
+        tables[inst.n_agents].members.append(i)
+    return tables, where
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +217,7 @@ def test_chunked_training_equals_per_instance_preparation(monkeypatch):
                for i in range(11)]
     config = TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=6)
     chunked = train_offline(dataset, config, SMALL)
-    monkeypatch.setattr(runtime, "chunked_arrays", per_instance_arrays)
+    monkeypatch.setattr(runtime, "_stacked_arrays", per_instance_stacks)
     one_at_a_time = train_offline(dataset, config, SMALL)
     assert chunked.loss_log == one_at_a_time.loss_log
     assert chunked.model.arena.data.tobytes() == one_at_a_time.model.arena.data.tobytes()
@@ -804,3 +829,161 @@ def test_mean_best_of_k_of_no_instances_is_a_data_error(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="at least one instance"):
             runtime.mean_best_of_k(small_model(), [], 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# per-run preparation
+
+
+def entering_and_leaving_scene(seed, spans):
+    """A random-walk scene over 64 frames (ids 0, 10, ...) in which agent
+    a is present on frames ``spans[a]`` only."""
+    rng = np.random.default_rng(seed)
+    walks = np.cumsum(rng.normal(0.0, 0.3, (64, len(spans), 2)), axis=0)
+    walks += rng.uniform(-4.0, 4.0, (1, len(spans), 2))
+    present = np.zeros((64, len(spans)), dtype=bool)
+    for agent, (lo, hi) in enumerate(spans):
+        present[lo:hi, agent] = True
+    return Scene(np.arange(64, dtype=np.int64) * 10, np.arange(1, len(spans) + 1, dtype=np.int64),
+                 np.where(present[..., None], walks, 0.0), present)
+
+
+def mixed_windows():
+    """Windows of two scenes where agents enter and leave, interleaved by
+    start frame as `load_dataset` orders them: runs of 2 to 4 agents,
+    three of scene a's one window long. Every fifth window is recentred,
+    which gives it a private track, and one window is listed twice in a
+    row."""
+    a = window_instances(entering_and_leaving_scene(
+        1, [(0, 64), (0, 31), (9, 64), (25, 45), (40, 60), (44, 64)]), scene_id="a")
+    b = window_instances(entering_and_leaving_scene(
+        2, [(0, 64), (3, 64), (0, 40), (20, 64)]), scene_id="b")
+    windows = sorted(a + b, key=lambda inst: inst.start_frame)
+    windows = [inst.recentred() if i % 5 == 3 else inst for i, inst in enumerate(windows)]
+    return windows[:9] + windows[8:]
+
+
+def test_mixed_windows_hold_one_window_runs_and_views_of_shared_blocks():
+    windows = mixed_windows()
+    shared = [inst for inst in windows if not inst.track.flags.owndata]
+    assert {inst.scene_id for inst in shared} == {"a", "b"}
+    assert {inst.n_agents for inst in windows} == {2, 3, 4}
+    alone = [inst for inst in shared if inst.track.strides[0] == inst.track[0].nbytes]
+    assert {inst.start_frame for inst in alone if inst.scene_id == "a"} == {250, 400}
+    assert windows[8] is windows[9]
+    assert sum(inst.track.flags.owndata for inst in windows) >= len(windows) // 5
+
+
+@pytest.mark.parametrize("chunk", (1, 4, 16, 200))
+def test_runs_of_windows_prepare_like_each_window_alone(chunk):
+    windows = mixed_windows()
+    for config in (SMALL, dataclasses.replace(SMALL, kernel="rbf", rbf_sigma=0.7)):
+        prepared = list(chunked_arrays(windows, config, chunk))
+        assert [inst for inst, _ in prepared] == windows
+        for (inst, arrays), (_, want) in zip(prepared, per_instance_arrays(windows, config, 1)):
+            for got, expected in zip(arrays, want):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            assert arrays[2].strides == want[2].strides == inst.fut_rel.strides
+            # The graphs of the window's own frames, built as one call.
+            graphs = instance_graphs(inst.obs_abs.transpose(1, 0, 2),
+                                     inst.obs_rel.transpose(1, 0, 2), config.kernel,
+                                     config.rbf_sigma)
+            assert arrays[1].tobytes() == graphs.tobytes()
+
+
+def test_runs_of_windows_train_like_each_window_prepared_alone(monkeypatch):
+    windows = mixed_windows()
+    config = TrainConfig(epochs=2, batch_size=7, lr=1e-3, lr_after=1e-3, seed=4)
+    for model_config in (SMALL, dataclasses.replace(SMALL, kernel="rbf", rbf_sigma=0.7)):
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "_stacked_arrays", per_instance_stacks)
+            alone = train_offline(windows, config, model_config)
+        runs = train_offline(windows, config, model_config)
+        assert runs.loss_log == alone.loss_log
+        assert runs.model.arena.data.tobytes() == alone.model.arena.data.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ("motion_trend", "rbf"))
+@pytest.mark.parametrize("strategy", ("ea", "hedge"))
+def test_runs_of_windows_replay_like_each_window_prepared_alone(monkeypatch, strategy, kernel):
+    windows = mixed_windows()
+    config = OnlineConfig(strategy=strategy, updates_per_instance=2, max_instances=len(windows),
+                          rr_checkpoints=(0, 16, 40), seed=2)
+    base = BaseMetrics(ade=0.5, fde=0.9, n_train=0, n_test=0)
+
+    def replay():
+        model = TrajectoryModel(dataclasses.replace(SMALL, kernel=kernel, rbf_sigma=0.7), seed=3)
+        return model, run_online(model, windows, config, base=base)
+
+    runs = replay()
+    monkeypatch.setattr(runtime, "chunked_arrays", per_instance_arrays)
+    assert_same_replay(runs, replay())
+
+
+def test_a_run_of_windows_builds_two_graphs_per_window(monkeypatch):
+    built = []
+
+    def counted(positions, motions, *args):
+        built.append(len(positions))
+        return instance_graphs(positions, motions, *args)
+
+    monkeypatch.setattr(model_module, "instance_graphs", counted)
+    t_obs = SMALL.t_obs
+    windows = synthetic_instances(SyntheticScenarioSpec(kind="oneway", seed=3), 100)
+    # A chunk of n windows of one run: n zero-motion graphs, one per start,
+    # and the n + T_obs - 2 frames observed after some window's first.
+    list(chunked_arrays(windows, SMALL, 16))
+    assert built[:6] == [16 + 16 + t_obs - 2] * 6 and built[6:] == [4 + 4 + t_obs - 2]
+    # Training prepares the whole run at once, T_obs * batch graphs a call.
+    built.clear()
+    runtime._stacked_arrays(windows, SMALL, 4)
+    assert built == [4 * t_obs] * 6 + [2 * 100 + t_obs - 2 - 6 * 4 * t_obs]
+    # A window alone, or a private track, builds its T_obs graphs.
+    built.clear()
+    list(chunked_arrays([windows[0], windows[0].recentred(), windows[50]], SMALL, 3))
+    assert built == [3 * t_obs]
+
+
+def test_runs_are_cut_where_windows_start_a_span_apart():
+    # A table holds each frame of a run once, and no frame between runs.
+    span = SMALL.t_obs + SMALL.t_pred
+    windows = synthetic_instances(SyntheticScenarioSpec(kind="oneway", seed=3), 120)
+    for picked, frames in ((windows[::span - 1], 6 * (span - 1) + span),
+                           (windows[::span], 6 * span),
+                           (windows[:3] + windows[:3][::-1], 2 + span),
+                           ([w.recentred() for w in windows[:3]], 3 * span)):
+        [table] = model_module.frame_tables(picked, SMALL, len(picked)).values()
+        assert len(table.steps) == frames
+    # Runs of one window each: the table is their steps, window after window.
+    assert table.steps.tobytes() == np.concatenate(
+        [_steps(w.track).transpose(1, 0, 2) for w in picked]).tobytes()
+    # Scene a's one-window runs share their agent count and strides.
+    alone = [inst for inst in mixed_windows()
+             if inst.scene_id == "a" and inst.start_frame in (250, 400)]
+    [table] = model_module.frame_tables(alone, SMALL, 2).values()
+    assert len(table.steps) == 2 * span
+
+
+def test_training_preparation_holds_its_frame_tables_and_little_else():
+    # One oneway run of 2000 windows over 2019 frames of 6 agents: a step
+    # per frame and about two graphs per window, where a copy of every
+    # window's arrays would hold 8.4 MB. Graphs are built 64 windows'
+    # worth at a time, so the peak stays within a few (512, 6, 6)
+    # temporaries of what is held.
+    windows = synthetic_instances(SyntheticScenarioSpec(kind="oneway"), 2000)
+    config = ModelConfig()
+    runtime._stacked_arrays(windows[:64], config, 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables, where = runtime._stacked_arrays(windows, config, 64)
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    steps = 2019 * 6 * 2 * 8
+    graphs = (2 * 2000 + config.t_obs - 2) * 6 * 6 * 8
+    assert held <= steps + graphs + 512 * len(windows)
+    assert peak <= held + 2 * steps + 8 * (64 * config.t_obs * 6 * 6 * 8)
+    assert tables[6].steps.nbytes == steps and tables[6].graphs.nbytes == graphs
+    assert where == [(6, row) for row in range(2000)]
