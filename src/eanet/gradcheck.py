@@ -180,7 +180,7 @@ def run_gradient_checks() -> list[tuple[str, float, bool]]:
     [(_, (x_seq, ahat, fut_rel))] = chunked_arrays([instance], config, 1)
 
     def full_loss():
-        field, _, _ = model.forward(x_seq[None], ahat[None], "ea")
+        field, _, _ = model.forward(x_seq, ahat, "ea")
         return nll_loss(field, fut_rel)
 
     case("composed_model", check_gradients(full_loss, model.params), COMPOSED_TOLERANCE)

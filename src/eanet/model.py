@@ -21,14 +21,17 @@ The attention head starts with a near-constant gate of one half and the
 mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
-Network inputs are prepared per frame, not per window (`FrameTables`).
-Windowed instances whose tracks are views of one gathered block, at
-frame offsets less than a span apart, form a run; an instance with a
-private track is a run of one. Each frame of a run has its step taken
-once and its graph built once: one zero-motion graph per window start,
-and one motion graph per frame that a window observes after its first.
-Each instance's displacements, graphs and target are gathered from
-those tables, with the bits it gets when prepared alone.
+Network inputs are prepared per frame, not per window, by one builder,
+`frame_tables`, into one `FrameTables` per agent count. Windowed
+instances whose tracks are views of one gathered block, at frame offsets
+less than a span apart, form a run; an instance with a private track is
+a run of one. Each frame of a run has its step taken once and its graph
+built once: one zero-motion graph per window start, and one motion graph
+per frame that a window observes after its first, `GRAPH_FRAMES` graphs
+per call. Inputs and targets are gathered from those tables in batch
+form, with the bits each instance gets when prepared alone: training
+gathers a group at a time, and `chunked_arrays` yields each instance as
+a batch of one.
 
 `TrajectoryModel.forward` runs the fixed chain of stages (graph
 convolution, time-expand conv, residual stack, head) on plain arrays and
@@ -124,34 +127,37 @@ def _runs(tracks: list[np.ndarray], span: int) -> list[tuple[np.ndarray, list[in
     return runs
 
 
-class FrameTables:
-    """The prepared frames of same-sized instances, one table row per frame.
+# Frames whose graphs one `instance_graphs` call builds: what 64 windows
+# of T_obs 8 build alone. A graph's bits do not depend on the call that
+# builds it, so this bounds the graph temporaries and nothing else.
+GRAPH_FRAMES = 512
 
-    The instances are split into runs (`_runs`), and each frame of a run
-    is prepared once, however many of its windows hold it. ``steps``
+
+class FrameTables:
+    """The prepared frames of same-sized tracks, one table row per frame.
+
+    The tracks are split into runs (`_runs`), and each frame of a run is
+    prepared once, however many of its windows hold it. ``steps``
     (R, P, 2) holds the steps of every run's frames, run after run, each
     run's first step zero, with the bits `data._steps` gives. ``graphs``
-    (G, P, P) holds first one normalised graph per member, of its first
+    (G, P, P) holds first one normalised graph per track, of its first
     frame with zero motion (a window's first step is zero), then one per
-    frame that some member observes after its first, with that frame's
+    frame that some track observes after its first, with that frame's
     step as the motion: about two graphs per window of a stride-1 run
-    instead of T_obs. Member k, instance ``members[k]`` of the list
-    prepared, starts at row ``starts[k]`` of ``steps``, and its T_obs
-    graphs are the rows ``graph_rows[k]`` of ``graphs``. The graphs are
-    built ``chunk * T_obs`` at a time, as many as ``chunk`` windows
-    prepared alone would build in one call, so their temporaries do not
-    grow with the number of members; a frame-major copy of the positions,
-    the size of ``steps``, is the one temporary that does.
+    instead of T_obs. Track k starts at row ``starts[k]`` of ``steps``,
+    and its T_obs graphs are the rows ``graph_rows[k]`` of ``graphs``.
+    The graphs are built `GRAPH_FRAMES` at a time, so their temporaries
+    do not grow with the number of tracks; a frame-major copy of the
+    positions, the size of ``steps``, is the one temporary that does.
     """
 
-    __slots__ = ("members", "span", "steps", "graphs", "starts", "graph_rows")
+    __slots__ = ("span", "steps", "graphs", "starts", "graph_rows")
 
-    def __init__(self, instances: list[TrajectoryInstance], members: list[int],
-                 config: ModelConfig, chunk: int):
-        t_obs, span, count = config.t_obs, config.t_obs + config.t_pred, len(members)
+    def __init__(self, tracks: list[np.ndarray], config: ModelConfig):
+        t_obs, span, count = config.t_obs, config.t_obs + config.t_pred, len(tracks)
         frames, firsts, starts = [], [], [0] * count
         row = 0
-        for block, run, offsets in _runs([instances[i].track for i in members], span):
+        for block, run, offsets in _runs(tracks, span):
             for k, offset in zip(run, offsets):
                 starts[k] = row + offset
             firsts.append(row)
@@ -162,8 +168,8 @@ class FrameTables:
         np.subtract(positions[1:], positions[:-1], out=steps[1:])
         for first in firsts:
             steps[first] = 0.0
-        # The members' zero-motion graphs come first, then the motion graphs
-        # of the frames that some member observes after its first.
+        # The tracks' zero-motion graphs come first, then the motion graphs
+        # of the frames that some track observes after its first.
         starts = np.array(starts, dtype=np.intp)
         later = starts[:, None] + np.arange(1, t_obs)
         moving = np.zeros(row, dtype=bool)
@@ -175,21 +181,21 @@ class FrameTables:
         at = np.concatenate([starts, motion_frames])
         agents = positions.shape[1]
         graphs = np.empty((len(at), agents, agents))
-        for lo in range(0, len(at), chunk * t_obs):
-            rows = at[lo:lo + chunk * t_obs]
+        for lo in range(0, len(at), GRAPH_FRAMES):
+            rows = at[lo:lo + GRAPH_FRAMES]
             motions = steps.take(rows, axis=0)
             motions[:max(count - lo, 0)] = 0.0
             graphs[lo:lo + len(rows)] = instance_graphs(positions.take(rows, axis=0), motions,
                                                         config.kernel, config.rbf_sigma)
-        self.members, self.span, self.steps, self.graphs = members, span, steps, graphs
+        self.span, self.steps, self.graphs = span, steps, graphs
         self.starts, self.graph_rows = starts, graph_rows
 
     def gather(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(x_seq, ahat, fut_rel)`` of the members at ``rows`` (a list
-        or a slice of member indices), in new arrays: (n, T_obs, P, 2) and
+        """``(x_seq, ahat, fut_rel)`` of the tracks at ``rows`` (a list or
+        a slice of track indices), in new arrays: (n, T_obs, P, 2) and
         (n, T_obs, P, P) C-contiguous, and (n, P, T_pred, 2) the last
         frames of a C-contiguous (n, P, span, 2) array of steps, with the
-        bits `data._steps` gives for the members' stacked tracks."""
+        bits `data._steps` gives for the stacked tracks."""
         t_obs = self.graph_rows.shape[1]
         frames = self.starts[rows, None] + np.arange(self.span)
         steps = np.ascontiguousarray(self.steps.take(frames, axis=0).transpose(0, 2, 1, 3))
@@ -198,56 +204,47 @@ class FrameTables:
         return x_seq, self.graphs.take(self.graph_rows[rows], axis=0), steps[:, :, t_obs:]
 
 
-def frame_tables(instances: list[TrajectoryInstance], config: ModelConfig,
-                 chunk: int) -> dict[int, FrameTables]:
-    """The `FrameTables` of ``instances`` by agent count, graphs built
-    ``chunk * T_obs`` at a time. Raises ConfigError, before any work,
-    when an instance's spans differ from the model's."""
-    by_agents: dict[int, list[int]] = {}
-    for idx, instance in enumerate(instances):
+def frame_tables(instances: list[TrajectoryInstance], config: ModelConfig
+                 ) -> tuple[dict[int, FrameTables], list[tuple[int, int]]]:
+    """The one builder of network inputs: the `FrameTables` of
+    ``instances`` by agent count, and ``where[i] = (agents, row)``,
+    instance i's table and its row there. Raises ConfigError, before any
+    work, when an instance's spans differ from the model's."""
+    tracks: dict[int, list[np.ndarray]] = {}
+    where = []
+    for instance in instances:
         if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
             raise ConfigError(f"instance spans ({instance.t_obs}, {instance.t_pred}), "
                               f"model expects ({config.t_obs}, {config.t_pred})")
-        by_agents.setdefault(instance.n_agents, []).append(idx)
-    return {agents: FrameTables(instances, members, config, chunk)
-            for agents, members in by_agents.items()}
-
-
-def dataset_arrays(part: list[TrajectoryInstance], config: ModelConfig) -> list[tuple]:
-    """The network inputs and target of every instance of one chunk, in
-    order: relative displacements (T_obs, P, 2), normalised graphs
-    (T_obs, P, P) and ``fut_rel`` (P, T_pred, 2). They hold the bits of
-    the instance's ``obs_rel`` (time first), of its graphs built alone
-    and of its ``fut_rel``, whose strides the target keeps. They are
-    gathered from the chunk's `frame_tables`: windows that are views of
-    one block of frames less than a span apart form a run, and each
-    frame of a run has its step taken and its graph built once, however
-    many windows of the chunk hold it. The entries of the p-agent
-    instances are rows of one `FrameTables.gather` of them all. Raises
-    ConfigError when an instance's spans differ from the model's. The
-    step `chunked_arrays` runs on each chunk.
-    """
-    prepared: list[tuple] = [()] * len(part)
-    for table in frame_tables(part, config, len(part)).values():
-        for i, arrays in zip(table.members, zip(*table.gather(slice(None)))):
-            prepared[i] = arrays
-    return prepared
+        same = tracks.setdefault(instance.n_agents, [])
+        where.append((instance.n_agents, len(same)))
+        same.append(instance.track)
+    return {agents: FrameTables(same, config) for agents, same in tracks.items()}, where
 
 
 def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,
                    chunk: int) -> Iterator[tuple[TrajectoryInstance, tuple]]:
-    """Each instance with its `dataset_arrays` entry, in order: the one
-    way the package prepares network inputs.
+    """Each instance with its network inputs and target as a batch of one,
+    in order: relative displacements (1, T_obs, P, 2), normalised graphs
+    (1, T_obs, P, P) and ``fut_rel`` (1, P, T_pred, 2), with the bits of
+    the instance's ``obs_rel`` (time first), of its graphs built alone
+    and of its ``fut_rel``, whose strides the target keeps past its first
+    axis.
 
     The next ``chunk`` consecutive instances are drawn from ``instances``
-    and prepared in one `dataset_arrays` call only when the caller reaches
+    and prepared by one `frame_tables` call only when the caller reaches
     them, so the transient memory grows with ``chunk`` and a long stream
-    holds one chunk of arrays at a time. An instance's arrays have the
-    same bits whatever chunk prepares them.
+    holds one chunk of arrays at a time. Each instance's arrays are row
+    slices of one `FrameTables.gather` of its chunk's same-sized
+    instances, and have the same bits whatever chunk prepares them.
+    Raises ConfigError when an instance's spans differ from the model's.
     """
     it = iter(instances)
     while part := list(itertools.islice(it, chunk)):
-        yield from zip(part, dataset_arrays(part, config))
+        tables, where = frame_tables(part, config)
+        gathered = {agents: table.gather(slice(None)) for agents, table in tables.items()}
+        for instance, (agents, row) in zip(part, where):
+            yield instance, tuple(array[row:row + 1] for array in gathered[agents])
 
 
 def _uniform(rng: Xorshift64Star, shape: tuple[int, ...], bound: float) -> np.ndarray:
@@ -324,9 +321,10 @@ class TrajectoryModel:
 
         ``x_seq`` holds relative displacements as (N, T_obs, P, 2) and
         ``ahat_seq`` the normalized graphs as (N, T_obs, P, P), as
-        `chunked_arrays` prepares them. Returns ``(field, block, trace)``:
-        the decoded head output, the (N, L, T_pred, P, D) array of all L
-        layer outputs, and the `ea` head's trace (None for the others).
+        `FrameTables.gather` returns them (N = 1 from `chunked_arrays`).
+        Returns ``(field, block, trace)``: the decoded head output, the
+        (N, L, T_pred, P, D) array of all L layer outputs, and the `ea`
+        head's trace (None for the others).
         On the tape this is one record, whose backward adds each
         parameter's gradient into its arena view in the order per-stage
         records did (head, stack slopes from the deepest, stack kernels,
@@ -370,11 +368,11 @@ class TrajectoryModel:
 
     def predict_field(self, instance: TrajectoryInstance, strategy: str = "plain",
                       hedge_state=None) -> GaussianField:
-        """The decoded field of one instance, prepared as a chunk of its own
-        and run off the tape."""
+        """The decoded field of one instance, prepared as a chunk of its own,
+        already a batch of one, and run off the tape."""
         [(_, (x_seq, ahat_seq, _))] = chunked_arrays([instance], self.config, 1)
         with T.no_grad():
-            return self.forward(x_seq[None], ahat_seq[None], strategy, hedge_state)[0]
+            return self.forward(x_seq, ahat_seq, strategy, hedge_state)[0]
 
     def predict(self, instance: TrajectoryInstance) -> np.ndarray:
         """Deterministic (P, T_pred, 2) absolute prediction of the plain head."""

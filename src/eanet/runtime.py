@@ -5,11 +5,13 @@ takes one averaged SGD step; instances that share an agent count are
 stacked and pushed through the network in a single batched forward, which
 is arithmetically the same as summing per-instance losses but an order of
 magnitude faster. Training keeps the dataset's per-run tables of frame
-steps and graphs (`model.FrameTables`), not a copy of every instance's
-arrays, and each group gathers its inputs from them. The online loop
-is prequential: every instance is predicted and scored with the
-parameters as they stood *before* that instance contributed a single
-gradient.
+steps and graphs from `model.frame_tables`, not a copy of every
+instance's arrays, and each group gathers its inputs from them. The
+online loop and best-of-K evaluation take each instance's inputs from
+`model.chunked_arrays` as a batch of one, which `forward` runs as it
+comes. The online loop is prequential: every instance is predicted and
+scored with the parameters as they stood *before* that instance
+contributed a single gradient.
 
 Health follows the gradient history, and every online update counts,
 the extra ones of ``updates_per_instance > 1`` included. An update is
@@ -39,8 +41,7 @@ from .attention import HedgeState, hedge_update
 from .data import TrajectoryInstance
 from .errors import ConfigError, DataError, TrainingDiverged, require_finite
 from .gaussian import ade_fde, best_of_k, layer_nll, mu_trajectory, nll_loss, restore_ratio
-from .model import (STRATEGIES, FrameTables, ModelConfig, TrajectoryModel, chunked_arrays,
-                    frame_tables)
+from .model import STRATEGIES, ModelConfig, TrajectoryModel, chunked_arrays, frame_tables
 from .rng import Xorshift64Star
 from .temporal import StackStore
 
@@ -198,24 +199,6 @@ def _tape_cleared_on_error():
         raise
 
 
-def _stacked_arrays(dataset: list[TrajectoryInstance], config: ModelConfig,
-                    chunk: int) -> tuple[dict[int, FrameTables], list[tuple[int, int]]]:
-    """Every instance of ``dataset`` prepared once for training: the
-    `frame_tables` of its agent counts, which hold each frame's step and
-    graphs once, however many windows share the frame, and ``where[i]``,
-    instance i's ``(p, row)``: its agent count and its row among that
-    table's members. The graphs are built ``chunk`` windows' worth at a
-    time, so their temporaries do not grow with the dataset, and no
-    instance's arrays are kept: each group gathers its own from the
-    tables."""
-    tables = frame_tables(dataset, config, chunk)
-    where = [(0, 0)] * len(dataset)
-    for agents, table in tables.items():
-        for row, i in enumerate(table.members):
-            where[i] = (agents, row)
-    return tables, where
-
-
 def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
                   model_config: ModelConfig | None = None, progress=None) -> TrainResult:
     """Minimise the plain-output NLL with minibatch SGD.
@@ -226,13 +209,14 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     batch, so the result equals per-instance accumulation. The groups are
     visited last to first, which adds up the parameter gradients in the
     order one reverse pass over the whole batch would. Before the first
-    epoch, `_stacked_arrays` prepares the dataset's frames once, as
-    per-run tables of steps and graphs (`model.FrameTables`): windows
-    that are views of one gathered block less than a span apart are a
-    run, and share the step and graphs of each frame they hold. Each
-    group then gathers its inputs and target from those tables, with the
-    bytes, shape and strides of ``np.stack`` over its instances'
-    `chunked_arrays` entries. The learning rate drops from
+    epoch, `model.frame_tables` prepares the dataset's frames once, as
+    per-run tables of steps and graphs, the same whatever
+    ``batch_size``: windows that are views of one gathered block less
+    than a span apart are a run, and share the step and graphs of each
+    frame they hold. Each group then gathers its inputs and target from
+    those tables, with the bytes and shapes of ``np.stack`` over its
+    instances' arrays prepared alone; `nll_loss` reads the target in
+    the strides it is gathered in. The learning rate drops from
     ``lr`` to ``lr_after`` at ``lr_drop_epoch``. ``progress``, if given,
     is called with the epoch and its mean loss after every epoch. A
     non-finite batch loss aborts, before the step is taken, with
@@ -248,7 +232,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
         raise DataError("training needs at least one instance")
     model = TrajectoryModel(model_config or ModelConfig(), seed=config.seed)
 
-    tables, where = _stacked_arrays(dataset, model.config, config.batch_size)
+    tables, where = frame_tables(dataset, model.config)
     rng = Xorshift64Star(config.seed ^ _SHUFFLE_SALT)
     order = list(range(len(dataset)))
     loss_log: list[float] = []
@@ -274,8 +258,7 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
             with np.errstate(all="ignore"), _tape_cleared_on_error():
                 for agents, rows in reversed(groups.items()):
                     x_seq, ahat, fut = tables[agents].gather(rows)
-                    group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0],
-                                          np.ascontiguousarray(fut))
+                    group_loss = nll_loss(model.forward(x_seq, ahat, store=store)[0], fut)
                     weight = len(rows) / len(batch)
                     terms.append(group_loss.item() * weight)
                     T.backward(group_loss, weight)
@@ -376,8 +359,9 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
     the loop reaches that chunk, which takes each frame's step and builds
     its graphs once however many of the chunk's windows hold it (about
     40 graphs for 16 stride-1 windows, not 128); an instance whose spans
-    differ from the model's raises ConfigError then. The arrays have the
-    bits a chunk of that instance alone gives, and serve all of its
+    differ from the model's raises ConfigError then. The arrays come as a
+    batch of one, which `forward` takes as it is, have the bits a chunk
+    of that instance alone gives, and serve all of its
     ``updates_per_instance`` updates; the loop reads no steps off the
     instance itself.
     Each update runs the same `TrajectoryModel.forward`, NLL and
@@ -409,8 +393,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
         # Health records an exploding update, so numpy need not warn about it.
         with np.errstate(all="ignore"), _tape_cleared_on_error():
             for update in range(config.updates_per_instance):
-                gfield, block, trace = model.forward(x_seq[None], ahat[None],
-                                                     config.strategy, hedge)
+                gfield, block, trace = model.forward(x_seq, ahat, config.strategy, hedge)
                 if update == 0:
                     pred_abs = mu_trajectory(gfield, inst.obs_abs[:, -1])
                     ade, fde = ade_fde(pred_abs, inst.fut_abs)
@@ -419,7 +402,7 @@ def run_online(model: TrajectoryModel, stream: list[TrajectoryInstance],
                         tuple(hedge.w.tolist()) if hedge is not None else None)
                     alpha = tuple(trace.alpha.tolist()) if trace is not None else None
                     if hedge is not None:
-                        layer_losses = layer_nll(block, fut_rel)
+                        layer_losses = layer_nll(block, fut_rel[0])
                 loss_tensor = nll_loss(gfield, fut_rel)
                 update_loss = loss_tensor.item()
                 pre, applied = _apply_update(model, loss_tensor, update_loss, config)
@@ -481,7 +464,8 @@ def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], sa
     """Mean best-of-K (ADE, FDE) of the plain head over ``dataset``.
 
     Instance i draws its K samples with seed ``seed + i``. Inputs and
-    graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time. A
+    graphs are prepared as in `run_online`, ``PREP_CHUNK`` at a time,
+    and each instance's batch of one is run as it comes. A
     sample count below one raises ConfigError, and an empty ``dataset``
     DataError, before any of that.
     """
@@ -492,7 +476,7 @@ def mean_best_of_k(model: TrajectoryModel, dataset: list[TrajectoryInstance], sa
     with T.no_grad():
         prepared = chunked_arrays(dataset, model.config, PREP_CHUNK)
         for i, (inst, (x_seq, ahat, _)) in enumerate(prepared):
-            gfield, _, _ = model.forward(x_seq[None], ahat[None])
+            gfield, _, _ = model.forward(x_seq, ahat)
             report = best_of_k(gfield, inst.fut_abs, samples,
                                seed=seed + i, origin_abs=inst.obs_abs[:, -1])
             ades.append(report.ade)

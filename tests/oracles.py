@@ -30,6 +30,9 @@ each of its gradients sums over.
 loops that `eanet.data` replaced with whole-array numpy work, over plain
 ``(frame, agent, x, y)`` observation tuples; tests require the data
 module's `Scene` and instances to give the same values bit for bit.
+`instance_arrays` prepares one window's network inputs and target from
+its own views, one graph call over its own frames, which every
+preparation of `eanet.model` must match bit for bit.
 `next_u64` and `uniform` are the scalar xorshift64* stream, one word or
 uniform per call, that defines `Xorshift64Star.uniforms` and its words.
 `normal_pair` is the scalar Box-Muller draw that
@@ -537,3 +540,15 @@ def synthetic_instances(spec, count, t_obs, t_pred):
     """The first ``count`` windows of an oracle scene just long enough for them."""
     rows = generate_synthetic(spec, count - 1 + t_obs + t_pred)
     return window_instances(rows, t_obs, t_pred, scene_id=f"{spec.kind}:{spec.seed}")[:count]
+
+
+def instance_arrays(inst, config):
+    """One instance's network inputs and target, prepared alone from its
+    own views: displacements (T_obs, P, 2) from ``inst.obs_rel``, graphs
+    (T_obs, P, P) from one `graph.instance_graphs` call on the window's
+    own observed frames, and ``inst.fut_rel`` as it is. `model.FrameTables`
+    must give each instance these bits, and the target these strides."""
+    x_seq = np.ascontiguousarray(inst.obs_rel.transpose(1, 0, 2))
+    ahat = graph.instance_graphs(inst.obs_abs.transpose(1, 0, 2), x_seq, config.kernel,
+                                 config.rbf_sigma)
+    return x_seq, ahat, inst.fut_rel

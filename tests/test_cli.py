@@ -466,13 +466,13 @@ def test_train_manifest_records_the_seconds_of_each_finished_epoch(workdir, tmp_
     offset = [0.0]
     clock = cli.time.monotonic
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
-    prepare = runtime._stacked_arrays
+    prepare = runtime.frame_tables
 
     def slow(*args):
         offset[0] += 1000.0
         return prepare(*args)
 
-    monkeypatch.setattr(runtime, "_stacked_arrays", slow)
+    monkeypatch.setattr(runtime, "frame_tables", slow)
     args = ["--data", str(workdir / "scene.txt"), "--epochs", "4", "--stack-layers", "2",
             "--seed", "1"]
     assert cli.main(["train", *args, "--ckpt-out", str(tmp_path / "slow.ckpt")]) == 0

@@ -26,7 +26,7 @@ def small_model(layers=2, seed=3):
 def forward_one(model, inst, strategy="plain", hedge_state=None):
     """`TrajectoryModel.forward` on a chunk of one instance."""
     [(_, (x_seq, ahat, _))] = chunked_arrays([inst], model.config, 1)
-    return model.forward(x_seq[None], ahat[None], strategy, hedge_state)
+    return model.forward(x_seq, ahat, strategy, hedge_state)
 
 
 def test_parameter_registry_names_and_shapes():

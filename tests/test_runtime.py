@@ -19,8 +19,8 @@ from eanet.data import (Scene, SyntheticScenarioSpec, _steps, synthetic_instance
 from eanet.errors import ConfigError, DataError, TrainingDiverged
 from eanet.gaussian import best_of_k, decode_gaussian, nll_loss, restore_ratio
 from eanet.graph import instance_graphs
-from eanet.model import (ModelConfig, TrajectoryModel, chunked_arrays, dataset_arrays,
-                         toy_instance)
+from eanet.model import (GRAPH_FRAMES, FrameTables, ModelConfig, TrajectoryModel,
+                         chunked_arrays, frame_tables, toy_instance)
 from eanet.rng import Xorshift64Star
 from eanet.runtime import (BaseMetrics, HealthMonitor, OnlineConfig, TrainConfig,
                            compute_base, run_online, train_offline)
@@ -42,15 +42,17 @@ def plain_loss(model, inst):
 
 
 def per_instance_arrays(instances, config, chunk):
-    """The one-instance-at-a-time oracle of `chunked_arrays`."""
+    """The one-instance-at-a-time oracle of `chunked_arrays`: each
+    instance's `oracles.instance_arrays` as a batch of one."""
     for inst in instances:
-        yield inst, dataset_arrays([inst], config)[0]
+        yield inst, tuple(array[None] for array in oracles.instance_arrays(inst, config))
 
 
-def per_instance_stacks(dataset, config, chunk):
-    """`runtime._stacked_arrays` with every instance prepared alone: a
-    group's arrays are `np.stack` over its instances' entries."""
-    prepared = [arrays for _, arrays in per_instance_arrays(dataset, config, 1)]
+def per_instance_stacks(dataset, config):
+    """`runtime.frame_tables` with every instance prepared alone: a
+    group's arrays are `np.stack` over its instances'
+    `oracles.instance_arrays`."""
+    prepared = [oracles.instance_arrays(inst, config) for inst in dataset]
 
     class Stacks:
         def __init__(self):
@@ -114,8 +116,8 @@ def test_one_epoch_one_instance_is_one_sgd_step():
     inst = toy_set(1, seed0=7)[0]
     reference = small_model(seed=7)
     [(_, (x_seq, ahat, fut))] = chunked_arrays([inst], SMALL, 1)
-    gfield, _, _ = reference.forward(x_seq[None], ahat[None])
-    T.backward(nll_loss(gfield, fut[None]), 1.0)
+    gfield, _, _ = reference.forward(x_seq, ahat)
+    T.backward(nll_loss(gfield, fut), 1.0)
     lr = 0.05
     expected = {name: p.data - lr * p.grad
                 for name, p in reference.params.items() if p.grad is not None}
@@ -142,11 +144,11 @@ def test_group_backwards_equal_one_weighted_tape_bit_for_bit():
     Xorshift64Star(config.seed ^ runtime._SHUFFLE_SALT).shuffle(order)
     groups = {}
     for idx in order:
-        groups.setdefault(prepared[idx][0].shape[1], []).append(idx)
+        groups.setdefault(prepared[idx][0].shape[2], []).append(idx)
     assert len(groups) == 4
     batch_loss = None
     for members in groups.values():
-        x_seq, ahat, fut = (np.stack([prepared[i][k] for i in members]) for k in range(3))
+        x_seq, ahat, fut = (np.concatenate([prepared[i][k] for i in members]) for k in range(3))
         gfield, _, _ = model.forward(x_seq, ahat)
         weighted = oracles.mul(nll_loss(gfield, fut), len(members) / len(order))
         batch_loss = weighted if batch_loss is None else oracles.add(batch_loss, weighted)
@@ -201,23 +203,24 @@ def test_a_group_is_sliced_from_one_stack_like_each_instance_s_steps():
     # displacements and target are slices of one step array, and must
     # equal the instance's own steps in dtype, shape and bytes.
     part = [toy_instance(agents=4 if i % 3 else 7, config=SMALL, seed=60 + i) for i in range(8)]
-    prepared = dataset_arrays(part, SMALL)
+    prepared = chunked_arrays(part, SMALL, len(part))
     assert {inst.n_agents for inst in part} == {4, 7}
-    for inst, (x_seq, _, fut_rel) in zip(part, prepared):
-        for got, want in ((x_seq, inst.obs_rel.transpose(1, 0, 2)), (fut_rel, inst.fut_rel)):
+    for inst, (x_seq, _, fut_rel) in prepared:
+        for got, want in ((x_seq, inst.obs_rel.transpose(1, 0, 2)[None]),
+                          (fut_rel, inst.fut_rel[None])):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert fut_rel.strides == inst.fut_rel.strides
+        assert fut_rel.strides[1:] == inst.fut_rel.strides
 
 
 def test_chunked_training_equals_per_instance_preparation(monkeypatch):
-    # 4- and 7-agent instances interleaved, batches of 4: every chunk
-    # builds its graphs in two calls, and the last chunk is short.
+    # 4- and 7-agent instances interleaved, batches of 4, the last one
+    # short: every batch holds both sizes.
     dataset = [toy_instance(agents=4 if i % 2 else 7, config=SMALL, seed=240 + i)
                for i in range(11)]
     config = TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=6)
     chunked = train_offline(dataset, config, SMALL)
-    monkeypatch.setattr(runtime, "_stacked_arrays", per_instance_stacks)
+    monkeypatch.setattr(runtime, "frame_tables", per_instance_stacks)
     one_at_a_time = train_offline(dataset, config, SMALL)
     assert chunked.loss_log == one_at_a_time.loss_log
     assert chunked.model.arena.data.tobytes() == one_at_a_time.model.arena.data.tobytes()
@@ -244,7 +247,7 @@ def test_training_gathers_each_group_like_np_stack_of_its_instances(monkeypatch)
     monkeypatch.setattr(runtime, "nll_loss", spied_loss)
     train_offline(dataset, config, SMALL)
 
-    prepared = [arrays for _, arrays in chunked_arrays(dataset, SMALL, 1)]
+    prepared = [oracles.instance_arrays(inst, SMALL) for inst in dataset]
     rng, order, want = Xorshift64Star(config.seed ^ runtime._SHUFFLE_SALT), list(range(13)), []
     for _ in range(config.epochs):
         oracles.shuffle(rng, order)
@@ -252,8 +255,10 @@ def test_training_gathers_each_group_like_np_stack_of_its_instances(monkeypatch)
             groups = {}
             for idx in order[start:start + config.batch_size]:
                 groups.setdefault(dataset[idx].n_agents, []).append(idx)
-            # Last group first.
-            want.extend([np.stack([prepared[i][k] for i in members]) for k in range(3)]
+            # Last group first. The target is the last frames of the
+            # group's stacked steps, which `nll_loss` reads in place.
+            want.extend([*(np.stack([prepared[i][k] for i in members]) for k in range(2)),
+                         np.stack([_steps(dataset[i].track) for i in members])[:, :, SMALL.t_obs:]]
                         for members in reversed(groups.values()))
     # Six batches, so more forwards than that means some held both sizes.
     assert len(seen) == len(want) > 2 * 3
@@ -538,11 +543,11 @@ def test_extra_updates_per_instance_move_parameters_further():
 def test_extra_updates_reuse_the_instance_arrays(monkeypatch):
     built = []
 
-    def counted_arrays(dataset, config):
+    def counted_tables(dataset, config):
         built.extend(dataset)
-        return dataset_arrays(dataset, config)
+        return frame_tables(dataset, config)
 
-    monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
+    monkeypatch.setattr(model_module, "frame_tables", counted_tables)
     stream = toy_set(3, seed0=140)
     result = run_online(small_model(seed=4), stream,
                         OnlineConfig(strategy="plain", updates_per_instance=3, seed=0))
@@ -555,11 +560,11 @@ def test_online_prepares_the_stream_one_chunk_at_a_time(monkeypatch):
     # only once the loop has recorded every instance before it.
     calls, recorded = [], []
 
-    def counted_arrays(dataset, config):
+    def counted_tables(dataset, config):
         calls.append((len(dataset), len(recorded)))
-        return dataset_arrays(dataset, config)
+        return frame_tables(dataset, config)
 
-    monkeypatch.setattr(model_module, "dataset_arrays", counted_arrays)
+    monkeypatch.setattr(model_module, "frame_tables", counted_tables)
     count, chunk = 40, runtime.PREP_CHUNK
     run_online(small_model(), toy_set(count, seed0=160), OnlineConfig(max_instances=count),
                progress=lambda idx, rec: recorded.append(idx))
@@ -884,7 +889,7 @@ def test_runs_of_windows_prepare_like_each_window_alone(chunk):
             for got, expected in zip(arrays, want):
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
-            assert arrays[2].strides == want[2].strides == inst.fut_rel.strides
+            assert arrays[2].strides[1:] == want[2].strides[1:] == inst.fut_rel.strides
             # The graphs of the window's own frames, built as one call.
             graphs = instance_graphs(inst.obs_abs.transpose(1, 0, 2),
                                      inst.obs_rel.transpose(1, 0, 2), config.kernel,
@@ -897,7 +902,7 @@ def test_runs_of_windows_train_like_each_window_prepared_alone(monkeypatch):
     config = TrainConfig(epochs=2, batch_size=7, lr=1e-3, lr_after=1e-3, seed=4)
     for model_config in (SMALL, dataclasses.replace(SMALL, kernel="rbf", rbf_sigma=0.7)):
         with monkeypatch.context() as patch:
-            patch.setattr(runtime, "_stacked_arrays", per_instance_stacks)
+            patch.setattr(runtime, "frame_tables", per_instance_stacks)
             alone = train_offline(windows, config, model_config)
         runs = train_offline(windows, config, model_config)
         assert runs.loss_log == alone.loss_log
@@ -935,10 +940,11 @@ def test_a_run_of_windows_builds_two_graphs_per_window(monkeypatch):
     # and the n + T_obs - 2 frames observed after some window's first.
     list(chunked_arrays(windows, SMALL, 16))
     assert built[:6] == [16 + 16 + t_obs - 2] * 6 and built[6:] == [4 + 4 + t_obs - 2]
-    # Training prepares the whole run at once, T_obs * batch graphs a call.
+    # Training prepares the whole run at once, GRAPH_FRAMES graphs a call.
     built.clear()
-    runtime._stacked_arrays(windows, SMALL, 4)
-    assert built == [4 * t_obs] * 6 + [2 * 100 + t_obs - 2 - 6 * 4 * t_obs]
+    run = synthetic_instances(SyntheticScenarioSpec(kind="oneway", seed=3), 300)
+    frame_tables(run, SMALL)
+    assert built == [GRAPH_FRAMES, 2 * 300 + t_obs - 2 - GRAPH_FRAMES]
     # A window alone, or a private track, builds its T_obs graphs.
     built.clear()
     list(chunked_arrays([windows[0], windows[0].recentred(), windows[50]], SMALL, 3))
@@ -953,7 +959,7 @@ def test_runs_are_cut_where_windows_start_a_span_apart():
                            (windows[::span], 6 * span),
                            (windows[:3] + windows[:3][::-1], 2 + span),
                            ([w.recentred() for w in windows[:3]], 3 * span)):
-        [table] = model_module.frame_tables(picked, SMALL, len(picked)).values()
+        [table] = frame_tables(picked, SMALL)[0].values()
         assert len(table.steps) == frames
     # Runs of one window each: the table is their steps, window after window.
     assert table.steps.tobytes() == np.concatenate(
@@ -961,29 +967,63 @@ def test_runs_are_cut_where_windows_start_a_span_apart():
     # Scene a's one-window runs share their agent count and strides.
     alone = [inst for inst in mixed_windows()
              if inst.scene_id == "a" and inst.start_frame in (250, 400)]
-    [table] = model_module.frame_tables(alone, SMALL, 2).values()
+    [table] = frame_tables(alone, SMALL)[0].values()
     assert len(table.steps) == 2 * span
 
 
 def test_training_preparation_holds_its_frame_tables_and_little_else():
     # One oneway run of 2000 windows over 2019 frames of 6 agents: a step
     # per frame and about two graphs per window, where a copy of every
-    # window's arrays would hold 8.4 MB. Graphs are built 64 windows'
-    # worth at a time, so the peak stays within a few (512, 6, 6)
+    # window's arrays would hold 8.4 MB. Graphs are built GRAPH_FRAMES
+    # at a time, so the peak stays within a few (GRAPH_FRAMES, 6, 6)
     # temporaries of what is held.
     windows = synthetic_instances(SyntheticScenarioSpec(kind="oneway"), 2000)
     config = ModelConfig()
-    runtime._stacked_arrays(windows[:64], config, 64)
+    frame_tables(windows[:64], config)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tables, where = runtime._stacked_arrays(windows, config, 64)
+        tables, where = frame_tables(windows, config)
         held, peak = (b - before for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     steps = 2019 * 6 * 2 * 8
     graphs = (2 * 2000 + config.t_obs - 2) * 6 * 6 * 8
     assert held <= steps + graphs + 512 * len(windows)
-    assert peak <= held + 2 * steps + 8 * (64 * config.t_obs * 6 * 6 * 8)
+    assert peak <= held + 2 * steps + 8 * (GRAPH_FRAMES * 6 * 6 * 8)
     assert tables[6].steps.nbytes == steps and tables[6].graphs.nbytes == graphs
     assert where == [(6, row) for row in range(2000)]
+
+
+def test_preparation_does_not_depend_on_the_batch_size(monkeypatch):
+    # One oneway run of 1100 windows needs 2206 graphs, so every batch
+    # size below makes more than one call's worth; at 1000, graphs built
+    # a batch at a time would be 8000 frames a call.
+    windows = synthetic_instances(SyntheticScenarioSpec(kind="oneway", seed=5), 1100)
+    built, made = [], []
+
+    def counted(positions, motions, *args):
+        built.append(len(positions))
+        return instance_graphs(positions, motions, *args)
+
+    def kept(dataset, config):
+        made.append(frame_tables(dataset, config))
+        return made[-1]
+
+    monkeypatch.setattr(model_module, "instance_graphs", counted)
+    monkeypatch.setattr(runtime, "frame_tables", kept)
+    for batch_size in (1, 7, 1000):
+        train_offline(windows, TrainConfig(epochs=1, batch_size=batch_size, lr=1e-4), SMALL)
+    made.append(frame_tables(windows, SMALL))
+    assert len(made) == 4 and max(built) == GRAPH_FRAMES
+    assert sum(built) == 4 * (2 * 1100 + SMALL.t_obs - 2)
+    (tables, where), rest = made[0], made[1:]
+    for other_tables, other_where in rest:
+        assert other_where == where and other_tables.keys() == tables.keys() == {6}
+        for name in FrameTables.__slots__:
+            want, got = getattr(tables[6], name), getattr(other_tables[6], name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want

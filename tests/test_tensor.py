@@ -168,7 +168,7 @@ def test_conv2d_is_bit_exact_under_batch_order():
         assert np.array_equal(T.conv2d(x[batch], k)[0], out[batch])
 
 
-@pytest.mark.parametrize("name", ["tensor", "data", "graph", "temporal", "attention"])
+@pytest.mark.parametrize("name", ["tensor", "data", "graph", "temporal", "attention", "model"])
 def test_every_public_function_has_a_package_caller(name):
     # An op, helper or scene builder that only tests call belongs beside the
     # oracles or in the tests, not here. A public function needs a caller in
