@@ -9,9 +9,9 @@ window only when it is present at every frame of that window.
 A scene read from a file or generated is one `Scene`: dense positions over
 its sorted frame and agent ids, with a mask of the observed entries. An
 instance holds its track and derives its absolute and relative views
-from it on each read. Windowed instances share their frames: each track
-is a read-only view of its run's block of gathered positions. Scenes and
-instances compare by identity.
+from it on each read. Windowed instances share their frames: each
+records its run's read-only block of gathered positions and its offset
+there. Scenes and instances compare by identity.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class TrajectoryInstance:
     """One prediction case: P agents over T_obs observed + T_pred future frames.
 
     An instance holds ``scene_id``, ``agent_ids``, ``start_frame``,
-    ``t_obs`` and one (P, T_obs + T_pred, 2) ``track``. All else is a
+    ``t_obs`` and one (P, T_obs + T_pred, 2) ``track``, the frames of its
+    ``block`` from frame ``offset``. All else is a
     read-only property derived from the track on each read: ``obs_abs``
     and ``fut_abs`` are (P, T, 2) views of it, so writes to them reach the
     track; ``obs_rel`` and ``fut_rel`` are the two slices of the steps of
@@ -58,18 +59,18 @@ class TrajectoryInstance:
     cumulative sum of ``fut_rel`` on top of ``obs_abs[:, -1]`` rebuilds
     ``fut_abs``.
 
-    A windowed instance (`window_instances`) shares its track: it is a
-    read-only view of the block that its run of windows shares, so a write
-    to it raises ValueError instead of reaching a neighbouring window, and
-    the instance keeps its scene's gathered positions alive. Every other
-    instance owns a private, writable, C-contiguous track: the
+    A windowed instance (`window_instances`) shares its run's one
+    read-only ``block``, so a write to its track raises ValueError instead
+    of reaching a neighbouring window, and it keeps its scene's gathered
+    positions alive. Every other instance's track is its own private,
+    writable, C-contiguous ``block``, at offset 0: the
     constructor copies its arrays and ``agent_ids``, so writes to the
     caller's objects do not reach the instance; `translated` and
     `recentred` make a new track; a deep copy or a pickle copies the track,
     and the copy's views follow it. Equality is identity.
     """
 
-    __slots__ = ("scene_id", "agent_ids", "start_frame", "t_obs", "track")
+    __slots__ = ("scene_id", "agent_ids", "start_frame", "t_obs", "track", "block", "offset")
 
     def __new__(cls, scene_id: str, agent_ids: list[int], start_frame: int,
                 obs_abs: np.ndarray, fut_abs: np.ndarray) -> "TrajectoryInstance":
@@ -87,12 +88,14 @@ class TrajectoryInstance:
                           np.concatenate([obs, fut], axis=1), obs.shape[1])
 
     @classmethod
-    def _adopt(cls, scene_id: str, agent_ids: list[int], start_frame: int,
-               track: np.ndarray, t_obs: int) -> "TrajectoryInstance":
-        """The one path to an instance: it owns ``agent_ids`` and holds ``track``."""
+    def _adopt(cls, scene_id: str, agent_ids: list[int], start_frame: int, block: np.ndarray,
+               t_obs: int, offset: int = 0, span: int | None = None) -> "TrajectoryInstance":
+        """The one path to an instance: it owns ``agent_ids``, and its track
+        is ``span`` frames of ``block`` from ``offset`` (all if None)."""
         inst = object.__new__(cls)
         inst.scene_id, inst.agent_ids, inst.start_frame = scene_id, agent_ids, start_frame
-        inst.track, inst.t_obs = track, t_obs
+        inst.block, inst.offset, inst.t_obs = block, offset, t_obs
+        inst.track = block if span is None else block[:, offset:offset + span]
         return inst
 
     def __reduce__(self):
@@ -209,11 +212,12 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
     grows by the window's length across it. A run is a stretch of
     consecutive windows with one complete-agent set. Each run's positions,
     a (P, run windows + span - 1, 2) block, are gathered once, and each
-    window's track is a (P, span, 2) view of its run's block, so
-    neighbouring windows share their frames instead of each holding a
-    copy. The blocks are slices of one read-only array that every
-    instance keeps alive; a write to a track raises ValueError. No steps
-    are taken here (`TrajectoryInstance` derives them from the track).
+    window records its run's block and its offset there, the runs that
+    input preparation reads, and its track is a (P, span, 2) view of that
+    block, so neighbouring windows share their frames instead of each
+    holding a copy. The blocks are slices of one read-only array that
+    every instance keeps alive; a write to a track raises ValueError. No
+    steps are taken here (`TrajectoryInstance` derives them from the track).
     """
     _check_spans(t_obs, t_pred)
     span = t_obs + t_pred
@@ -250,7 +254,7 @@ def window_instances(scene: Scene, t_obs: int = T_OBS_DEFAULT, t_pred: int = T_P
         ids = agent_ids[row:row + p]
         for k in range(count):
             instances.append(TrajectoryInstance._adopt(
-                scene_id, ids[:], start_frames[start + k], block[:, k:k + span], t_obs))
+                scene_id, ids[:], start_frames[start + k], block, t_obs, k, span))
         row, pos = row + p, pos + p * length
     return instances
 

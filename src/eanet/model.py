@@ -22,16 +22,16 @@ mix one-hot on the deepest layer scaled by two, so the gated output
 matches the plain deepest-layer output that offline training optimised.
 
 Network inputs are prepared per frame, not per window, by one builder,
-`frame_tables`, into one `FrameTables` per agent count. Windowed
-instances whose tracks are views of one gathered block, at frame offsets
-less than a span apart, form a run; an instance with a private track is
-a run of one. Each frame of a run has its step taken once and its graph
-built once: one zero-motion graph per window start, and one motion graph
-per frame that a window observes after its first, `GRAPH_FRAMES` graphs
-per call. Inputs and targets are gathered from those tables in batch
-form, with the bits each instance gets when prepared alone: training
-gathers a group at a time, and `chunked_arrays` yields each instance as
-a batch of one.
+`frame_tables`, into one `FrameTables` per agent count. Windowing
+decides the runs and preparation reads them: instances that record one
+block (`data.TrajectoryInstance`) at offsets less than a span apart
+form a run, and a private track is a run of one. Each frame of a run
+has its step taken once and its graph built once: one zero-motion graph
+per window start, and one motion graph per frame that a window observes
+after its first, `GRAPH_FRAMES` graphs per call. Inputs and targets are
+gathered from those tables in batch form, with the bits each instance
+gets when prepared alone: training gathers a group at a time, and
+`chunked_arrays` yields each instance as a batch of one.
 
 `TrajectoryModel.forward` runs the fixed chain of stages (graph
 convolution, time-expand conv, residual stack, head) on plain arrays and
@@ -92,38 +92,30 @@ class ModelConfig:
             raise ConfigError("rbf_sigma must be positive")
 
 
-def _runs(tracks: list[np.ndarray], span: int) -> list[tuple[np.ndarray, list[int], list[int]]]:
-    """The runs of same-shaped tracks: ``(block, members, offsets)`` per
-    run, where track ``members[i]`` is ``block[:, offsets[i]:][:, :span]``.
+def _runs(instances: list[TrajectoryInstance], span: int
+          ) -> list[tuple[np.ndarray, list[int], list[int]]]:
+    """The runs of same-sized instances: ``(block, members, offsets)``
+    per run, where instance ``members[i]``'s track is
+    ``block[:, offsets[i]:offsets[i] + span]``.
 
-    Tracks with one owner of their memory and equal strides, whose data
-    pointers lie a whole number of frame strides apart, are views of one
-    block of frames. Sorted by address, such tracks form a run while
-    each starts less than a span of frames after the one before, so
-    every frame of the run's block, read in place as a read-only strided
-    view from its first track, lies in one of its tracks. A track that
-    owns its memory (constructor-made, `translated`, `recentred`) is a
-    run of its own, with itself listed as often as it is given.
+    The instances that windowing gave one ``block``, sorted by
+    ``offset``, form a run while each starts less than a span after the
+    one before, so every frame of the run's ``block``, the slice of the
+    recorded block they cover, lies in one of their tracks. A private
+    track is its own block, a run of its own, listed as often as given.
     """
-    shared: dict[tuple, list[tuple[int, int]]] = {}
-    for k, track in enumerate(tracks):
-        owner = track if track.base is None else track.base
-        shared.setdefault((id(owner), track.strides), []).append(
-            (track.__array_interface__["data"][0], k))
+    shared: dict[int, list[tuple[int, int]]] = {}
+    for k, instance in enumerate(instances):
+        shared.setdefault(id(instance.block), []).append((instance.offset, k))
     runs = []
-    for (_, strides), views in shared.items():
+    for views in shared.values():
         views.sort()
-        frame = strides[1]
-        cuts = [i for i in range(1, len(views))
-                if not (0 <= views[i][0] - views[i - 1][0] < span * frame
-                        and (views[i][0] - views[i - 1][0]) % frame == 0)]
+        block = instances[views[0][1]].block
+        cuts = [i for i in range(1, len(views)) if views[i][0] - views[i - 1][0] >= span]
         for lo, hi in zip([0, *cuts], [*cuts, len(views)]):
             first = views[lo][0]
-            offsets = [(at - first) // frame for at, _ in views[lo:hi]]
-            track = tracks[views[lo][1]]
-            block = track if offsets[-1] == 0 else np.lib.stride_tricks.as_strided(
-                track, (track.shape[0], offsets[-1] + span, 2), strides, writeable=False)
-            runs.append((block, [k for _, k in views[lo:hi]], offsets))
+            runs.append((block[:, first:views[hi - 1][0] + span],
+                         [k for _, k in views[lo:hi]], [at - first for at, _ in views[lo:hi]]))
     return runs
 
 
@@ -134,30 +126,31 @@ GRAPH_FRAMES = 512
 
 
 class FrameTables:
-    """The prepared frames of same-sized tracks, one table row per frame.
+    """The prepared frames of same-sized instances, one table row per frame.
 
-    The tracks are split into runs (`_runs`), and each frame of a run is
+    The instances are split into the runs that windowing recorded in
+    their ``block`` and ``offset`` (`_runs`), and each frame of a run is
     prepared once, however many of its windows hold it. ``steps``
     (R, P, 2) holds the steps of every run's frames, run after run, each
     run's first step zero, with the bits `data._steps` gives. ``graphs``
-    (G, P, P) holds first one normalised graph per track, of its first
+    (G, P, P) holds first one normalised graph per instance, of its first
     frame with zero motion (a window's first step is zero), then one per
-    frame that some track observes after its first, with that frame's
+    frame that some instance observes after its first, with that frame's
     step as the motion: about two graphs per window of a stride-1 run
-    instead of T_obs. Track k starts at row ``starts[k]`` of ``steps``,
+    instead of T_obs. Instance k starts at row ``starts[k]`` of ``steps``,
     and its T_obs graphs are the rows ``graph_rows[k]`` of ``graphs``.
     The graphs are built `GRAPH_FRAMES` at a time, so their temporaries
-    do not grow with the number of tracks; a frame-major copy of the
+    do not grow with the instance count; a frame-major copy of the
     positions, the size of ``steps``, is the one temporary that does.
     """
 
     __slots__ = ("span", "steps", "graphs", "starts", "graph_rows")
 
-    def __init__(self, tracks: list[np.ndarray], config: ModelConfig):
-        t_obs, span, count = config.t_obs, config.t_obs + config.t_pred, len(tracks)
+    def __init__(self, instances: list[TrajectoryInstance], config: ModelConfig):
+        t_obs, span, count = config.t_obs, config.t_obs + config.t_pred, len(instances)
         frames, firsts, starts = [], [], [0] * count
         row = 0
-        for block, run, offsets in _runs(tracks, span):
+        for block, run, offsets in _runs(instances, span):
             for k, offset in zip(run, offsets):
                 starts[k] = row + offset
             firsts.append(row)
@@ -168,8 +161,8 @@ class FrameTables:
         np.subtract(positions[1:], positions[:-1], out=steps[1:])
         for first in firsts:
             steps[first] = 0.0
-        # The tracks' zero-motion graphs come first, then the motion graphs
-        # of the frames that some track observes after its first.
+        # The instances' zero-motion graphs come first, then the motion
+        # graphs of the frames that some instance observes after its first.
         starts = np.array(starts, dtype=np.intp)
         later = starts[:, None] + np.arange(1, t_obs)
         moving = np.zeros(row, dtype=bool)
@@ -191,8 +184,8 @@ class FrameTables:
         self.starts, self.graph_rows = starts, graph_rows
 
     def gather(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(x_seq, ahat, fut_rel)`` of the tracks at ``rows`` (a list or
-        a slice of track indices), in new arrays: (n, T_obs, P, 2) and
+        """``(x_seq, ahat, fut_rel)`` of the instances at ``rows`` (a list
+        or a slice of instance indices), in new arrays: (n, T_obs, P, 2) and
         (n, T_obs, P, P) C-contiguous, and (n, P, T_pred, 2) the last
         frames of a C-contiguous (n, P, span, 2) array of steps, with the
         bits `data._steps` gives for the stacked tracks."""
@@ -208,18 +201,19 @@ def frame_tables(instances: list[TrajectoryInstance], config: ModelConfig
                  ) -> tuple[dict[int, FrameTables], list[tuple[int, int]]]:
     """The one builder of network inputs: the `FrameTables` of
     ``instances`` by agent count, and ``where[i] = (agents, row)``,
-    instance i's table and its row there. Raises ConfigError, before any
-    work, when an instance's spans differ from the model's."""
-    tracks: dict[int, list[np.ndarray]] = {}
+    instance i's table and its row there, reading the runs windowing
+    recorded (`_runs`). Raises ConfigError, before any work, when an
+    instance's spans differ from the model's."""
+    sized: dict[int, list[TrajectoryInstance]] = {}
     where = []
     for instance in instances:
         if instance.t_obs != config.t_obs or instance.t_pred != config.t_pred:
             raise ConfigError(f"instance spans ({instance.t_obs}, {instance.t_pred}), "
                               f"model expects ({config.t_obs}, {config.t_pred})")
-        same = tracks.setdefault(instance.n_agents, [])
+        same = sized.setdefault(instance.n_agents, [])
         where.append((instance.n_agents, len(same)))
-        same.append(instance.track)
-    return {agents: FrameTables(same, config) for agents, same in tracks.items()}, where
+        same.append(instance)
+    return {agents: FrameTables(same, config) for agents, same in sized.items()}, where
 
 
 def chunked_arrays(instances: Iterable[TrajectoryInstance], config: ModelConfig,

@@ -11,7 +11,7 @@ byte-stable for a given report.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .runtime import BaseMetrics, StreamRecord
 
@@ -39,7 +39,7 @@ def _axes(title: str) -> list[str]:
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{WIDTH // 2}" y="{MARGIN_TOP - 14}" text-anchor="middle" '
-        f'font-size="14">{escape(title)}</text>',
+        f'font-size="14">{escape(title, quote=False)}</text>',
     ]
 
 

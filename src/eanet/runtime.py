@@ -211,9 +211,9 @@ def train_offline(dataset: list[TrajectoryInstance], config: TrainConfig,
     order one reverse pass over the whole batch would. Before the first
     epoch, `model.frame_tables` prepares the dataset's frames once, as
     per-run tables of steps and graphs, the same whatever
-    ``batch_size``: windows that are views of one gathered block less
-    than a span apart are a run, and share the step and graphs of each
-    frame they hold. Each group then gathers its inputs and target from
+    ``batch_size``: windows of one recorded block less than a span
+    apart are a run, and share the step and graphs of each frame they
+    hold. Each group then gathers its inputs and target from
     those tables, with the bytes and shapes of ``np.stack`` over its
     instances' arrays prepared alone; `nll_loss` reads the target in
     the strides it is gathered in. The learning rate drops from

@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import warnings
 import xml.etree.ElementTree as ET
@@ -24,6 +27,19 @@ from eanet.report import read_stream_csv, write_loss_csv, write_stream_csv
 from eanet.runtime import BaseMetrics, OnlineConfig, StreamRecord, TrainConfig, run_online
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def test_the_cli_imports_no_network_modules():
+    # Every command imports the CLI, so a module it pulls in costs every
+    # command its load time and memory (xml.sax.saxutils pulls in all of
+    # these for one escape).
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, eanet.cli; print(' '.join(sorted({'ssl', 'urllib.request', "
+            "'http.client', 'socket', 'email'} & set(sys.modules))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    assert done.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,14 @@ def test_windows_of_one_run_are_read_only_views_of_one_block(make):
     kept = instance_fields(instances)
     block = instances[0].track.base
     for k, inst in enumerate(instances):
-        assert inst.track.shape == (inst.n_agents, inst.t_obs + inst.t_pred, 2)
+        span = inst.t_obs + inst.t_pred
+        assert inst.track.shape == (inst.n_agents, span, 2)
         assert inst.track.base is block and not block.flags.writeable
+        # The instance records its run's block and its frame offset there.
+        assert inst.block is instances[0].block and inst.offset == k
+        window = inst.block[:, inst.offset:inst.offset + span]
+        assert np.shares_memory(inst.track, window) and inst.track.strides == window.strides
+        assert np.array_equal(inst.track, window)
         assert np.shares_memory(inst.obs_abs, inst.track)
         assert np.shares_memory(inst.fut_abs, inst.track)
         assert np.shares_memory(inst.track, instances[k - 1].track)
@@ -499,6 +505,22 @@ def test_windows_of_one_run_are_read_only_views_of_one_block(make):
     assert not moved.obs_rel.any()
     assert np.array_equal(moved.fut_rel[:, 0], moved.fut_abs[:, 0] + 1.0)
     assert instance_fields([second]) == kept[1:2]
+
+
+def test_each_run_records_one_block_that_no_other_run_holds():
+    rng = np.random.default_rng(39)
+    for t_obs, t_pred in ((1, 1), (2, 3), (4, 4)):
+        rows = run_scene(rng, t_obs + t_pred)
+        instances = window_instances(scene_of(rows), t_obs, t_pred, "runs")
+        runs = runs_of(instances, sorted({row[0] for row in rows}))
+        assert len(runs) > 5
+        for run in runs:
+            assert all(inst.block is run[0].block for inst in run)
+            assert [inst.offset for inst in run] == list(range(len(run)))
+            assert run[0].block.shape[1] == len(run) + t_obs + t_pred - 1
+        blocks = [run[0].block for run in runs]
+        for i, block in enumerate(blocks):
+            assert not any(np.shares_memory(block, other) for other in blocks[i + 1:])
 
 
 def test_windows_hold_their_gathered_positions_and_little_else():
@@ -535,6 +557,8 @@ def test_each_instance_owns_one_contiguous_block(make):
         block = inst.obs_abs.base
         assert block is inst.fut_abs.base and block.flags.c_contiguous
         assert block.shape == (inst.n_agents, inst.t_obs + inst.t_pred, 2)
+        assert inst.block is inst.track is block and inst.offset == 0
+        assert block.flags.writeable
     first, second = instances[0], instances[1]
     assert not np.shares_memory(first.obs_abs.base, second.obs_abs.base)
     before = second.obs_abs.copy()
@@ -584,6 +608,7 @@ def test_a_copy_derives_its_views_from_its_own_track(clone):
     twin = clone(inst)
     assert instance_fields([twin]) == kept and not hasattr(twin, "__dict__")
     assert twin.track.flags.c_contiguous and not np.shares_memory(twin.track, inst.track)
+    assert twin.block is twin.track and twin.offset == 0 and twin.track.flags.writeable
     assert np.shares_memory(twin.obs_abs, twin.track)
     twin.agent_ids.append(9)
     twin.obs_abs[:] = 0.0
